@@ -142,6 +142,7 @@ def _cmd_cvt(args) -> int:
         "energy": t.energy,
         "iterations": t.iterations,
         "converged": t.converged,
+        "stop_reason": t.stop_reason,
         "output": str(path),
     }))
     return EXIT_OK

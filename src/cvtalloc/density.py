@@ -260,8 +260,9 @@ def _normal_cdf_diff(alpha, beta):
     return np.where(both_right, right, np.where(both_left, left, mid))
 
 
-def _moments_analytic(d: DensitySpec, lo, hi):
-    """(mass, first moment, second moment) of d over [lo, hi], closed form."""
+def _moments_analytic(d: DensitySpec, lo, hi, order: int):
+    """(mass, first moment[, second moment]) of d over [lo, hi], closed form;
+    the second moment only when order is 2."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     p = d.params
@@ -273,6 +274,8 @@ def _moments_analytic(d: DensitySpec, lo, hi):
         w = 1.0 / (b - a)
         m0 = (hi_c - lo_c) * w
         m1 = 0.5 * (hi_c ** 2 - lo_c ** 2) * w
+        if order == 1:
+            return m0, m1
         m2 = (hi_c ** 3 - lo_c ** 3) / 3.0 * w
         return m0, m1, m2
 
@@ -284,6 +287,8 @@ def _moments_analytic(d: DensitySpec, lo, hi):
         m0 = _normal_cdf_diff(alpha, beta)
         dphi = _phi(alpha) - _phi(beta)
         m1 = mu * m0 + sigma * dphi
+        if order == 1:
+            return m0, m1
         central2 = s2 * (m0 + _t_phi(alpha) - _t_phi(beta))
         m2 = mu * mu * m0 + 2.0 * mu * sigma * dphi + central2
         return m0, m1, m2
@@ -297,14 +302,12 @@ def _moments_analytic(d: DensitySpec, lo, hi):
             finite = np.isfinite(x)
             xs = np.where(finite, x, 0.0)
             e = np.where(finite, np.exp(-lam * xs), 0.0)
-            t0 = e
-            t1 = (xs + 1.0 / lam) * e
-            t2 = (xs * xs + 2.0 * xs / lam + 2.0 / lam ** 2) * e
-            return t0, t1, t2
+            t = [e, (xs + 1.0 / lam) * e]
+            if order == 2:
+                t.append((xs * xs + 2.0 * xs / lam + 2.0 / lam ** 2) * e)
+            return t
 
-        a0, a1, a2 = terms(lo_c)
-        b0, b1, b2 = terms(hi_c)
-        return a0 - b0, a1 - b1, a2 - b2
+        return tuple(a - b for a, b in zip(terms(lo_c), terms(hi_c)))
 
     # gamma
     k, theta = p["k"], p["theta"]
@@ -314,13 +317,15 @@ def _moments_analytic(d: DensitySpec, lo, hi):
     def reg_diff(shape):
         # Use the upper tail when both endpoints sit past the bulk to avoid
         # catastrophic cancellation of near-1 lower incomplete values.
-        lower = special.gammainc(shape, hi_c) - special.gammainc(shape, lo_c)
+        p_lo = special.gammainc(shape, lo_c)
+        lower = special.gammainc(shape, hi_c) - p_lo
         upper = special.gammaincc(shape, lo_c) - special.gammaincc(shape, hi_c)
-        use_upper = special.gammainc(shape, lo_c) > 0.5
-        return np.where(use_upper, upper, lower)
+        return np.where(p_lo > 0.5, upper, lower)
 
     m0 = reg_diff(k)
     m1 = k * theta * reg_diff(k + 1.0)
+    if order == 1:
+        return m0, m1
     m2 = k * (k + 1.0) * theta * theta * reg_diff(k + 2.0)
     return m0, m1, m2
 
@@ -343,21 +348,27 @@ def _moment_quadrature(d: DensitySpec, lo: float, hi: float, order: int) -> floa
     return result[0]
 
 
-def interval_moments(d: DensitySpec, lo, hi, method: str = "analytic"):
-    """Vectorized (mass, first moment, second moment) over [lo, hi] arrays.
+def interval_moments(d: DensitySpec, lo, hi, method: str = "analytic",
+                     order: int = 2):
+    """Vectorized moments 0..order over [lo, hi] arrays: (mass, first
+    moment, second moment) for order 2, (mass, first moment) for order 1.
 
-    This is the workhorse used by the tessellation module; the public
-    scalar operations below wrap it.
+    Centroids need only order 1, which skips the second-moment work; the
+    mass and first moment are the same either way.  This is the workhorse
+    used by the tessellation module; the public scalar operations below
+    wrap it.
     """
     _require_bound(d)
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order!r}")
     if method == "analytic":
-        return _moments_analytic(d, lo, hi)
+        return _moments_analytic(d, lo, hi, order)
     if method == "quadrature":
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        m = np.array([[_moment_quadrature(d, a, b, k) for a, b in zip(lo, hi)]
-                      for k in range(3)])
-        return m[0], m[1], m[2]
+        return tuple(np.array([_moment_quadrature(d, a, b, k)
+                               for a, b in zip(lo, hi)])
+                     for k in range(order + 1))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -367,13 +378,13 @@ def interval_moments(d: DensitySpec, lo, hi, method: str = "analytic"):
 
 def mass(d: DensitySpec, iv: Interval, method: str = "analytic") -> float:
     """Integral of the density over iv; in [0, 1]."""
-    m0, _, _ = interval_moments(d, iv.lo, iv.hi, method=method)
+    m0, _ = interval_moments(d, iv.lo, iv.hi, method=method, order=1)
     return float(np.clip(np.squeeze(m0), 0.0, 1.0))
 
 
 def first_moment(d: DensitySpec, iv: Interval, method: str = "analytic") -> float:
     """Integral of x * density over iv."""
-    _, m1, _ = interval_moments(d, iv.lo, iv.hi, method=method)
+    _, m1 = interval_moments(d, iv.lo, iv.hi, method=method, order=1)
     return float(np.squeeze(m1))
 
 
@@ -383,24 +394,25 @@ def second_moment(d: DensitySpec, iv: Interval, method: str = "analytic") -> flo
     return float(np.squeeze(m2))
 
 
-def mass_floor(iv: Interval) -> float:
-    """Minimum mass below which a cell is treated as empty.
+def mass_floor(lo, hi):
+    """Minimum mass below which a cell [lo, hi] is treated as empty
+    (vectorized over lo, hi arrays).
 
-    Scaled by interval width so far-tail cells that underflow raise a clear
-    EmptyCell instead of dividing near-zero.
+    Scaled by interval width, at least 1, and 1 for an infinite width, so
+    far-tail cells that underflow raise a clear EmptyCell instead of
+    dividing near-zero.
     """
-    width = iv.hi - iv.lo
-    if not math.isfinite(width):
-        width = 1.0
-    return 1e-300 * max(width, 1.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        width = np.subtract(hi, lo, dtype=float)
+    return 1e-300 * np.maximum(np.where(np.isfinite(width), width, 1.0), 1.0)
 
 
 def centroid(d: DensitySpec, iv: Interval, method: str = "analytic") -> float:
     """Mass centroid of iv under d: first_moment / mass. Always inside iv."""
-    m0, m1, _ = interval_moments(d, iv.lo, iv.hi, method=method)
+    m0, m1 = interval_moments(d, iv.lo, iv.hi, method=method, order=1)
     m0 = float(np.squeeze(m0))
     m1 = float(np.squeeze(m1))
-    if m0 <= mass_floor(iv):
+    if m0 <= mass_floor(iv.lo, iv.hi):
         raise EmptyCell(f"cell [{iv.lo}, {iv.hi}] has mass {m0:g}")
     c = m1 / m0
     # Clamp fp noise; the exact centroid always lies in the interval.

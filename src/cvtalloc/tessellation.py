@@ -41,6 +41,10 @@ DUPLICATE_GAP_FRACTION = 1e-12
 # Default Lloyd stopping displacement, as a fraction of the domain width.
 LLOYD_TOL_FRACTION = 1e-10
 LLOYD_MAX_ITER = 10_000
+# Lloyd stops as stagnated once its max displacement has set no new minimum
+# for this many iterations: it has reached the floating-point noise floor of
+# the centroid map and further iterations only resample that noise.
+LLOYD_STALL_WINDOW = 1000
 
 
 @dataclass(frozen=True)
@@ -63,14 +67,24 @@ class Domain1D:
 
 @dataclass(frozen=True)
 class Tessellation:
-    """Sorted generators, their midpoint cell boundaries, and the energy K."""
+    """Sorted generators, their midpoint cell boundaries, and the energy K.
+
+    For a Lloyd result, ``iterations`` counts the updates made and
+    ``stop_reason`` says why the iteration ended: "tol" (displacement below
+    the tolerance), "stagnated" (no new minimum displacement for
+    LLOYD_STALL_WINDOW iterations) or "budget" (max_iter reached).
+    """
 
     generators: np.ndarray
     boundaries: np.ndarray
     energy: float
     domain: Domain1D
-    converged: bool = True
+    stop_reason: str = "tol"
     iterations: int = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tol"
 
     def cells(self) -> list[Interval]:
         return [Interval(self.boundaries[i], self.boundaries[i + 1])
@@ -97,8 +111,8 @@ def _midpoint_boundaries(z: np.ndarray, dom: Domain1D) -> np.ndarray:
     return np.concatenate(([dom.a], 0.5 * (z[:-1] + z[1:]), [dom.b]))
 
 
-def voronoi_regions(generators, dom: Domain1D, d: DensitySpec | None = None,
-                    **flags) -> Tessellation:
+def voronoi_regions(generators, dom: Domain1D,
+                    d: DensitySpec | None = None) -> Tessellation:
     """Tessellation of dom induced by the generators.
 
     If a density is given the energy field is populated via energy_K;
@@ -107,8 +121,7 @@ def voronoi_regions(generators, dom: Domain1D, d: DensitySpec | None = None,
     z = _validate_generators(generators, dom)
     m = _midpoint_boundaries(z, dom)
     energy = _energy_of_cells(z, m, d) if d is not None else 0.0
-    return Tessellation(generators=z, boundaries=m, energy=energy,
-                        domain=dom, **flags)
+    return Tessellation(generators=z, boundaries=m, energy=energy, domain=dom)
 
 
 def _energy_of_cells(points: np.ndarray, boundaries: np.ndarray,
@@ -150,9 +163,8 @@ def energy_K(points, d: DensitySpec, dom: Domain1D) -> float:
 
 def _cell_centroids(boundaries: np.ndarray, d: DensitySpec) -> np.ndarray:
     lo, hi = boundaries[:-1], boundaries[1:]
-    m0, m1, _ = dens.interval_moments(d, lo, hi)
-    floors = np.array([dens.mass_floor(Interval(a, b)) for a, b in zip(lo, hi)])
-    bad = np.nonzero(m0 <= floors)[0]
+    m0, m1 = dens.interval_moments(d, lo, hi, order=1)
+    bad = np.nonzero(m0 <= dens.mass_floor(lo, hi))[0]
     if bad.size:
         i = int(bad[0])
         raise EmptyCell(f"cell {i} = [{lo[i]}, {hi[i]}] has mass {m0[i]:g}")
@@ -176,8 +188,13 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     """Lloyd's algorithm from the given generators.
 
     Stops at the first iterate whose max generator displacement is below tol
-    (default 1e-10 * domain width).  On budget exhaustion the best iterate is
-    returned with converged=False rather than raising.
+    (default 1e-10 * domain width), with stop_reason "tol".  Lloyd converges
+    only linearly, and a tolerance below the noise floor of the centroid map
+    is never met; so the iteration also stops, with stop_reason "stagnated",
+    once the max displacement has set no new minimum for LLOYD_STALL_WINDOW
+    iterations.  After max_iter iterations it stops with stop_reason
+    "budget".  Every stop returns the last iterate rather than raising, and
+    only a "tol" stop has converged=True.
 
     Returns the Tessellation, or (Tessellation, history) when
     record_history is true; history holds the generator array per iterate,
@@ -190,8 +207,9 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     z = _validate_generators(init, dom)
     m = _midpoint_boundaries(z, dom)
     history = [z.copy()] if record_history else None
-    converged = False
+    stop_reason = "budget"
     iterations = 0
+    least_moved, least_at = np.inf, 0
     for iterations in range(1, max_iter + 1):
         z_new = _cell_centroids(m, d)
         if record_history:
@@ -200,11 +218,16 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
         z = z_new
         m = _midpoint_boundaries(z, dom)
         if moved < tol:
-            converged = True
+            stop_reason = "tol"
+            break
+        if moved < least_moved:
+            least_moved, least_at = moved, iterations
+        elif iterations - least_at >= LLOYD_STALL_WINDOW:
+            stop_reason = "stagnated"
             break
     t = Tessellation(generators=z, boundaries=m,
                      energy=_energy_of_cells(z, m, d), domain=dom,
-                     converged=converged, iterations=iterations)
+                     stop_reason=stop_reason, iterations=iterations)
     return (t, history) if record_history else t
 
 

@@ -1,3 +1,41 @@
+import pytest
+
+
+@pytest.fixture(scope="session")
+def acceptance3_reports():
+    """The six Acceptance-3 problems, each solved and cross-validated against
+    Lloyd once per session: a list of (label, problem, report)."""
+    from cvtalloc import static_alloc as sa
+    from cvtalloc.density import DensitySpec
+    from cvtalloc.static_alloc import StaticProblem
+    from cvtalloc.tessellation import Domain1D
+
+    dom_100 = Domain1D(0.0, 100.0)
+    dom_300 = Domain1D(0.0, 300.0)
+    configs = [
+        ("gauss s2=4 r=2500",
+         StaticProblem(dom_100, 50, DensitySpec(
+             "gaussian", {"sigma2": 4.0}, free_param="mu"), 2500.0)),
+        ("gauss s2=4 r=1500",
+         StaticProblem(dom_100, 50, DensitySpec(
+             "gaussian", {"sigma2": 4.0}, free_param="mu"), 1500.0)),
+        ("gauss s2=25 r=1500",
+         StaticProblem(dom_100, 50, DensitySpec(
+             "gaussian", {"sigma2": 25.0}, free_param="mu"), 1500.0)),
+        ("gamma free-k theta=20",
+         StaticProblem(dom_300, 50, DensitySpec(
+             "gamma", {"theta": 20.0}, free_param="k"), 5000.0)),
+        ("exponential free-lam",
+         StaticProblem(dom_300, 50, DensitySpec(
+             "exponential", {}, free_param="lam"), 5000.0)),
+        ("gauss s2=100 r=5000",
+         StaticProblem(dom_300, 50, DensitySpec(
+             "gaussian", {"sigma2": 100.0}, free_param="mu"), 5000.0)),
+    ]
+    return [(label, p, sa.cross_validate(sa.solve(p), p))
+            for label, p in configs]
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo one PASS/FAIL line per acceptance criterion after the run."""
     try:

@@ -66,33 +66,10 @@ def test_criterion_02_static_allocation_symmetry():
                   f"runtime={elapsed:.2f}s")
 
 
-def test_criterion_03_solver_lloyd_cross_validation():
-    dom_100 = Domain1D(0.0, 100.0)
-    dom_300 = Domain1D(0.0, 300.0)
-    configs = [
-        ("gauss s2=4 r=2500",
-         StaticProblem(dom_100, 50, DensitySpec(
-             "gaussian", {"sigma2": 4.0}, free_param="mu"), 2500.0)),
-        ("gauss s2=4 r=1500",
-         StaticProblem(dom_100, 50, DensitySpec(
-             "gaussian", {"sigma2": 4.0}, free_param="mu"), 1500.0)),
-        ("gauss s2=25 r=1500",
-         StaticProblem(dom_100, 50, DensitySpec(
-             "gaussian", {"sigma2": 25.0}, free_param="mu"), 1500.0)),
-        ("gamma free-k theta=20",
-         StaticProblem(dom_300, 50, DensitySpec(
-             "gamma", {"theta": 20.0}, free_param="k"), 5000.0)),
-        ("exponential free-lam",
-         StaticProblem(dom_300, 50, DensitySpec(
-             "exponential", {}, free_param="lam"), 5000.0)),
-        ("gauss s2=100 r=5000",
-         StaticProblem(dom_300, 50, DensitySpec(
-             "gaussian", {"sigma2": 100.0}, free_param="mu"), 5000.0)),
-    ]
+def test_criterion_03_solver_lloyd_cross_validation(acceptance3_reports):
     worst = 0.0
     all_ok = True
-    for label, p in configs:
-        rep = sa.cross_validate(sa.solve(p), p)
+    for _, p, rep in acceptance3_reports:
         worst = max(worst, rep.max_discrepancy / p.domain.width)
         all_ok = all_ok and rep.passed
     report(3, all_ok,

@@ -57,6 +57,7 @@ class TestCvt:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["converged"]
+        assert out["stop_reason"] == "tol"
         z = out["generators"]
         assert z[0] + z[1] == pytest.approx(15.0, abs=1e-6)
 

@@ -181,6 +181,49 @@ class TestAnalyticVsQuadrature:
         assert m_a == pytest.approx(m_q, rel=1e-8)
 
 
+class TestMomentOrder:
+    # Cells in the bulk, far tails of every family, empty and degenerate
+    # widths, and infinite endpoints on either side.
+    LO = np.array([-np.inf, -np.inf, -np.inf, -50.0, 0.0, 0.0, 1.0, 4.0,
+                   5.0, 9.5, 30.0, 200.0, 1e3, -1e3])
+    HI = np.array([-20.0, 0.0, np.inf, -40.0, 0.0, 0.25, 3.0, 4.0, 7.5,
+                   np.inf, 31.0, 210.0, np.inf, -999.0])
+
+    @pytest.mark.parametrize("d", _ALL_BOUND, ids=lambda d: d.family)
+    def test_first_order_equals_full_path(self, d):
+        m0, m1, _ = dens.interval_moments(d, self.LO, self.HI)
+        f0, f1 = dens.interval_moments(d, self.LO, self.HI, order=1)
+        assert np.array_equal(f0, m0)
+        assert np.array_equal(f1, m1)
+
+    def test_order_validated(self):
+        with pytest.raises(ValueError):
+            dens.interval_moments(_ALL_BOUND[0], 0.0, 1.0, order=3)
+
+
+def _scalar_mass_floor(lo, hi):
+    """The per-cell empty-cell rule, one interval at a time."""
+    width = hi - lo
+    if not math.isfinite(width):
+        width = 1.0
+    return 1e-300 * max(width, 1.0)
+
+
+class TestMassFloor:
+    def test_vectorized_equals_scalar_rule(self):
+        # Widths below, at and above 1, zero, infinite, overflowing to
+        # infinity, and undefined (inf - inf).
+        lo = np.array([0.0, 0.0, 0.0, 2.0, 5.0, -np.inf, 0.0, -np.inf,
+                       -3.5, 1e300, -1e308, -np.inf, np.inf])
+        hi = np.array([0.5, 1.0, 1.5, 300.0, 5.0, 0.0, np.inf, np.inf,
+                       1e-300, np.inf, 1e308, -np.inf, np.inf])
+        expected = np.array([_scalar_mass_floor(float(a), float(b))
+                             for a, b in zip(lo, hi)])
+        assert np.array_equal(dens.mass_floor(lo, hi), expected)
+        for a, b, e in zip(lo, hi, expected):
+            assert dens.mass_floor(a, b) == e
+
+
 # ---------------------------------------------------------------------------
 # Property tests
 # ---------------------------------------------------------------------------

@@ -147,3 +147,29 @@ class TestCrossValidate:
         bad = replace(sol, v_k=sol.v_k * 1.1)
         report = sa.cross_validate(bad, p)
         assert not report.passed
+
+    def test_acceptance3_stop_reasons(self, acceptance3_reports):
+        # Gamma free-k reaches the gammainc noise floor above lloyd_tol and
+        # stagnates; its comparison still passes.  The others meet the tol.
+        for label, p, report in acceptance3_reports:
+            assert report.passed, label
+            if label.startswith("gamma"):
+                assert report.lloyd_stop == "stagnated"
+                assert not report.lloyd_converged
+                assert report.lloyd_iterations < 50_000
+            else:
+                assert report.lloyd_stop == "tol", label
+                assert report.lloyd_converged, label
+
+    def test_budget_stop_never_passes(self):
+        # At 3000 iterations Lloyd is already within every comparison gate,
+        # but a run cut off by its budget is not accepted.
+        p = StaticProblem(domain=DOM_100, n_agents=50,
+                          density=GAUSS_FREE_MU, r=2500.0)
+        report = sa.cross_validate(sa.solve(p), p, max_iter=3000)
+        assert report.lloyd_stop == "budget"
+        assert report.lloyd_iterations == 3000
+        assert report.max_discrepancy < 1e-6 * DOM_100.width
+        assert abs(report.sum_solver - 2500.0) < 1e-6
+        assert abs(report.sum_lloyd - 2500.0) < 1e-6
+        assert not report.passed

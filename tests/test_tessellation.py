@@ -99,6 +99,7 @@ class TestLloyd:
     def test_uniform_three_generators(self):
         t = tess.lloyd([1.0, 8.0, 14.0], UNIFORM_15, DOM_15, tol=1e-10)
         assert t.converged
+        assert t.stop_reason == "tol"
         np.testing.assert_allclose(t.generators, [2.5, 7.5, 12.5], atol=1e-8)
 
     def test_gaussian_two_generators_vs_bisection_oracle(self):
@@ -120,7 +121,31 @@ class TestLloyd:
         d = DensitySpec("gaussian", {"mu": 7.5, "sigma2": 1.0})
         t = tess.lloyd([1.0, 2.0, 3.0], d, DOM_15, max_iter=3)
         assert not t.converged
+        assert t.stop_reason == "budget"
         assert t.iterations == 3
+
+    def test_stagnation_below_noise_floor(self):
+        # A tolerance below the noise floor of the centroid map is never met;
+        # Lloyd stops once the displacement has set no new minimum for
+        # LLOYD_STALL_WINDOW iterations, at the last iterate.
+        d = DensitySpec("gaussian", {"mu": 7.5, "sigma2": 9.0})
+        t, hist = tess.lloyd([2.0, 8.0, 13.0], d, DOM_15, tol=1e-300,
+                             max_iter=100_000, record_history=True)
+        assert t.stop_reason == "stagnated"
+        assert not t.converged
+        moved = np.max(np.abs(np.diff(np.array(hist), axis=0)), axis=1)
+        assert len(moved) == t.iterations
+        least_at = int(np.argmin(moved)) + 1
+        assert t.iterations - least_at == tess.LLOYD_STALL_WINDOW
+        # every earlier window held a new minimum
+        running_min = np.minimum.accumulate(moved)
+        new_min_at = np.flatnonzero(moved[1:] < running_min[:-1]) + 2
+        assert np.all(np.diff(np.concatenate(([1], new_min_at)))
+                      < tess.LLOYD_STALL_WINDOW)
+        np.testing.assert_array_equal(t.generators, hist[-1])
+        ref = tess.lloyd([2.0, 8.0, 13.0], d, DOM_15, tol=1e-12,
+                         max_iter=100_000)
+        np.testing.assert_allclose(t.generators, ref.generators, atol=1e-10)
 
     def test_history_recording(self):
         t, hist = tess.lloyd([1.0, 8.0, 14.0], UNIFORM_15, DOM_15,
