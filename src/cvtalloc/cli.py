@@ -163,6 +163,8 @@ def _cmd_static_alloc(args) -> int:
         "centroids": [float(z) for z in sol.centroids],
         "residual_norm": sol.residual_norm,
         "sum": float(np.sum(sol.centroids)),
+        "newton_iterations": sol.iterations,
+        "residual_history": list(sol.residual_history),
     }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -45,10 +45,6 @@ class CellsDoNotTile(CvtAllocError):
     """The given cells overlap or leave gaps."""
 
 
-class MaxIterationsExceeded(CvtAllocError):
-    """Iteration budget exhausted before convergence."""
-
-
 # --- static allocation -----------------------------------------------------
 
 class InvalidCandidate(CvtAllocError):

@@ -7,6 +7,7 @@ for the centroids and the density family's single free parameter.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -27,6 +28,8 @@ from .tessellation import Domain1D, Tessellation
 
 __all__ = ["StaticProblem", "StaticSolution", "CrossValidationReport",
            "residual", "solve", "cross_validate"]
+
+logger = logging.getLogger(__name__)
 
 RESIDUAL_TOL = 1e-9
 MAX_NEWTON_ITER = 200
@@ -66,10 +69,18 @@ class StaticProblem:
 
 @dataclass(frozen=True)
 class StaticSolution:
+    """The solved centroids and free parameter.
+
+    ``iterations`` counts the Newton steps taken; ``residual_history`` holds
+    the residual 2-norm at each Newton iterate, ending with
+    ``residual_norm``."""
+
     centroids: np.ndarray
     v_k: float
     residual_norm: float
     tessellation: Tessellation
+    iterations: int = 0
+    residual_history: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -182,45 +193,99 @@ def _safe_norm(u: np.ndarray, p: StaticProblem) -> float:
         return np.inf
 
 
+def _fd_column(u: np.ndarray, f: np.ndarray, p: StaticProblem,
+               j: int) -> np.ndarray:
+    """Column j of the difference Jacobian at u, where f = residual(u, p):
+    a forward difference, or a backward one when the forward candidate is
+    invalid."""
+    h = FD_STEP * max(1.0, abs(u[j]))
+    up = u.copy()
+    up[j] += h
+    try:
+        fj = residual(up, p)
+    except InvalidCandidate:
+        up[j] = u[j] - h
+        fj = residual(up, p)
+        h = -h
+    return (fj - f) / h
+
+
+def _fd_jacobian(u: np.ndarray, f: np.ndarray,
+                 p: StaticProblem) -> np.ndarray:
+    """The forward-difference Jacobian of residual at u, where
+    f = residual(u, p), from at most 4 residual evaluations.
+
+    Centroid row i depends only on z_{i-1}, z_i, z_{i+1} and the free
+    parameter, so the columns j = c (mod 3) touch disjoint rows and are
+    differenced together from one evaluation per colour c (Curtis, Powell &
+    Reid 1974).  Each row, and each ordering, domain and empty-cell check,
+    sees exactly one perturbed column, so every entry equals the
+    single-column quotient bit for bit, and a joint candidate is valid
+    exactly when each of its single-column candidates is.  A colour whose
+    joint candidate is invalid is redone column by column with _fd_column.
+    The constraint row is differenced per column through constraint_value
+    alone, which keeps custom constraints and the rounding of the default
+    sum unchanged.
+    """
+    n = p.n_agents
+    z = u[:n]
+    h = FD_STEP * np.maximum(1.0, np.abs(z))
+    jac = np.zeros((n + 1, n + 1))
+    for c in range(min(3, n)):
+        cols = np.arange(c, n, 3)
+        up = u.copy()
+        up[cols] += h[cols]
+        try:
+            fg = residual(up, p)
+        except InvalidCandidate as exc:
+            logger.debug("difference colour %d invalid (%s); differencing "
+                         "its %d columns one at a time", c, exc, cols.size)
+            for j in cols:
+                jac[:, j] = _fd_column(u, f, p, j)
+            continue
+        for d in (-1, 0, 1):
+            rows = cols + d
+            keep = (rows >= 0) & (rows < n)
+            rows, k = rows[keep], cols[keep]
+            jac[rows, k] = (fg[rows] - f[rows]) / h[k]
+        for j in cols:
+            zj = z.copy()
+            zj[j] += h[j]
+            jac[n, j] = (p.constraint_value(zj) - f[n]) / h[j]
+    jac[:, n] = _fd_column(u, f, p, n)
+    return jac
+
+
 def solve(p: StaticProblem, init=None) -> StaticSolution:
     """Damped Newton with a forward-difference Jacobian and Armijo
     backtracking on the residual 2-norm.  Candidates that break ordering or
     parameter invariants are treated as line-search rejections."""
     u = (np.asarray(init, dtype=float).ravel() if init is not None
          else default_initial_guess(p))
-    n = p.n_agents
 
     best_u, best_norm = u.copy(), _safe_norm(u, p)
     if not np.isfinite(best_norm) and init is None:
         fallback = _quantile_guess(p)
         if fallback is not None:
+            logger.debug("default initial guess is infeasible; retrying "
+                         "from the density quantiles")
             u = fallback
             best_u, best_norm = u.copy(), _safe_norm(u, p)
     if not np.isfinite(best_norm):
         raise SolverDiverged("initial guess is infeasible", best=u,
                              residual_norm=best_norm)
 
+    history = []
     for _ in range(MAX_NEWTON_ITER):
         f = residual(u, p)
         norm = float(np.linalg.norm(f))
+        history.append(norm)
         if norm < best_norm:
             best_u, best_norm = u.copy(), norm
         if norm < RESIDUAL_TOL:
-            return _package(u, norm, p)
+            return _package(u, tuple(history), p)
 
-        jac = np.empty((n + 1, n + 1))
-        for j in range(n + 1):
-            h = FD_STEP * max(1.0, abs(u[j]))
-            up = u.copy()
-            up[j] += h
-            try:
-                fj = residual(up, p)
-            except InvalidCandidate:
-                up[j] = u[j] - h
-                fj = residual(up, p)
-                h = -h
-            jac[:, j] = (fj - f) / h
-
+        jac = _fd_jacobian(u, f, p)
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
@@ -247,12 +312,14 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
         best=best_u, residual_norm=best_norm)
 
 
-def _package(u: np.ndarray, norm: float, p: StaticProblem) -> StaticSolution:
+def _package(u: np.ndarray, history: tuple,
+             p: StaticProblem) -> StaticSolution:
     z, v = _split(u, p.n_agents)
     d = bind_free_parameter(p.density, v)
     t = tess.voronoi_regions(z, p.domain, d)
-    return StaticSolution(centroids=z, v_k=v, residual_norm=norm,
-                          tessellation=t)
+    return StaticSolution(centroids=z, v_k=v, residual_norm=history[-1],
+                          tessellation=t, iterations=len(history) - 1,
+                          residual_history=history)
 
 
 def cross_validate(sol: StaticSolution, p: StaticProblem,

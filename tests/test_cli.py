@@ -73,6 +73,9 @@ class TestStaticAlloc:
         assert out["v_k"] == pytest.approx(50.0, abs=1e-6)
         assert out["sum"] == pytest.approx(2500.0, abs=1e-6)
         assert out["residual_norm"] < 1e-9
+        assert out["newton_iterations"] >= 1
+        assert len(out["residual_history"]) == out["newton_iterations"] + 1
+        assert out["residual_history"][-1] == out["residual_norm"]
         saved = json.loads((tmp_path / "allocation.json").read_text())
         assert saved == out
         with open(tmp_path / "allocation.csv") as fh:

@@ -1,5 +1,7 @@
 """Constrained allocation via the N+1 nonlinear system."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,35 @@ from cvtalloc.tessellation import Domain1D
 
 DOM_100 = Domain1D(0.0, 100.0)
 GAUSS_FREE_MU = DensitySpec("gaussian", {"sigma2": 4.0}, free_param="mu")
+WIDE_GAUSS_FREE_MU = DensitySpec("gaussian", {"sigma2": 400.0}, free_param="mu")
+# Free-parameter densities and mean allocations r/N on [0, 100] whose
+# default initial guess leaves no cell empty.
+FAMILIES = {
+    "gaussian": (WIDE_GAUSS_FREE_MU, 30.0),
+    "exponential": (DensitySpec("exponential", {}, free_param="lam"), 30.0),
+    "gamma": (DensitySpec("gamma", {"theta": 10.0}, free_param="k"), 30.0),
+    "uniform": (DensitySpec("uniform", {"a": 0.0}, free_param="b"), 50.0),
+}
+
+
+def oracle_jacobian(u, f, p):
+    """The per-column forward-difference Jacobian that _fd_jacobian must
+    reproduce bit for bit: N+1 residual evaluations, each column stepping
+    forward, or backward when the forward candidate is invalid."""
+    n = p.n_agents
+    jac = np.empty((n + 1, n + 1))
+    for j in range(n + 1):
+        h = sa.FD_STEP * max(1.0, abs(u[j]))
+        up = u.copy()
+        up[j] += h
+        try:
+            fj = sa.residual(up, p)
+        except InvalidCandidate:
+            up[j] = u[j] - h
+            fj = sa.residual(up, p)
+            h = -h
+        jac[:, j] = (fj - f) / h
+    return jac
 
 
 class TestStaticProblem:
@@ -60,7 +91,70 @@ class TestResidual:
             sa.residual(np.array([1.0, 2.0, 500.0]), p)
 
 
+class TestFdJacobian:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 50])
+    def test_equals_per_column_oracle(self, family, n):
+        density, mean = FAMILIES[family]
+        p = StaticProblem(DOM_100, n, density, mean * n)
+        u = sa.default_initial_guess(p)
+        f = sa.residual(u, p)
+        assert np.array_equal(sa._fd_jacobian(u, f, p),
+                              oracle_jacobian(u, f, p))
+
+    def test_equals_oracle_with_pluggable_constraint(self):
+        p = StaticProblem(DOM_100, 7, WIDE_GAUSS_FREE_MU, 350.0,
+                          constraint=lambda z: float(np.sum(z * z) - 2e4))
+        u = sa.default_initial_guess(p)
+        f = sa.residual(u, p)
+        assert np.array_equal(sa._fd_jacobian(u, f, p),
+                              oracle_jacobian(u, f, p))
+
+    def test_equals_oracle_at_forced_fallback(self, caplog):
+        # The last generator sits within FD_STEP * |z| of b, so its forward
+        # candidate leaves the domain: colour 1 falls back to single columns
+        # and column 4 is a backward difference.
+        p = StaticProblem(DOM_100, 5, WIDE_GAUSS_FREE_MU, 250.0)
+        u = np.array([10.0, 30.0, 50.0, 70.0, 100.0 - 5e-6, 50.0])
+        f = sa.residual(u, p)
+        up = u.copy()
+        up[4] += sa.FD_STEP * u[4]
+        with pytest.raises(InvalidCandidate):
+            sa.residual(up, p)
+        with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
+            jac = sa._fd_jacobian(u, f, p)
+        assert np.array_equal(jac, oracle_jacobian(u, f, p))
+        assert "colour 1 invalid" in caplog.text
+
+    def test_at_most_four_residual_evaluations(self, monkeypatch):
+        p = StaticProblem(DOM_100, 50, WIDE_GAUSS_FREE_MU, 2500.0)
+        u = sa.default_initial_guess(p)
+        f = sa.residual(u, p)
+        calls = []
+        real = sa.residual
+
+        def counting(unknowns, problem):
+            calls.append(1)
+            return real(unknowns, problem)
+
+        monkeypatch.setattr(sa, "residual", counting)
+        sa._fd_jacobian(u, f, p)
+        assert len(calls) <= 4
+
+
 class TestSolve:
+    def test_newton_history(self):
+        # Acceptance-2 problem: Armijo makes every accepted step strictly
+        # decrease the residual norm.
+        p = StaticProblem(domain=DOM_100, n_agents=50,
+                          density=GAUSS_FREE_MU, r=2500.0)
+        sol = sa.solve(p)
+        hist = sol.residual_history
+        assert sol.iterations >= 1
+        assert len(hist) == sol.iterations + 1
+        assert all(b < a for a, b in zip(hist, hist[1:]))
+        assert hist[-1] == sol.residual_norm < 1e-9
+
     def test_symmetric_gaussian(self):
         p = StaticProblem(domain=DOM_100, n_agents=50,
                           density=GAUSS_FREE_MU, r=2500.0)
@@ -98,13 +192,15 @@ class TestSolve:
         assert sol.v_k == pytest.approx(15.0, abs=1e-7)
         np.testing.assert_allclose(sol.centroids, [2.5, 7.5, 12.5], atol=1e-7)
 
-    def test_narrow_gaussian_uses_quantile_fallback(self):
+    def test_narrow_gaussian_uses_quantile_fallback(self, caplog):
         # Equally spaced initial centroids leave empty tail cells here; the
         # solver must still converge from its quantile-based fallback.
         d = DensitySpec("gaussian", {"sigma2": 25.0}, free_param="mu")
         p = StaticProblem(domain=Domain1D(0.0, 3000.0), n_agents=15,
                           density=d, r=15000.0)
-        sol = sa.solve(p)
+        with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
+            sol = sa.solve(p)
+        assert "density quantiles" in caplog.text
         assert sol.v_k == pytest.approx(1000.0, abs=1e-6)
         assert np.sum(sol.centroids) == pytest.approx(15000.0, abs=1e-6)
 
