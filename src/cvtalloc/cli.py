@@ -32,9 +32,8 @@ from . import tessellation as tess
 from . import thermal as th
 from .density import DensitySpec
 from .errors import CvtAllocError, SolverDiverged
+from .sim import _FMT
 from .tessellation import Domain1D
-
-_FMT = "%.15g"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -196,30 +195,21 @@ def _cmd_shift_check(args) -> int:
 
 def _write_plot_data(trace: sim.TraceLog, out: Path) -> None:
     """Plot data: applied powers, total vs available, temperatures."""
-    n = trace.n_agents
-    agent_cols = ",".join(f"agent_{i}" for i in range(n))
-    by_step = {}
-    for row in trace.agent_rows:
-        by_step.setdefault(row["step"], {})[row["agent"]] = row
-
-    with open(out / "powers.csv", "w", newline="") as fh:
-        fh.write(f"step,{agent_cols}\n")
-        for k in sorted(by_step):
-            vals = ",".join(_FMT % by_step[k][i]["applied_power"]
-                            for i in range(n))
-            fh.write(f"{k},{vals}\n")
+    agent_cols = ",".join(f"agent_{i}" for i in range(trace.n_agents))
+    for name, column in (("powers.csv", trace.applied_power),
+                         ("temperatures.csv", trace.temp_F)):
+        with open(out / name, "w", newline="") as fh:
+            fh.write(f"step,{agent_cols}\n")
+            for k, values in enumerate(column):
+                fh.write(f"{k},{','.join(_FMT % v for v in values.tolist())}\n")
 
     with open(out / "total_power.csv", "w", newline="") as fh:
         fh.write("step,total_consumed,available\n")
-        for k in sorted(by_step):
-            total = sum(abs(by_step[k][i]["applied_power"]) for i in range(n))
-            fh.write(f"{k},{_FMT % total},{_FMT % trace.step_rows[k]['r']}\n")
-
-    with open(out / "temperatures.csv", "w", newline="") as fh:
-        fh.write(f"step,{agent_cols}\n")
-        for k in sorted(by_step):
-            vals = ",".join(_FMT % by_step[k][i]["temp_F"] for i in range(n))
-            fh.write(f"{k},{vals}\n")
+        for k, (powers, r) in enumerate(zip(trace.applied_power, trace.r)):
+            # Python's sum adds NumPy scalars left to right; np.sum's
+            # pairwise order would change the digits written.
+            total = sum(np.abs(powers))
+            fh.write(f"{k},{_FMT % total},{_FMT % r}\n")
 
 
 def _cmd_dynamic_sim(args) -> int:

@@ -1,27 +1,28 @@
 """Decentralized dynamic allocation: one-step Gaussian update, mean-shift
-utilities, line-graph maintenance, and the civility-model swap protocol.
+utilities, the resource order, and the civility-model swap protocol.
 
 Resources live on a line: sorting agents by resource value induces the
-resource graph, which doubles as the communication graph.  A round of
-negotiation lets each agent propose a swap to the neighbor whose resource is
-closest to its locally desired amount; a proposed-to agent always accepts
-unless it has already taken part in a swap this round.
+resource graph, which doubles as the communication graph.  Agents are
+indices into the resource array and the graph is the sort permutation
+``order``: the agent at position p talks to those at p - 1 and p + 1.  A
+round of negotiation lets each agent propose a swap to the neighbor whose
+resource is closest to its locally desired amount; a proposed-to agent
+always accepts unless it has already taken part in a swap this round.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tessellation as tess
-from .density import DensitySpec, bind_free_parameter
+from .density import DensitySpec
 from .errors import DomainTooNarrow, MissingDesiredInput
 from .tessellation import Domain1D
 
 __all__ = [
-    "LineGraph",
     "AllocationState",
     "SwapEvent",
     "ShiftReport",
@@ -35,52 +36,36 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LineGraph:
-    """Agents ordered by resource value; edges join adjacent pairs."""
-
-    order: tuple
-    edges: tuple
-
-    def neighbors(self, agent) -> list:
-        out = []
-        for i, j in self.edges:
-            if i == agent:
-                out.append(j)
-            elif j == agent:
-                out.append(i)
-        return out
-
-
-@dataclass(frozen=True)
 class SwapEvent:
     step: int
-    proposer: object
-    target: object
+    proposer: int
+    target: int
     z_before: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AllocationState:
-    """Per-step snapshot of agent resources and the induced line graph."""
+    """Per-step snapshot of agent resources, indexed by agent, and the
+    resource order that induces the line graph."""
 
-    resources: dict
+    resources: np.ndarray
     r_current: float
     mu_current: float
-    sigma2: float
-    comm_graph: LineGraph = field(default=None)
+    order: np.ndarray = None
     step: int = 0
 
     def __post_init__(self):
-        if self.comm_graph is None:
-            object.__setattr__(self, "comm_graph",
+        object.__setattr__(self, "resources",
+                           np.asarray(self.resources, dtype=float))
+        if self.order is None:
+            object.__setattr__(self, "order",
                                rebuild_line_graph(self.resources))
 
 
-def rebuild_line_graph(resources: dict) -> LineGraph:
-    """Sort agents by resource value (ties by agent id) and join neighbors."""
-    order = tuple(sorted(resources, key=lambda i: (resources[i], i)))
-    edges = tuple((order[k], order[k + 1]) for k in range(len(order) - 1))
-    return LineGraph(order=order, edges=edges)
+def rebuild_line_graph(resources) -> np.ndarray:
+    """Agents sorted by resource value, ties by agent index: the line graph
+    joins the agents at adjacent positions."""
+    return np.argsort(resources, kind="stable")
 
 
 def one_step_update(z, r_k: float, r_k1: float) -> np.ndarray:
@@ -143,48 +128,49 @@ def verify_shift_property(d_gaussian: DensitySpec, dom: Domain1D, n: int,
     return ShiftReport(n=n, delta=delta, max_deviation=dev, passed=dev < tol)
 
 
-def neighbor_of_interest(i, u_i: float, st: AllocationState):
-    """The agent (self included) whose resource is closest to the desired
-    amount u_i; ties break toward self, then toward the lower agent id."""
-    if i not in st.resources:
-        raise KeyError(f"unknown agent {i!r}")
-    candidates = st.comm_graph.neighbors(i) + [i]
+def neighbor_of_interest(p: int, u: float, z, order) -> int:
+    """The agent at position p of the resource order, or its neighbor at
+    position p - 1 or p + 1, whose resource z[j] is closest to the desired
+    amount u; ties break toward the agent itself, then toward the lower
+    agent index."""
+    if not 0 <= p < len(order):
+        raise IndexError(f"position {p} outside 0..{len(order) - 1}")
+    i = order[p]
+    candidates = [order[q] for q in (p - 1, p, p + 1) if 0 <= q < len(order)]
+    return min(candidates, key=lambda j: (abs(u - z[j]), j != i, j))
 
-    def rank(j):
-        return (abs(u_i - st.resources[j]), 0 if j == i else 1, j)
 
-    return min(candidates, key=rank)
-
-
-def negotiate_round(st: AllocationState, desired: dict):
+def negotiate_round(st: AllocationState, desired):
     """One civility round.
 
-    Agents act in ascending resource order (pre-round graph order).  An agent
-    whose neighbor of interest differs from itself swaps resource values with
-    it unless either party already took part in a swap this round; a
+    Agents act in ascending resource order (pre-round order) and choose
+    their neighbor of interest from the pre-round resources.  An agent
+    whose neighbor of interest differs from itself swaps resource values
+    with it unless either party already took part in a swap this round; a
     proposed-to agent never refuses.  Returns the post-round state and the
     swap events in execution order.
     """
-    missing = [i for i in st.resources if i not in desired]
-    if missing:
-        raise MissingDesiredInput(f"no desired amount for agents {missing}")
+    desired = np.asarray(desired, dtype=float)
+    if desired.shape != st.resources.shape:
+        raise MissingDesiredInput(
+            f"need {st.resources.size} desired amounts, got {desired.size}")
 
-    z = dict(st.resources)
-    taken = set()
+    before = st.resources.tolist()
+    order = st.order.tolist()
+    z = list(before)
+    taken = [False] * len(z)
     events = []
-    for i in st.comm_graph.order:
-        if i in taken:
+    for p, (i, u) in enumerate(zip(order, desired[st.order].tolist())):
+        if taken[i]:
             continue
-        j = neighbor_of_interest(i, desired[i], st)
-        if j == i or j in taken:
+        j = neighbor_of_interest(p, u, before, order)
+        if j == i or taken[j]:
             continue
         events.append(SwapEvent(step=st.step, proposer=i, target=j,
                                 z_before=(z[i], z[j])))
         z[i], z[j] = z[j], z[i]
-        taken.add(i)
-        taken.add(j)
+        taken[i] = taken[j] = True
 
     new_state = AllocationState(resources=z, r_current=st.r_current,
-                                mu_current=st.mu_current, sigma2=st.sigma2,
-                                comm_graph=rebuild_line_graph(z), step=st.step)
+                                mu_current=st.mu_current, step=st.step)
     return new_state, events

@@ -78,6 +78,12 @@ class DomainTooNarrow(CvtAllocError):
     """Domain truncates the Gaussian too much for the shift property."""
 
 
+# --- simulation ------------------------------------------------------------
+
+class InvalidScenario(CvtAllocError, ValueError):
+    """A scenario configuration is malformed or inconsistent."""
+
+
 # --- thermal ---------------------------------------------------------------
 
 class NonHurwitz(CvtAllocError):

@@ -3,16 +3,15 @@ one-step updates, local control, civility negotiation, and plant stepping.
 
 Each time step runs four phases in order: shift all resources to the new
 total, compute each agent's desired power from its plant state, negotiate
-swaps
-on the line graph using desired magnitudes, then apply the allocated power
-(with the local controller's sign) to every plant.
+swaps along the resource order using desired magnitudes, then apply the
+allocated power (with the local controller's sign) to every plant.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -20,7 +19,8 @@ from . import dynamic_alloc as dyn
 from . import static_alloc as sa
 from . import thermal as th
 from .density import DensitySpec
-from .dynamic_alloc import AllocationState, SwapEvent
+from .dynamic_alloc import AllocationState
+from .errors import InvalidScenario
 from .tessellation import Domain1D
 
 __all__ = ["Scenario", "SimState", "TraceLog", "MetricsReport",
@@ -47,22 +47,34 @@ class Scenario:
     poles: tuple = th.DEFAULT_POLES
 
     def __post_init__(self):
+        if self.n_agents < 1:
+            raise InvalidScenario("n_agents must be >= 1")
         if self.horizon != len(self.power_schedule):
-            raise ValueError("horizon must equal len(power_schedule)")
+            raise InvalidScenario("horizon must equal len(power_schedule)")
         if self.density.family != "gaussian" or self.density.free_param != "mu":
-            raise ValueError("scenario density must be gaussian with free mu")
+            raise InvalidScenario("scenario density must be gaussian with free mu")
         for r in self.power_schedule:
             mean = r / self.n_agents
             if not (self.domain.a < mean < self.domain.b):
-                raise ValueError(
+                raise InvalidScenario(
                     f"r(k)/N = {mean} outside domain ({self.domain.a}, {self.domain.b})")
         if self.setpoints and len(self.setpoints) != self.n_agents:
-            raise ValueError("setpoints must have one entry per agent")
+            raise InvalidScenario("setpoints must have one entry per agent")
+        for when, agent, _ in self.setpoint_changes:
+            if not (0 <= when < self.horizon and 0 <= agent < self.n_agents):
+                raise InvalidScenario(
+                    f"setpoint change at step {when} for agent {agent}: need "
+                    f"step in [0, {self.horizon}) and agent in [0, {self.n_agents})")
+        if self.rounds_per_step < 1:
+            raise InvalidScenario("rounds_per_step must be >= 1")
         object.__setattr__(self, "power_schedule",
                            tuple(float(r) for r in self.power_schedule))
 
     @classmethod
     def from_config(cls, obj: dict) -> "Scenario":
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidScenario(f"unknown scenario keys: {', '.join(unknown)}")
         obj = dict(obj)
         dom = Domain1D(*obj.pop("domain"))
         density = DensitySpec.from_config(obj.pop("density"))
@@ -112,7 +124,7 @@ class SimState:
         payload = {
             "k": self.k,
             "resources": {str(i): _FMT % v
-                          for i, v in sorted(self.alloc.resources.items())},
+                          for i, v in enumerate(self.alloc.resources)},
             "mu": _FMT % self.alloc.mu_current,
             "r": _FMT % self.alloc.r_current,
             "states": [[_FMT % v for v in p.x] for p in self.plants],
@@ -122,28 +134,37 @@ class SimState:
 
 @dataclass
 class TraceLog:
-    """Per-step, per-agent trace plus swap events and per-step constraint error."""
+    """Columnar trace with one entry per step in every column.
+
+    ``z``, ``desired_abs``, ``applied_power``, ``temp_F`` and ``setpoints``
+    hold one (N,) array per step, indexed by agent; ``r``, ``sum_z`` and
+    ``constraint_error`` one float per step.  Swap events are kept in
+    execution order.
+    """
 
     n_agents: int
-    agent_rows: list = field(default_factory=list)
-    step_rows: list = field(default_factory=list)
-    swap_events: list = field(default_factory=list)
+    z: list = field(default_factory=list)
+    desired_abs: list = field(default_factory=list)
+    applied_power: list = field(default_factory=list)
+    temp_F: list = field(default_factory=list)
     setpoints: list = field(default_factory=list)
+    r: list = field(default_factory=list)
+    sum_z: list = field(default_factory=list)
+    constraint_error: list = field(default_factory=list)
+    swap_events: list = field(default_factory=list)
 
     def write_trace_csv(self, path) -> None:
         header = ("step,agent,z,desired_abs,applied_power,temp_F,"
                   "sum_z,r,constraint_error\n")
+        per_agent = [self.z, self.desired_abs, self.applied_power, self.temp_F]
         with open(path, "w", newline="") as fh:
             fh.write(header)
-            for row in self.agent_rows:
-                step_info = self.step_rows[row["step"]]
-                fh.write(",".join([
-                    str(row["step"]), str(row["agent"]),
-                    _FMT % row["z"], _FMT % row["desired_abs"],
-                    _FMT % row["applied_power"], _FMT % row["temp_F"],
-                    _FMT % step_info["sum_z"], _FMT % step_info["r"],
-                    _FMT % step_info["constraint_error"],
-                ]) + "\n")
+            for k, step_info in enumerate(zip(self.sum_z, self.r,
+                                              self.constraint_error)):
+                tail = ",".join(_FMT % v for v in step_info)
+                columns = [col[k].tolist() for col in per_agent]
+                for i, row in enumerate(zip(*columns)):
+                    fh.write(f"{k},{i},{','.join(_FMT % v for v in row)},{tail}\n")
 
     def write_swaps_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -187,10 +208,9 @@ def initialize(sc: Scenario) -> SimState:
                                density=sc.density, r=sc.power_schedule[0])
     sol = sa.solve(problem)
 
-    resources = {i: float(sol.centroids[i]) for i in range(sc.n_agents)}
-    alloc = AllocationState(
-        resources=resources, r_current=sc.power_schedule[0],
-        mu_current=sol.v_k, sigma2=sc.density.params["sigma2"], step=0)
+    alloc = AllocationState(resources=sol.centroids,
+                            r_current=sc.power_schedule[0],
+                            mu_current=sol.v_k, step=0)
 
     disturbances = _build_disturbances(sc)
     plants = _build_plants(sc, disturbances)
@@ -247,20 +267,17 @@ def step(st: SimState, k: int, trace: TraceLog | None = None) -> SimState:
 
     # Phase 1: shift resources to the new total.
     r_new = sc.power_schedule[k]
-    ids = sorted(st.alloc.resources)
-    z = np.array([st.alloc.resources[i] for i in ids])
-    z = dyn.one_step_update(z, st.alloc.r_current, r_new)
+    z = dyn.one_step_update(st.alloc.resources, st.alloc.r_current, r_new)
     mu = dyn.shifted_mean(st.alloc.mu_current, st.alloc.r_current, r_new,
                           sc.n_agents)
-    alloc = AllocationState(resources=dict(zip(ids, z)), r_current=r_new,
-                            mu_current=mu, sigma2=st.alloc.sigma2, step=k)
+    alloc = AllocationState(resources=z, r_current=r_new, mu_current=mu,
+                            step=k)
 
     # Phase 2: local control from current plant states, disturbance
     # feedforward included so the magnitude reflects the actual requirement.
     w = st.disturbances[k]
-    desired = {i: th.desired_power(st.plants[i].gains, st.plants[i].x, w)
-               for i in ids}
-    desired_abs = {i: abs(u) for i, u in desired.items()}
+    desired = np.array([th.desired_power(p.gains, p.x, w) for p in st.plants])
+    desired_abs = np.abs(desired)
 
     # Phase 3: civility negotiation rounds on desired magnitudes.
     events = []
@@ -269,30 +286,24 @@ def step(st: SimState, k: int, trace: TraceLog | None = None) -> SimState:
         events.extend(round_events)
 
     # Phase 4: apply the allocated magnitude with the controller's sign.
-    applied = {}
-    temps = {}
-    for i in ids:
-        sign = 1.0 if desired[i] >= 0 else -1.0
-        power = sign * alloc.resources[i]
-        st.plants[i].x, y = th.step_plant(st.plants[i].x, power, w,
-                                          st.plants[i].model)
-        applied[i] = power
-        temps[i] = y
+    applied = np.where(desired >= 0, 1.0, -1.0) * alloc.resources
+    temps = np.empty(sc.n_agents)
+    for i, (plant, power) in enumerate(zip(st.plants, applied.tolist())):
+        plant.x, temps[i] = th.step_plant(plant.x, power, w, plant.model)
 
     if trace is not None:
-        sum_z = float(sum(alloc.resources.values()))
-        trace.step_rows.append({
-            "sum_z": sum_z, "r": r_new,
-            "constraint_error": abs(sum_z - r_new),
-        })
-        for i in ids:
-            trace.agent_rows.append({
-                "step": k, "agent": i, "z": alloc.resources[i],
-                "desired_abs": desired_abs[i],
-                "applied_power": applied[i], "temp_F": temps[i],
-            })
+        # Python's sum adds NumPy scalars left to right; np.sum's
+        # pairwise order would change the digits written.
+        sum_z = float(sum(alloc.resources))
+        trace.z.append(alloc.resources)
+        trace.desired_abs.append(desired_abs)
+        trace.applied_power.append(applied)
+        trace.temp_F.append(temps)
+        trace.setpoints.append(np.array([p.gains.setpoint for p in st.plants]))
+        trace.r.append(r_new)
+        trace.sum_z.append(sum_z)
+        trace.constraint_error.append(abs(sum_z - r_new))
         trace.swap_events.extend(events)
-        trace.setpoints.append([st.plants[i].gains.setpoint for i in ids])
 
     st.alloc = alloc
     st.k = k + 1
@@ -311,34 +322,24 @@ def run(sc: Scenario) -> TraceLog:
 def metrics(t: TraceLog) -> MetricsReport:
     """Aggregate power tracking, swap activity, neighbor coverage, and
     temperature regulation quality."""
-    if not t.step_rows:
+    if not t.r:
         raise ValueError("empty trace")
-    l2 = math.sqrt(sum(row["constraint_error"] ** 2 for row in t.step_rows))
+    l2 = math.sqrt(sum(e ** 2 for e in t.constraint_error))
+    mean_swaps = 2 * len(t.swap_events) / t.n_agents
 
-    participation = {}
-    for ev in t.swap_events:
-        for agent in (ev.proposer, ev.target):
-            participation[agent] = participation.get(agent, 0) + 1
-    mean_swaps = sum(participation.values()) / t.n_agents
-
-    # Distinct line-graph neighbors ever seen, reconstructed from per-step
-    # resource orderings.
-    seen = {i: set() for i in range(t.n_agents)}
-    by_step = {}
-    for row in t.agent_rows:
-        by_step.setdefault(row["step"], {})[row["agent"]] = row["z"]
-    for step_resources in by_step.values():
-        graph = dyn.rebuild_line_graph(step_resources)
-        for i, j in graph.edges:
-            seen[i].add(j)
-            seen[j].add(i)
-    coverage = {i: len(s) for i, s in seen.items()}
+    # Distinct line-graph neighbors ever seen: the agents at adjacent
+    # positions of each step's resource order, as directed pairs a * n + b.
+    n = t.n_agents
+    order = np.argsort(np.asarray(t.z), axis=1, kind="stable")
+    a, b = order[:, :-1].ravel(), order[:, 1:].ravel()
+    pairs = np.unique(np.concatenate([a * n + b, b * n + a]))
+    coverage = dict(enumerate(np.bincount(pairs // n, minlength=n).tolist()))
 
     sq_err = 0.0
-    for row in t.agent_rows:
-        setpoint = t.setpoints[row["step"]][row["agent"]]
-        sq_err += (row["temp_F"] - setpoint) ** 2
-    rms = math.sqrt(sq_err / len(t.agent_rows))
+    for y, setpoint in zip(np.ravel(t.temp_F).tolist(),
+                           np.ravel(t.setpoints).tolist()):
+        sq_err += (y - setpoint) ** 2
+    rms = math.sqrt(sq_err / (len(t.r) * n))
 
     return MetricsReport(l2_power_error=l2, mean_swaps_per_agent=mean_swaps,
                          neighbor_coverage=coverage,

@@ -120,14 +120,13 @@ def voronoi_regions(generators, dom: Domain1D,
     """
     z = _validate_generators(generators, dom)
     m = _midpoint_boundaries(z, dom)
-    energy = _energy_of_cells(z, m, d) if d is not None else 0.0
+    energy = _energy_of_cells(z, m[:-1], m[1:], d) if d is not None else 0.0
     return Tessellation(generators=z, boundaries=m, energy=energy, domain=dom)
 
 
-def _energy_of_cells(points: np.ndarray, boundaries: np.ndarray,
+def _energy_of_cells(points: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                      d: DensitySpec) -> float:
-    """Sum over cells of the second moment of (x - point) under d."""
-    lo, hi = boundaries[:-1], boundaries[1:]
+    """Sum over cells [lo, hi] of the second moment of (x - point) under d."""
     m0, m1, m2 = dens.interval_moments(d, lo, hi)
     per_cell = m2 - 2.0 * points * m1 + points * points * m0
     return float(np.sum(np.maximum(per_cell, 0.0)))
@@ -147,18 +146,15 @@ def energy_F(points, cells: Sequence[Interval], d: DensitySpec) -> float:
             raise CellsDoNotTile(
                 f"cells [{cells[i].lo},{cells[i].hi}] and "
                 f"[{cells[j].lo},{cells[j].hi}] leave a gap or overlap")
-    lo = np.array([c.lo for c in cells])
-    hi = np.array([c.hi for c in cells])
-    m0, m1, m2 = dens.interval_moments(d, lo, hi)
-    per_cell = m2 - 2.0 * points * m1 + points * points * m0
-    return float(np.sum(np.maximum(per_cell, 0.0)))
+    return _energy_of_cells(points, np.array([c.lo for c in cells]),
+                            np.array([c.hi for c in cells]), d)
 
 
 def energy_K(points, d: DensitySpec, dom: Domain1D) -> float:
     """Quantization energy: energy_F at the Voronoi cells of the points."""
     z = _validate_generators(points, dom)
     m = _midpoint_boundaries(z, dom)
-    return _energy_of_cells(z, m, d)
+    return _energy_of_cells(z, m[:-1], m[1:], d)
 
 
 def _cell_centroids(boundaries: np.ndarray, d: DensitySpec) -> np.ndarray:
@@ -226,7 +222,7 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
             stop_reason = "stagnated"
             break
     t = Tessellation(generators=z, boundaries=m,
-                     energy=_energy_of_cells(z, m, d), domain=dom,
+                     energy=_energy_of_cells(z, m[:-1], m[1:], d), domain=dom,
                      stop_reason=stop_reason, iterations=iterations)
     return (t, history) if record_history else t
 

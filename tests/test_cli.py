@@ -147,6 +147,31 @@ class TestDynamicSim:
                      "--out", str(tmp_path / "x"))
         assert rc == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("change, message", [
+        ({"setpoint_changes": [[5, 99, 60.0]]}, "agent 99"),
+        ({"setpoint_changes": [[5, -1, 60.0]]}, "agent -1"),
+        ({"setpoint_changes": [[12, 0, 60.0]]}, "step 12"),
+        ({"setpoint_changes": [[-1, 0, 60.0]]}, "step -1"),
+        ({"rounds_per_step": 0}, "rounds_per_step"),
+        ({"rounds_per_step": -2}, "rounds_per_step"),
+        ({"n_agents": 0}, "n_agents"),
+        ({"rounds_per_stp": 2}, "rounds_per_stp"),
+    ], ids=["agent-too-large", "agent-negative", "step-at-horizon",
+            "step-negative", "zero-rounds", "negative-rounds", "no-agents",
+            "unknown-key"])
+    def test_invalid_scenario_exits_one(self, tmp_path, config_path, capsys,
+                                        change, message):
+        cfg = json.loads(config_path.read_text())
+        cfg.update(change)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        rc = run_cli("dynamic-sim", "--config", str(bad),
+                     "--out", str(tmp_path / "x"))
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_USAGE
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "x").exists()
+
     def test_seed_override_changes_plants(self, tmp_path, config_path, capsys):
         out1 = tmp_path / "r1"
         out2 = tmp_path / "r2"

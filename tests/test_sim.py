@@ -52,7 +52,7 @@ class TestScenario:
 class TestInitialize:
     def test_initial_sum_matches_schedule(self):
         st = sim.initialize(small_scenario())
-        assert sum(st.alloc.resources.values()) == pytest.approx(
+        assert sum(st.alloc.resources) == pytest.approx(
             4000.0, abs=1e-6)
 
     def test_symmetric_initialization(self):
@@ -64,8 +64,9 @@ class TestInitialize:
 
     def test_agents_get_sorted_centroids(self):
         st = sim.initialize(small_scenario())
-        values = [st.alloc.resources[i] for i in range(5)]
+        values = st.alloc.resources.tolist()
         assert values == sorted(values)
+        assert st.alloc.order.tolist() == [0, 1, 2, 3, 4]
 
     def test_serialization_deterministic(self):
         sc = small_scenario()
@@ -74,25 +75,29 @@ class TestInitialize:
 
 class TestRun:
     def test_row_counts(self):
+        # one row per step in every column
         trace = sim.run(small_scenario())
-        assert len(trace.agent_rows) == 20 * 5
-        assert len(trace.step_rows) == 20
+        for col in (trace.z, trace.desired_abs, trace.applied_power,
+                    trace.temp_F, trace.setpoints):
+            assert len(col) == 20
+            assert all(np.shape(v) == (5,) for v in col)
+        for col in (trace.r, trace.sum_z, trace.constraint_error):
+            assert len(col) == 20
 
     def test_constraint_error_column(self):
         trace = sim.run(small_scenario())
-        for row in trace.step_rows:
-            assert row["constraint_error"] < 1e-9 * 5
+        for err in trace.constraint_error:
+            assert err < 1e-9 * 5
+        for z, sum_z, r in zip(trace.z, trace.sum_z, trace.r):
+            assert sum_z == pytest.approx(float(np.sum(z)), abs=1e-9)
 
     def test_applied_magnitudes_sum_to_schedule(self):
         sc = small_scenario()
         trace = sim.run(sc)
-        by_step = {}
-        for row in trace.agent_rows:
-            by_step.setdefault(row["step"], []).append(
-                abs(row["applied_power"]))
-        for k, powers in by_step.items():
-            assert sum(powers) == pytest.approx(sc.power_schedule[k],
-                                                abs=1e-9 * sc.n_agents)
+        for k, powers in enumerate(trace.applied_power):
+            np.testing.assert_array_equal(np.abs(powers), trace.z[k])
+            assert sum(np.abs(powers)) == pytest.approx(
+                sc.power_schedule[k], abs=1e-9 * sc.n_agents)
 
     def test_determinism_byte_identical(self, tmp_path):
         sc = small_scenario()
@@ -118,21 +123,17 @@ class TestRun:
             x = st.plants[i].x.copy()
             dm = st.plants[i].model
             for k in range(sc.horizon):
-                row = trace.agent_rows[k * n + i]
-                assert row["agent"] == i and row["step"] == k
-                x, y = th.step_plant(x, row["applied_power"],
+                x, y = th.step_plant(x, trace.applied_power[k][i],
                                      st.disturbances[k], dm)
-                assert y == pytest.approx(row["temp_F"], abs=1e-9)
+                assert y == pytest.approx(trace.temp_F[k][i], abs=1e-9)
 
     def test_line_graph_every_step(self):
         from cvtalloc import dynamic_alloc as dyn
         trace = sim.run(small_scenario())
-        by_step = {}
-        for row in trace.agent_rows:
-            by_step.setdefault(row["step"], {})[row["agent"]] = row["z"]
-        for z in by_step.values():
-            g = dyn.rebuild_line_graph(z)
-            assert len(g.edges) == len(z) - 1
+        for z in trace.z:
+            order = dyn.rebuild_line_graph(z).tolist()
+            assert sorted(order) == list(range(len(z)))
+            assert [z[i] for i in order] == sorted(z.tolist())
 
 
 class TestMetrics:
@@ -142,17 +143,19 @@ class TestMetrics:
 
     def test_zero_swap_run(self):
         trace = sim.TraceLog(n_agents=3)
-        trace.step_rows.append({"sum_z": 1.0, "r": 1.0,
-                                "constraint_error": 0.0})
-        trace.setpoints.append([72.0, 72.0, 72.0])
-        for i in range(3):
-            trace.agent_rows.append({"step": 0, "agent": i, "z": float(i + 1),
-                                     "desired_abs": 1.0, "applied_power": 1.0,
-                                     "temp_F": 72.0})
+        trace.r.append(1.0)
+        trace.sum_z.append(1.0)
+        trace.constraint_error.append(0.0)
+        trace.setpoints.append(np.array([72.0, 72.0, 72.0]))
+        trace.z.append(np.array([1.0, 2.0, 3.0]))
+        trace.desired_abs.append(np.ones(3))
+        trace.applied_power.append(np.ones(3))
+        trace.temp_F.append(np.full(3, 72.0))
         report = sim.metrics(trace)
         assert report.mean_swaps_per_agent == 0.0
         assert report.total_swaps == 0
         assert report.temperature_rms_error == 0.0
+        assert report.neighbor_coverage == {0: 1, 1: 2, 2: 1}
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
@@ -172,4 +175,4 @@ class TestBaselineSchedule:
         from dataclasses import replace
         sc2 = replace(sc, power_schedule=sched)
         trace = sim.run(sc2)
-        assert len(trace.step_rows) == sc.horizon
+        assert len(trace.r) == sc.horizon
