@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--config", required=True, help="scenario JSON file")
     d.add_argument("--out", default=".", help="output directory")
     d.add_argument("--horizon", type=int, default=None,
-                   help="override the config horizon (truncates the schedule)")
+                   help="override the config horizon: keeps the first H "
+                   "schedule entries and drops setpoint changes at steps >= H")
     d.add_argument("--rounds-per-step", type=int, default=None)
     return p
 
@@ -151,11 +153,7 @@ def _cmd_static_alloc(args) -> int:
     dom = _parse_domain(args.domain)
     d = _parse_density(args.density, dom)
     problem = sa.StaticProblem(domain=dom, n_agents=args.n, density=d, r=args.r)
-    try:
-        sol = sa.solve(problem)
-    except SolverDiverged as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    sol = sa.solve(problem)
 
     payload = {
         "v_k": sol.v_k,
@@ -213,16 +211,16 @@ def _write_plot_data(trace: sim.TraceLog, out: Path) -> None:
 
 
 def _cmd_dynamic_sim(args) -> int:
-    with open(args.config) as fh:
-        config = json.load(fh)
-    if args.seed is not None:
-        config["seed"] = args.seed
+    sc = sim.Scenario.from_json(args.config)
     if args.horizon is not None:
-        config["horizon"] = args.horizon
-        config["power_schedule"] = config["power_schedule"][:args.horizon]
+        h = args.horizon
+        sc = replace(sc, horizon=h, power_schedule=sc.power_schedule[:h],
+                     setpoint_changes=tuple(c for c in sc.setpoint_changes
+                                            if c[0] < h))
+    if args.seed is not None:
+        sc = replace(sc, seed=args.seed)
     if args.rounds_per_step is not None:
-        config["rounds_per_step"] = args.rounds_per_step
-    sc = sim.Scenario.from_config(config)
+        sc = replace(sc, rounds_per_step=args.rounds_per_step)
 
     trace = sim.run(sc)
     report = sim.metrics(trace)

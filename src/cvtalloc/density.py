@@ -31,6 +31,7 @@ __all__ = [
     "first_moment",
     "second_moment",
     "centroid",
+    "cell_centroids",
     "bind_free_parameter",
 ]
 
@@ -407,13 +408,19 @@ def mass_floor(lo, hi):
     return 1e-300 * np.maximum(np.where(np.isfinite(width), width, 1.0), 1.0)
 
 
+def cell_centroids(d: DensitySpec, lo, hi, method: str = "analytic"):
+    """Mass centroids m1 / m0 of the cells [lo[i], hi[i]] under d, clamped
+    into each cell against fp noise.  The package's one empty-cell rule: a
+    cell of mass at most mass_floor raises EmptyCell naming the first one."""
+    m0, m1 = interval_moments(d, lo, hi, method=method, order=1)
+    bad = m0 <= mass_floor(lo, hi)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise EmptyCell(f"cell {i} = [{lo[i]}, {hi[i]}] has mass {m0[i]:g}")
+    return np.minimum(np.maximum(m1 / m0, lo), hi)
+
+
 def centroid(d: DensitySpec, iv: Interval, method: str = "analytic") -> float:
     """Mass centroid of iv under d: first_moment / mass. Always inside iv."""
-    m0, m1 = interval_moments(d, iv.lo, iv.hi, method=method, order=1)
-    m0 = float(np.squeeze(m0))
-    m1 = float(np.squeeze(m1))
-    if m0 <= mass_floor(iv.lo, iv.hi):
-        raise EmptyCell(f"cell [{iv.lo}, {iv.hi}] has mass {m0:g}")
-    c = m1 / m0
-    # Clamp fp noise; the exact centroid always lies in the interval.
-    return min(max(c, iv.lo), iv.hi)
+    return float(cell_centroids(d, np.array([iv.lo]), np.array([iv.hi]),
+                                method=method)[0])

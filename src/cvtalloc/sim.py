@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,6 +27,32 @@ __all__ = ["Scenario", "SimState", "TraceLog", "MetricsReport",
            "initialize", "step", "run", "metrics"]
 
 _FMT = "%.15g"  # numeric CSV formatting, 15 significant digits
+
+
+def _integer(value) -> int:
+    """An integral config number as an int; TypeError for anything else."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _floats(values) -> tuple:
+    if isinstance(values, str):
+        raise TypeError(f"expected a list of numbers, got {values!r}")
+    return tuple(float(v) for v in values)
+
+
+# How Scenario.from_config reads each config field; a TypeError or
+# ValueError from one becomes an InvalidScenario naming the field.
+_FROM_CONFIG = {
+    "n_agents": _integer, "horizon": _integer, "seed": _integer,
+    "rounds_per_step": _integer, "ts_minutes": float, "disturbance": str,
+    "domain": lambda v: Domain1D(*_floats(v)),
+    "density": DensitySpec.from_config,
+    "power_schedule": _floats, "setpoints": _floats, "poles": _floats,
+    "setpoint_changes": lambda v: tuple(
+        (_integer(s), _integer(a), float(x)) for s, a, x in v),
+}
 
 
 @dataclass(frozen=True)
@@ -47,8 +73,8 @@ class Scenario:
     poles: tuple = th.DEFAULT_POLES
 
     def __post_init__(self):
-        if self.n_agents < 1:
-            raise InvalidScenario("n_agents must be >= 1")
+        if self.n_agents < 1 or self.horizon < 1:
+            raise InvalidScenario("n_agents and horizon must be >= 1")
         if self.horizon != len(self.power_schedule):
             raise InvalidScenario("horizon must equal len(power_schedule)")
         if self.density.family != "gaussian" or self.density.free_param != "mu":
@@ -72,36 +98,22 @@ class Scenario:
 
     @classmethod
     def from_config(cls, obj: dict) -> "Scenario":
-        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        unknown = sorted(set(obj) - set(_FROM_CONFIG))
         if unknown:
             raise InvalidScenario(f"unknown scenario keys: {', '.join(unknown)}")
-        obj = dict(obj)
-        dom = Domain1D(*obj.pop("domain"))
-        density = DensitySpec.from_config(obj.pop("density"))
-        changes = tuple((int(s), int(a), float(v))
-                        for s, a, v in obj.pop("setpoint_changes", ()))
-        return cls(
-            n_agents=int(obj.pop("n_agents")),
-            horizon=int(obj.pop("horizon")),
-            domain=dom,
-            density=density,
-            power_schedule=tuple(obj.pop("power_schedule")),
-            seed=int(obj.pop("seed", 0)),
-            disturbance=obj.pop("disturbance", "synthetic"),
-            setpoints=tuple(obj.pop("setpoints", ())),
-            setpoint_changes=changes,
-            rounds_per_step=int(obj.pop("rounds_per_step", 1)),
-            ts_minutes=float(obj.pop("ts_minutes", th.DEFAULT_TS_MINUTES)),
-            poles=tuple(obj.pop("poles", th.DEFAULT_POLES)),
-        )
+        values = {}
+        for f in fields(cls):
+            if f.name in obj or f.default is MISSING:
+                try:
+                    values[f.name] = _FROM_CONFIG[f.name](obj[f.name])
+                except (TypeError, ValueError) as exc:
+                    raise InvalidScenario(f"{f.name}: {exc}") from exc
+        return cls(**values)
 
     @classmethod
     def from_json(cls, path) -> "Scenario":
         with open(path) as fh:
             return cls.from_config(json.load(fh))
-
-    def effective_setpoints(self) -> list:
-        return list(self.setpoints) if self.setpoints else [72.0] * self.n_agents
 
 
 @dataclass
@@ -221,7 +233,7 @@ def initialize(sc: Scenario) -> SimState:
 def _build_plants(sc: Scenario, disturbances: np.ndarray) -> list:
     """Seeded per-agent plants, started at the steady state consistent with
     the initial disturbance and each agent's setpoint."""
-    setpoints = sc.effective_setpoints()
+    setpoints = sc.setpoints or (72.0,) * sc.n_agents
     plants = []
     for i in range(sc.n_agents):
         params = th.sample_parameters(sc.seed * 100_003 + i)

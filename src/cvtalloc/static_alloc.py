@@ -18,11 +18,14 @@ from . import density as dens
 from . import tessellation as tess
 from .density import DensitySpec, bind_free_parameter
 from .errors import (
-    CvtAllocError,
+    DuplicateGenerators,
+    EmptyCell,
+    GeneratorOutOfDomain,
     InfeasibleProblem,
     InvalidCandidate,
     InvalidParameterValue,
     SolverDiverged,
+    UnsortedGenerators,
 )
 from .tessellation import Domain1D, Tessellation
 
@@ -109,28 +112,21 @@ def _split(unknowns: np.ndarray, n: int):
     return u[:n], float(u[n])
 
 
-def _bind_candidate(p: StaticProblem, z: np.ndarray, v: float) -> DensitySpec:
-    dom = p.domain
-    if np.any(np.diff(z) <= 0):
-        raise InvalidCandidate("candidate centroids not strictly increasing")
-    if z[0] <= dom.a or z[-1] >= dom.b:
-        raise InvalidCandidate("candidate centroids outside the domain")
-    try:
-        return bind_free_parameter(p.density, v)
-    except InvalidParameterValue as exc:
-        raise InvalidCandidate(str(exc)) from exc
-
-
 def residual(unknowns, p: StaticProblem) -> np.ndarray:
     """Rows 1..N: z_i minus the centroid of its midpoint cell; row N+1: the
-    constraint value (sum(z) - r by default)."""
+    constraint value (sum(z) - r by default).
+
+    A candidate with unsorted, duplicate or out-of-domain centroids, an
+    invalid free parameter or an empty cell raises InvalidCandidate."""
     z, v = _split(unknowns, p.n_agents)
-    d = _bind_candidate(p, z, v)
-    m = np.concatenate(([p.domain.a], 0.5 * (z[:-1] + z[1:]), [p.domain.b]))
-    m0, m1 = dens.interval_moments(d, m[:-1], m[1:], order=1)
-    if np.any(m0 <= 0):
-        raise InvalidCandidate("candidate produces an empty cell")
-    c = m1 / m0
+    try:
+        z = tess._validate_generators(z, p.domain)
+        d = bind_free_parameter(p.density, v)
+        m = tess._midpoint_boundaries(z, p.domain)
+        c = dens.cell_centroids(d, m[:-1], m[1:])
+    except (UnsortedGenerators, DuplicateGenerators, GeneratorOutOfDomain,
+            InvalidParameterValue, EmptyCell) as exc:
+        raise InvalidCandidate(str(exc)) from exc
     return np.concatenate((z - c, [p.constraint_value(z)]))
 
 

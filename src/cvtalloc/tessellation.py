@@ -17,7 +17,6 @@ from .density import DensitySpec, Interval
 from .errors import (
     CellsDoNotTile,
     DuplicateGenerators,
-    EmptyCell,
     GeneratorOutOfDomain,
     UnsortedGenerators,
 )
@@ -95,10 +94,10 @@ def _validate_generators(generators, dom: Domain1D) -> np.ndarray:
     z = np.asarray(generators, dtype=float).ravel()
     if z.size == 0:
         raise ValueError("need at least one generator")
-    gaps = np.diff(z)
-    if np.any(gaps < 0):
+    gap = np.diff(z).min(initial=np.inf)
+    if gap < 0:
         raise UnsortedGenerators("generators must be strictly increasing")
-    if np.any(gaps < DUPLICATE_GAP_FRACTION * dom.width):
+    if gap < DUPLICATE_GAP_FRACTION * dom.width:
         raise DuplicateGenerators(
             f"adjacent generators closer than {DUPLICATE_GAP_FRACTION:g} * width")
     if z[0] <= dom.a or z[-1] >= dom.b:
@@ -115,7 +114,7 @@ def voronoi_regions(generators, dom: Domain1D,
                     d: DensitySpec | None = None) -> Tessellation:
     """Tessellation of dom induced by the generators.
 
-    If a density is given the energy field is populated via energy_K;
+    If a density is given the energy field holds the quantization energy;
     otherwise it is left at 0 (pure geometry).
     """
     z = _validate_generators(generators, dom)
@@ -152,25 +151,12 @@ def energy_F(points, cells: Sequence[Interval], d: DensitySpec) -> float:
 
 def energy_K(points, d: DensitySpec, dom: Domain1D) -> float:
     """Quantization energy: energy_F at the Voronoi cells of the points."""
-    z = _validate_generators(points, dom)
-    m = _midpoint_boundaries(z, dom)
-    return _energy_of_cells(z, m[:-1], m[1:], d)
-
-
-def _cell_centroids(boundaries: np.ndarray, d: DensitySpec) -> np.ndarray:
-    lo, hi = boundaries[:-1], boundaries[1:]
-    m0, m1 = dens.interval_moments(d, lo, hi, order=1)
-    bad = np.nonzero(m0 <= dens.mass_floor(lo, hi))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise EmptyCell(f"cell {i} = [{lo[i]}, {hi[i]}] has mass {m0[i]:g}")
-    c = m1 / m0
-    return np.clip(c, lo, hi)
+    return voronoi_regions(points, dom, d).energy
 
 
 def lloyd_step(t: Tessellation, d: DensitySpec) -> Tessellation:
     """One Lloyd update: move every generator to its cell centroid."""
-    z_new = _cell_centroids(t.boundaries, d)
+    z_new = dens.cell_centroids(d, t.boundaries[:-1], t.boundaries[1:])
     return voronoi_regions(z_new, t.domain, d)
 
 
@@ -207,7 +193,7 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     iterations = 0
     least_moved, least_at = np.inf, 0
     for iterations in range(1, max_iter + 1):
-        z_new = _cell_centroids(m, d)
+        z_new = dens.cell_centroids(d, m[:-1], m[1:])
         if record_history:
             history.append(z_new.copy())
         moved = float(np.max(np.abs(z_new - z)))
@@ -229,7 +215,6 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
 
 def is_cvt(points, d: DensitySpec, dom: Domain1D, tol: float) -> bool:
     """True iff every generator is within tol of its own cell centroid."""
-    z = _validate_generators(points, dom)
-    m = _midpoint_boundaries(z, dom)
-    c = _cell_centroids(m, d)
-    return bool(np.max(np.abs(z - c)) < tol)
+    t = voronoi_regions(points, dom)
+    c = dens.cell_centroids(d, t.boundaries[:-1], t.boundaries[1:])
+    return bool(np.max(np.abs(t.generators - c)) < tol)

@@ -4,17 +4,15 @@ import pytest
 
 
 @pytest.fixture(scope="session")
-def acceptance3_reports():
-    """The six Acceptance-3 problems, each solved and cross-validated against
-    Lloyd once per session: a list of (label, problem, report)."""
-    from cvtalloc import static_alloc as sa
+def acceptance3_problems():
+    """The six Acceptance-3 problems: a list of (label, problem)."""
     from cvtalloc.density import DensitySpec
     from cvtalloc.static_alloc import StaticProblem
     from cvtalloc.tessellation import Domain1D
 
     dom_100 = Domain1D(0.0, 100.0)
     dom_300 = Domain1D(0.0, 300.0)
-    configs = [
+    return [
         ("gauss s2=4 r=2500",
          StaticProblem(dom_100, 50, DensitySpec(
              "gaussian", {"sigma2": 4.0}, free_param="mu"), 2500.0)),
@@ -34,8 +32,16 @@ def acceptance3_reports():
          StaticProblem(dom_300, 50, DensitySpec(
              "gaussian", {"sigma2": 100.0}, free_param="mu"), 5000.0)),
     ]
+
+
+@pytest.fixture(scope="session")
+def acceptance3_reports(acceptance3_problems):
+    """The six Acceptance-3 problems, each solved and cross-validated against
+    Lloyd once per session: a list of (label, problem, report)."""
+    from cvtalloc import static_alloc as sa
+
     return [(label, p, sa.cross_validate(sa.solve(p), p))
-            for label, p in configs]
+            for label, p in acceptance3_problems]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

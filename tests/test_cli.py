@@ -2,11 +2,14 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cvtalloc import cli
+
+SHIPPED = Path(__file__).resolve().parent.parent / "scenarios" / "demand_response.json"
 
 
 def run_cli(*argv):
@@ -156,9 +159,23 @@ class TestDynamicSim:
         ({"rounds_per_step": -2}, "rounds_per_step"),
         ({"n_agents": 0}, "n_agents"),
         ({"rounds_per_stp": 2}, "rounds_per_stp"),
+        ({"horizon": 0, "power_schedule": []}, "horizon"),
+        ({"n_agents": 4.5}, "n_agents"),
+        ({"horizon": 12.5}, "horizon"),
+        ({"seed": 1.5}, "seed"),
+        ({"rounds_per_step": 1.5}, "rounds_per_step"),
+        ({"domain": [0, 1, 2]}, "domain"),
+        ({"power_schedule": 5}, "power_schedule"),
+        ({"setpoints": 5}, "setpoints"),
+        ({"setpoint_changes": 5}, "setpoint_changes"),
+        ({"poles": 5}, "poles"),
+        ({"density": 5}, "density"),
     ], ids=["agent-too-large", "agent-negative", "step-at-horizon",
             "step-negative", "zero-rounds", "negative-rounds", "no-agents",
-            "unknown-key"])
+            "unknown-key", "zero-horizon", "fractional-agents",
+            "fractional-horizon", "fractional-seed", "fractional-rounds",
+            "domain-three-values", "schedule-not-list", "setpoints-not-list",
+            "changes-not-list", "poles-not-list", "density-not-object"])
     def test_invalid_scenario_exits_one(self, tmp_path, config_path, capsys,
                                         change, message):
         cfg = json.loads(config_path.read_text())
@@ -171,6 +188,19 @@ class TestDynamicSim:
         assert rc == cli.EXIT_USAGE
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "x").exists()
+
+    def test_horizon_override_drops_later_setpoint_changes(self, tmp_path,
+                                                           capsys):
+        # The shipped scenario changes setpoints at step 30.
+        out = tmp_path / "out"
+        assert run_cli("dynamic-sim", "--config", str(SHIPPED), "--horizon",
+                       "20", "--out", str(out)) == cli.EXIT_OK
+        with open(out / "trace.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 20 * 15
+        capsys.readouterr()
+        assert run_cli("dynamic-sim", "--config", str(SHIPPED), "--horizon",
+                       "0", "--out", str(tmp_path / "x")) == cli.EXIT_USAGE
+        assert "horizon" in capsys.readouterr().err
 
     def test_seed_override_changes_plants(self, tmp_path, config_path, capsys):
         out1 = tmp_path / "r1"

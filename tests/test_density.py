@@ -139,6 +139,14 @@ class TestKnownIntegrals:
         with pytest.raises(EmptyCell):
             dens.centroid(d, Interval(500.0, 501.0))
 
+    def test_cell_centroids_stay_in_narrow_cells(self):
+        # Over cells 1e-12 wide, m1 / m0 falls outside its cell by rounding.
+        d = DensitySpec("gaussian", {"mu": 0.0, "sigma2": 1.0})
+        lo = np.linspace(0.1, 3.0, 50)
+        hi = lo + 1e-12
+        c = dens.cell_centroids(d, lo, hi)
+        assert np.all((lo <= c) & (c <= hi))
+
     def test_centroid_inside_interval(self):
         d = DensitySpec("exponential", {"lam": 1.0})
         iv = Interval(2.0, 3.0)

@@ -5,10 +5,11 @@ import logging
 import numpy as np
 import pytest
 
+from cvtalloc import density as dens
 from cvtalloc import static_alloc as sa
 from cvtalloc import tessellation as tess
 from cvtalloc.density import DensitySpec, bind_free_parameter
-from cvtalloc.errors import InfeasibleProblem, InvalidCandidate
+from cvtalloc.errors import EmptyCell, InfeasibleProblem, InvalidCandidate
 from cvtalloc.static_alloc import StaticProblem
 from cvtalloc.tessellation import Domain1D
 
@@ -203,6 +204,45 @@ class TestSolve:
         assert "density quantiles" in caplog.text
         assert sol.v_k == pytest.approx(1000.0, abs=1e-6)
         assert np.sum(sol.centroids) == pytest.approx(15000.0, abs=1e-6)
+
+
+class TestEmptyCellRule:
+    """A cell of mass at most density.mass_floor is empty, in the solve as in
+    Lloyd.  At r/N = 25 on [0, 100] with sigma^2 = 4 and N = 200, the last
+    cell of the equally spaced guess has a denormal, nonzero mass."""
+
+    P = StaticProblem(domain=DOM_100, n_agents=200, density=GAUSS_FREE_MU,
+                      r=5000.0)
+
+    def default_cells(self):
+        u = sa.default_initial_guess(self.P)
+        d = bind_free_parameter(self.P.density, u[-1])
+        m = tess._midpoint_boundaries(u[:-1], DOM_100)
+        return u, d, m[:-1], m[1:]
+
+    def test_default_guess_is_invalid_candidate(self):
+        u, d, lo, hi = self.default_cells()
+        m0, _ = dens.interval_moments(d, lo, hi, order=1)
+        assert 0.0 < m0[-1] <= dens.mass_floor(lo[-1], hi[-1])
+        with pytest.raises(InvalidCandidate):
+            sa.residual(u, self.P)
+
+    def test_cell_centroids_names_first_empty_cell(self):
+        _, d, lo, hi = self.default_cells()
+        with pytest.raises(EmptyCell, match="^cell 199 "):
+            dens.cell_centroids(d, lo, hi)
+        far = DensitySpec("gaussian", {"mu": 0.0, "sigma2": 1.0})
+        with pytest.raises(EmptyCell, match=r"^cell 1 = \[40.0, 41.0\]"):
+            dens.cell_centroids(far, np.array([-1.0, 40.0, 50.0]),
+                                np.array([1.0, 41.0, 51.0]))
+
+    def test_solve_retries_from_quantiles(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
+            sol = sa.solve(self.P)
+        assert "density quantiles" in caplog.text
+        assert sol.residual_norm < 1e-9
+        assert abs(sol.v_k - 25.0) < 1e-6
+        assert abs(np.sum(sol.centroids) - 5000.0) < 1e-6
 
 
 class TestInvariantsAndProperties:
