@@ -144,6 +144,7 @@ def _cmd_cvt(args) -> int:
         "iterations": t.iterations,
         "converged": t.converged,
         "stop_reason": t.stop_reason,
+        "final_displacement": t.final_displacement,
         "output": str(path),
     }))
     return EXIT_OK

@@ -120,6 +120,11 @@ class DensitySpec:
             key = _PARAM_ALIASES.get(key, key)
             if key not in names:
                 raise InvalidParameterValue(f"{fam} has no parameter {key!r}")
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, float, np.integer, np.floating))
+                    or not math.isfinite(value)):
+                raise InvalidParameterValue(
+                    f"{fam} parameter {key!r} must be a finite number, got {value!r}")
             clean[key] = float(value)
         if self.free_param is not None:
             free = _PARAM_ALIASES.get(self.free_param, self.free_param)
@@ -139,6 +144,9 @@ class DensitySpec:
     def from_config(cls, obj: dict) -> "DensitySpec":
         """Build from the config grammar: family plus named numeric values,
         with the string "free" marking the single free parameter."""
+        if not isinstance(obj, dict):
+            raise InvalidParameterValue(
+                f"density spec must be an object, got {obj!r}")
         obj = dict(obj)
         family = obj.pop("family")
         free = None
@@ -153,7 +161,7 @@ class DensitySpec:
                     raise InvalidParameterValue("at most one parameter may be free")
                 free = name
             else:
-                params[name] = float(value)
+                params[name] = value
         return cls(family=family, params=params, free_param=free)
 
     def to_config(self) -> dict:
@@ -220,115 +228,89 @@ def bind_free_parameter(d: DensitySpec, value: float) -> DensitySpec:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form interval moments, vectorized over (lo, hi) arrays.
+# Closed-form moments: per-point terms, differenced per interval.  A cell's
+# moments are differences of terms at its two ends, so a tessellation needs
+# the terms once per boundary, not twice.  Callers wrap both steps in one
+# np.errstate that ignores over- and underflow.
 # ---------------------------------------------------------------------------
 
-def _phi(t):
-    """Standard normal pdf with phi(+-inf) = 0."""
-    t = np.asarray(t, dtype=float)
-    finite = np.isfinite(t)
-    ts = np.where(finite, t, 0.0)
-    with np.errstate(under="ignore"):
-        return np.where(finite, np.exp(-0.5 * ts * ts) * _INV_SQRT_2PI, 0.0)
-
-
-def _t_phi(t):
-    """t * phi(t), with the limit 0 at +-inf."""
-    t = np.asarray(t, dtype=float)
-    finite = np.isfinite(t)
-    ts = np.where(finite, t, 0.0)
-    with np.errstate(under="ignore"):
-        return np.where(finite, ts * np.exp(-0.5 * ts * ts) * _INV_SQRT_2PI, 0.0)
-
-
-def _normal_cdf_diff(alpha, beta):
-    """Phi(beta) - Phi(alpha) evaluated in a cancellation-safe branch.
-
-    For intervals deep in one tail the difference of CDFs loses all relative
-    accuracy; the complementary error function keeps it.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    both_right = alpha >= 0
-    both_left = beta <= 0
-    a2, b2 = alpha / _SQRT2, beta / _SQRT2
-    with np.errstate(over="ignore", under="ignore"):
-        right = 0.5 * (special.erfc(np.where(both_right, a2, 0.0))
-                       - special.erfc(np.where(both_right, b2, 0.0)))
-        left = 0.5 * (special.erfc(np.where(both_left, -b2, 0.0))
-                      - special.erfc(np.where(both_left, -a2, 0.0)))
-        mid = 0.5 * (special.erf(b2) - special.erf(a2))
-    return np.where(both_right, right, np.where(both_left, left, mid))
-
-
-def _moments_analytic(d: DensitySpec, lo, hi, order: int):
-    """(mass, first moment[, second moment]) of d over [lo, hi], closed form;
-    the second moment only when order is 2."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+def _terms(d: DensitySpec, x, order: int) -> tuple:
+    """Per-point values whose differences between two ends give d's
+    moments up to order over the interval between them."""
     p = d.params
-
     if d.family == "uniform":
-        a, b = p["a"], p["b"]
-        lo_c = np.clip(lo, a, b)
-        hi_c = np.clip(hi, a, b)
-        w = 1.0 / (b - a)
-        m0 = (hi_c - lo_c) * w
-        m1 = 0.5 * (hi_c ** 2 - lo_c ** 2) * w
-        if order == 1:
-            return m0, m1
-        m2 = (hi_c ** 3 - lo_c ** 3) / 3.0 * w
-        return m0, m1, m2
+        c = np.clip(x, p["a"], p["b"])
+        return (c, c ** 2, c ** 3) if order == 2 else (c, c ** 2)
 
     if d.family == "gaussian":
-        mu, s2 = p["mu"], p["sigma2"]
-        sigma = math.sqrt(s2)
-        alpha = (lo - mu) / sigma
-        beta = (hi - mu) / sigma
-        m0 = _normal_cdf_diff(alpha, beta)
-        dphi = _phi(alpha) - _phi(beta)
-        m1 = mu * m0 + sigma * dphi
-        if order == 1:
-            return m0, m1
-        central2 = s2 * (m0 + _t_phi(alpha) - _t_phi(beta))
-        m2 = mu * mu * m0 + 2.0 * mu * sigma * dphi + central2
-        return m0, m1, m2
+        t = (x - p["mu"]) / math.sqrt(p["sigma2"])
+        s = t / _SQRT2
+        e = np.exp(-0.5 * t * t)  # 0 at t = +-inf
+        out = (t, special.erfc(s), special.erfc(-s), special.erf(s),
+               e * _INV_SQRT_2PI)
+        if order == 2:
+            out += (np.where(np.isfinite(t), t, 0.0) * e * _INV_SQRT_2PI,)
+        return out
 
     if d.family == "exponential":
         lam = p["lam"]
-        lo_c = np.maximum(lo, 0.0)
-        hi_c = np.maximum(hi, 0.0)
+        x = np.maximum(x, 0.0)
+        xs = np.where(np.isfinite(x), x, 0.0)
+        e = np.exp(-lam * x)  # 0 at x = inf
+        out = (e, (xs + 1.0 / lam) * e)
+        if order == 2:
+            out += ((xs * xs + 2.0 * xs / lam + 2.0 / lam ** 2) * e,)
+        return out
 
-        def terms(x):
-            finite = np.isfinite(x)
-            xs = np.where(finite, x, 0.0)
-            e = np.where(finite, np.exp(-lam * xs), 0.0)
-            t = [e, (xs + 1.0 / lam) * e]
-            if order == 2:
-                t.append((xs * xs + 2.0 * xs / lam + 2.0 / lam ** 2) * e)
-            return t
+    # gamma: the lower and upper regularized incomplete gamma functions P
+    # and Q of shapes k, k + 1[, k + 2]
+    k = p["k"]
+    x = np.maximum(x, 0.0) / p["theta"]
+    out = ()
+    for shape in (k, k + 1.0, k + 2.0)[:order + 1]:
+        out += (special.gammainc(shape, x), special.gammaincc(shape, x))
+    return out
 
-        return tuple(a - b for a, b in zip(terms(lo_c), terms(hi_c)))
 
-    # gamma
+def _combine(d: DensitySpec, lo, hi, order: int) -> tuple:
+    """(mass, first moment[, second moment]) over [lo, hi] from the _terms
+    at both ends, each difference taken in a cancellation-safe branch."""
+    p = d.params
+    if d.family == "uniform":
+        w = 1.0 / (p["b"] - p["a"])
+        m0 = (hi[0] - lo[0]) * w
+        m1 = 0.5 * (hi[1] - lo[1]) * w
+        if order == 1:
+            return m0, m1
+        return m0, m1, (hi[2] - lo[2]) / 3.0 * w
+
+    if d.family == "gaussian":
+        # Terms t, erfc(t/sqrt2), erfc(-t/sqrt2), erf(t/sqrt2), phi(t)[,
+        # t phi(t)].  Deep in one tail the difference of CDFs loses all
+        # relative accuracy; the complementary error function of that side
+        # keeps it.
+        mu, s2 = p["mu"], p["sigma2"]
+        sigma = math.sqrt(s2)
+        m0 = 0.5 * np.where(lo[0] >= 0, lo[1] - hi[1],
+                            np.where(hi[0] <= 0, hi[2] - lo[2], hi[3] - lo[3]))
+        dphi = lo[4] - hi[4]
+        m1 = mu * m0 + sigma * dphi
+        if order == 1:
+            return m0, m1
+        central2 = s2 * (m0 + lo[5] - hi[5])
+        return m0, m1, mu * mu * m0 + 2.0 * mu * sigma * dphi + central2
+
+    if d.family == "exponential":
+        return tuple(a - b for a, b in zip(lo, hi))
+
+    # gamma: terms P, Q per shape.  The upper tail Q when the lower end sits
+    # past the bulk, to avoid catastrophic cancellation of near-1 P values.
     k, theta = p["k"], p["theta"]
-    lo_c = np.maximum(lo, 0.0) / theta
-    hi_c = np.where(np.isfinite(hi), np.maximum(hi, 0.0), np.inf) / theta
-
-    def reg_diff(shape):
-        # Use the upper tail when both endpoints sit past the bulk to avoid
-        # catastrophic cancellation of near-1 lower incomplete values.
-        p_lo = special.gammainc(shape, lo_c)
-        lower = special.gammainc(shape, hi_c) - p_lo
-        upper = special.gammaincc(shape, lo_c) - special.gammaincc(shape, hi_c)
-        return np.where(p_lo > 0.5, upper, lower)
-
-    m0 = reg_diff(k)
-    m1 = k * theta * reg_diff(k + 1.0)
+    m = [np.where(lo[j] > 0.5, lo[j + 1] - hi[j + 1], hi[j] - lo[j])
+         for j in range(0, 2 * order + 2, 2)]
     if order == 1:
-        return m0, m1
-    m2 = k * (k + 1.0) * theta * theta * reg_diff(k + 2.0)
-    return m0, m1, m2
+        return m[0], k * theta * m[1]
+    return m[0], k * theta * m[1], k * (k + 1.0) * theta * theta * m[2]
 
 
 def _moment_quadrature(d: DensitySpec, lo: float, hi: float, order: int) -> float:
@@ -355,15 +337,18 @@ def interval_moments(d: DensitySpec, lo, hi, method: str = "analytic",
     moment, second moment) for order 2, (mass, first moment) for order 1.
 
     Centroids need only order 1, which skips the second-moment work; the
-    mass and first moment are the same either way.  This is the workhorse
-    used by the tessellation module; the public scalar operations below
-    wrap it.
+    mass and first moment are the same either way.  For the cells of a
+    tessellation, cell_centroids shares each boundary's terms between its
+    two cells instead.
     """
     _require_bound(d)
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
     if method == "analytic":
-        return _moments_analytic(d, lo, hi, order)
+        with np.errstate(over="ignore", under="ignore"):
+            return _combine(d, _terms(d, np.asarray(lo, dtype=float), order),
+                            _terms(d, np.asarray(hi, dtype=float), order),
+                            order)
     if method == "quadrature":
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -408,11 +393,24 @@ def mass_floor(lo, hi):
     return 1e-300 * np.maximum(np.where(np.isfinite(width), width, 1.0), 1.0)
 
 
-def cell_centroids(d: DensitySpec, lo, hi, method: str = "analytic"):
-    """Mass centroids m1 / m0 of the cells [lo[i], hi[i]] under d, clamped
-    into each cell against fp noise.  The package's one empty-cell rule: a
-    cell of mass at most mass_floor raises EmptyCell naming the first one."""
-    m0, m1 = interval_moments(d, lo, hi, method=method, order=1)
+def cell_centroids(d: DensitySpec, m, method: str = "analytic"):
+    """Mass centroids m1 / m0 of the cells [m[i], m[i+1]] under d, for
+    boundaries m, clamped into each cell against fp noise.  The package's
+    one empty-cell rule: a cell of mass at most mass_floor raises EmptyCell
+    naming the first one.
+
+    Analytic moments evaluate each boundary's terms once and difference
+    them per cell, with the same values as interval_moments over each cell.
+    """
+    m = np.asarray(m, dtype=float)
+    lo, hi = m[:-1], m[1:]
+    if method == "analytic":
+        _require_bound(d)
+        with np.errstate(over="ignore", under="ignore"):
+            t = _terms(d, m, 1)
+            m0, m1 = _combine(d, [a[:-1] for a in t], [a[1:] for a in t], 1)
+    else:
+        m0, m1 = interval_moments(d, lo, hi, method=method, order=1)
     bad = m0 <= mass_floor(lo, hi)
     if bad.any():
         i = int(np.argmax(bad))
@@ -422,5 +420,4 @@ def cell_centroids(d: DensitySpec, lo, hi, method: str = "analytic"):
 
 def centroid(d: DensitySpec, iv: Interval, method: str = "analytic") -> float:
     """Mass centroid of iv under d: first_moment / mass. Always inside iv."""
-    return float(cell_centroids(d, np.array([iv.lo]), np.array([iv.hi]),
-                                method=method)[0])
+    return float(cell_centroids(d, np.array([iv.lo, iv.hi]), method=method)[0])

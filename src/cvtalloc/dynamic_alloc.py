@@ -112,6 +112,8 @@ def verify_shift_property(d_gaussian: DensitySpec, dom: Domain1D, n: int,
         raise ValueError("density must be fully bound")
     mu = d_gaussian.params["mu"]
     sigma = math.sqrt(d_gaussian.params["sigma2"])
+    d_shift = replace(d_gaussian,
+                      params={**d_gaussian.params, "mu": mu - delta})
     for m in (mu, mu - delta):
         if _gaussian_tail_mass_outside(m, sigma, dom) >= 1e-9:
             raise DomainTooNarrow(
@@ -120,8 +122,6 @@ def verify_shift_property(d_gaussian: DensitySpec, dom: Domain1D, n: int,
     lloyd_tol = min(tol * 1e-3, 1e-11 * dom.width)
     init = tess.default_init(n, dom)
     t_base = tess.lloyd(init, d_gaussian, dom, tol=lloyd_tol, max_iter=200_000)
-    d_shift = replace(d_gaussian,
-                      params={**d_gaussian.params, "mu": mu - delta})
     t_shift = tess.lloyd(init, d_shift, dom, tol=lloyd_tol, max_iter=200_000)
     dev = float(np.max(np.abs(t_shift.generators
                               - (t_base.generators - delta))))

@@ -23,7 +23,7 @@ class NoFreeParameter(CvtAllocError):
     """bind_free_parameter called on a fully concrete density."""
 
 
-class InvalidParameterValue(CvtAllocError):
+class InvalidParameterValue(CvtAllocError, ValueError):
     """A density parameter violates its family's domain invariant."""
 
 

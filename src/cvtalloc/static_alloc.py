@@ -123,7 +123,7 @@ def residual(unknowns, p: StaticProblem) -> np.ndarray:
         z = tess._validate_generators(z, p.domain)
         d = bind_free_parameter(p.density, v)
         m = tess._midpoint_boundaries(z, p.domain)
-        c = dens.cell_centroids(d, m[:-1], m[1:])
+        c = dens.cell_centroids(d, m)
     except (UnsortedGenerators, DuplicateGenerators, GeneratorOutOfDomain,
             InvalidParameterValue, EmptyCell) as exc:
         raise InvalidCandidate(str(exc)) from exc
@@ -193,7 +193,7 @@ def _fd_column(u: np.ndarray, f: np.ndarray, p: StaticProblem,
                j: int) -> np.ndarray:
     """Column j of the difference Jacobian at u, where f = residual(u, p):
     a forward difference, or a backward one when the forward candidate is
-    invalid."""
+    invalid.  InvalidCandidate when both are."""
     h = FD_STEP * max(1.0, abs(u[j]))
     up = u.copy()
     up[j] += h
@@ -201,9 +201,32 @@ def _fd_column(u: np.ndarray, f: np.ndarray, p: StaticProblem,
         fj = residual(up, p)
     except InvalidCandidate:
         up[j] = u[j] - h
-        fj = residual(up, p)
+        try:
+            fj = residual(up, p)
+        except InvalidCandidate as exc:
+            raise InvalidCandidate(
+                f"difference Jacobian column {j}: the forward and the "
+                f"backward candidate are both invalid ({exc})") from exc
         h = -h
     return (fj - f) / h
+
+
+# Stepped copies of z summed at once for the default constraint row.
+SUM_ROW_CHUNK = 64
+
+
+def _stepped_sums(z: np.ndarray, h: np.ndarray,
+                  cols: np.ndarray) -> np.ndarray:
+    """np.sum(z) with z[j] stepped by h[j], for each j in cols.  np.sum
+    along a contiguous row keeps the pairwise order of the 1-D sum, so each
+    value equals the 1-D sum bit for bit."""
+    out = np.empty(cols.size)
+    for s in range(0, cols.size, SUM_ROW_CHUNK):
+        chunk = cols[s:s + SUM_ROW_CHUNK]
+        zs = np.tile(z, (chunk.size, 1))
+        zs[np.arange(chunk.size), chunk] += h[chunk]
+        out[s:s + chunk.size] = np.sum(zs, axis=1)
+    return out
 
 
 def _fd_jacobian(u: np.ndarray, f: np.ndarray,
@@ -219,9 +242,9 @@ def _fd_jacobian(u: np.ndarray, f: np.ndarray,
     single-column quotient bit for bit, and a joint candidate is valid
     exactly when each of its single-column candidates is.  A colour whose
     joint candidate is invalid is redone column by column with _fd_column.
-    The constraint row is differenced per column through constraint_value
-    alone, which keeps custom constraints and the rounding of the default
-    sum unchanged.
+    The constraint row is differenced through the constraint alone: a
+    custom one per column through constraint_value, the default sum from
+    chunks of stepped rows with the rounding of the 1-D sum.
     """
     n = p.n_agents
     z = u[:n]
@@ -244,10 +267,13 @@ def _fd_jacobian(u: np.ndarray, f: np.ndarray,
             keep = (rows >= 0) & (rows < n)
             rows, k = rows[keep], cols[keep]
             jac[rows, k] = (fg[rows] - f[rows]) / h[k]
-        for j in cols:
-            zj = z.copy()
-            zj[j] += h[j]
-            jac[n, j] = (p.constraint_value(zj) - f[n]) / h[j]
+        if p.constraint is None:
+            jac[n, cols] = (_stepped_sums(z, h, cols) - p.r - f[n]) / h[cols]
+        else:
+            for j in cols:
+                zj = z.copy()
+                zj[j] += h[j]
+                jac[n, j] = (p.constraint_value(zj) - f[n]) / h[j]
     jac[:, n] = _fd_column(u, f, p, n)
     return jac
 
@@ -281,7 +307,11 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
         if norm < RESIDUAL_TOL:
             return _package(u, tuple(history), p)
 
-        jac = _fd_jacobian(u, f, p)
+        try:
+            jac = _fd_jacobian(u, f, p)
+        except InvalidCandidate as exc:
+            raise SolverDiverged(str(exc), best=best_u,
+                                 residual_norm=best_norm) from exc
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:

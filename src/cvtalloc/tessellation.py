@@ -71,7 +71,9 @@ class Tessellation:
     For a Lloyd result, ``iterations`` counts the updates made and
     ``stop_reason`` says why the iteration ended: "tol" (displacement below
     the tolerance), "stagnated" (no new minimum displacement for
-    LLOYD_STALL_WINDOW iterations) or "budget" (max_iter reached).
+    LLOYD_STALL_WINDOW iterations) or "budget" (max_iter reached), and
+    ``final_displacement`` is the max generator move of the last update (0
+    when there was none).
     """
 
     generators: np.ndarray
@@ -80,6 +82,7 @@ class Tessellation:
     domain: Domain1D
     stop_reason: str = "tol"
     iterations: int = 0
+    final_displacement: float = 0.0
 
     @property
     def converged(self) -> bool:
@@ -156,7 +159,7 @@ def energy_K(points, d: DensitySpec, dom: Domain1D) -> float:
 
 def lloyd_step(t: Tessellation, d: DensitySpec) -> Tessellation:
     """One Lloyd update: move every generator to its cell centroid."""
-    z_new = dens.cell_centroids(d, t.boundaries[:-1], t.boundaries[1:])
+    z_new = dens.cell_centroids(d, t.boundaries)
     return voronoi_regions(z_new, t.domain, d)
 
 
@@ -190,10 +193,10 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     m = _midpoint_boundaries(z, dom)
     history = [z.copy()] if record_history else None
     stop_reason = "budget"
-    iterations = 0
+    iterations, moved = 0, 0.0
     least_moved, least_at = np.inf, 0
     for iterations in range(1, max_iter + 1):
-        z_new = dens.cell_centroids(d, m[:-1], m[1:])
+        z_new = dens.cell_centroids(d, m)
         if record_history:
             history.append(z_new.copy())
         moved = float(np.max(np.abs(z_new - z)))
@@ -209,12 +212,13 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
             break
     t = Tessellation(generators=z, boundaries=m,
                      energy=_energy_of_cells(z, m[:-1], m[1:], d), domain=dom,
-                     stop_reason=stop_reason, iterations=iterations)
+                     stop_reason=stop_reason, iterations=iterations,
+                     final_displacement=moved)
     return (t, history) if record_history else t
 
 
 def is_cvt(points, d: DensitySpec, dom: Domain1D, tol: float) -> bool:
     """True iff every generator is within tol of its own cell centroid."""
     t = voronoi_regions(points, dom)
-    c = dens.cell_centroids(d, t.boundaries[:-1], t.boundaries[1:])
+    c = dens.cell_centroids(d, t.boundaries)
     return bool(np.max(np.abs(t.generators - c)) < tol)

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvtalloc import cli
+from cvtalloc import cli, sim
+from cvtalloc import static_alloc as sa
+from cvtalloc.errors import SolverDiverged
 
 SHIPPED = Path(__file__).resolve().parent.parent / "scenarios" / "demand_response.json"
 
@@ -52,6 +54,13 @@ class TestCvt:
         boundary_rows = [ln for ln in lines if ln.startswith("boundary,")]
         bounds = [float(ln.split(",")[2]) for ln in boundary_rows]
         np.testing.assert_allclose(bounds, [0.0, 5.0, 10.0, 15.0], atol=1e-9)
+
+    def test_json_reports_final_displacement(self, tmp_path, capsys):
+        rc = run_cli("cvt", "--domain", "0,15", "--n", "3",
+                     "--density", "uniform", "--out", str(tmp_path))
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0 and out["stop_reason"] == "tol"
+        assert 0.0 <= out["final_displacement"] < 1e-10 * 15
 
     def test_json_density_and_custom_init(self, tmp_path, capsys):
         rc = run_cli("cvt", "--domain", "0,15", "--n", "2",
@@ -222,3 +231,72 @@ class TestDynamicSim:
             (out2 / "trace.csv").read_bytes()
         assert (out1 / "swaps.csv").read_bytes() == \
             (out2 / "swaps.csv").read_bytes()
+
+
+class TestDensityBoundary:
+    """Malformed density specs and parameters stop with exit code 1 and an
+    ``error:`` line, never a traceback."""
+
+    GAUSS = '{"family":"gaussian","mu":"free","sigma2":%s}'
+
+    @pytest.mark.parametrize("argv", [
+        ("cvt", "--domain", "0,10", "--n", "3", "--density", "5"),
+        ("static-alloc", "--domain", "0,100", "--n", "5", "--r", "250",
+         "--density", "[1]"),
+        ("static-alloc", "--domain", "0,100", "--n", "5", "--r", "250",
+         "--density", GAUSS % "null"),
+        ("static-alloc", "--domain", "0,100", "--n", "5", "--r", "250",
+         "--density", GAUSS % "true"),
+        ("static-alloc", "--domain", "0,100", "--n", "5", "--r", "250",
+         "--density", GAUSS % "Infinity"),
+        ("shift-check", "--domain", "0,100", "--n", "5", "--mu", "50",
+         "--sigma2", "4", "--delta", "nan"),
+    ], ids=["cvt-density-number", "static-density-list", "sigma2-null",
+            "sigma2-true", "sigma2-infinity", "shift-delta-nan"])
+    def test_exits_one(self, tmp_path, capsys, argv):
+        out = ("--out", str(tmp_path)) if argv[0] != "shift-check" else ()
+        rc = run_cli(*argv, *out)
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    def test_scenario_sigma2_null_exits_one(self, tmp_path, capsys):
+        cfg = json.loads(SHIPPED.read_text())
+        cfg["density"]["sigma2"] = None
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        rc = run_cli("dynamic-sim", "--config", str(path),
+                     "--out", str(tmp_path / "out"))
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: density:")
+
+
+class TestJacobianFailure:
+    """The shipped scenario with sigma2 = 1e-8: a difference column whose
+    forward and backward candidates are both invalid ends the solve as a
+    solver failure, not as an invalid candidate."""
+
+    def config(self):
+        cfg = json.loads(SHIPPED.read_text())
+        cfg["density"]["sigma2"] = 1e-8
+        return cfg
+
+    def test_solve_raises_solver_diverged(self):
+        sc = sim.Scenario.from_config(self.config())
+        p = sa.StaticProblem(domain=sc.domain, n_agents=sc.n_agents,
+                             density=sc.density, r=sc.power_schedule[0])
+        with pytest.raises(SolverDiverged,
+                           match="difference Jacobian column") as info:
+            sa.solve(p)
+        assert info.value.best.shape == (sc.n_agents + 1,)
+        assert np.isfinite(info.value.residual_norm)
+
+    def test_cli_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(self.config()))
+        rc = run_cli("dynamic-sim", "--config", str(path),
+                     "--out", str(tmp_path / "out"))
+        assert rc == cli.EXIT_SOLVER
+        assert capsys.readouterr().err.startswith(
+            "solver failed: difference Jacobian column")

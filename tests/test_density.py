@@ -29,6 +29,21 @@ class TestDensitySpec:
         DensitySpec("exponential", {"lam": 2.0})
         DensitySpec("gamma", {"k": 2.0, "theta": 1.0})
 
+    @pytest.mark.parametrize("value", [None, True, False, math.nan,
+                                       math.inf, -math.inf, "2", [2.0]],
+                             ids=repr)
+    def test_non_finite_and_non_numeric_values_rejected(self, value):
+        with pytest.raises(InvalidParameterValue, match="sigma2"):
+            DensitySpec("gaussian", {"mu": 0.0, "sigma2": value})
+        with pytest.raises(InvalidParameterValue, match="sigma2"):
+            DensitySpec.from_config(
+                {"family": "gaussian", "mu": "free", "sigma2": value})
+
+    @pytest.mark.parametrize("spec", [5, [1], "gaussian", None])
+    def test_non_object_config_rejected(self, spec):
+        with pytest.raises(InvalidParameterValue, match="must be an object"):
+            DensitySpec.from_config(spec)
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(InvalidParameterValue):
             DensitySpec("gaussian", {"mu": 0.0, "sigma2": -1.0})
@@ -141,11 +156,19 @@ class TestKnownIntegrals:
 
     def test_cell_centroids_stay_in_narrow_cells(self):
         # Over cells 1e-12 wide, m1 / m0 falls outside its cell by rounding.
+        # The cells alternate 1e-12 wide and wide.
         d = DensitySpec("gaussian", {"mu": 0.0, "sigma2": 1.0})
-        lo = np.linspace(0.1, 3.0, 50)
-        hi = lo + 1e-12
-        c = dens.cell_centroids(d, lo, hi)
-        assert np.all((lo <= c) & (c <= hi))
+        starts = np.linspace(0.1, 3.0, 50)
+        m = np.column_stack((starts, starts + 1e-12)).ravel()
+        c = dens.cell_centroids(d, m)
+        lo, hi = m[:-1], m[1:]
+        assert np.all(hi[::2] - lo[::2] < 2e-12)
+        assert np.all((lo[::2] <= c[::2]) & (c[::2] <= hi[::2]))
+
+    def test_gamma_mass_of_empty_left_ray(self):
+        # Both ends at -inf: no mass, like every other family.
+        for d in _ALL_BOUND:
+            assert dens.mass(d, Interval(-math.inf, -math.inf)) == 0.0
 
     def test_centroid_inside_interval(self):
         d = DensitySpec("exponential", {"lam": 1.0})
@@ -240,6 +263,42 @@ _intervals = st.tuples(
     st.floats(min_value=-50.0, max_value=50.0),
     st.floats(min_value=-50.0, max_value=50.0),
 ).map(sorted)
+
+
+def _cell_centroids_oracle(d, m):
+    """cell_centroids through the per-cell interval_moments: the index of
+    the first cell whose mass is at most mass_floor, or else the centroids
+    clamped into their cells."""
+    lo, hi = m[:-1], m[1:]
+    m0, m1 = dens.interval_moments(d, lo, hi, order=1)
+    bad = m0 <= dens.mass_floor(lo, hi)
+    if bad.any():
+        return int(np.argmax(bad))
+    return np.minimum(np.maximum(m1 / m0, lo), hi)
+
+
+class TestCellCentroids:
+    @given(st.sampled_from(_ALL_BOUND + [
+               DensitySpec("gaussian", {"mu": -3.0, "sigma2": 0.01}),
+               DensitySpec("gamma", {"k": 0.4, "theta": 8.0})]),
+           st.lists(st.floats(min_value=-60.0, max_value=60.0),
+                    min_size=1, max_size=60, unique=True),
+           st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_cell_oracle(self, d, points, left_inf, right_inf):
+        m = np.sort(np.array(points))
+        if left_inf:
+            m = np.concatenate(([-np.inf], m))
+        if right_inf:
+            m = np.concatenate((m, [np.inf]))
+        if m.size < 2:
+            m = np.concatenate((m, [m[0] + 1.0]))
+        expected = _cell_centroids_oracle(d, m)
+        if isinstance(expected, int):
+            with pytest.raises(EmptyCell, match=f"^cell {expected} = "):
+                dens.cell_centroids(d, m)
+        else:
+            assert np.array_equal(dens.cell_centroids(d, m), expected)
 
 
 class TestProperties:

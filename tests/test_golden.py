@@ -5,7 +5,10 @@ scenario (``bench/golden_shipped.json``) and for the same scenario scaled to
 240 agents (``tests/golden_fleet240.json``).  At N = 240 ties in the resource
 order and in the negotiation are much more frequent than at N = 15.  The
 static solves of the benchmark's static-sweep and of Acceptance 3 are pinned
-the same way, one hash per solve (``tests/golden_static.json``).
+the same way, one hash per solve (``tests/golden_static.json``), and so are
+Lloyd runs of all four families at N = 1 to 800, which end on each of the
+three stop reasons (``tests/golden_lloyd.json``).  The same file holds the
+iteration count and stop reason of each Acceptance-3 cross-validation run.
 """
 
 import hashlib
@@ -19,6 +22,7 @@ import pytest
 
 from cvtalloc import cli
 from cvtalloc import static_alloc as sa
+from cvtalloc import tessellation as tess
 from cvtalloc.density import DensitySpec
 from cvtalloc.static_alloc import StaticProblem
 from cvtalloc.tessellation import Domain1D
@@ -84,3 +88,53 @@ def test_static_solutions_match_golden_hashes(acceptance3_problems):
     problems = static_problems(acceptance3_problems)
     hashes = {label: solution_hash(sa.solve(p)) for label, p in problems.items()}
     assert hashes == json.loads((ROOT / "tests" / "golden_static.json").read_text())
+
+
+LLOYD_FAMILIES = {
+    "uniform": (DensitySpec("uniform", {"a": 0.0, "b": 100.0}),
+                Domain1D(0.0, 100.0)),
+    "gaussian": (DensitySpec("gaussian", {"mu": 40.0, "sigma2": 225.0}),
+                 Domain1D(0.0, 100.0)),
+    "exponential": (DensitySpec("exponential", {"lam": 0.04}),
+                    Domain1D(0.0, 150.0)),
+    "gamma": (DensitySpec("gamma", {"k": 3.0, "theta": 12.0}),
+              Domain1D(0.0, 150.0)),
+}
+# (tol, max_iter) per N; None is lloyd's default tolerance.  A tol of 1e-300
+# is met only by an exact floating-point fixed point, so N = 2 ends on "tol"
+# and the exponential and gamma runs at N = 15 end "stagnated"; N = 50 and
+# 800 end on "budget".
+LLOYD_RUNS = {1: (None, 100), 2: (1e-300, 8000), 15: (1e-300, 8000),
+              50: (None, 3000), 800: (None, 100)}
+
+
+def lloyd_runs():
+    """Lloyd from seeded random generators: (label, Tessellation) pairs."""
+    for f, (family, (d, dom)) in enumerate(LLOYD_FAMILIES.items()):
+        for n, (tol, max_iter) in LLOYD_RUNS.items():
+            rng = np.random.default_rng(1000 * f + n)
+            z = np.sort(rng.uniform(dom.a, dom.b, n))
+            yield f"{family} n={n}", tess.lloyd(z, d, dom, tol=tol,
+                                                max_iter=max_iter)
+
+
+def lloyd_hash(t) -> str:
+    """SHA-256 over the generator bytes, repr(energy), the iteration count
+    and the stop reason."""
+    h = hashlib.sha256(np.ascontiguousarray(t.generators).tobytes())
+    h.update(repr((t.energy, t.iterations, t.stop_reason)).encode())
+    return h.hexdigest()
+
+
+GOLDEN_LLOYD = ROOT / "tests" / "golden_lloyd.json"
+
+
+def test_lloyd_runs_match_golden_hashes():
+    hashes = {label: lloyd_hash(t) for label, t in lloyd_runs()}
+    assert hashes == json.loads(GOLDEN_LLOYD.read_text())["runs"]
+
+
+def test_acceptance3_lloyd_runs_match_golden(acceptance3_reports):
+    got = {label: {"iterations": rep.lloyd_iterations, "stop": rep.lloyd_stop}
+           for label, _, rep in acceptance3_reports}
+    assert got == json.loads(GOLDEN_LLOYD.read_text())["acceptance3"]

@@ -103,6 +103,14 @@ class TestFdJacobian:
         assert np.array_equal(sa._fd_jacobian(u, f, p),
                               oracle_jacobian(u, f, p))
 
+    def test_equals_oracle_at_large_n(self):
+        # The default constraint row is summed in chunks of stepped rows.
+        p = StaticProblem(DOM_100, 800, WIDE_GAUSS_FREE_MU, 800 * 30.0)
+        u = sa.default_initial_guess(p)
+        f = sa.residual(u, p)
+        assert np.array_equal(sa._fd_jacobian(u, f, p),
+                              oracle_jacobian(u, f, p))
+
     def test_equals_oracle_with_pluggable_constraint(self):
         p = StaticProblem(DOM_100, 7, WIDE_GAUSS_FREE_MU, 350.0,
                           constraint=lambda z: float(np.sum(z * z) - 2e4))
@@ -217,24 +225,23 @@ class TestEmptyCellRule:
     def default_cells(self):
         u = sa.default_initial_guess(self.P)
         d = bind_free_parameter(self.P.density, u[-1])
-        m = tess._midpoint_boundaries(u[:-1], DOM_100)
-        return u, d, m[:-1], m[1:]
+        return u, d, tess._midpoint_boundaries(u[:-1], DOM_100)
 
     def test_default_guess_is_invalid_candidate(self):
-        u, d, lo, hi = self.default_cells()
+        u, d, m = self.default_cells()
+        lo, hi = m[:-1], m[1:]
         m0, _ = dens.interval_moments(d, lo, hi, order=1)
         assert 0.0 < m0[-1] <= dens.mass_floor(lo[-1], hi[-1])
         with pytest.raises(InvalidCandidate):
             sa.residual(u, self.P)
 
     def test_cell_centroids_names_first_empty_cell(self):
-        _, d, lo, hi = self.default_cells()
+        _, d, m = self.default_cells()
         with pytest.raises(EmptyCell, match="^cell 199 "):
-            dens.cell_centroids(d, lo, hi)
+            dens.cell_centroids(d, m)
         far = DensitySpec("gaussian", {"mu": 0.0, "sigma2": 1.0})
         with pytest.raises(EmptyCell, match=r"^cell 1 = \[40.0, 41.0\]"):
-            dens.cell_centroids(far, np.array([-1.0, 40.0, 50.0]),
-                                np.array([1.0, 41.0, 51.0]))
+            dens.cell_centroids(far, np.array([-1.0, 40.0, 41.0]))
 
     def test_solve_retries_from_quantiles(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):

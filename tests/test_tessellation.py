@@ -147,6 +147,24 @@ class TestLloyd:
                          max_iter=100_000)
         np.testing.assert_allclose(t.generators, ref.generators, atol=1e-10)
 
+    def test_final_displacement_against_tol(self):
+        # Below tol on a "tol" stop, at or above it on the other two, and the
+        # max move of the last update.
+        d = DensitySpec("gaussian", {"mu": 7.5, "sigma2": 9.0})
+        init = [2.0, 8.0, 13.0]
+        for tol, max_iter, stop in ((1e-10, 100_000, "tol"),
+                                    (1e-300, 100_000, "stagnated"),
+                                    (1e-10, 5, "budget")):
+            t, hist = tess.lloyd(init, d, DOM_15, tol=tol, max_iter=max_iter,
+                                 record_history=True)
+            assert t.stop_reason == stop
+            assert t.final_displacement == np.max(np.abs(hist[-1] - hist[-2]))
+            if stop == "tol":
+                assert t.final_displacement < tol
+            else:
+                assert t.final_displacement >= tol
+        assert tess.voronoi_regions(init, DOM_15, d).final_displacement == 0.0
+
     def test_history_recording(self):
         t, hist = tess.lloyd([1.0, 8.0, 14.0], UNIFORM_15, DOM_15,
                              record_history=True)
