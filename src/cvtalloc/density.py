@@ -380,42 +380,45 @@ def second_moment(d: DensitySpec, iv: Interval, method: str = "analytic") -> flo
     return float(np.squeeze(m2))
 
 
-def mass_floor(lo, hi):
-    """Minimum mass below which a cell [lo, hi] is treated as empty
-    (vectorized over lo, hi arrays).
+def mass_floor(width):
+    """Minimum mass below which a cell of the given width is treated as
+    empty (vectorized over a widths array).
 
-    Scaled by interval width, at least 1, and 1 for an infinite width, so
-    far-tail cells that underflow raise a clear EmptyCell instead of
-    dividing near-zero.
+    Scaled by the width, at least 1, and 1 for an infinite or undefined
+    (NaN, from inf - inf) width, so far-tail cells that underflow raise a
+    clear EmptyCell instead of dividing near-zero.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        width = np.subtract(hi, lo, dtype=float)
     return 1e-300 * np.maximum(np.where(np.isfinite(width), width, 1.0), 1.0)
 
 
-def cell_centroids(d: DensitySpec, m, method: str = "analytic"):
+def cell_centroids(d: DensitySpec, m, method: str = "analytic",
+                   masses: bool = False):
     """Mass centroids m1 / m0 of the cells [m[i], m[i+1]] under d, for
     boundaries m, clamped into each cell against fp noise.  The package's
-    one empty-cell rule: a cell of mass at most mass_floor raises EmptyCell
-    naming the first one.
+    one empty-cell rule: a cell of mass at most mass_floor of its width
+    raises EmptyCell naming the first one.  With masses=True, returns
+    (centroids, m0).
 
     Analytic moments evaluate each boundary's terms once and difference
     them per cell, with the same values as interval_moments over each cell.
     """
     m = np.asarray(m, dtype=float)
     lo, hi = m[:-1], m[1:]
-    if method == "analytic":
-        _require_bound(d)
-        with np.errstate(over="ignore", under="ignore"):
+    # One errstate for the moments and the widths, which overflow or are
+    # NaN only for cells with an infinite end.
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if method == "analytic":
+            _require_bound(d)
             t = _terms(d, m, 1)
             m0, m1 = _combine(d, [a[:-1] for a in t], [a[1:] for a in t], 1)
-    else:
-        m0, m1 = interval_moments(d, lo, hi, method=method, order=1)
-    bad = m0 <= mass_floor(lo, hi)
+        else:
+            m0, m1 = interval_moments(d, lo, hi, method=method, order=1)
+        bad = m0 <= mass_floor(hi - lo)
     if bad.any():
         i = int(np.argmax(bad))
         raise EmptyCell(f"cell {i} = [{lo[i]}, {hi[i]}] has mass {m0[i]:g}")
-    return np.minimum(np.maximum(m1 / m0, lo), hi)
+    c = np.minimum(np.maximum(m1 / m0, lo), hi)
+    return (c, m0) if masses else c
 
 
 def centroid(d: DensitySpec, iv: Interval, method: str = "analytic") -> float:

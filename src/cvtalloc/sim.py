@@ -86,11 +86,21 @@ class Scenario:
                     f"r(k)/N = {mean} outside domain ({self.domain.a}, {self.domain.b})")
         if self.setpoints and len(self.setpoints) != self.n_agents:
             raise InvalidScenario("setpoints must have one entry per agent")
-        for when, agent, _ in self.setpoint_changes:
+        if not all(math.isfinite(v) for v in self.setpoints):
+            raise InvalidScenario("setpoints must be finite numbers")
+        for when, agent, value in self.setpoint_changes:
             if not (0 <= when < self.horizon and 0 <= agent < self.n_agents):
                 raise InvalidScenario(
                     f"setpoint change at step {when} for agent {agent}: need "
                     f"step in [0, {self.horizon}) and agent in [0, {self.n_agents})")
+            if not math.isfinite(value):
+                raise InvalidScenario(
+                    f"setpoint_changes: the new setpoint at step {when} for "
+                    f"agent {agent} must be a finite number, got {value!r}")
+        if not all(abs(pole) < 1.0 for pole in self.poles):
+            raise InvalidScenario(
+                f"poles must lie strictly inside the unit circle for a "
+                f"stable closed loop, got {list(self.poles)}")
         if self.rounds_per_step < 1:
             raise InvalidScenario("rounds_per_step must be >= 1")
         object.__setattr__(self, "power_schedule",

@@ -3,6 +3,14 @@
 The N centroid fixed-point equations (with midpoint cell boundaries) are
 augmented with one constraint row, by default sum(z) = r, and solved jointly
 for the centroids and the density family's single free parameter.
+
+Each Newton step solves a linear system in the Jacobian of that residual.
+Centroid row i depends only on z_{i-1}, z_i, z_{i+1} and the free parameter,
+so the Jacobian is tridiagonal plus one border row and one border column
+(the 1-D Lloyd-Newton structure; Du, Faber & Gunzburger 1999).  Up to
+N_DENSE agents a step differences the full matrix and solves it densely;
+above, it fills the three diagonals analytically and solves the bordered
+system in O(N).
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from . import density as dens
 from . import tessellation as tess
@@ -39,6 +48,9 @@ MAX_NEWTON_ITER = 200
 FD_STEP = 1e-7
 ARMIJO_C = 1e-4
 MIN_ALPHA = 1e-12
+# Largest N solved with the dense difference Jacobian.  The dense solve
+# gives the same bytes at any BLAS thread count only up to about N = 80.
+N_DENSE = 64
 
 
 @dataclass(frozen=True)
@@ -112,9 +124,10 @@ def _split(unknowns: np.ndarray, n: int):
     return u[:n], float(u[n])
 
 
-def residual(unknowns, p: StaticProblem) -> np.ndarray:
+def residual(unknowns, p: StaticProblem, masses: bool = False):
     """Rows 1..N: z_i minus the centroid of its midpoint cell; row N+1: the
-    constraint value (sum(z) - r by default).
+    constraint value (sum(z) - r by default).  With masses=True, returns
+    (residual, cell masses) from the same moment evaluation.
 
     A candidate with unsorted, duplicate or out-of-domain centroids, an
     invalid free parameter or an empty cell raises InvalidCandidate."""
@@ -123,11 +136,12 @@ def residual(unknowns, p: StaticProblem) -> np.ndarray:
         z = tess._validate_generators(z, p.domain)
         d = bind_free_parameter(p.density, v)
         m = tess._midpoint_boundaries(z, p.domain)
-        c = dens.cell_centroids(d, m)
+        c, m0 = dens.cell_centroids(d, m, masses=True)
     except (UnsortedGenerators, DuplicateGenerators, GeneratorOutOfDomain,
             InvalidParameterValue, EmptyCell) as exc:
         raise InvalidCandidate(str(exc)) from exc
-    return np.concatenate((z - c, [p.constraint_value(z)]))
+    f = np.concatenate((z - c, [p.constraint_value(z)]))
+    return (f, m0) if masses else f
 
 
 def default_initial_guess(p: StaticProblem) -> np.ndarray:
@@ -211,6 +225,18 @@ def _fd_column(u: np.ndarray, f: np.ndarray, p: StaticProblem,
     return (fj - f) / h
 
 
+def _constraint_row(z: np.ndarray, h: np.ndarray, f_n: float,
+                    p: StaticProblem, cols: np.ndarray) -> np.ndarray:
+    """Forward differences of a custom constraint in the columns cols, one
+    constraint_value per column, where f_n is its value at z."""
+    out = np.empty(cols.size)
+    for k, j in enumerate(cols):
+        zj = z.copy()
+        zj[j] += h[j]
+        out[k] = (p.constraint_value(zj) - f_n) / h[j]
+    return out
+
+
 # Stepped copies of z summed at once for the default constraint row.
 SUM_ROW_CHUNK = 64
 
@@ -270,20 +296,109 @@ def _fd_jacobian(u: np.ndarray, f: np.ndarray,
         if p.constraint is None:
             jac[n, cols] = (_stepped_sums(z, h, cols) - p.r - f[n]) / h[cols]
         else:
-            for j in cols:
-                zj = z.copy()
-                zj[j] += h[j]
-                jac[n, j] = (p.constraint_value(zj) - f[n]) / h[j]
+            jac[n, cols] = _constraint_row(z, h, f[n], p, cols)
     jac[:, n] = _fd_column(u, f, p, n)
     return jac
 
 
+def _dense_step(u: np.ndarray, f: np.ndarray, p: StaticProblem) -> np.ndarray:
+    """The Newton step from the difference Jacobian, solved densely, or by
+    least squares when the matrix is singular."""
+    jac = _fd_jacobian(u, f, p)
+    try:
+        return np.linalg.solve(jac, -f)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(jac, -f, rcond=None)[0]
+
+
+def _tridiagonal(u: np.ndarray, f: np.ndarray, m0: np.ndarray,
+                 p: StaticProblem) -> np.ndarray:
+    """The centroid rows' derivatives in z, exactly, as the (3, N) band of
+    solve_banded((1, 1), ...), where f = residual(u, p) and m0 are the cell
+    masses at u.
+
+    By the Leibniz rule a cell [m_i, m_{i+1}] of mass M_i and centroid c_i
+    has dc_i/dm_i = rho(m_i)(c_i - m_i)/M_i and
+    dc_i/dm_{i+1} = rho(m_{i+1})(m_{i+1} - c_i)/M_i, and each interior
+    boundary is the midpoint of its two generators.  The domain ends are
+    fixed, so rho is taken at the N-1 interior boundaries only (a gamma
+    density with k < 1 is infinite at 0).
+    """
+    n = p.n_agents
+    z = u[:n]
+    c = z - f[:n]  # centroid row i is z_i - c_i
+    mid = tess._midpoint_boundaries(z, p.domain)[1:-1]
+    rho = 0.5 * bind_free_parameter(p.density, u[n]).pdf(mid)
+    left = rho * (c[1:] - mid) / m0[1:]     # dc_{i+1}/dz_i
+    right = rho * (mid - c[:-1]) / m0[:-1]  # dc_i/dz_{i+1}
+    band = np.zeros((3, n))
+    band[0, 1:] = -right
+    band[1] = 1.0
+    band[1, 1:] -= left
+    band[1, :-1] -= right
+    band[2, :-1] = -left
+    return band
+
+
+def _bordered_step(band: np.ndarray, col: np.ndarray, row: np.ndarray,
+                   f: np.ndarray) -> np.ndarray:
+    """Solve [[T, col[:N]], [row, col[N]]] step = -f for a tridiagonal T
+    given as a solve_banded band: one banded solve with the two right-hand
+    sides -f[:N] and col[:N], then the Schur complement of T for the last
+    unknown.  The complement's sums are np.sum of products, not BLAS dot
+    products, so the step is the same at any BLAS thread count.  A singular
+    T or complement falls back to least squares on the dense matrix."""
+    n = band.shape[1]
+    try:
+        x = solve_banded((1, 1), band, np.column_stack((-f[:n], col[:n])))
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        reason = f"banded solve failed ({exc})"
+    else:
+        schur = col[n] - np.sum(row * x[:, 1])
+        if schur != 0.0 and np.isfinite(schur):
+            dv = (-f[n] - np.sum(row * x[:, 0])) / schur
+            return np.append(x[:, 0] - dv * x[:, 1], dv)
+        reason = f"Schur complement {schur:g}"
+    logger.debug("%s; least-squares step on the dense matrix", reason)
+    jac = np.zeros((n + 1, n + 1))
+    i = np.arange(n)
+    jac[i, i] = band[1]
+    jac[i[:-1], i[1:]] = band[0, 1:]
+    jac[i[1:], i[:-1]] = band[2, :-1]
+    jac[n, :n] = row
+    jac[:, n] = col
+    return np.linalg.lstsq(jac, -f, rcond=None)[0]
+
+
+def _banded_step(u: np.ndarray, f: np.ndarray, m0: np.ndarray,
+                 p: StaticProblem) -> np.ndarray:
+    """The Newton step from the analytic tridiagonal, the difference column
+    of the free parameter and the exact constraint row: at most 2 residual
+    evaluations and O(N) memory."""
+    n = p.n_agents
+    col = _fd_column(u, f, p, n)
+    if p.constraint is None:
+        row = np.ones(n)
+    else:
+        z = u[:n]
+        h = FD_STEP * np.maximum(1.0, np.abs(z))
+        row = _constraint_row(z, h, f[n], p, np.arange(n))
+    return _bordered_step(_tridiagonal(u, f, m0, p), col, row, f)
+
+
 def solve(p: StaticProblem, init=None) -> StaticSolution:
-    """Damped Newton with a forward-difference Jacobian and Armijo
-    backtracking on the residual 2-norm.  Candidates that break ordering or
-    parameter invariants are treated as line-search rejections."""
+    """Damped Newton with Armijo backtracking on the residual 2-norm.
+    Candidates that break ordering or parameter invariants are treated as
+    line-search rejections.
+
+    Up to N_DENSE agents each step solves the forward-difference Jacobian
+    densely; above, it solves the analytic tridiagonal with its border in
+    O(N), with the same bytes at any BLAS thread count."""
     u = (np.asarray(init, dtype=float).ravel() if init is not None
          else default_initial_guess(p))
+    banded = p.n_agents > N_DENSE
+    logger.debug("N = %d: %s Newton steps", p.n_agents,
+                 "banded" if banded else "dense")
 
     best_u, best_norm = u.copy(), _safe_norm(u, p)
     if not np.isfinite(best_norm) and init is None:
@@ -299,7 +414,7 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
 
     history = []
     for _ in range(MAX_NEWTON_ITER):
-        f = residual(u, p)
+        f, m0 = residual(u, p, masses=True)
         norm = float(np.linalg.norm(f))
         history.append(norm)
         if norm < best_norm:
@@ -308,14 +423,11 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
             return _package(u, tuple(history), p)
 
         try:
-            jac = _fd_jacobian(u, f, p)
+            step = (_banded_step(u, f, m0, p) if banded
+                    else _dense_step(u, f, p))
         except InvalidCandidate as exc:
             raise SolverDiverged(str(exc), best=best_u,
                                  residual_norm=best_norm) from exc
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -f, rcond=None)[0]
 
         alpha = 1.0
         accepted = False

@@ -110,7 +110,11 @@ def _validate_generators(generators, dom: Domain1D) -> np.ndarray:
 
 
 def _midpoint_boundaries(z: np.ndarray, dom: Domain1D) -> np.ndarray:
-    return np.concatenate(([dom.a], 0.5 * (z[:-1] + z[1:]), [dom.b]))
+    m = np.empty(z.size + 1)
+    m[0], m[-1] = dom.a, dom.b
+    np.add(z[:-1], z[1:], out=m[1:-1])
+    m[1:-1] *= 0.5
+    return m
 
 
 def voronoi_regions(generators, dom: Domain1D,

@@ -179,12 +179,16 @@ class TestDynamicSim:
         ({"setpoint_changes": 5}, "setpoint_changes"),
         ({"poles": 5}, "poles"),
         ({"density": 5}, "density"),
+        ({"setpoints": [70.0, float("nan"), 73.0, 74.0]}, "setpoints"),
+        ({"setpoint_changes": [[5, 0, float("inf")]]}, "setpoint_changes"),
+        ({"poles": [1.5, 0.85, 0.9]}, "poles"),
     ], ids=["agent-too-large", "agent-negative", "step-at-horizon",
             "step-negative", "zero-rounds", "negative-rounds", "no-agents",
             "unknown-key", "zero-horizon", "fractional-agents",
             "fractional-horizon", "fractional-seed", "fractional-rounds",
             "domain-three-values", "schedule-not-list", "setpoints-not-list",
-            "changes-not-list", "poles-not-list", "density-not-object"])
+            "changes-not-list", "poles-not-list", "density-not-object",
+            "setpoint-nan", "setpoint-change-inf", "pole-outside-unit-circle"])
     def test_invalid_scenario_exits_one(self, tmp_path, config_path, capsys,
                                         change, message):
         cfg = json.loads(config_path.read_text())

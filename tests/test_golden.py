@@ -9,11 +9,16 @@ the same way, one hash per solve (``tests/golden_static.json``), and so are
 Lloyd runs of all four families at N = 1 to 800, which end on each of the
 three stop reasons (``tests/golden_lloyd.json``).  The same file holds the
 iteration count and stop reason of each Acceptance-3 cross-validation run.
+The static solves above N_DENSE must give the same bytes at any BLAS thread
+count, so those goldens hold on any host.
 """
 
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -24,6 +29,7 @@ from cvtalloc import cli
 from cvtalloc import static_alloc as sa
 from cvtalloc import tessellation as tess
 from cvtalloc.density import DensitySpec
+from cvtalloc.sim import Scenario
 from cvtalloc.static_alloc import StaticProblem
 from cvtalloc.tessellation import Domain1D
 
@@ -88,6 +94,33 @@ def test_static_solutions_match_golden_hashes(acceptance3_problems):
     problems = static_problems(acceptance3_problems)
     hashes = {label: solution_hash(sa.solve(p)) for label, p in problems.items()}
     assert hashes == json.loads((ROOT / "tests" / "golden_static.json").read_text())
+
+
+def banded_solution_hashes() -> dict:
+    """solution_hash of the fleet-240 initial solve and of the static-sweep
+    N = 800 solve, both above N_DENSE."""
+    sc = Scenario.from_config(fleet_config(FLEET_N))
+    fleet = StaticProblem(sc.domain, sc.n_agents, sc.density,
+                          sc.power_schedule[0])
+    d = DensitySpec("gaussian", {"sigma2": 4.0}, free_param="mu")
+    sweep = StaticProblem(Domain1D(0.0, 100.0), 800, d, 50.0 * 800)
+    return {"fleet-240": solution_hash(sa.solve(fleet)),
+            "n=800": solution_hash(sa.solve(sweep))}
+
+
+def test_banded_solutions_independent_of_blas_threads():
+    assert FLEET_N > sa.N_DENSE
+    script = ("import json, test_golden; "
+              "print(json.dumps(test_golden.banded_solution_hashes()))")
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        hashes.append(json.loads(out.stdout.splitlines()[-1]))
+    assert hashes[0] == hashes[1]
 
 
 LLOYD_FAMILIES = {

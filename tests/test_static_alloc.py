@@ -151,6 +151,143 @@ class TestFdJacobian:
         assert len(calls) <= 4
 
 
+def diagonals(jac, n):
+    """The three diagonals of jac's centroid block in solve_banded's band
+    layout."""
+    band = np.zeros((3, n))
+    i = np.arange(n)
+    band[0, 1:] = jac[i[:-1], i[1:]]
+    band[1] = jac[i, i]
+    band[2, :-1] = jac[i[1:], i[:-1]]
+    return band
+
+
+class TestBandedStep:
+    """Above N_DENSE a Newton step fills the tridiagonal analytically and
+    solves the bordered system in O(N); the dense path is its oracle."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("n", [65, 100, 400])
+    def test_tridiagonal_matches_difference_jacobian(self, family, n):
+        # The forward difference's truncation error grows with FD_STEP * |z|
+        # over the cell width, so single entries of _fd_jacobian are off by
+        # up to 3e-5 at N = 400; each diagonal is compared as a whole.
+        density, mean = FAMILIES[family]
+        p = StaticProblem(DOM_100, n, density, mean * n)
+        u = sa.default_initial_guess(p)
+        f, m0 = sa.residual(u, p, masses=True)
+        band = sa._tridiagonal(u, f, m0, p)
+        fd = diagonals(sa._fd_jacobian(u, f, p), n)
+        for k in range(3):
+            assert (np.linalg.norm(band[k] - fd[k])
+                    <= 1e-5 * np.linalg.norm(fd[k])), k
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("n", [65, 80, 100])
+    def test_converges_to_dense_solution(self, family, n, monkeypatch):
+        # Start with the free parameter 2 % off, so that every family takes
+        # Newton steps.  Uniform free b has r/N = 45 here: at FAMILIES' 50
+        # the solution is b = 100, and so is any b above the domain.
+        density, mean = FAMILIES[family]
+        if family == "uniform":
+            mean = 45.0
+        p = StaticProblem(DOM_100, n, density, mean * n)
+        init = (sa._quantile_guess(p) if family == "uniform"
+                else sa.default_initial_guess(p))
+        init[-1] *= 1.02
+        banded = sa.solve(p, init)
+        monkeypatch.setattr(sa, "N_DENSE", n)
+        dense = sa.solve(p, init)
+        assert banded.iterations >= 1
+        assert banded.residual_norm < sa.RESIDUAL_TOL
+        assert (np.max(np.abs(banded.centroids - dense.centroids))
+                < 1e-8 * DOM_100.width)
+        assert banded.v_k == pytest.approx(dense.v_k, rel=1e-8)
+
+    def test_pluggable_constraint_converges_to_dense_solution(
+            self, monkeypatch):
+        # The same sum constraint, differenced column by column through
+        # constraint_value instead of the exact row of ones.
+        n = 80
+        p = StaticProblem(DOM_100, n, WIDE_GAUSS_FREE_MU, 30.0 * n,
+                          constraint=lambda z: float(np.sum(z) - 30.0 * n))
+        banded = sa.solve(p)
+        monkeypatch.setattr(sa, "N_DENSE", n)
+        dense = sa.solve(p)
+        assert (np.max(np.abs(banded.centroids - dense.centroids))
+                < 1e-8 * DOM_100.width)
+        assert abs(np.sum(banded.centroids) - p.r) < 1e-6
+
+    def test_at_most_two_residual_evaluations(self, monkeypatch):
+        p = StaticProblem(DOM_100, 200, WIDE_GAUSS_FREE_MU, 200 * 30.0)
+        u = sa.default_initial_guess(p)
+        f, m0 = sa.residual(u, p, masses=True)
+        calls = []
+        real = sa.residual
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sa, "residual", counting)
+        sa._banded_step(u, f, m0, p)
+        assert 1 <= len(calls) <= 2
+
+    def test_singular_band_takes_lstsq_fallback(self, caplog):
+        # A zero row in T makes the banded solve fail; the bordered matrix
+        # stays singular too, so the step is the least-squares one.
+        n = 4
+        band = np.zeros((3, n))
+        band[1] = [2.0, 0.0, 3.0, 1.0]
+        col = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
+        row = np.ones(n)
+        f = np.array([1.0, 1.0, -2.0, 0.5, 0.25])
+        jac = np.diag([2.0, 0.0, 3.0, 1.0, 0.0])
+        jac[:n, n] = col[:n]
+        jac[n, :n] = row
+        with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
+            step = sa._bordered_step(band, col, row, f)
+        assert "banded solve failed" in caplog.text
+        assert np.array_equal(step,
+                              np.linalg.lstsq(jac, -f, rcond=None)[0])
+
+    def test_zero_schur_complement_takes_lstsq_fallback(self, caplog):
+        # T = I, but the border column lies in the span the border row
+        # cancels: the Schur complement is exactly 0.
+        n = 3
+        band = np.zeros((3, n))
+        band[1] = 1.0
+        col = np.array([1.0, -1.0, 0.0, 0.0])
+        row = np.array([1.0, 1.0, 0.0])
+        f = np.array([1.0, 2.0, 3.0, 4.0])
+        with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
+            step = sa._bordered_step(band, col, row, f)
+        assert "Schur complement 0" in caplog.text
+        jac = np.eye(n + 1)
+        jac[n, n] = 0.0
+        jac[:, n] = col
+        jac[n, :n] = row
+        assert np.array_equal(step,
+                              np.linalg.lstsq(jac, -f, rcond=None)[0])
+
+    def test_regular_step_solves_bordered_system(self):
+        rng = np.random.default_rng(3)
+        n = 6
+        band = rng.uniform(-0.3, 0.3, (3, n))
+        band[1] += 2.0
+        col = rng.uniform(-1.0, 1.0, n + 1)
+        row = rng.uniform(0.5, 1.5, n)
+        f = rng.uniform(-1.0, 1.0, n + 1)
+        jac = np.zeros((n + 1, n + 1))
+        jac[:n, :n] = (np.diag(band[1]) + np.diag(band[0, 1:], 1)
+                       + np.diag(band[2, :-1], -1))
+        jac[:, n] = col
+        jac[n, :n] = row
+        np.testing.assert_allclose(sa._bordered_step(band, col, row, f),
+                                   np.linalg.solve(jac, -f), rtol=1e-12,
+                                   atol=1e-12)
+
+
 class TestSolve:
     def test_newton_history(self):
         # Acceptance-2 problem: Armijo makes every accepted step strictly
@@ -210,6 +347,7 @@ class TestSolve:
         with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
             sol = sa.solve(p)
         assert "density quantiles" in caplog.text
+        assert "N = 15: dense Newton steps" in caplog.text
         assert sol.v_k == pytest.approx(1000.0, abs=1e-6)
         assert np.sum(sol.centroids) == pytest.approx(15000.0, abs=1e-6)
 
@@ -231,7 +369,7 @@ class TestEmptyCellRule:
         u, d, m = self.default_cells()
         lo, hi = m[:-1], m[1:]
         m0, _ = dens.interval_moments(d, lo, hi, order=1)
-        assert 0.0 < m0[-1] <= dens.mass_floor(lo[-1], hi[-1])
+        assert 0.0 < m0[-1] <= dens.mass_floor(hi[-1] - lo[-1])
         with pytest.raises(InvalidCandidate):
             sa.residual(u, self.P)
 
@@ -247,6 +385,7 @@ class TestEmptyCellRule:
         with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
             sol = sa.solve(self.P)
         assert "density quantiles" in caplog.text
+        assert "N = 200: banded Newton steps" in caplog.text
         assert sol.residual_norm < 1e-9
         assert abs(sol.v_k - 25.0) < 1e-6
         assert abs(np.sum(sol.centroids) - 5000.0) < 1e-6
