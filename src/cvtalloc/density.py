@@ -391,8 +391,7 @@ def mass_floor(width):
     return 1e-300 * np.maximum(np.where(np.isfinite(width), width, 1.0), 1.0)
 
 
-def cell_centroids(d: DensitySpec, m, method: str = "analytic",
-                   masses: bool = False):
+def cell_centroids(d: DensitySpec, m, masses: bool = False):
     """Mass centroids m1 / m0 of the cells [m[i], m[i+1]] under d, for
     boundaries m, clamped into each cell against fp noise.  The package's
     one empty-cell rule: a cell of mass at most mass_floor of its width
@@ -402,17 +401,14 @@ def cell_centroids(d: DensitySpec, m, method: str = "analytic",
     Analytic moments evaluate each boundary's terms once and difference
     them per cell, with the same values as interval_moments over each cell.
     """
+    _require_bound(d)
     m = np.asarray(m, dtype=float)
     lo, hi = m[:-1], m[1:]
     # One errstate for the moments and the widths, which overflow or are
     # NaN only for cells with an infinite end.
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        if method == "analytic":
-            _require_bound(d)
-            t = _terms(d, m, 1)
-            m0, m1 = _combine(d, [a[:-1] for a in t], [a[1:] for a in t], 1)
-        else:
-            m0, m1 = interval_moments(d, lo, hi, method=method, order=1)
+        t = _terms(d, m, 1)
+        m0, m1 = _combine(d, [a[:-1] for a in t], [a[1:] for a in t], 1)
         bad = m0 <= mass_floor(hi - lo)
     if bad.any():
         i = int(np.argmax(bad))
@@ -421,6 +417,6 @@ def cell_centroids(d: DensitySpec, m, method: str = "analytic",
     return (c, m0) if masses else c
 
 
-def centroid(d: DensitySpec, iv: Interval, method: str = "analytic") -> float:
+def centroid(d: DensitySpec, iv: Interval) -> float:
     """Mass centroid of iv under d: first_moment / mass. Always inside iv."""
-    return float(cell_centroids(d, np.array([iv.lo, iv.hi]), method=method)[0])
+    return float(cell_centroids(d, np.array([iv.lo, iv.hi]))[0])

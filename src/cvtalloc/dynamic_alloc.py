@@ -110,6 +110,8 @@ def verify_shift_property(d_gaussian: DensitySpec, dom: Domain1D, n: int,
         raise ValueError("shift property applies to the gaussian family only")
     if not d_gaussian.is_bound:
         raise ValueError("density must be fully bound")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     mu = d_gaussian.params["mu"]
     sigma = math.sqrt(d_gaussian.params["sigma2"])
     d_shift = replace(d_gaussian,

@@ -7,10 +7,10 @@ for the centroids and the density family's single free parameter.
 Each Newton step solves a linear system in the Jacobian of that residual.
 Centroid row i depends only on z_{i-1}, z_i, z_{i+1} and the free parameter,
 so the Jacobian is tridiagonal plus one border row and one border column
-(the 1-D Lloyd-Newton structure; Du, Faber & Gunzburger 1999).  Up to
-N_DENSE agents a step differences the full matrix and solves it densely;
-above, it fills the three diagonals analytically and solves the bordered
-system in O(N).
+(the 1-D Lloyd-Newton structure; Du, Faber & Gunzburger 1999).  Every step
+builds those three parts.  Up to N_DENSE agents the tridiagonal is
+differenced and the bordered matrix solved densely; above, the tridiagonal
+is filled analytically and the bordered system solved in O(N).
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ MIN_ALPHA = 1e-12
 # Largest N solved with the dense difference Jacobian.  The dense solve
 # gives the same bytes at any BLAS thread count only up to about N = 80.
 N_DENSE = 64
+CROSSVAL_LLOYD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -226,39 +227,29 @@ def _fd_column(u: np.ndarray, f: np.ndarray, p: StaticProblem,
 
 
 def _constraint_row(z: np.ndarray, h: np.ndarray, f_n: float,
-                    p: StaticProblem, cols: np.ndarray) -> np.ndarray:
-    """Forward differences of a custom constraint in the columns cols, one
-    constraint_value per column, where f_n is its value at z."""
-    out = np.empty(cols.size)
-    for k, j in enumerate(cols):
+                    p: StaticProblem) -> np.ndarray:
+    """Forward differences of the constraint in each z_j by h[j], where f_n
+    is its value at z.  The default sum steps the diagonal of N copies of z
+    and sums each contiguous row, which keeps the pairwise order of the 1-D
+    sum, so each entry equals its single-column quotient bit for bit.  A
+    custom constraint is evaluated once per column."""
+    n = z.size
+    if p.constraint is None:
+        zs = np.tile(z, (n, 1))
+        zs.flat[::n + 1] += h
+        return (np.sum(zs, axis=1) - p.r - f_n) / h
+    out = np.empty(n)
+    for j in range(n):
         zj = z.copy()
         zj[j] += h[j]
-        out[k] = (p.constraint_value(zj) - f_n) / h[j]
+        out[j] = (p.constraint_value(zj) - f_n) / h[j]
     return out
 
 
-# Stepped copies of z summed at once for the default constraint row.
-SUM_ROW_CHUNK = 64
-
-
-def _stepped_sums(z: np.ndarray, h: np.ndarray,
-                  cols: np.ndarray) -> np.ndarray:
-    """np.sum(z) with z[j] stepped by h[j], for each j in cols.  np.sum
-    along a contiguous row keeps the pairwise order of the 1-D sum, so each
-    value equals the 1-D sum bit for bit."""
-    out = np.empty(cols.size)
-    for s in range(0, cols.size, SUM_ROW_CHUNK):
-        chunk = cols[s:s + SUM_ROW_CHUNK]
-        zs = np.tile(z, (chunk.size, 1))
-        zs[np.arange(chunk.size), chunk] += h[chunk]
-        out[s:s + chunk.size] = np.sum(zs, axis=1)
-    return out
-
-
-def _fd_jacobian(u: np.ndarray, f: np.ndarray,
-                 p: StaticProblem) -> np.ndarray:
-    """The forward-difference Jacobian of residual at u, where
-    f = residual(u, p), from at most 4 residual evaluations.
+def _fd_band(u: np.ndarray, f: np.ndarray, p: StaticProblem):
+    """The forward-difference centroid block at u as the (3, N) band of
+    solve_banded((1, 1), ...), and the constraint row, where
+    f = residual(u, p): (band, row) from at most 3 residual evaluations.
 
     Centroid row i depends only on z_{i-1}, z_i, z_{i+1} and the free
     parameter, so the columns j = c (mod 3) touch disjoint rows and are
@@ -267,15 +258,14 @@ def _fd_jacobian(u: np.ndarray, f: np.ndarray,
     sees exactly one perturbed column, so every entry equals the
     single-column quotient bit for bit, and a joint candidate is valid
     exactly when each of its single-column candidates is.  A colour whose
-    joint candidate is invalid is redone column by column with _fd_column.
-    The constraint row is differenced through the constraint alone: a
-    custom one per column through constraint_value, the default sum from
-    chunks of stepped rows with the rounding of the 1-D sum.
+    joint candidate is invalid is redone column by column with _fd_column,
+    which also gives those columns' constraint entries.
     """
     n = p.n_agents
     z = u[:n]
     h = FD_STEP * np.maximum(1.0, np.abs(z))
-    jac = np.zeros((n + 1, n + 1))
+    band = np.zeros((3, n))
+    row = _constraint_row(z, h, f[n], p)
     for c in range(min(3, n)):
         cols = np.arange(c, n, 3)
         up = u.copy()
@@ -286,29 +276,17 @@ def _fd_jacobian(u: np.ndarray, f: np.ndarray,
             logger.debug("difference colour %d invalid (%s); differencing "
                          "its %d columns one at a time", c, exc, cols.size)
             for j in cols:
-                jac[:, j] = _fd_column(u, f, p, j)
+                col = _fd_column(u, f, p, j)
+                rows = np.arange(max(j - 1, 0), min(j + 2, n))
+                band[1 + rows - j, j] = col[rows]
+                row[j] = col[n]
             continue
         for d in (-1, 0, 1):
             rows = cols + d
             keep = (rows >= 0) & (rows < n)
             rows, k = rows[keep], cols[keep]
-            jac[rows, k] = (fg[rows] - f[rows]) / h[k]
-        if p.constraint is None:
-            jac[n, cols] = (_stepped_sums(z, h, cols) - p.r - f[n]) / h[cols]
-        else:
-            jac[n, cols] = _constraint_row(z, h, f[n], p, cols)
-    jac[:, n] = _fd_column(u, f, p, n)
-    return jac
-
-
-def _dense_step(u: np.ndarray, f: np.ndarray, p: StaticProblem) -> np.ndarray:
-    """The Newton step from the difference Jacobian, solved densely, or by
-    least squares when the matrix is singular."""
-    jac = _fd_jacobian(u, f, p)
-    try:
-        return np.linalg.solve(jac, -f)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(jac, -f, rcond=None)[0]
+            band[1 + d, k] = (fg[rows] - f[rows]) / h[k]
+    return band, row
 
 
 def _tridiagonal(u: np.ndarray, f: np.ndarray, m0: np.ndarray,
@@ -340,14 +318,29 @@ def _tridiagonal(u: np.ndarray, f: np.ndarray, m0: np.ndarray,
     return band
 
 
+def _bordered_matrix(band: np.ndarray, col: np.ndarray,
+                     row: np.ndarray) -> np.ndarray:
+    """The dense (N+1)² matrix [[T, col[:N]], [row, col[N]]] for the
+    tridiagonal T given as a solve_banded band."""
+    n = band.shape[1]
+    jac = np.zeros((n + 1, n + 1))
+    i = np.arange(n)
+    jac[i, i] = band[1]
+    jac[i[:-1], i[1:]] = band[0, 1:]
+    jac[i[1:], i[:-1]] = band[2, :-1]
+    jac[n, :n] = row
+    jac[:, n] = col
+    return jac
+
+
 def _bordered_step(band: np.ndarray, col: np.ndarray, row: np.ndarray,
                    f: np.ndarray) -> np.ndarray:
-    """Solve [[T, col[:N]], [row, col[N]]] step = -f for a tridiagonal T
-    given as a solve_banded band: one banded solve with the two right-hand
-    sides -f[:N] and col[:N], then the Schur complement of T for the last
-    unknown.  The complement's sums are np.sum of products, not BLAS dot
-    products, so the step is the same at any BLAS thread count.  A singular
-    T or complement falls back to least squares on the dense matrix."""
+    """Solve _bordered_matrix(band, col, row) step = -f in O(N): one banded
+    solve with the two right-hand sides -f[:N] and col[:N], then the Schur
+    complement of T for the last unknown.  The complement's sums are np.sum
+    of products, not BLAS dot products, so the step is the same at any BLAS
+    thread count.  A singular T or complement falls back to least squares
+    on the dense matrix."""
     n = band.shape[1]
     try:
         x = solve_banded((1, 1), band, np.column_stack((-f[:n], col[:n])))
@@ -360,29 +353,31 @@ def _bordered_step(band: np.ndarray, col: np.ndarray, row: np.ndarray,
             return np.append(x[:, 0] - dv * x[:, 1], dv)
         reason = f"Schur complement {schur:g}"
     logger.debug("%s; least-squares step on the dense matrix", reason)
-    jac = np.zeros((n + 1, n + 1))
-    i = np.arange(n)
-    jac[i, i] = band[1]
-    jac[i[:-1], i[1:]] = band[0, 1:]
-    jac[i[1:], i[:-1]] = band[2, :-1]
-    jac[n, :n] = row
-    jac[:, n] = col
-    return np.linalg.lstsq(jac, -f, rcond=None)[0]
+    return np.linalg.lstsq(_bordered_matrix(band, col, row), -f,
+                           rcond=None)[0]
 
 
-def _banded_step(u: np.ndarray, f: np.ndarray, m0: np.ndarray,
+def _newton_step(u: np.ndarray, f: np.ndarray, m0: np.ndarray,
                  p: StaticProblem) -> np.ndarray:
-    """The Newton step from the analytic tridiagonal, the difference column
-    of the free parameter and the exact constraint row: at most 2 residual
-    evaluations and O(N) memory."""
+    """The Newton step at u, where (f, m0) = residual(u, p, masses=True),
+    from the centroid band, the free-parameter difference column and the
+    constraint row.  Up to N_DENSE agents the band and row are differenced
+    (4 residual evaluations) and the bordered matrix is solved densely, by
+    least squares if it is singular.  Above, the band is analytic, the
+    default row is exact ones, and _bordered_step solves in O(N)."""
     n = p.n_agents
     col = _fd_column(u, f, p, n)
-    if p.constraint is None:
-        row = np.ones(n)
-    else:
-        z = u[:n]
-        h = FD_STEP * np.maximum(1.0, np.abs(z))
-        row = _constraint_row(z, h, f[n], p, np.arange(n))
+    if n <= N_DENSE:
+        band, row = _fd_band(u, f, p)
+        jac = _bordered_matrix(band, col, row)
+        try:
+            return np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            logger.debug("singular matrix; least-squares step")
+            return np.linalg.lstsq(jac, -f, rcond=None)[0]
+    z = u[:n]
+    row = (np.ones(n) if p.constraint is None else
+           _constraint_row(z, FD_STEP * np.maximum(1.0, np.abs(z)), f[n], p))
     return _bordered_step(_tridiagonal(u, f, m0, p), col, row, f)
 
 
@@ -391,14 +386,12 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
     Candidates that break ordering or parameter invariants are treated as
     line-search rejections.
 
-    Up to N_DENSE agents each step solves the forward-difference Jacobian
-    densely; above, it solves the analytic tridiagonal with its border in
-    O(N), with the same bytes at any BLAS thread count."""
+    Each step is _newton_step; above N_DENSE agents its bytes are the same
+    at any BLAS thread count."""
     u = (np.asarray(init, dtype=float).ravel() if init is not None
          else default_initial_guess(p))
-    banded = p.n_agents > N_DENSE
     logger.debug("N = %d: %s Newton steps", p.n_agents,
-                 "banded" if banded else "dense")
+                 "banded" if p.n_agents > N_DENSE else "dense")
 
     best_u, best_norm = u.copy(), _safe_norm(u, p)
     if not np.isfinite(best_norm) and init is None:
@@ -423,8 +416,7 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
             return _package(u, tuple(history), p)
 
         try:
-            step = (_banded_step(u, f, m0, p) if banded
-                    else _dense_step(u, f, p))
+            step = _newton_step(u, f, m0, p)
         except InvalidCandidate as exc:
             raise SolverDiverged(str(exc), best=best_u,
                                  residual_norm=best_norm) from exc
@@ -461,7 +453,6 @@ def _package(u: np.ndarray, history: tuple,
 
 
 def cross_validate(sol: StaticSolution, p: StaticProblem,
-                   lloyd_tol: float = 1e-12,
                    max_iter: int = 200_000) -> CrossValidationReport:
     """Re-derive the tessellation with Lloyd's algorithm at the solved free
     parameter (default equally spaced start) and compare generators and sums.
@@ -470,12 +461,12 @@ def cross_validate(sol: StaticSolution, p: StaticProblem,
     concentrated well inside the domain, so the displacement tolerance here
     is far below the comparison tolerance: the sum check needs the
     accumulated N-generator error under 1e-6.  A Lloyd run that stagnates on
-    the noise floor before reaching lloyd_tol can still pass the comparison;
-    one cut off by max_iter never passes.
+    the noise floor before reaching CROSSVAL_LLOYD_TOL can still pass the
+    comparison; one cut off by max_iter never passes.
     """
     d = bind_free_parameter(p.density, sol.v_k)
     t = tess.lloyd(tess.default_init(p.n_agents, p.domain), d, p.domain,
-                   tol=lloyd_tol, max_iter=max_iter)
+                   tol=CROSSVAL_LLOYD_TOL, max_iter=max_iter)
     disc = float(np.max(np.abs(t.generators - sol.centroids)))
     sum_solver = float(np.sum(sol.centroids))
     sum_lloyd = float(np.sum(t.generators))

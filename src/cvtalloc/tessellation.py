@@ -97,6 +97,8 @@ def _validate_generators(generators, dom: Domain1D) -> np.ndarray:
     z = np.asarray(generators, dtype=float).ravel()
     if z.size == 0:
         raise ValueError("need at least one generator")
+    if not np.isfinite(z).all():
+        raise GeneratorOutOfDomain("generators must be finite")
     gap = np.diff(z).min(initial=np.inf)
     if gap < 0:
         raise UnsortedGenerators("generators must be strictly increasing")
@@ -191,8 +193,10 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     """
     if tol is None:
         tol = LLOYD_TOL_FRACTION * dom.width
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     z = _validate_generators(init, dom)
     m = _midpoint_boundaries(z, dom)
     history = [z.copy()] if record_history else None

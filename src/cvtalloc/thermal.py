@@ -44,6 +44,11 @@ C_VARIANCE = 1.0
 DEFAULT_TS_MINUTES = 10.0
 DEFAULT_POLES = (0.80, 0.85, 0.90)
 
+# synthetic_disturbance's outdoor mean and swing (F) and solar peak (W).
+OUTDOOR_MEAN_F = 78.0
+OUTDOOR_AMPLITUDE_F = 12.0
+SOLAR_PEAK_W = 600.0
+
 
 @dataclass(frozen=True)
 class ThermalParams:
@@ -233,17 +238,15 @@ def desired_power(g: ControllerGains, x, w=None) -> float:
 # Disturbance inputs
 # ---------------------------------------------------------------------------
 
-def synthetic_disturbance(horizon: int, ts_minutes: float = DEFAULT_TS_MINUTES,
-                          outdoor_mean: float = 78.0,
-                          outdoor_amplitude: float = 12.0,
-                          solar_peak: float = 600.0) -> np.ndarray:
+def synthetic_disturbance(horizon: int,
+                          ts_minutes: float = DEFAULT_TS_MINUTES) -> np.ndarray:
     """Sinusoidal diurnal outdoor temperature plus a half-rectified solar
     term; shape (horizon, 2).  Coolest outdoor point at 03:00, solar between
     06:00 and 18:00 with its peak at noon."""
     t_hours = np.arange(horizon) * ts_minutes / 60.0
-    outdoor = outdoor_mean - outdoor_amplitude * np.cos(
+    outdoor = OUTDOOR_MEAN_F - OUTDOOR_AMPLITUDE_F * np.cos(
         2.0 * math.pi * (t_hours - 3.0) / 24.0)
-    solar = np.maximum(0.0, solar_peak * np.sin(
+    solar = np.maximum(0.0, SOLAR_PEAK_W * np.sin(
         math.pi * (t_hours % 24.0 - 6.0) / 12.0))
     return np.column_stack([outdoor, solar])
 

@@ -265,6 +265,28 @@ class TestDensityBoundary:
         assert captured.err.startswith("error:")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (("cvt", "--domain", "0,15", "--n", "3", "--density", "uniform",
+          "--tol", "nan"), "tol must be positive"),
+        (("cvt", "--domain", "0,15", "--n", "3", "--density", "uniform",
+          "--max-iter", "-3"), "max_iter must be >= 0"),
+        (("cvt", "--domain", "0,15", "--n", "3", "--density", "uniform",
+          "--init", "nan,5,10"), "generators must be finite"),
+        (("shift-check", "--domain", "0,100", "--n", "5", "--mu", "50",
+          "--sigma2", "4", "--delta", "2", "--tol", "nan"),
+         "tol must be positive"),
+    ], ids=["cvt-tol-nan", "cvt-max-iter-negative", "cvt-init-nan",
+            "shift-tol-nan"])
+    def test_bad_lloyd_input_exits_one(self, tmp_path, capsys, argv,
+                                       message):
+        out = ("--out", str(tmp_path)) if argv[0] == "cvt" else ()
+        rc = run_cli(*argv, *out)
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert captured.err.startswith("error:")
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_scenario_sigma2_null_exits_one(self, tmp_path, capsys):
         cfg = json.loads(SHIPPED.read_text())
         cfg["density"]["sigma2"] = None

@@ -27,9 +27,9 @@ FAMILIES = {
 
 
 def oracle_jacobian(u, f, p):
-    """The per-column forward-difference Jacobian that _fd_jacobian must
-    reproduce bit for bit: N+1 residual evaluations, each column stepping
-    forward, or backward when the forward candidate is invalid."""
+    """The per-column forward-difference Jacobian that the dense Newton step
+    must reproduce bit for bit: N+1 residual evaluations, each column
+    stepping forward, or backward when the forward candidate is invalid."""
     n = p.n_agents
     jac = np.empty((n + 1, n + 1))
     for j in range(n + 1):
@@ -44,6 +44,13 @@ def oracle_jacobian(u, f, p):
             h = -h
         jac[:, j] = (fj - f) / h
     return jac
+
+
+def fd_jacobian(u, f, p):
+    """The dense step's matrix: _fd_band's band and row bordered by the
+    free-parameter difference column."""
+    band, row = sa._fd_band(u, f, p)
+    return sa._bordered_matrix(band, sa._fd_column(u, f, p, p.n_agents), row)
 
 
 class TestStaticProblem:
@@ -100,24 +107,21 @@ class TestFdJacobian:
         p = StaticProblem(DOM_100, n, density, mean * n)
         u = sa.default_initial_guess(p)
         f = sa.residual(u, p)
-        assert np.array_equal(sa._fd_jacobian(u, f, p),
-                              oracle_jacobian(u, f, p))
+        assert np.array_equal(fd_jacobian(u, f, p), oracle_jacobian(u, f, p))
 
     def test_equals_oracle_at_large_n(self):
-        # The default constraint row is summed in chunks of stepped rows.
+        # The default constraint row sums N stepped rows at once.
         p = StaticProblem(DOM_100, 800, WIDE_GAUSS_FREE_MU, 800 * 30.0)
         u = sa.default_initial_guess(p)
         f = sa.residual(u, p)
-        assert np.array_equal(sa._fd_jacobian(u, f, p),
-                              oracle_jacobian(u, f, p))
+        assert np.array_equal(fd_jacobian(u, f, p), oracle_jacobian(u, f, p))
 
     def test_equals_oracle_with_pluggable_constraint(self):
         p = StaticProblem(DOM_100, 7, WIDE_GAUSS_FREE_MU, 350.0,
                           constraint=lambda z: float(np.sum(z * z) - 2e4))
         u = sa.default_initial_guess(p)
         f = sa.residual(u, p)
-        assert np.array_equal(sa._fd_jacobian(u, f, p),
-                              oracle_jacobian(u, f, p))
+        assert np.array_equal(fd_jacobian(u, f, p), oracle_jacobian(u, f, p))
 
     def test_equals_oracle_at_forced_fallback(self, caplog):
         # The last generator sits within FD_STEP * |z| of b, so its forward
@@ -131,14 +135,14 @@ class TestFdJacobian:
         with pytest.raises(InvalidCandidate):
             sa.residual(up, p)
         with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
-            jac = sa._fd_jacobian(u, f, p)
+            jac = fd_jacobian(u, f, p)
         assert np.array_equal(jac, oracle_jacobian(u, f, p))
         assert "colour 1 invalid" in caplog.text
 
     def test_at_most_four_residual_evaluations(self, monkeypatch):
         p = StaticProblem(DOM_100, 50, WIDE_GAUSS_FREE_MU, 2500.0)
         u = sa.default_initial_guess(p)
-        f = sa.residual(u, p)
+        f, m0 = sa.residual(u, p, masses=True)
         calls = []
         real = sa.residual
 
@@ -147,19 +151,24 @@ class TestFdJacobian:
             return real(unknowns, problem)
 
         monkeypatch.setattr(sa, "residual", counting)
-        sa._fd_jacobian(u, f, p)
+        sa._newton_step(u, f, m0, p)
         assert len(calls) <= 4
 
-
-def diagonals(jac, n):
-    """The three diagonals of jac's centroid block in solve_banded's band
-    layout."""
-    band = np.zeros((3, n))
-    i = np.arange(n)
-    band[0, 1:] = jac[i[:-1], i[1:]]
-    band[1] = jac[i, i]
-    band[2, :-1] = jac[i[1:], i[:-1]]
-    return band
+    def test_singular_matrix_takes_lstsq_step(self, monkeypatch, caplog):
+        # A zero band and row leave only the free-parameter column: the
+        # bordered matrix is singular, so the step is the least-squares one.
+        p = StaticProblem(DOM_100, 5, WIDE_GAUSS_FREE_MU, 250.0)
+        u = sa.default_initial_guess(p)
+        f, m0 = sa.residual(u, p, masses=True)
+        parts = (np.zeros((3, 5)), np.zeros(5))
+        monkeypatch.setattr(sa, "_fd_band", lambda *args: parts)
+        with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
+            step = sa._newton_step(u, f, m0, p)
+        assert "singular matrix" in caplog.text
+        jac = sa._bordered_matrix(parts[0], sa._fd_column(u, f, p, 5),
+                                  parts[1])
+        assert np.array_equal(step,
+                              np.linalg.lstsq(jac, -f, rcond=None)[0])
 
 
 class TestBandedStep:
@@ -170,14 +179,14 @@ class TestBandedStep:
     @pytest.mark.parametrize("n", [65, 100, 400])
     def test_tridiagonal_matches_difference_jacobian(self, family, n):
         # The forward difference's truncation error grows with FD_STEP * |z|
-        # over the cell width, so single entries of _fd_jacobian are off by
+        # over the cell width, so single entries of _fd_band are off by
         # up to 3e-5 at N = 400; each diagonal is compared as a whole.
         density, mean = FAMILIES[family]
         p = StaticProblem(DOM_100, n, density, mean * n)
         u = sa.default_initial_guess(p)
         f, m0 = sa.residual(u, p, masses=True)
         band = sa._tridiagonal(u, f, m0, p)
-        fd = diagonals(sa._fd_jacobian(u, f, p), n)
+        fd, _ = sa._fd_band(u, f, p)
         for k in range(3):
             assert (np.linalg.norm(band[k] - fd[k])
                     <= 1e-5 * np.linalg.norm(fd[k])), k
@@ -230,7 +239,7 @@ class TestBandedStep:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sa, "residual", counting)
-        sa._banded_step(u, f, m0, p)
+        sa._newton_step(u, f, m0, p)
         assert 1 <= len(calls) <= 2
 
     def test_singular_band_takes_lstsq_fallback(self, caplog):
