@@ -9,7 +9,8 @@ Subcommands::
     shift-check  Verify the Gaussian mean-shift translation property of the
                  tessellation.
     dynamic-sim  Run a demand-response scenario; write trace.csv, swaps.csv,
-                 metrics.json, and plot data files.
+                 metrics.json, and plot data files (plus, on request, a
+                 diagnostics JSON with wall times and swap statistics).
 
 Exit codes: 0 success, 1 usage/configuration error, 2 solver failure (or a
 failed shift/validation check).
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,7 +34,7 @@ from . import static_alloc as sa
 from . import tessellation as tess
 from . import thermal as th
 from .density import DensitySpec
-from .errors import CvtAllocError, SolverDiverged
+from .errors import CvtAllocError, InvalidScenario, SolverDiverged
 from .sim import _FMT
 from .tessellation import Domain1D
 
@@ -114,6 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the config horizon: keeps the first H "
                    "schedule entries and drops setpoint changes at steps >= H")
     d.add_argument("--rounds-per-step", type=int, default=None)
+    d.add_argument("--diagnostics", metavar="PATH", default=None,
+                   help="also write per-phase wall times, swaps per step and "
+                   "the largest constraint error as JSON to PATH")
     return p
 
 
@@ -193,28 +198,36 @@ def _cmd_shift_check(args) -> int:
 
 
 def _write_plot_data(trace: sim.TraceLog, out: Path) -> None:
-    """Plot data: applied powers, total vs available, temperatures."""
+    """Plot data: applied powers, total vs available, temperatures.  Each
+    file is one %-template filled from its columns, interleaved by step."""
+    steps = np.arange(len(trace.r))
     agent_cols = ",".join(f"agent_{i}" for i in range(trace.n_agents))
+    row = "%d" + f",{_FMT}" * trace.n_agents + "\n"
     for name, column in (("powers.csv", trace.applied_power),
                          ("temperatures.csv", trace.temp_F)):
         with open(out / name, "w", newline="") as fh:
             fh.write(f"step,{agent_cols}\n")
-            for k, values in enumerate(column):
-                fh.write(f"{k},{','.join(_FMT % v for v in values.tolist())}\n")
+            values = np.column_stack([steps, np.reshape(column, (steps.size, -1))])
+            fh.write(row * steps.size % tuple(values.ravel().tolist()))
 
+    # Python's sum adds NumPy scalars left to right; np.sum's pairwise
+    # order would change the digits written.
+    totals = [sum(np.abs(powers).tolist()) for powers in trace.applied_power]
+    values = np.column_stack([steps, totals, trace.r])
     with open(out / "total_power.csv", "w", newline="") as fh:
         fh.write("step,total_consumed,available\n")
-        for k, (powers, r) in enumerate(zip(trace.applied_power, trace.r)):
-            # Python's sum adds NumPy scalars left to right; np.sum's
-            # pairwise order would change the digits written.
-            total = sum(np.abs(powers))
-            fh.write(f"{k},{_FMT % total},{_FMT % r}\n")
+        fh.write(f"%d,{_FMT},{_FMT}\n" * steps.size
+                 % tuple(values.ravel().tolist()))
 
 
 def _cmd_dynamic_sim(args) -> int:
     sc = sim.Scenario.from_json(args.config)
     if args.horizon is not None:
         h = args.horizon
+        if not 1 <= h <= len(sc.power_schedule):
+            raise InvalidScenario(
+                f"--horizon {h} must be between 1 and the schedule length "
+                f"{len(sc.power_schedule)}")
         sc = replace(sc, horizon=h, power_schedule=sc.power_schedule[:h],
                      setpoint_changes=tuple(c for c in sc.setpoint_changes
                                             if c[0] < h))
@@ -223,7 +236,9 @@ def _cmd_dynamic_sim(args) -> int:
     if args.rounds_per_step is not None:
         sc = replace(sc, rounds_per_step=args.rounds_per_step)
 
+    t0 = time.perf_counter()
     trace = sim.run(sc)
+    t1 = time.perf_counter()
     report = sim.metrics(trace)
 
     out = Path(args.out)
@@ -233,6 +248,15 @@ def _cmd_dynamic_sim(args) -> int:
     with open(out / "metrics.json", "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
     _write_plot_data(trace, out)
+    if args.diagnostics is not None:
+        # run_s covers the initial static solve and every step; write_s
+        # the metrics and the six output files.
+        diag = {**sim.diagnostics(trace), "run_s": t1 - t0,
+                "write_s": time.perf_counter() - t1}
+        path = Path(args.diagnostics)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as fh:
+            json.dump(diag, fh, indent=2)
     print(json.dumps(report.to_dict()))
     return EXIT_OK
 

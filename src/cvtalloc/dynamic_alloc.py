@@ -31,6 +31,7 @@ __all__ = [
     "verify_shift_property",
     "rebuild_line_graph",
     "neighbor_of_interest",
+    "neighbors_of_interest",
     "negotiate_round",
 ]
 
@@ -142,6 +143,31 @@ def neighbor_of_interest(p: int, u: float, z, order) -> int:
     return min(candidates, key=lambda j: (abs(u - z[j]), j != i, j))
 
 
+def neighbors_of_interest(z, desired, order) -> np.ndarray:
+    """:func:`neighbor_of_interest` at every position p of ``order`` at once,
+    with u = desired[order[p]]: the same distances abs(u - z[j]) and the
+    same ranking (distance, then the agent itself, then the lower index)."""
+    z = np.asarray(z, dtype=float)
+    order = np.asarray(order)
+    n = order.size
+    at = z[order]
+    u = np.asarray(desired, dtype=float)[order]
+    # The agents at p - 1 and p + 1; past either end the sentinel n, at
+    # infinite distance, which no real agent loses to.
+    left = np.full(n, n)
+    right = np.full(n, n)
+    left[1:] = order[:-1]
+    right[:-1] = order[1:]
+    d_left = np.full(n, np.inf)
+    d_right = np.full(n, np.inf)
+    d_left[1:] = np.abs(u[1:] - at[:-1])
+    d_right[:-1] = np.abs(u[:-1] - at[1:])
+    go_left = (d_left < d_right) | ((d_left == d_right) & (left < right))
+    best = np.where(go_left, left, right)
+    d_best = np.where(go_left, d_left, d_right)
+    return np.where(d_best < np.abs(u - at), best, order)
+
+
 def negotiate_round(st: AllocationState, desired):
     """One civility round.
 
@@ -157,16 +183,13 @@ def negotiate_round(st: AllocationState, desired):
         raise MissingDesiredInput(
             f"need {st.resources.size} desired amounts, got {desired.size}")
 
-    before = st.resources.tolist()
-    order = st.order.tolist()
-    z = list(before)
+    choice = neighbors_of_interest(st.resources, desired, st.order)
+    proposers = np.flatnonzero(choice != st.order)
+    z = st.resources.tolist()
     taken = [False] * len(z)
     events = []
-    for p, (i, u) in enumerate(zip(order, desired[st.order].tolist())):
-        if taken[i]:
-            continue
-        j = neighbor_of_interest(p, u, before, order)
-        if j == i or taken[j]:
+    for i, j in zip(st.order[proposers].tolist(), choice[proposers].tolist()):
+        if taken[i] or taken[j]:
             continue
         events.append(SwapEvent(step=st.step, proposer=i, target=j,
                                 z_before=(z[i], z[j])))

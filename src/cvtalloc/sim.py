@@ -2,15 +2,19 @@
 one-step updates, local control, civility negotiation, and plant stepping.
 
 Each time step runs four phases in order: shift all resources to the new
-total, compute each agent's desired power from its plant state, negotiate
-swaps along the resource order using desired magnitudes, then apply the
-allocated power (with the local controller's sign) to every plant.
+total, compute every agent's desired power from its plant state in one
+batched control law, negotiate swaps along the resource order using desired
+magnitudes, then apply the allocated power (with the local controller's
+sign) to every plant.  The fleet's controller state is stacked by agent:
+plant states X (N, 3) and one ControllerGains whose arrays have a row or an
+entry per agent.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -24,9 +28,11 @@ from .errors import InvalidScenario
 from .tessellation import Domain1D
 
 __all__ = ["Scenario", "SimState", "TraceLog", "MetricsReport",
-           "initialize", "step", "run", "metrics"]
+           "initialize", "step", "run", "metrics", "diagnostics"]
 
 _FMT = "%.15g"  # numeric CSV formatting, 15 significant digits
+# The parts of a step whose wall time TraceLog.phase_s sums.
+PHASES = ("shift", "control", "negotiate", "plant", "trace")
 
 
 def _integer(value) -> int:
@@ -127,18 +133,20 @@ class Scenario:
 
 
 @dataclass
-class AgentPlant:
-    model: th.DiscreteModel
-    gains: th.ControllerGains
-    x: np.ndarray
-
-
-@dataclass
 class SimState:
+    """The fleet before step k.  ``gains`` holds the controller arrays
+    stacked by agent (K_fb (N, 3), N_r (N,), setpoint (N,), K_w (N, 2)), ``X``
+    the plant states (N, 3) and ``models`` each agent's DiscreteModel.  A
+    setpoint change replaces ``gains.setpoint`` with a new array; no array
+    is written in place, so a trace may keep the one it was given."""
+
     scenario: Scenario
     alloc: AllocationState
-    plants: list
+    models: list
+    gains: th.ControllerGains
+    X: np.ndarray
     disturbances: np.ndarray   # (horizon, 2)
+    setpoint_changes: dict     # step -> [(agent, new setpoint), ...]
     k: int = 0
 
     def serialize(self) -> str:
@@ -149,7 +157,7 @@ class SimState:
                           for i, v in enumerate(self.alloc.resources)},
             "mu": _FMT % self.alloc.mu_current,
             "r": _FMT % self.alloc.r_current,
-            "states": [[_FMT % v for v in p.x] for p in self.plants],
+            "states": [[_FMT % v for v in x] for x in self.X.tolist()],
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -161,7 +169,8 @@ class TraceLog:
     ``z``, ``desired_abs``, ``applied_power``, ``temp_F`` and ``setpoints``
     hold one (N,) array per step, indexed by agent; ``r``, ``sum_z`` and
     ``constraint_error`` one float per step.  Swap events are kept in
-    execution order.
+    execution order.  ``phase_s`` sums the wall seconds of each step phase;
+    only :func:`diagnostics` reads it, never the deterministic files.
     """
 
     n_agents: int
@@ -174,19 +183,25 @@ class TraceLog:
     sum_z: list = field(default_factory=list)
     constraint_error: list = field(default_factory=list)
     swap_events: list = field(default_factory=list)
+    phase_s: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
 
     def write_trace_csv(self, path) -> None:
+        """One row per step and agent; each step is one %-template filled
+        from the agent index and the four per-agent columns, interleaved."""
         header = ("step,agent,z,desired_abs,applied_power,temp_F,"
                   "sum_z,r,constraint_error\n")
-        per_agent = [self.z, self.desired_abs, self.applied_power, self.temp_F]
+        rows = np.empty((self.n_agents, 5))
+        rows[:, 0] = np.arange(self.n_agents)
         with open(path, "w", newline="") as fh:
             fh.write(header)
             for k, step_info in enumerate(zip(self.sum_z, self.r,
                                               self.constraint_error)):
                 tail = ",".join(_FMT % v for v in step_info)
-                columns = [col[k].tolist() for col in per_agent]
-                for i, row in enumerate(zip(*columns)):
-                    fh.write(f"{k},{i},{','.join(_FMT % v for v in row)},{tail}\n")
+                for c, col in enumerate((self.z, self.desired_abs,
+                                         self.applied_power, self.temp_F), 1):
+                    rows[:, c] = col[k]
+                row = f"{k},%d,{_FMT},{_FMT},{_FMT},{_FMT},{tail}\n"
+                fh.write(row * self.n_agents % tuple(rows.ravel().tolist()))
 
     def write_swaps_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -224,8 +239,8 @@ def _build_disturbances(sc: Scenario) -> np.ndarray:
 
 
 def initialize(sc: Scenario) -> SimState:
-    """Solve the static allocation for r(0), build seeded plants, and assign
-    the sorted centroids to agents in id order."""
+    """Solve the static allocation for r(0), build the seeded fleet, and
+    assign the sorted centroids to agents in id order."""
     problem = sa.StaticProblem(domain=sc.domain, n_agents=sc.n_agents,
                                density=sc.density, r=sc.power_schedule[0])
     sol = sa.solve(problem)
@@ -235,23 +250,38 @@ def initialize(sc: Scenario) -> SimState:
                             mu_current=sol.v_k, step=0)
 
     disturbances = _build_disturbances(sc)
-    plants = _build_plants(sc, disturbances)
-    return SimState(scenario=sc, alloc=alloc, plants=plants,
-                    disturbances=disturbances, k=0)
+    models, gains, X = _build_fleet(sc, disturbances)
+    changes = {}
+    for when, agent, value in sc.setpoint_changes:
+        changes.setdefault(when, []).append((agent, value))
+    return SimState(scenario=sc, alloc=alloc, models=models, gains=gains,
+                    X=X, disturbances=disturbances, setpoint_changes=changes)
 
 
-def _build_plants(sc: Scenario, disturbances: np.ndarray) -> list:
-    """Seeded per-agent plants, started at the steady state consistent with
-    the initial disturbance and each agent's setpoint."""
+def _build_fleet(sc: Scenario, disturbances: np.ndarray):
+    """Seeded per-agent plant models, and the gains and plant states stacked
+    by agent, each plant started at the steady state consistent with the
+    initial disturbance and its agent's setpoint."""
     setpoints = sc.setpoints or (72.0,) * sc.n_agents
-    plants = []
-    for i in range(sc.n_agents):
+    models, gains, states = [], [], []
+    for i, setpoint in enumerate(setpoints):
         params = th.sample_parameters(sc.seed * 100_003 + i)
         dm = th.discretize_zoh(th.build_continuous_model(params), sc.ts_minutes)
-        gains = th.design_controller(dm, sc.poles, setpoints[i])
-        x0, _ = th.equilibrium_state(dm, disturbances[0], setpoints[i])
-        plants.append(AgentPlant(model=dm, gains=gains, x=x0))
-    return plants
+        models.append(dm)
+        gains.append(th.design_controller(dm, sc.poles, setpoint))
+        states.append(th.equilibrium_state(dm, disturbances[0], setpoint)[0])
+    stacked = th.ControllerGains(
+        K_fb=np.vstack([g.K_fb for g in gains]),
+        N_r=np.array([g.N_r for g in gains]),
+        setpoint=np.array([g.setpoint for g in gains]),
+        K_w=np.vstack([g.K_w for g in gains]))
+    return models, stacked, np.array(states)
+
+
+def _step_plants(X, applied, w, models) -> np.ndarray:
+    """Every agent's plant one step on: the states stacked again."""
+    return np.array([th.step_plant(x, u, w, dm)[0]
+                     for x, u, dm in zip(X, applied.tolist(), models)])
 
 
 def baseline_power_schedule(sc: Scenario, floor_per_agent: float = 50.0):
@@ -263,29 +293,21 @@ def baseline_power_schedule(sc: Scenario, floor_per_agent: float = 50.0):
     tuple can be fed back into a new Scenario.
     """
     disturbances = _build_disturbances(sc)
-    plants = _build_plants(sc, disturbances)
+    models, gains, X = _build_fleet(sc, disturbances)
     totals = []
-    for k in range(sc.horizon):
-        w = disturbances[k]
-        total = 0.0
-        for plant in plants:
-            u = th.desired_power(plant.gains, plant.x, w)
-            plant.x, _ = th.step_plant(plant.x, u, w, plant.model)
-            total += abs(u)
-        totals.append(max(total, sc.n_agents * floor_per_agent))
+    for w in disturbances:
+        u = th.desired_power(gains, X, w)
+        X = _step_plants(X, u, w, models)
+        totals.append(max(sum(np.abs(u).tolist()), sc.n_agents * floor_per_agent))
     return tuple(totals)
 
 
 def step(st: SimState, k: int, trace: TraceLog | None = None) -> SimState:
-    """Advance one time step; mutates plant states in place and returns st."""
+    """Advance one time step; replaces the state's arrays and returns st."""
     sc = st.scenario
     if k >= sc.horizon:
         raise ValueError(f"step {k} beyond horizon {sc.horizon}")
-
-    for (when, agent, new_sp) in sc.setpoint_changes:
-        if when == k:
-            plant = st.plants[agent]
-            plant.gains = replace(plant.gains, setpoint=float(new_sp))
+    t0 = time.perf_counter()
 
     # Phase 1: shift resources to the new total.
     r_new = sc.power_schedule[k]
@@ -294,24 +316,32 @@ def step(st: SimState, k: int, trace: TraceLog | None = None) -> SimState:
                           sc.n_agents)
     alloc = AllocationState(resources=z, r_current=r_new, mu_current=mu,
                             step=k)
+    t1 = time.perf_counter()
 
-    # Phase 2: local control from current plant states, disturbance
-    # feedforward included so the magnitude reflects the actual requirement.
+    # Phase 2: this step's setpoint changes, then local control from the
+    # current plant states, disturbance feedforward included so the
+    # magnitude reflects the actual requirement.
+    if k in st.setpoint_changes:
+        setpoint = st.gains.setpoint.copy()
+        for agent, value in st.setpoint_changes[k]:
+            setpoint[agent] = value
+        st.gains = replace(st.gains, setpoint=setpoint)
     w = st.disturbances[k]
-    desired = np.array([th.desired_power(p.gains, p.x, w) for p in st.plants])
+    desired = th.desired_power(st.gains, st.X, w)
     desired_abs = np.abs(desired)
+    t2 = time.perf_counter()
 
     # Phase 3: civility negotiation rounds on desired magnitudes.
     events = []
     for _ in range(sc.rounds_per_step):
         alloc, round_events = dyn.negotiate_round(alloc, desired_abs)
         events.extend(round_events)
+    t3 = time.perf_counter()
 
     # Phase 4: apply the allocated magnitude with the controller's sign.
     applied = np.where(desired >= 0, 1.0, -1.0) * alloc.resources
-    temps = np.empty(sc.n_agents)
-    for i, (plant, power) in enumerate(zip(st.plants, applied.tolist())):
-        plant.x, temps[i] = th.step_plant(plant.x, power, w, plant.model)
+    st.X = _step_plants(st.X, applied, w, st.models)
+    t4 = time.perf_counter()
 
     if trace is not None:
         # Python's sum adds NumPy scalars left to right; np.sum's
@@ -320,12 +350,15 @@ def step(st: SimState, k: int, trace: TraceLog | None = None) -> SimState:
         trace.z.append(alloc.resources)
         trace.desired_abs.append(desired_abs)
         trace.applied_power.append(applied)
-        trace.temp_F.append(temps)
-        trace.setpoints.append(np.array([p.gains.setpoint for p in st.plants]))
+        trace.temp_F.append(st.X[:, 0].copy())
+        trace.setpoints.append(st.gains.setpoint)
         trace.r.append(r_new)
         trace.sum_z.append(sum_z)
         trace.constraint_error.append(abs(sum_z - r_new))
         trace.swap_events.extend(events)
+        marks = (t0, t1, t2, t3, t4, time.perf_counter())
+        for name, start, end in zip(PHASES, marks, marks[1:]):
+            trace.phase_s[name] += end - start
 
     st.alloc = alloc
     st.k = k + 1
@@ -367,3 +400,21 @@ def metrics(t: TraceLog) -> MetricsReport:
                          neighbor_coverage=coverage,
                          temperature_rms_error=rms,
                          total_swaps=len(t.swap_events))
+
+
+def diagnostics(t: TraceLog) -> dict:
+    """Why a run took as long as it did and how it ended: wall seconds per
+    step phase, swaps per step and the largest constraint error.  The wall
+    times differ from run to run; the deterministic files never hold them."""
+    if not t.r:
+        raise ValueError("empty trace")
+    swaps = np.bincount(np.array([ev.step for ev in t.swap_events], dtype=int),
+                        minlength=len(t.r))
+    return {
+        "steps": len(t.r),
+        "n_agents": t.n_agents,
+        "phase_s": dict(t.phase_s),
+        "swaps_per_step": swaps.tolist(),
+        "total_swaps": len(t.swap_events),
+        "max_constraint_error": max(t.constraint_error),
+    }

@@ -90,6 +90,10 @@ class DiscreteModel:
 
 @dataclass(frozen=True)
 class ControllerGains:
+    """One agent's gains (K_fb and K_w one row each, N_r and setpoint
+    scalars), or a fleet's stacked by agent: K_fb (N, 3), K_w (N, 2), N_r
+    and setpoint (N,)."""
+
     K_fb: np.ndarray
     N_r: float
     setpoint: float
@@ -200,10 +204,9 @@ def design_controller(dm: DiscreteModel, poles=DEFAULT_POLES,
 
 
 def step_plant(x, u: float, w, dm: DiscreteModel):
-    """One discrete step: returns (x_next, indoor temperature)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    w = np.asarray(w, dtype=float).reshape(-1)
-    x_next = dm.Ad @ x + dm.Bd[:, 0] * float(u) + dm.Gd @ w
+    """One discrete step of state x (3,) under power u and disturbance
+    w (2,): returns (x_next, indoor temperature)."""
+    x_next = dm.Ad @ x + dm.Bd[:, 0] * u + dm.Gd @ w
     return x_next, float(x_next[0])
 
 
@@ -221,17 +224,24 @@ def equilibrium_state(dm: DiscreteModel, w, y_target: float):
     return sol[:n], float(sol[n])
 
 
-def desired_power(g: ControllerGains, x, w=None) -> float:
-    """Signed control power from the local state-feedback law.
+def desired_power(g: ControllerGains, x, w=None):
+    """Signed control power from the local state-feedback law
+    u = -K_fb x + N_r * setpoint, plus K_w w when the disturbance w is given.
 
-    Pass the current disturbance to include the feedforward correction; with
-    w omitted this is the plain -K x + N_r * setpoint law.
+    With one agent's gains and x of shape (3,) this returns a float; with
+    gains stacked by agent and x of shape (N, 3), an (N,) array.  Every
+    agent's products are stacked (1, n) @ (n, 1) matmuls, which round as
+    the per-agent row products do; a 2-D ``K_w @ w``, ``(K_fb * x).sum(1)``
+    or ``einsum`` change the last bits.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    u = float(-(g.K_fb @ x)[0] + g.N_r * g.setpoint)
+    x = np.asarray(x, dtype=float)
+    K = g.K_fb
+    u = (-(K[:, None, :] @ x.reshape(len(K), -1, 1))[:, 0, 0]
+         + g.N_r * g.setpoint)
     if w is not None and g.K_w is not None:
-        u += float((g.K_w @ np.asarray(w, dtype=float).reshape(-1))[0])
-    return u
+        W = np.broadcast_to(np.asarray(w, dtype=float), g.K_w.shape)
+        u = u + (g.K_w[:, None, :] @ W[:, :, None])[:, 0, 0]
+    return float(u[0]) if x.ndim == 1 else u
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: argument handling, outputs, and exit codes."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -12,6 +13,8 @@ from cvtalloc import static_alloc as sa
 from cvtalloc.errors import SolverDiverged
 
 SHIPPED = Path(__file__).resolve().parent.parent / "scenarios" / "demand_response.json"
+OUTPUT_FILES = ("trace.csv", "swaps.csv", "metrics.json", "powers.csv",
+                "total_power.csv", "temperatures.csv")
 
 
 def run_cli(*argv):
@@ -214,6 +217,38 @@ class TestDynamicSim:
         assert run_cli("dynamic-sim", "--config", str(SHIPPED), "--horizon",
                        "0", "--out", str(tmp_path / "x")) == cli.EXIT_USAGE
         assert "horizon" in capsys.readouterr().err
+
+    def test_horizon_beyond_schedule_exits_one(self, tmp_path, capsys):
+        rc = run_cli("dynamic-sim", "--config", str(SHIPPED), "--horizon",
+                     "200", "--out", str(tmp_path / "x"))
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_USAGE
+        assert err.startswith("error:")
+        assert "--horizon 200" in err and "schedule length 144" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_diagnostics_leave_outputs_unchanged(self, tmp_path, capsys):
+        plain, diag = tmp_path / "plain", tmp_path / "diag"
+        path = tmp_path / "d" / "diagnostics.json"
+        assert run_cli("dynamic-sim", "--config", str(SHIPPED),
+                       "--out", str(plain)) == cli.EXIT_OK
+        assert run_cli("dynamic-sim", "--config", str(SHIPPED), "--out",
+                       str(diag), "--diagnostics", str(path)) == cli.EXIT_OK
+        for name in OUTPUT_FILES:
+            assert (hashlib.sha256((plain / name).read_bytes()).digest()
+                    == hashlib.sha256((diag / name).read_bytes()).digest()), name
+        assert sorted(p.name for p in diag.iterdir()) == sorted(OUTPUT_FILES)
+
+        report = json.loads(path.read_text())
+        metrics = json.loads((diag / "metrics.json").read_text())
+        assert set(report["phase_s"]) == set(sim.PHASES)
+        assert all(t >= 0.0 for t in report["phase_s"].values())
+        assert sum(report["phase_s"].values()) <= report["run_s"]
+        assert report["write_s"] >= 0.0
+        assert report["steps"] == len(report["swaps_per_step"]) == 144
+        assert sum(report["swaps_per_step"]) == report["total_swaps"] \
+            == metrics["total_swaps"]
+        assert 0.0 <= report["max_constraint_error"] <= metrics["l2_power_error"]
 
     def test_seed_override_changes_plants(self, tmp_path, config_path, capsys):
         out1 = tmp_path / "r1"

@@ -196,6 +196,24 @@ class TestNeighborOfInterest:
                 dyn.neighbor_of_interest(p, 1.0, [2.0], [0])
 
 
+class TestNeighborsOfInterest:
+    def test_matches_oracle_at_every_position(self):
+        """3,000 rounds at N = 1 to 40 on half-integers from 0 to 6, so that
+        equal resources, equal distances and desired amounts midway between
+        two resources are frequent; in the sorted order and in a random
+        one, where the equidistant-neighbor rule also shows."""
+        rng = np.random.default_rng(11)
+        for n in range(1, 41):
+            for _ in range(75):
+                z = (rng.integers(0, 13, size=n) / 2.0).tolist()
+                desired = (rng.integers(0, 13, size=n) / 2.0).tolist()
+                for order in (dyn.rebuild_line_graph(np.array(z)).tolist(),
+                              rng.permutation(n).tolist()):
+                    got = dyn.neighbors_of_interest(z, desired, order).tolist()
+                    assert got == [dyn.neighbor_of_interest(p, desired[i], z, order)
+                                   for p, i in enumerate(order)]
+
+
 class TestNegotiateRound:
     def test_two_agent_walkthrough(self):
         st_ = _state([2.0, 5.0])

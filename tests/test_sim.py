@@ -1,7 +1,10 @@
 """Demand-response simulation orchestration."""
 
+import json
+
 import numpy as np
 import pytest
+from test_golden import SHIPPED, fleet_config
 
 from cvtalloc import sim
 from cvtalloc import thermal as th
@@ -120,8 +123,8 @@ class TestRun:
         st = sim.initialize(sc)   # fresh plants, same seeds
         n = sc.n_agents
         for i in range(n):
-            x = st.plants[i].x.copy()
-            dm = st.plants[i].model
+            x = st.X[i].copy()
+            dm = st.models[i]
             for k in range(sc.horizon):
                 x, y = th.step_plant(x, trace.applied_power[k][i],
                                      st.disturbances[k], dm)
@@ -134,6 +137,54 @@ class TestRun:
             order = dyn.rebuild_line_graph(z).tolist()
             assert sorted(order) == list(range(len(z)))
             assert [z[i] for i in order] == sorted(z.tolist())
+
+
+def per_agent_law(g, X, w):
+    """The control law as each agent evaluated it before the fleet's gains
+    were stacked: -(K_fb @ x)[0] + N_r * setpoint + (K_w @ w)[0]."""
+    return np.array([-(g.K_fb[i:i + 1] @ X[i])[0] + g.N_r[i] * g.setpoint[i]
+                     + (g.K_w[i:i + 1] @ w)[0] for i in range(len(X))])
+
+
+class TestStackedControl:
+    @pytest.mark.parametrize("config", [
+        lambda: json.loads(SHIPPED.read_text()),
+        lambda: fleet_config(240),
+    ], ids=["shipped", "fleet-240"])
+    def test_batched_law_equals_per_agent_law(self, config, monkeypatch):
+        """Every step's one batched control evaluation is bit for bit the
+        per-agent law, setpoint changes included."""
+        calls = []
+        law = th.desired_power
+
+        def spy(g, X, w=None):
+            u = law(g, X, w)
+            calls.append((g, X, w, u))
+            return u
+
+        monkeypatch.setattr(th, "desired_power", spy)
+        sc = sim.Scenario.from_config(config())
+        sim.run(sc)
+        assert len(calls) == sc.horizon
+        for g, X, w, u in calls:
+            assert u.shape == (sc.n_agents,)
+            assert np.array_equal(u, per_agent_law(g, X, w))
+        changed = [agent for _, agent, _ in sc.setpoint_changes]
+        assert calls[-1][0].setpoint[changed].tolist() == \
+            [v for _, _, v in sc.setpoint_changes]
+
+    def test_one_agent_gains_give_a_float(self):
+        sc = small_scenario()
+        st = sim.initialize(sc)
+        g = st.gains
+        w = st.disturbances[0]
+        for i in range(sc.n_agents):
+            one = th.ControllerGains(K_fb=g.K_fb[i:i + 1], N_r=g.N_r[i],
+                                     setpoint=g.setpoint[i],
+                                     K_w=g.K_w[i:i + 1])
+            u = th.desired_power(one, st.X[i], w)
+            assert isinstance(u, float)
+            assert u == per_agent_law(g, st.X, w)[i]
 
 
 class TestMetrics:
