@@ -12,7 +12,6 @@ from . import density, dynamic_alloc, errors, sim, static_alloc, tessellation, t
 from .density import DensitySpec, Interval, bind_free_parameter
 from .dynamic_alloc import (
     AllocationState,
-    SwapEvent,
     negotiate_round,
     neighbor_of_interest,
     one_step_update,
@@ -39,7 +38,7 @@ __all__ = [
     "DensitySpec", "Interval", "bind_free_parameter",
     "Domain1D", "Tessellation", "lloyd", "energy_K", "is_cvt",
     "StaticProblem", "StaticSolution", "solve", "cross_validate",
-    "AllocationState", "SwapEvent", "one_step_update",
+    "AllocationState", "one_step_update",
     "shifted_mean", "verify_shift_property", "rebuild_line_graph",
     "neighbor_of_interest", "negotiate_round",
     "ThermalParams", "ControllerGains", "build_continuous_model",

@@ -148,6 +148,8 @@ class DensitySpec:
             raise InvalidParameterValue(
                 f"density spec must be an object, got {obj!r}")
         obj = dict(obj)
+        if "family" not in obj:
+            raise InvalidParameterValue("density spec is missing 'family'")
         family = obj.pop("family")
         free = None
         params = {}

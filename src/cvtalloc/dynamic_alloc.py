@@ -24,7 +24,6 @@ from .tessellation import Domain1D
 
 __all__ = [
     "AllocationState",
-    "SwapEvent",
     "ShiftReport",
     "one_step_update",
     "shifted_mean",
@@ -36,14 +35,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SwapEvent:
-    step: int
-    proposer: int
-    target: int
-    z_before: tuple
-
-
 @dataclass(frozen=True, eq=False)
 class AllocationState:
     """Per-step snapshot of agent resources, indexed by agent, and the
@@ -53,7 +44,6 @@ class AllocationState:
     r_current: float
     mu_current: float
     order: np.ndarray = None
-    step: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "resources",
@@ -176,7 +166,8 @@ def negotiate_round(st: AllocationState, desired):
     whose neighbor of interest differs from itself swaps resource values
     with it unless either party already took part in a swap this round; a
     proposed-to agent never refuses.  Returns the post-round state and the
-    swap events in execution order.
+    swaps as an (S, 2) array of (proposer, target) agents in execution
+    order; no agent appears twice, so each exchanges its pre-round value.
     """
     desired = np.asarray(desired, dtype=float)
     if desired.shape != st.resources.shape:
@@ -185,17 +176,16 @@ def negotiate_round(st: AllocationState, desired):
 
     choice = neighbors_of_interest(st.resources, desired, st.order)
     proposers = np.flatnonzero(choice != st.order)
-    z = st.resources.tolist()
-    taken = [False] * len(z)
-    events = []
+    taken = [False] * st.resources.size
+    swaps = []
     for i, j in zip(st.order[proposers].tolist(), choice[proposers].tolist()):
-        if taken[i] or taken[j]:
-            continue
-        events.append(SwapEvent(step=st.step, proposer=i, target=j,
-                                z_before=(z[i], z[j])))
-        z[i], z[j] = z[j], z[i]
-        taken[i] = taken[j] = True
+        if not (taken[i] or taken[j]):
+            swaps.append((i, j))
+            taken[i] = taken[j] = True
+    swaps = np.array(swaps, dtype=int).reshape(-1, 2)
+    z = st.resources.copy()
+    z[swaps] = st.resources[swaps[:, ::-1]]
 
     new_state = AllocationState(resources=z, r_current=st.r_current,
-                                mu_current=st.mu_current, step=st.step)
-    return new_state, events
+                                mu_current=st.mu_current)
+    return new_state, swaps

@@ -109,6 +109,11 @@ class Scenario:
                 f"stable closed loop, got {list(self.poles)}")
         if self.rounds_per_step < 1:
             raise InvalidScenario("rounds_per_step must be >= 1")
+        if not (math.isfinite(self.ts_minutes) and self.ts_minutes > 0):
+            raise InvalidScenario(
+                f"ts_minutes must be a finite number > 0, got {self.ts_minutes!r}")
+        if self.seed < 0:
+            raise InvalidScenario(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "power_schedule",
                            tuple(float(r) for r in self.power_schedule))
 
@@ -119,11 +124,14 @@ class Scenario:
             raise InvalidScenario(f"unknown scenario keys: {', '.join(unknown)}")
         values = {}
         for f in fields(cls):
-            if f.name in obj or f.default is MISSING:
-                try:
-                    values[f.name] = _FROM_CONFIG[f.name](obj[f.name])
-                except (TypeError, ValueError) as exc:
-                    raise InvalidScenario(f"{f.name}: {exc}") from exc
+            if f.name not in obj:
+                if f.default is MISSING:
+                    raise InvalidScenario(f"missing required key {f.name!r}")
+                continue
+            try:
+                values[f.name] = _FROM_CONFIG[f.name](obj[f.name])
+            except (TypeError, ValueError) as exc:
+                raise InvalidScenario(f"{f.name}: {exc}") from exc
         return cls(**values)
 
     @classmethod
@@ -168,9 +176,11 @@ class TraceLog:
 
     ``z``, ``desired_abs``, ``applied_power``, ``temp_F`` and ``setpoints``
     hold one (N,) array per step, indexed by agent; ``r``, ``sum_z`` and
-    ``constraint_error`` one float per step.  Swap events are kept in
-    execution order.  ``phase_s`` sums the wall seconds of each step phase;
-    only :func:`diagnostics` reads it, never the deterministic files.
+    ``constraint_error`` one float per step; ``swaps`` one (S, 4) array per
+    step, a row per swap in execution order: proposer, target and their
+    resources before the round, agent ids stored as floats.  ``phase_s``
+    sums the wall seconds of each step phase; only :func:`diagnostics`
+    reads it, never the deterministic files.
     """
 
     n_agents: int
@@ -182,7 +192,7 @@ class TraceLog:
     r: list = field(default_factory=list)
     sum_z: list = field(default_factory=list)
     constraint_error: list = field(default_factory=list)
-    swap_events: list = field(default_factory=list)
+    swaps: list = field(default_factory=list)
     phase_s: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
 
     def write_trace_csv(self, path) -> None:
@@ -204,13 +214,12 @@ class TraceLog:
                 fh.write(row * self.n_agents % tuple(rows.ravel().tolist()))
 
     def write_swaps_csv(self, path) -> None:
+        """One row per swap; each step is one %-template over its rows."""
         with open(path, "w", newline="") as fh:
             fh.write("step,proposer,target,z_proposer_before,z_target_before\n")
-            for ev in self.swap_events:
-                fh.write(",".join([
-                    str(ev.step), str(ev.proposer), str(ev.target),
-                    _FMT % ev.z_before[0], _FMT % ev.z_before[1],
-                ]) + "\n")
+            for k, swaps in enumerate(self.swaps):
+                row = f"{k},%d,%d,{_FMT},{_FMT}\n"
+                fh.write(row * len(swaps) % tuple(swaps.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -235,7 +244,12 @@ class MetricsReport:
 def _build_disturbances(sc: Scenario) -> np.ndarray:
     if sc.disturbance == "synthetic":
         return th.synthetic_disturbance(sc.horizon, sc.ts_minutes)
-    return th.load_disturbance_csv(sc.disturbance, sc.horizon, sc.ts_minutes)
+    w = th.load_disturbance_csv(sc.disturbance, sc.horizon, sc.ts_minutes)
+    if not np.isfinite(w).all():
+        raise InvalidScenario(
+            f"disturbance {sc.disturbance!r}: a blank or non-numeric cell "
+            f"gives non-finite values on the simulation grid")
+    return w
 
 
 def initialize(sc: Scenario) -> SimState:
@@ -247,7 +261,7 @@ def initialize(sc: Scenario) -> SimState:
 
     alloc = AllocationState(resources=sol.centroids,
                             r_current=sc.power_schedule[0],
-                            mu_current=sol.v_k, step=0)
+                            mu_current=sol.v_k)
 
     disturbances = _build_disturbances(sc)
     models, gains, X = _build_fleet(sc, disturbances)
@@ -302,7 +316,7 @@ def baseline_power_schedule(sc: Scenario, floor_per_agent: float = 50.0):
     return tuple(totals)
 
 
-def step(st: SimState, k: int, trace: TraceLog | None = None) -> SimState:
+def step(st: SimState, k: int, trace: TraceLog) -> SimState:
     """Advance one time step; replaces the state's arrays and returns st."""
     sc = st.scenario
     if k >= sc.horizon:
@@ -314,8 +328,7 @@ def step(st: SimState, k: int, trace: TraceLog | None = None) -> SimState:
     z = dyn.one_step_update(st.alloc.resources, st.alloc.r_current, r_new)
     mu = dyn.shifted_mean(st.alloc.mu_current, st.alloc.r_current, r_new,
                           sc.n_agents)
-    alloc = AllocationState(resources=z, r_current=r_new, mu_current=mu,
-                            step=k)
+    alloc = AllocationState(resources=z, r_current=r_new, mu_current=mu)
     t1 = time.perf_counter()
 
     # Phase 2: this step's setpoint changes, then local control from the
@@ -332,10 +345,11 @@ def step(st: SimState, k: int, trace: TraceLog | None = None) -> SimState:
     t2 = time.perf_counter()
 
     # Phase 3: civility negotiation rounds on desired magnitudes.
-    events = []
+    swaps = []
     for _ in range(sc.rounds_per_step):
-        alloc, round_events = dyn.negotiate_round(alloc, desired_abs)
-        events.extend(round_events)
+        z_before = alloc.resources
+        alloc, pairs = dyn.negotiate_round(alloc, desired_abs)
+        swaps.append(np.concatenate([pairs, z_before[pairs]], axis=1))
     t3 = time.perf_counter()
 
     # Phase 4: apply the allocated magnitude with the controller's sign.
@@ -343,22 +357,21 @@ def step(st: SimState, k: int, trace: TraceLog | None = None) -> SimState:
     st.X = _step_plants(st.X, applied, w, st.models)
     t4 = time.perf_counter()
 
-    if trace is not None:
-        # Python's sum adds NumPy scalars left to right; np.sum's
-        # pairwise order would change the digits written.
-        sum_z = float(sum(alloc.resources))
-        trace.z.append(alloc.resources)
-        trace.desired_abs.append(desired_abs)
-        trace.applied_power.append(applied)
-        trace.temp_F.append(st.X[:, 0].copy())
-        trace.setpoints.append(st.gains.setpoint)
-        trace.r.append(r_new)
-        trace.sum_z.append(sum_z)
-        trace.constraint_error.append(abs(sum_z - r_new))
-        trace.swap_events.extend(events)
-        marks = (t0, t1, t2, t3, t4, time.perf_counter())
-        for name, start, end in zip(PHASES, marks, marks[1:]):
-            trace.phase_s[name] += end - start
+    # Python's sum adds NumPy scalars left to right; np.sum's pairwise
+    # order would change the digits written.
+    sum_z = float(sum(alloc.resources))
+    trace.z.append(alloc.resources)
+    trace.desired_abs.append(desired_abs)
+    trace.applied_power.append(applied)
+    trace.temp_F.append(st.X[:, 0].copy())
+    trace.setpoints.append(st.gains.setpoint)
+    trace.r.append(r_new)
+    trace.sum_z.append(sum_z)
+    trace.constraint_error.append(abs(sum_z - r_new))
+    trace.swaps.append(np.concatenate(swaps))
+    marks = (t0, t1, t2, t3, t4, time.perf_counter())
+    for name, start, end in zip(PHASES, marks, marks[1:]):
+        trace.phase_s[name] += end - start
 
     st.alloc = alloc
     st.k = k + 1
@@ -380,7 +393,8 @@ def metrics(t: TraceLog) -> MetricsReport:
     if not t.r:
         raise ValueError("empty trace")
     l2 = math.sqrt(sum(e ** 2 for e in t.constraint_error))
-    mean_swaps = 2 * len(t.swap_events) / t.n_agents
+    total_swaps = sum(len(s) for s in t.swaps)
+    mean_swaps = 2 * total_swaps / t.n_agents
 
     # Distinct line-graph neighbors ever seen: the agents at adjacent
     # positions of each step's resource order, as directed pairs a * n + b.
@@ -399,7 +413,7 @@ def metrics(t: TraceLog) -> MetricsReport:
     return MetricsReport(l2_power_error=l2, mean_swaps_per_agent=mean_swaps,
                          neighbor_coverage=coverage,
                          temperature_rms_error=rms,
-                         total_swaps=len(t.swap_events))
+                         total_swaps=total_swaps)
 
 
 def diagnostics(t: TraceLog) -> dict:
@@ -408,13 +422,12 @@ def diagnostics(t: TraceLog) -> dict:
     times differ from run to run; the deterministic files never hold them."""
     if not t.r:
         raise ValueError("empty trace")
-    swaps = np.bincount(np.array([ev.step for ev in t.swap_events], dtype=int),
-                        minlength=len(t.r))
+    swaps = [len(s) for s in t.swaps]
     return {
         "steps": len(t.r),
         "n_agents": t.n_agents,
         "phase_s": dict(t.phase_s),
-        "swaps_per_step": swaps.tolist(),
-        "total_swaps": len(t.swap_events),
+        "swaps_per_step": swaps,
+        "total_swaps": sum(swaps),
         "max_constraint_error": max(t.constraint_error),
     }

@@ -7,6 +7,7 @@ per-cell mass centroids until the generators stop moving.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,6 +45,8 @@ LLOYD_MAX_ITER = 10_000
 # for this many iterations: it has reached the floating-point noise floor of
 # the centroid map and further iterations only resample that noise.
 LLOYD_STALL_WINDOW = 1000
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,8 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     once the max displacement has set no new minimum for LLOYD_STALL_WINDOW
     iterations.  After max_iter iterations it stops with stop_reason
     "budget".  Every stop returns the last iterate rather than raising, and
-    only a "tol" stop has converged=True.
+    only a "tol" stop has converged=True.  Each call logs one DEBUG record
+    with the stop reason, the iteration count and the final displacement.
 
     Returns the Tessellation, or (Tessellation, history) when
     record_history is true; history holds the generator array per iterate,
@@ -218,6 +222,8 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
         elif iterations - least_at >= LLOYD_STALL_WINDOW:
             stop_reason = "stagnated"
             break
+    logger.debug("N = %d: Lloyd stopped on %s after %d iterations, final "
+                 "displacement %.3g", z.size, stop_reason, iterations, moved)
     t = Tessellation(generators=z, boundaries=m,
                      energy=_energy_of_cells(z, m[:-1], m[1:], d), domain=dom,
                      stop_reason=stop_reason, iterations=iterations,

@@ -15,6 +15,7 @@ from cvtalloc.errors import SolverDiverged
 SHIPPED = Path(__file__).resolve().parent.parent / "scenarios" / "demand_response.json"
 OUTPUT_FILES = ("trace.csv", "swaps.csv", "metrics.json", "powers.csv",
                 "total_power.csv", "temperatures.csv")
+DROP = object()  # a scenario change that removes the key
 
 
 def run_cli(*argv):
@@ -185,17 +186,27 @@ class TestDynamicSim:
         ({"setpoints": [70.0, float("nan"), 73.0, 74.0]}, "setpoints"),
         ({"setpoint_changes": [[5, 0, float("inf")]]}, "setpoint_changes"),
         ({"poles": [1.5, 0.85, 0.9]}, "poles"),
+        ({"n_agents": DROP}, "missing required key 'n_agents'"),
+        ({"density": {"mu": "free", "sigma2": 900.0}},
+         "density: density spec is missing 'family'"),
+        ({"ts_minutes": float("nan")}, "ts_minutes"),
+        ({"ts_minutes": float("inf")}, "ts_minutes"),
+        ({"ts_minutes": 0}, "ts_minutes"),
+        ({"ts_minutes": -10.0}, "ts_minutes"),
+        ({"seed": -1}, "seed must be >= 0"),
     ], ids=["agent-too-large", "agent-negative", "step-at-horizon",
             "step-negative", "zero-rounds", "negative-rounds", "no-agents",
             "unknown-key", "zero-horizon", "fractional-agents",
             "fractional-horizon", "fractional-seed", "fractional-rounds",
             "domain-three-values", "schedule-not-list", "setpoints-not-list",
             "changes-not-list", "poles-not-list", "density-not-object",
-            "setpoint-nan", "setpoint-change-inf", "pole-outside-unit-circle"])
+            "setpoint-nan", "setpoint-change-inf", "pole-outside-unit-circle",
+            "missing-key", "density-no-family", "ts-nan", "ts-inf", "ts-zero",
+            "ts-negative", "seed-negative"])
     def test_invalid_scenario_exits_one(self, tmp_path, config_path, capsys,
                                         change, message):
         cfg = json.loads(config_path.read_text())
-        cfg.update(change)
+        cfg = {k: v for k, v in {**cfg, **change}.items() if v is not DROP}
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
         rc = run_cli("dynamic-sim", "--config", str(bad),
@@ -217,6 +228,21 @@ class TestDynamicSim:
         assert run_cli("dynamic-sim", "--config", str(SHIPPED), "--horizon",
                        "0", "--out", str(tmp_path / "x")) == cli.EXIT_USAGE
         assert "horizon" in capsys.readouterr().err
+
+    def test_blank_disturbance_cell_exits_one(self, tmp_path, capsys):
+        csv_path = tmp_path / "weather.csv"
+        csv_path.write_text("time_min,outdoor_temp_F,solar_radiation_W\n"
+                            "0,70,0\n600,,100\n1440,75,\n")
+        cfg = json.loads(SHIPPED.read_text())
+        cfg["disturbance"] = str(csv_path)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        rc = run_cli("dynamic-sim", "--config", str(path), "--horizon", "10",
+                     "--out", str(tmp_path / "x"))
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_USAGE
+        assert err.startswith("error: disturbance") and str(csv_path) in err
+        assert not (tmp_path / "x").exists()
 
     def test_horizon_beyond_schedule_exits_one(self, tmp_path, capsys):
         rc = run_cli("dynamic-sim", "--config", str(SHIPPED), "--horizon",
@@ -320,6 +346,19 @@ class TestDensityBoundary:
         assert rc == cli.EXIT_USAGE
         assert captured.err.startswith("error:")
         assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("cvt", "--domain", "0,100", "--n", "3"),
+        ("static-alloc", "--domain", "0,100", "--n", "5", "--r", "250"),
+    ], ids=["cvt", "static-alloc"])
+    def test_density_without_family_exits_one(self, tmp_path, capsys, argv):
+        rc = run_cli(*argv, "--density", '{"mu": 50, "sigma2": 4}',
+                     "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert captured.err.startswith("error:")
+        assert "density spec is missing 'family'" in captured.err
         assert captured.out == ""
 
     def test_scenario_sigma2_null_exits_one(self, tmp_path, capsys):

@@ -80,11 +80,13 @@ class TestVerifyShiftProperty:
                                       delta=1.0, tol=1e-7)
 
 
-def reference_negotiate_round(resources: dict, desired: dict, step: int = 0):
+def reference_negotiate_round(resources: dict, desired: dict):
     """The dict-of-ids civility round that the array version replaced, kept
     as a test oracle.  The line graph is a tuple of edges between agents
     adjacent in (resource, id) order, and an agent's neighbors are found by
-    scanning the edges.  Returns the post-round resources and the events."""
+    scanning the edges.  Returns the post-round resources and the swaps as
+    (proposer, target, z_proposer, z_target) tuples, with the resources
+    read at the moment of the swap."""
     order = tuple(sorted(resources, key=lambda i: (resources[i], i)))
     edges = tuple((order[k], order[k + 1]) for k in range(len(order) - 1))
 
@@ -111,19 +113,18 @@ def reference_negotiate_round(resources: dict, desired: dict, step: int = 0):
         j = neighbor_of_interest(i, desired[i])
         if j == i or j in taken:
             continue
-        events.append(dyn.SwapEvent(step=step, proposer=i, target=j,
-                                    z_before=(z[i], z[j])))
+        events.append((i, j, z[i], z[j]))
         z[i], z[j] = z[j], z[i]
         taken.add(i)
         taken.add(j)
     return z, events
 
 
-def _state(resources, step=0, order=None):
+def _state(resources, order=None):
     resources = np.asarray(resources, dtype=float)
     return AllocationState(resources=resources,
                            r_current=float(np.sum(resources)),
-                           mu_current=0.0, order=order, step=step)
+                           mu_current=0.0, order=order)
 
 
 def assert_line_order(state):
@@ -217,25 +218,23 @@ class TestNeighborsOfInterest:
 class TestNegotiateRound:
     def test_two_agent_walkthrough(self):
         st_ = _state([2.0, 5.0])
-        new, events = dyn.negotiate_round(st_, [5.1, 4.9])
-        assert len(events) == 1
-        assert events[0].proposer == 0 and events[0].target == 1
-        assert events[0].z_before == (2.0, 5.0)
+        new, swaps = dyn.negotiate_round(st_, [5.1, 4.9])
+        assert swaps.tolist() == [[0, 1]]
+        assert st_.resources[swaps].tolist() == [[2.0, 5.0]]
         assert new.resources.tolist() == [5.0, 2.0]
         assert new.order.tolist() == [1, 0]
 
     def test_fixed_point_when_satisfied(self):
         st_ = _state([2.0, 5.0, 9.0])
-        new, events = dyn.negotiate_round(st_, [2.0, 5.0, 9.0])
-        assert events == []
+        new, swaps = dyn.negotiate_round(st_, [2.0, 5.0, 9.0])
+        assert swaps.shape == (0, 2)
         assert np.array_equal(new.resources, st_.resources)
 
     def test_lower_order_proposer_wins_contested_target(self):
         # agents 0 and 2 both want agent 1's resource; 0 acts first.
         st_ = _state([1.0, 5.0, 9.0])
-        new, events = dyn.negotiate_round(st_, [5.0, 5.0, 5.0])
-        assert len(events) == 1
-        assert events[0].proposer == 0 and events[0].target == 1
+        new, swaps = dyn.negotiate_round(st_, [5.0, 5.0, 5.0])
+        assert swaps.tolist() == [[0, 1]]
         assert new.resources.tolist() == [5.0, 1.0, 9.0]
 
     def test_missing_desired_input(self):
@@ -248,9 +247,9 @@ class TestNegotiateRound:
         assert np.array_equal(new.order, dyn.rebuild_line_graph(new.resources))
 
     def test_step_and_totals_carried(self):
-        st_ = _state([2.0, 5.0], step=7)
-        new, events = dyn.negotiate_round(st_, [5.1, 4.9])
-        assert new.step == 7 and events[0].step == 7
+        st_ = _state([2.0, 5.0])
+        new, swaps = dyn.negotiate_round(st_, [5.1, 4.9])
+        assert len(swaps) == 1
         assert (new.r_current, new.mu_current) == (st_.r_current, st_.mu_current)
 
 
@@ -268,14 +267,20 @@ class TestAgainstReference:
                  min_size=1, max_size=4))))
     @settings(max_examples=300, deadline=None)
     def test_same_values_and_events_with_ties(self, case):
+        """The same resources and swaps as the reference; the resources a
+        swap starts from, which the reference reads at swap time, are the
+        pre-round ones, as the trace records them."""
         z0, rounds = case
-        state = _state(z0, step=3)
+        state = _state(z0)
         ref = dict(enumerate(z0))
         for desired in rounds:
-            state, events = dyn.negotiate_round(state, desired)
+            before = state.resources
+            state, swaps = dyn.negotiate_round(state, desired)
             ref, ref_events = reference_negotiate_round(
-                ref, dict(enumerate(desired)), step=3)
+                ref, dict(enumerate(desired)))
             assert state.resources.tolist() == [ref[i] for i in range(len(z0))]
+            events = [(i, j, zi, zj) for (i, j), (zi, zj)
+                      in zip(swaps.tolist(), before[swaps].tolist())]
             assert events == ref_events
             assert_line_order(state)
 
@@ -291,12 +296,11 @@ class TestProtocolProperties:
         for round_no in range(10):
             desired = rng.uniform(0.0, 100.0, size=n)
             before = sorted(state.resources.tolist())
-            state, events = dyn.negotiate_round(state, desired)
+            state, swaps = dyn.negotiate_round(state, desired)
             # conservation of the multiset
             assert sorted(state.resources.tolist()) == before
             # single participation
-            participants = [a for ev in events
-                            for a in (ev.proposer, ev.target)]
+            participants = swaps.ravel().tolist()
             assert len(participants) == len(set(participants))
             # line-graph validity: a permutation sorting the resources
             assert_line_order(state)
@@ -306,9 +310,9 @@ class TestProtocolProperties:
         # agent 2 would "prefer" not to swap, yet the swap still happens.
         state = _state([2.0, 5.0, 9.0])
         desired = [5.0, 5.0, 9.0]  # 1 is perfectly satisfied
-        _, events = dyn.negotiate_round(state, desired)
-        assert len(events) == 1
-        assert events[0].target == 1
+        _, swaps = dyn.negotiate_round(state, desired)
+        assert len(swaps) == 1
+        assert swaps[0, 1] == 1
 
     def test_distribution_preserved_after_update(self):
         """From a CVT, the one-step shift lands on the CVT of the shifted

@@ -1,9 +1,12 @@
 """Golden output bytes of ``cvtalloc dynamic-sim`` and of the static solve.
 
 The SHA-256 of each of the six output files must stay fixed for the shipped
-scenario (``bench/golden_shipped.json``) and for the same scenario scaled to
-240 agents (``tests/golden_fleet240.json``).  At N = 240 ties in the resource
-order and in the negotiation are much more frequent than at N = 15.  The
+scenario (``bench/golden_shipped.json``), for the same scenario scaled to
+240 agents (``tests/golden_fleet240.json``) and for the shipped scenario with
+three negotiation rounds per step (``tests/golden_shipped_rounds3.json``).
+At N = 240 ties in the resource order and in the negotiation are much more
+frequent than at N = 15; only with more than one round per step can a swap
+start from resources that an earlier round of the same step exchanged.  The
 static solves of the benchmark's static-sweep and of Acceptance 3 are pinned
 the same way, one hash per solve (``tests/golden_static.json``), and so are
 Lloyd runs of all four families at N = 1 to 800, which end on each of the
@@ -67,7 +70,9 @@ def output_hashes(config: dict, tmp_path: Path) -> dict:
 @pytest.mark.parametrize("config, golden", [
     (lambda: json.loads(SHIPPED.read_text()), ROOT / "bench" / "golden_shipped.json"),
     (lambda: fleet_config(FLEET_N), ROOT / "tests" / "golden_fleet240.json"),
-], ids=["shipped", "fleet-240"])
+    (lambda: {**json.loads(SHIPPED.read_text()), "rounds_per_step": 3},
+     ROOT / "tests" / "golden_shipped_rounds3.json"),
+], ids=["shipped", "fleet-240", "shipped-rounds3"])
 def test_dynamic_sim_outputs_match_golden_hashes(config, golden, tmp_path):
     assert output_hashes(config(), tmp_path) == json.loads(golden.read_text())
 

@@ -1,6 +1,7 @@
 """Voronoi regions, energies, and Lloyd's algorithm in one dimension."""
 
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -164,6 +165,26 @@ class TestLloyd:
             else:
                 assert t.final_displacement >= tol
         assert tess.voronoi_regions(init, DOM_15, d).final_displacement == 0.0
+
+    def test_one_debug_record_per_call(self, caplog):
+        # One record per call, whatever the stop and the iteration count,
+        # naming the stop reason, the iterations and the final displacement.
+        d = DensitySpec("gaussian", {"mu": 7.5, "sigma2": 9.0})
+        init = [2.0, 8.0, 13.0]
+        for tol, max_iter, stop in ((1e-10, 100_000, "tol"),
+                                    (1e-300, 100_000, "stagnated"),
+                                    (1e-10, 5, "budget")):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="cvtalloc.tessellation"):
+                t = tess.lloyd(init, d, DOM_15, tol=tol, max_iter=max_iter)
+            assert t.stop_reason == stop
+            assert len(caplog.records) == 1
+            record = caplog.records[0]
+            assert record.levelno == logging.DEBUG
+            assert record.name == "cvtalloc.tessellation"
+            assert record.args == (3, stop, t.iterations, t.final_displacement)
+            assert f"stopped on {stop} after {t.iterations} iterations" \
+                in record.getMessage()
 
     def test_history_recording(self):
         t, hist = tess.lloyd([1.0, 8.0, 14.0], UNIFORM_15, DOM_15,
