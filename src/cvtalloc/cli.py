@@ -12,8 +12,8 @@ Subcommands::
                  metrics.json, and plot data files (plus, on request, a
                  diagnostics JSON with wall times and swap statistics).
 
-Exit codes: 0 success, 1 usage/configuration error, 2 solver failure (or a
-failed shift/validation check).
+Exit codes: 0 success, 1 usage/configuration error, 2 solver failure (a
+failed shift check, or a cvt run that stopped on its iteration budget).
 """
 
 from __future__ import annotations
@@ -27,12 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import density as dens
 from . import dynamic_alloc as dyn
 from . import sim
 from . import static_alloc as sa
 from . import tessellation as tess
-from . import thermal as th
 from .density import DensitySpec
 from .errors import CvtAllocError, InvalidScenario, SolverDiverged
 from .sim import _FMT
@@ -85,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated generators or 'uniform' (default)")
     c.add_argument("--tol", type=float, default=None,
                    help="stopping displacement (default 1e-10 * width)")
-    c.add_argument("--max-iter", type=int, default=tess.LLOYD_MAX_ITER)
+    c.add_argument("--max-iter", type=int, default=tess.LLOYD_MAX_ITER,
+                   help="iteration budget; a run that uses it up exits 2")
     c.add_argument("--out", default=".", help="output directory")
 
     s = sub.add_parser("static-alloc", help="solve the constrained allocation")
@@ -152,7 +151,7 @@ def _cmd_cvt(args) -> int:
         "final_displacement": t.final_displacement,
         "output": str(path),
     }))
-    return EXIT_OK
+    return EXIT_SOLVER if t.stop_reason == "budget" else EXIT_OK
 
 
 def _cmd_static_alloc(args) -> int:

@@ -3,9 +3,8 @@
 Supports four families (uniform, gaussian, exponential, gamma), each with an
 optional single "free" parameter left symbolic until bound.  Every CVT
 computation in this package reduces to interval mass / first-moment /
-second-moment queries against these densities, so those are provided both in
-closed form (the default) and through adaptive quadrature (used as an
-independent cross-check and for verification).
+second-moment queries against these densities, which are computed in closed
+form.  The tests check them against adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -14,13 +13,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import (
     EmptyCell,
     InvalidParameterValue,
     NoFreeParameter,
-    QuadratureNonConvergence,
     UnboundFreeParameter,
 )
 
@@ -45,12 +43,6 @@ _FAMILY_PARAMS = {
 
 # Accepted aliases when parsing config dictionaries.
 _PARAM_ALIASES = {"lambda": "lam", "rate": "lam", "variance": "sigma2"}
-
-# Default quadrature tolerances; centroids feed a Newton solver so the
-# residuals must be smooth and low-noise.
-QUAD_ABS_TOL = 1e-12
-QUAD_REL_TOL = 1e-10
-QUAD_LIMIT = 200
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -178,13 +170,6 @@ class DensitySpec:
     @property
     def is_bound(self) -> bool:
         return self.free_param is None
-
-    def support(self) -> Interval:
-        if self.family == "uniform":
-            return Interval(self.params["a"], self.params["b"])
-        if self.family == "gaussian":
-            return Interval(-math.inf, math.inf)
-        return Interval(0.0, math.inf)
 
     def pdf(self, x):
         """Density value(s) at x (vectorized)."""
@@ -315,26 +300,7 @@ def _combine(d: DensitySpec, lo, hi, order: int) -> tuple:
     return m[0], k * theta * m[1], k * (k + 1.0) * theta * theta * m[2]
 
 
-def _moment_quadrature(d: DensitySpec, lo: float, hi: float, order: int) -> float:
-    """Adaptive quadrature of x^order * pdf over [lo, hi]."""
-    sup = d.support()
-    lo = max(lo, sup.lo)
-    hi = min(hi, sup.hi)
-    if lo >= hi:
-        return 0.0
-    result = integrate.quad(
-        lambda x: (x ** order if order else 1.0) * float(d.pdf(x)),
-        lo, hi, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT,
-        full_output=1,
-    )
-    if len(result) > 3:
-        raise QuadratureNonConvergence(
-            f"quadrature failed on [{lo}, {hi}]: {result[3]}")
-    return result[0]
-
-
-def interval_moments(d: DensitySpec, lo, hi, method: str = "analytic",
-                     order: int = 2):
+def interval_moments(d: DensitySpec, lo, hi, order: int = 2):
     """Vectorized moments 0..order over [lo, hi] arrays: (mass, first
     moment, second moment) for order 2, (mass, first moment) for order 1.
 
@@ -346,39 +312,30 @@ def interval_moments(d: DensitySpec, lo, hi, method: str = "analytic",
     _require_bound(d)
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
-    if method == "analytic":
-        with np.errstate(over="ignore", under="ignore"):
-            return _combine(d, _terms(d, np.asarray(lo, dtype=float), order),
-                            _terms(d, np.asarray(hi, dtype=float), order),
-                            order)
-    if method == "quadrature":
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        return tuple(np.array([_moment_quadrature(d, a, b, k)
-                               for a, b in zip(lo, hi)])
-                     for k in range(order + 1))
-    raise ValueError(f"unknown method {method!r}")
+    with np.errstate(over="ignore", under="ignore"):
+        return _combine(d, _terms(d, np.asarray(lo, dtype=float), order),
+                        _terms(d, np.asarray(hi, dtype=float), order), order)
 
 
 # ---------------------------------------------------------------------------
 # Public scalar operations
 # ---------------------------------------------------------------------------
 
-def mass(d: DensitySpec, iv: Interval, method: str = "analytic") -> float:
+def mass(d: DensitySpec, iv: Interval) -> float:
     """Integral of the density over iv; in [0, 1]."""
-    m0, _ = interval_moments(d, iv.lo, iv.hi, method=method, order=1)
+    m0, _ = interval_moments(d, iv.lo, iv.hi, order=1)
     return float(np.clip(np.squeeze(m0), 0.0, 1.0))
 
 
-def first_moment(d: DensitySpec, iv: Interval, method: str = "analytic") -> float:
+def first_moment(d: DensitySpec, iv: Interval) -> float:
     """Integral of x * density over iv."""
-    _, m1 = interval_moments(d, iv.lo, iv.hi, method=method, order=1)
+    _, m1 = interval_moments(d, iv.lo, iv.hi, order=1)
     return float(np.squeeze(m1))
 
 
-def second_moment(d: DensitySpec, iv: Interval, method: str = "analytic") -> float:
+def second_moment(d: DensitySpec, iv: Interval) -> float:
     """Integral of x^2 * density over iv."""
-    _, _, m2 = interval_moments(d, iv.lo, iv.hi, method=method)
+    _, _, m2 = interval_moments(d, iv.lo, iv.hi)
     return float(np.squeeze(m2))
 
 

@@ -12,6 +12,7 @@ always accepts unless it has already taken part in a swap this round.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -33,6 +34,8 @@ __all__ = [
     "neighbors_of_interest",
     "negotiate_round",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +98,8 @@ def verify_shift_property(d_gaussian: DensitySpec, dom: Domain1D, n: int,
 
     Exact only when the domain truncates a negligible amount of density at
     both means; otherwise DomainTooNarrow is raised rather than reporting a
-    truncation artifact as a failure.
+    truncation artifact as a failure.  Logs one DEBUG record with n, delta
+    and the max deviation.
     """
     if d_gaussian.family != "gaussian":
         raise ValueError("shift property applies to the gaussian family only")
@@ -114,10 +118,14 @@ def verify_shift_property(d_gaussian: DensitySpec, dom: Domain1D, n: int,
 
     lloyd_tol = min(tol * 1e-3, 1e-11 * dom.width)
     init = tess.default_init(n, dom)
-    t_base = tess.lloyd(init, d_gaussian, dom, tol=lloyd_tol, max_iter=200_000)
-    t_shift = tess.lloyd(init, d_shift, dom, tol=lloyd_tol, max_iter=200_000)
+    t_base = tess.lloyd(init, d_gaussian, dom, tol=lloyd_tol,
+                        max_iter=tess.REFERENCE_MAX_ITER)
+    t_shift = tess.lloyd(init, d_shift, dom, tol=lloyd_tol,
+                         max_iter=tess.REFERENCE_MAX_ITER)
     dev = float(np.max(np.abs(t_shift.generators
                               - (t_base.generators - delta))))
+    logger.debug("shift check n = %d, delta = %g: max deviation %.3g",
+                 n, delta, dev)
     return ShiftReport(n=n, delta=delta, max_deviation=dev, passed=dev < tol)
 
 

@@ -11,10 +11,6 @@ class UnboundFreeParameter(CvtAllocError):
     """A density with an unbound free parameter was used in an integral."""
 
 
-class QuadratureNonConvergence(CvtAllocError):
-    """Adaptive quadrature did not reach the requested tolerance."""
-
-
 class EmptyCell(CvtAllocError):
     """A Voronoi cell carries (numerically) zero probability mass."""
 

@@ -13,6 +13,7 @@ entry per agent.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -33,6 +34,10 @@ __all__ = ["Scenario", "SimState", "TraceLog", "MetricsReport",
 _FMT = "%.15g"  # numeric CSV formatting, 15 significant digits
 # The parts of a step whose wall time TraceLog.phase_s sums.
 PHASES = ("shift", "control", "negotiate", "plant", "trace")
+# baseline_power_schedule's least total power per agent, watts.
+BASELINE_FLOOR_PER_AGENT = 50.0
+
+logger = logging.getLogger(__name__)
 
 
 def _integer(value) -> int:
@@ -244,20 +249,20 @@ class MetricsReport:
 def _build_disturbances(sc: Scenario) -> np.ndarray:
     if sc.disturbance == "synthetic":
         return th.synthetic_disturbance(sc.horizon, sc.ts_minutes)
-    w = th.load_disturbance_csv(sc.disturbance, sc.horizon, sc.ts_minutes)
-    if not np.isfinite(w).all():
-        raise InvalidScenario(
-            f"disturbance {sc.disturbance!r}: a blank or non-numeric cell "
-            f"gives non-finite values on the simulation grid")
-    return w
+    return th.load_disturbance_csv(sc.disturbance, sc.horizon, sc.ts_minutes)
 
 
 def initialize(sc: Scenario) -> SimState:
     """Solve the static allocation for r(0), build the seeded fleet, and
-    assign the sorted centroids to agents in id order."""
+    assign the sorted centroids to agents in id order.  Logs one DEBUG
+    record with N, the horizon and the static solve's Newton iterations
+    and residual."""
     problem = sa.StaticProblem(domain=sc.domain, n_agents=sc.n_agents,
                                density=sc.density, r=sc.power_schedule[0])
     sol = sa.solve(problem)
+    logger.debug("N = %d, horizon %d: static solve took %d Newton "
+                 "iterations, residual %.3g", sc.n_agents, sc.horizon,
+                 sol.iterations, sol.residual_norm)
 
     alloc = AllocationState(resources=sol.centroids,
                             r_current=sc.power_schedule[0],
@@ -298,10 +303,11 @@ def _step_plants(X, applied, w, models) -> np.ndarray:
                      for x, u, dm in zip(X, applied.tolist(), models)])
 
 
-def baseline_power_schedule(sc: Scenario, floor_per_agent: float = 50.0):
+def baseline_power_schedule(sc: Scenario):
     """Total power the fleet would draw if every agent applied its own
-    desired power (no allocation constraint): a demand forecast suitable as
-    the scenario's r(k) schedule.
+    desired power (no allocation constraint), but at least
+    BASELINE_FLOOR_PER_AGENT per agent: a demand forecast suitable as the
+    scenario's r(k) schedule.
 
     sc.power_schedule is ignored here apart from its length; the returned
     tuple can be fed back into a new Scenario.
@@ -312,7 +318,8 @@ def baseline_power_schedule(sc: Scenario, floor_per_agent: float = 50.0):
     for w in disturbances:
         u = th.desired_power(gains, X, w)
         X = _step_plants(X, u, w, models)
-        totals.append(max(sum(np.abs(u).tolist()), sc.n_agents * floor_per_agent))
+        totals.append(max(sum(np.abs(u).tolist()),
+                          sc.n_agents * BASELINE_FLOOR_PER_AGENT))
     return tuple(totals)
 
 

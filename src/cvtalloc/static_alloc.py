@@ -1,8 +1,8 @@
 """Exact static allocation: the N+1 nonlinear system for a constrained CVT.
 
 The N centroid fixed-point equations (with midpoint cell boundaries) are
-augmented with one constraint row, by default sum(z) = r, and solved jointly
-for the centroids and the density family's single free parameter.
+augmented with the allocation constraint sum(z) = r and solved jointly for
+the centroids and the density family's single free parameter.
 
 Each Newton step solves a linear system in the Jacobian of that residual.
 Centroid row i depends only on z_{i-1}, z_i, z_{i+1} and the free parameter,
@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -57,15 +56,12 @@ CROSSVAL_LLOYD_TOL = 1e-12
 @dataclass(frozen=True)
 class StaticProblem:
     """Allocate r among n_agents on domain under a density with one free
-    parameter.  The constraint row defaults to sum(z) - r and may be replaced
-    by any function R^N -> R."""
+    parameter: the centroids must sum to r."""
 
     domain: Domain1D
     n_agents: int
     density: DensitySpec
     r: float
-    constraint: Callable[[np.ndarray], float] | None = field(
-        default=None, compare=False)
 
     def __post_init__(self):
         if self.n_agents < 1:
@@ -76,11 +72,6 @@ class StaticProblem:
         if not (self.domain.a < mean < self.domain.b):
             raise InfeasibleProblem(
                 f"mean allocation r/N = {mean} outside ({self.domain.a}, {self.domain.b})")
-
-    def constraint_value(self, z: np.ndarray) -> float:
-        if self.constraint is not None:
-            return float(self.constraint(z))
-        return float(np.sum(z) - self.r)
 
 
 @dataclass(frozen=True)
@@ -126,9 +117,9 @@ def _split(unknowns: np.ndarray, n: int):
 
 
 def residual(unknowns, p: StaticProblem, masses: bool = False):
-    """Rows 1..N: z_i minus the centroid of its midpoint cell; row N+1: the
-    constraint value (sum(z) - r by default).  With masses=True, returns
-    (residual, cell masses) from the same moment evaluation.
+    """Rows 1..N: z_i minus the centroid of its midpoint cell; row N+1:
+    sum(z) - r.  With masses=True, returns (residual, cell masses) from the
+    same moment evaluation.
 
     A candidate with unsorted, duplicate or out-of-domain centroids, an
     invalid free parameter or an empty cell raises InvalidCandidate."""
@@ -141,7 +132,7 @@ def residual(unknowns, p: StaticProblem, masses: bool = False):
     except (UnsortedGenerators, DuplicateGenerators, GeneratorOutOfDomain,
             InvalidParameterValue, EmptyCell) as exc:
         raise InvalidCandidate(str(exc)) from exc
-    f = np.concatenate((z - c, [p.constraint_value(z)]))
+    f = np.concatenate((z - c, [float(np.sum(z) - p.r)]))
     return (f, m0) if masses else f
 
 
@@ -226,26 +217,6 @@ def _fd_column(u: np.ndarray, f: np.ndarray, p: StaticProblem,
     return (fj - f) / h
 
 
-def _constraint_row(z: np.ndarray, h: np.ndarray, f_n: float,
-                    p: StaticProblem) -> np.ndarray:
-    """Forward differences of the constraint in each z_j by h[j], where f_n
-    is its value at z.  The default sum steps the diagonal of N copies of z
-    and sums each contiguous row, which keeps the pairwise order of the 1-D
-    sum, so each entry equals its single-column quotient bit for bit.  A
-    custom constraint is evaluated once per column."""
-    n = z.size
-    if p.constraint is None:
-        zs = np.tile(z, (n, 1))
-        zs.flat[::n + 1] += h
-        return (np.sum(zs, axis=1) - p.r - f_n) / h
-    out = np.empty(n)
-    for j in range(n):
-        zj = z.copy()
-        zj[j] += h[j]
-        out[j] = (p.constraint_value(zj) - f_n) / h[j]
-    return out
-
-
 def _fd_band(u: np.ndarray, f: np.ndarray, p: StaticProblem):
     """The forward-difference centroid block at u as the (3, N) band of
     solve_banded((1, 1), ...), and the constraint row, where
@@ -265,7 +236,12 @@ def _fd_band(u: np.ndarray, f: np.ndarray, p: StaticProblem):
     z = u[:n]
     h = FD_STEP * np.maximum(1.0, np.abs(z))
     band = np.zeros((3, n))
-    row = _constraint_row(z, h, f[n], p)
+    # The constraint row: N copies of z, copy j stepped in z_j, each summed
+    # in the pairwise order of the 1-D sum, so every entry is its
+    # single-column quotient bit for bit (which differs from 1).
+    zs = np.tile(z, (n, 1))
+    zs.flat[::n + 1] += h
+    row = (np.sum(zs, axis=1) - p.r - f[n]) / h
     for c in range(min(3, n)):
         cols = np.arange(c, n, 3)
         up = u.copy()
@@ -363,8 +339,8 @@ def _newton_step(u: np.ndarray, f: np.ndarray, m0: np.ndarray,
     from the centroid band, the free-parameter difference column and the
     constraint row.  Up to N_DENSE agents the band and row are differenced
     (4 residual evaluations) and the bordered matrix is solved densely, by
-    least squares if it is singular.  Above, the band is analytic, the
-    default row is exact ones, and _bordered_step solves in O(N)."""
+    least squares if it is singular.  Above, the band is analytic, the row
+    is exact ones, and _bordered_step solves in O(N)."""
     n = p.n_agents
     col = _fd_column(u, f, p, n)
     if n <= N_DENSE:
@@ -375,10 +351,7 @@ def _newton_step(u: np.ndarray, f: np.ndarray, m0: np.ndarray,
         except np.linalg.LinAlgError:
             logger.debug("singular matrix; least-squares step")
             return np.linalg.lstsq(jac, -f, rcond=None)[0]
-    z = u[:n]
-    row = (np.ones(n) if p.constraint is None else
-           _constraint_row(z, FD_STEP * np.maximum(1.0, np.abs(z)), f[n], p))
-    return _bordered_step(_tridiagonal(u, f, m0, p), col, row, f)
+    return _bordered_step(_tridiagonal(u, f, m0, p), col, np.ones(n), f)
 
 
 def solve(p: StaticProblem, init=None) -> StaticSolution:
@@ -452,8 +425,7 @@ def _package(u: np.ndarray, history: tuple,
                           residual_history=history)
 
 
-def cross_validate(sol: StaticSolution, p: StaticProblem,
-                   max_iter: int = 200_000) -> CrossValidationReport:
+def cross_validate(sol: StaticSolution, p: StaticProblem) -> CrossValidationReport:
     """Re-derive the tessellation with Lloyd's algorithm at the solved free
     parameter (default equally spaced start) and compare generators and sums.
 
@@ -462,11 +434,11 @@ def cross_validate(sol: StaticSolution, p: StaticProblem,
     is far below the comparison tolerance: the sum check needs the
     accumulated N-generator error under 1e-6.  A Lloyd run that stagnates on
     the noise floor before reaching CROSSVAL_LLOYD_TOL can still pass the
-    comparison; one cut off by max_iter never passes.
+    comparison; one cut off by tessellation.REFERENCE_MAX_ITER never passes.
     """
     d = bind_free_parameter(p.density, sol.v_k)
     t = tess.lloyd(tess.default_init(p.n_agents, p.domain), d, p.domain,
-                   tol=CROSSVAL_LLOYD_TOL, max_iter=max_iter)
+                   tol=CROSSVAL_LLOYD_TOL, max_iter=tess.REFERENCE_MAX_ITER)
     disc = float(np.max(np.abs(t.generators - sol.centroids)))
     sum_solver = float(np.sum(sol.centroids))
     sum_lloyd = float(np.sum(t.generators))

@@ -41,6 +41,9 @@ DUPLICATE_GAP_FRACTION = 1e-12
 # Default Lloyd stopping displacement, as a fraction of the domain width.
 LLOYD_TOL_FRACTION = 1e-10
 LLOYD_MAX_ITER = 10_000
+# Lloyd budget of the reference runs that check a result against Lloyd:
+# static_alloc.cross_validate and dynamic_alloc.verify_shift_property.
+REFERENCE_MAX_ITER = 200_000
 # Lloyd stops as stagnated once its max displacement has set no new minimum
 # for this many iterations: it has reached the floating-point noise floor of
 # the centroid map and further iterations only resample that noise.

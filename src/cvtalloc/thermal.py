@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import NonHurwitz, Uncontrollable
+from .errors import InvalidScenario, NonHurwitz, Uncontrollable
 
 __all__ = [
     "ThermalParams",
@@ -104,18 +104,17 @@ class ControllerGains:
     K_w: np.ndarray | None = None
 
 
-def sample_parameters(seed: int, k_variance: float = K_VARIANCE,
-                      c_variance: float = C_VARIANCE) -> ThermalParams:
-    """Draw the eight RC parameters from their normal distributions,
+def sample_parameters(seed: int) -> ThermalParams:
+    """Draw the eight RC parameters from normal distributions with the
+    K_MEANS and C_MEANS means and the K_VARIANCE and C_VARIANCE variances,
     redrawing any nonpositive value.  Deterministic per seed."""
     rng = np.random.default_rng(seed)
     values = []
-    for mean, var in [(m, k_variance) for m in K_MEANS] + \
-                     [(m, c_variance) for m in C_MEANS]:
-        sd = math.sqrt(var)
-        v = mean + sd * rng.standard_normal() if sd > 0 else mean
+    for mean, var in [(m, K_VARIANCE) for m in K_MEANS] + \
+                     [(m, C_VARIANCE) for m in C_MEANS]:
+        v = 0.0
         while v <= 0:
-            v = mean + sd * rng.standard_normal()
+            v = mean + math.sqrt(var) * rng.standard_normal()
         values.append(v)
     return ThermalParams(*values)
 
@@ -264,9 +263,33 @@ def synthetic_disturbance(horizon: int,
 def load_disturbance_csv(path, horizon: int,
                          ts_minutes: float = DEFAULT_TS_MINUTES) -> np.ndarray:
     """Read `time_min,outdoor_temp_F,solar_radiation_W` rows and linearly
-    interpolate onto the simulation grid."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
+    interpolate onto the simulation grid.
+
+    The file must have a header with those three columns, at least two
+    data rows and strictly increasing time_min, and every interpolated value
+    must be finite; otherwise InvalidScenario names `disturbance` and the
+    path."""
+    def invalid(why):
+        return InvalidScenario(f"disturbance {str(path)!r}: {why}")
+
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not any(line.strip() for line in lines):
+        raise invalid("the file is empty")
+    data = np.genfromtxt(lines, delimiter=",", names=True, ndmin=1)
+    columns = ("time_min", "outdoor_temp_F", "solar_radiation_W")
+    missing = [c for c in columns if c not in data.dtype.names]
+    if missing:
+        raise invalid(f"missing column(s) {', '.join(missing)}")
+    if data.size < 2:
+        raise invalid(f"needs at least two data rows, got {data.size}")
+    t = data["time_min"]
+    if not np.all(np.diff(t) > 0):
+        raise invalid("time_min must be finite and strictly increasing")
     t_grid = np.arange(horizon) * ts_minutes
-    outdoor = np.interp(t_grid, data["time_min"], data["outdoor_temp_F"])
-    solar = np.interp(t_grid, data["time_min"], data["solar_radiation_W"])
-    return np.column_stack([outdoor, solar])
+    w = np.column_stack([np.interp(t_grid, t, data["outdoor_temp_F"]),
+                         np.interp(t_grid, t, data["solar_radiation_W"])])
+    if not np.isfinite(w).all():
+        raise invalid("a blank or non-numeric cell gives non-finite values "
+                      "on the simulation grid")
+    return w

@@ -22,6 +22,23 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def assert_disturbance_error(tmp_path, capsys, text):
+    """dynamic-sim on the shipped scenario, 10 steps, with a disturbance CSV
+    holding text: exit 1 and an error naming disturbance and the path."""
+    csv_path = tmp_path / "weather.csv"
+    csv_path.write_text(text)
+    cfg = json.loads(SHIPPED.read_text())
+    cfg["disturbance"] = str(csv_path)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    rc = run_cli("dynamic-sim", "--config", str(path), "--horizon", "10",
+                 "--out", str(tmp_path / "x"))
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert err.startswith("error: disturbance") and str(csv_path) in err
+    assert not (tmp_path / "x").exists()
+
+
 class TestParsing:
     def test_valid_cvt_spec(self):
         parser = cli.build_parser()
@@ -65,6 +82,20 @@ class TestCvt:
         out = json.loads(capsys.readouterr().out)
         assert rc == 0 and out["stop_reason"] == "tol"
         assert 0.0 <= out["final_displacement"] < 1e-10 * 15
+
+    def test_budget_stop_exits_two(self, tmp_path, capsys):
+        # The file and the JSON are written first; only the exit code says
+        # that the run did not converge.
+        rc = run_cli("cvt", "--domain", "0,15", "--n", "3",
+                     "--density", '{"family":"gaussian","mu":7.5,"sigma2":9.0}',
+                     "--init", "2,8,13", "--max-iter", "2",
+                     "--out", str(tmp_path))
+        out = json.loads(capsys.readouterr().out)
+        assert rc == cli.EXIT_SOLVER
+        assert out["stop_reason"] == "budget" and out["iterations"] == 2
+        assert not out["converged"]
+        lines = (tmp_path / "generators.csv").read_text().splitlines()
+        assert len([ln for ln in lines if ln.startswith("2,")]) == 3
 
     def test_json_density_and_custom_init(self, tmp_path, capsys):
         rc = run_cli("cvt", "--domain", "0,15", "--n", "2",
@@ -230,19 +261,23 @@ class TestDynamicSim:
         assert "horizon" in capsys.readouterr().err
 
     def test_blank_disturbance_cell_exits_one(self, tmp_path, capsys):
-        csv_path = tmp_path / "weather.csv"
-        csv_path.write_text("time_min,outdoor_temp_F,solar_radiation_W\n"
-                            "0,70,0\n600,,100\n1440,75,\n")
-        cfg = json.loads(SHIPPED.read_text())
-        cfg["disturbance"] = str(csv_path)
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(cfg))
-        rc = run_cli("dynamic-sim", "--config", str(path), "--horizon", "10",
-                     "--out", str(tmp_path / "x"))
-        err = capsys.readouterr().err
-        assert rc == cli.EXIT_USAGE
-        assert err.startswith("error: disturbance") and str(csv_path) in err
-        assert not (tmp_path / "x").exists()
+        assert_disturbance_error(
+            tmp_path, capsys, "time_min,outdoor_temp_F,solar_radiation_W\n"
+            "0,70,0\n600,,100\n1440,75,\n")
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "time_min,outdoor_temp_F,solar_radiation_W\n",
+        "time_min,outdoor_temp_F,solar_radiation_W\n0,70,0\n",
+        "time_min,outdoor_temp_F\n0,70\n1440,75\n",
+        "time_min,outdoor_temp_F,solar_radiation_W\n"
+        "0,70,0\n1440,75,0\n600,90,100\n",
+        "time_min,outdoor_temp_F,solar_radiation_W\n0,70,0\n0,75,0\n",
+    ], ids=["empty", "header-only", "one-row", "missing-column", "unsorted",
+            "repeated-time"])
+    def test_malformed_disturbance_csv_exits_one(self, tmp_path, capsys,
+                                                 text):
+        assert_disturbance_error(tmp_path, capsys, text)
 
     def test_horizon_beyond_schedule_exits_one(self, tmp_path, capsys):
         rc = run_cli("dynamic-sim", "--config", str(SHIPPED), "--horizon",

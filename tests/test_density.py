@@ -1,5 +1,5 @@
-"""Density families: construction, closed-form interval moments, and the
-quadrature cross-check path."""
+"""Density families: construction, closed-form interval moments, and their
+agreement with the quadrature oracle of tests/quadrature.py."""
 
 import math
 
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadrature
 from cvtalloc import density as dens
 from cvtalloc.density import DensitySpec, Interval, bind_free_parameter
 from cvtalloc.errors import (
@@ -197,7 +198,7 @@ class TestAnalyticVsQuadrature:
         lo = rng.uniform(0.0, 9.0, size=n)
         hi = lo + rng.uniform(0.01, 6.0, size=n)
         a0, a1, a2 = dens.interval_moments(d, lo, hi)
-        q0, q1, q2 = dens.interval_moments(d, lo, hi, method="quadrature")
+        q0, q1, q2 = quadrature.interval_moments(d, lo, hi)
         assert np.max(np.abs(a0 - q0)) < 1e-10
         assert np.max(np.abs(a1 - q1)) < 1e-10
         assert np.max(np.abs(a2 - q2)) < 1e-10
@@ -207,9 +208,18 @@ class TestAnalyticVsQuadrature:
         # must agree with quadrature in relative terms there.
         d = DensitySpec("gaussian", {"mu": 0.0, "sigma2": 1.0})
         m_a = dens.mass(d, Interval(8.0, 9.0))
-        m_q = dens.mass(d, Interval(8.0, 9.0), method="quadrature")
+        m_q = quadrature.moment_quadrature(d, 8.0, 9.0, 0)
         assert m_a > 0
         assert m_a == pytest.approx(m_q, rel=1e-8)
+
+    def test_oracle_fails_loudly(self, monkeypatch):
+        # With one subinterval quad cannot reach the tolerances; the oracle
+        # raises rather than return its estimate.
+        monkeypatch.setattr(quadrature, "QUAD_LIMIT", 1)
+        d = DensitySpec("gaussian", {"mu": 0.0, "sigma2": 1.0})
+        with pytest.raises(quadrature.QuadratureNonConvergence,
+                           match="quadrature failed"):
+            quadrature.moment_quadrature(d, -30.0, 30.0, 2)
 
 
 class TestMomentOrder:

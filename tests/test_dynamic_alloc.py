@@ -1,6 +1,8 @@
 """Dynamic allocation: the one-step shift, mean-shift verification, the
 resource order, and the civility swap protocol."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,17 @@ class TestVerifyShiftProperty:
                                            delta=2.0, tol=1e-7)
         assert report.passed
         assert report.max_deviation < 1e-7
+
+    def test_one_debug_record(self, caplog):
+        d = DensitySpec("gaussian", {"mu": 50.0, "sigma2": 4.0})
+        with caplog.at_level(logging.DEBUG, logger="cvtalloc.dynamic_alloc"):
+            report = dyn.verify_shift_property(d, Domain1D(0.0, 100.0), n=3,
+                                               delta=2.0, tol=1e-7)
+        records = [r for r in caplog.records
+                   if r.name == "cvtalloc.dynamic_alloc"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        assert records[0].args == (3, 2.0, report.max_deviation)
 
     def test_zero_delta(self):
         d = DensitySpec("gaussian", {"mu": 50.0, "sigma2": 4.0})

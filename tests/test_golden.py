@@ -19,6 +19,7 @@ count, so those goldens hold on any host.
 import hashlib
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -75,6 +76,15 @@ def output_hashes(config: dict, tmp_path: Path) -> dict:
 ], ids=["shipped", "fleet-240", "shipped-rounds3"])
 def test_dynamic_sim_outputs_match_golden_hashes(config, golden, tmp_path):
     assert output_hashes(config(), tmp_path) == json.loads(golden.read_text())
+
+
+def test_debug_logging_leaves_outputs_unchanged(tmp_path, caplog):
+    # Every cvtalloc logger at DEBUG: the six files keep their golden bytes.
+    with caplog.at_level(logging.DEBUG, logger="cvtalloc"):
+        hashes = output_hashes(json.loads(SHIPPED.read_text()), tmp_path)
+    assert any(r.name == "cvtalloc.sim" for r in caplog.records)
+    assert hashes == json.loads(
+        (ROOT / "bench" / "golden_shipped.json").read_text())
 
 
 def static_problems(acceptance3_problems):

@@ -1,12 +1,14 @@
 """Demand-response simulation orchestration."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
 from test_golden import SHIPPED, fleet_config
 
 from cvtalloc import sim
+from cvtalloc import static_alloc as sa
 from cvtalloc import thermal as th
 from cvtalloc.density import DensitySpec
 from cvtalloc.tessellation import Domain1D
@@ -53,6 +55,19 @@ class TestScenario:
 
 
 class TestInitialize:
+    def test_one_debug_record_per_run(self, caplog):
+        # One record from initialize with N, the horizon and the static
+        # solve's Newton iterations and residual; none per step or agent.
+        sc = small_scenario()
+        with caplog.at_level(logging.DEBUG, logger="cvtalloc.sim"):
+            sim.run(sc)
+        records = [r for r in caplog.records if r.name == "cvtalloc.sim"]
+        sol = sa.solve(sa.StaticProblem(sc.domain, sc.n_agents, sc.density,
+                                        sc.power_schedule[0]))
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        assert records[0].args == (5, 20, sol.iterations, sol.residual_norm)
+
     def test_initial_sum_matches_schedule(self):
         st = sim.initialize(small_scenario())
         assert sum(st.alloc.resources) == pytest.approx(
@@ -216,7 +231,7 @@ class TestMetrics:
 class TestBaselineSchedule:
     def test_length_and_floor(self):
         sc = small_scenario()
-        sched = sim.baseline_power_schedule(sc, floor_per_agent=50.0)
+        sched = sim.baseline_power_schedule(sc)
         assert len(sched) == sc.horizon
         assert min(sched) >= 50.0 * sc.n_agents
 

@@ -64,11 +64,6 @@ class TestStaticProblem:
         with pytest.raises(ValueError):
             StaticProblem(domain=DOM_100, n_agents=10, density=d, r=500.0)
 
-    def test_pluggable_constraint(self):
-        p = StaticProblem(domain=DOM_100, n_agents=3, density=GAUSS_FREE_MU,
-                          r=150.0, constraint=lambda z: float(z[0] - 10.0))
-        assert p.constraint_value(np.array([10.0, 50.0, 60.0])) == 0.0
-
 
 class TestResidual:
     def test_zero_at_exact_solution(self):
@@ -110,15 +105,8 @@ class TestFdJacobian:
         assert np.array_equal(fd_jacobian(u, f, p), oracle_jacobian(u, f, p))
 
     def test_equals_oracle_at_large_n(self):
-        # The default constraint row sums N stepped rows at once.
+        # The constraint row sums N stepped rows at once.
         p = StaticProblem(DOM_100, 800, WIDE_GAUSS_FREE_MU, 800 * 30.0)
-        u = sa.default_initial_guess(p)
-        f = sa.residual(u, p)
-        assert np.array_equal(fd_jacobian(u, f, p), oracle_jacobian(u, f, p))
-
-    def test_equals_oracle_with_pluggable_constraint(self):
-        p = StaticProblem(DOM_100, 7, WIDE_GAUSS_FREE_MU, 350.0,
-                          constraint=lambda z: float(np.sum(z * z) - 2e4))
         u = sa.default_initial_guess(p)
         f = sa.residual(u, p)
         assert np.array_equal(fd_jacobian(u, f, p), oracle_jacobian(u, f, p))
@@ -212,20 +200,6 @@ class TestBandedStep:
         assert (np.max(np.abs(banded.centroids - dense.centroids))
                 < 1e-8 * DOM_100.width)
         assert banded.v_k == pytest.approx(dense.v_k, rel=1e-8)
-
-    def test_pluggable_constraint_converges_to_dense_solution(
-            self, monkeypatch):
-        # The same sum constraint, differenced column by column through
-        # constraint_value instead of the exact row of ones.
-        n = 80
-        p = StaticProblem(DOM_100, n, WIDE_GAUSS_FREE_MU, 30.0 * n,
-                          constraint=lambda z: float(np.sum(z) - 30.0 * n))
-        banded = sa.solve(p)
-        monkeypatch.setattr(sa, "N_DENSE", n)
-        dense = sa.solve(p)
-        assert (np.max(np.abs(banded.centroids - dense.centroids))
-                < 1e-8 * DOM_100.width)
-        assert abs(np.sum(banded.centroids) - p.r) < 1e-6
 
     def test_at_most_two_residual_evaluations(self, monkeypatch):
         p = StaticProblem(DOM_100, 200, WIDE_GAUSS_FREE_MU, 200 * 30.0)
@@ -452,12 +426,13 @@ class TestCrossValidate:
                 assert report.lloyd_stop == "tol", label
                 assert report.lloyd_converged, label
 
-    def test_budget_stop_never_passes(self):
+    def test_budget_stop_never_passes(self, monkeypatch):
         # At 3000 iterations Lloyd is already within every comparison gate,
         # but a run cut off by its budget is not accepted.
         p = StaticProblem(domain=DOM_100, n_agents=50,
                           density=GAUSS_FREE_MU, r=2500.0)
-        report = sa.cross_validate(sa.solve(p), p, max_iter=3000)
+        monkeypatch.setattr(tess, "REFERENCE_MAX_ITER", 3000)
+        report = sa.cross_validate(sa.solve(p), p)
         assert report.lloyd_stop == "budget"
         assert report.lloyd_iterations == 3000
         assert report.max_discrepancy < 1e-6 * DOM_100.width

@@ -12,10 +12,6 @@ class TestSampleParameters:
     def test_determinism(self):
         assert th.sample_parameters(7) == th.sample_parameters(7)
 
-    def test_variance_zero_gives_means(self):
-        p = th.sample_parameters(0, k_variance=0.0, c_variance=0.0)
-        assert p == ThermalParams.means()
-
     def test_statistical_mean(self):
         draws = [th.sample_parameters(s).K1 for s in range(1000)]
         assert np.mean(draws) == pytest.approx(16.48, abs=0.05)
