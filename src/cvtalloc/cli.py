@@ -248,8 +248,9 @@ def _cmd_dynamic_sim(args) -> int:
         json.dump(report.to_dict(), fh, indent=2)
     _write_plot_data(trace, out)
     if args.diagnostics is not None:
-        # run_s covers the initial static solve and every step; write_s
-        # the metrics and the six output files.
+        # run_s covers the initial static solve, the fleet build and every
+        # step (initialize_s the first two); write_s the metrics and the
+        # six output files.
         diag = {**sim.diagnostics(trace), "run_s": t1 - t0,
                 "write_s": time.perf_counter() - t1}
         path = Path(args.diagnostics)

@@ -34,8 +34,6 @@ __all__ = ["Scenario", "SimState", "TraceLog", "MetricsReport",
 _FMT = "%.15g"  # numeric CSV formatting, 15 significant digits
 # The parts of a step whose wall time TraceLog.phase_s sums.
 PHASES = ("shift", "control", "negotiate", "plant", "trace")
-# baseline_power_schedule's least total power per agent, watts.
-BASELINE_FLOOR_PER_AGENT = 50.0
 
 logger = logging.getLogger(__name__)
 
@@ -108,6 +106,10 @@ class Scenario:
                 raise InvalidScenario(
                     f"setpoint_changes: the new setpoint at step {when} for "
                     f"agent {agent} must be a finite number, got {value!r}")
+        if len(self.poles) != 3:
+            raise InvalidScenario(
+                f"poles must have exactly three entries, one per plant "
+                f"state, got {len(self.poles)}")
         if not all(abs(pole) < 1.0 for pole in self.poles):
             raise InvalidScenario(
                 f"poles must lie strictly inside the unit circle for a "
@@ -149,9 +151,11 @@ class Scenario:
 class SimState:
     """The fleet before step k.  ``gains`` holds the controller arrays
     stacked by agent (K_fb (N, 3), N_r (N,), setpoint (N,), K_w (N, 2)), ``X``
-    the plant states (N, 3) and ``models`` each agent's DiscreteModel.  A
-    setpoint change replaces ``gains.setpoint`` with a new array; no array
-    is written in place, so a trace may keep the one it was given."""
+    the plant states (N, 3) and ``models`` each agent's DiscreteModel, a
+    view of the fleet's one stacked discretization; the plant steps one
+    agent at a time.  A setpoint change replaces ``gains.setpoint`` with a
+    new array; no array is written in place, so a trace may keep the one
+    it was given."""
 
     scenario: Scenario
     alloc: AllocationState
@@ -184,8 +188,9 @@ class TraceLog:
     ``constraint_error`` one float per step; ``swaps`` one (S, 4) array per
     step, a row per swap in execution order: proposer, target and their
     resources before the round, agent ids stored as floats.  ``phase_s``
-    sums the wall seconds of each step phase; only :func:`diagnostics`
-    reads it, never the deterministic files.
+    sums the wall seconds of each step phase and ``initialize_s`` those of
+    :func:`initialize` in :func:`run`; only :func:`diagnostics` reads them,
+    never the deterministic files.
     """
 
     n_agents: int
@@ -199,6 +204,7 @@ class TraceLog:
     constraint_error: list = field(default_factory=list)
     swaps: list = field(default_factory=list)
     phase_s: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
+    initialize_s: float = 0.0
 
     def write_trace_csv(self, path) -> None:
         """One row per step and agent; each step is one %-template filled
@@ -278,49 +284,26 @@ def initialize(sc: Scenario) -> SimState:
 
 
 def _build_fleet(sc: Scenario, disturbances: np.ndarray):
-    """Seeded per-agent plant models, and the gains and plant states stacked
-    by agent, each plant started at the steady state consistent with the
-    initial disturbance and its agent's setpoint."""
-    setpoints = sc.setpoints or (72.0,) * sc.n_agents
-    models, gains, states = [], [], []
-    for i, setpoint in enumerate(setpoints):
-        params = th.sample_parameters(sc.seed * 100_003 + i)
-        dm = th.discretize_zoh(th.build_continuous_model(params), sc.ts_minutes)
-        models.append(dm)
-        gains.append(th.design_controller(dm, sc.poles, setpoint))
-        states.append(th.equilibrium_state(dm, disturbances[0], setpoint)[0])
-    stacked = th.ControllerGains(
-        K_fb=np.vstack([g.K_fb for g in gains]),
-        N_r=np.array([g.N_r for g in gains]),
-        setpoint=np.array([g.setpoint for g in gains]),
-        K_w=np.vstack([g.K_w for g in gains]))
-    return models, stacked, np.array(states)
+    """Seeded plant models, and the gains and plant states stacked by agent,
+    each plant started at the steady state consistent with the initial
+    disturbance and its agent's setpoint.  Each agent draws its parameters
+    from its own seed; the model, discretization, pole placement and
+    equilibrium then run once for the whole fleet."""
+    setpoints = np.array(sc.setpoints or (72.0,) * sc.n_agents, dtype=float)
+    params = th.ThermalParams.stack(
+        th.sample_parameters(sc.seed * 100_003 + i) for i in range(sc.n_agents))
+    fleet = th.discretize_zoh(th.build_continuous_model(params), sc.ts_minutes)
+    gains = th.design_controller(fleet, sc.poles, setpoints)
+    X, _ = th.equilibrium_state(fleet, disturbances[0], setpoints)
+    models = [th.DiscreteModel(Ad=Ad, Bd=Bd, Gd=Gd, Ts=fleet.Ts)
+              for Ad, Bd, Gd in zip(fleet.Ad, fleet.Bd, fleet.Gd)]
+    return models, gains, X
 
 
 def _step_plants(X, applied, w, models) -> np.ndarray:
     """Every agent's plant one step on: the states stacked again."""
     return np.array([th.step_plant(x, u, w, dm)[0]
                      for x, u, dm in zip(X, applied.tolist(), models)])
-
-
-def baseline_power_schedule(sc: Scenario):
-    """Total power the fleet would draw if every agent applied its own
-    desired power (no allocation constraint), but at least
-    BASELINE_FLOOR_PER_AGENT per agent: a demand forecast suitable as the
-    scenario's r(k) schedule.
-
-    sc.power_schedule is ignored here apart from its length; the returned
-    tuple can be fed back into a new Scenario.
-    """
-    disturbances = _build_disturbances(sc)
-    models, gains, X = _build_fleet(sc, disturbances)
-    totals = []
-    for w in disturbances:
-        u = th.desired_power(gains, X, w)
-        X = _step_plants(X, u, w, models)
-        totals.append(max(sum(np.abs(u).tolist()),
-                          sc.n_agents * BASELINE_FLOOR_PER_AGENT))
-    return tuple(totals)
 
 
 def step(st: SimState, k: int, trace: TraceLog) -> SimState:
@@ -387,8 +370,10 @@ def step(st: SimState, k: int, trace: TraceLog) -> SimState:
 
 def run(sc: Scenario) -> TraceLog:
     """Initialize and execute the full horizon; deterministic per seed."""
+    t0 = time.perf_counter()
     st = initialize(sc)
-    trace = TraceLog(n_agents=sc.n_agents)
+    trace = TraceLog(n_agents=sc.n_agents,
+                     initialize_s=time.perf_counter() - t0)
     for k in range(sc.horizon):
         step(st, k, trace)
     return trace
@@ -424,15 +409,17 @@ def metrics(t: TraceLog) -> MetricsReport:
 
 
 def diagnostics(t: TraceLog) -> dict:
-    """Why a run took as long as it did and how it ended: wall seconds per
-    step phase, swaps per step and the largest constraint error.  The wall
-    times differ from run to run; the deterministic files never hold them."""
+    """Why a run took as long as it did and how it ended: wall seconds of
+    the set-up and of each step phase, swaps per step and the largest
+    constraint error.  The wall times differ from run to run; the
+    deterministic files never hold them."""
     if not t.r:
         raise ValueError("empty trace")
     swaps = [len(s) for s in t.swaps]
     return {
         "steps": len(t.r),
         "n_agents": t.n_agents,
+        "initialize_s": t.initialize_s,
         "phase_s": dict(t.phase_s),
         "swaps_per_step": swaps,
         "total_swaps": sum(swaps),

@@ -217,6 +217,7 @@ class TestDynamicSim:
         ({"setpoints": [70.0, float("nan"), 73.0, 74.0]}, "setpoints"),
         ({"setpoint_changes": [[5, 0, float("inf")]]}, "setpoint_changes"),
         ({"poles": [1.5, 0.85, 0.9]}, "poles"),
+        ({"poles": [0.8, 0.9]}, "poles must have exactly three entries"),
         ({"n_agents": DROP}, "missing required key 'n_agents'"),
         ({"density": {"mu": "free", "sigma2": 900.0}},
          "density: density spec is missing 'family'"),
@@ -232,6 +233,7 @@ class TestDynamicSim:
             "domain-three-values", "schedule-not-list", "setpoints-not-list",
             "changes-not-list", "poles-not-list", "density-not-object",
             "setpoint-nan", "setpoint-change-inf", "pole-outside-unit-circle",
+            "poles-two",
             "missing-key", "density-no-family", "ts-nan", "ts-inf", "ts-zero",
             "ts-negative", "seed-negative"])
     def test_invalid_scenario_exits_one(self, tmp_path, config_path, capsys,
@@ -279,6 +281,28 @@ class TestDynamicSim:
                                                  text):
         assert_disturbance_error(tmp_path, capsys, text)
 
+    @pytest.mark.parametrize("rows", ["0,70,0\n60,90,100\n",
+                                      "10,70,0\n1440,90,100\n"],
+                             ids=["ends-early", "starts-late"])
+    def test_disturbance_short_of_the_horizon_exits_one(self, tmp_path,
+                                                        capsys, rows):
+        # Ten steps of 10 minutes need time_min to span [0, 90]; the last
+        # (or first) row is not held past the end of the file.
+        assert_disturbance_error(
+            tmp_path, capsys,
+            "time_min,outdoor_temp_F,solar_radiation_W\n" + rows)
+
+    def test_disturbance_spanning_the_horizon_runs(self, tmp_path, capsys):
+        csv_path = tmp_path / "weather.csv"
+        csv_path.write_text("time_min,outdoor_temp_F,solar_radiation_W\n"
+                            "0,70,0\n90,90,100\n")
+        cfg = json.loads(SHIPPED.read_text())
+        cfg["disturbance"] = str(csv_path)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("dynamic-sim", "--config", str(path), "--horizon", "10",
+                       "--out", str(tmp_path / "x")) == cli.EXIT_OK
+
     def test_horizon_beyond_schedule_exits_one(self, tmp_path, capsys):
         rc = run_cli("dynamic-sim", "--config", str(SHIPPED), "--horizon",
                      "200", "--out", str(tmp_path / "x"))
@@ -305,6 +329,7 @@ class TestDynamicSim:
         assert set(report["phase_s"]) == set(sim.PHASES)
         assert all(t >= 0.0 for t in report["phase_s"].values())
         assert sum(report["phase_s"].values()) <= report["run_s"]
+        assert 0.0 <= report["initialize_s"] <= report["run_s"]
         assert report["write_s"] >= 0.0
         assert report["steps"] == len(report["swaps_per_step"]) == 144
         assert sum(report["swaps_per_step"]) == report["total_swaps"] \

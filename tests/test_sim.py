@@ -11,6 +11,7 @@ from cvtalloc import sim
 from cvtalloc import static_alloc as sa
 from cvtalloc import thermal as th
 from cvtalloc.density import DensitySpec
+from cvtalloc.errors import InvalidScenario
 from cvtalloc.tessellation import Domain1D
 
 
@@ -52,6 +53,13 @@ class TestScenario:
         }
         sc = sim.Scenario.from_config(cfg)
         assert sc == small_scenario(setpoint_changes=((5, 0, 60.0),))
+
+    @pytest.mark.parametrize("poles", [[0.8, 0.9], [0.8, 0.85, 0.9, 0.95]])
+    def test_poles_need_exactly_three(self, poles):
+        cfg = json.loads(SHIPPED.read_text())
+        with pytest.raises(InvalidScenario, match="poles must have exactly "
+                           f"three entries, one per plant state, got {len(poles)}"):
+            sim.Scenario.from_config({**cfg, "poles": poles})
 
 
 class TestInitialize:
@@ -202,6 +210,50 @@ class TestStackedControl:
             assert u == per_agent_law(g, st.X, w)[i]
 
 
+def seeded(config, seed):
+    return lambda: {**config(), "seed": seed}
+
+
+class TestStackedSetUp:
+    @pytest.mark.parametrize("config", [
+        lambda: json.loads(SHIPPED.read_text()),
+        lambda: fleet_config(240),
+        seeded(lambda: fleet_config(240), 3),
+    ], ids=["shipped", "fleet-240", "fleet-240-seed-3"])
+    def test_stacked_calls_equal_per_agent_calls(self, config):
+        """The model, discretization, pole placement and equilibrium, each
+        called once for the whole fleet, give every agent bit for bit the
+        arrays of its own one-agent call, and initialize hands them on."""
+        sc = sim.Scenario.from_config(config())
+        st = sim.initialize(sc)
+        w0 = st.disturbances[0]
+        setpoints = np.array(sc.setpoints or (72.0,) * sc.n_agents)
+        params = [th.sample_parameters(sc.seed * 100_003 + i)
+                  for i in range(sc.n_agents)]
+        cm = th.build_continuous_model(th.ThermalParams.stack(params))
+        dm = th.discretize_zoh(cm, sc.ts_minutes)
+        g = th.design_controller(dm, sc.poles, setpoints)
+        X, u = th.equilibrium_state(dm, w0, setpoints)
+        assert dm.Ad.shape == (sc.n_agents, 3, 3) and X.shape == (sc.n_agents, 3)
+        for i, (p, setpoint) in enumerate(zip(params, setpoints)):
+            cm_i = th.build_continuous_model(p)
+            dm_i = th.discretize_zoh(cm_i, sc.ts_minutes)
+            g_i = th.design_controller(dm_i, sc.poles, setpoint)
+            x_i, u_i = th.equilibrium_state(dm_i, w0, setpoint)
+            pairs = [(cm.A[i], cm_i.A), (cm.B[i], cm_i.B), (cm.G[i], cm_i.G),
+                     (dm.Ad[i], dm_i.Ad), (dm.Bd[i], dm_i.Bd),
+                     (dm.Gd[i], dm_i.Gd), (g.K_fb[i], g_i.K_fb[0]),
+                     (g.K_w[i], g_i.K_w[0]), (g.N_r[i], g_i.N_r),
+                     (g.setpoint[i], g_i.setpoint), (X[i], x_i), (u[i], u_i),
+                     (st.models[i].Ad, dm_i.Ad), (st.models[i].Bd, dm_i.Bd),
+                     (st.models[i].Gd, dm_i.Gd)]
+            for stacked, one in pairs:
+                assert np.array_equal(stacked, one), i
+        for name in ("K_fb", "N_r", "setpoint", "K_w"):
+            assert np.array_equal(getattr(st.gains, name), getattr(g, name))
+        assert np.array_equal(st.X, X)
+
+
 class TestMetrics:
     def test_l2_error_small(self):
         report = sim.metrics(sim.run(small_scenario()))
@@ -227,18 +279,3 @@ class TestMetrics:
         with pytest.raises(ValueError):
             sim.metrics(sim.TraceLog(n_agents=2))
 
-
-class TestBaselineSchedule:
-    def test_length_and_floor(self):
-        sc = small_scenario()
-        sched = sim.baseline_power_schedule(sc)
-        assert len(sched) == sc.horizon
-        assert min(sched) >= 50.0 * sc.n_agents
-
-    def test_usable_as_schedule(self):
-        sc = small_scenario()
-        sched = sim.baseline_power_schedule(sc)
-        from dataclasses import replace
-        sc2 = replace(sc, power_schedule=sched)
-        trace = sim.run(sc2)
-        assert len(trace.r) == sc.horizon

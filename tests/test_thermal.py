@@ -1,10 +1,12 @@
 """RC thermal plant, ZOH discretization, and pole-placement control."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cvtalloc import thermal as th
-from cvtalloc.errors import Uncontrollable
+from cvtalloc.errors import NonHurwitz, Uncontrollable
 from cvtalloc.thermal import ThermalParams
 
 
@@ -140,6 +142,46 @@ class TestController:
             th.design_controller(dm)
 
 
+# Positive RC parameters whose A is not Hurwitz: a strong K1 into a light
+# envelope with almost no path out of it.
+UNSTABLE = ThermalParams(100.0, 1.0, 0.1, 0.1, 0.001, 0.01, 10.0, 10.0)
+
+
+class TestStackedFleet:
+    def test_one_agent_is_a_fleet_of_one(self, dm):
+        """A one-agent call has the one-agent shapes and the values of the
+        same agent stacked as a fleet of one."""
+        means = ThermalParams.means()
+        one = th.discretize_zoh(th.build_continuous_model(
+            ThermalParams.stack([means])))
+        assert one.Ad.shape == (1, 3, 3) and dm.Ad.shape == (3, 3)
+        g, g1 = th.design_controller(dm), th.design_controller(one)
+        assert isinstance(g.N_r, float) and isinstance(g.setpoint, float)
+        assert g.K_fb.shape == g1.K_fb.shape == (1, 3)
+        assert g.K_w.shape == g1.K_w.shape == (1, 2)
+        assert np.array_equal(g.K_fb, g1.K_fb) and np.array_equal(g.K_w, g1.K_w)
+        assert g1.N_r.tolist() == [g.N_r] and g1.setpoint.tolist() == [72.0]
+        w = np.array([85.0, 300.0])
+        x, u = th.equilibrium_state(dm, w, 72.0)
+        x1, u1 = th.equilibrium_state(one, w, [72.0])
+        assert x.shape == (3,) and isinstance(u, float)
+        assert np.array_equal(x1, x[None]) and u1.tolist() == [u]
+
+    def test_non_hurwitz_names_the_first_agent(self):
+        means = ThermalParams.means()
+        params = ThermalParams.stack([means, means, UNSTABLE, means, UNSTABLE])
+        with pytest.raises(NonHurwitz, match="^agent 2: A has an eigenvalue"):
+            th.build_continuous_model(params)
+
+    def test_uncontrollable_names_the_first_agent(self):
+        fleet = th.discretize_zoh(th.build_continuous_model(
+            ThermalParams.stack([ThermalParams.means()] * 4)))
+        Bd = fleet.Bd.copy()
+        Bd[[1, 3]] = 0.0
+        with pytest.raises(Uncontrollable, match="^agent 1: .* rank deficient"):
+            th.design_controller(replace(fleet, Bd=Bd))
+
+
 class TestDesiredPowerAndEquilibrium:
     def test_zero_gains_zero_power(self):
         g = th.ControllerGains(K_fb=np.zeros((1, 3)), N_r=0.0, setpoint=72.0)
@@ -147,7 +189,6 @@ class TestDesiredPowerAndEquilibrium:
 
     def test_setpoint_raise_increases_power(self, dm):
         g = th.design_controller(dm, setpoint=72.0)
-        from dataclasses import replace
         g_hot = replace(g, setpoint=75.0)
         x = np.full(3, 72.0)
         assert th.desired_power(g_hot, x) > th.desired_power(g, x)
