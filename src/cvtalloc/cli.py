@@ -125,6 +125,23 @@ def build_parser() -> argparse.ArgumentParser:
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
+def _write_generators_csv(path, history, boundaries) -> None:
+    """One row per iterate and generator, then one per final boundary.
+    Each iterate is one %-template, with the generator index written into
+    it once, filled from (iteration, z_i) interleaved."""
+    n = len(boundaries) - 1
+    row = "".join(f"%d,{i},{_FMT}\n" for i in range(n))
+    values = [0] * (2 * n)
+    with open(path, "w", newline="") as fh:
+        fh.write("iter,i,z_i\n")
+        for it, z in enumerate(history):
+            values[0::2] = [it] * n
+            values[1::2] = z.tolist()
+            fh.write(row % tuple(values))
+        fh.write("".join(f"boundary,{i},{_FMT}\n" for i in range(n + 1))
+                 % tuple(boundaries.tolist()))
+
+
 def _cmd_cvt(args) -> int:
     dom = _parse_domain(args.domain)
     d = _parse_density(args.density, dom)
@@ -135,13 +152,7 @@ def _cmd_cvt(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "generators.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write("iter,i,z_i\n")
-        for it, z in enumerate(history):
-            for i, zi in enumerate(z):
-                fh.write(f"{it},{i},{_FMT % zi}\n")
-        for i, b in enumerate(t.boundaries):
-            fh.write(f"boundary,{i},{_FMT % b}\n")
+    _write_generators_csv(path, history, t.boundaries)
     print(json.dumps({
         "generators": [float(z) for z in t.generators],
         "energy": t.energy,

@@ -218,7 +218,9 @@ def bind_free_parameter(d: DensitySpec, value: float) -> DensitySpec:
 # Closed-form moments: per-point terms, differenced per interval.  A cell's
 # moments are differences of terms at its two ends, so a tessellation needs
 # the terms once per boundary, not twice.  Callers wrap both steps in one
-# np.errstate that ignores over- and underflow.
+# np.errstate that ignores over- and underflow: interval_moments and
+# cell_centroids once per call, and tessellation.lloyd once per run around
+# its whole loop of _cell_centroids calls.
 # ---------------------------------------------------------------------------
 
 def _terms(d: DensitySpec, x, order: int) -> tuple:
@@ -359,21 +361,47 @@ def cell_centroids(d: DensitySpec, m, masses: bool = False):
 
     Analytic moments evaluate each boundary's terms once and difference
     them per cell, with the same values as interval_moments over each cell.
+    The empty-cell rule is checked exactly, but per cell only when some
+    cell is near empty.  This wrapper checks d and m and opens the
+    np.errstate; the work is _cell_centroids, which tessellation.lloyd
+    calls directly, inside one errstate per run.
     """
     _require_bound(d)
     m = np.asarray(m, dtype=float)
-    lo, hi = m[:-1], m[1:]
     # One errstate for the moments and the widths, which overflow or are
     # NaN only for cells with an infinite end.
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        t = _terms(d, m, 1)
-        m0, m1 = _combine(d, [a[:-1] for a in t], [a[1:] for a in t], 1)
-        bad = m0 <= mass_floor(hi - lo)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise EmptyCell(f"cell {i} = [{lo[i]}, {hi[i]}] has mass {m0[i]:g}")
-    c = np.minimum(np.maximum(m1 / m0, lo), hi)
+        c, m0 = _cell_centroids(d, m)
     return (c, m0) if masses else c
+
+
+def _cell_centroids(d: DensitySpec, m: np.ndarray) -> tuple:
+    """(centroids, m0) of the cells between boundaries m under the bound d,
+    for a caller that has checked d and holds an np.errstate ignoring over-,
+    underflow and invalid values.
+
+    The empty-cell rule costs two reductions when no cell is near empty:
+    every cell's mass_floor is at most 1e-300 * max(largest width, 1), so a
+    least mass above that bound means no cell is empty.  A NaN or infinite
+    width makes the bound NaN or infinite and a NaN mass makes the least
+    mass NaN; the comparison is then false, as it is when some mass is
+    small, and the full per-cell rule decides.
+    """
+    lo, hi = m[:-1], m[1:]
+    t = _terms(d, m, 1)
+    m0, m1 = _combine(d, [a[:-1] for a in t], [a[1:] for a in t], 1)
+    width = hi - lo
+    if not (m0.min(initial=np.inf)
+            > 1e-300 * np.maximum.reduce(width, initial=1.0)):
+        bad = m0 <= mass_floor(width)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise EmptyCell(f"cell {i} = [{lo[i]}, {hi[i]}] has mass {m0[i]:g}")
+    # m1 is a fresh array from _combine: the centroids take its place.
+    c = np.divide(m1, m0, out=m1)
+    np.maximum(c, lo, out=c)
+    np.minimum(c, hi, out=c)
+    return c, m0
 
 
 def centroid(d: DensitySpec, iv: Interval) -> float:

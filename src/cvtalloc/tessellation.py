@@ -117,8 +117,9 @@ def _validate_generators(generators, dom: Domain1D) -> np.ndarray:
     return z
 
 
-def _midpoint_boundaries(z: np.ndarray, dom: Domain1D) -> np.ndarray:
-    m = np.empty(z.size + 1)
+def _midpoint_boundaries(z: np.ndarray, dom: Domain1D,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    m = np.empty(z.size + 1) if out is None else out
     m[0], m[-1] = dom.a, dom.b
     np.add(z[:-1], z[1:], out=m[1:-1])
     m[1:-1] *= 0.5
@@ -194,6 +195,11 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     only a "tol" stop has converged=True.  Each call logs one DEBUG record
     with the stop reason, the iteration count and the final displacement.
 
+    d is checked and one np.errstate opened once per run, not once per
+    iteration; each iteration calls density._cell_centroids, whose
+    empty-cell check runs per cell only when some cell is near empty, and
+    the displacement and the boundaries are written into reused buffers.
+
     Returns the Tessellation, or (Tessellation, history) when
     record_history is true; history holds the generator array per iterate,
     including the initial one.
@@ -206,25 +212,29 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     z = _validate_generators(init, dom)
     m = _midpoint_boundaries(z, dom)
+    dens._require_bound(d)
     history = [z.copy()] if record_history else None
     stop_reason = "budget"
     iterations, moved = 0, 0.0
     least_moved, least_at = np.inf, 0
-    for iterations in range(1, max_iter + 1):
-        z_new = dens.cell_centroids(d, m)
-        if record_history:
-            history.append(z_new.copy())
-        moved = float(np.max(np.abs(z_new - z)))
-        z = z_new
-        m = _midpoint_boundaries(z, dom)
-        if moved < tol:
-            stop_reason = "tol"
-            break
-        if moved < least_moved:
-            least_moved, least_at = moved, iterations
-        elif iterations - least_at >= LLOYD_STALL_WINDOW:
-            stop_reason = "stagnated"
-            break
+    diff = np.empty_like(z)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for iterations in range(1, max_iter + 1):
+            z_new, _ = dens._cell_centroids(d, m)
+            if record_history:
+                history.append(z_new.copy())
+            moved = float(np.abs(np.subtract(z_new, z, out=diff),
+                                 out=diff).max())
+            z = z_new
+            m = _midpoint_boundaries(z, dom, out=m)
+            if moved < tol:
+                stop_reason = "tol"
+                break
+            if moved < least_moved:
+                least_moved, least_at = moved, iterations
+            elif iterations - least_at >= LLOYD_STALL_WINDOW:
+                stop_reason = "stagnated"
+                break
     logger.debug("N = %d: Lloyd stopped on %s after %d iterations, final "
                  "displacement %.3g", z.size, stop_reason, iterations, moved)
     t = Tessellation(generators=z, boundaries=m,

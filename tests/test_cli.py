@@ -10,6 +10,8 @@ import pytest
 
 from cvtalloc import cli, sim
 from cvtalloc import static_alloc as sa
+from cvtalloc import tessellation as tess
+from cvtalloc.density import DensitySpec
 from cvtalloc.errors import SolverDiverged
 
 SHIPPED = Path(__file__).resolve().parent.parent / "scenarios" / "demand_response.json"
@@ -107,6 +109,50 @@ class TestCvt:
         assert out["stop_reason"] == "tol"
         z = out["generators"]
         assert z[0] + z[1] == pytest.approx(15.0, abs=1e-6)
+
+
+def _write_generators_csv_per_value(path, history, boundaries):
+    """generators.csv written one f-string per value: the bytes that
+    cli._write_generators_csv must reproduce."""
+    with open(path, "w", newline="") as fh:
+        fh.write("iter,i,z_i\n")
+        for it, z in enumerate(history):
+            for i, zi in enumerate(z):
+                fh.write(f"{it},{i},{sim._FMT % zi}\n")
+        for i, b in enumerate(boundaries):
+            fh.write(f"boundary,{i},{sim._FMT % b}\n")
+
+
+class TestGeneratorsCsv:
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_same_bytes_as_per_value_writer(self, tmp_path, n):
+        dom = tess.Domain1D(-30.0, 170.0)
+        d = DensitySpec("gaussian", {"mu": 40.0, "sigma2": 225.0})
+        z = np.sort(np.random.default_rng(n).uniform(dom.a, dom.b, n))
+        t, hist = tess.lloyd(z, d, dom, max_iter=40, record_history=True)
+        # Values of every sign and magnitude, in the history and the
+        # boundaries alike.
+        hist.append(np.resize([-0.0, 1e-300, -2.5e17, 1 / 3, 123456789.125], n))
+        bounds = np.concatenate((t.boundaries[:-1], [5e-324]))
+        cli._write_generators_csv(tmp_path / "new.csv", hist, bounds)
+        _write_generators_csv_per_value(tmp_path / "old.csv", hist, bounds)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert new.count(b"\nboundary,") == n + 1
+
+    def test_cli_file_equals_per_value_writer(self, tmp_path, capsys):
+        rc = run_cli("cvt", "--domain", "0,15", "--n", "3",
+                     "--density", '{"family":"gaussian","mu":7.5,"sigma2":9.0}',
+                     "--init", "2,8,13", "--max-iter", "25",
+                     "--out", str(tmp_path))
+        assert rc == cli.EXIT_SOLVER
+        d = DensitySpec("gaussian", {"mu": 7.5, "sigma2": 9.0})
+        t, hist = tess.lloyd([2.0, 8.0, 13.0], d, tess.Domain1D(0.0, 15.0),
+                             max_iter=25, record_history=True)
+        _write_generators_csv_per_value(tmp_path / "old.csv", hist,
+                                        t.boundaries)
+        assert ((tmp_path / "generators.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
 
 
 class TestStaticAlloc:

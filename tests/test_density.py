@@ -313,6 +313,128 @@ class TestCellCentroids:
             assert np.array_equal(dens.cell_centroids(d, m), expected)
 
 
+def _cell_centroids_before(d, m, masses=False):
+    """cell_centroids as it was before the one-reduction empty-cell check
+    and the in-place centroids: every cell's mass_floor, compared cell by
+    cell, and fresh arrays for the quotient and the clamp."""
+    dens._require_bound(d)
+    m = np.asarray(m, dtype=float)
+    lo, hi = m[:-1], m[1:]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        t = dens._terms(d, m, 1)
+        m0, m1 = dens._combine(d, [a[:-1] for a in t], [a[1:] for a in t], 1)
+        bad = m0 <= dens.mass_floor(hi - lo)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise EmptyCell(f"cell {i} = [{lo[i]}, {hi[i]}] has mass {m0[i]:g}")
+    c = np.minimum(np.maximum(m1 / m0, lo), hi)
+    return (c, m0) if masses else c
+
+
+# Per family: a density, the span of its bulk, and a far-tail span where
+# cell masses come near 1e-300 times the cell width.
+_PRECHECK_CASES = {
+    "uniform": (DensitySpec("uniform", {"a": 0.0, "b": 1.0}),
+                (-0.5, 1.5), (0.0, 3e-300)),
+    "gaussian": (DensitySpec("gaussian", {"mu": 0.0, "sigma2": 1.0}),
+                 (-6.0, 6.0), (36.5, 38.0)),
+    "exponential": (DensitySpec("exponential", {"lam": 1.0}),
+                    (-1.0, 12.0), (685.0, 700.0)),
+    "gamma": (DensitySpec("gamma", {"k": 2.5, "theta": 1.0}),
+              (-1.0, 15.0), (690.0, 710.0)),
+}
+
+
+def _precheck_boundaries(rng, bulk, tail):
+    """Random boundaries of one kind: sorted or not, in the bulk or the far
+    tail (mirrored for the left tail), with infinite ends, NaN widths, NaN
+    boundaries, a cell wider than m[-1] - m[0], or a single boundary."""
+    kind = rng.integers(7)
+    if rng.random() < 0.5:
+        m = rng.uniform(*tail, rng.integers(1, 6))
+        if rng.random() < 0.3:
+            m = -m
+    else:
+        m = rng.uniform(*bulk, rng.integers(1, 40))
+    if kind == 0:                       # sorted
+        return np.sort(m)
+    if kind == 1:                       # unsorted
+        return m
+    if kind == 2:                       # a cell wider than m[-1] - m[0]
+        w = rng.uniform(1.0, 100.0)
+        m = np.sort(m)
+        return np.concatenate(([m[0]], [m[0] + w], m[1:]))
+    if kind == 3:                       # infinite ends
+        ends = rng.choice([-np.inf, np.inf], size=2)
+        return np.concatenate((ends[:1], np.sort(m), ends[1:]))
+    if kind == 4:                       # NaN widths, from inf - inf
+        return np.concatenate(([-np.inf, -np.inf], np.sort(m),
+                               [np.inf, np.inf]))
+    if kind == 5:                       # a NaN boundary
+        m = np.sort(m)
+        m[rng.integers(m.size)] = np.nan
+        return m
+    return m[:1]                        # one boundary, zero cells
+
+
+class TestEmptyCellPreCheck:
+    """The one-reduction empty-cell check is exact: the same centroid and
+    mass bits, or the same EmptyCell message, as the per-cell rule."""
+
+    @pytest.mark.parametrize("family", sorted(_PRECHECK_CASES))
+    def test_same_bits_or_message_as_before(self, family):
+        d, bulk, tail = _PRECHECK_CASES[family]
+        rng = np.random.default_rng(sorted(_PRECHECK_CASES).index(family))
+        raised_later = tail_masses = 0
+        for _ in range(1500):
+            m = _precheck_boundaries(rng, bulk, tail)
+            try:
+                c0, m00 = _cell_centroids_before(d, m, masses=True)
+            except EmptyCell as exc:
+                with pytest.raises(EmptyCell) as got:
+                    dens.cell_centroids(d, m)
+                assert str(got.value) == str(exc)
+                raised_later += not str(exc).startswith("cell 0 ")
+                continue
+            c, m0 = dens.cell_centroids(d, m, masses=True)
+            assert c.tobytes() == c0.tobytes()
+            assert m0.tobytes() == m00.tobytes()
+            assert c.tobytes() == dens.cell_centroids(d, m).tobytes()
+            tail_masses += bool(np.any(m0 < 1e-290))
+        # Both outcomes occur, and near-empty cells past the first and
+        # kept cells with far-tail masses are among them.
+        assert raised_later > 50
+        assert tail_masses > 10
+
+    def test_mass_equal_to_the_bound(self):
+        # Under the uniform density on [0, 1e300] a cell of width w >= 1 has
+        # mass w * 1e-300, exactly its mass_floor; with equal widths the
+        # least mass equals the bound, and the cells are empty.
+        d = DensitySpec("uniform", {"a": 0.0, "b": 1e300})
+        for m in ([0.0, 2.0], [5.0, 9.0, 13.0], [1.0, 4.0, 7.0, 10.0]):
+            m0, _ = dens.interval_moments(d, m[:-1], m[1:], order=1)
+            assert np.array_equal(m0, dens.mass_floor(np.diff(m)))
+            with pytest.raises(EmptyCell, match="^cell 0 = "):
+                dens.cell_centroids(d, m)
+
+    def test_masses_straddling_the_floor(self):
+        # Gaussian far-tail cells whose masses sit just above and just below
+        # 1e-300 * width, where width > 1 and the floor is not 1e-300.
+        d = DensitySpec("gaussian", {"mu": 0.0, "sigma2": 1.0})
+        for width in (2.0, 10.0, 80.0):
+            for lo in np.linspace(36.8, 37.4, 61):
+                m = np.array([0.0, lo, lo + width])
+                try:
+                    expected = _cell_centroids_before(d, m)
+                except EmptyCell as exc:
+                    with pytest.raises(EmptyCell, match="^cell 1 = "):
+                        dens.cell_centroids(d, m)
+                    assert str(exc).startswith("cell 1 = ")
+                else:
+                    assert (dens.cell_centroids(d, m).tobytes()
+                            == expected.tobytes())
+
+
 class TestProperties:
     @given(st.lists(st.floats(min_value=-50.0, max_value=50.0),
                     min_size=3, max_size=3))

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from cvtalloc import density as dens
 from cvtalloc import tessellation as tess
 from cvtalloc.density import DensitySpec, Interval
 from cvtalloc.errors import (
@@ -16,6 +17,7 @@ from cvtalloc.errors import (
     UnsortedGenerators,
 )
 from cvtalloc.tessellation import Domain1D
+from test_golden import LLOYD_FAMILIES
 
 UNIFORM_15 = DensitySpec("uniform", {"a": 0.0, "b": 15.0})
 DOM_15 = Domain1D(0.0, 15.0)
@@ -192,6 +194,54 @@ class TestLloyd:
         assert len(hist) == t.iterations + 1
         np.testing.assert_allclose(hist[0], [1.0, 8.0, 14.0])
         np.testing.assert_allclose(hist[-1], t.generators)
+
+
+class TestLloydLoopOracle:
+    """Every recorded iterate is the centroid map of the one before it, bit
+    for bit, and the stop follows from the recorded displacements: the
+    one errstate per run and the reused buffers change nothing."""
+
+    @staticmethod
+    def _replay(hist, dom, d, tol, max_iter):
+        """(iterations, stop reason, final displacement) of the stop rules
+        applied to the recorded history, checking each iterate on the way."""
+        least_moved, least_at, moved, stop = np.inf, 0, 0.0, "budget"
+        for k in range(1, len(hist)):
+            expected = dens.cell_centroids(
+                d, tess._midpoint_boundaries(hist[k - 1], dom))
+            assert hist[k].tobytes() == expected.tobytes(), f"iterate {k}"
+            moved = float(np.max(np.abs(hist[k] - hist[k - 1])))
+            if moved < tol:
+                stop = "tol"
+                break
+            if moved < least_moved:
+                least_moved, least_at = moved, k
+            elif k - least_at >= tess.LLOYD_STALL_WINDOW:
+                stop = "stagnated"
+                break
+        assert k == len(hist) - 1 and (stop != "budget" or k == max_iter)
+        return k, stop, moved
+
+    def test_iterates_and_stops_equal_the_replay(self):
+        stops = set()
+        for f, (family, (d, dom)) in enumerate(LLOYD_FAMILIES.items()):
+            # The N = 15 runs of the Lloyd goldens (uniform and gaussian
+            # stop on "tol", exponential and gamma "stagnated") and a
+            # "budget" stop at N = 50.
+            for n, tol, max_iter in ((15, 1e-300, 8000), (50, None, 300)):
+                rng = np.random.default_rng(1000 * f + n)
+                z = np.sort(rng.uniform(dom.a, dom.b, n))
+                t, hist = tess.lloyd(z, d, dom, tol=tol, max_iter=max_iter,
+                                     record_history=True)
+                got = (t.iterations, t.stop_reason, t.final_displacement)
+                assert got == self._replay(hist, dom, d,
+                                           tol or 1e-10 * dom.width, max_iter)
+                assert t.generators.tobytes() == hist[-1].tobytes()
+                assert t.boundaries.tobytes() == tess._midpoint_boundaries(
+                    hist[-1], dom).tobytes()
+                assert not np.shares_memory(t.generators, hist[-1])
+                stops.add(t.stop_reason)
+        assert stops == {"tol", "stagnated", "budget"}
 
 
 class TestIsCvt:
