@@ -220,7 +220,7 @@ def bind_free_parameter(d: DensitySpec, value: float) -> DensitySpec:
 # the terms once per boundary, not twice.  Callers wrap both steps in one
 # np.errstate that ignores over- and underflow: interval_moments and
 # cell_centroids once per call, and tessellation.lloyd once per run around
-# its whole loop of _cell_centroids calls.
+# its whole loop, which also covers its midpoints and displacements.
 # ---------------------------------------------------------------------------
 
 def _terms(d: DensitySpec, x, order: int) -> tuple:

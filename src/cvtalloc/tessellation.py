@@ -199,6 +199,9 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     iteration; each iteration calls density._cell_centroids, whose
     empty-cell check runs per cell only when some cell is near empty, and
     the displacement and the boundaries are written into reused buffers.
+    The errstate covers the whole loop, midpoints and displacement too: a
+    midpoint that overflows gives an infinite boundary with no warning, and
+    the next centroid map raises EmptyCell for the reversed cell after it.
 
     Returns the Tessellation, or (Tessellation, history) when
     record_history is true; history holds the generator array per iterate,

@@ -136,20 +136,11 @@ class ControllerGains:
 def sample_parameters(seed: int) -> ThermalParams:
     """Draw the eight RC parameters from normal distributions with the
     K_MEANS and C_MEANS means and the K_VARIANCE and C_VARIANCE variances,
-    redrawing any nonpositive value.  Deterministic per seed.
-
-    The eight values come from one standard_normal(8) draw, which gives the
-    same numbers as eight scalar draws; only if one of them is nonpositive
-    does a fresh generator of the same seed redraw value by value."""
-    draws = ([(m, K_VARIANCE) for m in K_MEANS]
-             + [(m, C_VARIANCE) for m in C_MEANS])
-    x = np.random.default_rng(seed).standard_normal(len(draws)).tolist()
-    values = [mean + math.sqrt(var) * xi for (mean, var), xi in zip(draws, x)]
-    if min(values) > 0:
-        return ThermalParams(*values)
+    redrawing any nonpositive value.  Deterministic per seed."""
     rng = np.random.default_rng(seed)
     values = []
-    for mean, var in draws:
+    for mean, var in [(m, K_VARIANCE) for m in K_MEANS] + \
+                     [(m, C_VARIANCE) for m in C_MEANS]:
         v = 0.0
         while v <= 0:
             v = mean + math.sqrt(var) * rng.standard_normal()

@@ -13,6 +13,7 @@ from cvtalloc.density import DensitySpec, Interval
 from cvtalloc.errors import (
     CellsDoNotTile,
     DuplicateGenerators,
+    EmptyCell,
     GeneratorOutOfDomain,
     UnsortedGenerators,
 )
@@ -242,6 +243,17 @@ class TestLloydLoopOracle:
                 assert not np.shares_memory(t.generators, hist[-1])
                 stops.add(t.stop_reason)
         assert stops == {"tol", "stagnated", "budget"}
+
+    def test_midpoint_overflow_inside_the_loop(self):
+        # The one errstate per run also covers the midpoints: on a domain
+        # straddling half the largest float, the midpoint of the second
+        # iterate overflows to inf with no RuntimeWarning, and the third
+        # centroid map names the reversed cell [inf, b].
+        h = np.finfo(float).max / 2
+        d = DensitySpec("gamma", {"k": 8.1e17, "theta": (h + 3e298) / 8.1e17})
+        dom = Domain1D(h - 1e299, h + 1e299)
+        with pytest.raises(EmptyCell, match=r"^cell 1 = \[inf, "):
+            tess.lloyd([h - 6e298, h - 5e298], d, dom, max_iter=3)
 
 
 class TestIsCvt:

@@ -1,6 +1,5 @@
 """RC thermal plant, ZOH discretization, and pole-placement control."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -24,36 +23,6 @@ class TestSampleParameters:
             p = th.sample_parameters(seed)
             for name in ("K1", "K2", "K3", "K4", "K5", "C1", "C2", "C3"):
                 assert getattr(p, name) > 0
-
-    @staticmethod
-    def _per_value_draw(seed):
-        """Eight scalar draws, each redrawn while nonpositive: the values
-        that the batched draw must reproduce for every seed."""
-        rng = np.random.default_rng(seed)
-        values = []
-        for mean, var in [(m, th.K_VARIANCE) for m in th.K_MEANS] + \
-                         [(m, th.C_VARIANCE) for m in th.C_MEANS]:
-            v = 0.0
-            while v <= 0:
-                v = mean + math.sqrt(var) * rng.standard_normal()
-            values.append(v)
-        return ThermalParams(*values)
-
-    def test_batched_draw_equals_per_value_draws(self):
-        for seed in range(2000):
-            assert th.sample_parameters(seed) == self._per_value_draw(seed)
-
-    def test_redraw_equals_per_value_draws(self, monkeypatch):
-        # A variance this large makes some K draws nonpositive, so the
-        # batched draw is discarded and the values are redrawn one by one.
-        monkeypatch.setattr(th, "K_VARIANCE", 400.0)
-        redrawn = 0
-        for seed in range(200):
-            p = th.sample_parameters(seed)
-            assert p == self._per_value_draw(seed)
-            x = np.random.default_rng(seed).standard_normal(5)
-            redrawn += bool(np.any(np.array(th.K_MEANS) + 20.0 * x <= 0))
-        assert redrawn > 20
 
 
 class TestContinuousModel:
