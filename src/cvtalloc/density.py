@@ -357,7 +357,9 @@ def cell_centroids(d: DensitySpec, m, masses: bool = False):
     boundaries m, clamped into each cell against fp noise.  The package's
     one empty-cell rule: a cell of mass at most mass_floor of its width
     raises EmptyCell naming the first one.  With masses=True, returns
-    (centroids, m0).
+    (centroids, m0).  A (K, N+1) stack of boundaries gives (K, N) results,
+    each row the same bits as its own call, and an EmptyCell names the row
+    as well as the cell.
 
     Analytic moments evaluate each boundary's terms once and difference
     them per cell, with the same values as interval_moments over each cell.
@@ -385,18 +387,21 @@ def _cell_centroids(d: DensitySpec, m: np.ndarray) -> tuple:
     least mass above that bound means no cell is empty.  A NaN or infinite
     width makes the bound NaN or infinite and a NaN mass makes the least
     mass NaN; the comparison is then false, as it is when some mass is
-    small, and the full per-cell rule decides.
+    small, and the full per-cell rule decides.  Cells run along the last
+    axis of m.
     """
-    lo, hi = m[:-1], m[1:]
+    lo, hi = m[..., :-1], m[..., 1:]
     t = _terms(d, m, 1)
-    m0, m1 = _combine(d, [a[:-1] for a in t], [a[1:] for a in t], 1)
+    m0, m1 = _combine(d, [a[..., :-1] for a in t], [a[..., 1:] for a in t], 1)
     width = hi - lo
-    if not (m0.min(initial=np.inf)
-            > 1e-300 * np.maximum.reduce(width, initial=1.0)):
+    if not (np.minimum.reduce(m0, axis=None, initial=np.inf)
+            > 1e-300 * np.maximum.reduce(width, axis=None, initial=1.0)):
         bad = m0 <= mass_floor(width)
         if bad.any():
-            i = int(np.argmax(bad))
-            raise EmptyCell(f"cell {i} = [{lo[i]}, {hi[i]}] has mass {m0[i]:g}")
+            at = np.unravel_index(np.argmax(bad), bad.shape)
+            row = f"row {at[0]}, " if bad.ndim > 1 else ""
+            raise EmptyCell(f"{row}cell {at[-1]} = [{lo[at]}, {hi[at]}] "
+                            f"has mass {m0[at]:g}")
     # m1 is a fresh array from _combine: the centroids take its place.
     c = np.divide(m1, m0, out=m1)
     np.maximum(c, lo, out=c)

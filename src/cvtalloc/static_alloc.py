@@ -109,11 +109,16 @@ class CrossValidationReport:
         return self.lloyd_stop == "tol"
 
 
-def _split(unknowns: np.ndarray, n: int):
-    u = np.asarray(unknowns, dtype=float).ravel()
-    if u.size != n + 1:
-        raise ValueError(f"expected {n + 1} unknowns, got {u.size}")
-    return u[:n], float(u[n])
+def _split(unknowns, n: int):
+    u = np.asarray(unknowns, dtype=float)
+    if u.ndim < 2:
+        u = u.ravel()
+    if u.shape[-1] != n + 1:
+        raise ValueError(f"expected {n + 1} unknowns, got {u.shape[-1]}")
+    v = u[..., n]
+    if v.ndim and (v != v[0]).any():
+        raise ValueError("the rows of a stack must share one free parameter")
+    return u[..., :n], float(v.flat[0])
 
 
 def residual(unknowns, p: StaticProblem, masses: bool = False):
@@ -121,8 +126,12 @@ def residual(unknowns, p: StaticProblem, masses: bool = False):
     sum(z) - r.  With masses=True, returns (residual, cell masses) from the
     same moment evaluation.
 
-    A candidate with unsorted, duplicate or out-of-domain centroids, an
-    invalid free parameter or an empty cell raises InvalidCandidate."""
+    unknowns may be a (K, N+1) stack whose rows share one free-parameter
+    value (ValueError otherwise): one moment evaluation then gives the
+    (K, N+1) residuals and (K, N) masses, each row the same bits as its own
+    call.  A candidate with unsorted, duplicate or out-of-domain centroids,
+    an invalid free parameter or an empty cell raises InvalidCandidate; a
+    stack raises it when any row is such a candidate."""
     z, v = _split(unknowns, p.n_agents)
     try:
         z = tess._validate_generators(z, p.domain)
@@ -132,7 +141,9 @@ def residual(unknowns, p: StaticProblem, masses: bool = False):
     except (UnsortedGenerators, DuplicateGenerators, GeneratorOutOfDomain,
             InvalidParameterValue, EmptyCell) as exc:
         raise InvalidCandidate(str(exc)) from exc
-    f = np.concatenate((z - c, [float(np.sum(z) - p.r)]))
+    f = np.empty(z.shape[:-1] + (z.shape[-1] + 1,))
+    np.subtract(z, c, out=f[..., :-1])
+    f[..., -1] = z.sum(axis=-1) - p.r
     return (f, m0) if masses else f
 
 
@@ -188,18 +199,21 @@ def _quantile_guess(p: StaticProblem) -> np.ndarray | None:
     return np.concatenate((z, [v0]))
 
 
-def _safe_norm(u: np.ndarray, p: StaticProblem) -> float:
+def _evaluate(u: np.ndarray, p: StaticProblem) -> tuple:
+    """(f, m0, norm) at u from one residual evaluation; (None, None, inf)
+    when u is an invalid candidate."""
     try:
-        return float(np.linalg.norm(residual(u, p)))
+        f, m0 = residual(u, p, masses=True)
     except InvalidCandidate:
-        return np.inf
+        return None, None, np.inf
+    return f, m0, float(np.linalg.norm(f))
 
 
-def _fd_column(u: np.ndarray, f: np.ndarray, p: StaticProblem,
-               j: int) -> np.ndarray:
+def _fd_column(u: np.ndarray, f: np.ndarray, p: StaticProblem, j: int):
     """Column j of the difference Jacobian at u, where f = residual(u, p):
     a forward difference, or a backward one when the forward candidate is
-    invalid.  InvalidCandidate when both are."""
+    invalid; InvalidCandidate when both are.  Returns (column, residual
+    evaluations made)."""
     h = FD_STEP * max(1.0, abs(u[j]))
     up = u.copy()
     up[j] += h
@@ -213,56 +227,54 @@ def _fd_column(u: np.ndarray, f: np.ndarray, p: StaticProblem,
             raise InvalidCandidate(
                 f"difference Jacobian column {j}: the forward and the "
                 f"backward candidate are both invalid ({exc})") from exc
-        h = -h
-    return (fj - f) / h
+        return (fj - f) / -h, 2
+    return (fj - f) / h, 1
 
 
 def _fd_band(u: np.ndarray, f: np.ndarray, p: StaticProblem):
     """The forward-difference centroid block at u as the (3, N) band of
     solve_banded((1, 1), ...), and the constraint row, where
-    f = residual(u, p): (band, row) from at most 3 residual evaluations.
+    f = residual(u, p): (band, row, residual evaluations made), from one
+    stacked evaluation.
 
     Centroid row i depends only on z_{i-1}, z_i, z_{i+1} and the free
     parameter, so the columns j = c (mod 3) touch disjoint rows and are
-    differenced together from one evaluation per colour c (Curtis, Powell &
-    Reid 1974).  Each row, and each ordering, domain and empty-cell check,
-    sees exactly one perturbed column, so every entry equals the
-    single-column quotient bit for bit, and a joint candidate is valid
-    exactly when each of its single-column candidates is.  A colour whose
-    joint candidate is invalid is redone column by column with _fd_column,
-    which also gives those columns' constraint entries.
+    differenced together in stack row c (Curtis, Powell & Reid 1974).
+    Each row, and each ordering, domain and empty-cell check, sees exactly
+    one perturbed column, so every entry equals the single-column quotient
+    bit for bit, and a stack row is valid exactly when each of its
+    single-column candidates is.  When the stack is invalid, all N columns
+    are differenced one at a time with _fd_column, which steps backward
+    where the forward candidate is invalid and gives the same bits where
+    it is valid.
     """
     n = p.n_agents
     z = u[:n]
     h = FD_STEP * np.maximum(1.0, np.abs(z))
-    band = np.zeros((3, n))
+    j = np.arange(n)
+    stack = np.tile(u, (min(3, n), 1))
+    stack[j % 3, j] += h
+    # band[1 + d, j] = change[j % 3, 1 + j + d] / h[j]: change pads each
+    # stack row's centroid-row changes with a zero at both ends.
+    at = j + np.arange(3)[:, None]
+    try:
+        fg = residual(stack, p)
+    except InvalidCandidate as exc:
+        logger.debug("difference colours invalid (%s); differencing all %d "
+                     "columns one at a time", exc, n)
+        cols, evals = zip(*(_fd_column(u, f, p, k) for k in range(n)))
+        cols = np.column_stack(cols)
+        return (np.pad(cols[:n], ((1, 1), (0, 0)))[at, j], cols[n],
+                1 + sum(evals))
+    change = np.zeros((len(stack), n + 2))
+    np.subtract(fg[:, :n], f[:n], out=change[:, 1:-1])
     # The constraint row: N copies of z, copy j stepped in z_j, each summed
     # in the pairwise order of the 1-D sum, so every entry is its
     # single-column quotient bit for bit (which differs from 1).
     zs = np.tile(z, (n, 1))
     zs.flat[::n + 1] += h
     row = (np.sum(zs, axis=1) - p.r - f[n]) / h
-    for c in range(min(3, n)):
-        cols = np.arange(c, n, 3)
-        up = u.copy()
-        up[cols] += h[cols]
-        try:
-            fg = residual(up, p)
-        except InvalidCandidate as exc:
-            logger.debug("difference colour %d invalid (%s); differencing "
-                         "its %d columns one at a time", c, exc, cols.size)
-            for j in cols:
-                col = _fd_column(u, f, p, j)
-                rows = np.arange(max(j - 1, 0), min(j + 2, n))
-                band[1 + rows - j, j] = col[rows]
-                row[j] = col[n]
-            continue
-        for d in (-1, 0, 1):
-            rows = cols + d
-            keep = (rows >= 0) & (rows < n)
-            rows, k = rows[keep], cols[keep]
-            band[1 + d, k] = (fg[rows] - f[rows]) / h[k]
-    return band, row
+    return change[j % 3, at] / h, row, 1
 
 
 def _tridiagonal(u: np.ndarray, f: np.ndarray, m0: np.ndarray,
@@ -334,24 +346,28 @@ def _bordered_step(band: np.ndarray, col: np.ndarray, row: np.ndarray,
 
 
 def _newton_step(u: np.ndarray, f: np.ndarray, m0: np.ndarray,
-                 p: StaticProblem) -> np.ndarray:
-    """The Newton step at u, where (f, m0) = residual(u, p, masses=True),
-    from the centroid band, the free-parameter difference column and the
-    constraint row.  Up to N_DENSE agents the band and row are differenced
-    (4 residual evaluations) and the bordered matrix is solved densely, by
-    least squares if it is singular.  Above, the band is analytic, the row
-    is exact ones, and _bordered_step solves in O(N)."""
+                 p: StaticProblem):
+    """(step, residual evaluations made): the Newton step at u, where
+    (f, m0) = residual(u, p, masses=True), from the centroid band, the
+    free-parameter difference column and the constraint row.  Up to
+    N_DENSE agents the band and row are differenced (2 residual
+    evaluations: the column and one stack) and the bordered matrix is
+    solved densely, by least squares if it is singular.  Above, the band is
+    analytic, the row is exact ones, and _bordered_step solves in O(N)
+    (1 evaluation, the column)."""
     n = p.n_agents
-    col = _fd_column(u, f, p, n)
-    if n <= N_DENSE:
-        band, row = _fd_band(u, f, p)
-        jac = _bordered_matrix(band, col, row)
-        try:
-            return np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            logger.debug("singular matrix; least-squares step")
-            return np.linalg.lstsq(jac, -f, rcond=None)[0]
-    return _bordered_step(_tridiagonal(u, f, m0, p), col, np.ones(n), f)
+    col, evals = _fd_column(u, f, p, n)
+    if n > N_DENSE:
+        band = _tridiagonal(u, f, m0, p)
+        return _bordered_step(band, col, np.ones(n), f), evals
+    band, row, band_evals = _fd_band(u, f, p)
+    evals += band_evals
+    jac = _bordered_matrix(band, col, row)
+    try:
+        return np.linalg.solve(jac, -f), evals
+    except np.linalg.LinAlgError:
+        logger.debug("singular matrix; least-squares step")
+        return np.linalg.lstsq(jac, -f, rcond=None)[0], evals
 
 
 def solve(p: StaticProblem, init=None) -> StaticSolution:
@@ -360,59 +376,73 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
     line-search rejections.
 
     Each step is _newton_step; above N_DENSE agents its bytes are the same
-    at any BLAS thread count."""
+    at any BLAS thread count.  Each iterate is evaluated once: the accepted
+    line-search candidate's residual, masses and norm are the next step's.
+    The solve logs one DEBUG record at its end, converged or diverged: its
+    path, Newton steps, residual evaluations (a stack counts as one; those
+    of a step that cannot be differenced are not counted) and final
+    residual norm."""
     u = (np.asarray(init, dtype=float).ravel() if init is not None
          else default_initial_guess(p))
-    logger.debug("N = %d: %s Newton steps", p.n_agents,
-                 "banded" if p.n_agents > N_DENSE else "dense")
+    path = "banded" if p.n_agents > N_DENSE else "dense"
+    evals, steps, norm, outcome = 1, 0, np.nan, None
+    try:
+        f, m0, norm = _evaluate(u, p)
+        if not np.isfinite(norm) and init is None:
+            fallback = _quantile_guess(p)
+            if fallback is not None:
+                logger.debug("default initial guess is infeasible; retrying "
+                             "from the density quantiles")
+                u = fallback
+                f, m0, norm = _evaluate(u, p)
+                evals += 1
+        if not np.isfinite(norm):
+            raise SolverDiverged("initial guess is infeasible", best=u,
+                                 residual_norm=norm)
 
-    best_u, best_norm = u.copy(), _safe_norm(u, p)
-    if not np.isfinite(best_norm) and init is None:
-        fallback = _quantile_guess(p)
-        if fallback is not None:
-            logger.debug("default initial guess is infeasible; retrying "
-                         "from the density quantiles")
-            u = fallback
-            best_u, best_norm = u.copy(), _safe_norm(u, p)
-    if not np.isfinite(best_norm):
-        raise SolverDiverged("initial guess is infeasible", best=u,
-                             residual_norm=best_norm)
+        best_u, best_norm = u.copy(), norm
+        history = []
+        for steps in range(MAX_NEWTON_ITER):
+            history.append(norm)
+            if norm < best_norm:
+                best_u, best_norm = u.copy(), norm
+            if norm < RESIDUAL_TOL:
+                outcome = "converged"
+                return _package(u, tuple(history), p)
 
-    history = []
-    for _ in range(MAX_NEWTON_ITER):
-        f, m0 = residual(u, p, masses=True)
-        norm = float(np.linalg.norm(f))
-        history.append(norm)
-        if norm < best_norm:
-            best_u, best_norm = u.copy(), norm
-        if norm < RESIDUAL_TOL:
-            return _package(u, tuple(history), p)
+            try:
+                step, step_evals = _newton_step(u, f, m0, p)
+            except InvalidCandidate as exc:
+                raise SolverDiverged(str(exc), best=best_u,
+                                     residual_norm=best_norm) from exc
+            evals += step_evals
 
-        try:
-            step = _newton_step(u, f, m0, p)
-        except InvalidCandidate as exc:
-            raise SolverDiverged(str(exc), best=best_u,
-                                 residual_norm=best_norm) from exc
-
-        alpha = 1.0
-        accepted = False
-        while alpha >= MIN_ALPHA:
-            cand = u + alpha * step
-            cand_norm = _safe_norm(cand, p)
-            if cand_norm <= (1.0 - ARMIJO_C * alpha) * norm:
-                u = cand
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            raise SolverDiverged(
-                f"line search stalled at residual norm {norm:g}",
-                best=best_u, residual_norm=best_norm)
-
-    raise SolverDiverged(
-        f"no convergence in {MAX_NEWTON_ITER} iterations "
-        f"(best residual norm {best_norm:g})",
-        best=best_u, residual_norm=best_norm)
+            alpha = 1.0
+            while alpha >= MIN_ALPHA:
+                cand = u + alpha * step
+                cand_f, cand_m0, cand_norm = _evaluate(cand, p)
+                evals += 1
+                if cand_norm <= (1.0 - ARMIJO_C * alpha) * norm:
+                    u, f, m0, norm = cand, cand_f, cand_m0, cand_norm
+                    break
+                alpha *= 0.5
+            else:
+                raise SolverDiverged(
+                    f"line search stalled at residual norm {norm:g}",
+                    best=best_u, residual_norm=best_norm)
+        steps = MAX_NEWTON_ITER
+        raise SolverDiverged(
+            f"no convergence in {MAX_NEWTON_ITER} iterations "
+            f"(best residual norm {best_norm:g})",
+            best=best_u, residual_norm=best_norm)
+    except SolverDiverged:
+        outcome = "diverged"
+        raise
+    finally:
+        if outcome:
+            logger.debug("N = %d: %s Newton steps %d, residual evaluations %d, "
+                         "final residual norm %.3g, %s", p.n_agents, path,
+                         steps, evals, norm, outcome)
 
 
 def _package(u: np.ndarray, history: tuple,

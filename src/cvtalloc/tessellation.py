@@ -100,18 +100,19 @@ class Tessellation:
 
 
 def _validate_generators(generators, dom: Domain1D) -> np.ndarray:
-    z = np.asarray(generators, dtype=float).ravel()
-    if z.size == 0:
+    """Checked along the last axis: a (K, N) stack fails if any row does."""
+    z = np.asarray(generators, dtype=float)
+    if z.shape[-1] == 0:
         raise ValueError("need at least one generator")
     if not np.isfinite(z).all():
         raise GeneratorOutOfDomain("generators must be finite")
-    gap = np.diff(z).min(initial=np.inf)
+    gap = (z[..., 1:] - z[..., :-1]).min(initial=np.inf)
     if gap < 0:
         raise UnsortedGenerators("generators must be strictly increasing")
     if gap < DUPLICATE_GAP_FRACTION * dom.width:
         raise DuplicateGenerators(
             f"adjacent generators closer than {DUPLICATE_GAP_FRACTION:g} * width")
-    if z[0] <= dom.a or z[-1] >= dom.b:
+    if min(z[..., 0].flat) <= dom.a or max(z[..., -1].flat) >= dom.b:
         raise GeneratorOutOfDomain(
             f"generators must lie inside ({dom.a}, {dom.b})")
     return z
@@ -119,10 +120,12 @@ def _validate_generators(generators, dom: Domain1D) -> np.ndarray:
 
 def _midpoint_boundaries(z: np.ndarray, dom: Domain1D,
                          out: np.ndarray | None = None) -> np.ndarray:
-    m = np.empty(z.size + 1) if out is None else out
-    m[0], m[-1] = dom.a, dom.b
-    np.add(z[:-1], z[1:], out=m[1:-1])
-    m[1:-1] *= 0.5
+    """The domain ends and the midpoints of z, along its last axis."""
+    m = np.empty(z.shape[:-1] + (z.shape[-1] + 1,)) if out is None else out
+    inner = m[..., 1:-1]
+    m[..., 0], m[..., -1] = dom.a, dom.b
+    np.add(z[..., :-1], z[..., 1:], out=inner)
+    inner *= 0.5
     return m
 
 
@@ -133,7 +136,7 @@ def voronoi_regions(generators, dom: Domain1D,
     If a density is given the energy field holds the quantization energy;
     otherwise it is left at 0 (pure geometry).
     """
-    z = _validate_generators(generators, dom)
+    z = _validate_generators(np.ravel(generators), dom)
     m = _midpoint_boundaries(z, dom)
     energy = _energy_of_cells(z, m[:-1], m[1:], d) if d is not None else 0.0
     return Tessellation(generators=z, boundaries=m, energy=energy, domain=dom)
@@ -192,8 +195,10 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     once the max displacement has set no new minimum for LLOYD_STALL_WINDOW
     iterations.  After max_iter iterations it stops with stop_reason
     "budget".  Every stop returns the last iterate rather than raising, and
-    only a "tol" stop has converged=True.  Each call logs one DEBUG record
-    with the stop reason, the iteration count and the final displacement.
+    only a "tol" stop has converged=True; a NaN displacement (from moments
+    that overflow) raises GeneratorOutOfDomain.  Each call logs one DEBUG
+    record with the stop reason, the iteration count and the final
+    displacement.
 
     d is checked and one np.errstate opened once per run, not once per
     iteration; each iteration calls density._cell_centroids, whose
@@ -213,7 +218,7 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    z = _validate_generators(init, dom)
+    z = _validate_generators(np.ravel(init), dom)
     m = _midpoint_boundaries(z, dom)
     dens._require_bound(d)
     history = [z.copy()] if record_history else None
@@ -235,6 +240,8 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
                 break
             if moved < least_moved:
                 least_moved, least_at = moved, iterations
+            elif moved != moved:  # NaN; an improving iteration skips this
+                raise GeneratorOutOfDomain("generators must be finite")
             elif iterations - least_at >= LLOYD_STALL_WINDOW:
                 stop_reason = "stagnated"
                 break

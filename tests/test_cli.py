@@ -18,6 +18,8 @@ SHIPPED = Path(__file__).resolve().parent.parent / "scenarios" / "demand_respons
 OUTPUT_FILES = ("trace.csv", "swaps.csv", "metrics.json", "powers.csv",
                 "total_power.csv", "temperatures.csv")
 DROP = object()  # a scenario change that removes the key
+# Half the largest float: uniform moments on a domain around it overflow.
+_H = float(np.finfo(float).max) / 2
 
 
 def run_cli(*argv):
@@ -439,11 +441,14 @@ class TestDensityBoundary:
           "--max-iter", "-3"), "max_iter must be >= 0"),
         (("cvt", "--domain", "0,15", "--n", "3", "--density", "uniform",
           "--init", "nan,5,10"), "generators must be finite"),
+        (("cvt", "--domain", f"{_H - 1e299!r},{_H + 1e299!r}", "--n", "2",
+          "--density", "uniform", "--init",
+          f"{_H - 9e298!r},{_H - 8e298!r}"), "generators must be finite"),
         (("shift-check", "--domain", "0,100", "--n", "5", "--mu", "50",
           "--sigma2", "4", "--delta", "2", "--tol", "nan"),
          "tol must be positive"),
     ], ids=["cvt-tol-nan", "cvt-max-iter-negative", "cvt-init-nan",
-            "shift-tol-nan"])
+            "cvt-nan-centroids", "shift-tol-nan"])
     def test_bad_lloyd_input_exits_one(self, tmp_path, capsys, argv,
                                        message):
         out = ("--out", str(tmp_path)) if argv[0] == "cvt" else ()

@@ -9,7 +9,12 @@ from cvtalloc import density as dens
 from cvtalloc import static_alloc as sa
 from cvtalloc import tessellation as tess
 from cvtalloc.density import DensitySpec, bind_free_parameter
-from cvtalloc.errors import EmptyCell, InfeasibleProblem, InvalidCandidate
+from cvtalloc.errors import (
+    EmptyCell,
+    InfeasibleProblem,
+    InvalidCandidate,
+    SolverDiverged,
+)
 from cvtalloc.static_alloc import StaticProblem
 from cvtalloc.tessellation import Domain1D
 
@@ -49,8 +54,9 @@ def oracle_jacobian(u, f, p):
 def fd_jacobian(u, f, p):
     """The dense step's matrix: _fd_band's band and row bordered by the
     free-parameter difference column."""
-    band, row = sa._fd_band(u, f, p)
-    return sa._bordered_matrix(band, sa._fd_column(u, f, p, p.n_agents), row)
+    band, row, _ = sa._fd_band(u, f, p)
+    col, _ = sa._fd_column(u, f, p, p.n_agents)
+    return sa._bordered_matrix(band, col, row)
 
 
 class TestStaticProblem:
@@ -94,6 +100,66 @@ class TestResidual:
             sa.residual(np.array([1.0, 2.0, 500.0]), p)
 
 
+class TestResidualStack:
+    """A (K, N+1) stack with one free parameter is K residual calls in one:
+    the same bits row for row, and invalid as a whole when any row is."""
+
+    @staticmethod
+    def stack_of(p, k=3):
+        # Rows of the default guess, each with every third centroid nudged.
+        u = sa.default_initial_guess(p)
+        rows = np.tile(u, (k, 1))
+        n = p.n_agents
+        for c in range(k):
+            rows[c, c % n:n:3] += 1e-3 * (c + 1)
+        return rows
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("n", [1, 2, 3, 50])
+    def test_rows_equal_single_calls(self, family, n):
+        density, mean = FAMILIES[family]
+        p = StaticProblem(DOM_100, n, density, mean * n)
+        rows = self.stack_of(p)
+        f, m0 = sa.residual(rows, p, masses=True)
+        assert f.shape == rows.shape and m0.shape == (3, n)
+        assert sa.residual(rows, p).tobytes() == f.tobytes()
+        for k, row in enumerate(rows):
+            fk, m0k = sa.residual(row, p, masses=True)
+            assert f[k].tobytes() == fk.tobytes()
+            assert m0[k].tobytes() == m0k.tobytes()
+
+    @pytest.mark.parametrize("bad", [
+        [60.0, 40.0, 50.0, 5.0],         # unsorted
+        [40.0, 40.0, 50.0, 5.0],         # duplicate
+        [-1.0, 40.0, 50.0, 5.0],         # out of domain
+        [4.0, 90.0, 99.0, 5.0],          # cell [94.5, 100] holds no mass
+    ], ids=["unsorted", "duplicate", "out-of-domain", "empty-cell"])
+    def test_one_invalid_row_invalidates_the_stack(self, bad):
+        p = StaticProblem(DOM_100, 3, GAUSS_FREE_MU, 15.0)
+        good = np.array([[3.0, 5.0, 7.0, 5.0], [4.0, 5.0, 6.0, 5.0]])
+        for row in good:
+            sa.residual(row, p)
+        with pytest.raises(InvalidCandidate):
+            sa.residual(bad, p)
+        for at in range(3):
+            with pytest.raises(InvalidCandidate):
+                sa.residual(np.insert(good, at, bad, axis=0), p)
+
+    def test_rows_must_share_the_free_parameter(self):
+        p = StaticProblem(DOM_100, 3, GAUSS_FREE_MU, 15.0)
+        with pytest.raises(ValueError, match="share one free parameter"):
+            sa.residual([[3.0, 5.0, 7.0, 5.0], [3.0, 5.0, 7.0, 5.5]], p)
+
+    def test_stacked_empty_cell_names_row_and_cell(self):
+        d = DensitySpec("gaussian", {"mu": 5.0, "sigma2": 4.0})
+        m = np.array([[0.0, 4.0, 6.0, 100.0], [0.0, 47.0, 94.5, 100.0]])
+        with pytest.raises(EmptyCell,
+                           match=r"^row 1, cell 2 = \[94.5, 100.0\] has mass"):
+            dens.cell_centroids(d, m)
+        with pytest.raises(EmptyCell, match=r"^cell 2 = \[94.5, 100.0\]"):
+            dens.cell_centroids(d, m[1])
+
+
 class TestFdJacobian:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 50])
@@ -111,10 +177,11 @@ class TestFdJacobian:
         f = sa.residual(u, p)
         assert np.array_equal(fd_jacobian(u, f, p), oracle_jacobian(u, f, p))
 
-    def test_equals_oracle_at_forced_fallback(self, caplog):
+    def test_equals_oracle_at_forced_fallback(self, caplog, monkeypatch):
         # The last generator sits within FD_STEP * |z| of b, so its forward
-        # candidate leaves the domain: colour 1 falls back to single columns
-        # and column 4 is a backward difference.
+        # candidate leaves the domain: the colour stack is invalid, all
+        # columns fall back to single ones and column 4 is a backward
+        # difference.
         p = StaticProblem(DOM_100, 5, WIDE_GAUSS_FREE_MU, 250.0)
         u = np.array([10.0, 30.0, 50.0, 70.0, 100.0 - 5e-6, 50.0])
         f = sa.residual(u, p)
@@ -125,9 +192,18 @@ class TestFdJacobian:
         with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
             jac = fd_jacobian(u, f, p)
         assert np.array_equal(jac, oracle_jacobian(u, f, p))
-        assert "colour 1 invalid" in caplog.text
+        assert ("difference colours invalid (generators must lie inside "
+                "(0.0, 100.0)); differencing all 5 columns one at a time"
+                in caplog.text)
+        # The stack, 5 forward candidates and column 4's backward one.
+        calls = []
+        real = sa.residual
+        monkeypatch.setattr(sa, "residual",
+                            lambda *args: calls.append(1) or real(*args))
+        assert sa._fd_band(u, f, p)[2] == len(calls) == 7
 
-    def test_at_most_four_residual_evaluations(self, monkeypatch):
+    def test_at_most_two_residual_evaluations(self, monkeypatch):
+        # The free-parameter column and one stack of the three colours.
         p = StaticProblem(DOM_100, 50, WIDE_GAUSS_FREE_MU, 2500.0)
         u = sa.default_initial_guess(p)
         f, m0 = sa.residual(u, p, masses=True)
@@ -139,8 +215,8 @@ class TestFdJacobian:
             return real(unknowns, problem)
 
         monkeypatch.setattr(sa, "residual", counting)
-        sa._newton_step(u, f, m0, p)
-        assert len(calls) <= 4
+        _, evals = sa._newton_step(u, f, m0, p)
+        assert evals == len(calls) <= 2
 
     def test_singular_matrix_takes_lstsq_step(self, monkeypatch, caplog):
         # A zero band and row leave only the free-parameter column: the
@@ -148,12 +224,13 @@ class TestFdJacobian:
         p = StaticProblem(DOM_100, 5, WIDE_GAUSS_FREE_MU, 250.0)
         u = sa.default_initial_guess(p)
         f, m0 = sa.residual(u, p, masses=True)
-        parts = (np.zeros((3, 5)), np.zeros(5))
+        parts = (np.zeros((3, 5)), np.zeros(5), 1)
         monkeypatch.setattr(sa, "_fd_band", lambda *args: parts)
         with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
-            step = sa._newton_step(u, f, m0, p)
+            step, evals = sa._newton_step(u, f, m0, p)
         assert "singular matrix" in caplog.text
-        jac = sa._bordered_matrix(parts[0], sa._fd_column(u, f, p, 5),
+        assert evals == 2
+        jac = sa._bordered_matrix(parts[0], sa._fd_column(u, f, p, 5)[0],
                                   parts[1])
         assert np.array_equal(step,
                               np.linalg.lstsq(jac, -f, rcond=None)[0])
@@ -174,7 +251,7 @@ class TestBandedStep:
         u = sa.default_initial_guess(p)
         f, m0 = sa.residual(u, p, masses=True)
         band = sa._tridiagonal(u, f, m0, p)
-        fd, _ = sa._fd_band(u, f, p)
+        fd, _, _ = sa._fd_band(u, f, p)
         for k in range(3):
             assert (np.linalg.norm(band[k] - fd[k])
                     <= 1e-5 * np.linalg.norm(fd[k])), k
@@ -213,8 +290,8 @@ class TestBandedStep:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sa, "residual", counting)
-        sa._newton_step(u, f, m0, p)
-        assert 1 <= len(calls) <= 2
+        _, evals = sa._newton_step(u, f, m0, p)
+        assert 1 <= evals == len(calls) <= 2
 
     def test_singular_band_takes_lstsq_fallback(self, caplog):
         # A zero row in T makes the banded solve fail; the bordered matrix
@@ -333,6 +410,103 @@ class TestSolve:
         assert "N = 15: dense Newton steps" in caplog.text
         assert sol.v_k == pytest.approx(1000.0, abs=1e-6)
         assert np.sum(sol.centroids) == pytest.approx(15000.0, abs=1e-6)
+
+
+class TestEvaluationCount:
+    """Each Newton iterate is evaluated once: a solve makes one residual
+    call at the start, one per line-search candidate and the step's own
+    (2 dense, 1 banded), and never evaluates the same unknowns twice."""
+
+    @pytest.mark.parametrize("n, per_step", [(50, 2), (200, 1)])
+    def test_whole_solve(self, n, per_step, monkeypatch):
+        p = StaticProblem(DOM_100, n, WIDE_GAUSS_FREE_MU, 30.0 * n)
+        seen, steps, evaluated = [], [], []
+        real_residual, real_step, real_evaluate = (
+            sa.residual, sa._newton_step, sa._evaluate)
+
+        def residual(unknowns, problem, masses=False):
+            seen.append(np.asarray(unknowns).tobytes())
+            return real_residual(unknowns, problem, masses)
+
+        def newton_step(*args):
+            steps.append(1)
+            return real_step(*args)
+
+        def evaluate(u, problem):
+            evaluated.append(1)
+            return real_evaluate(u, problem)
+
+        monkeypatch.setattr(sa, "residual", residual)
+        monkeypatch.setattr(sa, "_newton_step", newton_step)
+        monkeypatch.setattr(sa, "_evaluate", evaluate)
+        sol = sa.solve(p)
+        assert sol.residual_norm < sa.RESIDUAL_TOL
+        candidates = len(evaluated) - 1
+        assert len(steps) == sol.iterations >= 1
+        assert candidates >= len(steps)
+        assert len(seen) == 1 + candidates + per_step * len(steps)
+        assert len(set(seen)) == len(seen)
+
+    @pytest.mark.parametrize("init", [None, "given"])
+    def test_nan_start(self, init, monkeypatch, caplog):
+        # A start whose residual is NaN counts as infeasible: the default
+        # guess retries from the density quantiles, exactly as a solve
+        # started there; a given start raises with its NaN norm.
+        p = StaticProblem(DOM_100, 50, GAUSS_FREE_MU, 2500.0)
+        start = sa.default_initial_guess(p)
+        real = sa.residual
+
+        def nan_at_start(unknowns, problem, masses=False):
+            f, m0 = real(unknowns, problem, masses=True)
+            if np.array_equal(unknowns, start):
+                f = np.full_like(f, np.nan)
+            return (f, m0) if masses else f
+
+        monkeypatch.setattr(sa, "residual", nan_at_start)
+        if init is None:
+            with caplog.at_level(logging.DEBUG,
+                                 logger="cvtalloc.static_alloc"):
+                sol = sa.solve(p)
+            assert "density quantiles" in caplog.text
+            monkeypatch.setattr(sa, "residual", real)
+            ref = sa.solve(p, init=sa._quantile_guess(p))
+            assert sol.centroids.tobytes() == ref.centroids.tobytes()
+            assert sol.v_k == ref.v_k
+            assert sol.residual_history == ref.residual_history
+        else:
+            with pytest.raises(SolverDiverged,
+                               match="^initial guess is infeasible$") as exc:
+                sa.solve(p, init=start)
+            assert np.isnan(exc.value.residual_norm)
+            assert np.array_equal(exc.value.best, start)
+
+    def test_one_debug_record_per_solve(self, monkeypatch, caplog):
+        p = StaticProblem(DOM_100, 15, GAUSS_FREE_MU, 750.0)
+        calls = []
+        real = sa.residual
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sa, "residual", counting)
+        with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
+            sol = sa.solve(p)
+        records = [r.getMessage() for r in caplog.records
+                   if "Newton steps" in r.getMessage()]
+        assert records == [
+            f"N = 15: dense Newton steps {sol.iterations}, residual "
+            f"evaluations {len(calls)}, final residual norm "
+            f"{sol.residual_norm:.3g}, converged"]
+
+        caplog.clear()
+        bad = np.append(np.linspace(10.0, 20.0, 15)[::-1], 50.0)
+        with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
+            with pytest.raises(SolverDiverged):
+                sa.solve(p, init=bad)
+        assert [r.getMessage() for r in caplog.records] == [
+            "N = 15: dense Newton steps 0, residual evaluations 1, final "
+            "residual norm inf, diverged"]
 
 
 class TestEmptyCellRule:

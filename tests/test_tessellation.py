@@ -256,6 +256,19 @@ class TestLloydLoopOracle:
             tess.lloyd([h - 6e298, h - 5e298], d, dom, max_iter=3)
 
 
+    @pytest.mark.parametrize("max_iter", [50, tess.LLOYD_MAX_ITER])
+    def test_nan_centroids_raise(self, max_iter):
+        # The uniform moments overflow here (the clipped ends squared are
+        # inf, and inf - inf is NaN), so the first centroid map is NaN:
+        # Lloyd raises instead of running on to a "budget" or "stagnated"
+        # stop with NaN generators.
+        h = np.finfo(float).max / 2
+        dom = Domain1D(h - 1e299, h + 1e299)
+        d = DensitySpec("uniform", {"a": dom.a, "b": dom.b})
+        with pytest.raises(GeneratorOutOfDomain,
+                           match="^generators must be finite$"):
+            tess.lloyd([h - 9e298, h - 8e298], d, dom, max_iter=max_iter)
+
 class TestIsCvt:
     def test_exact_cvt(self):
         assert tess.is_cvt([2.5, 7.5, 12.5], UNIFORM_15, DOM_15, tol=1e-9)
