@@ -10,7 +10,7 @@ form.  The tests check them against adaptive quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -205,13 +205,26 @@ def _require_bound(d: DensitySpec) -> None:
 
 
 def bind_free_parameter(d: DensitySpec, value: float) -> DensitySpec:
-    """Return a concrete copy of d with its free parameter set to value."""
+    """Return a concrete copy of d with its free parameter set to value.
+
+    d's other parameters were checked when d was built, so only the new
+    value is checked, in the order DensitySpec's own checks would take it:
+    the family's invariant first, then finiteness."""
     if d.free_param is None:
         raise NoFreeParameter("density has no free parameter to bind")
+    value = float(value)
     params = dict(d.params)
-    params[d.free_param] = float(value)
+    params[d.free_param] = value
     _check_params(d.family, params)
-    return replace(d, params=params, free_param=None)
+    if not math.isfinite(value):
+        raise InvalidParameterValue(
+            f"{d.family} parameter {d.free_param!r} must be a finite number, "
+            f"got {value!r}")
+    bound = object.__new__(DensitySpec)
+    object.__setattr__(bound, "family", d.family)
+    object.__setattr__(bound, "params", params)
+    object.__setattr__(bound, "free_param", None)
+    return bound
 
 
 # ---------------------------------------------------------------------------

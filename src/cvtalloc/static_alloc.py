@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy.linalg import solve_banded
 
 from . import density as dens
@@ -148,7 +149,8 @@ def residual(unknowns, p: StaticProblem, masses: bool = False):
 
 
 def default_initial_guess(p: StaticProblem) -> np.ndarray:
-    """Equally spaced centroids plus a family-specific moment guess for v_k."""
+    """Equally spaced centroids plus a family-specific moment guess for v_k.
+    Every default start of solve takes its v_k from here."""
     z0 = tess.default_init(p.n_agents, p.domain)
     mean = p.r / p.n_agents
     free = p.density.free_param
@@ -170,31 +172,91 @@ def default_initial_guess(p: StaticProblem) -> np.ndarray:
     return np.concatenate((z0, [v0]))
 
 
-def _quantile_guess(p: StaticProblem) -> np.ndarray | None:
-    """Centroid guess at the density quantiles (i - 1/2)/N of the moment-based
-    v_k.  Used when the equally spaced default leaves empty tail cells, e.g. a
-    Gaussian far narrower than the domain."""
-    from scipy import special, stats
-
-    u0 = default_initial_guess(p)
-    v0 = u0[-1]
-    try:
-        d = bind_free_parameter(p.density, v0)
-    except InvalidParameterValue:
-        return None
-    q = (np.arange(1, p.n_agents + 1) - 0.5) / p.n_agents
+def _quantiles(d: DensitySpec, q: np.ndarray,
+               domain: Domain1D | None = None) -> np.ndarray:
+    """The q-quantiles of the bound density d, from the family's inverse
+    CDF; with a domain, those of d truncated to it, at the levels
+    F(a) + q (F(b) - F(a)) of the family's CDF F."""
     fam, par = d.family, d.params
     if fam == "gaussian":
-        z = par["mu"] + math.sqrt(par["sigma2"]) * special.ndtri(q)
+        mu, sigma = par["mu"], math.sqrt(par["sigma2"])
+        cdf = lambda x: special.ndtr((x - mu) / sigma)
+        inverse = lambda q: mu + sigma * special.ndtri(q)
     elif fam == "exponential":
-        z = -np.log1p(-q) / par["lam"]
+        lam = par["lam"]
+        cdf = lambda x: -math.expm1(-lam * max(x, 0.0))
+        inverse = lambda q: -np.log1p(-q) / lam
     elif fam == "gamma":
-        z = stats.gamma.ppf(q, par["k"], scale=par["theta"])
+        k, theta = par["k"], par["theta"]
+        cdf = lambda x: special.gammainc(k, max(x, 0.0) / theta)
+        inverse = lambda q: special.gammaincinv(k, q) * theta
     else:
-        z = par["a"] + (par["b"] - par["a"]) * q
+        a, width = par["a"], par["b"] - par["a"]
+        cdf = lambda x: min(max((x - a) / width, 0.0), 1.0)
+        inverse = lambda q: a + width * q
+    if domain is not None:
+        lo, hi = cdf(domain.a), cdf(domain.b)
+        q = lo + (hi - lo) * q
+    return inverse(q)
+
+
+def _moment_density(p: StaticProblem) -> DensitySpec | None:
+    """The density at default_initial_guess's v_k; None when that value is
+    invalid."""
+    try:
+        return bind_free_parameter(p.density, default_initial_guess(p)[-1])
+    except InvalidParameterValue:
+        return None
+
+
+def _levels(n: int) -> np.ndarray:
+    return (np.arange(1, n + 1) - 0.5) / n
+
+
+def _quantile_guess(p: StaticProblem) -> np.ndarray | None:
+    """Centroid guess at the density quantiles (i - 1/2)/N of the moment-based
+    v_k, untruncated and clipped into the domain; None when they are not
+    strictly increasing.  The last default start: it takes a Gaussian far
+    narrower than the domain, where the equally spaced start leaves empty
+    tail cells."""
+    d = _moment_density(p)
+    if d is None:
+        return None
+    z = _quantiles(d, _levels(p.n_agents))
     pad = 1e-9 * p.domain.width
     z = np.clip(z, p.domain.a + pad, p.domain.b - pad)
     if np.any(np.diff(z) <= 0):
+        return None
+    return np.concatenate((z, [d.params[p.density.free_param]]))
+
+
+def _cube_root_guess(p: StaticProblem) -> np.ndarray | None:
+    """Centroid guess at the quantiles (i - 1/2)/N of rho^(1/3) truncated to
+    the domain, rho the density at the moment-based v_k; None when they are
+    not strictly increasing inside the domain.
+
+    In 1-D the optimal quantizer's points follow rho^(1/3) as N grows (Panter
+    & Dite 1951; Gersho 1979), and each family's rho^(1/3) is in the same
+    family: Gaussian N(mu, 3 sigma^2), exponential of rate lambda/3,
+    Gamma((k + 2)/3, 3 theta), and the uniform itself."""
+    d = _moment_density(p)
+    if d is None:
+        return None
+    v0, par = d.params[p.density.free_param], d.params
+    try:
+        if d.family == "gaussian":
+            d = DensitySpec("gaussian", {"mu": par["mu"],
+                                         "sigma2": 3.0 * par["sigma2"]})
+        elif d.family == "exponential":
+            d = DensitySpec("exponential", {"lam": par["lam"] / 3.0})
+        elif d.family == "gamma":
+            d = DensitySpec("gamma", {"k": (par["k"] + 2.0) / 3.0,
+                                      "theta": 3.0 * par["theta"]})
+    except InvalidParameterValue:
+        return None
+    z = _quantiles(d, _levels(p.n_agents), p.domain)
+    if not (p.domain.a < z[0] and z[-1] < p.domain.b
+            and np.all(np.diff(z) > 0)):
         return None
     return np.concatenate((z, [v0]))
 
@@ -370,32 +432,49 @@ def _newton_step(u: np.ndarray, f: np.ndarray, m0: np.ndarray,
         return np.linalg.lstsq(jac, -f, rcond=None)[0], evals
 
 
+def _starts(p: StaticProblem, init) -> list:
+    """solve's starts in order, as (name, guess) with guess(p) the unknowns
+    or None.  A given init is the only start.  Otherwise: above N_DENSE the
+    cube-root quantiles, then the equally spaced centroids, then the density
+    quantiles."""
+    if init is not None:
+        return [("given", lambda p: np.asarray(init, dtype=float).ravel())]
+    starts = [("equally spaced", default_initial_guess),
+              ("density quantiles", _quantile_guess)]
+    if p.n_agents > N_DENSE:
+        starts.insert(0, ("cube-root quantiles", _cube_root_guess))
+    return starts
+
+
 def solve(p: StaticProblem, init=None) -> StaticSolution:
     """Damped Newton with Armijo backtracking on the residual 2-norm.
     Candidates that break ordering or parameter invariants are treated as
     line-search rejections.
 
-    Each step is _newton_step; above N_DENSE agents its bytes are the same
-    at any BLAS thread count.  Each iterate is evaluated once: the accepted
-    line-search candidate's residual, masses and norm are the next step's.
-    The solve logs one DEBUG record at its end, converged or diverged: its
-    path, Newton steps, residual evaluations (a stack counts as one; those
-    of a step that cannot be differenced are not counted) and final
-    residual norm."""
-    u = (np.asarray(init, dtype=float).ravel() if init is not None
-         else default_initial_guess(p))
+    Without init, Newton starts from the first of _starts whose residual
+    norm is finite: above N_DENSE agents first the quantiles of rho^(1/3)
+    (the asymptotic point density of the optimal quantizer), then at any N
+    the equally spaced centroids and the density quantiles, each with
+    default_initial_guess's v_k.  Each step is
+    _newton_step; above N_DENSE agents its bytes are the same at any BLAS
+    thread count.  Each iterate is evaluated once: the accepted line-search
+    candidate's residual, masses and norm are the next step's.  The solve
+    logs one DEBUG record at its end, converged or diverged: its path,
+    Newton steps, residual evaluations (a stack counts as one; those of a
+    step that cannot be differenced are not counted), final residual norm
+    and the start it took."""
     path = "banded" if p.n_agents > N_DENSE else "dense"
-    evals, steps, norm, outcome = 1, 0, np.nan, None
+    evals, steps, norm, start, outcome = 0, 0, np.nan, None, None
     try:
-        f, m0, norm = _evaluate(u, p)
-        if not np.isfinite(norm) and init is None:
-            fallback = _quantile_guess(p)
-            if fallback is not None:
-                logger.debug("default initial guess is infeasible; retrying "
-                             "from the density quantiles")
-                u = fallback
-                f, m0, norm = _evaluate(u, p)
-                evals += 1
+        for start, guess in _starts(p, init):
+            cand = guess(p)
+            if cand is None:
+                continue
+            u = cand
+            f, m0, norm = _evaluate(u, p)
+            evals += 1
+            if np.isfinite(norm):
+                break
         if not np.isfinite(norm):
             raise SolverDiverged("initial guess is infeasible", best=u,
                                  residual_norm=norm)
@@ -441,8 +520,8 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
     finally:
         if outcome:
             logger.debug("N = %d: %s Newton steps %d, residual evaluations %d, "
-                         "final residual norm %.3g, %s", p.n_agents, path,
-                         steps, evals, norm, outcome)
+                         "final residual norm %.3g, %s, start %s", p.n_agents,
+                         path, steps, evals, norm, outcome, start)
 
 
 def _package(u: np.ndarray, history: tuple,

@@ -35,16 +35,25 @@ def support(d: DensitySpec) -> Interval:
 
 def moment_quadrature(d: DensitySpec, lo: float, hi: float, order: int) -> float:
     """Adaptive quadrature of x^order * pdf over [lo, hi]."""
+    return _quadrature(lambda x: (x ** order if order else 1.0) * float(d.pdf(x)),
+                       d, lo, hi)
+
+
+def power_quadrature(d: DensitySpec, lo: float, hi: float, power: float) -> float:
+    """Adaptive quadrature of pdf ** power over [lo, hi]: with power 1/3, the
+    unnormalized mass of the cube-root density."""
+    return _quadrature(lambda x: float(d.pdf(x)) ** power, d, lo, hi)
+
+
+def _quadrature(fn, d: DensitySpec, lo: float, hi: float) -> float:
     sup = support(d)
     lo = max(lo, sup.lo)
     hi = min(hi, sup.hi)
     if lo >= hi:
         return 0.0
-    result = integrate.quad(
-        lambda x: (x ** order if order else 1.0) * float(d.pdf(x)),
-        lo, hi, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT,
-        full_output=1,
-    )
+    result = integrate.quad(fn, lo, hi, epsabs=QUAD_ABS_TOL,
+                            epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT,
+                            full_output=1)
     if len(result) > 3:
         raise QuadratureNonConvergence(
             f"quadrature failed on [{lo}, {hi}]: {result[3]}")

@@ -1,6 +1,7 @@
 """Density families: construction, closed-form interval moments, and their
 agreement with the quadrature oracle of tests/quadrature.py."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -100,6 +101,65 @@ class TestDensitySpec:
         d = DensitySpec("gaussian", {"sigma2": 4.0}, free_param="mu")
         with pytest.raises(UnboundFreeParameter):
             dens.mass(d, Interval(0.0, 1.0))
+
+
+def _bind_before(d, value):
+    """bind_free_parameter as it was before it stopped re-running
+    DensitySpec.__post_init__: the oracle for every outcome and message."""
+    if d.free_param is None:
+        raise NoFreeParameter("density has no free parameter to bind")
+    params = dict(d.params)
+    params[d.free_param] = float(value)
+    dens._check_params(d.family, params)
+    return dataclasses.replace(d, params=params, free_param=None)
+
+
+def _bind_outcome(bind, d, value):
+    try:
+        b = bind(d, value)
+    except Exception as exc:  # the oracle's exception, whatever it is
+        return type(exc), str(exc)
+    return (b.family, b.free_param,
+            [(k, type(v), v) for k, v in b.params.items()])
+
+
+class TestBindFreeParameter:
+    SPECS = [
+        DensitySpec("gaussian", {"sigma2": 4.0}, free_param="mu"),
+        DensitySpec("gaussian", {"mu": 1.0}, free_param="sigma2"),
+        DensitySpec("uniform", {"a": 0.0}, free_param="b"),
+        DensitySpec("uniform", {"b": 10.0}, free_param="a"),
+        DensitySpec("exponential", {}, free_param="lambda"),
+        DensitySpec("gamma", {"theta": 2.0}, free_param="k"),
+        DensitySpec("gamma", {"k": 3.0}, free_param="theta"),
+        DensitySpec("gamma", {"k": 3.0, "theta": 2.0}),
+    ]
+    VALUES = [2.5, 20.0, 0.0, -0.0, -3.0, 1e308, 5e-324, math.inf,
+              -math.inf, math.nan, True, False, 7, np.float64(1.5),
+              np.float32(0.25), np.int64(3), np.float64(math.nan),
+              np.float64(-math.inf), np.bool_(True), "2", None, [1.0]]
+
+    @pytest.mark.parametrize("d", SPECS, ids=lambda d: f"{d.family}-{d.free_param}")
+    def test_same_outcome_as_rebuilding_the_spec(self, d):
+        for value in self.VALUES:
+            assert (_bind_outcome(bind_free_parameter, d, value)
+                    == _bind_outcome(_bind_before, d, value)), value
+
+    def test_messages_keep_their_order(self):
+        mu = DensitySpec("gaussian", {"sigma2": 4.0}, free_param="mu")
+        s2 = DensitySpec("gaussian", {"mu": 0.0}, free_param="sigma2")
+        with pytest.raises(InvalidParameterValue,
+                           match="^gaussian requires sigma2 > 0, got nan$"):
+            bind_free_parameter(s2, math.nan)
+        with pytest.raises(InvalidParameterValue,
+                           match="^gaussian parameter 'mu' must be a finite "
+                                 "number, got nan$"):
+            bind_free_parameter(mu, math.nan)
+
+    def test_bound_spec_equals_a_constructed_one(self):
+        d = DensitySpec("gamma", {"theta": 2.0}, free_param="k")
+        assert bind_free_parameter(d, 3) == DensitySpec(
+            "gamma", {"theta": 2.0, "k": 3.0})
 
 
 # ---------------------------------------------------------------------------

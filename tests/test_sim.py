@@ -2,6 +2,10 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +101,20 @@ class TestInitialize:
     def test_serialization_deterministic(self):
         sc = small_scenario()
         assert sim.initialize(sc).serialize() == sim.initialize(sc).serialize()
+
+    def test_shipped_initialize_leaves_scipy_stats_unimported(self):
+        # The shipped N = 15 solve starts at the density quantiles; their
+        # inverse CDFs come from scipy.special, and scipy.stats alone costs
+        # most of a second and tens of MB at import.
+        script = ("import json, sys; from cvtalloc import sim; "
+                  f"cfg = json.load(open({str(SHIPPED)!r})); "
+                  "sim.initialize(sim.Scenario.from_config(cfg)); "
+                  "print('scipy.stats' in sys.modules)")
+        src = str(Path(sim.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False"]
 
 
 class TestRun:

@@ -4,7 +4,9 @@ import logging
 
 import numpy as np
 import pytest
+from test_golden import fleet_config
 
+import quadrature
 from cvtalloc import density as dens
 from cvtalloc import static_alloc as sa
 from cvtalloc import tessellation as tess
@@ -15,6 +17,7 @@ from cvtalloc.errors import (
     InvalidCandidate,
     SolverDiverged,
 )
+from cvtalloc.sim import Scenario
 from cvtalloc.static_alloc import StaticProblem
 from cvtalloc.tessellation import Domain1D
 
@@ -497,7 +500,7 @@ class TestEvaluationCount:
         assert records == [
             f"N = 15: dense Newton steps {sol.iterations}, residual "
             f"evaluations {len(calls)}, final residual norm "
-            f"{sol.residual_norm:.3g}, converged"]
+            f"{sol.residual_norm:.3g}, converged, start equally spaced"]
 
         caplog.clear()
         bad = np.append(np.linspace(10.0, 20.0, 15)[::-1], 50.0)
@@ -506,7 +509,7 @@ class TestEvaluationCount:
                 sa.solve(p, init=bad)
         assert [r.getMessage() for r in caplog.records] == [
             "N = 15: dense Newton steps 0, residual evaluations 1, final "
-            "residual norm inf, diverged"]
+            "residual norm inf, diverged, start given"]
 
 
 class TestEmptyCellRule:
@@ -539,13 +542,111 @@ class TestEmptyCellRule:
             dens.cell_centroids(far, np.array([-1.0, 40.0, 41.0]))
 
     def test_solve_retries_from_quantiles(self, caplog):
+        # Above N_DENSE the cube-root quantiles come before the equally
+        # spaced start; at or below it the retry is
+        # test_narrow_gaussian_uses_quantile_fallback.
         with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
             sol = sa.solve(self.P)
-        assert "density quantiles" in caplog.text
+        assert "start cube-root quantiles" in caplog.text
         assert "N = 200: banded Newton steps" in caplog.text
         assert sol.residual_norm < 1e-9
         assert abs(sol.v_k - 25.0) < 1e-6
         assert abs(np.sum(sol.centroids) - 5000.0) < 1e-6
+
+
+def seed0_sweep(n):
+    """The static-sweep seed-0 problem at N = n (Acceptance 2 scaled)."""
+    return StaticProblem(DOM_100, n, GAUSS_FREE_MU, 50.0 * n)
+
+
+def fleet240_initial():
+    """The initial static problem of the shipped scenario scaled to 240."""
+    sc = Scenario.from_config(fleet_config(240))
+    return StaticProblem(sc.domain, sc.n_agents, sc.density,
+                         sc.power_schedule[0])
+
+
+def old_default_start(p):
+    """The start a solve without init took before the cube-root start: the
+    equally spaced one, else the density quantiles."""
+    u = sa.default_initial_guess(p)
+    return u if np.isfinite(sa._evaluate(u, p)[2]) else sa._quantile_guess(p)
+
+
+class TestCubeRootStart:
+    """Above N_DENSE a solve without init starts at the quantiles
+    (i - 1/2)/N of rho^(1/3) truncated to the domain, rho the density at
+    default_initial_guess's v_k, and falls through to the equally spaced
+    start and the density quantiles when that start is not usable."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_quantiles_of_the_truncated_cube_root(self, family):
+        d, mean = FAMILIES[family]
+        n = 100
+        p = StaticProblem(DOM_100, n, d, mean * n)
+        u = sa._cube_root_guess(p)
+        v0 = sa.default_initial_guess(p)[-1]
+        assert u[-1] == v0
+        rho = bind_free_parameter(d, v0)
+        total = quadrature.power_quadrature(rho, 0.0, 100.0, 1.0 / 3.0)
+        levels = [quadrature.power_quadrature(rho, 0.0, z, 1.0 / 3.0) / total
+                  for z in u[:-1]]
+        np.testing.assert_allclose(levels, (np.arange(n) + 0.5) / n,
+                                   rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("name, p, max_steps", [
+        ("n=200", seed0_sweep(200), 5),
+        ("n=800", seed0_sweep(800), 5),
+        ("fleet-240", fleet240_initial(), 5),
+    ], ids=lambda x: x if isinstance(x, str) else "")
+    def test_agrees_with_the_old_start(self, name, p, max_steps, caplog):
+        with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
+            sol = sa.solve(p)
+        assert "start cube-root quantiles" in caplog.text
+        assert sol.iterations <= max_steps
+        old = sa.solve(p, init=old_default_start(p))
+        assert (np.max(np.abs(sol.centroids - old.centroids))
+                <= 1e-9 * p.domain.width)
+        assert abs(sol.v_k - old.v_k) <= 1e-9 * abs(old.v_k)
+
+    def test_ten_thousand_agents_in_few_steps(self):
+        sol = sa.solve(seed0_sweep(10_000))
+        assert sol.residual_norm < sa.RESIDUAL_TOL
+        assert sol.iterations <= 6
+
+    @pytest.mark.parametrize("density", [
+        # Quantiles of N(50, 3e-30) collapse onto a few floats near 50.
+        DensitySpec("gaussian", {"sigma2": 1e-30}, free_param="mu"),
+        # rho^(1/3) = N(1000, 3) has no mass left on [0, 100].
+        DensitySpec("gaussian", {"mu": 1000.0}, free_param="sigma2"),
+    ], ids=["collapsed", "outside"])
+    def test_unusable_quantiles_give_no_start(self, density):
+        assert sa._cube_root_guess(
+            StaticProblem(DOM_100, 100, density, 5000.0)) is None
+
+    @pytest.mark.parametrize("guess", [
+        lambda p: None,
+        lambda p: sa.default_initial_guess(p)[::-1].copy(),
+    ], ids=["none", "invalid"])
+    def test_falls_through_to_equally_spaced(self, guess, monkeypatch,
+                                             caplog):
+        p = StaticProblem(DOM_100, 100, WIDE_GAUSS_FREE_MU, 3000.0)
+        monkeypatch.setattr(sa, "_cube_root_guess", guess)
+        with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
+            sol = sa.solve(p)
+        assert "start equally spaced" in caplog.text
+        ref = sa.solve(p, init=sa.default_initial_guess(p))
+        assert sol.centroids.tobytes() == ref.centroids.tobytes()
+        assert sol.residual_history == ref.residual_history
+
+    def test_gamma_quantiles_equal_scipy_stats(self):
+        stats = pytest.importorskip("scipy.stats")
+        q = (np.arange(800) + 0.5) / 800
+        for k in np.geomspace(0.05, 60.0, 30):
+            for theta in (0.1, 1.0, 10.0, 300.0):
+                d = DensitySpec("gamma", {"k": k, "theta": theta})
+                assert np.array_equal(sa._quantiles(d, q),
+                                      stats.gamma.ppf(q, k, scale=theta))
 
 
 class TestInvariantsAndProperties:
