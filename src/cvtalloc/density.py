@@ -354,15 +354,22 @@ def second_moment(d: DensitySpec, iv: Interval) -> float:
     return float(np.squeeze(m2))
 
 
+# Widths above this count as this wide in mass_floor, so no floor exceeds
+# 1e-200: far below the mass of a cell that holds any share of the density
+# worth a centroid, even a cell wider than 1e300 holding all of it.
+_FLOOR_WIDTH_CAP = 1e100
+
+
 def mass_floor(width):
     """Minimum mass below which a cell of the given width is treated as
     empty (vectorized over a widths array).
 
-    Scaled by the width, at least 1, and 1 for an infinite or undefined
-    (NaN, from inf - inf) width, so far-tail cells that underflow raise a
-    clear EmptyCell instead of dividing near-zero.
+    Scaled by the width, at least 1 and at most _FLOOR_WIDTH_CAP, and 1 for
+    an infinite or undefined (NaN, from inf - inf) width, so far-tail cells
+    that underflow raise a clear EmptyCell instead of dividing near-zero.
     """
-    return 1e-300 * np.maximum(np.where(np.isfinite(width), width, 1.0), 1.0)
+    width = np.where(np.isfinite(width), width, 1.0)
+    return 1e-300 * np.minimum(np.maximum(width, 1.0), _FLOOR_WIDTH_CAP)
 
 
 def cell_centroids(d: DensitySpec, m, masses: bool = False):
@@ -396,19 +403,22 @@ def _cell_centroids(d: DensitySpec, m: np.ndarray) -> tuple:
     underflow and invalid values.
 
     The empty-cell rule costs two reductions when no cell is near empty:
-    every cell's mass_floor is at most 1e-300 * max(largest width, 1), so a
-    least mass above that bound means no cell is empty.  A NaN or infinite
-    width makes the bound NaN or infinite and a NaN mass makes the least
-    mass NaN; the comparison is then false, as it is when some mass is
-    small, and the full per-cell rule decides.  Cells run along the last
-    axis of m.
+    every cell's mass_floor is at most 1e-300 * min(max(largest width, 1),
+    _FLOOR_WIDTH_CAP), so a least mass above that bound means no cell is
+    empty.  An infinite width makes the bound the capped one, which is still
+    at least the floor of 1e-300 that the per-cell rule gives it.  A NaN
+    width makes the bound NaN and a NaN mass makes the least mass NaN; the
+    comparison is then false, as it is when some mass is small, and the
+    full per-cell rule decides.  Cells run along the last axis of m.
     """
     lo, hi = m[..., :-1], m[..., 1:]
     t = _terms(d, m, 1)
     m0, m1 = _combine(d, [a[..., :-1] for a in t], [a[..., 1:] for a in t], 1)
     width = hi - lo
+    widest = np.maximum.reduce(width, axis=None, initial=1.0)
+    # min keeps a NaN widest: the cap is never less than NaN.
     if not (np.minimum.reduce(m0, axis=None, initial=np.inf)
-            > 1e-300 * np.maximum.reduce(width, axis=None, initial=1.0)):
+            > 1e-300 * min(widest, _FLOOR_WIDTH_CAP)):
         bad = m0 <= mass_floor(width)
         if bad.any():
             at = np.unravel_index(np.argmax(bad), bad.shape)

@@ -8,8 +8,9 @@ Each Newton step solves a linear system in the Jacobian of that residual.
 Centroid row i depends only on z_{i-1}, z_i, z_{i+1} and the free parameter,
 so the Jacobian is tridiagonal plus one border row and one border column
 (the 1-D Lloyd-Newton structure; Du, Faber & Gunzburger 1999).  Every step
-builds those three parts.  Up to N_DENSE agents the tridiagonal is
-differenced and the bordered matrix solved densely; above, the tridiagonal
+builds those three parts.  Up to N_DENSE agents, the shipped scenario's 15,
+the tridiagonal is differenced and the bordered matrix solved densely, the
+path whose last bits the shipped output bytes pin; above, the tridiagonal
 is filled analytically and the bordered system solved in O(N).
 """
 
@@ -48,9 +49,11 @@ MAX_NEWTON_ITER = 200
 FD_STEP = 1e-7
 ARMIJO_C = 1e-4
 MIN_ALPHA = 1e-12
-# Largest N solved with the dense difference Jacobian.  The dense solve
-# gives the same bytes at any BLAS thread count only up to about N = 80.
-N_DENSE = 64
+# Largest N solved with the dense difference Jacobian: the shipped
+# scenario's n_agents, whose output bytes pin that path's last bits.  Every
+# larger solve takes the banded path, which needs fewer residual
+# evaluations and gives the same bytes at any BLAS thread count.
+N_DENSE = 15
 CROSSVAL_LLOYD_TOL = 1e-12
 
 
@@ -436,7 +439,8 @@ def _starts(p: StaticProblem, init) -> list:
     """solve's starts in order, as (name, guess) with guess(p) the unknowns
     or None.  A given init is the only start.  Otherwise: above N_DENSE the
     cube-root quantiles, then the equally spaced centroids, then the density
-    quantiles."""
+    quantiles; at or below it, as the shipped N = 15 solve has always
+    started, only the last two."""
     if init is not None:
         return [("given", lambda p: np.asarray(init, dtype=float).ravel())]
     starts = [("equally spaced", default_initial_guess),
@@ -455,14 +459,14 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
     norm is finite: above N_DENSE agents first the quantiles of rho^(1/3)
     (the asymptotic point density of the optimal quantizer), then at any N
     the equally spaced centroids and the density quantiles, each with
-    default_initial_guess's v_k.  Each step is
-    _newton_step; above N_DENSE agents its bytes are the same at any BLAS
-    thread count.  Each iterate is evaluated once: the accepted line-search
-    candidate's residual, masses and norm are the next step's.  The solve
-    logs one DEBUG record at its end, converged or diverged: its path,
-    Newton steps, residual evaluations (a stack counts as one; those of a
-    step that cannot be differenced are not counted), final residual norm
-    and the start it took."""
+    default_initial_guess's v_k.  Each step is _newton_step: dense at or
+    below N_DENSE (the shipped N = 15), banded above, where its bytes are
+    the same at any BLAS thread count.  Each iterate is evaluated once: the
+    accepted line-search candidate's residual, masses and norm are the next
+    step's.  The solve logs one DEBUG record at its end, converged or
+    diverged: its path, Newton steps, residual evaluations (a stack counts
+    as one; those of a step that cannot be differenced are not counted),
+    final residual norm and the start it took."""
     path = "banded" if p.n_agents > N_DENSE else "dense"
     evals, steps, norm, start, outcome = 0, 0, np.nan, None, None
     try:

@@ -306,24 +306,73 @@ def _scalar_mass_floor(width):
     """The per-cell empty-cell rule, one width at a time."""
     if not math.isfinite(width):
         width = 1.0
-    return 1e-300 * max(width, 1.0)
+    return 1e-300 * min(max(width, 1.0), 1e100)
 
 
 class TestMassFloor:
     def test_vectorized_equals_scalar_rule(self):
         # Widths below, at and above 1, zero, infinite, overflowing to
         # infinity, and undefined (inf - inf), as cell_centroids takes them
-        # from np.diff of the boundaries.
+        # from np.diff of the boundaries; then widths around the cap.
         lo = np.array([0.0, 0.0, 0.0, 2.0, 5.0, -np.inf, 0.0, -np.inf,
-                       -3.5, 1e300, -1e308, -np.inf, np.inf])
+                       -3.5, 1e300, -1e308, -np.inf, np.inf,
+                       0.0, 0.0, 0.0, -1e300])
         hi = np.array([0.5, 1.0, 1.5, 300.0, 5.0, 0.0, np.inf, np.inf,
-                       1e-300, np.inf, 1e308, -np.inf, np.inf])
+                       1e-300, np.inf, 1e308, -np.inf, np.inf,
+                       9e99, 1e100, 1.1e100, 1.7e308])
         with np.errstate(invalid="ignore", over="ignore"):
             width = hi - lo
         expected = np.array([_scalar_mass_floor(float(w)) for w in width])
         assert np.array_equal(dens.mass_floor(width), expected)
         for w, e in zip(width, expected):
             assert dens.mass_floor(w) == e
+
+    def test_cell_wider_than_1e300_holding_all_mass_is_not_empty(self):
+        # Uncapped, the floor of this cell would be 1.7e8, above its mass 1.
+        d = DensitySpec("uniform", {"a": 0.0, "b": 1.7e308})
+        _, m0 = dens.cell_centroids(d, np.array([0.0, 1.7e308]), masses=True)
+        assert m0[0] == pytest.approx(1.0, rel=1e-15)
+        assert dens.mass_floor(1.7e308) == dens.mass_floor(1e100) < 1e-199
+
+    def test_wide_cells_with_small_masses_are_kept(self):
+        # Cells 1e150 wide under the uniform density on [0, 1e302] each hold
+        # 1e-152: below their uncapped floor of 1e-150 but above the capped
+        # one, so the one-reduction check passes them without the per-cell
+        # rule, which keeps them too.
+        d = DensitySpec("uniform", {"a": 0.0, "b": 1e302})
+        m = np.array([0.0, 1e150, 2e150, 3e150])
+        c, m0 = dens.cell_centroids(d, m, masses=True)
+        expected = _cell_centroids_before(d, m, masses=True)
+        assert c.tobytes() == expected[0].tobytes()
+        assert m0.tobytes() == expected[1].tobytes()
+        np.testing.assert_allclose(m0, 1e-152, rtol=1e-12)
+        np.testing.assert_allclose(c, [5e149, 1.5e150, 2.5e150], rtol=1e-12)
+
+    @pytest.mark.parametrize("family", ["gaussian", "exponential"])
+    def test_precheck_exact_next_to_wide_cells(self, family):
+        # Far-tail cells near their floor beside cells up to 1e300 wide,
+        # whose capped floors bound the check: the same bits or the same
+        # EmptyCell message as the per-cell rule.
+        d, _, tail = _PRECHECK_CASES[family]
+        rng = np.random.default_rng(7)
+        outcomes = set()
+        for _ in range(300):
+            m = np.sort(rng.uniform(*tail, rng.integers(2, 6)))
+            wide = 10.0 ** rng.uniform(0.0, 300.0, rng.integers(1, 3))
+            m = np.concatenate((m[:1] - wide[::-1].cumsum()[::-1], m))
+            try:
+                c0, m00 = _cell_centroids_before(d, m, masses=True)
+            except EmptyCell as exc:
+                with pytest.raises(EmptyCell) as got:
+                    dens.cell_centroids(d, m)
+                assert str(got.value) == str(exc)
+                outcomes.add("empty")
+                continue
+            c, m0 = dens.cell_centroids(d, m, masses=True)
+            assert c.tobytes() == c0.tobytes()
+            assert m0.tobytes() == m00.tobytes()
+            outcomes.add("kept")
+        assert outcomes == {"empty", "kept"}
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ the same way, one hash per solve (``tests/golden_static.json``), and so are
 Lloyd runs of all four families at N = 1 to 800, which end on each of the
 three stop reasons (``tests/golden_lloyd.json``).  The same file holds the
 iteration count and stop reason of each Acceptance-3 cross-validation run.
-The static solves above N_DENSE must give the same bytes at any BLAS thread
-count, so those goldens hold on any host.
+Every static solve above N_DENSE, the shipped scenario's N = 15, takes the
+banded path, whose bytes do not depend on the BLAS thread count; so the
+static goldens, all at N = 50 and above, hold on any host.  Only the
+shipped scenarios' N = 15 solves take the dense path.
 """
 
 import hashlib
@@ -113,18 +115,20 @@ def test_static_solutions_match_golden_hashes(acceptance3_problems):
 
 def banded_solution_hashes() -> dict:
     """solution_hash of the fleet-240 initial solve and of the static-sweep
-    N = 800 solve, both above N_DENSE."""
+    N = 50 (Acceptance 2) and N = 800 solves, all above N_DENSE."""
     sc = Scenario.from_config(fleet_config(FLEET_N))
     fleet = StaticProblem(sc.domain, sc.n_agents, sc.density,
                           sc.power_schedule[0])
     d = DensitySpec("gaussian", {"sigma2": 4.0}, free_param="mu")
-    sweep = StaticProblem(Domain1D(0.0, 100.0), 800, d, 50.0 * 800)
-    return {"fleet-240": solution_hash(sa.solve(fleet)),
-            "n=800": solution_hash(sa.solve(sweep))}
+    hashes = {"fleet-240": solution_hash(sa.solve(fleet))}
+    for n in (50, 800):
+        sweep = StaticProblem(Domain1D(0.0, 100.0), n, d, 50.0 * n)
+        hashes[f"n={n}"] = solution_hash(sa.solve(sweep))
+    return hashes
 
 
 def test_banded_solutions_independent_of_blas_threads():
-    assert FLEET_N > sa.N_DENSE
+    assert min(FLEET_N, 50) > sa.N_DENSE
     script = ("import json, test_golden; "
               "print(json.dumps(test_golden.banded_solution_hashes()))")
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
@@ -136,6 +140,9 @@ def test_banded_solutions_independent_of_blas_threads():
                              capture_output=True, text=True, check=True)
         hashes.append(json.loads(out.stdout.splitlines()[-1]))
     assert hashes[0] == hashes[1]
+    golden = json.loads((ROOT / "tests" / "golden_static.json").read_text())
+    for n in (50, 800):
+        assert hashes[0][f"n={n}"] == golden[f"gauss s2=4 n={n} r={50 * n}"]
 
 
 LLOYD_FAMILIES = {

@@ -1,10 +1,11 @@
 """Constrained allocation via the N+1 nonlinear system."""
 
+import json
 import logging
 
 import numpy as np
 import pytest
-from test_golden import fleet_config
+from test_golden import SHIPPED, fleet_config
 
 import quadrature
 from cvtalloc import density as dens
@@ -207,7 +208,8 @@ class TestFdJacobian:
 
     def test_at_most_two_residual_evaluations(self, monkeypatch):
         # The free-parameter column and one stack of the three colours.
-        p = StaticProblem(DOM_100, 50, WIDE_GAUSS_FREE_MU, 2500.0)
+        n = sa.N_DENSE
+        p = StaticProblem(DOM_100, n, WIDE_GAUSS_FREE_MU, 50.0 * n)
         u = sa.default_initial_guess(p)
         f, m0 = sa.residual(u, p, masses=True)
         calls = []
@@ -420,7 +422,7 @@ class TestEvaluationCount:
     call at the start, one per line-search candidate and the step's own
     (2 dense, 1 banded), and never evaluates the same unknowns twice."""
 
-    @pytest.mark.parametrize("n, per_step", [(50, 2), (200, 1)])
+    @pytest.mark.parametrize("n, per_step", [(sa.N_DENSE, 2), (200, 1)])
     def test_whole_solve(self, n, per_step, monkeypatch):
         p = StaticProblem(DOM_100, n, WIDE_GAUSS_FREE_MU, 30.0 * n)
         seen, steps, evaluated = [], [], []
@@ -454,8 +456,10 @@ class TestEvaluationCount:
     def test_nan_start(self, init, monkeypatch, caplog):
         # A start whose residual is NaN counts as infeasible: the default
         # guess retries from the density quantiles, exactly as a solve
-        # started there; a given start raises with its NaN norm.
-        p = StaticProblem(DOM_100, 50, GAUSS_FREE_MU, 2500.0)
+        # started there; a given start raises with its NaN norm.  At
+        # N_DENSE the equally spaced start is the first.
+        p = StaticProblem(DOM_100, sa.N_DENSE, GAUSS_FREE_MU,
+                          50.0 * sa.N_DENSE)
         start = sa.default_initial_guess(p)
         real = sa.residual
 
@@ -647,6 +651,82 @@ class TestCubeRootStart:
                 d = DensitySpec("gamma", {"k": k, "theta": theta})
                 assert np.array_equal(sa._quantiles(d, q),
                                       stats.gamma.ppf(q, k, scale=theta))
+
+
+def dense_solve(p, monkeypatch):
+    """p solved on the dense path, whatever its N."""
+    with monkeypatch.context() as m:
+        m.setattr(sa, "N_DENSE", max(sa.N_DENSE, p.n_agents))
+        return sa.solve(p)
+
+
+def converges(solve, p):
+    try:
+        return solve(p).residual_norm < sa.RESIDUAL_TOL
+    except SolverDiverged:
+        return False
+
+
+class TestBandedAboveShippedN:
+    """Only the shipped scenario's N = 15 and below take the dense path;
+    every larger solve, the N = 50 ones of Acceptance 2 and 3 included, is
+    banded."""
+
+    def test_dense_path_ends_at_the_shipped_n(self):
+        sc = Scenario.from_config(json.loads(SHIPPED.read_text()))
+        assert sc.n_agents <= sa.N_DENSE < 16
+
+    def test_n50_solves_agree_with_the_dense_path(self, acceptance3_problems,
+                                                  caplog, monkeypatch):
+        # The static-sweep N = 50 problem is the first Acceptance-3 one.
+        assert seed0_sweep(50) == acceptance3_problems[0][1]
+        for label, p in acceptance3_problems:
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG,
+                                 logger="cvtalloc.static_alloc"):
+                sol = sa.solve(p)
+            assert "N = 50: banded Newton steps" in caplog.text, label
+            assert sol.residual_norm < sa.RESIDUAL_TOL, label
+            dense = dense_solve(p, monkeypatch)
+            assert (np.max(np.abs(sol.centroids - dense.centroids))
+                    <= 1e-9 * p.domain.width), label
+            assert abs(sol.v_k - dense.v_k) <= 1e-9, label
+
+    @pytest.mark.parametrize("p", [
+        StaticProblem(DOM_100, 50, DensitySpec(
+            "gaussian", {"sigma2": 25.0}, free_param="mu"), 10.0 * 50),
+        StaticProblem(DOM_100, 50, DensitySpec(
+            "gaussian", {"sigma2": 25.0}, free_param="mu"), 90.0 * 50),
+        StaticProblem(Domain1D(0.0, 300.0), 50, DensitySpec(
+            "gamma", {"theta": 20.0}, free_param="k"), 40.0 * 50),
+    ], ids=["gauss-s2=25-r/N=10", "gauss-s2=25-r/N=90", "gamma-theta=20"])
+    def test_solves_what_the_dense_path_could_not(self, p, monkeypatch):
+        # The dense path's line search stalls far from these solutions.
+        with pytest.raises(SolverDiverged, match="line search stalled"):
+            dense_solve(p, monkeypatch)
+        sol = sa.solve(p)
+        assert sol.residual_norm < sa.RESIDUAL_TOL
+        assert abs(np.sum(sol.centroids) - p.r) < 1e-6
+        d = bind_free_parameter(p.density, sol.v_k)
+        assert tess.is_cvt(sol.centroids, d, p.domain, tol=1e-7)
+
+    @pytest.mark.parametrize("n", [16, 32, 50, 64])
+    def test_converges_wherever_the_dense_path_does(self, n, monkeypatch):
+        # Means on both sides of each family's bulk, some of which neither
+        # path solves (the exponential at r/N = 50, uniform free b at 70).
+        cases = {"gaussian": (10.0, 30.0, 90.0),
+                 "exponential": (10.0, 30.0, 50.0),
+                 "gamma": (10.0, 30.0, 70.0),
+                 "uniform": (30.0, 45.0, 70.0)}
+        dense_solved = 0
+        for family, means in cases.items():
+            density, _ = FAMILIES[family]
+            for mean in means:
+                p = StaticProblem(DOM_100, n, density, mean * n)
+                dense = converges(lambda q: dense_solve(q, monkeypatch), p)
+                dense_solved += dense
+                assert converges(sa.solve, p) or not dense, (family, mean)
+        assert dense_solved >= 8
 
 
 class TestInvariantsAndProperties:

@@ -269,6 +269,14 @@ class TestLloydLoopOracle:
                            match="^generators must be finite$"):
             tess.lloyd([h - 9e298, h - 8e298], d, dom, max_iter=max_iter)
 
+    def test_one_cell_wider_than_1e300(self):
+        # The one cell holds all the mass, far above its capped mass_floor.
+        d = DensitySpec("gaussian", {"mu": 3.0, "sigma2": 1.0})
+        t = tess.lloyd([1e307], d, Domain1D(-8e307, 8e307))
+        assert t.generators.tolist() == [3.0]
+        assert t.stop_reason == "tol"
+
+
 class TestIsCvt:
     def test_exact_cvt(self):
         assert tess.is_cvt([2.5, 7.5, 12.5], UNIFORM_15, DOM_15, tol=1e-9)
