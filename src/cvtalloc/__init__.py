@@ -9,11 +9,10 @@ orchestrator with a CLI front end.
 """
 
 from . import density, dynamic_alloc, errors, sim, static_alloc, tessellation, thermal
-from .density import DensitySpec, Interval, bind_free_parameter
+from .density import DensitySpec, bind_free_parameter
 from .dynamic_alloc import (
     AllocationState,
     negotiate_round,
-    neighbor_of_interest,
     one_step_update,
     rebuild_line_graph,
     shifted_mean,
@@ -35,12 +34,12 @@ __version__ = "1.0.0"
 __all__ = [
     "density", "tessellation", "static_alloc", "dynamic_alloc", "thermal",
     "sim", "errors",
-    "DensitySpec", "Interval", "bind_free_parameter",
+    "DensitySpec", "bind_free_parameter",
     "Domain1D", "Tessellation", "lloyd", "energy_K", "is_cvt",
     "StaticProblem", "StaticSolution", "solve", "cross_validate",
     "AllocationState", "one_step_update",
     "shifted_mean", "verify_shift_property", "rebuild_line_graph",
-    "neighbor_of_interest", "negotiate_round",
+    "negotiate_round",
     "ThermalParams", "ControllerGains", "build_continuous_model",
     "discretize_zoh", "design_controller",
     "Scenario", "TraceLog", "MetricsReport", "run", "metrics",

@@ -13,7 +13,8 @@ Subcommands::
                  diagnostics JSON with wall times and swap statistics).
 
 Exit codes: 0 success, 1 usage/configuration error, 2 solver failure (a
-failed shift check, or a cvt run that stopped on its iteration budget).
+failed shift check, a cvt run that stopped on its iteration budget, or a
+static-alloc solve that raised SolverDiverged).
 """
 
 from __future__ import annotations

@@ -24,11 +24,6 @@ from .errors import (
 
 __all__ = [
     "DensitySpec",
-    "Interval",
-    "mass",
-    "first_moment",
-    "second_moment",
-    "centroid",
     "cell_centroids",
     "bind_free_parameter",
 ]
@@ -72,20 +67,6 @@ def _check_params(family: str, params: dict) -> None:
             raise InvalidParameterValue(f"gamma requires k > 0, got {k}")
         if theta is not None and not theta > 0:
             raise InvalidParameterValue(f"gamma requires theta > 0, got {theta}")
-
-
-@dataclass(frozen=True)
-class Interval:
-    """A closed interval on the resource axis; hi may be +inf, lo may be -inf."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise ValueError("interval endpoints must not be NaN")
-        if self.lo > self.hi:
-            raise ValueError(f"interval requires lo <= hi, got [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
@@ -157,13 +138,6 @@ class DensitySpec:
             else:
                 params[name] = value
         return cls(family=family, params=params, free_param=free)
-
-    def to_config(self) -> dict:
-        out = {"family": self.family}
-        out.update(self.params)
-        if self.free_param is not None:
-            out[self.free_param] = "free"
-        return out
 
     # -- queries ---------------------------------------------------------
 
@@ -261,7 +235,10 @@ def _terms(d: DensitySpec, x, order: int) -> tuple:
         e = np.exp(-lam * x)  # 0 at x = inf
         out = (e, (xs + 1.0 / lam) * e)
         if order == 2:
-            out += ((xs * xs + 2.0 * xs / lam + 2.0 / lam ** 2) * e,)
+            # 0 where e is: at a huge x the polynomial overflows to inf,
+            # and inf * 0 would be NaN.
+            poly = xs * xs + 2.0 * xs / lam + 2.0 / lam ** 2
+            out += (np.multiply(poly, e, out=np.zeros_like(e), where=e != 0),)
         return out
 
     # gamma: the lower and upper regularized incomplete gamma functions P
@@ -315,43 +292,16 @@ def _combine(d: DensitySpec, lo, hi, order: int) -> tuple:
     return m[0], k * theta * m[1], k * (k + 1.0) * theta * theta * m[2]
 
 
-def interval_moments(d: DensitySpec, lo, hi, order: int = 2):
-    """Vectorized moments 0..order over [lo, hi] arrays: (mass, first
-    moment, second moment) for order 2, (mass, first moment) for order 1.
+def interval_moments(d: DensitySpec, lo, hi):
+    """Vectorized (mass, first moment, second moment) over [lo, hi] arrays.
 
-    Centroids need only order 1, which skips the second-moment work; the
-    mass and first moment are the same either way.  For the cells of a
-    tessellation, cell_centroids shares each boundary's terms between its
-    two cells instead.
+    For the centroids of a tessellation's cells, cell_centroids shares each
+    boundary's terms between its two cells and skips the second moment.
     """
     _require_bound(d)
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order!r}")
     with np.errstate(over="ignore", under="ignore"):
-        return _combine(d, _terms(d, np.asarray(lo, dtype=float), order),
-                        _terms(d, np.asarray(hi, dtype=float), order), order)
-
-
-# ---------------------------------------------------------------------------
-# Public scalar operations
-# ---------------------------------------------------------------------------
-
-def mass(d: DensitySpec, iv: Interval) -> float:
-    """Integral of the density over iv; in [0, 1]."""
-    m0, _ = interval_moments(d, iv.lo, iv.hi, order=1)
-    return float(np.clip(np.squeeze(m0), 0.0, 1.0))
-
-
-def first_moment(d: DensitySpec, iv: Interval) -> float:
-    """Integral of x * density over iv."""
-    _, m1 = interval_moments(d, iv.lo, iv.hi, order=1)
-    return float(np.squeeze(m1))
-
-
-def second_moment(d: DensitySpec, iv: Interval) -> float:
-    """Integral of x^2 * density over iv."""
-    _, _, m2 = interval_moments(d, iv.lo, iv.hi)
-    return float(np.squeeze(m2))
+        return _combine(d, _terms(d, np.asarray(lo, dtype=float), 2),
+                        _terms(d, np.asarray(hi, dtype=float), 2), 2)
 
 
 # Widths above this count as this wide in mass_floor, so no floor exceeds
@@ -430,8 +380,3 @@ def _cell_centroids(d: DensitySpec, m: np.ndarray) -> tuple:
     np.maximum(c, lo, out=c)
     np.minimum(c, hi, out=c)
     return c, m0
-
-
-def centroid(d: DensitySpec, iv: Interval) -> float:
-    """Mass centroid of iv under d: first_moment / mass. Always inside iv."""
-    return float(cell_centroids(d, np.array([iv.lo, iv.hi]))[0])

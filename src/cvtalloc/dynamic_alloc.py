@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "shifted_mean",
     "verify_shift_property",
     "rebuild_line_graph",
-    "neighbor_of_interest",
     "neighbors_of_interest",
     "negotiate_round",
 ]
@@ -41,19 +40,17 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True, eq=False)
 class AllocationState:
     """Per-step snapshot of agent resources, indexed by agent, and the
-    resource order that induces the line graph."""
+    resource order that induces the line graph, built from them."""
 
     resources: np.ndarray
     r_current: float
     mu_current: float
-    order: np.ndarray = None
+    order: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "resources",
                            np.asarray(self.resources, dtype=float))
-        if self.order is None:
-            object.__setattr__(self, "order",
-                               rebuild_line_graph(self.resources))
+        object.__setattr__(self, "order", rebuild_line_graph(self.resources))
 
 
 def rebuild_line_graph(resources) -> np.ndarray:
@@ -129,22 +126,11 @@ def verify_shift_property(d_gaussian: DensitySpec, dom: Domain1D, n: int,
     return ShiftReport(n=n, delta=delta, max_deviation=dev, passed=dev < tol)
 
 
-def neighbor_of_interest(p: int, u: float, z, order) -> int:
-    """The agent at position p of the resource order, or its neighbor at
-    position p - 1 or p + 1, whose resource z[j] is closest to the desired
-    amount u; ties break toward the agent itself, then toward the lower
-    agent index."""
-    if not 0 <= p < len(order):
-        raise IndexError(f"position {p} outside 0..{len(order) - 1}")
-    i = order[p]
-    candidates = [order[q] for q in (p - 1, p, p + 1) if 0 <= q < len(order)]
-    return min(candidates, key=lambda j: (abs(u - z[j]), j != i, j))
-
-
 def neighbors_of_interest(z, desired, order) -> np.ndarray:
-    """:func:`neighbor_of_interest` at every position p of ``order`` at once,
-    with u = desired[order[p]]: the same distances abs(u - z[j]) and the
-    same ranking (distance, then the agent itself, then the lower index)."""
+    """For every position p of ``order`` at once, with i = order[p] and
+    u = desired[i]: of agent i and its neighbors at positions p - 1 and
+    p + 1, the agent j whose resource z[j] is closest to u.  Ties break
+    toward agent i itself, then toward the lower agent index."""
     z = np.asarray(z, dtype=float)
     order = np.asarray(order)
     n = order.size

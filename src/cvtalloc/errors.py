@@ -37,10 +37,6 @@ class DuplicateGenerators(CvtAllocError):
     """Two generators are closer than the degeneracy gap."""
 
 
-class CellsDoNotTile(CvtAllocError):
-    """The given cells overlap or leave gaps."""
-
-
 # --- static allocation -----------------------------------------------------
 
 class InvalidCandidate(CvtAllocError):

@@ -166,18 +166,6 @@ class SimState:
     setpoint_changes: dict     # step -> [(agent, new setpoint), ...]
     k: int = 0
 
-    def serialize(self) -> str:
-        """Deterministic snapshot used by reproducibility checks."""
-        payload = {
-            "k": self.k,
-            "resources": {str(i): _FMT % v
-                          for i, v in enumerate(self.alloc.resources)},
-            "mu": _FMT % self.alloc.mu_current,
-            "r": _FMT % self.alloc.r_current,
-            "states": [[_FMT % v for v in x] for x in self.X.tolist()],
-        }
-        return json.dumps(payload, sort_keys=True)
-
 
 @dataclass
 class TraceLog:

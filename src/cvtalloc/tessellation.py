@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import density as dens
-from .density import DensitySpec, Interval
+from .density import DensitySpec
 from .errors import (
-    CellsDoNotTile,
     DuplicateGenerators,
     GeneratorOutOfDomain,
     UnsortedGenerators,
@@ -26,9 +24,7 @@ __all__ = [
     "Domain1D",
     "Tessellation",
     "voronoi_regions",
-    "energy_F",
     "energy_K",
-    "lloyd_step",
     "lloyd",
     "is_cvt",
     "default_init",
@@ -94,10 +90,6 @@ class Tessellation:
     def converged(self) -> bool:
         return self.stop_reason == "tol"
 
-    def cells(self) -> list[Interval]:
-        return [Interval(self.boundaries[i], self.boundaries[i + 1])
-                for i in range(len(self.generators))]
-
 
 def _validate_generators(generators, dom: Domain1D) -> np.ndarray:
     """Checked along the last axis: a (K, N) stack fails if any row does."""
@@ -150,33 +142,10 @@ def _energy_of_cells(points: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return float(np.sum(np.maximum(per_cell, 0.0)))
 
 
-def energy_F(points, cells: Sequence[Interval], d: DensitySpec) -> float:
-    """Distortion of an arbitrary point/cell assignment (not necessarily
-    Voronoi): sum_i of the density-weighted squared distance to points[i]."""
-    points = np.asarray(points, dtype=float).ravel()
-    if len(points) != len(cells):
-        raise ValueError("points and cells must have equal length")
-    cells = [c if isinstance(c, Interval) else Interval(*c) for c in cells]
-    order = sorted(range(len(cells)), key=lambda i: cells[i].lo)
-    tol = 1e-9 * max(abs(cells[order[-1]].hi - cells[order[0]].lo), 1.0)
-    for i, j in zip(order[:-1], order[1:]):
-        if abs(cells[i].hi - cells[j].lo) > tol:
-            raise CellsDoNotTile(
-                f"cells [{cells[i].lo},{cells[i].hi}] and "
-                f"[{cells[j].lo},{cells[j].hi}] leave a gap or overlap")
-    return _energy_of_cells(points, np.array([c.lo for c in cells]),
-                            np.array([c.hi for c in cells]), d)
-
-
 def energy_K(points, d: DensitySpec, dom: Domain1D) -> float:
-    """Quantization energy: energy_F at the Voronoi cells of the points."""
+    """Quantization energy: the sum over the Voronoi cells of the points of
+    the density-weighted squared distance to each cell's point."""
     return voronoi_regions(points, dom, d).energy
-
-
-def lloyd_step(t: Tessellation, d: DensitySpec) -> Tessellation:
-    """One Lloyd update: move every generator to its cell centroid."""
-    z_new = dens.cell_centroids(d, t.boundaries)
-    return voronoi_regions(z_new, t.domain, d)
 
 
 def default_init(n: int, dom: Domain1D) -> np.ndarray:
@@ -195,10 +164,11 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     once the max displacement has set no new minimum for LLOYD_STALL_WINDOW
     iterations.  After max_iter iterations it stops with stop_reason
     "budget".  Every stop returns the last iterate rather than raising, and
-    only a "tol" stop has converged=True; a NaN displacement (from moments
-    that overflow) raises GeneratorOutOfDomain.  Each call logs one DEBUG
-    record with the stop reason, the iteration count and the final
-    displacement.
+    only a "tol" stop has converged=True.  A NaN displacement (from moments
+    that overflow) raises GeneratorOutOfDomain, and so does a final
+    generator on an end of the domain, where the centroid of a cell whose
+    moments overflow is clamped.  Each call logs one DEBUG record with the
+    stop reason, the iteration count and the final displacement.
 
     d is checked and one np.errstate opened once per run, not once per
     iteration; each iteration calls density._cell_centroids, whose
@@ -245,6 +215,9 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
             elif iterations - least_at >= LLOYD_STALL_WINDOW:
                 stop_reason = "stagnated"
                 break
+    if not (dom.a < z[0] and z[-1] < dom.b):
+        raise GeneratorOutOfDomain(
+            f"Lloyd moved a generator onto an end of ({dom.a}, {dom.b})")
     logger.debug("N = %d: Lloyd stopped on %s after %d iterations, final "
                  "displacement %.3g", z.size, stop_reason, iterations, moved)
     t = Tessellation(generators=z, boundaries=m,

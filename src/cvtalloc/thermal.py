@@ -97,13 +97,11 @@ class ThermalParams:
 @dataclass(frozen=True)
 class ContinuousModel:
     """One agent's A (3, 3), B (3, 1) and G (3, 2), or a fleet's with a
-    leading agent axis; C (1, 3) and D are shared."""
+    leading agent axis.  The output is the first state, the indoor air."""
 
     A: np.ndarray
     B: np.ndarray
     G: np.ndarray
-    C: np.ndarray
-    D: float
 
 
 @dataclass(frozen=True)
@@ -126,11 +124,11 @@ class ControllerGains:
     K_fb: np.ndarray
     N_r: float | np.ndarray
     setpoint: float | np.ndarray
-    # DC disturbance feedforward row (1x2); optional.  Without it the
-    # state-feedback term is dominated by a large constant offset whenever the
-    # slow envelope state sits at a disturbance-shifted equilibrium, which
-    # makes the control signal useless as a "power I actually need" quantity.
-    K_w: np.ndarray | None = None
+    # DC disturbance feedforward row (1x2).  Without it the state-feedback
+    # term is dominated by a large constant offset whenever the slow
+    # envelope state sits at a disturbance-shifted equilibrium, which makes
+    # the control signal useless as a "power I actually need" quantity.
+    K_w: np.ndarray
 
 
 def sample_parameters(seed: int) -> ThermalParams:
@@ -178,10 +176,9 @@ def build_continuous_model(p: ThermalParams) -> ContinuousModel:
         [zero, 1.0 / C2],
         [K4 / C3, zero],
     ])
-    C = np.array([[1.0, 0.0, 0.0]])
     _raise_at_first(np.linalg.eigvals(A).real.max(axis=-1) >= 0, NonHurwitz,
                     "A has an eigenvalue with nonnegative real part")
-    return ContinuousModel(A=A, B=B, G=G, C=C, D=0.0)
+    return ContinuousModel(A=A, B=B, G=G)
 
 
 def discretize_zoh(m: ContinuousModel, Ts: float = DEFAULT_TS_MINUTES) -> DiscreteModel:
@@ -246,7 +243,7 @@ def design_controller(dm: DiscreteModel, poles=DEFAULT_POLES,
         phi = phi @ (Ad - p * eye)
     K_fb = np.linalg.solve(ctrb, phi)[..., -1:, :]
 
-    # The output is the first state, so C @ v is the first row of v.
+    # The output is the first state, so C v is v's first row (C = [1, 0, 0]).
     closed = eye - Ad + Bd @ K_fb
     dc = np.linalg.solve(closed, Bd)[..., 0, 0]
     _raise_at_first(dc == 0.0, Uncontrollable,
@@ -300,7 +297,7 @@ def desired_power(g: ControllerGains, x, w=None):
     K = g.K_fb
     u = (-(K[:, None, :] @ x.reshape(len(K), -1, 1))[:, 0, 0]
          + g.N_r * g.setpoint)
-    if w is not None and g.K_w is not None:
+    if w is not None:
         W = np.broadcast_to(np.asarray(w, dtype=float), g.K_w.shape)
         u = u + (g.K_w[:, None, :] @ W[:, :, None])[:, 0, 0]
     return float(u[0]) if x.ndim == 1 else u

@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy import integrate
 
-from cvtalloc.density import DensitySpec, Interval
+from cvtalloc.density import DensitySpec
 
 # Quadrature tolerances, well below those of the comparisons that use them.
 QUAD_ABS_TOL = 1e-12
@@ -24,13 +24,13 @@ class QuadratureNonConvergence(AssertionError):
     """Adaptive quadrature did not reach the requested tolerance."""
 
 
-def support(d: DensitySpec) -> Interval:
-    """The interval outside which d's density is zero."""
+def support(d: DensitySpec) -> tuple[float, float]:
+    """The ends (lo, hi) of the interval outside which d's density is zero."""
     if d.family == "uniform":
-        return Interval(d.params["a"], d.params["b"])
+        return d.params["a"], d.params["b"]
     if d.family == "gaussian":
-        return Interval(-math.inf, math.inf)
-    return Interval(0.0, math.inf)
+        return -math.inf, math.inf
+    return 0.0, math.inf
 
 
 def moment_quadrature(d: DensitySpec, lo: float, hi: float, order: int) -> float:
@@ -46,9 +46,9 @@ def power_quadrature(d: DensitySpec, lo: float, hi: float, power: float) -> floa
 
 
 def _quadrature(fn, d: DensitySpec, lo: float, hi: float) -> float:
-    sup = support(d)
-    lo = max(lo, sup.lo)
-    hi = min(hi, sup.hi)
+    sup_lo, sup_hi = support(d)
+    lo = max(lo, sup_lo)
+    hi = min(hi, sup_hi)
     if lo >= hi:
         return 0.0
     result = integrate.quad(fn, lo, hi, epsabs=QUAD_ABS_TOL,

@@ -444,11 +444,14 @@ class TestDensityBoundary:
         (("cvt", "--domain", f"{_H - 1e299!r},{_H + 1e299!r}", "--n", "2",
           "--density", "uniform", "--init",
           f"{_H - 9e298!r},{_H - 8e298!r}"), "generators must be finite"),
+        (("cvt", "--domain", "0,1.7e308", "--n", "1", "--density", "uniform"),
+         "onto an end"),
         (("shift-check", "--domain", "0,100", "--n", "5", "--mu", "50",
           "--sigma2", "4", "--delta", "2", "--tol", "nan"),
          "tol must be positive"),
     ], ids=["cvt-tol-nan", "cvt-max-iter-negative", "cvt-init-nan",
-            "cvt-nan-centroids", "shift-tol-nan"])
+            "cvt-nan-centroids", "cvt-generator-on-domain-end",
+            "shift-tol-nan"])
     def test_bad_lloyd_input_exits_one(self, tmp_path, capsys, argv,
                                        message):
         out = ("--out", str(tmp_path)) if argv[0] == "cvt" else ()

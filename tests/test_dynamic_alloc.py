@@ -133,11 +133,23 @@ def reference_negotiate_round(resources: dict, desired: dict):
     return z, events
 
 
-def _state(resources, order=None):
+def _state(resources):
     resources = np.asarray(resources, dtype=float)
     return AllocationState(resources=resources,
                            r_current=float(np.sum(resources)),
-                           mu_current=0.0, order=order)
+                           mu_current=0.0)
+
+
+def neighbor_of_interest(p: int, u: float, z, order) -> int:
+    """The scalar rule, the oracle of dyn.neighbors_of_interest: the agent
+    at position p of the resource order, or its neighbor at position p - 1
+    or p + 1, whose resource z[j] is closest to the desired amount u; ties
+    break toward the agent itself, then toward the lower agent index."""
+    if not 0 <= p < len(order):
+        raise IndexError(f"position {p} outside 0..{len(order) - 1}")
+    i = order[p]
+    candidates = [order[q] for q in (p - 1, p, p + 1) if 0 <= q < len(order)]
+    return min(candidates, key=lambda j: (abs(u - z[j]), j != i, j))
 
 
 def assert_line_order(state):
@@ -171,43 +183,43 @@ class TestLineGraph:
         # resources in order 0 < 1 < 2: agent 0 (position 0) sees only
         # agent 1, even when agent 2's resource is what it wants.
         z, order = [1.0, 2.0, 3.0], [0, 1, 2]
-        assert dyn.neighbor_of_interest(0, 3.0, z, order) == 1
-        assert dyn.neighbor_of_interest(1, 0.0, z, order) == 0
-        assert dyn.neighbor_of_interest(1, 9.0, z, order) == 2
-        assert dyn.neighbor_of_interest(2, 0.0, z, order) == 1
+        assert neighbor_of_interest(0, 3.0, z, order) == 1
+        assert neighbor_of_interest(1, 0.0, z, order) == 0
+        assert neighbor_of_interest(1, 9.0, z, order) == 2
+        assert neighbor_of_interest(2, 0.0, z, order) == 1
 
 
 class TestNeighborOfInterest:
     def test_closest_neighbor_wins(self):
-        assert dyn.neighbor_of_interest(0, 5.1, [2.0, 5.0], [0, 1]) == 1
+        assert neighbor_of_interest(0, 5.1, [2.0, 5.0], [0, 1]) == 1
 
     def test_own_resource_exact(self):
-        assert dyn.neighbor_of_interest(1, 5.0, [2.0, 5.0], [0, 1]) == 1
+        assert neighbor_of_interest(1, 5.0, [2.0, 5.0], [0, 1]) == 1
 
     def test_tie_goes_to_self(self):
         # desired 3.0 equidistant to own 2.0 and neighbor 4.0
-        assert dyn.neighbor_of_interest(0, 3.0, [2.0, 4.0], [0, 1]) == 0
+        assert neighbor_of_interest(0, 3.0, [2.0, 4.0], [0, 1]) == 0
 
     def test_three_way_tie_goes_to_self(self):
         # own 2.0 in the middle, neighbors 1.0 and 3.0 at equal distance
         z, order = [3.0, 2.0, 1.0], [2, 1, 0]
-        assert dyn.neighbor_of_interest(1, 2.0, z, order) == 1
-        assert dyn.neighbor_of_interest(1, 2.5, z, order) == 1
+        assert neighbor_of_interest(1, 2.0, z, order) == 1
+        assert neighbor_of_interest(1, 2.5, z, order) == 1
 
     def test_equidistant_neighbors_lower_index_wins(self):
         # In a sorted order the agent lies between its neighbors, so it is
         # never strictly farther than both; the rule is checked on an order
         # given by hand: neighbors 2 (1.0) and 0 (5.0) are both 2 from 3.0.
         z, order = [5.0, 10.0, 1.0], [2, 1, 0]
-        assert dyn.neighbor_of_interest(1, 3.0, z, order) == 0
+        assert neighbor_of_interest(1, 3.0, z, order) == 0
         z, order = [1.0, 10.0, 5.0], [2, 1, 0]
-        assert dyn.neighbor_of_interest(1, 3.0, z, order) == 0
+        assert neighbor_of_interest(1, 3.0, z, order) == 0
 
     def test_unknown_agent(self):
         # a position outside the fleet, at either end
         for p in (-1, 1):
             with pytest.raises(IndexError):
-                dyn.neighbor_of_interest(p, 1.0, [2.0], [0])
+                neighbor_of_interest(p, 1.0, [2.0], [0])
 
 
 class TestNeighborsOfInterest:
@@ -224,7 +236,7 @@ class TestNeighborsOfInterest:
                 for order in (dyn.rebuild_line_graph(np.array(z)).tolist(),
                               rng.permutation(n).tolist()):
                     got = dyn.neighbors_of_interest(z, desired, order).tolist()
-                    assert got == [dyn.neighbor_of_interest(p, desired[i], z, order)
+                    assert got == [neighbor_of_interest(p, desired[i], z, order)
                                    for p, i in enumerate(order)]
 
 

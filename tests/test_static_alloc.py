@@ -532,7 +532,7 @@ class TestEmptyCellRule:
     def test_default_guess_is_invalid_candidate(self):
         u, d, m = self.default_cells()
         lo, hi = m[:-1], m[1:]
-        m0, _ = dens.interval_moments(d, lo, hi, order=1)
+        m0 = dens.interval_moments(d, lo, hi)[0]
         assert 0.0 < m0[-1] <= dens.mass_floor(hi[-1] - lo[-1])
         with pytest.raises(InvalidCandidate):
             sa.residual(u, self.P)

@@ -9,9 +9,8 @@ import pytest
 
 from cvtalloc import density as dens
 from cvtalloc import tessellation as tess
-from cvtalloc.density import DensitySpec, Interval
+from cvtalloc.density import DensitySpec
 from cvtalloc.errors import (
-    CellsDoNotTile,
     DuplicateGenerators,
     EmptyCell,
     GeneratorOutOfDomain,
@@ -22,6 +21,11 @@ from test_golden import LLOYD_FAMILIES
 
 UNIFORM_15 = DensitySpec("uniform", {"a": 0.0, "b": 15.0})
 DOM_15 = Domain1D(0.0, 15.0)
+
+
+def _lloyd_step(t, d):
+    """One Lloyd update of t: lloyd with a budget of one iteration."""
+    return tess.lloyd(t.generators, d, t.domain, max_iter=1)
 
 
 class TestVoronoiRegions:
@@ -39,14 +43,6 @@ class TestVoronoiRegions:
         with pytest.raises(GeneratorOutOfDomain):
             tess.voronoi_regions([5.0, 16.0], DOM_15)
 
-    def test_cells_tile_domain(self):
-        t = tess.voronoi_regions([1.0, 6.0, 14.0], DOM_15)
-        cells = t.cells()
-        assert cells[0].lo == DOM_15.a
-        assert cells[-1].hi == DOM_15.b
-        for left, right in zip(cells[:-1], cells[1:]):
-            assert left.hi == right.lo
-
 
 class TestEnergies:
     def test_uniform_two_generator_energy(self):
@@ -56,46 +52,44 @@ class TestEnergies:
         assert k == pytest.approx(1.0 / 48.0, abs=1e-9)
 
     def test_energy_F_equals_energy_K_on_voronoi_cells(self):
+        # F, the energy of points assigned to any cells, is
+        # _energy_of_cells; at the Voronoi cells it is K.
         d = DensitySpec("gaussian", {"mu": 7.5, "sigma2": 4.0})
-        z = [3.0, 7.0, 11.0]
-        t = tess.voronoi_regions(z, DOM_15)
-        f = tess.energy_F(z, t.cells(), d)
+        z = np.array([3.0, 7.0, 11.0])
+        m = tess.voronoi_regions(z, DOM_15).boundaries
+        f = tess._energy_of_cells(z, m[:-1], m[1:], d)
         k = tess.energy_K(z, d, DOM_15)
         assert f == pytest.approx(k, abs=1e-12)
 
-    def test_energy_F_rejects_non_tiling_cells(self):
-        d = DensitySpec("uniform", {"a": 0.0, "b": 15.0})
-        with pytest.raises(CellsDoNotTile):
-            tess.energy_F([1.0, 10.0],
-                          [Interval(0.0, 4.0), Interval(6.0, 15.0)], d)
-
     def test_voronoi_cells_beat_shifted_cells(self):
-        # Among tilings, the Voronoi (midpoint) assignment minimizes energy.
+        # Among tilings, the Voronoi (midpoint) assignment minimizes energy:
+        # F >= K.
         d = DensitySpec("uniform", {"a": 0.0, "b": 15.0})
-        z = [4.0, 10.0]
+        z = np.array([4.0, 10.0])
         k = tess.energy_K(z, d, DOM_15)
         for split in (3.0, 5.0, 9.0, 12.0):
-            f = tess.energy_F(z, [Interval(0.0, split), Interval(split, 15.0)], d)
+            f = tess._energy_of_cells(z, np.array([0.0, split]),
+                                      np.array([split, 15.0]), d)
             assert f >= k - 1e-12
 
 
 class TestLloydStep:
     def test_cvt_is_fixed_point(self):
         t = tess.voronoi_regions([2.5, 7.5, 12.5], DOM_15, UNIFORM_15)
-        t2 = tess.lloyd_step(t, UNIFORM_15)
+        t2 = _lloyd_step(t, UNIFORM_15)
         np.testing.assert_allclose(t2.generators, t.generators, atol=1e-12)
 
     def test_uniform_step_moves_to_cell_midpoints(self):
         # cells of (1,2,14): (0,1.5),(1.5,8),(8,15) -> centroids at midpoints
         t = tess.voronoi_regions([1.0, 2.0, 14.0], DOM_15, UNIFORM_15)
-        t2 = tess.lloyd_step(t, UNIFORM_15)
+        t2 = _lloyd_step(t, UNIFORM_15)
         np.testing.assert_allclose(t2.generators, [0.75, 4.75, 11.5],
                                    atol=1e-12)
 
     def test_symmetric_single_generator(self):
         d = DensitySpec("gaussian", {"mu": 7.5, "sigma2": 1.0})
         t = tess.voronoi_regions([3.0], DOM_15, d)
-        t2 = tess.lloyd_step(t, d)
+        t2 = _lloyd_step(t, d)
         assert t2.generators[0] == pytest.approx(7.5, abs=1e-9)
 
 
@@ -269,6 +263,25 @@ class TestLloydLoopOracle:
                            match="^generators must be finite$"):
             tess.lloyd([h - 9e298, h - 8e298], d, dom, max_iter=max_iter)
 
+    def test_generator_clamped_onto_a_domain_end_raises(self):
+        # On [0, 1.7e308] the uniform moments overflow (the clipped end
+        # squared is inf), so the centroid is clamped onto b: Lloyd raises
+        # instead of reporting a converged generator at b with NaN energy.
+        dom = Domain1D(0.0, 1.7e308)
+        d = DensitySpec("uniform", {"a": dom.a, "b": dom.b})
+        with pytest.raises(GeneratorOutOfDomain, match="onto an end"):
+            tess.lloyd(tess.default_init(1, dom), d, dom)
+
+    def test_exponential_energy_on_a_huge_domain(self):
+        # The second moment's term at b = 1.7e308 is 0, not inf * 0, so the
+        # energy of the one generator at the mean 1/lam is 1/lam^2.
+        dom = Domain1D(0.0, 1.7e308)
+        d = DensitySpec("exponential", {"lam": 0.5})
+        t = tess.lloyd(tess.default_init(1, dom), d, dom)
+        assert t.converged
+        assert t.generators.tolist() == [2.0]
+        assert t.energy == 4.0
+
     def test_one_cell_wider_than_1e300(self):
         # The one cell holds all the mass, far above its capped mass_floor.
         d = DensitySpec("gaussian", {"mu": 3.0, "sigma2": 1.0})
@@ -302,7 +315,7 @@ class TestInvariants:
     def test_energy_monotonicity(self, d):
         t = tess.voronoi_regions([1.0, 2.0, 9.0, 14.0], DOM_15, d)
         for _ in range(200):
-            t2 = tess.lloyd_step(t, d)
+            t2 = _lloyd_step(t, d)
             assert t2.energy <= t.energy + 1e-12
             t = t2
 
@@ -317,13 +330,13 @@ class TestInvariants:
         d = DensitySpec("gaussian", {"mu": 7.5, "sigma2": 9.0})
         t = tess.lloyd([2.0, 8.0, 13.0], d, DOM_15, tol=1e-12,
                        max_iter=100_000)
-        t2 = tess.lloyd_step(t, d)
+        t2 = _lloyd_step(t, d)
         moved = np.max(np.abs(t2.generators - t.generators))
         assert tess.is_cvt(t.generators, d, DOM_15, tol=1e-10)
         assert moved < 1e-10
         # and a non-CVT moves by more than that
         t3 = tess.voronoi_regions([1.0, 7.5, 14.0], DOM_15, d)
-        t4 = tess.lloyd_step(t3, d)
+        t4 = _lloyd_step(t3, d)
         assert np.max(np.abs(t4.generators - t3.generators)) > 1e-3
 
     @staticmethod

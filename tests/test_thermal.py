@@ -38,8 +38,6 @@ class TestContinuousModel:
         np.testing.assert_allclose(m.G[0], [5.0 / 9.36e5, 1.0 / 9.36e5],
                                    rtol=1e-12)
         np.testing.assert_allclose(m.G[2], [30.5 / 6.695e5, 0.0], rtol=1e-12)
-        np.testing.assert_allclose(m.C, [[1.0, 0.0, 0.0]])
-        assert m.D == 0.0
 
     def test_mean_eigenvalues_real_negative(self):
         m = th.build_continuous_model(ThermalParams.means())
@@ -184,7 +182,8 @@ class TestStackedFleet:
 
 class TestDesiredPowerAndEquilibrium:
     def test_zero_gains_zero_power(self):
-        g = th.ControllerGains(K_fb=np.zeros((1, 3)), N_r=0.0, setpoint=72.0)
+        g = th.ControllerGains(K_fb=np.zeros((1, 3)), N_r=0.0, setpoint=72.0,
+                               K_w=np.zeros((1, 2)))
         assert th.desired_power(g, [70.0, 70.0, 70.0]) == 0.0
 
     def test_setpoint_raise_increases_power(self, dm):
