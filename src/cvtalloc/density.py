@@ -261,7 +261,14 @@ def _combine(d: DensitySpec, lo, hi, order: int) -> tuple:
         m1 = 0.5 * (hi[1] - lo[1]) * w
         if order == 1:
             return m0, m1
-        return m0, m1, (hi[2] - lo[2]) / 3.0 * w
+        # A cube above about 5.6e102 overflows, and two infinite cubes
+        # differ by NaN: there, the same moment factored as
+        # m0 (hi^2 + hi lo + lo^2) / 3.
+        ok = np.isfinite(hi[2]) & np.isfinite(lo[2])
+        cubes = np.subtract(hi[2], lo[2], out=np.zeros(np.shape(ok)),
+                            where=ok)
+        return m0, m1, np.where(ok, cubes / 3.0 * w,
+                                m0 * (hi[1] + hi[0] * lo[0] + lo[1]) / 3.0)
 
     if d.family == "gaussian":
         # Terms t, erfc(t/sqrt2), erfc(-t/sqrt2), erf(t/sqrt2), phi(t)[,

@@ -11,7 +11,8 @@ so the Jacobian is tridiagonal plus one border row and one border column
 builds those three parts.  Up to N_DENSE agents, the shipped scenario's 15,
 the tridiagonal is differenced and the bordered matrix solved densely, the
 path whose last bits the shipped output bytes pin; above, the tridiagonal
-is filled analytically and the bordered system solved in O(N).
+is filled analytically, as is the border column for a Gaussian free mean,
+and the bordered system solved in O(N).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from . import density as dens
 from . import tessellation as tess
@@ -297,8 +298,8 @@ def _fd_column(u: np.ndarray, f: np.ndarray, p: StaticProblem, j: int):
 
 
 def _fd_band(u: np.ndarray, f: np.ndarray, p: StaticProblem):
-    """The forward-difference centroid block at u as the (3, N) band of
-    solve_banded((1, 1), ...), and the constraint row, where
+    """The forward-difference centroid block at u as a (3, N) band, and
+    the constraint row, where
     f = residual(u, p): (band, row, residual evaluations made), from one
     stacked evaluation.
 
@@ -342,39 +343,55 @@ def _fd_band(u: np.ndarray, f: np.ndarray, p: StaticProblem):
     return change[j % 3, at] / h, row, 1
 
 
-def _tridiagonal(u: np.ndarray, f: np.ndarray, m0: np.ndarray,
-                 p: StaticProblem) -> np.ndarray:
-    """The centroid rows' derivatives in z, exactly, as the (3, N) band of
-    solve_banded((1, 1), ...), where f = residual(u, p) and m0 are the cell
-    masses at u.
+def _banded_jacobian(u: np.ndarray, f: np.ndarray, m0: np.ndarray,
+                     p: StaticProblem):
+    """(band, column, residual evaluations made) for the banded Newton
+    step at u, where (f, m0) = residual(u, p, masses=True): band holds the
+    centroid rows' derivatives in z as a (3, N) band, column the N+1 rows'
+    derivatives in the free parameter.
 
     By the Leibniz rule a cell [m_i, m_{i+1}] of mass M_i and centroid c_i
     has dc_i/dm_i = rho(m_i)(c_i - m_i)/M_i and
     dc_i/dm_{i+1} = rho(m_{i+1})(m_{i+1} - c_i)/M_i, and each interior
-    boundary is the midpoint of its two generators.  The domain ends are
-    fixed, so rho is taken at the N-1 interior boundaries only (a gamma
-    density with k < 1 is infinite at 0).
+    boundary is the midpoint of its two generators, so the band is exact.
+    For a Gaussian free mu so is the column, with no residual evaluation:
+    mu is a location parameter, so moving mu and every boundary together
+    moves c_i as much, and dc_i/dmu = 1 - dc_i/dm_i - dc_i/dm_{i+1} over
+    all N+1 boundaries (the domain ends stay fixed; a Gaussian is finite
+    there).  Every other free parameter's column is _fd_column's difference
+    (1 evaluation).  One pdf evaluation at the N+1 boundaries serves both.
     """
     n = p.n_agents
     z = u[:n]
     c = z - f[:n]  # centroid row i is z_i - c_i
-    mid = tess._midpoint_boundaries(z, p.domain)[1:-1]
-    rho = 0.5 * bind_free_parameter(p.density, u[n]).pdf(mid)
-    left = rho * (c[1:] - mid) / m0[1:]     # dc_{i+1}/dz_i
-    right = rho * (mid - c[:-1]) / m0[:-1]  # dc_i/dz_{i+1}
+    m = tess._midpoint_boundaries(z, p.domain)
+    # Half of each slope: an interior boundary moves half as far as either
+    # generator.  A gamma density with k < 1 is infinite at 0, where pdf
+    # gives 0; only the Gaussian column reads the domain ends.
+    half = 0.5 * bind_free_parameter(p.density, u[n]).pdf(m)
+    lo = half[:-1] * (c - m[:-1]) / m0  # dc_i/dm_i / 2
+    hi = half[1:] * (m[1:] - c) / m0    # dc_i/dm_{i+1} / 2
+    left, right = lo[1:], hi[:-1]       # dc_{i+1}/dz_i, dc_i/dz_{i+1}
     band = np.zeros((3, n))
     band[0, 1:] = -right
     band[1] = 1.0
     band[1, 1:] -= left
     band[1, :-1] -= right
     band[2, :-1] = -left
-    return band
+    if (p.density.family, p.density.free_param) != ("gaussian", "mu"):
+        return (band,) + _fd_column(u, f, p, n)
+    col = np.zeros(n + 1)  # the constraint row does not depend on mu
+    col[:n] = 2.0 * (lo + hi) - 1.0
+    return band, col, 0
 
 
 def _bordered_matrix(band: np.ndarray, col: np.ndarray,
                      row: np.ndarray) -> np.ndarray:
     """The dense (N+1)² matrix [[T, col[:N]], [row, col[N]]] for the
-    tridiagonal T given as a solve_banded band."""
+    tridiagonal T given as a (3, N) band: T[i-1, i] = band[0, i],
+    T[i, i] = band[1, i] and T[i+1, i] = band[2, i], the layout of LAPACK's
+    banded storage (and of scipy's solve_banded) for one diagonal on each
+    side."""
     n = band.shape[1]
     jac = np.zeros((n + 1, n + 1))
     i = np.arange(n)
@@ -388,23 +405,33 @@ def _bordered_matrix(band: np.ndarray, col: np.ndarray,
 
 def _bordered_step(band: np.ndarray, col: np.ndarray, row: np.ndarray,
                    f: np.ndarray) -> np.ndarray:
-    """Solve _bordered_matrix(band, col, row) step = -f in O(N): one banded
-    solve with the two right-hand sides -f[:N] and col[:N], then the Schur
-    complement of T for the last unknown.  The complement's sums are np.sum
-    of products, not BLAS dot products, so the step is the same at any BLAS
-    thread count.  A singular T or complement falls back to least squares
-    on the dense matrix."""
+    """Solve _bordered_matrix(band, col, row) step = -f in O(N): one
+    tridiagonal solve with the two right-hand sides -f[:N] and col[:N],
+    then the Schur complement of T for the last unknown.
+
+    The solve is LAPACK's dgtsv, the routine scipy's solve_banded runs for
+    a (1, 1) band, called directly with the same arguments, so the bits are
+    the same without its per-call argument checks; a non-finite band or
+    right-hand side is caught here instead.  The complement's sums are
+    np.sum of products, not BLAS dot products, so the step is the same at
+    any BLAS thread count.  A non-finite system, a singular T or a zero or
+    non-finite complement falls back to least squares on the dense
+    matrix."""
     n = band.shape[1]
-    try:
-        x = solve_banded((1, 1), band, np.column_stack((-f[:n], col[:n])))
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        reason = f"banded solve failed ({exc})"
+    rhs = np.array((-f[:n], col[:n])).T  # Fortran order: solved in place
+    if not (np.isfinite(band).all() and np.isfinite(rhs).all()):
+        reason = "banded solve failed (non-finite band or right-hand side)"
     else:
-        schur = col[n] - np.sum(row * x[:, 1])
-        if schur != 0.0 and np.isfinite(schur):
-            dv = (-f[n] - np.sum(row * x[:, 0])) / schur
-            return np.append(x[:, 0] - dv * x[:, 1], dv)
-        reason = f"Schur complement {schur:g}"
+        x, info = dgtsv(band[2, :-1], band[1], band[0, 1:], rhs,
+                        overwrite_b=True)[3:]
+        if info == 0:
+            schur = col[n] - np.sum(row * x[:, 1])
+            if schur != 0.0 and np.isfinite(schur):
+                dv = (-f[n] - np.sum(row * x[:, 0])) / schur
+                return np.append(x[:, 0] - dv * x[:, 1], dv)
+            reason = f"Schur complement {schur:g}"
+        else:  # info > 0: a zero pivot
+            reason = "banded solve failed (singular matrix)"
     logger.debug("%s; least-squares step on the dense matrix", reason)
     return np.linalg.lstsq(_bordered_matrix(band, col, row), -f,
                            rcond=None)[0]
@@ -414,17 +441,20 @@ def _newton_step(u: np.ndarray, f: np.ndarray, m0: np.ndarray,
                  p: StaticProblem):
     """(step, residual evaluations made): the Newton step at u, where
     (f, m0) = residual(u, p, masses=True), from the centroid band, the
-    free-parameter difference column and the constraint row.  Up to
-    N_DENSE agents the band and row are differenced (2 residual
-    evaluations: the column and one stack) and the bordered matrix is
-    solved densely, by least squares if it is singular.  Above, the band is
-    analytic, the row is exact ones, and _bordered_step solves in O(N)
-    (1 evaluation, the column)."""
+    free-parameter column and the constraint row.
+
+    Up to N_DENSE agents the band and row are differenced and the column
+    is _fd_column's (2 residual evaluations: the column and one stack), and
+    the bordered matrix is solved densely, by least squares if it is
+    singular.  Above, _banded_jacobian gives the band exactly and the
+    column exactly for a Gaussian free mu (0 evaluations) or by difference
+    otherwise (1), the row is exact ones, and _bordered_step solves in
+    O(N)."""
     n = p.n_agents
-    col, evals = _fd_column(u, f, p, n)
     if n > N_DENSE:
-        band = _tridiagonal(u, f, m0, p)
+        band, col, evals = _banded_jacobian(u, f, m0, p)
         return _bordered_step(band, col, np.ones(n), f), evals
+    col, evals = _fd_column(u, f, p, n)
     band, row, band_evals = _fd_band(u, f, p)
     evals += band_evals
     jac = _bordered_matrix(band, col, row)
@@ -460,13 +490,15 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
     (the asymptotic point density of the optimal quantizer), then at any N
     the equally spaced centroids and the density quantiles, each with
     default_initial_guess's v_k.  Each step is _newton_step: dense at or
-    below N_DENSE (the shipped N = 15), banded above, where its bytes are
-    the same at any BLAS thread count.  Each iterate is evaluated once: the
-    accepted line-search candidate's residual, masses and norm are the next
-    step's.  The solve logs one DEBUG record at its end, converged or
-    diverged: its path, Newton steps, residual evaluations (a stack counts
-    as one; those of a step that cannot be differenced are not counted),
-    final residual norm and the start it took."""
+    below N_DENSE (the shipped N = 15), with 2 residual evaluations; banded
+    above, where its bytes are the same at any BLAS thread count, with 1,
+    or none for a Gaussian free mu, whose column is analytic.  Each iterate
+    is evaluated once: the accepted line-search candidate's residual,
+    masses and norm are the next step's.  The solve logs one DEBUG record
+    at its end, converged or diverged: its path, Newton steps, residual
+    evaluations (a stack counts as one; those of a step that cannot be
+    differenced are not counted), final residual norm and the start it
+    took."""
     path = "banded" if p.n_agents > N_DENSE else "dense"
     evals, steps, norm, start, outcome = 0, 0, np.nan, None, None
     try:

@@ -87,6 +87,16 @@ class TestCvt:
         assert rc == 0 and out["stop_reason"] == "tol"
         assert 0.0 <= out["final_displacement"] < 1e-10 * 15
 
+    def test_uniform_energy_finite_past_the_cube_overflow(self, tmp_path,
+                                                          capsys):
+        # The cubed cell ends overflow on [0, 1e120]; the energy is still
+        # that of two cells of width 5e119 and mass 1/2, with no warning.
+        rc = run_cli("cvt", "--domain", "0,1e120", "--n", "2",
+                     "--density", "uniform", "--out", str(tmp_path))
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0 and out["converged"]
+        assert out["energy"] == pytest.approx(5e119 ** 2 / 12, rel=1e-12)
+
     def test_budget_stop_exits_two(self, tmp_path, capsys):
         # The file and the JSON are written first; only the exit code says
         # that the run did not converge.

@@ -243,6 +243,32 @@ class TestKnownIntegrals:
         assert got[finite].tobytes() == before[finite].tobytes()
         assert np.all(got[~finite] == 0.0)
 
+    def test_uniform_second_moment_past_the_cube_overflow(self):
+        # Above about 5.6e102 the cubed ends overflow; the second moment is
+        # the factored m0 (hi^2 + hi lo + lo^2) / 3 there, not NaN.
+        b = 1e120
+        d = DensitySpec("uniform", {"a": 0.0, "b": b})
+        lo, hi = np.array([0.0, 0.5 * b, 0.0]), np.array([0.5 * b, b, b])
+        m0, _, m2 = dens.interval_moments(d, lo, hi)
+        np.testing.assert_allclose(m2, [b * b / 24.0, 7.0 * b * b / 24.0,
+                                        b * b / 3.0], rtol=1e-15)
+
+    @pytest.mark.parametrize("b", [1.0, 1e100, 1e120, 1e150])
+    def test_uniform_second_moment_keeps_its_bits(self, b):
+        # Wherever the difference of cubes was finite, the second moment
+        # has its bits.
+        d = DensitySpec("uniform", {"a": -b, "b": b})
+        x = np.sort(np.concatenate((b * np.linspace(-1.0, 1.0, 201),
+                                    10.0 ** np.linspace(-3, 160, 200))))
+        lo, hi = x[:-1], x[1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            before = (np.clip(hi, -b, b) ** 3
+                      - np.clip(lo, -b, b) ** 3) / 3.0 * (1.0 / (2.0 * b))
+        got = dens.interval_moments(d, lo, hi)[2]
+        finite = np.isfinite(before)
+        assert finite.any() and np.isfinite(got).all()
+        assert got[finite].tobytes() == before[finite].tobytes()
+
     def test_centroid_of_empty_cell(self):
         d = DensitySpec("gaussian", {"mu": 0.0, "sigma2": 1.0})
         with pytest.raises(EmptyCell):

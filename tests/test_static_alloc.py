@@ -2,10 +2,12 @@
 
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
-from test_golden import SHIPPED, fleet_config
+from scipy.linalg import solve_banded
+from test_golden import SHIPPED, fleet_config, static_problems
 
 import quadrature
 from cvtalloc import density as dens
@@ -255,7 +257,7 @@ class TestBandedStep:
         p = StaticProblem(DOM_100, n, density, mean * n)
         u = sa.default_initial_guess(p)
         f, m0 = sa.residual(u, p, masses=True)
-        band = sa._tridiagonal(u, f, m0, p)
+        band, _, _ = sa._banded_jacobian(u, f, m0, p)
         fd, _, _ = sa._fd_band(u, f, p)
         for k in range(3):
             assert (np.linalg.norm(band[k] - fd[k])
@@ -284,9 +286,8 @@ class TestBandedStep:
         assert banded.v_k == pytest.approx(dense.v_k, rel=1e-8)
 
     def test_at_most_two_residual_evaluations(self, monkeypatch):
-        p = StaticProblem(DOM_100, 200, WIDE_GAUSS_FREE_MU, 200 * 30.0)
-        u = sa.default_initial_guess(p)
-        f, m0 = sa.residual(u, p, masses=True)
+        # The analytic Gaussian mu column makes none; the gamma k column is
+        # differenced, one.
         calls = []
         real = sa.residual
 
@@ -295,8 +296,14 @@ class TestBandedStep:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sa, "residual", counting)
-        _, evals = sa._newton_step(u, f, m0, p)
-        assert 1 <= evals == len(calls) <= 2
+        for family, expected in (("gaussian", 0), ("gamma", 1)):
+            density, mean = FAMILIES[family]
+            p = StaticProblem(DOM_100, 200, density, 200 * mean)
+            u = sa.default_initial_guess(p)
+            f, m0 = real(u, p, masses=True)
+            calls.clear()
+            _, evals = sa._newton_step(u, f, m0, p)
+            assert evals == len(calls) == expected, family
 
     def test_singular_band_takes_lstsq_fallback(self, caplog):
         # A zero row in T makes the banded solve fail; the bordered matrix
@@ -312,7 +319,7 @@ class TestBandedStep:
         jac[n, :n] = row
         with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
             step = sa._bordered_step(band, col, row, f)
-        assert "banded solve failed" in caplog.text
+        assert "banded solve failed (singular matrix)" in caplog.text
         assert np.array_equal(step,
                               np.linalg.lstsq(jac, -f, rcond=None)[0])
 
@@ -351,6 +358,137 @@ class TestBandedStep:
         np.testing.assert_allclose(sa._bordered_step(band, col, row, f),
                                    np.linalg.solve(jac, -f), rtol=1e-12,
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 50, 800])
+    def test_equals_solve_banded_and_schur_complement(self, n):
+        # The direct dgtsv call is the routine solve_banded runs for a
+        # (1, 1) band: the step is the old body's bit for bit.
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            band = rng.uniform(-1.0, 1.0, (3, n))
+            band[1] = (np.abs(band[0]) + np.abs(band[2])
+                       + rng.uniform(0.1, 2.0, n)) * rng.choice([-1, 1], n)
+            band[0, 0] = band[2, -1] = 0.0
+            col = rng.uniform(-1.0, 1.0, n + 1)
+            row = rng.uniform(0.5, 1.5, n)
+            f = rng.uniform(-1.0, 1.0, n + 1)
+            x = solve_banded((1, 1), band, np.column_stack((-f[:n], col[:n])))
+            schur = col[n] - np.sum(row * x[:, 1])
+            dv = (-f[n] - np.sum(row * x[:, 0])) / schur
+            expected = np.append(x[:, 0] - dv * x[:, 1], dv)
+            before = band.copy()
+            assert np.array_equal(sa._bordered_step(band, col, row, f),
+                                  expected)
+            assert np.array_equal(band, before)
+
+    @pytest.mark.parametrize("where", ["band", "col", "f"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_system_takes_lstsq_fallback(self, where, bad, caplog):
+        # No LAPACK call sees a non-finite value: the dense matrix goes to
+        # least squares, which gives NaN for a non-finite right-hand side
+        # and fails to converge for a non-finite matrix.
+        n = 5
+        band = np.zeros((3, n))
+        band[1] = 2.0
+        band[0, 1:] = 0.5
+        band[2, :-1] = -0.5
+        col = np.linspace(0.1, 0.5, n + 1)
+        row = np.ones(n)
+        f = np.linspace(1.0, 2.0, n + 1)
+        {"band": band[1], "col": col, "f": f}[where][2] = bad
+        jac = sa._bordered_matrix(band, col, row)
+        with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
+            if where == "f":
+                step = sa._bordered_step(band, col, row, f)
+                assert np.array_equal(
+                    step, np.linalg.lstsq(jac, -f, rcond=None)[0],
+                    equal_nan=True)
+                assert np.isnan(step).all()
+            else:
+                with pytest.raises(np.linalg.LinAlgError):
+                    sa._bordered_step(band, col, row, f)
+        assert caplog.messages == [
+            "banded solve failed (non-finite band or right-hand side); "
+            "least-squares step on the dense matrix"]
+
+
+class TestGaussianMuColumn:
+    """Above N_DENSE the Gaussian free-mu column is analytic; _fd_column,
+    the column every other free parameter takes, is its oracle."""
+
+    # (sigma2, domain, r/N, the domain ends whose cells hold tail mass).
+    CASES = {"s2=4": (4.0, DOM_100, 50.0, ()),
+             "s2=900": (900.0, Domain1D(0.0, 3000.0), 1000.0, ()),
+             "s2=900 right tail": (900.0, Domain1D(0.0, 3000.0), 2940.0,
+                                   ("b",)),
+             "s2=400 r/N=30": (400.0, DOM_100, 30.0, ("a",)),
+             "s2=400 r/N=50": (400.0, DOM_100, 50.0, ("a", "b"))}
+
+    def columns(self, n, case):
+        """(p, u, f, analytic column) at the cube-root start and at the
+        solution."""
+        sigma2, domain, mean, tails = self.CASES[case]
+        d = DensitySpec("gaussian", {"sigma2": sigma2}, free_param="mu")
+        p = StaticProblem(domain, n, d, mean * n)
+        sol = sa.solve(p)
+        for u in (sa._cube_root_guess(p), np.append(sol.centroids, sol.v_k)):
+            f, m0 = sa.residual(u, p, masses=True)
+            _, col, evals = sa._banded_jacobian(u, f, m0, p)
+            assert evals == 0
+            assert col[n] == 0.0
+            # The density at a tail end is above 1 % of its peak.
+            rho = bind_free_parameter(d, u[n]).pdf(
+                [getattr(domain, end) for end in tails])
+            assert np.all(rho * math.sqrt(2 * math.pi * sigma2) > 1e-2)
+            yield p, u, f, col
+
+    @pytest.mark.parametrize("n", [16, 50, 240, 800])
+    @pytest.mark.parametrize("case", ["s2=4", "s2=900", "s2=900 right tail"])
+    def test_matches_difference_column(self, n, case):
+        for p, u, f, col in self.columns(n, case):
+            fd, _ = sa._fd_column(u, f, p, n)
+            assert fd[n] == 0.0
+            assert np.max(np.abs(col - fd)) <= 1e-6
+
+    @pytest.mark.parametrize("n", [16, 50, 240, 800])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_central_difference(self, n, case):
+        # _fd_column steps mu by 1e-7 |mu|; at r/N = 30 and 50 with sigma
+        # 20 its quotient is off by up to 1e-5 at N = 800, where the cells
+        # are so narrow that the centroids' rounding dominates that step.
+        # A central difference at a step of 1e-3 sigma, whose truncation
+        # error is below 5e-9 on every case, is the tighter oracle.
+        h = 1e-3 * math.sqrt(self.CASES[case][0])
+        for p, u, f, col in self.columns(n, case):
+            up, down = u.copy(), u.copy()
+            up[n] += h
+            down[n] -= h
+            central = (sa.residual(up, p) - sa.residual(down, p)) / (2 * h)
+            assert np.max(np.abs(col - central)) <= 1e-8
+
+    def test_solves_agree_with_the_difference_column(
+            self, acceptance3_problems, monkeypatch):
+        # The Gaussian solves whose goldens the analytic column re-recorded:
+        # static-sweep, Acceptance 3 and the fleet-240 initial solve.
+        problems = static_problems(acceptance3_problems)
+        problems["fleet-240"] = fleet240_initial()
+        real = sa._banded_jacobian
+
+        def differenced(u, f, m0, p):
+            return (real(u, f, m0, p)[0],) + sa._fd_column(u, f, p,
+                                                           p.n_agents)
+
+        for label, p in problems.items():
+            if p.density.family != "gaussian":
+                continue
+            sol = sa.solve(p)
+            with monkeypatch.context() as m:
+                m.setattr(sa, "_banded_jacobian", differenced)
+                ref = sa.solve(p)
+            assert sol.iterations == ref.iterations, label
+            assert (np.max(np.abs(sol.centroids - ref.centroids))
+                    <= 1e-9 * p.domain.width), label
+            assert abs(sol.v_k - ref.v_k) <= 1e-9, label
 
 
 class TestSolve:
@@ -420,11 +558,17 @@ class TestSolve:
 class TestEvaluationCount:
     """Each Newton iterate is evaluated once: a solve makes one residual
     call at the start, one per line-search candidate and the step's own
-    (2 dense, 1 banded), and never evaluates the same unknowns twice."""
+    (2 dense, 1 banded, none banded for a Gaussian free mu), and never
+    evaluates the same unknowns twice."""
 
-    @pytest.mark.parametrize("n, per_step", [(sa.N_DENSE, 2), (200, 1)])
-    def test_whole_solve(self, n, per_step, monkeypatch):
-        p = StaticProblem(DOM_100, n, WIDE_GAUSS_FREE_MU, 30.0 * n)
+    @pytest.mark.parametrize("n, family, per_step", [
+        pytest.param(sa.N_DENSE, "gaussian", 2, id=f"{sa.N_DENSE}-2"),
+        pytest.param(200, "gamma", 1, id="200-1"),
+        pytest.param(200, "gaussian", 0, id="200-0"),
+    ])
+    def test_whole_solve(self, n, family, per_step, monkeypatch):
+        density, mean = FAMILIES[family]
+        p = StaticProblem(DOM_100, n, density, mean * n)
         seen, steps, evaluated = [], [], []
         real_residual, real_step, real_evaluate = (
             sa.residual, sa._newton_step, sa._evaluate)
