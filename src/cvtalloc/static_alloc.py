@@ -7,12 +7,11 @@ the centroids and the density family's single free parameter.
 Each Newton step solves a linear system in the Jacobian of that residual.
 Centroid row i depends only on z_{i-1}, z_i, z_{i+1} and the free parameter,
 so the Jacobian is tridiagonal plus one border row and one border column
-(the 1-D Lloyd-Newton structure; Du, Faber & Gunzburger 1999).  Every step
-builds those three parts.  Up to N_DENSE agents, the shipped scenario's 15,
-the tridiagonal is differenced and the bordered matrix solved densely, the
-path whose last bits the shipped output bytes pin; above, the tridiagonal
-is filled analytically, as is the border column for a Gaussian free mean,
-and the bordered system solved in O(N).
+(the 1-D Lloyd-Newton structure; Du, Faber & Gunzburger 1999).  Up to
+N_DENSE agents, the shipped scenario's 15, the whole matrix is differenced
+and solved densely, the path whose last bits the shipped output bytes pin;
+above, the tridiagonal is filled analytically, as is the border column for
+a Gaussian free mean, and the bordered system solved in O(N).
 """
 
 from __future__ import annotations
@@ -297,50 +296,32 @@ def _fd_column(u: np.ndarray, f: np.ndarray, p: StaticProblem, j: int):
     return (fj - f) / h, 1
 
 
-def _fd_band(u: np.ndarray, f: np.ndarray, p: StaticProblem):
-    """The forward-difference centroid block at u as a (3, N) band, and
-    the constraint row, where
-    f = residual(u, p): (band, row, residual evaluations made), from one
-    stacked evaluation.
+def _fd_jacobian(u: np.ndarray, f: np.ndarray, p: StaticProblem):
+    """The forward-difference Jacobian at u, where f = residual(u, p):
+    (matrix, residual evaluations made).
 
-    Centroid row i depends only on z_{i-1}, z_i, z_{i+1} and the free
-    parameter, so the columns j = c (mod 3) touch disjoint rows and are
-    differenced together in stack row c (Curtis, Powell & Reid 1974).
-    Each row, and each ordering, domain and empty-cell check, sees exactly
-    one perturbed column, so every entry equals the single-column quotient
-    bit for bit, and a stack row is valid exactly when each of its
-    single-column candidates is.  When the stack is invalid, all N columns
-    are differenced one at a time with _fd_column, which steps backward
-    where the forward candidate is invalid and gives the same bits where
-    it is valid.
+    The N generator columns come from one (N, N+1) residual stack whose row
+    j is u with z_j stepped, the constraint row included, so every entry
+    equals its single-column quotient bit for bit, and the stack is valid
+    exactly when each single-column candidate is.  When it is invalid, all
+    N columns are differenced one at a time with _fd_column, which steps
+    backward where the forward candidate is invalid and gives the same bits
+    where it is valid.  The free-parameter column is _fd_column's.
     """
     n = p.n_agents
-    z = u[:n]
-    h = FD_STEP * np.maximum(1.0, np.abs(z))
+    h = FD_STEP * np.maximum(1.0, np.abs(u[:n]))
+    stack = np.tile(u, (n, 1))
     j = np.arange(n)
-    stack = np.tile(u, (min(3, n), 1))
-    stack[j % 3, j] += h
-    # band[1 + d, j] = change[j % 3, 1 + j + d] / h[j]: change pads each
-    # stack row's centroid-row changes with a zero at both ends.
-    at = j + np.arange(3)[:, None]
+    stack[j, j] += h
     try:
-        fg = residual(stack, p)
+        cols, evals = (residual(stack, p) - f) / h[:, None], 1
     except InvalidCandidate as exc:
-        logger.debug("difference colours invalid (%s); differencing all %d "
+        logger.debug("difference stack invalid (%s); differencing all %d "
                      "columns one at a time", exc, n)
         cols, evals = zip(*(_fd_column(u, f, p, k) for k in range(n)))
-        cols = np.column_stack(cols)
-        return (np.pad(cols[:n], ((1, 1), (0, 0)))[at, j], cols[n],
-                1 + sum(evals))
-    change = np.zeros((len(stack), n + 2))
-    np.subtract(fg[:, :n], f[:n], out=change[:, 1:-1])
-    # The constraint row: N copies of z, copy j stepped in z_j, each summed
-    # in the pairwise order of the 1-D sum, so every entry is its
-    # single-column quotient bit for bit (which differs from 1).
-    zs = np.tile(z, (n, 1))
-    zs.flat[::n + 1] += h
-    row = (np.sum(zs, axis=1) - p.r - f[n]) / h
-    return change[j % 3, at] / h, row, 1
+        evals = 1 + sum(evals)
+    col, col_evals = _fd_column(u, f, p, n)
+    return np.column_stack((*cols, col)), evals + col_evals
 
 
 def _banded_jacobian(u: np.ndarray, f: np.ndarray, m0: np.ndarray,
@@ -385,79 +366,52 @@ def _banded_jacobian(u: np.ndarray, f: np.ndarray, m0: np.ndarray,
     return band, col, 0
 
 
-def _bordered_matrix(band: np.ndarray, col: np.ndarray,
-                     row: np.ndarray) -> np.ndarray:
-    """The dense (N+1)² matrix [[T, col[:N]], [row, col[N]]] for the
-    tridiagonal T given as a (3, N) band: T[i-1, i] = band[0, i],
-    T[i, i] = band[1, i] and T[i+1, i] = band[2, i], the layout of LAPACK's
-    banded storage (and of scipy's solve_banded) for one diagonal on each
-    side."""
-    n = band.shape[1]
-    jac = np.zeros((n + 1, n + 1))
-    i = np.arange(n)
-    jac[i, i] = band[1]
-    jac[i[:-1], i[1:]] = band[0, 1:]
-    jac[i[1:], i[:-1]] = band[2, :-1]
-    jac[n, :n] = row
-    jac[:, n] = col
-    return jac
-
-
-def _bordered_step(band: np.ndarray, col: np.ndarray, row: np.ndarray,
+def _bordered_step(band: np.ndarray, col: np.ndarray,
                    f: np.ndarray) -> np.ndarray:
-    """Solve _bordered_matrix(band, col, row) step = -f in O(N): one
-    tridiagonal solve with the two right-hand sides -f[:N] and col[:N],
+    """Solve [[T, col[:N]], [1 ... 1, col[N]]] step = -f in O(N), T the
+    tridiagonal given as a (3, N) band in LAPACK's banded storage
+    (T[i-1, i] = band[0, i], T[i, i] = band[1, i], T[i+1, i] = band[2, i]):
+    one tridiagonal solve with the two right-hand sides -f[:N] and col[:N],
     then the Schur complement of T for the last unknown.
 
     The solve is LAPACK's dgtsv, the routine scipy's solve_banded runs for
     a (1, 1) band, called directly with the same arguments, so the bits are
-    the same without its per-call argument checks; a non-finite band or
-    right-hand side is caught here instead.  The complement's sums are
-    np.sum of products, not BLAS dot products, so the step is the same at
-    any BLAS thread count.  A non-finite system, a singular T or a zero or
-    non-finite complement falls back to least squares on the dense
-    matrix."""
+    the same without its per-call argument checks.  The complement's sums
+    are np.sum, not BLAS dot products, so the step is the same at any BLAS
+    thread count.  A non-finite band or right-hand side, a singular T or a
+    zero or non-finite complement raises InvalidCandidate."""
     n = band.shape[1]
     rhs = np.array((-f[:n], col[:n])).T  # Fortran order: solved in place
     if not (np.isfinite(band).all() and np.isfinite(rhs).all()):
-        reason = "banded solve failed (non-finite band or right-hand side)"
-    else:
-        x, info = dgtsv(band[2, :-1], band[1], band[0, 1:], rhs,
-                        overwrite_b=True)[3:]
-        if info == 0:
-            schur = col[n] - np.sum(row * x[:, 1])
-            if schur != 0.0 and np.isfinite(schur):
-                dv = (-f[n] - np.sum(row * x[:, 0])) / schur
-                return np.append(x[:, 0] - dv * x[:, 1], dv)
-            reason = f"Schur complement {schur:g}"
-        else:  # info > 0: a zero pivot
-            reason = "banded solve failed (singular matrix)"
-    logger.debug("%s; least-squares step on the dense matrix", reason)
-    return np.linalg.lstsq(_bordered_matrix(band, col, row), -f,
-                           rcond=None)[0]
+        raise InvalidCandidate(
+            "banded solve failed (non-finite band or right-hand side)")
+    x, info = dgtsv(band[2, :-1], band[1], band[0, 1:], rhs,
+                    overwrite_b=True)[3:]
+    if info != 0:  # info > 0: a zero pivot
+        raise InvalidCandidate("banded solve failed (singular matrix)")
+    schur = col[n] - np.sum(x[:, 1])
+    if schur == 0.0 or not np.isfinite(schur):
+        raise InvalidCandidate(f"Schur complement {schur:g}")
+    dv = (-f[n] - np.sum(x[:, 0])) / schur
+    return np.append(x[:, 0] - dv * x[:, 1], dv)
 
 
 def _newton_step(u: np.ndarray, f: np.ndarray, m0: np.ndarray,
                  p: StaticProblem):
     """(step, residual evaluations made): the Newton step at u, where
-    (f, m0) = residual(u, p, masses=True), from the centroid band, the
-    free-parameter column and the constraint row.
+    (f, m0) = residual(u, p, masses=True).
 
-    Up to N_DENSE agents the band and row are differenced and the column
-    is _fd_column's (2 residual evaluations: the column and one stack), and
-    the bordered matrix is solved densely, by least squares if it is
-    singular.  Above, _banded_jacobian gives the band exactly and the
-    column exactly for a Gaussian free mu (0 evaluations) or by difference
-    otherwise (1), the row is exact ones, and _bordered_step solves in
-    O(N)."""
-    n = p.n_agents
-    if n > N_DENSE:
+    Up to N_DENSE agents _fd_jacobian differences the whole matrix (2
+    residual evaluations: one stack and the free-parameter column), which
+    is solved densely, by least squares if it is singular.  Above,
+    _banded_jacobian gives the band exactly and the column exactly for a
+    Gaussian free mu (0 evaluations) or by difference otherwise (1), the
+    constraint row is exact ones, and _bordered_step solves in O(N); a
+    system it cannot solve raises InvalidCandidate."""
+    if p.n_agents > N_DENSE:
         band, col, evals = _banded_jacobian(u, f, m0, p)
-        return _bordered_step(band, col, np.ones(n), f), evals
-    col, evals = _fd_column(u, f, p, n)
-    band, row, band_evals = _fd_band(u, f, p)
-    evals += band_evals
-    jac = _bordered_matrix(band, col, row)
+        return _bordered_step(band, col, f), evals
+    jac, evals = _fd_jacobian(u, f, p)
     try:
         return np.linalg.solve(jac, -f), evals
     except np.linalg.LinAlgError:
@@ -490,15 +444,18 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
     (the asymptotic point density of the optimal quantizer), then at any N
     the equally spaced centroids and the density quantiles, each with
     default_initial_guess's v_k.  Each step is _newton_step: dense at or
-    below N_DENSE (the shipped N = 15), with 2 residual evaluations; banded
-    above, where its bytes are the same at any BLAS thread count, with 1,
-    or none for a Gaussian free mu, whose column is analytic.  Each iterate
-    is evaluated once: the accepted line-search candidate's residual,
-    masses and norm are the next step's.  The solve logs one DEBUG record
-    at its end, converged or diverged: its path, Newton steps, residual
-    evaluations (a stack counts as one; those of a step that cannot be
-    differenced are not counted), final residual norm and the start it
-    took."""
+    below N_DENSE (the shipped N = 15), with 2 residual evaluations and a
+    least-squares step on a singular matrix; banded above, where its bytes
+    are the same at any BLAS thread count, with 1, or none for a Gaussian
+    free mu, whose column is analytic, and SolverDiverged on a system it
+    cannot solve.  Each iterate is evaluated once: the accepted line-search
+    candidate's residual, masses and norm are the next step's.  Armijo
+    acceptance never raises the norm, so the SolverDiverged of a started
+    solve carries the last iterate, a best one, and its norm.  The solve
+    logs one DEBUG record at its end, converged or diverged: its path,
+    Newton steps, residual evaluations (a stack counts as one; those of a
+    step that raises are not counted), final residual norm and the start
+    it took."""
     path = "banded" if p.n_agents > N_DENSE else "dense"
     evals, steps, norm, start, outcome = 0, 0, np.nan, None, None
     try:
@@ -515,12 +472,9 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
             raise SolverDiverged("initial guess is infeasible", best=u,
                                  residual_norm=norm)
 
-        best_u, best_norm = u.copy(), norm
         history = []
         for steps in range(MAX_NEWTON_ITER):
             history.append(norm)
-            if norm < best_norm:
-                best_u, best_norm = u.copy(), norm
             if norm < RESIDUAL_TOL:
                 outcome = "converged"
                 return _package(u, tuple(history), p)
@@ -528,8 +482,8 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
             try:
                 step, step_evals = _newton_step(u, f, m0, p)
             except InvalidCandidate as exc:
-                raise SolverDiverged(str(exc), best=best_u,
-                                     residual_norm=best_norm) from exc
+                raise SolverDiverged(str(exc), best=u,
+                                     residual_norm=norm) from exc
             evals += step_evals
 
             alpha = 1.0
@@ -544,12 +498,11 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
             else:
                 raise SolverDiverged(
                     f"line search stalled at residual norm {norm:g}",
-                    best=best_u, residual_norm=best_norm)
+                    best=u, residual_norm=norm)
         steps = MAX_NEWTON_ITER
         raise SolverDiverged(
             f"no convergence in {MAX_NEWTON_ITER} iterations "
-            f"(best residual norm {best_norm:g})",
-            best=best_u, residual_norm=best_norm)
+            f"(residual norm {norm:g})", best=u, residual_norm=norm)
     except SolverDiverged:
         outcome = "diverged"
         raise

@@ -187,6 +187,28 @@ class TestStaticAlloc:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 50
 
+    def test_non_finite_band_is_a_solver_failure(self, tmp_path, capfd,
+                                                 monkeypatch):
+        # The step raises before LAPACK sees the NaN band, so LAPACK prints
+        # nothing and the solve ends in a typed failure, not a traceback.
+        real = sa._banded_jacobian
+
+        def nan_band(*args):
+            band, col, evals = real(*args)
+            return np.full_like(band, np.nan), col, evals
+
+        monkeypatch.setattr(sa, "_banded_jacobian", nan_band)
+        rc = run_cli("static-alloc", "--domain", "0,100", "--n", "50",
+                     "--density",
+                     '{"family":"gaussian","mu":"free","sigma2":4.0}',
+                     "--r", "2500", "--out", str(tmp_path))
+        out, err = capfd.readouterr()
+        assert rc == cli.EXIT_SOLVER == 2
+        assert err.splitlines() == [
+            "solver failed: banded solve failed (non-finite band or "
+            "right-hand side)"]
+        assert "DLASCL" not in out
+
     def test_infeasible_exits_nonzero(self, tmp_path, capsys):
         rc = run_cli("static-alloc", "--domain", "0,100", "--n", "10",
                      "--density",

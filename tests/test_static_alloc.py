@@ -11,6 +11,7 @@ from test_golden import SHIPPED, fleet_config, static_problems
 
 import quadrature
 from cvtalloc import density as dens
+from cvtalloc import sim
 from cvtalloc import static_alloc as sa
 from cvtalloc import tessellation as tess
 from cvtalloc.density import DensitySpec, bind_free_parameter
@@ -58,11 +59,18 @@ def oracle_jacobian(u, f, p):
 
 
 def fd_jacobian(u, f, p):
-    """The dense step's matrix: _fd_band's band and row bordered by the
-    free-parameter difference column."""
-    band, row, _ = sa._fd_band(u, f, p)
-    col, _ = sa._fd_column(u, f, p, p.n_agents)
-    return sa._bordered_matrix(band, col, row)
+    """The dense step's matrix."""
+    return sa._fd_jacobian(u, f, p)[0]
+
+
+@pytest.fixture()
+def no_dense_solve(monkeypatch):
+    """Fail the test on any call of np.linalg.solve or np.linalg.lstsq."""
+    def fail(*args, **kwargs):
+        pytest.fail("the banded path called a dense solver")
+
+    monkeypatch.setattr(np.linalg, "solve", fail)
+    monkeypatch.setattr(np.linalg, "lstsq", fail)
 
 
 class TestStaticProblem:
@@ -177,7 +185,7 @@ class TestFdJacobian:
         assert np.array_equal(fd_jacobian(u, f, p), oracle_jacobian(u, f, p))
 
     def test_equals_oracle_at_large_n(self):
-        # The constraint row sums N stepped rows at once.
+        # One stack of 800 rows, the constraint row included.
         p = StaticProblem(DOM_100, 800, WIDE_GAUSS_FREE_MU, 800 * 30.0)
         u = sa.default_initial_guess(p)
         f = sa.residual(u, p)
@@ -185,7 +193,7 @@ class TestFdJacobian:
 
     def test_equals_oracle_at_forced_fallback(self, caplog, monkeypatch):
         # The last generator sits within FD_STEP * |z| of b, so its forward
-        # candidate leaves the domain: the colour stack is invalid, all
+        # candidate leaves the domain: the difference stack is invalid, all
         # columns fall back to single ones and column 4 is a backward
         # difference.
         p = StaticProblem(DOM_100, 5, WIDE_GAUSS_FREE_MU, 250.0)
@@ -198,18 +206,20 @@ class TestFdJacobian:
         with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
             jac = fd_jacobian(u, f, p)
         assert np.array_equal(jac, oracle_jacobian(u, f, p))
-        assert ("difference colours invalid (generators must lie inside "
+        assert ("difference stack invalid (generators must lie inside "
                 "(0.0, 100.0)); differencing all 5 columns one at a time"
                 in caplog.text)
-        # The stack, 5 forward candidates and column 4's backward one.
+        # The stack, 5 forward candidates, column 4's backward one and the
+        # free-parameter column.
         calls = []
         real = sa.residual
         monkeypatch.setattr(sa, "residual",
                             lambda *args: calls.append(1) or real(*args))
-        assert sa._fd_band(u, f, p)[2] == len(calls) == 7
+        assert sa._fd_jacobian(u, f, p)[1] == len(calls) == 8
 
     def test_at_most_two_residual_evaluations(self, monkeypatch):
-        # The free-parameter column and one stack of the three colours.
+        # One stack of the N generator columns and the free-parameter
+        # column.
         n = sa.N_DENSE
         p = StaticProblem(DOM_100, n, WIDE_GAUSS_FREE_MU, 50.0 * n)
         u = sa.default_initial_guess(p)
@@ -231,16 +241,33 @@ class TestFdJacobian:
         p = StaticProblem(DOM_100, 5, WIDE_GAUSS_FREE_MU, 250.0)
         u = sa.default_initial_guess(p)
         f, m0 = sa.residual(u, p, masses=True)
-        parts = (np.zeros((3, 5)), np.zeros(5), 1)
-        monkeypatch.setattr(sa, "_fd_band", lambda *args: parts)
+        jac = np.zeros((6, 6))
+        jac[:, 5] = sa._fd_column(u, f, p, 5)[0]
+        monkeypatch.setattr(sa, "_fd_jacobian", lambda *args: (jac, 2))
         with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
             step, evals = sa._newton_step(u, f, m0, p)
         assert "singular matrix" in caplog.text
         assert evals == 2
-        jac = sa._bordered_matrix(parts[0], sa._fd_column(u, f, p, 5)[0],
-                                  parts[1])
         assert np.array_equal(step,
                               np.linalg.lstsq(jac, -f, rcond=None)[0])
+
+    def test_shipped_initialize_steps_equal_oracle(self, monkeypatch):
+        # Every matrix of the shipped scenario's initial N = 15 solve is the
+        # per-column difference Jacobian bit for bit.
+        seen = []
+        real = sa._fd_jacobian
+
+        def spy(u, f, p):
+            jac, evals = real(u, f, p)
+            seen.append((u, f, p, jac))
+            return jac, evals
+
+        monkeypatch.setattr(sa, "_fd_jacobian", spy)
+        sim.initialize(Scenario.from_config(json.loads(SHIPPED.read_text())))
+        assert len(seen) == 4
+        for u, f, p, jac in seen:
+            assert p.n_agents == 15
+            assert np.array_equal(jac, oracle_jacobian(u, f, p))
 
 
 class TestBandedStep:
@@ -251,17 +278,17 @@ class TestBandedStep:
     @pytest.mark.parametrize("n", [65, 100, 400])
     def test_tridiagonal_matches_difference_jacobian(self, family, n):
         # The forward difference's truncation error grows with FD_STEP * |z|
-        # over the cell width, so single entries of _fd_band are off by
+        # over the cell width, so single entries of _fd_jacobian are off by
         # up to 3e-5 at N = 400; each diagonal is compared as a whole.
         density, mean = FAMILIES[family]
         p = StaticProblem(DOM_100, n, density, mean * n)
         u = sa.default_initial_guess(p)
         f, m0 = sa.residual(u, p, masses=True)
         band, _, _ = sa._banded_jacobian(u, f, m0, p)
-        fd, _, _ = sa._fd_band(u, f, p)
-        for k in range(3):
-            assert (np.linalg.norm(band[k] - fd[k])
-                    <= 1e-5 * np.linalg.norm(fd[k])), k
+        t = fd_jacobian(u, f, p)[:n, :n]
+        for k, diag in ((1, band[0, 1:]), (0, band[1]), (-1, band[2, :-1])):
+            fd = np.diag(t, k)
+            assert np.linalg.norm(diag - fd) <= 1e-5 * np.linalg.norm(fd), k
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("n", [65, 80, 100])
@@ -305,42 +332,28 @@ class TestBandedStep:
             _, evals = sa._newton_step(u, f, m0, p)
             assert evals == len(calls) == expected, family
 
-    def test_singular_band_takes_lstsq_fallback(self, caplog):
-        # A zero row in T makes the banded solve fail; the bordered matrix
-        # stays singular too, so the step is the least-squares one.
+    def test_singular_band_takes_lstsq_fallback(self, no_dense_solve):
+        # A zero row in T makes the banded solve fail; no least-squares step
+        # is taken.
         n = 4
         band = np.zeros((3, n))
         band[1] = [2.0, 0.0, 3.0, 1.0]
         col = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-        row = np.ones(n)
         f = np.array([1.0, 1.0, -2.0, 0.5, 0.25])
-        jac = np.diag([2.0, 0.0, 3.0, 1.0, 0.0])
-        jac[:n, n] = col[:n]
-        jac[n, :n] = row
-        with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
-            step = sa._bordered_step(band, col, row, f)
-        assert "banded solve failed (singular matrix)" in caplog.text
-        assert np.array_equal(step,
-                              np.linalg.lstsq(jac, -f, rcond=None)[0])
+        with pytest.raises(InvalidCandidate,
+                           match=r"^banded solve failed \(singular matrix\)$"):
+            sa._bordered_step(band, col, f)
 
-    def test_zero_schur_complement_takes_lstsq_fallback(self, caplog):
-        # T = I, but the border column lies in the span the border row
-        # cancels: the Schur complement is exactly 0.
+    def test_zero_schur_complement_takes_lstsq_fallback(self, no_dense_solve):
+        # T = I, and the border column's solve sums to its last entry: the
+        # Schur complement is exactly 0.
         n = 3
         band = np.zeros((3, n))
         band[1] = 1.0
         col = np.array([1.0, -1.0, 0.0, 0.0])
-        row = np.array([1.0, 1.0, 0.0])
         f = np.array([1.0, 2.0, 3.0, 4.0])
-        with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
-            step = sa._bordered_step(band, col, row, f)
-        assert "Schur complement 0" in caplog.text
-        jac = np.eye(n + 1)
-        jac[n, n] = 0.0
-        jac[:, n] = col
-        jac[n, :n] = row
-        assert np.array_equal(step,
-                              np.linalg.lstsq(jac, -f, rcond=None)[0])
+        with pytest.raises(InvalidCandidate, match="^Schur complement 0$"):
+            sa._bordered_step(band, col, f)
 
     def test_regular_step_solves_bordered_system(self):
         rng = np.random.default_rng(3)
@@ -348,14 +361,12 @@ class TestBandedStep:
         band = rng.uniform(-0.3, 0.3, (3, n))
         band[1] += 2.0
         col = rng.uniform(-1.0, 1.0, n + 1)
-        row = rng.uniform(0.5, 1.5, n)
         f = rng.uniform(-1.0, 1.0, n + 1)
-        jac = np.zeros((n + 1, n + 1))
+        jac = np.ones((n + 1, n + 1))
         jac[:n, :n] = (np.diag(band[1]) + np.diag(band[0, 1:], 1)
                        + np.diag(band[2, :-1], -1))
         jac[:, n] = col
-        jac[n, :n] = row
-        np.testing.assert_allclose(sa._bordered_step(band, col, row, f),
+        np.testing.assert_allclose(sa._bordered_step(band, col, f),
                                    np.linalg.solve(jac, -f), rtol=1e-12,
                                    atol=1e-12)
 
@@ -364,52 +375,64 @@ class TestBandedStep:
         # The direct dgtsv call is the routine solve_banded runs for a
         # (1, 1) band: the step is the old body's bit for bit.
         rng = np.random.default_rng(n)
+        row = np.ones(n)
         for _ in range(20):
             band = rng.uniform(-1.0, 1.0, (3, n))
             band[1] = (np.abs(band[0]) + np.abs(band[2])
                        + rng.uniform(0.1, 2.0, n)) * rng.choice([-1, 1], n)
             band[0, 0] = band[2, -1] = 0.0
             col = rng.uniform(-1.0, 1.0, n + 1)
-            row = rng.uniform(0.5, 1.5, n)
             f = rng.uniform(-1.0, 1.0, n + 1)
             x = solve_banded((1, 1), band, np.column_stack((-f[:n], col[:n])))
             schur = col[n] - np.sum(row * x[:, 1])
             dv = (-f[n] - np.sum(row * x[:, 0])) / schur
             expected = np.append(x[:, 0] - dv * x[:, 1], dv)
             before = band.copy()
-            assert np.array_equal(sa._bordered_step(band, col, row, f),
-                                  expected)
+            assert np.array_equal(sa._bordered_step(band, col, f), expected)
             assert np.array_equal(band, before)
 
     @pytest.mark.parametrize("where", ["band", "col", "f"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_system_takes_lstsq_fallback(self, where, bad, caplog):
-        # No LAPACK call sees a non-finite value: the dense matrix goes to
-        # least squares, which gives NaN for a non-finite right-hand side
-        # and fails to converge for a non-finite matrix.
+    def test_non_finite_system_takes_lstsq_fallback(self, where, bad,
+                                                    monkeypatch,
+                                                    no_dense_solve):
+        # No LAPACK call sees a non-finite value, and no least-squares step
+        # is taken: the step is an invalid candidate.
         n = 5
         band = np.zeros((3, n))
         band[1] = 2.0
         band[0, 1:] = 0.5
         band[2, :-1] = -0.5
         col = np.linspace(0.1, 0.5, n + 1)
-        row = np.ones(n)
         f = np.linspace(1.0, 2.0, n + 1)
         {"band": band[1], "col": col, "f": f}[where][2] = bad
-        jac = sa._bordered_matrix(band, col, row)
-        with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
-            if where == "f":
-                step = sa._bordered_step(band, col, row, f)
-                assert np.array_equal(
-                    step, np.linalg.lstsq(jac, -f, rcond=None)[0],
-                    equal_nan=True)
-                assert np.isnan(step).all()
-            else:
-                with pytest.raises(np.linalg.LinAlgError):
-                    sa._bordered_step(band, col, row, f)
-        assert caplog.messages == [
-            "banded solve failed (non-finite band or right-hand side); "
-            "least-squares step on the dense matrix"]
+        monkeypatch.setattr(sa, "dgtsv", lambda *args, **kwargs: pytest.fail(
+            "dgtsv called on a non-finite system"))
+        with pytest.raises(InvalidCandidate, match=(
+                r"^banded solve failed \(non-finite band or right-hand "
+                r"side\)$")):
+            sa._bordered_step(band, col, f)
+
+    def test_no_dense_solver_at_any_step(self, monkeypatch, no_dense_solve):
+        # A banded solve converges without np.linalg.solve or lstsq, and a
+        # singular band at N = 2000 ends the solve instead of a
+        # least-squares step on a 2001-square matrix.
+        assert sa.solve(seed0_sweep(50)).residual_norm < sa.RESIDUAL_TOL
+        real = sa._banded_jacobian
+
+        def singular(u, f, m0, p):
+            band, col, evals = real(u, f, m0, p)
+            band[:, 1000] = 0.0  # T's column 1000
+            return band, col, evals
+
+        monkeypatch.setattr(sa, "_banded_jacobian", singular)
+        p = seed0_sweep(2000)
+        with pytest.raises(SolverDiverged,
+                           match=r"^banded solve failed \(singular matrix\)$"
+                           ) as exc:
+            sa.solve(p)
+        assert exc.value.residual_norm == np.linalg.norm(
+            sa.residual(exc.value.best, p))
 
 
 class TestGaussianMuColumn:
@@ -540,6 +563,21 @@ class TestSolve:
         sol = sa.solve(p)
         assert sol.v_k == pytest.approx(15.0, abs=1e-7)
         np.testing.assert_allclose(sol.centroids, [2.5, 7.5, 12.5], atol=1e-7)
+
+    def test_budget_stop_reports_the_last_iterate(self, monkeypatch):
+        # Armijo acceptance never raises the norm, so the last iterate is a
+        # best one: a stop on MAX_NEWTON_ITER = 2 reports iterate 2.
+        p = StaticProblem(domain=DOM_100, n_agents=50,
+                          density=GAUSS_FREE_MU, r=2500.0)
+        hist = sa.solve(p).residual_history
+        assert len(hist) > 3
+        monkeypatch.setattr(sa, "MAX_NEWTON_ITER", 2)
+        with pytest.raises(SolverDiverged,
+                           match="^no convergence in 2 iterations") as exc:
+            sa.solve(p)
+        norm = exc.value.residual_norm
+        assert norm == np.linalg.norm(sa.residual(exc.value.best, p))
+        assert norm == hist[2] < hist[1]
 
     def test_narrow_gaussian_uses_quantile_fallback(self, caplog):
         # Equally spaced initial centroids leave empty tail cells here; the
