@@ -187,7 +187,7 @@ def _cmd_static_alloc(args) -> int:
     if args.csv:
         with open(out / "allocation.csv", "w", newline="") as fh:
             fh.write("i,z_i,cell_lo,cell_hi\n")
-            t = sol.tessellation
+            t = tess.voronoi_regions(sol.centroids, problem.domain)
             for i, z in enumerate(t.generators):
                 fh.write(f"{i},{_FMT % z},{_FMT % t.boundaries[i]},"
                          f"{_FMT % t.boundaries[i + 1]}\n")

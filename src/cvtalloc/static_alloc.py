@@ -37,7 +37,7 @@ from .errors import (
     SolverDiverged,
     UnsortedGenerators,
 )
-from .tessellation import Domain1D, Tessellation
+from .tessellation import Domain1D
 
 __all__ = ["StaticProblem", "StaticSolution", "CrossValidationReport",
            "residual", "solve", "cross_validate"]
@@ -80,16 +80,14 @@ class StaticProblem:
 
 @dataclass(frozen=True)
 class StaticSolution:
-    """The solved centroids and free parameter.
-
-    ``iterations`` counts the Newton steps taken; ``residual_history`` holds
-    the residual 2-norm at each Newton iterate, ending with
-    ``residual_norm``."""
+    """A solve's sorted centroids, free parameter v_k, final residual_norm,
+    Newton iterations and residual_history (the 2-norm at each iterate).
+    It holds no cells or energy: ask tessellation.voronoi_regions for the
+    cells and tessellation.energy_K, at the bound v_k, for the energy."""
 
     centroids: np.ndarray
     v_k: float
     residual_norm: float
-    tessellation: Tessellation
     iterations: int = 0
     residual_history: tuple = ()
 
@@ -374,12 +372,12 @@ def _bordered_step(band: np.ndarray, col: np.ndarray,
     one tridiagonal solve with the two right-hand sides -f[:N] and col[:N],
     then the Schur complement of T for the last unknown.
 
-    The solve is LAPACK's dgtsv, the routine scipy's solve_banded runs for
-    a (1, 1) band, called directly with the same arguments, so the bits are
-    the same without its per-call argument checks.  The complement's sums
-    are np.sum, not BLAS dot products, so the step is the same at any BLAS
-    thread count.  A non-finite band or right-hand side, a singular T or a
-    zero or non-finite complement raises InvalidCandidate."""
+    The solve calls LAPACK's dgtsv as scipy's solve_banded does for a
+    (1, 1) band, with the same bits and without its per-call argument
+    checks.  The complement's sums are ndarray.sum (pairwise add.reduce),
+    not BLAS dot products, so the step is the same at any BLAS thread
+    count.  A non-finite band or right-hand side, a singular T or a zero or
+    non-finite complement raises InvalidCandidate."""
     n = band.shape[1]
     rhs = np.array((-f[:n], col[:n])).T  # Fortran order: solved in place
     if not (np.isfinite(band).all() and np.isfinite(rhs).all()):
@@ -389,11 +387,13 @@ def _bordered_step(band: np.ndarray, col: np.ndarray,
                     overwrite_b=True)[3:]
     if info != 0:  # info > 0: a zero pivot
         raise InvalidCandidate("banded solve failed (singular matrix)")
-    schur = col[n] - np.sum(x[:, 1])
+    schur = col[n] - x[:, 1].sum()
     if schur == 0.0 or not np.isfinite(schur):
         raise InvalidCandidate(f"Schur complement {schur:g}")
-    dv = (-f[n] - np.sum(x[:, 0])) / schur
-    return np.append(x[:, 0] - dv * x[:, 1], dv)
+    step = np.empty(n + 1)
+    step[n] = dv = (-f[n] - x[:, 0].sum()) / schur
+    np.subtract(x[:, 0], dv * x[:, 1], out=step[:n])
+    return step
 
 
 def _newton_step(u: np.ndarray, f: np.ndarray, m0: np.ndarray,
@@ -515,11 +515,10 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
 
 def _package(u: np.ndarray, history: tuple,
              p: StaticProblem) -> StaticSolution:
+    """The StaticSolution at the converged unknowns u."""
     z, v = _split(u, p.n_agents)
-    d = bind_free_parameter(p.density, v)
-    t = tess.voronoi_regions(z, p.domain, d)
     return StaticSolution(centroids=z, v_k=v, residual_norm=history[-1],
-                          tessellation=t, iterations=len(history) - 1,
+                          iterations=len(history) - 1,
                           residual_history=history)
 
 

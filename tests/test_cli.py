@@ -187,6 +187,28 @@ class TestStaticAlloc:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 50
 
+    @pytest.mark.parametrize("domain, n, density, r", [
+        ("0,100", "50", '{"family":"gaussian","mu":"free","sigma2":4.0}',
+         "2500"),
+        ("0,300", "15", '{"family":"gamma","k":"free","theta":20.0}',
+         "1500"),
+    ], ids=["banded-acceptance2", "dense-gamma-free-k"])
+    def test_csv_rows_are_centroids_and_midpoint_cells(self, domain, n,
+                                                       density, r, tmp_path,
+                                                       capsys):
+        # Each row is i, z_i and the midpoints around z_i, formatted from
+        # the centroids that the same run printed.
+        rc = run_cli("static-alloc", "--domain", domain, "--n", n,
+                     "--density", density, "--r", r, "--out", str(tmp_path),
+                     "--csv")
+        assert rc == 0
+        z = np.array(json.loads(capsys.readouterr().out)["centroids"])
+        m = tess._midpoint_boundaries(z, cli._parse_domain(domain))
+        expected = "i,z_i,cell_lo,cell_hi\n" + "".join(
+            f"{i},{sim._FMT % z[i]},{sim._FMT % m[i]},{sim._FMT % m[i + 1]}\n"
+            for i in range(int(n)))
+        assert (tmp_path / "allocation.csv").read_text() == expected
+
     def test_non_finite_band_is_a_solver_failure(self, tmp_path, capfd,
                                                  monkeypatch):
         # The step raises before LAPACK sees the NaN band, so LAPACK prints

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
-from test_golden import SHIPPED, fleet_config, static_problems
+from test_golden import (ROOT, SHIPPED, fleet_config, solution_hash,
+                         static_problems)
 
 import quadrature
 from cvtalloc import density as dens
@@ -696,6 +697,32 @@ class TestEvaluationCount:
         assert [r.getMessage() for r in caplog.records] == [
             "N = 15: dense Newton steps 0, residual evaluations 1, final "
             "residual norm inf, diverged, start given"]
+
+    def test_solve_evaluates_no_second_moments(self, monkeypatch):
+        # A solve returns no energy, so neither it nor sim.initialize
+        # evaluates order-2 moments: with interval_moments and the energy
+        # sum raising, the dense shipped solve keeps its hash, the banded
+        # Acceptance-2 solve its golden one, and initialize its allocation.
+        shipped = Scenario.from_config(json.loads(SHIPPED.read_text()))
+        dense = StaticProblem(shipped.domain, shipped.n_agents,
+                              shipped.density, shipped.power_schedule[0])
+        assert dense.n_agents <= sa.N_DENSE
+        reference = sa.solve(dense)
+        banded = StaticProblem(domain=DOM_100, n_agents=50,
+                               density=GAUSS_FREE_MU, r=2500.0)
+        golden = json.loads((ROOT / "tests" / "golden_static.json").read_text())
+
+        def fail(*args, **kwargs):
+            raise AssertionError("second moments evaluated")
+
+        monkeypatch.setattr(dens, "interval_moments", fail)
+        monkeypatch.setattr(tess, "_energy_of_cells", fail)
+        assert solution_hash(sa.solve(dense)) == solution_hash(reference)
+        assert (solution_hash(sa.solve(banded))
+                == golden["gauss s2=4 n=50 r=2500"])
+        alloc = sim.initialize(shipped).alloc
+        assert np.array_equal(alloc.resources, reference.centroids)
+        assert alloc.mu_current == reference.v_k
 
 
 class TestEmptyCellRule:
