@@ -209,21 +209,21 @@ def _cmd_shift_check(args) -> int:
 
 
 def _write_plot_data(trace: sim.TraceLog, out: Path) -> None:
-    """Plot data: applied powers, total vs available, temperatures.  Each
-    file is one %-template filled from its columns, interleaved by step."""
-    steps = np.arange(len(trace.r))
+    """Plot data: applied powers, total vs available, temperatures.  The
+    per-agent files write the trace's memo text, one row per step."""
+    _, power_rows, temp_rows = trace.rows()
     agent_cols = ",".join(f"agent_{i}" for i in range(trace.n_agents))
-    row = "%d" + f",{_FMT}" * trace.n_agents + "\n"
-    for name, column in (("powers.csv", trace.applied_power),
-                         ("temperatures.csv", trace.temp_F)):
+    for name, rows in (("powers.csv", power_rows),
+                       ("temperatures.csv", temp_rows)):
         with open(out / name, "w", newline="") as fh:
             fh.write(f"step,{agent_cols}\n")
-            values = np.column_stack([steps, np.reshape(column, (steps.size, -1))])
-            fh.write(row * steps.size % tuple(values.ravel().tolist()))
+            fh.write("".join([f"{k},{row}\n" for k, row in enumerate(rows)]))
 
-    # Python's sum adds NumPy scalars left to right; np.sum's pairwise
-    # order would change the digits written.
-    totals = [sum(np.abs(powers).tolist()) for powers in trace.applied_power]
+    # Each total adds the magnitudes left to right, as Python's sum did
+    # before 3.12; np.sum's pairwise order would change the digits written.
+    steps = np.arange(len(trace.r))
+    totals = np.add.accumulate(np.abs(np.reshape(
+        trace.applied_power, (steps.size, -1))), axis=1)[:, -1]
     values = np.column_stack([steps, totals, trace.r])
     with open(out / "total_power.csv", "w", newline="") as fh:
         fh.write("step,total_consumed,available\n")

@@ -126,6 +126,9 @@ class Scenario:
 
     @classmethod
     def from_config(cls, obj: dict) -> "Scenario":
+        if not isinstance(obj, dict):
+            raise InvalidScenario(
+                f"a scenario must be a JSON object, got {type(obj).__name__}")
         unknown = sorted(set(obj) - set(_FROM_CONFIG))
         if unknown:
             raise InvalidScenario(f"unknown scenario keys: {', '.join(unknown)}")
@@ -167,6 +170,17 @@ class SimState:
     k: int = 0
 
 
+def _signed(text: str, values: np.ndarray) -> str:
+    """``text``, the comma-joined formatted magnitudes of ``values``, with a
+    '-' before each entry whose sign bit is set: the text of ``values``
+    itself for every value but NaN."""
+    negative = np.signbit(values)
+    if not negative.any():
+        return text
+    return ",".join([f"-{v}" if neg else v
+                     for v, neg in zip(text.split(","), negative.tolist())])
+
+
 @dataclass
 class TraceLog:
     """Columnar trace with one entry per step in every column.
@@ -179,6 +193,9 @@ class TraceLog:
     sums the wall seconds of each step phase and ``initialize_s`` those of
     :func:`initialize` in :func:`run`; only :func:`diagnostics` reads them,
     never the deterministic files.
+
+    Every file formats each value of ``z``, ``applied_power`` and
+    ``temp_F`` through one memo, :meth:`rows`, so each is formatted once.
     """
 
     n_agents: int
@@ -193,32 +210,70 @@ class TraceLog:
     swaps: list = field(default_factory=list)
     phase_s: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
     initialize_s: float = 0.0
+    _memo: tuple = field(default=(-1,), init=False, repr=False, compare=False)
+
+    def rows(self) -> tuple:
+        """(z, applied_power, temp_F) text: one comma-joined ``_FMT`` string
+        per step in each, built again when the number of steps changes.
+        z and applied power (±z) share one formatting of |z|, signed by
+        :func:`_signed`; a step with a NaN resource formats both as they
+        are, since NaN prints without its sign."""
+        if self._memo[0] != len(self.r):
+            row = ",".join([_FMT] * self.n_agents)
+            z_rows, power_rows, temp_rows = [], [], []
+            for z, applied, temp in zip(self.z, self.applied_power, self.temp_F):
+                magnitude = np.abs(z)
+                if np.isnan(magnitude).any():
+                    z_rows.append(row % tuple(z.tolist()))
+                    power_rows.append(row % tuple(applied.tolist()))
+                else:
+                    text = row % tuple(magnitude.tolist())
+                    z_rows.append(_signed(text, z))
+                    power_rows.append(_signed(text, applied))
+                temp_rows.append(row % tuple(temp.tolist()))
+            self._memo = (len(self.r), z_rows, power_rows, temp_rows)
+        return self._memo[1:]
 
     def write_trace_csv(self, path) -> None:
-        """One row per step and agent; each step is one %-template filled
-        from the agent index and the four per-agent columns, interleaved."""
+        """One row per step and agent; each step is one template filled
+        from the agent index, the memo's z, applied power and temperature
+        text and the formatted desired magnitude, interleaved."""
         header = ("step,agent,z,desired_abs,applied_power,temp_F,"
                   "sum_z,r,constraint_error\n")
-        rows = np.empty((self.n_agents, 5))
-        rows[:, 0] = np.arange(self.n_agents)
+        n = self.n_agents
+        values = [None] * (5 * n)
+        values[0::5] = range(n)
         with open(path, "w", newline="") as fh:
             fh.write(header)
-            for k, step_info in enumerate(zip(self.sum_z, self.r,
-                                              self.constraint_error)):
+            for k, (z, power, temp, desired, *step_info) in enumerate(zip(
+                    *self.rows(), self.desired_abs, self.sum_z, self.r,
+                    self.constraint_error)):
                 tail = ",".join(_FMT % v for v in step_info)
-                for c, col in enumerate((self.z, self.desired_abs,
-                                         self.applied_power, self.temp_F), 1):
-                    rows[:, c] = col[k]
-                row = f"{k},%d,{_FMT},{_FMT},{_FMT},{_FMT},{tail}\n"
-                fh.write(row * self.n_agents % tuple(rows.ravel().tolist()))
+                values[1::5] = z.split(",")
+                values[2::5] = desired.tolist()
+                values[3::5] = power.split(",")
+                values[4::5] = temp.split(",")
+                row = f"{k},%d,%s,{_FMT},%s,%s,{tail}\n"
+                fh.write(row * n % tuple(values))
 
     def write_swaps_csv(self, path) -> None:
-        """One row per swap; each step is one %-template over its rows."""
+        """One row per swap; each step is one template over its rows.  A
+        round only exchanges resources, so each resource before a swap is,
+        bit for bit, one of the step's z values: its text is looked up in
+        the memo by the value's bits."""
+        z_rows = self.rows()[0]
         with open(path, "w", newline="") as fh:
             fh.write("step,proposer,target,z_proposer_before,z_target_before\n")
             for k, swaps in enumerate(self.swaps):
-                row = f"{k},%d,%d,{_FMT},{_FMT}\n"
-                fh.write(row * len(swaps) % tuple(swaps.ravel().tolist()))
+                text = dict(zip(self.z[k].view(np.int64).tolist(),
+                                z_rows[k].split(",")))
+                agents = swaps[:, :2].astype(np.int64).ravel().tolist()
+                before = [text[b] for b in
+                          swaps[:, 2:].ravel().view(np.int64).tolist()]
+                values = [None] * (4 * len(swaps))
+                values[0::4], values[1::4] = agents[0::2], agents[1::2]
+                values[2::4], values[3::4] = before[0::2], before[1::2]
+                fh.write(f"{k},%d,%d,%s,%s\n" * len(swaps) % tuple(values))
 
 
 @dataclass(frozen=True)
@@ -281,6 +336,10 @@ def _build_fleet(sc: Scenario, disturbances: np.ndarray):
     params = th.ThermalParams.stack(
         th.sample_parameters(sc.seed * 100_003 + i) for i in range(sc.n_agents))
     fleet = th.discretize_zoh(th.build_continuous_model(params), sc.ts_minutes)
+    if not all(np.isfinite(m).all() for m in (fleet.Ad, fleet.Bd, fleet.Gd)):
+        raise InvalidScenario(
+            f"ts_minutes: the plant discretization at {sc.ts_minutes!r} "
+            f"minutes is not finite")
     gains = th.design_controller(fleet, sc.poles, setpoints)
     X, _ = th.equilibrium_state(fleet, disturbances[0], setpoints)
     models = [th.DiscreteModel(Ad=Ad, Bd=Bd, Gd=Gd, Ts=fleet.Ts)
@@ -367,12 +426,21 @@ def run(sc: Scenario) -> TraceLog:
     return trace
 
 
+def _sum_of_squares(x: np.ndarray) -> float:
+    """The sum of x ** 2 over a non-empty array, bit for bit the Python loop
+    ``sum(v ** 2 for v in x)`` before 3.12: ``np.float_power`` with an array
+    exponent calls libm ``pow`` as Python's ** does (``np.power`` may
+    square or take a vector pow instead), and ``np.add.accumulate`` adds
+    left to right."""
+    return float(np.add.accumulate(np.float_power(x, np.full_like(x, 2.0)))[-1])
+
+
 def metrics(t: TraceLog) -> MetricsReport:
     """Aggregate power tracking, swap activity, neighbor coverage, and
     temperature regulation quality."""
     if not t.r:
         raise ValueError("empty trace")
-    l2 = math.sqrt(sum(e ** 2 for e in t.constraint_error))
+    l2 = math.sqrt(_sum_of_squares(np.asarray(t.constraint_error)))
     total_swaps = sum(len(s) for s in t.swaps)
     mean_swaps = 2 * total_swaps / t.n_agents
 
@@ -384,10 +452,7 @@ def metrics(t: TraceLog) -> MetricsReport:
     pairs = np.unique(np.concatenate([a * n + b, b * n + a]))
     coverage = dict(enumerate(np.bincount(pairs // n, minlength=n).tolist()))
 
-    sq_err = 0.0
-    for y, setpoint in zip(np.ravel(t.temp_F).tolist(),
-                           np.ravel(t.setpoints).tolist()):
-        sq_err += (y - setpoint) ** 2
+    sq_err = _sum_of_squares(np.ravel(t.temp_F) - np.ravel(t.setpoints))
     rms = math.sqrt(sq_err / (len(t.r) * n))
 
     return MetricsReport(l2_power_error=l2, mean_swaps_per_agent=mean_swaps,

@@ -327,6 +327,7 @@ class TestDynamicSim:
         ({"ts_minutes": float("inf")}, "ts_minutes"),
         ({"ts_minutes": 0}, "ts_minutes"),
         ({"ts_minutes": -10.0}, "ts_minutes"),
+        ({"ts_minutes": 1e300}, "ts_minutes"),
         ({"seed": -1}, "seed must be >= 0"),
     ], ids=["agent-too-large", "agent-negative", "step-at-horizon",
             "step-negative", "zero-rounds", "negative-rounds", "no-agents",
@@ -337,7 +338,7 @@ class TestDynamicSim:
             "setpoint-nan", "setpoint-change-inf", "pole-outside-unit-circle",
             "poles-two",
             "missing-key", "density-no-family", "ts-nan", "ts-inf", "ts-zero",
-            "ts-negative", "seed-negative"])
+            "ts-negative", "ts-huge", "seed-negative"])
     def test_invalid_scenario_exits_one(self, tmp_path, config_path, capsys,
                                         change, message):
         cfg = json.loads(config_path.read_text())
@@ -350,6 +351,17 @@ class TestDynamicSim:
         assert rc == cli.EXIT_USAGE
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("top", [[1, 2], "scenario", 5, None])
+    def test_scenario_not_an_object_exits_one(self, tmp_path, capsys, top):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(top))
+        rc = run_cli("dynamic-sim", "--config", str(bad),
+                     "--out", str(tmp_path / "x"))
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_USAGE
+        assert err.startswith("error: a scenario must be a JSON object")
+        assert err.count("\n") == 1
 
     def test_horizon_override_drops_later_setpoint_changes(self, tmp_path,
                                                            capsys):
