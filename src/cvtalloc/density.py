@@ -222,8 +222,9 @@ def _terms(d: DensitySpec, x, order: int) -> tuple:
         t = (x - p["mu"]) / math.sqrt(p["sigma2"])
         s = t / _SQRT2
         e = np.exp(-0.5 * t * t)  # 0 at t = +-inf
-        out = (t, special.erfc(s), special.erfc(-s), special.erf(s),
-               e * _INV_SQRT_2PI)
+        # One erfc per point, of |s|: a cell reads it only on its own side
+        # of mu, where |s| is bitwise the argument erfc(s) or erfc(-s) takes.
+        out = (t, special.erfc(np.abs(s)), special.erf(s), e * _INV_SQRT_2PI)
         if order == 2:
             out += (np.where(np.isfinite(t), t, 0.0) * e * _INV_SQRT_2PI,)
         return out
@@ -253,7 +254,8 @@ def _terms(d: DensitySpec, x, order: int) -> tuple:
 
 def _combine(d: DensitySpec, lo, hi, order: int) -> tuple:
     """(mass, first moment[, second moment]) over [lo, hi] from the _terms
-    at both ends, each difference taken in a cancellation-safe branch."""
+    at both ends, each difference taken in a cancellation-safe branch; the
+    intervals are cells, lo <= hi."""
     p = d.params
     if d.family == "uniform":
         w = 1.0 / (p["b"] - p["a"])
@@ -271,19 +273,20 @@ def _combine(d: DensitySpec, lo, hi, order: int) -> tuple:
                                 m0 * (hi[1] + hi[0] * lo[0] + lo[1]) / 3.0)
 
     if d.family == "gaussian":
-        # Terms t, erfc(t/sqrt2), erfc(-t/sqrt2), erf(t/sqrt2), phi(t)[,
-        # t phi(t)].  Deep in one tail the difference of CDFs loses all
-        # relative accuracy; the complementary error function of that side
-        # keeps it.
+        # Terms t, erfc(|t|/sqrt2), erf(t/sqrt2), phi(t)[, t phi(t)].  Deep
+        # in one tail the difference of CDFs loses all relative accuracy;
+        # the complementary error function of that tail keeps it: a cell
+        # right of mu reads erfc(t/sqrt2) at both ends, one left of it
+        # erfc(-t/sqrt2).
         mu, s2 = p["mu"], p["sigma2"]
         sigma = math.sqrt(s2)
         m0 = 0.5 * np.where(lo[0] >= 0, lo[1] - hi[1],
-                            np.where(hi[0] <= 0, hi[2] - lo[2], hi[3] - lo[3]))
-        dphi = lo[4] - hi[4]
+                            np.where(hi[0] <= 0, hi[1] - lo[1], hi[2] - lo[2]))
+        dphi = lo[3] - hi[3]
         m1 = mu * m0 + sigma * dphi
         if order == 1:
             return m0, m1
-        central2 = s2 * (m0 + lo[5] - hi[5])
+        central2 = s2 * (m0 + lo[4] - hi[4])
         return m0, m1, mu * mu * m0 + 2.0 * mu * sigma * dphi + central2
 
     if d.family == "exponential":

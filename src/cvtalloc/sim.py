@@ -25,7 +25,7 @@ from . import static_alloc as sa
 from . import thermal as th
 from .density import DensitySpec
 from .dynamic_alloc import AllocationState
-from .errors import InvalidScenario
+from .errors import InvalidScenario, Uncontrollable
 from .tessellation import Domain1D
 
 __all__ = ["Scenario", "SimState", "TraceLog", "MetricsReport",
@@ -38,9 +38,17 @@ PHASES = ("shift", "control", "negotiate", "plant", "trace")
 logger = logging.getLogger(__name__)
 
 
+def _number(value) -> float:
+    """A config number as a float; TypeError for anything else, a quoted
+    number or a boolean included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value) -> int:
     """An integral config number as an int; TypeError for anything else."""
-    if isinstance(value, bool) or not float(value).is_integer():
+    if not _number(value).is_integer():
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -48,19 +56,19 @@ def _integer(value) -> int:
 def _floats(values) -> tuple:
     if isinstance(values, str):
         raise TypeError(f"expected a list of numbers, got {values!r}")
-    return tuple(float(v) for v in values)
+    return tuple(_number(v) for v in values)
 
 
 # How Scenario.from_config reads each config field; a TypeError or
 # ValueError from one becomes an InvalidScenario naming the field.
 _FROM_CONFIG = {
     "n_agents": _integer, "horizon": _integer, "seed": _integer,
-    "rounds_per_step": _integer, "ts_minutes": float, "disturbance": str,
+    "rounds_per_step": _integer, "ts_minutes": _number, "disturbance": str,
     "domain": lambda v: Domain1D(*_floats(v)),
     "density": DensitySpec.from_config,
     "power_schedule": _floats, "setpoints": _floats, "poles": _floats,
     "setpoint_changes": lambda v: tuple(
-        (_integer(s), _integer(a), float(x)) for s, a, x in v),
+        (_integer(s), _integer(a), _number(x)) for s, a, x in v),
 }
 
 
@@ -340,7 +348,12 @@ def _build_fleet(sc: Scenario, disturbances: np.ndarray):
         raise InvalidScenario(
             f"ts_minutes: the plant discretization at {sc.ts_minutes!r} "
             f"minutes is not finite")
-    gains = th.design_controller(fleet, sc.poles, setpoints)
+    try:
+        gains = th.design_controller(fleet, sc.poles, setpoints)
+    except Uncontrollable as exc:
+        raise InvalidScenario(
+            f"ts_minutes: the plant sampled every {sc.ts_minutes!r} minutes "
+            f"cannot be controlled ({exc})") from exc
     X, _ = th.equilibrium_state(fleet, disturbances[0], setpoints)
     models = [th.DiscreteModel(Ad=Ad, Bd=Bd, Gd=Gd, Ts=fleet.Ts)
               for Ad, Bd, Gd in zip(fleet.Ad, fleet.Bd, fleet.Gd)]
@@ -394,9 +407,7 @@ def step(st: SimState, k: int, trace: TraceLog) -> SimState:
     st.X = _step_plants(st.X, applied, w, st.models)
     t4 = time.perf_counter()
 
-    # Python's sum adds NumPy scalars left to right; np.sum's pairwise
-    # order would change the digits written.
-    sum_z = float(sum(alloc.resources))
+    sum_z = _left_sum(alloc.resources)
     trace.z.append(alloc.resources)
     trace.desired_abs.append(desired_abs)
     trace.applied_power.append(applied)
@@ -426,13 +437,22 @@ def run(sc: Scenario) -> TraceLog:
     return trace
 
 
+def _left_sum(x: np.ndarray) -> float:
+    """The sum of a non-empty float array, bit for bit the loop that adds
+    its entries left to right to the integer 0, as Python's ``sum(x)`` does
+    over the array's NumPy scalars.  ``np.add.accumulate`` adds left to
+    right (``np.sum``'s pairwise order would change the digits written),
+    then the 0 is added: first or last, it changes only the sign of a sum
+    of ``-0.0`` alone, which it makes ``+0.0``."""
+    return 0 + float(np.add.accumulate(x)[-1])
+
+
 def _sum_of_squares(x: np.ndarray) -> float:
     """The sum of x ** 2 over a non-empty array, bit for bit the Python loop
     ``sum(v ** 2 for v in x)`` before 3.12: ``np.float_power`` with an array
     exponent calls libm ``pow`` as Python's ** does (``np.power`` may
-    square or take a vector pow instead), and ``np.add.accumulate`` adds
-    left to right."""
-    return float(np.add.accumulate(np.float_power(x, np.full_like(x, 2.0)))[-1])
+    square or take a vector pow instead), summed by :func:`_left_sum`."""
+    return _left_sum(np.float_power(x, np.full_like(x, 2.0)))
 
 
 def metrics(t: TraceLog) -> MetricsReport:

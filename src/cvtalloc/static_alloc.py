@@ -133,26 +133,36 @@ def residual(unknowns, p: StaticProblem, masses: bool = False):
     (K, N+1) residuals and (K, N) masses, each row the same bits as its own
     call.  A candidate with unsorted, duplicate or out-of-domain centroids,
     an invalid free parameter or an empty cell raises InvalidCandidate; a
-    stack raises it when any row is such a candidate."""
+    stack raises it when any row is such a candidate.
+
+    d is bound and m built as floats here, all that density.cell_centroids
+    checks, so its work, density._cell_centroids, is called directly, under
+    the errstate the wrapper would open."""
     z, v = _split(unknowns, p.n_agents)
     try:
         z = tess._validate_generators(z, p.domain)
         d = bind_free_parameter(p.density, v)
         m = tess._midpoint_boundaries(z, p.domain)
-        c, m0 = dens.cell_centroids(d, m, masses=True)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            c, m0 = dens._cell_centroids(d, m)
     except (UnsortedGenerators, DuplicateGenerators, GeneratorOutOfDomain,
             InvalidParameterValue, EmptyCell) as exc:
         raise InvalidCandidate(str(exc)) from exc
     f = np.empty(z.shape[:-1] + (z.shape[-1] + 1,))
     np.subtract(z, c, out=f[..., :-1])
-    f[..., -1] = z.sum(axis=-1) - p.r
+    f[..., -1] = np.add.reduce(z, axis=-1) - p.r
     return (f, m0) if masses else f
 
 
 def default_initial_guess(p: StaticProblem) -> np.ndarray:
-    """Equally spaced centroids plus a family-specific moment guess for v_k.
-    Every default start of solve takes its v_k from here."""
-    z0 = tess.default_init(p.n_agents, p.domain)
+    """Equally spaced centroids plus _moment_guess's v_k."""
+    return np.concatenate((tess.default_init(p.n_agents, p.domain),
+                           [_moment_guess(p)]))
+
+
+def _moment_guess(p: StaticProblem) -> float:
+    """A family-specific moment guess for v_k, which every default start
+    of solve takes."""
     mean = p.r / p.n_agents
     free = p.density.free_param
     fam = p.density.family
@@ -170,7 +180,7 @@ def default_initial_guess(p: StaticProblem) -> np.ndarray:
         v0 = 2.0 * mean - p.density.params.get("b", p.domain.b)
     else:  # gaussian free sigma2 or anything else without a moment identity
         v0 = 1.0
-    return np.concatenate((z0, [v0]))
+    return v0
 
 
 def _quantiles(d: DensitySpec, q: np.ndarray,
@@ -202,10 +212,10 @@ def _quantiles(d: DensitySpec, q: np.ndarray,
 
 
 def _moment_density(p: StaticProblem) -> DensitySpec | None:
-    """The density at default_initial_guess's v_k; None when that value is
+    """The density at _moment_guess's v_k; None when that value is
     invalid."""
     try:
-        return bind_free_parameter(p.density, default_initial_guess(p)[-1])
+        return bind_free_parameter(p.density, _moment_guess(p))
     except InvalidParameterValue:
         return None
 
@@ -269,7 +279,8 @@ def _evaluate(u: np.ndarray, p: StaticProblem) -> tuple:
         f, m0 = residual(u, p, masses=True)
     except InvalidCandidate:
         return None, None, np.inf
-    return f, m0, float(np.linalg.norm(f))
+    # np.linalg.norm's own computation for a 1-D float array.
+    return f, m0, math.sqrt(f.dot(f))
 
 
 def _fd_column(u: np.ndarray, f: np.ndarray, p: StaticProblem, j: int):
@@ -374,24 +385,25 @@ def _bordered_step(band: np.ndarray, col: np.ndarray,
 
     The solve calls LAPACK's dgtsv as scipy's solve_banded does for a
     (1, 1) band, with the same bits and without its per-call argument
-    checks.  The complement's sums are ndarray.sum (pairwise add.reduce),
-    not BLAS dot products, so the step is the same at any BLAS thread
-    count.  A non-finite band or right-hand side, a singular T or a zero or
+    checks.  The complement's sums are pairwise np.add.reduce, not BLAS
+    dot products, so the step is the same at any BLAS thread count.  A
+    non-finite band or right-hand side, a singular T or a zero or
     non-finite complement raises InvalidCandidate."""
     n = band.shape[1]
     rhs = np.array((-f[:n], col[:n])).T  # Fortran order: solved in place
-    if not (np.isfinite(band).all() and np.isfinite(rhs).all()):
+    if not (np.logical_and.reduce(np.isfinite(band), axis=None)
+            and np.logical_and.reduce(np.isfinite(rhs), axis=None)):
         raise InvalidCandidate(
             "banded solve failed (non-finite band or right-hand side)")
     x, info = dgtsv(band[2, :-1], band[1], band[0, 1:], rhs,
                     overwrite_b=True)[3:]
     if info != 0:  # info > 0: a zero pivot
         raise InvalidCandidate("banded solve failed (singular matrix)")
-    schur = col[n] - x[:, 1].sum()
+    schur = col[n] - np.add.reduce(x[:, 1])
     if schur == 0.0 or not np.isfinite(schur):
         raise InvalidCandidate(f"Schur complement {schur:g}")
     step = np.empty(n + 1)
-    step[n] = dv = (-f[n] - x[:, 0].sum()) / schur
+    step[n] = dv = (-f[n] - np.add.reduce(x[:, 0])) / schur
     np.subtract(x[:, 0], dv * x[:, 1], out=step[:n])
     return step
 
@@ -443,7 +455,7 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
     norm is finite: above N_DENSE agents first the quantiles of rho^(1/3)
     (the asymptotic point density of the optimal quantizer), then at any N
     the equally spaced centroids and the density quantiles, each with
-    default_initial_guess's v_k.  Each step is _newton_step: dense at or
+    _moment_guess's v_k.  Each step is _newton_step: dense at or
     below N_DENSE (the shipped N = 15), with 2 residual evaluations and a
     least-squares step on a singular matrix; banded above, where its bytes
     are the same at any BLAS thread count, with 1, or none for a Gaussian

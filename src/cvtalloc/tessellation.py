@@ -96,9 +96,10 @@ def _validate_generators(generators, dom: Domain1D) -> np.ndarray:
     z = np.asarray(generators, dtype=float)
     if z.shape[-1] == 0:
         raise ValueError("need at least one generator")
-    if not np.isfinite(z).all():
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise GeneratorOutOfDomain("generators must be finite")
-    gap = (z[..., 1:] - z[..., :-1]).min(initial=np.inf)
+    gap = np.minimum.reduce(z[..., 1:] - z[..., :-1], axis=None,
+                            initial=np.inf)
     if gap < 0:
         raise UnsortedGenerators("generators must be strictly increasing")
     if gap < DUPLICATE_GAP_FRACTION * dom.width:

@@ -352,6 +352,57 @@ class TestDynamicSim:
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("change", [
+        {"n_agents": "4"}, {"n_agents": True},
+        {"horizon": "12"},
+        {"seed": "5"}, {"seed": False},
+        {"rounds_per_step": "1"}, {"rounds_per_step": True},
+        {"ts_minutes": "10"}, {"ts_minutes": True},
+        {"domain": ["0", "3000"]}, {"domain": [False, 3000.0]},
+        {"power_schedule": ["3200"] * 12},
+        {"power_schedule": [3200.0] * 11 + [True]},
+        {"setpoints": ["70", "71", "73", "74"]},
+        {"setpoints": [True, 71.0, 73.0, 74.0]},
+        {"poles": ["0.8", "0.85", "0.9"]},
+        {"setpoint_changes": [["5", 0, 60.0]]},
+        {"setpoint_changes": [[5, True, 60.0]]},
+        {"setpoint_changes": [[5, 0, "60"]]},
+        {"setpoint_changes": [[5, 0, True]]},
+    ], ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()))
+    def test_quoted_number_or_boolean_exits_one(self, tmp_path, config_path,
+                                                capsys, change):
+        # A number field given as a string or a boolean is refused by name,
+        # not read as the number.
+        cfg = {**json.loads(config_path.read_text()), **change}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        rc = run_cli("dynamic-sim", "--config", str(bad),
+                     "--out", str(tmp_path / "x"))
+        err = capsys.readouterr().err
+        (field, _), = change.items()
+        assert rc == cli.EXIT_USAGE
+        assert err.startswith(f"error: {field}: expected a number, got ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("ts", [1e4, 1e10])
+    def test_uncontrollable_sampling_names_ts_minutes(self, tmp_path, capsys,
+                                                      ts):
+        # So long a step leaves the sampled plant uncontrollable: one error
+        # line naming ts_minutes and its value, then the agent's reason.
+        cfg = json.loads(SHIPPED.read_text())
+        cfg["ts_minutes"] = ts
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        rc = run_cli("dynamic-sim", "--config", str(bad), "--horizon", "3",
+                     "--out", str(tmp_path / "x"))
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_USAGE
+        assert err == (f"error: ts_minutes: the plant sampled every {ts!r} "
+                       f"minutes cannot be controlled (agent 0: (Ad, Bd) "
+                       f"controllability matrix is rank deficient)\n")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("top", [[1, 2], "scenario", 5, None])
     def test_scenario_not_an_object_exits_one(self, tmp_path, capsys, top):
         bad = tmp_path / "bad.json"

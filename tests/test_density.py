@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 import quadrature
 from cvtalloc import density as dens
@@ -580,6 +581,128 @@ class TestEmptyCellPreCheck:
                 else:
                     assert (dens.cell_centroids(d, m).tobytes()
                             == expected.tobytes())
+
+
+def _gaussian_terms_before(d, x, order):
+    """The Gaussian _terms before one erfc of |t|/sqrt2 served both tails:
+    t, erfc(s), erfc(-s), erf(s), phi(t)[, t phi(t)] with s = t/sqrt2."""
+    t = (x - d.params["mu"]) / math.sqrt(d.params["sigma2"])
+    s = t / dens._SQRT2
+    e = np.exp(-0.5 * t * t)
+    out = (t, special.erfc(s), special.erfc(-s), special.erf(s),
+           e * dens._INV_SQRT_2PI)
+    if order == 2:
+        out += (np.where(np.isfinite(t), t, 0.0) * e * dens._INV_SQRT_2PI,)
+    return out
+
+
+def _gaussian_combine_before(d, lo, hi, order):
+    """The Gaussian _combine of _gaussian_terms_before: erfc(s) for a cell
+    right of mu, erfc(-s) for one left of it, erf across it."""
+    mu, s2 = d.params["mu"], d.params["sigma2"]
+    sigma = math.sqrt(s2)
+    m0 = 0.5 * np.where(lo[0] >= 0, lo[1] - hi[1],
+                        np.where(hi[0] <= 0, hi[2] - lo[2], hi[3] - lo[3]))
+    dphi = lo[4] - hi[4]
+    m1 = mu * m0 + sigma * dphi
+    if order == 1:
+        return m0, m1
+    central2 = s2 * (m0 + lo[5] - hi[5])
+    return m0, m1, mu * mu * m0 + 2.0 * mu * sigma * dphi + central2
+
+
+def _gaussian_outcomes(d, m):
+    """The bytes of cell_centroids(d, m, masses=True), or its EmptyCell
+    message, and of the order-1 and order-2 moments of the cells of m, all
+    through the module's _terms and _combine."""
+    lo, hi = m[..., :-1], m[..., 1:]
+    try:
+        cells = [a.tobytes() for a in dens.cell_centroids(d, m, masses=True)]
+    except EmptyCell as exc:
+        cells = str(exc)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        order1 = dens._combine(d, dens._terms(d, lo, 1),
+                               dens._terms(d, hi, 1), 1)
+        order2 = dens.interval_moments(d, lo, hi)
+    return cells, [a.tobytes() for a in order1 + order2]
+
+
+_GAUSSIANS = [DensitySpec("gaussian", {"mu": 0.0, "sigma2": 1.0}),
+              DensitySpec("gaussian", {"mu": -3.0, "sigma2": 0.01}),
+              DensitySpec("gaussian", {"mu": 50.0, "sigma2": 4.0})]
+
+
+def _gaussian_boundaries(rng, d, kind, n):
+    """n sorted boundaries in sigma units t about mu: all left of mu, all
+    right of it, on both sides, past erfc's underflow (|t| > 40, on one
+    side or both), or on both sides with one of them NaN."""
+    if kind == "left":
+        t = -rng.uniform(0.0, 8.0, n)
+    elif kind == "right":
+        t = rng.uniform(0.0, 8.0, n)
+    elif kind == "underflow":
+        sides = rng.choice([-1.0, 1.0], 1 if rng.random() < 0.5 else n)
+        t = rng.uniform(40.0, 60.0, n) * sides
+    else:
+        t = rng.uniform(-8.0, 8.0, n)
+        t[:2] = -rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)
+    m = np.sort(d.params["mu"] + math.sqrt(d.params["sigma2"]) * t)
+    if kind == "nan":
+        m[rng.integers(n)] = np.nan
+    return m
+
+
+class TestOneErfcGaussian:
+    """The Gaussian terms keep one erfc, of |t|/sqrt2: cell_centroids and the
+    order-1 and order-2 moments keep the bits, and the EmptyCell messages,
+    of the three-erfc kernel of _gaussian_terms_before."""
+
+    @staticmethod
+    def assert_same_as_before(d, m, monkeypatch):
+        with monkeypatch.context() as mp:
+            mp.setattr(dens, "_terms", _gaussian_terms_before)
+            mp.setattr(dens, "_combine", _gaussian_combine_before)
+            before = _gaussian_outcomes(d, m)
+        assert _gaussian_outcomes(d, m) == before
+
+    @pytest.mark.parametrize("kind", ["left", "right", "straddle",
+                                      "underflow", "nan"])
+    def test_same_bits_as_three_erfc(self, kind, monkeypatch):
+        rng = np.random.default_rng(len(kind))
+        empty = 0
+        for d in _GAUSSIANS:
+            for _ in range(100):
+                n = int(rng.integers(2, 40))
+                m = _gaussian_boundaries(rng, d, kind, n)
+                self.assert_same_as_before(d, m, monkeypatch)
+                empty += isinstance(_gaussian_outcomes(d, m)[0], str)
+        # Cells past the underflow are empty; elsewhere none is.
+        assert (empty > 200) if kind == "underflow" else (empty == 0)
+
+    @pytest.mark.parametrize("m", [
+        [-2.0, -0.0, 1.0], [-2.0, 0.0, 1.0], [-0.0, 0.0], [0.0, -0.0],
+        [-0.0, 3.0], [0.0, 3.0], [-3.0, -0.0], [-3.0, 0.0],
+        [-0.0, 0.0, 2.0], [-1e-300, -0.0, 0.0, 1e-300],
+    ])
+    def test_boundaries_at_signed_zero(self, m, monkeypatch):
+        # mu = 0, so a boundary at -0.0 has t = -0.0 and one at 0.0 has
+        # t = +0.0, on either side of every branch of _combine.
+        m = np.array(m)
+        d = _GAUSSIANS[0]
+        assert np.array_equal(np.signbit((m - 0.0) / 1.0), np.signbit(m))
+        self.assert_same_as_before(d, m, monkeypatch)
+
+    def test_stacks(self, monkeypatch):
+        # (K, N+1) stacks of rows of every kind: an EmptyCell names the
+        # row as well as the cell.
+        rng = np.random.default_rng(3)
+        kinds = ["left", "right", "straddle", "underflow", "nan"]
+        for d in _GAUSSIANS:
+            for _ in range(40):
+                n = int(rng.integers(2, 20))
+                rows = [_gaussian_boundaries(rng, d, kind, n)
+                        for kind in rng.choice(kinds, 4)]
+                self.assert_same_as_before(d, np.array(rows), monkeypatch)
 
 
 class TestProperties:

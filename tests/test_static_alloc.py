@@ -698,6 +698,38 @@ class TestEvaluationCount:
             "N = 15: dense Newton steps 0, residual evaluations 1, final "
             "residual norm inf, diverged, start given"]
 
+    @pytest.mark.parametrize("n", [50, 200, 800])
+    def test_static_sweep_solve(self, n, monkeypatch):
+        # The seed-0 static-sweep solve: 4 Gaussian-mu banded steps, whose
+        # columns are analytic, and 5 evaluations, all through sa.residual.
+        calls = []
+        real = sa.residual
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sa, "residual", counting)
+        sol = sa.solve(seed0_sweep(n))
+        assert sol.iterations == 4
+        assert len(calls) == 5
+
+    def test_norm_is_numpy_norm(self, monkeypatch):
+        # _evaluate's norm is np.linalg.norm's bit for bit, a Python float,
+        # on residuals of entries from 1e-12 to 1e3.
+        rng = np.random.default_rng(11)
+        p = seed0_sweep(50)
+        u = sa.default_initial_guess(p)
+        for _ in range(500):
+            size = int(rng.integers(1, 900))
+            f = (rng.choice([-1.0, 1.0], size)
+                 * 10.0 ** rng.uniform(-12.0, 3.0, size))
+            monkeypatch.setattr(sa, "residual",
+                                lambda unknowns, problem, masses: (f, None))
+            norm = sa._evaluate(u, p)[2]
+            assert type(norm) is float
+            assert norm == float(np.linalg.norm(f))
+
     def test_solve_evaluates_no_second_moments(self, monkeypatch):
         # A solve returns no energy, so neither it nor sim.initialize
         # evaluates order-2 moments: with interval_moments and the energy

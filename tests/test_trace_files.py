@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_golden import SHIPPED
+from test_golden import SHIPPED, fleet_config
 from test_sim import small_scenario
 
 from cvtalloc import cli, sim
@@ -202,3 +202,24 @@ def test_sum_of_squares_is_the_python_loop():
     # One value at a time, so that each square's last bit shows.
     singles = [sim._sum_of_squares(x[i:i + 1]) for i in range(20_000)]
     assert singles == [v ** 2 for v in x[:20_000].tolist()]
+
+
+@pytest.mark.parametrize("config", [
+    lambda: json.loads(SHIPPED.read_text()),
+    lambda: fleet_config(240),
+], ids=["shipped", "fleet-240"])
+def test_sum_z_is_the_python_sum(config):
+    # Every step's sum_z, and _left_sum of its z row, are float(sum(z)),
+    # the Python loop the trace was first written with, bit for bit.
+    t = sim.run(sim.Scenario.from_config(config()))
+    for z, sum_z in zip(t.z, t.sum_z):
+        assert sum_z.hex() == sim._left_sum(z).hex() == float(sum(z)).hex()
+
+
+@pytest.mark.parametrize("z", [[-0.0], [-0.0] * 240, [-0.0, 0.0],
+                               [0.0, -0.0], [-0.0, -1.5, 1.5], [-0.0, -1.5],
+                               [-0.0, np.nan]])
+def test_left_sum_keeps_the_integer_start(z):
+    # sum starts from the integer 0, so z of -0.0 alone sums to +0.0.
+    z = np.array(z)
+    assert sim._left_sum(z).hex() == float(sum(z)).hex()
