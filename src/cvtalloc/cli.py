@@ -117,8 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "schedule entries and drops setpoint changes at steps >= H")
     d.add_argument("--rounds-per-step", type=int, default=None)
     d.add_argument("--diagnostics", metavar="PATH", default=None,
-                   help="also write per-phase wall times, swaps per step and "
-                   "the largest constraint error as JSON to PATH")
+                   help="also write per-phase wall times, swaps per step, "
+                   "the largest constraint error and the resources outside "
+                   "the domain per step as JSON to PATH")
     return p
 
 
@@ -219,15 +220,11 @@ def _write_plot_data(trace: sim.TraceLog, out: Path) -> None:
             fh.write(f"step,{agent_cols}\n")
             fh.write("".join([f"{k},{row}\n" for k, row in enumerate(rows)]))
 
-    # Each total adds the magnitudes left to right, as Python's sum did
-    # before 3.12; np.sum's pairwise order would change the digits written.
-    steps = np.arange(len(trace.r))
-    totals = np.add.accumulate(np.abs(np.reshape(
-        trace.applied_power, (steps.size, -1))), axis=1)[:, -1]
-    values = np.column_stack([steps, totals, trace.r])
+    totals = sim._left_sum(np.abs(trace.applied_power))
+    values = np.column_stack([np.arange(totals.size), totals, trace.r])
     with open(out / "total_power.csv", "w", newline="") as fh:
         fh.write("step,total_consumed,available\n")
-        fh.write(f"%d,{_FMT},{_FMT}\n" * steps.size
+        fh.write(f"%d,{_FMT},{_FMT}\n" * totals.size
                  % tuple(values.ravel().tolist()))
 
 
@@ -263,7 +260,7 @@ def _cmd_dynamic_sim(args) -> int:
         # run_s covers the initial static solve, the fleet build and every
         # step (initialize_s the first two); write_s the metrics and the
         # six output files.
-        diag = {**sim.diagnostics(trace), "run_s": t1 - t0,
+        diag = {**sim.diagnostics(trace, sc.domain), "run_s": t1 - t0,
                 "write_s": time.perf_counter() - t1}
         path = Path(args.diagnostics)
         path.parent.mkdir(parents=True, exist_ok=True)

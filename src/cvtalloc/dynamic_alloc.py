@@ -131,25 +131,19 @@ def neighbors_of_interest(z, desired, order) -> np.ndarray:
     u = desired[i]: of agent i and its neighbors at positions p - 1 and
     p + 1, the agent j whose resource z[j] is closest to u.  Ties break
     toward agent i itself, then toward the lower agent index."""
-    z = np.asarray(z, dtype=float)
     order = np.asarray(order)
     n = order.size
-    at = z[order]
+    # The order padded at either end with the sentinel agent n, whose
+    # resource is infinite: at infinite distance, no real agent loses to it.
+    padded = np.concatenate(([n], order, [n]))
+    z = np.append(np.asarray(z, dtype=float), np.inf)[padded]
     u = np.asarray(desired, dtype=float)[order]
-    # The agents at p - 1 and p + 1; past either end the sentinel n, at
-    # infinite distance, which no real agent loses to.
-    left = np.full(n, n)
-    right = np.full(n, n)
-    left[1:] = order[:-1]
-    right[:-1] = order[1:]
-    d_left = np.full(n, np.inf)
-    d_right = np.full(n, np.inf)
-    d_left[1:] = np.abs(u[1:] - at[:-1])
-    d_right[:-1] = np.abs(u[:-1] - at[1:])
+    left, right = padded[:-2], padded[2:]
+    d_left, d_right = np.abs(u - z[:-2]), np.abs(u - z[2:])
     go_left = (d_left < d_right) | ((d_left == d_right) & (left < right))
     best = np.where(go_left, left, right)
     d_best = np.where(go_left, d_left, d_right)
-    return np.where(d_best < np.abs(u - at), best, order)
+    return np.where(d_best < np.abs(u - z[1:-1]), best, order)
 
 
 def negotiate_round(st: AllocationState, desired):

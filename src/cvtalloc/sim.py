@@ -53,6 +53,12 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def _floats(values) -> tuple:
     if isinstance(values, str):
         raise TypeError(f"expected a list of numbers, got {values!r}")
@@ -63,7 +69,7 @@ def _floats(values) -> tuple:
 # ValueError from one becomes an InvalidScenario naming the field.
 _FROM_CONFIG = {
     "n_agents": _integer, "horizon": _integer, "seed": _integer,
-    "rounds_per_step": _integer, "ts_minutes": _number, "disturbance": str,
+    "rounds_per_step": _integer, "ts_minutes": _number, "disturbance": _string,
     "domain": lambda v: Domain1D(*_floats(v)),
     "density": DensitySpec.from_config,
     "power_schedule": _floats, "setpoints": _floats, "poles": _floats,
@@ -180,9 +186,9 @@ class SimState:
 
 def _signed(text: str, values: np.ndarray) -> str:
     """``text``, the comma-joined formatted magnitudes of ``values``, with a
-    '-' before each entry whose sign bit is set: the text of ``values``
-    itself for every value but NaN."""
-    negative = np.signbit(values)
+    '-' before each entry whose sign bit is set and that is not NaN: the
+    text of ``values`` itself, as ``%.15g`` prints ±0, ±inf and NaN too."""
+    negative = np.signbit(values) & ~np.isnan(values)
     if not negative.any():
         return text
     return ",".join([f"-{v}" if neg else v
@@ -194,7 +200,8 @@ class TraceLog:
     """Columnar trace with one entry per step in every column.
 
     ``z``, ``desired_abs``, ``applied_power``, ``temp_F`` and ``setpoints``
-    hold one (N,) array per step, indexed by agent; ``r``, ``sum_z`` and
+    hold one (N,) array per step, indexed by agent, and ``order`` each
+    step's line graph, its ``AllocationState.order``; ``r``, ``sum_z`` and
     ``constraint_error`` one float per step; ``swaps`` one (S, 4) array per
     step, a row per swap in execution order: proposer, target and their
     resources before the round, agent ids stored as floats.  ``phase_s``
@@ -212,6 +219,7 @@ class TraceLog:
     applied_power: list = field(default_factory=list)
     temp_F: list = field(default_factory=list)
     setpoints: list = field(default_factory=list)
+    order: list = field(default_factory=list)
     r: list = field(default_factory=list)
     sum_z: list = field(default_factory=list)
     constraint_error: list = field(default_factory=list)
@@ -222,22 +230,15 @@ class TraceLog:
 
     def rows(self) -> tuple:
         """(z, applied_power, temp_F) text: one comma-joined ``_FMT`` string
-        per step in each, built again when the number of steps changes.
-        z and applied power (±z) share one formatting of |z|, signed by
-        :func:`_signed`; a step with a NaN resource formats both as they
-        are, since NaN prints without its sign."""
+        per step in each, rebuilt when the number of steps changes; z and
+        applied power (±z) share one |z| text, signed by :func:`_signed`."""
         if self._memo[0] != len(self.r):
             row = ",".join([_FMT] * self.n_agents)
             z_rows, power_rows, temp_rows = [], [], []
             for z, applied, temp in zip(self.z, self.applied_power, self.temp_F):
-                magnitude = np.abs(z)
-                if np.isnan(magnitude).any():
-                    z_rows.append(row % tuple(z.tolist()))
-                    power_rows.append(row % tuple(applied.tolist()))
-                else:
-                    text = row % tuple(magnitude.tolist())
-                    z_rows.append(_signed(text, z))
-                    power_rows.append(_signed(text, applied))
+                text = row % tuple(np.abs(z).tolist())
+                z_rows.append(_signed(text, z))
+                power_rows.append(_signed(text, applied))
                 temp_rows.append(row % tuple(temp.tolist()))
             self._memo = (len(self.r), z_rows, power_rows, temp_rows)
         return self._memo[1:]
@@ -407,12 +408,13 @@ def step(st: SimState, k: int, trace: TraceLog) -> SimState:
     st.X = _step_plants(st.X, applied, w, st.models)
     t4 = time.perf_counter()
 
-    sum_z = _left_sum(alloc.resources)
+    sum_z = float(_left_sum(alloc.resources))
     trace.z.append(alloc.resources)
     trace.desired_abs.append(desired_abs)
     trace.applied_power.append(applied)
     trace.temp_F.append(st.X[:, 0].copy())
     trace.setpoints.append(st.gains.setpoint)
+    trace.order.append(alloc.order)
     trace.r.append(r_new)
     trace.sum_z.append(sum_z)
     trace.constraint_error.append(abs(sum_z - r_new))
@@ -437,14 +439,14 @@ def run(sc: Scenario) -> TraceLog:
     return trace
 
 
-def _left_sum(x: np.ndarray) -> float:
-    """The sum of a non-empty float array, bit for bit the loop that adds
-    its entries left to right to the integer 0, as Python's ``sum(x)`` does
-    over the array's NumPy scalars.  ``np.add.accumulate`` adds left to
-    right (``np.sum``'s pairwise order would change the digits written),
-    then the 0 is added: first or last, it changes only the sign of a sum
-    of ``-0.0`` alone, which it makes ``+0.0``."""
-    return 0 + float(np.add.accumulate(x)[-1])
+def _left_sum(x: np.ndarray):
+    """Sums along the last axis, each bit for bit the loop that adds a row
+    left to right to the integer 0, as Python's ``sum(row)`` does over its
+    NumPy scalars.  ``np.add.accumulate`` adds left to right (``np.sum``'s
+    pairwise order would change the digits written); ``+ 0.0`` is the
+    integer start: first or last, it changes only the sign of a sum of
+    ``-0.0`` alone, which it makes ``+0.0``.  Rows must not be empty."""
+    return np.add.accumulate(x, axis=-1)[..., -1] + 0.0
 
 
 def _sum_of_squares(x: np.ndarray) -> float:
@@ -467,7 +469,7 @@ def metrics(t: TraceLog) -> MetricsReport:
     # Distinct line-graph neighbors ever seen: the agents at adjacent
     # positions of each step's resource order, as directed pairs a * n + b.
     n = t.n_agents
-    order = np.argsort(np.asarray(t.z), axis=1, kind="stable")
+    order = np.asarray(t.order)
     a, b = order[:, :-1].ravel(), order[:, 1:].ravel()
     pairs = np.unique(np.concatenate([a * n + b, b * n + a]))
     coverage = dict(enumerate(np.bincount(pairs // n, minlength=n).tolist()))
@@ -481,14 +483,16 @@ def metrics(t: TraceLog) -> MetricsReport:
                          total_swaps=total_swaps)
 
 
-def diagnostics(t: TraceLog) -> dict:
+def diagnostics(t: TraceLog, domain: Domain1D) -> dict:
     """Why a run took as long as it did and how it ended: wall seconds of
-    the set-up and of each step phase, swaps per step and the largest
-    constraint error.  The wall times differ from run to run; the
-    deterministic files never hold them."""
+    the set-up and of each step phase, swaps per step, the largest
+    constraint error and the resources outside the domain per step, where
+    the one-step shift has left the paper's premise.  The wall times differ
+    from run to run; the deterministic files never hold them."""
     if not t.r:
         raise ValueError("empty trace")
     swaps = [len(s) for s in t.swaps]
+    inside = (np.asarray(t.z) >= domain.a) & (np.asarray(t.z) <= domain.b)
     return {
         "steps": len(t.r),
         "n_agents": t.n_agents,
@@ -497,4 +501,5 @@ def diagnostics(t: TraceLog) -> dict:
         "swaps_per_step": swaps,
         "total_swaps": sum(swaps),
         "max_constraint_error": max(t.constraint_error),
+        "outside_domain_per_step": np.count_nonzero(~inside, axis=1).tolist(),
     }

@@ -298,8 +298,7 @@ def desired_power(g: ControllerGains, x, w=None):
     u = (-(K[:, None, :] @ x.reshape(len(K), -1, 1))[:, 0, 0]
          + g.N_r * g.setpoint)
     if w is not None:
-        W = np.broadcast_to(np.asarray(w, dtype=float), g.K_w.shape)
-        u = u + (g.K_w[:, None, :] @ W[:, :, None])[:, 0, 0]
+        u = u + (g.K_w[:, None] @ np.asarray(w, float)[:, None])[:, 0, 0]
     return float(u[0]) if x.ndim == 1 else u
 
 
@@ -332,8 +331,11 @@ def load_disturbance_csv(path, horizon: int,
     def invalid(why):
         return InvalidScenario(f"disturbance {str(path)!r}: {why}")
 
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise invalid(exc.strerror or str(exc)) from exc
     if not any(line.strip() for line in lines):
         raise invalid("the file is empty")
     data = np.genfromtxt(lines, delimiter=",", names=True, ndmin=1)

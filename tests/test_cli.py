@@ -468,6 +468,39 @@ class TestDynamicSim:
         assert run_cli("dynamic-sim", "--config", str(path), "--horizon", "10",
                        "--out", str(tmp_path / "x")) == cli.EXIT_OK
 
+    @pytest.mark.parametrize("value", [5, True, None, ["weather.csv"]],
+                             ids=["number", "boolean", "null", "list"])
+    def test_disturbance_not_a_string_exits_one(self, tmp_path, capsys,
+                                                value):
+        # Refused by name, not run as the path "5", "True" or "None".
+        cfg = {**json.loads(SHIPPED.read_text()), "disturbance": value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        rc = run_cli("dynamic-sim", "--config", str(bad), "--horizon", "3",
+                     "--out", str(tmp_path / "x"))
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_USAGE
+        assert err == f"error: disturbance: expected a string, got {value!r}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("directory, reason", [
+        (False, "No such file or directory"), (True, "Is a directory")],
+        ids=["missing", "directory"])
+    def test_disturbance_file_that_does_not_open_exits_one(
+            self, tmp_path, capsys, directory, reason):
+        weather = tmp_path / "weather.csv"
+        if directory:
+            weather.mkdir()
+        cfg = {**json.loads(SHIPPED.read_text()), "disturbance": str(weather)}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        rc = run_cli("dynamic-sim", "--config", str(bad), "--horizon", "3",
+                     "--out", str(tmp_path / "x"))
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_USAGE
+        assert err == f"error: disturbance {str(weather)!r}: {reason}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_horizon_beyond_schedule_exits_one(self, tmp_path, capsys):
         rc = run_cli("dynamic-sim", "--config", str(SHIPPED), "--horizon",
                      "200", "--out", str(tmp_path / "x"))
@@ -500,6 +533,16 @@ class TestDynamicSim:
         assert sum(report["swaps_per_step"]) == report["total_swaps"] \
             == metrics["total_swaps"]
         assert 0.0 <= report["max_constraint_error"] <= metrics["l2_power_error"]
+
+        # The one-step shift leaves the domain [0, 3000] at 11 steps, 20
+        # resources in all; the counts agree with trace.csv's z column.
+        a, b = json.loads(SHIPPED.read_text())["domain"]
+        outside = [0] * 144
+        with open(diag / "trace.csv") as fh:
+            for row in csv.DictReader(fh):
+                outside[int(row["step"])] += not a <= float(row["z"]) <= b
+        assert report["outside_domain_per_step"] == outside
+        assert sum(outside) == 20 and sum(c > 0 for c in outside) == 11
 
     def test_seed_override_changes_plants(self, tmp_path, config_path, capsys):
         out1 = tmp_path / "r1"

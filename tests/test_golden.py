@@ -12,6 +12,9 @@ the same way, one hash per solve (``tests/golden_static.json``), and so are
 Lloyd runs of all four families at N = 1 to 800, which end on each of the
 three stop reasons (``tests/golden_lloyd.json``).  The same file holds the
 iteration count and stop reason of each Acceptance-3 cross-validation run.
+The text files print 15 digits, so the three dynamic runs' trace columns
+are also pinned by the SHA-256 of their float64 bytes
+(``tests/golden_trace_bits.json``), where a change in the last bit shows.
 Every static solve above N_DENSE, the shipped scenario's N = 15, takes the
 banded path, whose bytes do not depend on the BLAS thread count; so the
 static goldens, all at N = 50 and above, hold on any host.  Only the
@@ -31,7 +34,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvtalloc import cli
+from cvtalloc import cli, sim
 from cvtalloc import static_alloc as sa
 from cvtalloc import tessellation as tess
 from cvtalloc.density import DensitySpec
@@ -193,3 +196,44 @@ def test_acceptance3_lloyd_runs_match_golden(acceptance3_reports):
     got = {label: {"iterations": rep.lloyd_iterations, "stop": rep.lloyd_stop}
            for label, _, rep in acceptance3_reports}
     assert got == json.loads(GOLDEN_LLOYD.read_text())["acceptance3"]
+
+
+# The trace columns whose float64 bytes tests/golden_trace_bits.json pins.
+TRACE_COLUMNS = ("z", "desired_abs", "applied_power", "temp_F", "sum_z",
+                 "constraint_error", "swaps")
+
+
+def trace_bit_hashes(config: dict) -> dict:
+    """SHA-256 of the float64 bytes of each trace column, all steps in
+    order, of the per-step swap counts (int64) and of the line-graph column
+    ``order`` (int64).  The text goldens print 15 digits, so a change in a
+    value's last bit passes them; this one does not.  The ``order`` entry
+    was recorded from ``np.argsort(z, kind="stable")`` of each step, before
+    the trace kept the line graph."""
+    t = sim.run(Scenario.from_config(config))
+    hashes = {}
+    for name in TRACE_COLUMNS:
+        column = getattr(t, name)
+        values = (np.concatenate(column) if name == "swaps"
+                  else np.asarray(column, dtype=np.float64))
+        hashes[name] = hashlib.sha256(values.tobytes()).hexdigest()
+    counts = np.array([len(s) for s in t.swaps], dtype=np.int64)
+    hashes["swaps_per_step"] = hashlib.sha256(counts.tobytes()).hexdigest()
+    order = np.asarray(t.order)
+    hashes["order"] = hashlib.sha256(
+        order.astype(np.int64).tobytes()).hexdigest()
+    return hashes
+
+
+TRACE_RUNS = {
+    "shipped": lambda: json.loads(SHIPPED.read_text()),
+    "shipped-rounds3": lambda: {**json.loads(SHIPPED.read_text()),
+                                "rounds_per_step": 3},
+    "fleet-240": lambda: fleet_config(FLEET_N),
+}
+
+
+@pytest.mark.parametrize("label", list(TRACE_RUNS))
+def test_trace_columns_match_golden_bits(label):
+    golden = json.loads((ROOT / "tests" / "golden_trace_bits.json").read_text())
+    assert trace_bit_hashes(TRACE_RUNS[label]()) == golden[label]

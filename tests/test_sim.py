@@ -179,10 +179,11 @@ class TestRun:
     def test_line_graph_every_step(self):
         from cvtalloc import dynamic_alloc as dyn
         trace = sim.run(small_scenario())
-        for z in trace.z:
+        for z, kept in zip(trace.z, trace.order, strict=True):
             order = dyn.rebuild_line_graph(z).tolist()
             assert sorted(order) == list(range(len(z)))
             assert [z[i] for i in order] == sorted(z.tolist())
+            assert kept.tolist() == order
 
 
 def per_agent_law(g, X, w):
@@ -289,6 +290,7 @@ class TestMetrics:
         trace.constraint_error.append(0.0)
         trace.setpoints.append(np.array([72.0, 72.0, 72.0]))
         trace.z.append(np.array([1.0, 2.0, 3.0]))
+        trace.order.append(np.array([0, 1, 2]))
         trace.desired_abs.append(np.ones(3))
         trace.applied_power.append(np.ones(3))
         trace.temp_F.append(np.full(3, 72.0))

@@ -16,6 +16,7 @@ from test_golden import SHIPPED, fleet_config
 from test_sim import small_scenario
 
 from cvtalloc import cli, sim
+from cvtalloc.dynamic_alloc import rebuild_line_graph
 
 FMT = "%.15g"
 FILES = ("trace.csv", "swaps.csv", "metrics.json",
@@ -125,6 +126,7 @@ def signed_trace() -> sim.TraceLog:
         t.applied_power.append(sk * zk)
         t.temp_F.append(np.array([71.5, 72.0, -3.25, 1e16]) - k)
         t.setpoints.append(np.full(4, 72.0))
+        t.order.append(rebuild_line_graph(zk))
         t.r.append(4000.0 + k)
         t.sum_z.append(4000.0 + k + 1e-9)
         t.constraint_error.append(abs(0.1 * k))
@@ -183,6 +185,7 @@ def wide_trace(n=240, steps=40, seed=11) -> sim.TraceLog:
         t.applied_power.append(np.where(rng.random(n) < 0.5, -1.0, 1.0) * z)
         t.temp_F.append(72.0 + rng.normal(size=n) * 10.0 ** rng.integers(-6, 3, n))
         t.setpoints.append(np.full(n, 72.0))
+        t.order.append(rebuild_line_graph(z))
         t.r.append(float(np.abs(z).sum()))
         t.sum_z.append(float(z.sum()))
         t.constraint_error.append(float(rng.random()))
@@ -223,3 +226,17 @@ def test_left_sum_keeps_the_integer_start(z):
     # sum starts from the integer 0, so z of -0.0 alone sums to +0.0.
     z = np.array(z)
     assert sim._left_sum(z).hex() == float(sum(z)).hex()
+
+
+def test_left_sum_sums_each_row_of_a_stack():
+    # Along the last axis, every row is the Python sum of that row, as
+    # total_power.csv's totals are of each step's |applied power|.
+    t = wide_trace()
+    stack = np.abs(t.applied_power)
+    totals = sim._left_sum(stack)
+    assert totals.shape == (len(stack),)
+    assert ([float(v).hex() for v in totals]
+            == [float(sum(row)).hex() for row in stack])
+    signed = np.array([[-0.0, -0.0], [-0.0, 0.0], [1.5, -1.5]])
+    assert ([float(v).hex() for v in sim._left_sum(signed)]
+            == [float(sum(row)).hex() for row in signed])
