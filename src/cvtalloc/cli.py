@@ -33,7 +33,8 @@ from . import sim
 from . import static_alloc as sa
 from . import tessellation as tess
 from .density import DensitySpec
-from .errors import CvtAllocError, InvalidScenario, SolverDiverged
+from .errors import (CvtAllocError, InvalidParameterValue, InvalidScenario,
+                     SolverDiverged)
 from .sim import _FMT
 from .tessellation import Domain1D
 
@@ -55,7 +56,12 @@ def _parse_density(text: str, dom: Domain1D | None) -> DensitySpec:
         if dom is None:
             raise ValueError("'uniform' shorthand requires --domain")
         return DensitySpec("uniform", {"a": dom.a, "b": dom.b})
-    return DensitySpec.from_config(json.loads(text))
+    try:
+        spec = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidParameterValue(
+            f"--density: neither 'uniform' nor JSON ({exc})") from exc
+    return DensitySpec.from_config(spec)
 
 
 def _parse_init(text: str, n: int, dom: Domain1D) -> np.ndarray:
@@ -115,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--horizon", type=int, default=None,
                    help="override the config horizon: keeps the first H "
                    "schedule entries and drops setpoint changes at steps >= H")
-    d.add_argument("--rounds-per-step", type=int, default=None)
     d.add_argument("--diagnostics", metavar="PATH", default=None,
                    help="also write per-phase wall times, swaps per step, "
                    "the largest constraint error and the resources outside "
@@ -241,8 +246,6 @@ def _cmd_dynamic_sim(args) -> int:
                                             if c[0] < h))
     if args.seed is not None:
         sc = replace(sc, seed=args.seed)
-    if args.rounds_per_step is not None:
-        sc = replace(sc, rounds_per_step=args.rounds_per_step)
 
     t0 = time.perf_counter()
     trace = sim.run(sc)

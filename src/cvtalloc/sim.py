@@ -5,9 +5,9 @@ Each time step runs four phases in order: shift all resources to the new
 total, compute every agent's desired power from its plant state in one
 batched control law, negotiate swaps along the resource order using desired
 magnitudes, then apply the allocated power (with the local controller's
-sign) to every plant.  The fleet's controller state is stacked by agent:
-plant states X (N, 3) and one ControllerGains whose arrays have a row or an
-entry per agent.
+sign) to every plant.  The fleet's state is stacked by agent: plant states
+X (N, 3), one ControllerGains whose arrays have a row or an entry per
+agent, and each step's setpoints, a (horizon, N) table.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -160,19 +160,21 @@ class Scenario:
 
     @classmethod
     def from_json(cls, path) -> "Scenario":
-        with open(path) as fh:
-            return cls.from_config(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                obj = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InvalidScenario(f"config {str(path)!r}: {exc}") from exc
+        return cls.from_config(obj)
 
 
 @dataclass
 class SimState:
-    """The fleet before step k.  ``gains`` holds the controller arrays
-    stacked by agent (K_fb (N, 3), N_r (N,), setpoint (N,), K_w (N, 2)), ``X``
-    the plant states (N, 3) and ``models`` each agent's DiscreteModel, a
-    view of the fleet's one stacked discretization; the plant steps one
-    agent at a time.  A setpoint change replaces ``gains.setpoint`` with a
-    new array; no array is written in place, so a trace may keep the one
-    it was given."""
+    """The fleet between steps.  ``gains`` holds the controller arrays
+    stacked by agent (K_fb (N, 3), N_r (N,), K_w (N, 2)), ``setpoints``
+    each step's setpoint per agent (horizon, N), ``X`` the plant states
+    (N, 3) and ``models`` each agent's DiscreteModel, a view of the fleet's
+    one stacked discretization; the plant steps one agent at a time."""
 
     scenario: Scenario
     alloc: AllocationState
@@ -180,8 +182,7 @@ class SimState:
     gains: th.ControllerGains
     X: np.ndarray
     disturbances: np.ndarray   # (horizon, 2)
-    setpoint_changes: dict     # step -> [(agent, new setpoint), ...]
-    k: int = 0
+    setpoints: np.ndarray      # (horizon, N)
 
 
 def _signed(text: str, values: np.ndarray) -> str:
@@ -311,10 +312,10 @@ def _build_disturbances(sc: Scenario) -> np.ndarray:
 
 
 def initialize(sc: Scenario) -> SimState:
-    """Solve the static allocation for r(0), build the seeded fleet, and
-    assign the sorted centroids to agents in id order.  Logs one DEBUG
-    record with N, the horizon and the static solve's Newton iterations
-    and residual."""
+    """Solve the static allocation for r(0), build the seeded fleet and its
+    setpoint table, and assign the sorted centroids to agents in id order.
+    Logs one DEBUG record with N, the horizon and the static solve's Newton
+    iterations and residual."""
     problem = sa.StaticProblem(domain=sc.domain, n_agents=sc.n_agents,
                                density=sc.density, r=sc.power_schedule[0])
     sol = sa.solve(problem)
@@ -327,21 +328,23 @@ def initialize(sc: Scenario) -> SimState:
                             mu_current=sol.v_k)
 
     disturbances = _build_disturbances(sc)
-    models, gains, X = _build_fleet(sc, disturbances)
-    changes = {}
-    for when, agent, value in sc.setpoint_changes:
-        changes.setdefault(when, []).append((agent, value))
+    setpoints = np.array(sc.setpoints or (72.0,) * sc.n_agents, dtype=float)
+    models, gains, X = _build_fleet(sc, disturbances, setpoints)
+    # A change holds from its step on; changes apply in step order (a
+    # stable sort), so at one step the last-listed change for an agent wins.
+    table = np.tile(setpoints, (sc.horizon, 1))
+    for when, agent, value in sorted(sc.setpoint_changes, key=lambda c: c[0]):
+        table[when:, agent] = value
     return SimState(scenario=sc, alloc=alloc, models=models, gains=gains,
-                    X=X, disturbances=disturbances, setpoint_changes=changes)
+                    X=X, disturbances=disturbances, setpoints=table)
 
 
-def _build_fleet(sc: Scenario, disturbances: np.ndarray):
+def _build_fleet(sc: Scenario, disturbances: np.ndarray, setpoints):
     """Seeded plant models, and the gains and plant states stacked by agent,
     each plant started at the steady state consistent with the initial
-    disturbance and its agent's setpoint.  Each agent draws its parameters
-    from its own seed; the model, discretization, pole placement and
-    equilibrium then run once for the whole fleet."""
-    setpoints = np.array(sc.setpoints or (72.0,) * sc.n_agents, dtype=float)
+    disturbance and its agent's configured setpoint.  Each agent draws its
+    parameters from its own seed; the model, discretization, pole placement
+    and equilibrium then run once for the whole fleet."""
     params = th.ThermalParams.stack(
         th.sample_parameters(sc.seed * 100_003 + i) for i in range(sc.n_agents))
     fleet = th.discretize_zoh(th.build_continuous_model(params), sc.ts_minutes)
@@ -350,7 +353,7 @@ def _build_fleet(sc: Scenario, disturbances: np.ndarray):
             f"ts_minutes: the plant discretization at {sc.ts_minutes!r} "
             f"minutes is not finite")
     try:
-        gains = th.design_controller(fleet, sc.poles, setpoints)
+        gains = th.design_controller(fleet, sc.poles)
     except Uncontrollable as exc:
         raise InvalidScenario(
             f"ts_minutes: the plant sampled every {sc.ts_minutes!r} minutes "
@@ -382,16 +385,12 @@ def step(st: SimState, k: int, trace: TraceLog) -> SimState:
     alloc = AllocationState(resources=z, r_current=r_new, mu_current=mu)
     t1 = time.perf_counter()
 
-    # Phase 2: this step's setpoint changes, then local control from the
-    # current plant states, disturbance feedforward included so the
-    # magnitude reflects the actual requirement.
-    if k in st.setpoint_changes:
-        setpoint = st.gains.setpoint.copy()
-        for agent, value in st.setpoint_changes[k]:
-            setpoint[agent] = value
-        st.gains = replace(st.gains, setpoint=setpoint)
+    # Phase 2: local control toward this step's setpoints from the current
+    # plant states, disturbance feedforward included so the magnitude
+    # reflects the actual requirement.
+    setpoints = st.setpoints[k]
     w = st.disturbances[k]
-    desired = th.desired_power(st.gains, st.X, w)
+    desired = th.desired_power(st.gains, st.X, setpoints, w)
     desired_abs = np.abs(desired)
     t2 = time.perf_counter()
 
@@ -413,7 +412,7 @@ def step(st: SimState, k: int, trace: TraceLog) -> SimState:
     trace.desired_abs.append(desired_abs)
     trace.applied_power.append(applied)
     trace.temp_F.append(st.X[:, 0].copy())
-    trace.setpoints.append(st.gains.setpoint)
+    trace.setpoints.append(setpoints)
     trace.order.append(alloc.order)
     trace.r.append(r_new)
     trace.sum_z.append(sum_z)
@@ -424,7 +423,6 @@ def step(st: SimState, k: int, trace: TraceLog) -> SimState:
         trace.phase_s[name] += end - start
 
     st.alloc = alloc
-    st.k = k + 1
     return st
 
 

@@ -117,13 +117,12 @@ class DiscreteModel:
 
 @dataclass(frozen=True)
 class ControllerGains:
-    """One agent's gains (K_fb and K_w one row each, N_r and setpoint
-    floats), or a fleet's stacked by agent: K_fb (N, 3), K_w (N, 2), N_r
-    and setpoint (N,)."""
+    """One agent's gains (K_fb and K_w one row each, N_r a float), or a
+    fleet's stacked by agent: K_fb (N, 3), K_w (N, 2) and N_r (N,); the
+    setpoint is an input of :func:`desired_power`."""
 
     K_fb: np.ndarray
     N_r: float | np.ndarray
-    setpoint: float | np.ndarray
     # DC disturbance feedforward row (1x2).  Without it the state-feedback
     # term is dominated by a large constant offset whenever the slow
     # envelope state sits at a disturbance-shifted equilibrium, which makes
@@ -215,14 +214,13 @@ def _per_agent(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def design_controller(dm: DiscreteModel, poles=DEFAULT_POLES,
-                      setpoint=72.0) -> ControllerGains:
+def design_controller(dm: DiscreteModel, poles=DEFAULT_POLES) -> ControllerGains:
     """Ackermann pole placement plus a static feedforward gain that makes
     the DC gain from setpoint to output equal one.
 
     One agent's model gives one agent's gains; a fleet's stacked model
-    gives the gains stacked by agent, with setpoint one value for all or
-    one per agent.  Uncontrollable names the first agent that fails.
+    gives the gains stacked by agent.  Uncontrollable names the first
+    agent that fails.
     """
     Ad, Bd = dm.Ad, dm.Bd
     n = Ad.shape[-1]
@@ -251,9 +249,7 @@ def design_controller(dm: DiscreteModel, poles=DEFAULT_POLES,
     # Cancel the disturbance DC contribution so constant w leaves y at the
     # setpoint; without this the closed loop carries a steady offset.
     K_w = -np.linalg.solve(closed, dm.Gd)[..., :1, :] / dc[..., None, None]
-    setpoint = np.broadcast_to(np.asarray(setpoint, dtype=float), dc.shape)
     return ControllerGains(K_fb=K_fb.reshape(-1, n), N_r=_per_agent(1.0 / dc),
-                           setpoint=_per_agent(setpoint.copy()),
                            K_w=K_w.reshape(-1, K_w.shape[-1]))
 
 
@@ -283,12 +279,12 @@ def equilibrium_state(dm: DiscreteModel, w, y_target):
     return sol[..., :n].copy(), _per_agent(sol[..., n])
 
 
-def desired_power(g: ControllerGains, x, w=None):
+def desired_power(g: ControllerGains, x, setpoint, w=None):
     """Signed control power from the local state-feedback law
     u = -K_fb x + N_r * setpoint, plus K_w w when the disturbance w is given.
 
-    With one agent's gains and x of shape (3,) this returns a float; with
-    gains stacked by agent and x of shape (N, 3), an (N,) array.  Every
+    One agent's gains, x (3,) and a float setpoint give a float; a fleet's
+    gains, x (N, 3) and a float or (N,) setpoint give an (N,) array.  Every
     agent's products are stacked (1, n) @ (n, 1) matmuls, which round as
     the per-agent row products do; a 2-D ``K_w @ w``, ``(K_fb * x).sum(1)``
     or ``einsum`` change the last bits.
@@ -296,7 +292,7 @@ def desired_power(g: ControllerGains, x, w=None):
     x = np.asarray(x, dtype=float)
     K = g.K_fb
     u = (-(K[:, None, :] @ x.reshape(len(K), -1, 1))[:, 0, 0]
-         + g.N_r * g.setpoint)
+         + g.N_r * setpoint)
     if w is not None:
         u = u + (g.K_w[:, None] @ np.asarray(w, float)[:, None])[:, 0, 0]
     return float(u[0]) if x.ndim == 1 else u
@@ -332,10 +328,12 @@ def load_disturbance_csv(path, horizon: int,
         return InvalidScenario(f"disturbance {str(path)!r}: {why}")
 
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise invalid(exc.strerror or str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise invalid(f"not UTF-8 text ({exc})") from exc
     if not any(line.strip() for line in lines):
         raise invalid("the file is empty")
     data = np.genfromtxt(lines, delimiter=",", names=True, ndmin=1)

@@ -167,13 +167,13 @@ def test_criterion_07_civility_protocol_invariants():
 def test_criterion_08_hvac_regulation():
     m = th.build_continuous_model(ThermalParams.means())
     dm = th.discretize_zoh(m)
-    g = th.design_controller(dm, setpoint=72.0)
+    g = th.design_controller(dm)
 
     x = np.zeros(3)
     y = 0.0
     w0 = np.zeros(2)
     for _ in range(100):
-        u = th.desired_power(g, x)
+        u = th.desired_power(g, x, 72.0)
         x, y = th.step_plant(x, u, w0, dm)
     temp_ok = abs(y - 72.0) < 0.1
 

@@ -501,6 +501,44 @@ class TestDynamicSim:
         assert err == f"error: disturbance {str(weather)!r}: {reason}\n"
         assert not (tmp_path / "x").exists()
 
+    def test_disturbance_not_utf8_exits_one(self, tmp_path, capsys):
+        weather = tmp_path / "weather.csv"
+        weather.write_bytes(b"\xfftime_min,outdoor_temp_F,solar_radiation_W\n")
+        cfg = {**json.loads(SHIPPED.read_text()), "disturbance": str(weather)}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        rc = run_cli("dynamic-sim", "--config", str(bad), "--horizon", "3",
+                     "--out", str(tmp_path / "x"))
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_USAGE
+        assert err.startswith(f"error: disturbance {str(weather)!r}: "
+                              f"not UTF-8 text")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("content", [
+        b'\xff{"n_agents": 15}', b'{"n_agents": 15,', b""],
+        ids=["not-utf8", "truncated-json", "empty"])
+    def test_config_not_utf8_or_json_exits_one(self, tmp_path, capsys,
+                                               content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        rc = run_cli("dynamic-sim", "--config", str(bad),
+                     "--out", str(tmp_path / "x"))
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_USAGE
+        assert err.startswith(f"error: config {str(bad)!r}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_rounds_per_step_option_is_refused(self, tmp_path, capsys):
+        # The scenario key rounds_per_step is the one way to set the rounds.
+        rc = run_cli("dynamic-sim", "--config", str(SHIPPED),
+                     "--rounds-per-step", "3", "--out", str(tmp_path / "x"))
+        assert rc == cli.EXIT_USAGE
+        assert "--rounds-per-step" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_horizon_beyond_schedule_exits_one(self, tmp_path, capsys):
         rc = run_cli("dynamic-sim", "--config", str(SHIPPED), "--horizon",
                      "200", "--out", str(tmp_path / "x"))
@@ -593,6 +631,20 @@ class TestDensityBoundary:
         assert rc == cli.EXIT_USAGE
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("cvt", "--domain", "0,10", "--n", "3", "--density", "{family"),
+        ("static-alloc", "--domain", "0,100", "--n", "5", "--r", "250",
+         "--density", "gaussian"),
+    ], ids=["cvt-truncated-json", "static-bare-word"])
+    def test_density_not_json_names_the_option(self, tmp_path, capsys,
+                                               argv):
+        rc = run_cli(*argv, "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert captured.err.startswith(
+            "error: --density: neither 'uniform' nor JSON (")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     @pytest.mark.parametrize("argv, message", [
         (("cvt", "--domain", "0,15", "--n", "3", "--density", "uniform",

@@ -3,6 +3,7 @@ are pinned, so that a change to them shows up as a deliberate diff here."""
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -93,3 +94,14 @@ def test_error_types_are_pinned():
     from cvtalloc import errors
     public = {name for name in vars(errors) if not name.startswith("_")}
     assert public == ERRORS
+
+
+def test_package_is_the_one_version_source():
+    """pyproject.toml reads its version from cvtalloc.__version__."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    config = tomllib.loads((root / "pyproject.toml").read_text())
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "cvtalloc.__version__"}

@@ -101,10 +101,10 @@ class TestInitialize:
     def test_serialization_deterministic(self):
         sc = small_scenario()
         a, b = sim.initialize(sc), sim.initialize(sc)
-        assert a.k == b.k
         for x, y in ((a.alloc.resources, b.alloc.resources),
                      (a.alloc.mu_current, b.alloc.mu_current),
-                     (a.alloc.r_current, b.alloc.r_current), (a.X, b.X)):
+                     (a.alloc.r_current, b.alloc.r_current), (a.X, b.X),
+                     (a.setpoints, b.setpoints)):
             assert np.array_equal(x, y)
 
     def test_shipped_initialize_leaves_scipy_stats_unimported(self):
@@ -186,10 +186,95 @@ class TestRun:
             assert kept.tolist() == order
 
 
-def per_agent_law(g, X, w):
+def incremental_setpoints(sc):
+    """The setpoint rule the table replaced, kept as its oracle: changes
+    grouped by step in list order, and each step with changes patching a
+    copy of the previous step's setpoints.  One (N,) array per step."""
+    changes = {}
+    for when, agent, value in sc.setpoint_changes:
+        changes.setdefault(when, []).append((agent, value))
+    setpoint = np.array(sc.setpoints or (72.0,) * sc.n_agents, dtype=float)
+    rows = []
+    for k in range(sc.horizon):
+        if k in changes:
+            setpoint = setpoint.copy()
+            for agent, value in changes[k]:
+                setpoint[agent] = value
+        rows.append(setpoint)
+    return rows
+
+
+def random_changes(seed, n_agents, horizon):
+    """Setpoint changes in shuffled step order, with repeated (step, agent)
+    pairs holding different values and a change at step 0 and at the last
+    step."""
+    rng = np.random.default_rng(seed)
+    pairs = [(int(s), int(a)) for s, a in zip(
+        rng.integers(0, horizon, 12), rng.integers(0, n_agents, 12))]
+    pairs += [(0, int(rng.integers(n_agents))),
+              (horizon - 1, int(rng.integers(n_agents)))]
+    pairs += [pairs[i] for i in rng.integers(0, len(pairs), 6)]
+    changes = [(s, a, float(v)) for (s, a), v in
+               zip(pairs, rng.uniform(55.0, 85.0, len(pairs)))]
+    rng.shuffle(changes)
+    steps = [s for s, _, _ in changes]
+    assert steps != sorted(steps) and len(set(pairs)) < len(pairs)
+    return tuple(changes)
+
+
+def bits(rows):
+    return [np.asarray(row).tobytes() for row in rows]
+
+
+class TestSetpointTable:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_table_is_the_incremental_rule(self, seed):
+        """Every row of initialize's table, and every step's traced
+        setpoints, are bit for bit the old per-step patching rule."""
+        setpoints = () if seed % 3 == 0 else (70.0, 71.0, 72.0, 73.0, 74.0)
+        sc = small_scenario(setpoints=setpoints,
+                            setpoint_changes=random_changes(seed, 5, 20))
+        expected = bits(incremental_setpoints(sc))
+        st = sim.initialize(sc)
+        assert st.setpoints.shape == (20, 5)
+        assert bits(st.setpoints) == expected
+        assert bits(sim.run(sc).setpoints) == expected
+
+    @pytest.mark.parametrize("seed, horizon", [(20, 1), (21, 7), (22, 19)])
+    def test_horizon_override_truncates_the_table(self, seed, horizon,
+                                                  tmp_path, monkeypatch):
+        """dynamic-sim --horizon H gives the first H rows of the old rule
+        over the full change list: changes at steps >= H never apply."""
+        from cvtalloc import cli
+        changes = random_changes(seed, 5, 20)
+        sc = small_scenario(setpoint_changes=changes)
+        config = {"n_agents": 5, "horizon": 20, "domain": [0.0, 3000.0],
+                  "density": {"family": "gaussian", "mu": "free",
+                              "sigma2": 900.0},
+                  "power_schedule": list(sc.power_schedule), "seed": 3,
+                  "setpoints": list(sc.setpoints),
+                  "setpoint_changes": [list(c) for c in changes]}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        states = []
+        initialize = sim.initialize
+
+        def spy(scenario):
+            states.append(initialize(scenario))
+            return states[-1]
+
+        monkeypatch.setattr(sim, "initialize", spy)
+        assert cli.main(["dynamic-sim", "--config", str(path), "--horizon",
+                         str(horizon), "--out", str(tmp_path / "out")]) == 0
+        assert any(s >= horizon for s, _, _ in changes)
+        assert bits(states[0].setpoints) == \
+            bits(incremental_setpoints(sc)[:horizon])
+
+
+def per_agent_law(g, X, setpoints, w):
     """The control law as each agent evaluated it before the fleet's gains
     were stacked: -(K_fb @ x)[0] + N_r * setpoint + (K_w @ w)[0]."""
-    return np.array([-(g.K_fb[i:i + 1] @ X[i])[0] + g.N_r[i] * g.setpoint[i]
+    return np.array([-(g.K_fb[i:i + 1] @ X[i])[0] + g.N_r[i] * setpoints[i]
                      + (g.K_w[i:i + 1] @ w)[0] for i in range(len(X))])
 
 
@@ -204,20 +289,20 @@ class TestStackedControl:
         calls = []
         law = th.desired_power
 
-        def spy(g, X, w=None):
-            u = law(g, X, w)
-            calls.append((g, X, w, u))
+        def spy(g, X, setpoints, w=None):
+            u = law(g, X, setpoints, w)
+            calls.append((g, X, setpoints, w, u))
             return u
 
         monkeypatch.setattr(th, "desired_power", spy)
         sc = sim.Scenario.from_config(config())
         sim.run(sc)
         assert len(calls) == sc.horizon
-        for g, X, w, u in calls:
+        for g, X, setpoints, w, u in calls:
             assert u.shape == (sc.n_agents,)
-            assert np.array_equal(u, per_agent_law(g, X, w))
+            assert np.array_equal(u, per_agent_law(g, X, setpoints, w))
         changed = [agent for _, agent, _ in sc.setpoint_changes]
-        assert calls[-1][0].setpoint[changed].tolist() == \
+        assert calls[-1][2][changed].tolist() == \
             [v for _, _, v in sc.setpoint_changes]
 
     def test_one_agent_gains_give_a_float(self):
@@ -225,13 +310,13 @@ class TestStackedControl:
         st = sim.initialize(sc)
         g = st.gains
         w = st.disturbances[0]
+        setpoints = st.setpoints[0]
         for i in range(sc.n_agents):
             one = th.ControllerGains(K_fb=g.K_fb[i:i + 1], N_r=g.N_r[i],
-                                     setpoint=g.setpoint[i],
                                      K_w=g.K_w[i:i + 1])
-            u = th.desired_power(one, st.X[i], w)
+            u = th.desired_power(one, st.X[i], setpoints[i], w)
             assert isinstance(u, float)
-            assert u == per_agent_law(g, st.X, w)[i]
+            assert u == per_agent_law(g, st.X, setpoints, w)[i]
 
 
 def seeded(config, seed):
@@ -256,25 +341,26 @@ class TestStackedSetUp:
                   for i in range(sc.n_agents)]
         cm = th.build_continuous_model(th.ThermalParams.stack(params))
         dm = th.discretize_zoh(cm, sc.ts_minutes)
-        g = th.design_controller(dm, sc.poles, setpoints)
+        g = th.design_controller(dm, sc.poles)
         X, u = th.equilibrium_state(dm, w0, setpoints)
         assert dm.Ad.shape == (sc.n_agents, 3, 3) and X.shape == (sc.n_agents, 3)
         for i, (p, setpoint) in enumerate(zip(params, setpoints)):
             cm_i = th.build_continuous_model(p)
             dm_i = th.discretize_zoh(cm_i, sc.ts_minutes)
-            g_i = th.design_controller(dm_i, sc.poles, setpoint)
+            g_i = th.design_controller(dm_i, sc.poles)
             x_i, u_i = th.equilibrium_state(dm_i, w0, setpoint)
             pairs = [(cm.A[i], cm_i.A), (cm.B[i], cm_i.B), (cm.G[i], cm_i.G),
                      (dm.Ad[i], dm_i.Ad), (dm.Bd[i], dm_i.Bd),
                      (dm.Gd[i], dm_i.Gd), (g.K_fb[i], g_i.K_fb[0]),
                      (g.K_w[i], g_i.K_w[0]), (g.N_r[i], g_i.N_r),
-                     (g.setpoint[i], g_i.setpoint), (X[i], x_i), (u[i], u_i),
+                     (X[i], x_i), (u[i], u_i),
                      (st.models[i].Ad, dm_i.Ad), (st.models[i].Bd, dm_i.Bd),
                      (st.models[i].Gd, dm_i.Gd)]
             for stacked, one in pairs:
                 assert np.array_equal(stacked, one), i
-        for name in ("K_fb", "N_r", "setpoint", "K_w"):
+        for name in ("K_fb", "N_r", "K_w"):
             assert np.array_equal(getattr(st.gains, name), getattr(g, name))
+        assert np.array_equal(st.setpoints[0], setpoints)
         assert np.array_equal(st.X, X)
 
 

@@ -333,7 +333,7 @@ class TestBandedStep:
             _, evals = sa._newton_step(u, f, m0, p)
             assert evals == len(calls) == expected, family
 
-    def test_singular_band_takes_lstsq_fallback(self, no_dense_solve):
+    def test_singular_band_is_an_invalid_candidate(self, no_dense_solve):
         # A zero row in T makes the banded solve fail; no least-squares step
         # is taken.
         n = 4
@@ -345,7 +345,8 @@ class TestBandedStep:
                            match=r"^banded solve failed \(singular matrix\)$"):
             sa._bordered_step(band, col, f)
 
-    def test_zero_schur_complement_takes_lstsq_fallback(self, no_dense_solve):
+    def test_zero_schur_complement_is_an_invalid_candidate(self,
+                                                           no_dense_solve):
         # T = I, and the border column's solve sums to its last entry: the
         # Schur complement is exactly 0.
         n = 3
@@ -394,9 +395,9 @@ class TestBandedStep:
 
     @pytest.mark.parametrize("where", ["band", "col", "f"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_system_takes_lstsq_fallback(self, where, bad,
-                                                    monkeypatch,
-                                                    no_dense_solve):
+    def test_non_finite_system_is_an_invalid_candidate(self, where, bad,
+                                                       monkeypatch,
+                                                       no_dense_solve):
         # No LAPACK call sees a non-finite value, and no least-squares step
         # is taken: the step is an invalid candidate.
         n = 5

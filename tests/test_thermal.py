@@ -124,12 +124,12 @@ class TestController:
         assert dc * g.N_r == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_disturbance_regulation(self, dm):
-        g = th.design_controller(dm, setpoint=72.0)
+        g = th.design_controller(dm)
         x = np.zeros(3)
         w = np.zeros(2)
         y = 0.0
         for k in range(100):
-            u = th.desired_power(g, x)
+            u = th.desired_power(g, x, 72.0)
             x, y = th.step_plant(x, u, w, dm)
         assert y == pytest.approx(72.0, abs=0.1)
 
@@ -154,16 +154,19 @@ class TestStackedFleet:
             ThermalParams.stack([means])))
         assert one.Ad.shape == (1, 3, 3) and dm.Ad.shape == (3, 3)
         g, g1 = th.design_controller(dm), th.design_controller(one)
-        assert isinstance(g.N_r, float) and isinstance(g.setpoint, float)
+        assert isinstance(g.N_r, float)
         assert g.K_fb.shape == g1.K_fb.shape == (1, 3)
         assert g.K_w.shape == g1.K_w.shape == (1, 2)
         assert np.array_equal(g.K_fb, g1.K_fb) and np.array_equal(g.K_w, g1.K_w)
-        assert g1.N_r.tolist() == [g.N_r] and g1.setpoint.tolist() == [72.0]
+        assert g1.N_r.tolist() == [g.N_r]
         w = np.array([85.0, 300.0])
         x, u = th.equilibrium_state(dm, w, 72.0)
         x1, u1 = th.equilibrium_state(one, w, [72.0])
         assert x.shape == (3,) and isinstance(u, float)
         assert np.array_equal(x1, x[None]) and u1.tolist() == [u]
+        power = th.desired_power(g, x, 72.0, w)
+        assert isinstance(power, float)
+        assert th.desired_power(g1, x1, [72.0], w).tolist() == [power]
 
     def test_non_hurwitz_names_the_first_agent(self):
         means = ThermalParams.means()
@@ -182,15 +185,14 @@ class TestStackedFleet:
 
 class TestDesiredPowerAndEquilibrium:
     def test_zero_gains_zero_power(self):
-        g = th.ControllerGains(K_fb=np.zeros((1, 3)), N_r=0.0, setpoint=72.0,
+        g = th.ControllerGains(K_fb=np.zeros((1, 3)), N_r=0.0,
                                K_w=np.zeros((1, 2)))
-        assert th.desired_power(g, [70.0, 70.0, 70.0]) == 0.0
+        assert th.desired_power(g, [70.0, 70.0, 70.0], 72.0) == 0.0
 
     def test_setpoint_raise_increases_power(self, dm):
-        g = th.design_controller(dm, setpoint=72.0)
-        g_hot = replace(g, setpoint=75.0)
+        g = th.design_controller(dm)
         x = np.full(3, 72.0)
-        assert th.desired_power(g_hot, x) > th.desired_power(g, x)
+        assert th.desired_power(g, x, 75.0) > th.desired_power(g, x, 72.0)
 
     def test_equilibrium_is_fixed_point(self, dm):
         w = np.array([85.0, 300.0])
@@ -200,11 +202,11 @@ class TestDesiredPowerAndEquilibrium:
         assert y == pytest.approx(72.0, abs=1e-9)
 
     def test_feedforward_holds_setpoint_under_disturbance(self, dm):
-        g = th.design_controller(dm, setpoint=72.0)
+        g = th.design_controller(dm)
         w = np.array([90.0, 400.0])
         x, _ = th.equilibrium_state(dm, w, 72.0)
         for _ in range(50):
-            u = th.desired_power(g, x, w)
+            u = th.desired_power(g, x, 72.0, w)
             x, y = th.step_plant(x, u, w, dm)
         assert y == pytest.approx(72.0, abs=1e-6)
 
