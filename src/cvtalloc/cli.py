@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: parses the options and dispatches each subcommand.
 
 Subcommands::
 
@@ -8,9 +8,9 @@ Subcommands::
                  optional tessellation CSV.
     shift-check  Verify the Gaussian mean-shift translation property of the
                  tessellation.
-    dynamic-sim  Run a demand-response scenario; write trace.csv, swaps.csv,
-                 metrics.json, and plot data files (plus, on request, a
-                 diagnostics JSON with wall times and swap statistics).
+    dynamic-sim  Run a demand-response scenario, its seed overridden by
+                 --seed; write trace.csv, swaps.csv, metrics.json, plot data
+                 files and, on request, a diagnostics JSON.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 solver failure (a
 failed shift check, a cvt run that stopped on its iteration budget, or a
@@ -44,17 +44,12 @@ EXIT_SOLVER = 2
 
 
 def _parse_domain(text: str) -> Domain1D:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"--domain expects 'a,b', got {text!r}")
-    return Domain1D(float(parts[0]), float(parts[1]))
+    return Domain1D(*_parse_floats("--domain", text, 2))
 
 
-def _parse_density(text: str, dom: Domain1D | None) -> DensitySpec:
+def _parse_density(text: str, dom: Domain1D) -> DensitySpec:
     """JSON density spec, or the shorthand 'uniform' bound to the domain."""
     if text.strip().lower() == "uniform":
-        if dom is None:
-            raise ValueError("'uniform' shorthand requires --domain")
         return DensitySpec("uniform", {"a": dom.a, "b": dom.b})
     try:
         spec = json.loads(text)
@@ -67,18 +62,26 @@ def _parse_density(text: str, dom: Domain1D | None) -> DensitySpec:
 def _parse_init(text: str, n: int, dom: Domain1D) -> np.ndarray:
     if text.strip().lower() == "uniform":
         return tess.default_init(n, dom)
-    values = np.array([float(v) for v in text.split(",")])
-    if values.size != n:
-        raise ValueError(f"--init needs {n} values, got {values.size}")
-    return values
+    return np.array(_parse_floats("--init", text, n))
+
+
+def _parse_floats(option: str, text: str, count: int) -> list:
+    """``count`` comma-separated numbers; an InvalidParameterValue naming
+    the option for any other count or for a value that is not a number."""
+    parts = text.split(",")
+    if len(parts) != count:
+        raise InvalidParameterValue(
+            f"{option} needs {count} comma-separated numbers, got {text!r}")
+    try:
+        return [float(v) for v in parts]
+    except ValueError as exc:
+        raise InvalidParameterValue(f"{option}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cvtalloc",
         description="1-D resource allocation via centroidal Voronoi tessellations")
-    p.add_argument("--seed", type=int, default=None,
-                   help="global random seed (overrides any config value)")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     c = sub.add_parser("cvt", help="run Lloyd's algorithm")
@@ -93,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--max-iter", type=int, default=tess.LLOYD_MAX_ITER,
                    help="iteration budget; a run that uses it up exits 2")
     c.add_argument("--out", default=".", help="output directory")
+    c.set_defaults(handler=_cmd_cvt)
 
     s = sub.add_parser("static-alloc", help="solve the constrained allocation")
     s.add_argument("--domain", required=True, help="interval as 'a,b'")
@@ -103,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=".", help="output directory")
     s.add_argument("--csv", action="store_true",
                    help="also write the tessellation as allocation.csv")
+    s.set_defaults(handler=_cmd_static_alloc)
 
     k = sub.add_parser("shift-check",
                        help="verify the Gaussian mean-shift property")
@@ -114,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mean shift (new mean = mu - delta)")
     k.add_argument("--tol", type=float, default=1e-7,
                    help="max allowed generator deviation (default 1e-7)")
+    k.set_defaults(handler=_cmd_shift_check)
 
     d = sub.add_parser("dynamic-sim", help="run a demand-response scenario")
     d.add_argument("--config", required=True, help="scenario JSON file")
@@ -125,6 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write per-phase wall times, swaps per step, "
                    "the largest constraint error and the resources outside "
                    "the domain per step as JSON to PATH")
+    d.add_argument("--seed", type=int, default=None,
+                   help="override the config seed")
+    d.set_defaults(handler=_cmd_dynamic_sim)
     return p
 
 
@@ -214,23 +223,8 @@ def _cmd_shift_check(args) -> int:
     return EXIT_OK if report.passed else EXIT_SOLVER
 
 
-def _write_plot_data(trace: sim.TraceLog, out: Path) -> None:
-    """Plot data: applied powers, total vs available, temperatures.  The
-    per-agent files write the trace's memo text, one row per step."""
-    _, power_rows, temp_rows = trace.rows()
-    agent_cols = ",".join(f"agent_{i}" for i in range(trace.n_agents))
-    for name, rows in (("powers.csv", power_rows),
-                       ("temperatures.csv", temp_rows)):
-        with open(out / name, "w", newline="") as fh:
-            fh.write(f"step,{agent_cols}\n")
-            fh.write("".join([f"{k},{row}\n" for k, row in enumerate(rows)]))
-
-    totals = sim._left_sum(np.abs(trace.applied_power))
-    values = np.column_stack([np.arange(totals.size), totals, trace.r])
-    with open(out / "total_power.csv", "w", newline="") as fh:
-        fh.write("step,total_consumed,available\n")
-        fh.write(f"%d,{_FMT},{_FMT}\n" * totals.size
-                 % tuple(values.ravel().tolist()))
+# bench/harness.py calls and traces the plot writer by this name.
+_write_plot_data = sim.TraceLog.write_plot_data
 
 
 def _cmd_dynamic_sim(args) -> int:
@@ -258,7 +252,7 @@ def _cmd_dynamic_sim(args) -> int:
     trace.write_swaps_csv(out / "swaps.csv")
     with open(out / "metrics.json", "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
-    _write_plot_data(trace, out)
+    trace.write_plot_data(out)
     if args.diagnostics is not None:
         # run_s covers the initial static solve, the fleet build and every
         # step (initialize_s the first two); write_s the metrics and the
@@ -281,18 +275,11 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; remap to the documented code 1.
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        if args.subcommand == "cvt":
-            return _cmd_cvt(args)
-        if args.subcommand == "static-alloc":
-            return _cmd_static_alloc(args)
-        if args.subcommand == "shift-check":
-            return _cmd_shift_check(args)
-        return _cmd_dynamic_sim(args)
+        return args.handler(args)
     except SolverDiverged as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (CvtAllocError, ValueError, OSError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (CvtAllocError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -210,7 +210,7 @@ class TraceLog:
     :func:`initialize` in :func:`run`; only :func:`diagnostics` reads them,
     never the deterministic files.
 
-    Every file formats each value of ``z``, ``applied_power`` and
+    Its three writers format each value of ``z``, ``applied_power`` and
     ``temp_F`` through one memo, :meth:`rows`, so each is formatted once.
     """
 
@@ -285,12 +285,30 @@ class TraceLog:
                 values[2::4], values[3::4] = before[0::2], before[1::2]
                 fh.write(f"{k},%d,%d,%s,%s\n" * len(swaps) % tuple(values))
 
+    def write_plot_data(self, out) -> None:
+        """Plot data in directory ``out``: applied powers, total vs
+        available, temperatures; the per-agent files write the memo's text."""
+        _, power_rows, temp_rows = self.rows()
+        agent_cols = ",".join(f"agent_{i}" for i in range(self.n_agents))
+        for name, rows in (("powers.csv", power_rows),
+                           ("temperatures.csv", temp_rows)):
+            with open(out / name, "w", newline="") as fh:
+                fh.write(f"step,{agent_cols}\n")
+                fh.write("".join([f"{k},{row}\n" for k, row in enumerate(rows)]))
+
+        totals = _left_sum(np.abs(self.applied_power))
+        values = np.column_stack([np.arange(totals.size), totals, self.r])
+        with open(out / "total_power.csv", "w", newline="") as fh:
+            fh.write("step,total_consumed,available\n")
+            fh.write(f"%d,{_FMT},{_FMT}\n" * totals.size
+                     % tuple(values.ravel().tolist()))
+
 
 @dataclass(frozen=True)
 class MetricsReport:
     l2_power_error: float
     mean_swaps_per_agent: float
-    neighbor_coverage: dict     # agent -> number of distinct neighbors ever
+    neighbor_coverage: tuple    # per agent, the distinct neighbors ever
     temperature_rms_error: float
     total_swaps: int
 
@@ -298,8 +316,8 @@ class MetricsReport:
         return {
             "l2_power_error": self.l2_power_error,
             "mean_swaps_per_agent": self.mean_swaps_per_agent,
-            "neighbor_coverage": {str(k): v
-                                  for k, v in sorted(self.neighbor_coverage.items())},
+            "neighbor_coverage": {str(i): v
+                                  for i, v in enumerate(self.neighbor_coverage)},
             "temperature_rms_error": self.temperature_rms_error,
             "total_swaps": self.total_swaps,
         }
@@ -465,12 +483,15 @@ def metrics(t: TraceLog) -> MetricsReport:
     mean_swaps = 2 * total_swaps / t.n_agents
 
     # Distinct line-graph neighbors ever seen: the agents at adjacent
-    # positions of each step's resource order, as directed pairs a * n + b.
+    # positions of each step's resource order, as directed pairs a * n + b,
+    # sorted, each counted at its first occurrence.
     n = t.n_agents
     order = np.asarray(t.order)
     a, b = order[:, :-1].ravel(), order[:, 1:].ravel()
-    pairs = np.unique(np.concatenate([a * n + b, b * n + a]))
-    coverage = dict(enumerate(np.bincount(pairs // n, minlength=n).tolist()))
+    pairs = np.sort(np.concatenate([a * n + b, b * n + a]))
+    first = np.ones(pairs.size, dtype=bool)
+    first[1:] = pairs[1:] != pairs[:-1]
+    coverage = tuple(np.bincount(pairs[first] // n, minlength=n).tolist())
 
     sq_err = _sum_of_squares(np.ravel(t.temp_F) - np.ravel(t.setpoints))
     rms = math.sqrt(sq_err / (len(t.r) * n))

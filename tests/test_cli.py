@@ -64,6 +64,57 @@ class TestParsing:
                      "--density", "uniform")
         assert rc == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, handler", [
+        (("cvt", "--domain", "0,15", "--n", "3", "--density", "uniform"),
+         cli._cmd_cvt),
+        (("static-alloc", "--domain", "0,100", "--n", "5", "--r", "250",
+          "--density", "uniform"), cli._cmd_static_alloc),
+        (("shift-check", "--domain", "0,100", "--n", "5", "--mu", "50",
+          "--sigma2", "4", "--delta", "2"), cli._cmd_shift_check),
+        (("dynamic-sim", "--config", "scenario.json"), cli._cmd_dynamic_sim),
+    ], ids=["cvt", "static-alloc", "shift-check", "dynamic-sim"])
+    def test_parser_binds_each_subcommand_to_its_handler(self, argv,
+                                                         handler):
+        args = cli.build_parser().parse_args(list(argv))
+        assert args.handler is handler
+
+    @pytest.mark.parametrize("argv", [
+        ("cvt", "--domain", "0,15", "--n", "3", "--density", "uniform"),
+        ("static-alloc", "--domain", "0,100", "--n", "5", "--r", "250",
+         "--density", '{"family":"gaussian","mu":"free","sigma2":4.0}'),
+        ("shift-check", "--domain", "0,100", "--n", "5", "--mu", "50",
+         "--sigma2", "4", "--delta", "2"),
+    ], ids=["cvt", "static-alloc", "shift-check"])
+    @pytest.mark.parametrize("before", [True, False],
+                             ids=["before", "after"])
+    def test_seed_is_refused_outside_dynamic_sim(self, tmp_path, capsys,
+                                                 argv, before):
+        # Only dynamic-sim reads a seed; anywhere else it is not an option.
+        out = ("--out", str(tmp_path)) if argv[0] != "shift-check" else ()
+        seed = ("--seed", "5")
+        argv = (*seed, *argv, *out) if before else (*argv, *out, *seed)
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("option, value", [
+        ("--domain", "0,x"), ("--domain", "0,1,2"),
+        ("--init", "1,x,3"), ("--init", "1,2"),
+    ], ids=["domain-not-a-number", "domain-three-values",
+            "init-not-a-number", "init-two-values"])
+    def test_comma_list_error_names_the_option(self, tmp_path, capsys,
+                                               option, value):
+        # The last of a repeated option wins.
+        rc = run_cli("cvt", "--domain", "0,15", "--n", "3", "--density",
+                     "uniform", "--out", str(tmp_path), option, value)
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert captured.err.startswith(f"error: {option}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_plot_writer_is_the_trace_method(self):
+        assert cli._write_plot_data is sim.TraceLog.write_plot_data
+
 
 class TestCvt:
     def test_uniform_three_generators(self, tmp_path, capsys):
@@ -587,7 +638,7 @@ class TestDynamicSim:
         out2 = tmp_path / "r2"
         assert run_cli("dynamic-sim", "--config", str(config_path),
                        "--out", str(out1)) == 0
-        assert run_cli("--seed", "99", "dynamic-sim", "--config",
+        assert run_cli("dynamic-sim", "--seed", "99", "--config",
                        str(config_path), "--out", str(out2)) == 0
         assert (out1 / "trace.csv").read_bytes() != \
             (out2 / "trace.csv").read_bytes()

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_golden import SHIPPED, fleet_config
+from test_golden import SHIPPED, TRACE_RUNS, fleet_config
 
+from cvtalloc import dynamic_alloc as dyn
 from cvtalloc import sim
 from cvtalloc import static_alloc as sa
 from cvtalloc import thermal as th
@@ -364,7 +365,43 @@ class TestStackedSetUp:
         assert np.array_equal(st.X, X)
 
 
+def unique_coverage(t):
+    """The neighbour coverage by ``np.unique`` over the directed pairs
+    a * n + b of adjacent agents: the oracle of the sort in metrics."""
+    n = t.n_agents
+    order = np.asarray(t.order)
+    a, b = order[:, :-1].ravel(), order[:, 1:].ravel()
+    pairs = np.unique(np.concatenate([a * n + b, b * n + a]))
+    return tuple(np.bincount(pairs // n, minlength=n).tolist())
+
+
+def order_trace(orders):
+    """A trace of the line graphs ``orders`` (steps, N), with zeros in every
+    other column that metrics reads."""
+    steps, n = orders.shape
+    t = sim.TraceLog(n_agents=n, order=list(orders))
+    t.r = t.constraint_error = [0.0] * steps
+    t.temp_F = t.setpoints = list(np.zeros((steps, n)))
+    return t
+
+
 class TestMetrics:
+    @pytest.mark.parametrize("label", list(TRACE_RUNS))
+    def test_coverage_is_the_unique_rule_on_golden_runs(self, label):
+        t = sim.run(sim.Scenario.from_config(TRACE_RUNS[label]()))
+        assert sim.metrics(t).neighbor_coverage == unique_coverage(t)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 240, 1000, 10_000])
+    def test_coverage_is_the_unique_rule_on_random_orders(self, n):
+        # Few resource levels give many ties, so the stable sort repeats
+        # adjacent pairs within and across steps.
+        rng = np.random.default_rng(n)
+        for levels in (1, 2, n // 3 + 1, 4 * n):
+            z = rng.integers(0, levels, size=(6, n)).astype(float)
+            t = order_trace(np.array([dyn.rebuild_line_graph(row)
+                                      for row in z]))
+            assert sim.metrics(t).neighbor_coverage == unique_coverage(t)
+
     def test_l2_error_small(self):
         report = sim.metrics(sim.run(small_scenario()))
         assert report.l2_power_error <= 1e-6
@@ -384,7 +421,8 @@ class TestMetrics:
         assert report.mean_swaps_per_agent == 0.0
         assert report.total_swaps == 0
         assert report.temperature_rms_error == 0.0
-        assert report.neighbor_coverage == {0: 1, 1: 2, 2: 1}
+        assert report.neighbor_coverage == (1, 2, 1)
+        assert report.to_dict()["neighbor_coverage"] == {"0": 1, "1": 2, "2": 1}
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
