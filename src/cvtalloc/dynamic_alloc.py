@@ -20,7 +20,8 @@ import numpy as np
 
 from . import tessellation as tess
 from .density import DensitySpec
-from .errors import DomainTooNarrow, MissingDesiredInput
+from .errors import (DomainTooNarrow, InvalidParameterValue,
+                     MissingDesiredInput)
 from .tessellation import Domain1D
 
 __all__ = [
@@ -55,8 +56,9 @@ class AllocationState:
 
 def rebuild_line_graph(resources) -> np.ndarray:
     """Agents sorted by resource value, ties by agent index: the line graph
-    joins the agents at adjacent positions."""
-    return np.argsort(resources, kind="stable")
+    joins the agents at adjacent positions.  The stable sort is called as
+    the array's method, which skips ``np.argsort``'s dispatch wrapper."""
+    return np.asarray(resources).argsort(kind="stable")
 
 
 def one_step_update(z, r_k: float, r_k1: float) -> np.ndarray:
@@ -103,7 +105,7 @@ def verify_shift_property(d_gaussian: DensitySpec, dom: Domain1D, n: int,
     if not d_gaussian.is_bound:
         raise ValueError("density must be fully bound")
     if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+        raise InvalidParameterValue(f"tol must be positive, got {tol}")
     mu = d_gaussian.params["mu"]
     sigma = math.sqrt(d_gaussian.params["sigma2"])
     d_shift = replace(d_gaussian,
@@ -130,13 +132,20 @@ def neighbors_of_interest(z, desired, order) -> np.ndarray:
     """For every position p of ``order`` at once, with i = order[p] and
     u = desired[i]: of agent i and its neighbors at positions p - 1 and
     p + 1, the agent j whose resource z[j] is closest to u.  Ties break
-    toward agent i itself, then toward the lower agent index."""
+    toward agent i itself, then toward the lower agent index.  Lists are
+    accepted for all three."""
     order = np.asarray(order)
     n = order.size
-    # The order padded at either end with the sentinel agent n, whose
-    # resource is infinite: at infinite distance, no real agent loses to it.
-    padded = np.concatenate(([n], order, [n]))
-    z = np.append(np.asarray(z, dtype=float), np.inf)[padded]
+    # The order padded at either end with the sentinel agent n, and the
+    # resources extended by its infinite one: at infinite distance, no real
+    # agent loses to it.
+    padded = np.empty(n + 2, dtype=np.intp)
+    padded[0] = padded[-1] = n
+    padded[1:-1] = order
+    z_ext = np.empty(n + 1)
+    z_ext[:n] = z
+    z_ext[n] = np.inf
+    z = z_ext[padded]
     u = np.asarray(desired, dtype=float)[order]
     left, right = padded[:-2], padded[2:]
     d_left, d_right = np.abs(u - z[:-2]), np.abs(u - z[2:])
@@ -154,8 +163,9 @@ def negotiate_round(st: AllocationState, desired):
     whose neighbor of interest differs from itself swaps resource values
     with it unless either party already took part in a swap this round; a
     proposed-to agent never refuses.  Returns the post-round state and the
-    swaps as an (S, 2) array of (proposer, target) agents in execution
-    order; no agent appears twice, so each exchanges its pre-round value.
+    swaps as an (S, 2) int array of (proposer, target) agents in execution
+    order, (0, 2) for none, built from one flat list of agent ids; no agent
+    appears twice, so each exchanges its pre-round value.
     """
     desired = np.asarray(desired, dtype=float)
     if desired.shape != st.resources.shape:
@@ -163,12 +173,12 @@ def negotiate_round(st: AllocationState, desired):
             f"need {st.resources.size} desired amounts, got {desired.size}")
 
     choice = neighbors_of_interest(st.resources, desired, st.order)
-    proposers = np.flatnonzero(choice != st.order)
+    proposers = (choice != st.order).nonzero()[0]
     taken = [False] * st.resources.size
     swaps = []
     for i, j in zip(st.order[proposers].tolist(), choice[proposers].tolist()):
         if not (taken[i] or taken[j]):
-            swaps.append((i, j))
+            swaps += (i, j)
             taken[i] = taken[j] = True
     swaps = np.array(swaps, dtype=int).reshape(-1, 2)
     z = st.resources.copy()

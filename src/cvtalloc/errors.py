@@ -20,7 +20,9 @@ class NoFreeParameter(CvtAllocError):
 
 
 class InvalidParameterValue(CvtAllocError, ValueError):
-    """A density parameter violates its family's domain invariant."""
+    """A user-supplied value is out of range or malformed: a density
+    parameter that breaks its family's invariant, a domain, a count of
+    agents or generators, a tolerance or an iteration budget."""
 
 
 # --- tessellation ----------------------------------------------------------

@@ -389,10 +389,15 @@ def _step_plants(X, applied, w, models) -> np.ndarray:
 
 
 def step(st: SimState, k: int, trace: TraceLog) -> SimState:
-    """Advance one time step; replaces the state's arrays and returns st."""
+    """Advance one time step; replaces the state's arrays and returns st.
+    A step k outside [0, horizon), or a trace for another number of
+    agents, raises ValueError before anything changes."""
     sc = st.scenario
-    if k >= sc.horizon:
-        raise ValueError(f"step {k} beyond horizon {sc.horizon}")
+    if not 0 <= k < sc.horizon:
+        raise ValueError(f"step {k} outside [0, {sc.horizon})")
+    if trace.n_agents != sc.n_agents:
+        raise ValueError(f"a trace of {trace.n_agents} agents cannot record "
+                         f"a fleet of {sc.n_agents}")
     t0 = time.perf_counter()
 
     # Phase 1: shift resources to the new total.
@@ -435,10 +440,13 @@ def step(st: SimState, k: int, trace: TraceLog) -> SimState:
     trace.r.append(r_new)
     trace.sum_z.append(sum_z)
     trace.constraint_error.append(abs(sum_z - r_new))
-    trace.swaps.append(np.concatenate(swaps))
-    marks = (t0, t1, t2, t3, t4, time.perf_counter())
-    for name, start, end in zip(PHASES, marks, marks[1:]):
-        trace.phase_s[name] += end - start
+    trace.swaps.append(swaps[0] if len(swaps) == 1 else np.concatenate(swaps))
+    phase_s = trace.phase_s
+    phase_s["shift"] += t1 - t0
+    phase_s["control"] += t2 - t1
+    phase_s["negotiate"] += t3 - t2
+    phase_s["plant"] += t4 - t3
+    phase_s["trace"] += time.perf_counter() - t4
 
     st.alloc = alloc
     return st

@@ -69,7 +69,7 @@ class StaticProblem:
 
     def __post_init__(self):
         if self.n_agents < 1:
-            raise ValueError("n_agents must be >= 1")
+            raise InvalidParameterValue("n_agents must be >= 1")
         if self.density.free_param is None:
             raise ValueError("density must declare exactly one free parameter")
         mean = self.r / self.n_agents

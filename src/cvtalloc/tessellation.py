@@ -17,6 +17,7 @@ from .density import DensitySpec
 from .errors import (
     DuplicateGenerators,
     GeneratorOutOfDomain,
+    InvalidParameterValue,
     UnsortedGenerators,
 )
 
@@ -57,9 +58,10 @@ class Domain1D:
 
     def __post_init__(self):
         if not (np.isfinite(self.a) and np.isfinite(self.b)):
-            raise ValueError("domain endpoints must be finite")
+            raise InvalidParameterValue("domain endpoints must be finite")
         if not self.a < self.b:
-            raise ValueError(f"domain requires a < b, got [{self.a}, {self.b}]")
+            raise InvalidParameterValue(
+                f"domain requires a < b, got [{self.a}, {self.b}]")
 
     @property
     def width(self) -> float:
@@ -95,7 +97,7 @@ def _validate_generators(generators, dom: Domain1D) -> np.ndarray:
     """Checked along the last axis: a (K, N) stack fails if any row does."""
     z = np.asarray(generators, dtype=float)
     if z.shape[-1] == 0:
-        raise ValueError("need at least one generator")
+        raise InvalidParameterValue("need at least one generator")
     if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise GeneratorOutOfDomain("generators must be finite")
     gap = np.minimum.reduce(z[..., 1:] - z[..., :-1], axis=None,
@@ -186,9 +188,9 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     if tol is None:
         tol = LLOYD_TOL_FRACTION * dom.width
     if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+        raise InvalidParameterValue(f"tol must be positive, got {tol}")
     if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+        raise InvalidParameterValue(f"max_iter must be >= 0, got {max_iter}")
     z = _validate_generators(np.ravel(init), dom)
     m = _midpoint_boundaries(z, dom)
     dens._require_bound(d)

@@ -12,7 +12,7 @@ from cvtalloc import cli, sim
 from cvtalloc import static_alloc as sa
 from cvtalloc import tessellation as tess
 from cvtalloc.density import DensitySpec
-from cvtalloc.errors import SolverDiverged
+from cvtalloc.errors import InvalidParameterValue, SolverDiverged
 
 SHIPPED = Path(__file__).resolve().parent.parent / "scenarios" / "demand_response.json"
 OUTPUT_FILES = ("trace.csv", "swaps.csv", "metrics.json", "powers.csv",
@@ -747,6 +747,44 @@ class TestDensityBoundary:
                      "--out", str(tmp_path / "out"))
         assert rc == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: density:")
+
+
+class TestTypedInputErrors:
+    """Out-of-range user input raises InvalidParameterValue, which main
+    reports as one ``error:`` line with exit code 1."""
+
+    GAUSS = '{"family":"gaussian","mu":"free","sigma2":4.0}'
+
+    @pytest.mark.parametrize("argv, message", [
+        (("cvt", "--domain", "0,15", "--n", "0", "--density", "uniform"),
+         "need at least one generator"),
+        (("cvt", "--domain", "0,15", "--n", "3", "--density", "uniform",
+          "--tol", "0"), "tol must be positive, got 0.0"),
+        (("cvt", "--domain", "0,15", "--n", "3", "--density", "uniform",
+          "--max-iter", "-1"), "max_iter must be >= 0, got -1"),
+        (("cvt", "--domain", "1,0", "--n", "3", "--density", "uniform"),
+         "domain requires a < b, got [1.0, 0.0]"),
+        (("cvt", "--domain", "0,inf", "--n", "3", "--density", "uniform"),
+         "domain endpoints must be finite"),
+        (("static-alloc", "--domain", "0,100", "--n", "0", "--r", "250",
+          "--density", GAUSS), "n_agents must be >= 1"),
+        (("shift-check", "--domain", "0,100", "--n", "5", "--mu", "50",
+          "--sigma2", "4", "--delta", "2", "--tol", "0"),
+         "tol must be positive, got 0.0"),
+    ], ids=["cvt-n-zero", "cvt-tol-zero", "cvt-max-iter-negative",
+            "cvt-domain-reversed", "cvt-domain-infinite", "static-n-zero",
+            "shift-tol-zero"])
+    def test_exits_one_with_one_error_line(self, tmp_path, capsys, argv,
+                                           message):
+        out = ("--out", str(tmp_path)) if argv[0] != "shift-check" else ()
+        args = cli.build_parser().parse_args([*argv, *out])
+        with pytest.raises(InvalidParameterValue) as exc:
+            args.handler(args)
+        assert str(exc.value) == message
+        assert run_cli(*argv, *out) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestJacobianFailure:

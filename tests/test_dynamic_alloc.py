@@ -240,6 +240,103 @@ class TestNeighborsOfInterest:
                                    for p, i in enumerate(order)]
 
 
+def oracle_neighbors_of_interest(z, desired, order):
+    """dyn.neighbors_of_interest as it was before its padded arrays were
+    preallocated, built with np.concatenate and np.append: the oracle of
+    the array version."""
+    order = np.asarray(order)
+    n = order.size
+    padded = np.concatenate(([n], order, [n]))
+    z = np.append(np.asarray(z, dtype=float), np.inf)[padded]
+    u = np.asarray(desired, dtype=float)[order]
+    left, right = padded[:-2], padded[2:]
+    d_left, d_right = np.abs(u - z[:-2]), np.abs(u - z[2:])
+    go_left = (d_left < d_right) | ((d_left == d_right) & (left < right))
+    best = np.where(go_left, left, right)
+    d_best = np.where(go_left, d_left, d_right)
+    return np.where(d_best < np.abs(u - z[1:-1]), best, order)
+
+
+def oracle_negotiate_round(state, desired):
+    """dyn.negotiate_round as it was before its swaps became one flat list
+    of ints, with a list of (proposer, target) tuples and np.flatnonzero:
+    the post-round resources, their np.argsort line graph and the swaps."""
+    desired = np.asarray(desired, dtype=float)
+    choice = oracle_neighbors_of_interest(state.resources, desired,
+                                          state.order)
+    proposers = np.flatnonzero(choice != state.order)
+    taken = [False] * state.resources.size
+    swaps = []
+    for i, j in zip(state.order[proposers].tolist(),
+                    choice[proposers].tolist()):
+        if not (taken[i] or taken[j]):
+            swaps.append((i, j))
+            taken[i] = taken[j] = True
+    swaps = np.array(swaps, dtype=int).reshape(-1, 2)
+    z = state.resources.copy()
+    z[swaps] = state.resources[swaps[:, ::-1]]
+    return z, np.argsort(z, kind="stable"), swaps
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+class TestAgainstArrayOracle:
+    """The preallocated padding, the flat swap list and the method sort
+    against the code they replaced, on half-integers, where equal
+    resources, equal distances and desired amounts midway between two
+    resources are frequent."""
+
+    def assert_choice(self, z, desired, order):
+        want = oracle_neighbors_of_interest(z, desired, order)
+        assert_same_array(dyn.neighbors_of_interest(z, desired, order), want)
+        assert_same_array(dyn.neighbors_of_interest(
+            z.tolist(), desired.tolist(), order.tolist()), want)
+
+    def assert_rounds(self, z, desired_rounds):
+        """Chained rounds from z; returns the number of swaps made."""
+        state, total = _state(z), 0
+        for desired in desired_rounds:
+            ref_z, ref_order, ref_swaps = oracle_negotiate_round(state,
+                                                                 desired)
+            assert_same_array(dyn.rebuild_line_graph(state.resources),
+                              np.argsort(state.resources, kind="stable"))
+            self.assert_choice(state.resources, desired, state.order)
+            for given in (desired, desired.tolist()):
+                new, swaps = dyn.negotiate_round(state, given)
+                assert_same_array(swaps, ref_swaps)
+                assert_same_array(new.resources, ref_z)
+                assert_same_array(new.order, ref_order)
+            state, total = new, total + len(swaps)
+        return total
+
+    def test_small_fleets(self):
+        """3,000 cases at N = 1 to 40, the choice also in a random order,
+        where the equidistant-neighbor rule shows."""
+        rng = np.random.default_rng(27)
+        swap_counts = []
+        for n in range(1, 41):
+            for _ in range(75):
+                z = rng.integers(0, 13, size=n) / 2.0
+                desired = rng.integers(0, 13, size=(2, n)) / 2.0
+                self.assert_choice(z, desired[0], rng.permutation(n))
+                swap_counts.append(self.assert_rounds(z, desired))
+        assert len(swap_counts) == 3000
+        assert 0 in swap_counts and max(swap_counts) > 0
+
+    @pytest.mark.parametrize("n", [240, 1000, 10_000])
+    def test_large_fleets(self, n):
+        """Few levels (many equal resources) and about n levels."""
+        rng = np.random.default_rng(n)
+        for levels in (13, 2 * n):
+            z = rng.integers(0, levels, size=n) / 2.0
+            desired = rng.integers(0, levels, size=(3, n)) / 2.0
+            self.assert_choice(z, desired[0], rng.permutation(n))
+            assert self.assert_rounds(z, desired) > 0
+
+
 class TestNegotiateRound:
     def test_two_agent_walkthrough(self):
         st_ = _state([2.0, 5.0])

@@ -187,6 +187,30 @@ class TestRun:
             assert kept.tolist() == order
 
 
+class TestStepRefusal:
+    """A step that cannot be taken raises ValueError before anything
+    changes: the state, its arrays and the trace stay as they were."""
+
+    def assert_refused(self, st, k, trace, match):
+        alloc, X = st.alloc, st.X.copy()
+        with pytest.raises(ValueError, match=match):
+            sim.step(st, k, trace)
+        assert st.alloc is alloc and np.array_equal(st.X, X)
+        assert trace.r == [] and trace.z == [] and trace.swaps == []
+        assert set(trace.phase_s.values()) == {0.0}
+
+    @pytest.mark.parametrize("k", [-1, -200, 20])
+    def test_step_outside_the_horizon(self, k):
+        st = sim.initialize(small_scenario())
+        self.assert_refused(st, k, sim.TraceLog(n_agents=5),
+                            rf"step {k} outside \[0, 20\)")
+
+    def test_trace_of_another_fleet_size(self):
+        st = sim.initialize(small_scenario())
+        self.assert_refused(st, 0, sim.TraceLog(n_agents=3),
+                            "trace of 3 agents cannot record a fleet of 5")
+
+
 def incremental_setpoints(sc):
     """The setpoint rule the table replaced, kept as its oracle: changes
     grouped by step in list order, and each step with changes patching a
