@@ -21,8 +21,9 @@ class NoFreeParameter(CvtAllocError):
 
 class InvalidParameterValue(CvtAllocError, ValueError):
     """A user-supplied value is out of range or malformed: a density
-    parameter that breaks its family's invariant, a domain, a count of
-    agents or generators, a tolerance or an iteration budget."""
+    parameter that breaks its family's invariant, a density without the
+    free parameter a solve needs, a domain, a count of agents or
+    generators, a tolerance or an iteration budget."""
 
 
 # --- tessellation ----------------------------------------------------------

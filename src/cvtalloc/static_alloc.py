@@ -71,7 +71,8 @@ class StaticProblem:
         if self.n_agents < 1:
             raise InvalidParameterValue("n_agents must be >= 1")
         if self.density.free_param is None:
-            raise ValueError("density must declare exactly one free parameter")
+            raise InvalidParameterValue(
+                "density must declare exactly one free parameter")
         mean = self.r / self.n_agents
         if not (self.domain.a < mean < self.domain.b):
             raise InfeasibleProblem(

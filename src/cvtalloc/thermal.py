@@ -7,7 +7,8 @@ take one agent, or a fleet stacked by agent.  One agent's float
 parameters give A (3, 3) and a float N_r; a fleet's (N,) parameter arrays
 give the same arrays with a leading agent axis, each computed by one
 stacked call, and every agent's entries are bit for bit those of its own
-one-agent call.  ``step_plant`` steps one agent.
+one-agent call.  ``step_plant`` steps one agent, with ``ndarray.dot`` on
+the contiguous blocks ``discretize_zoh`` returns.
 
 State x = (indoor air, interior mass, envelope) temperatures; input u is the
 signed HVAC power (positive heating, negative cooling); disturbances
@@ -183,7 +184,8 @@ def build_continuous_model(p: ThermalParams) -> ContinuousModel:
 def discretize_zoh(m: ContinuousModel, Ts: float = DEFAULT_TS_MINUTES) -> DiscreteModel:
     """Exact zero-order hold at sample time Ts (minutes) via the augmented
     matrix exponential over all input columns at once, one ``expm`` over
-    the stack for a fleet.  Ad, Bd and Gd are views of that exponential."""
+    the stack for a fleet.  Ad, Bd and Gd are C-contiguous copies of its
+    blocks, so that :func:`step_plant`'s ``dot`` copies nothing per call."""
     if Ts <= 0:
         raise ValueError("Ts must be positive")
     ts_seconds = Ts * 60.0
@@ -193,9 +195,9 @@ def discretize_zoh(m: ContinuousModel, Ts: float = DEFAULT_TS_MINUTES) -> Discre
     aug[..., :n, :n] = m.A
     aug[..., :n, n:] = inputs
     phi = expm(aug * ts_seconds)
-    Ad = phi[..., :n, :n]
-    Bd = phi[..., :n, n:n + 1]
-    Gd = phi[..., :n, n + 1:]
+    Ad = phi[..., :n, :n].copy()
+    Bd = phi[..., :n, n:n + 1].copy()
+    Gd = phi[..., :n, n + 1:].copy()
     return DiscreteModel(Ad=Ad, Bd=Bd, Gd=Gd, Ts=Ts)
 
 
@@ -255,8 +257,14 @@ def design_controller(dm: DiscreteModel, poles=DEFAULT_POLES) -> ControllerGains
 
 def step_plant(x, u: float, w, dm: DiscreteModel):
     """One discrete step of state x (3,) under power u and disturbance
-    w (2,): returns (x_next, indoor temperature)."""
-    x_next = dm.Ad @ x + dm.Bd[:, 0] * u + dm.Gd @ w
+    w (2,): returns (x_next, indoor temperature), ``(Ad x + Bd u) + Gd w``.
+    ``dot`` calls CBLAS ``dgemv`` RowMajor/NoTrans and ``@`` ColMajor/Trans
+    with the dimensions swapped: the same Fortran ``dgemv`` and bits, only
+    ``lda`` differs, without matmul's dispatch.  ``dot`` first copies a
+    matrix that is not C-contiguous, hence discretize_zoh's copies."""
+    x_next = dm.Ad.dot(x)
+    x_next += dm.Bd[:, 0] * u
+    x_next += dm.Gd.dot(w)
     return x_next, float(x_next[0])
 
 

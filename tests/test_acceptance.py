@@ -1,5 +1,9 @@
 """Acceptance gate: ten end-to-end criteria, each printing one PASS/FAIL line.
 
+Each line holds only deterministic text, so two runs or two trees print the
+same ten lines; criteria 1 and 2 still bound their wall time and name it
+only when the bound is missed.
+
 The verdict lines are collected here and echoed by the terminal-summary hook
 in conftest.py, so a plain ``pytest`` run always shows one line per
 criterion regardless of output capturing.
@@ -46,9 +50,10 @@ def test_criterion_01_uniform_cvt_cli(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     err = float(np.max(np.abs(np.array(out["generators"])
                               - [2.5, 7.5, 12.5])))
-    ok = rc == 0 and err < 1e-9 and elapsed < 1.0
-    report(1, ok, f"uniform CVT generators err={err:.2e}, "
-                  f"runtime={elapsed:.3f}s")
+    detail = f"uniform CVT generators err={err:.2e}"
+    if elapsed >= 1.0:
+        detail += f", runtime={elapsed:.3f}s, not under 1s"
+    report(1, rc == 0 and err < 1e-9 and elapsed < 1.0, detail)
 
 
 def test_criterion_02_static_allocation_symmetry():
@@ -60,9 +65,10 @@ def test_criterion_02_static_allocation_symmetry():
     elapsed = time.perf_counter() - start
     mu_err = abs(sol.v_k - 50.0)
     sum_err = abs(float(np.sum(sol.centroids)) - 2500.0)
-    ok = mu_err < 1e-6 and sum_err < 1e-6 and elapsed < 10.0
-    report(2, ok, f"mu err={mu_err:.2e}, sum err={sum_err:.2e}, "
-                  f"runtime={elapsed:.2f}s")
+    detail = f"mu err={mu_err:.2e}, sum err={sum_err:.2e}"
+    if elapsed >= 10.0:
+        detail += f", runtime={elapsed:.2f}s, not under 10s"
+    report(2, mu_err < 1e-6 and sum_err < 1e-6 and elapsed < 10.0, detail)
 
 
 def test_criterion_03_solver_lloyd_cross_validation(acceptance3_reports):

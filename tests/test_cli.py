@@ -768,12 +768,15 @@ class TestTypedInputErrors:
          "domain endpoints must be finite"),
         (("static-alloc", "--domain", "0,100", "--n", "0", "--r", "250",
           "--density", GAUSS), "n_agents must be >= 1"),
+        (("static-alloc", "--domain", "0,100", "--n", "5", "--r", "250",
+          "--density", "uniform"),
+         "density must declare exactly one free parameter"),
         (("shift-check", "--domain", "0,100", "--n", "5", "--mu", "50",
           "--sigma2", "4", "--delta", "2", "--tol", "0"),
          "tol must be positive, got 0.0"),
     ], ids=["cvt-n-zero", "cvt-tol-zero", "cvt-max-iter-negative",
             "cvt-domain-reversed", "cvt-domain-infinite", "static-n-zero",
-            "shift-tol-zero"])
+            "static-no-free-parameter", "shift-tol-zero"])
     def test_exits_one_with_one_error_line(self, tmp_path, capsys, argv,
                                            message):
         out = ("--out", str(tmp_path)) if argv[0] != "shift-check" else ()

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from test_golden import SHIPPED, TRACE_RUNS, fleet_config
+from test_thermal import assert_same_bits, exponential, oracle_step, strided_model
 
 from cvtalloc import dynamic_alloc as dyn
 from cvtalloc import sim
@@ -175,7 +176,7 @@ class TestRun:
             for k in range(sc.horizon):
                 x, y = th.step_plant(x, trace.applied_power[k][i],
                                      st.disturbances[k], dm)
-                assert y == pytest.approx(trace.temp_F[k][i], abs=1e-9)
+                assert y == trace.temp_F[k][i]
 
     def test_line_graph_every_step(self):
         from cvtalloc import dynamic_alloc as dyn
@@ -387,6 +388,41 @@ class TestStackedSetUp:
             assert np.array_equal(getattr(st.gains, name), getattr(g, name))
         assert np.array_equal(st.setpoints[0], setpoints)
         assert np.array_equal(st.X, X)
+
+
+class TestPlantStepOracle:
+    @pytest.mark.parametrize("label", list(TRACE_RUNS))
+    def test_every_agent_step_is_the_matmul_oracle(self, label, monkeypatch):
+        """Every step_plant call of the run, one per agent per step in agent
+        order, steps a contiguous copy of its agent's exponential blocks and
+        gives bit for bit the matmul expression on strided views of them."""
+        calls = []
+        plant = th.step_plant
+
+        def spy(x, u, w, dm):
+            x_next, y = plant(x, u, w, dm)
+            calls.append((x.copy(), u, w.copy(), dm, x_next, y))
+            return x_next, y
+
+        monkeypatch.setattr(th, "step_plant", spy)
+        sc = sim.Scenario.from_config(TRACE_RUNS[label]())
+        sim.run(sc)
+        params = th.ThermalParams.stack(
+            th.sample_parameters(sc.seed * 100_003 + i)
+            for i in range(sc.n_agents))
+        phi = exponential(th.build_continuous_model(params), sc.ts_minutes)
+        views = [strided_model(p, sc.ts_minutes) for p in phi]
+        assert len(calls) == sc.horizon * sc.n_agents
+        for c, (x, u, w, dm, x_next, y) in enumerate(calls):
+            oracle = views[c % sc.n_agents]
+            assert isinstance(u, float)
+            for block, view in ((dm.Ad, oracle.Ad), (dm.Bd, oracle.Bd),
+                                (dm.Gd, oracle.Gd)):
+                assert block.flags.c_contiguous
+                assert_same_bits(block, view)
+            want = oracle_step(x, u, w, oracle)
+            assert_same_bits(x_next, want)
+            assert y == float(want[0])
 
 
 def unique_coverage(t):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from cvtalloc import thermal as th
 from cvtalloc.errors import NonHurwitz, Uncontrollable
@@ -209,6 +210,86 @@ class TestDesiredPowerAndEquilibrium:
             u = th.desired_power(g, x, 72.0, w)
             x, y = th.step_plant(x, u, w, dm)
         assert y == pytest.approx(72.0, abs=1e-6)
+
+
+def exponential(m, ts_minutes=th.DEFAULT_TS_MINUTES):
+    """The augmented zero-order-hold exponential of one agent's model, or
+    of a fleet's stacked by agent, whose blocks discretize_zoh returns."""
+    inputs = np.concatenate([m.B, m.G], axis=-1)
+    n, p = m.A.shape[-1], inputs.shape[-1]
+    aug = np.zeros(m.A.shape[:-2] + (n + p, n + p))
+    aug[..., :n, :n] = m.A
+    aug[..., :n, n:] = inputs
+    return expm(aug * (ts_minutes * 60.0))
+
+
+def strided_model(phi, ts_minutes=th.DEFAULT_TS_MINUTES):
+    """One agent's Ad, Bd and Gd as strided views of its exponential phi."""
+    return th.DiscreteModel(Ad=phi[:3, :3], Bd=phi[:3, 3:4], Gd=phi[:3, 4:],
+                            Ts=ts_minutes)
+
+
+def oracle_step(x, u, w, dm):
+    """The plant step as the matmul expression ``Ad @ x + Bd u + Gd @ w``:
+    the oracle of step_plant's ``dot`` calls, applied to strided views."""
+    return dm.Ad @ x + dm.Bd[:, 0] * u + dm.Gd @ w
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestPlantStepOracle:
+    """step_plant's ``dot`` on contiguous blocks gives bit for bit the
+    matmul expression on strided views of the exponential."""
+
+    @pytest.mark.parametrize("n", [None, 1, 15, 240])
+    def test_blocks_are_contiguous_copies(self, n):
+        params = (ThermalParams.means() if n is None else ThermalParams.stack(
+            [th.sample_parameters(seed) for seed in range(n)]))
+        m = th.build_continuous_model(params)
+        dm = th.discretize_zoh(m)
+        phi = exponential(m)
+        for block, view in ((dm.Ad, phi[..., :3, :3]),
+                            (dm.Bd, phi[..., :3, 3:4]),
+                            (dm.Gd, phi[..., :3, 4:])):
+            assert block.flags.c_contiguous
+            assert not np.shares_memory(block, phi)
+            assert_same_bits(block, view)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        m = th.build_continuous_model(th.sample_parameters(seed))
+        dm = th.discretize_zoh(m)
+        views = strided_model(exponential(m))
+        assert not views.Ad.flags.c_contiguous
+        powers = np.concatenate([rng.uniform(-5000.0, 5000.0, 40),
+                                 [0.0, -0.0, -1e-300, 1e-300, -7e5, 7e5]])
+        for u in powers.tolist():
+            x = rng.uniform(40.0, 100.0, 3)
+            w = rng.uniform([40.0, 0.0], [110.0, 900.0])
+            # Non-contiguous x (every other entry) and disturbances far
+            # outside the weather's range.
+            strided_x = np.repeat(x, 2)[::2]
+            huge_w = w * rng.choice([-1e6, 1e6], 2)
+            for xi, wi in ((x, w), (strided_x, w), (x, huge_w),
+                           (x.tolist(), w)):
+                want = oracle_step(np.asarray(xi), u, wi, views)
+                for model in (dm, views):
+                    got, y = th.step_plant(xi, u, wi, model)
+                    assert_same_bits(got, want)
+                    assert y == float(want[0]) and isinstance(y, float)
+
+    def test_inputs_are_not_written(self, dm):
+        x, w = np.array([70.0, 71.0, 72.0]), np.array([85.0, 300.0])
+        before = x.copy(), w.copy()
+        x_next, _ = th.step_plant(x, 1500.0, w, dm)
+        assert not np.shares_memory(x_next, x)
+        assert_same_bits(x, before[0])
+        assert_same_bits(w, before[1])
 
 
 class TestDisturbances:
