@@ -9,8 +9,8 @@ Subcommands::
     shift-check  Verify the Gaussian mean-shift translation property of the
                  tessellation.
     dynamic-sim  Run a demand-response scenario, its seed overridden by
-                 --seed; write trace.csv, swaps.csv, metrics.json, plot data
-                 files and, on request, a diagnostics JSON.
+                 --seed; write its trace, swaps, metrics and plot data files
+                 (sim.write_outputs) and, on request, a diagnostics JSON.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 solver failure (a
 failed shift check, a cvt run that stopped on its iteration budget, or a
@@ -244,15 +244,7 @@ def _cmd_dynamic_sim(args) -> int:
     t0 = time.perf_counter()
     trace = sim.run(sc)
     t1 = time.perf_counter()
-    report = sim.metrics(trace)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    trace.write_trace_csv(out / "trace.csv")
-    trace.write_swaps_csv(out / "swaps.csv")
-    with open(out / "metrics.json", "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-    trace.write_plot_data(out)
+    report = sim.write_outputs(trace, Path(args.out))
     if args.diagnostics is not None:
         # run_s covers the initial static solve, the fleet build and every
         # step (initialize_s the first two); write_s the metrics and the

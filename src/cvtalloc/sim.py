@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -28,8 +28,8 @@ from .dynamic_alloc import AllocationState
 from .errors import InvalidScenario, Uncontrollable
 from .tessellation import Domain1D
 
-__all__ = ["Scenario", "SimState", "TraceLog", "MetricsReport",
-           "initialize", "step", "run", "metrics", "diagnostics"]
+__all__ = ["Scenario", "SimState", "TraceLog", "MetricsReport", "initialize",
+           "step", "run", "metrics", "diagnostics", "write_outputs"]
 
 _FMT = "%.15g"  # numeric CSV formatting, 15 significant digits
 # The parts of a step whose wall time TraceLog.phase_s sums.
@@ -196,19 +196,23 @@ def _signed(text: str, values: np.ndarray) -> str:
                      for v, neg in zip(text.split(","), negative.tolist())])
 
 
+def _applied(desired, z):
+    """z with the controller's sign: + where desired >= 0, - elsewhere."""
+    return np.where(desired >= 0, 1.0, -1.0) * z
+
+
 @dataclass
 class TraceLog:
-    """Columnar trace with one entry per step in every column.
+    """Columnar trace of what each step decides, one entry per step.
 
-    ``z``, ``desired_abs``, ``applied_power``, ``temp_F`` and ``setpoints``
-    hold one (N,) array per step, indexed by agent, and ``order`` each
-    step's line graph, its ``AllocationState.order``; ``r``, ``sum_z`` and
-    ``constraint_error`` one float per step; ``swaps`` one (S, 4) array per
-    step, a row per swap in execution order: proposer, target and their
-    resources before the round, agent ids stored as floats.  ``phase_s``
-    sums the wall seconds of each step phase and ``initialize_s`` those of
-    :func:`initialize` in :func:`run`; only :func:`diagnostics` reads them,
-    never the deterministic files.
+    ``z``, the signed ``desired``, ``temp_F`` and ``setpoints`` hold one
+    (N,) array per step, indexed by agent, ``order`` each step's line graph,
+    ``r`` one float and ``swaps`` one (S, 4) array per step, a row per swap
+    in execution order: proposer, target and their resources before the
+    round, agent ids stored as floats; the four properties below stack what
+    they derive from these on each read.  ``phase_s`` sums the wall seconds of
+    each step phase and ``initialize_s`` those of :func:`initialize` in
+    :func:`run`; only :func:`diagnostics` reads them, not the output files.
 
     Its three writers format each value of ``z``, ``applied_power`` and
     ``temp_F`` through one memo, :meth:`rows`, so each is formatted once.
@@ -216,18 +220,20 @@ class TraceLog:
 
     n_agents: int
     z: list = field(default_factory=list)
-    desired_abs: list = field(default_factory=list)
-    applied_power: list = field(default_factory=list)
+    desired: list = field(default_factory=list)
     temp_F: list = field(default_factory=list)
     setpoints: list = field(default_factory=list)
     order: list = field(default_factory=list)
     r: list = field(default_factory=list)
-    sum_z: list = field(default_factory=list)
-    constraint_error: list = field(default_factory=list)
     swaps: list = field(default_factory=list)
     phase_s: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
     initialize_s: float = 0.0
     _memo: tuple = field(default=(-1,), init=False, repr=False, compare=False)
+
+    desired_abs = property(lambda t: np.abs(t.desired))
+    applied_power = property(lambda t: _applied(np.asarray(t.desired), t.z))
+    sum_z = property(lambda t: _left_sum(np.reshape(t.z, (-1, t.n_agents))))
+    constraint_error = property(lambda t: np.abs(t.sum_z - t.r))
 
     def rows(self) -> tuple:
         """(z, applied_power, temp_F) text: one comma-joined ``_FMT`` string
@@ -313,14 +319,8 @@ class MetricsReport:
     total_swaps: int
 
     def to_dict(self) -> dict:
-        return {
-            "l2_power_error": self.l2_power_error,
-            "mean_swaps_per_agent": self.mean_swaps_per_agent,
-            "neighbor_coverage": {str(i): v
-                                  for i, v in enumerate(self.neighbor_coverage)},
-            "temperature_rms_error": self.temperature_rms_error,
-            "total_swaps": self.total_swaps,
-        }
+        return {**asdict(self), "neighbor_coverage": {
+            str(i): v for i, v in enumerate(self.neighbor_coverage)}}
 
 
 def _build_disturbances(sc: Scenario) -> np.ndarray:
@@ -390,14 +390,16 @@ def _step_plants(X, applied, w, models) -> np.ndarray:
 
 def step(st: SimState, k: int, trace: TraceLog) -> SimState:
     """Advance one time step; replaces the state's arrays and returns st.
-    A step k outside [0, horizon), or a trace for another number of
-    agents, raises ValueError before anything changes."""
+    A step k outside [0, horizon) or other than the trace's next, or a
+    trace of another fleet size, raises ValueError before anything changes."""
     sc = st.scenario
     if not 0 <= k < sc.horizon:
         raise ValueError(f"step {k} outside [0, {sc.horizon})")
     if trace.n_agents != sc.n_agents:
         raise ValueError(f"a trace of {trace.n_agents} agents cannot record "
                          f"a fleet of {sc.n_agents}")
+    if k != len(trace.r):
+        raise ValueError(f"step {k} is not the trace's next, {len(trace.r)}")
     t0 = time.perf_counter()
 
     # Phase 1: shift resources to the new total.
@@ -426,20 +428,16 @@ def step(st: SimState, k: int, trace: TraceLog) -> SimState:
     t3 = time.perf_counter()
 
     # Phase 4: apply the allocated magnitude with the controller's sign.
-    applied = np.where(desired >= 0, 1.0, -1.0) * alloc.resources
+    applied = _applied(desired, alloc.resources)
     st.X = _step_plants(st.X, applied, w, st.models)
     t4 = time.perf_counter()
 
-    sum_z = float(_left_sum(alloc.resources))
     trace.z.append(alloc.resources)
-    trace.desired_abs.append(desired_abs)
-    trace.applied_power.append(applied)
+    trace.desired.append(desired)
     trace.temp_F.append(st.X[:, 0].copy())
     trace.setpoints.append(setpoints)
     trace.order.append(alloc.order)
     trace.r.append(r_new)
-    trace.sum_z.append(sum_z)
-    trace.constraint_error.append(abs(sum_z - r_new))
     trace.swaps.append(swaps[0] if len(swaps) == 1 else np.concatenate(swaps))
     phase_s = trace.phase_s
     phase_s["shift"] += t1 - t0
@@ -486,7 +484,7 @@ def metrics(t: TraceLog) -> MetricsReport:
     temperature regulation quality."""
     if not t.r:
         raise ValueError("empty trace")
-    l2 = math.sqrt(_sum_of_squares(np.asarray(t.constraint_error)))
+    l2 = math.sqrt(_sum_of_squares(t.constraint_error))
     total_swaps = sum(len(s) for s in t.swaps)
     mean_swaps = 2 * total_swaps / t.n_agents
 
@@ -527,6 +525,18 @@ def diagnostics(t: TraceLog, domain: Domain1D) -> dict:
         "phase_s": dict(t.phase_s),
         "swaps_per_step": swaps,
         "total_swaps": sum(swaps),
-        "max_constraint_error": max(t.constraint_error),
+        "max_constraint_error": float(t.constraint_error.max()),
         "outside_domain_per_step": np.count_nonzero(~inside, axis=1).tolist(),
     }
+
+
+def write_outputs(trace: TraceLog, out) -> MetricsReport:
+    """Write the six ``dynamic-sim`` files in ``out``; returns the metrics."""
+    report = metrics(trace)
+    out.mkdir(parents=True, exist_ok=True)
+    trace.write_trace_csv(out / "trace.csv")
+    trace.write_swaps_csv(out / "swaps.csv")
+    with open(out / "metrics.json", "w") as fh:
+        json.dump(report.to_dict(), fh, indent=2)
+    trace.write_plot_data(out)
+    return report

@@ -344,7 +344,10 @@ def load_disturbance_csv(path, horizon: int,
         raise invalid(f"not UTF-8 text ({exc})") from exc
     if not any(line.strip() for line in lines):
         raise invalid("the file is empty")
-    data = np.genfromtxt(lines, delimiter=",", names=True, ndmin=1)
+    try:
+        data = np.genfromtxt(lines, delimiter=",", names=True, ndmin=1)
+    except ValueError as exc:   # a row with the wrong number of cells
+        raise invalid(" ".join(str(exc).split())) from exc
     columns = ("time_min", "outdoor_temp_F", "solar_radiation_W")
     missing = [c for c in columns if c not in data.dtype.names]
     if missing:

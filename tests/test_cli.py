@@ -28,7 +28,8 @@ def run_cli(*argv):
 
 def assert_disturbance_error(tmp_path, capsys, text):
     """dynamic-sim on the shipped scenario, 10 steps, with a disturbance CSV
-    holding text: exit 1 and an error naming disturbance and the path."""
+    holding text: exit 1 and one error line naming disturbance and the
+    path."""
     csv_path = tmp_path / "weather.csv"
     csv_path.write_text(text)
     cfg = json.loads(SHIPPED.read_text())
@@ -40,6 +41,7 @@ def assert_disturbance_error(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert rc == cli.EXIT_USAGE
     assert err.startswith("error: disturbance") and str(csv_path) in err
+    assert err.count("\n") == 1
     assert not (tmp_path / "x").exists()
 
 
@@ -491,8 +493,10 @@ class TestDynamicSim:
         "time_min,outdoor_temp_F,solar_radiation_W\n"
         "0,70,0\n1440,75,0\n600,90,100\n",
         "time_min,outdoor_temp_F,solar_radiation_W\n0,70,0\n0,75,0\n",
+        "time_min,outdoor_temp_F,solar_radiation_W\n"
+        "0,70,0\n600,90\n1430,80,5,7\n",
     ], ids=["empty", "header-only", "one-row", "missing-column", "unsorted",
-            "repeated-time"])
+            "repeated-time", "ragged"])
     def test_malformed_disturbance_csv_exits_one(self, tmp_path, capsys,
                                                  text):
         assert_disturbance_error(tmp_path, capsys, text)

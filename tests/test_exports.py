@@ -35,7 +35,8 @@ SUBMODULE_EXPORTS = {
         "shifted_mean", "verify_shift_property"},
     "errors": None,
     "sim": {"MetricsReport", "Scenario", "SimState", "TraceLog",
-            "diagnostics", "initialize", "metrics", "run", "step"},
+            "diagnostics", "initialize", "metrics", "run", "step",
+            "write_outputs"},
     "static_alloc": {"CrossValidationReport", "StaticProblem",
                      "StaticSolution", "cross_validate", "residual", "solve"},
     "tessellation": {"Domain1D", "Tessellation", "default_init", "energy_K",

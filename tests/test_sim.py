@@ -192,13 +192,16 @@ class TestStepRefusal:
     """A step that cannot be taken raises ValueError before anything
     changes: the state, its arrays and the trace stay as they were."""
 
+    STORED = ("z", "desired", "temp_F", "setpoints", "order", "r", "swaps")
+
     def assert_refused(self, st, k, trace, match):
         alloc, X = st.alloc, st.X.copy()
+        steps, phase_s = len(trace.r), dict(trace.phase_s)
         with pytest.raises(ValueError, match=match):
             sim.step(st, k, trace)
         assert st.alloc is alloc and np.array_equal(st.X, X)
-        assert trace.r == [] and trace.z == [] and trace.swaps == []
-        assert set(trace.phase_s.values()) == {0.0}
+        assert [len(getattr(trace, c)) for c in self.STORED] == [steps] * 7
+        assert trace.phase_s == phase_s
 
     @pytest.mark.parametrize("k", [-1, -200, 20])
     def test_step_outside_the_horizon(self, k):
@@ -210,6 +213,19 @@ class TestStepRefusal:
         st = sim.initialize(small_scenario())
         self.assert_refused(st, 0, sim.TraceLog(n_agents=3),
                             "trace of 3 agents cannot record a fleet of 5")
+
+    @pytest.mark.parametrize("taken, k", [(0, 1), (1, 0), (3, 2), (3, 19)],
+                             ids=["ahead-on-fresh", "repeated", "behind",
+                                  "last-out-of-turn"])
+    def test_step_other_than_the_next(self, taken, k):
+        # trace.csv numbers its rows by position, so a step taken out of
+        # turn would be written under another step's number.
+        st = sim.initialize(small_scenario())
+        trace = sim.TraceLog(n_agents=5)
+        for j in range(taken):
+            sim.step(st, j, trace)
+        self.assert_refused(st, k, trace,
+                            f"step {k} is not the trace's next, {taken}")
 
 
 def incremental_setpoints(sc):
@@ -440,8 +456,8 @@ def order_trace(orders):
     other column that metrics reads."""
     steps, n = orders.shape
     t = sim.TraceLog(n_agents=n, order=list(orders))
-    t.r = t.constraint_error = [0.0] * steps
-    t.temp_F = t.setpoints = list(np.zeros((steps, n)))
+    t.r = [0.0] * steps
+    t.z = t.temp_F = t.setpoints = list(np.zeros((steps, n)))
     return t
 
 
@@ -468,16 +484,14 @@ class TestMetrics:
 
     def test_zero_swap_run(self):
         trace = sim.TraceLog(n_agents=3)
-        trace.r.append(1.0)
-        trace.sum_z.append(1.0)
-        trace.constraint_error.append(0.0)
+        trace.r.append(6.0)
         trace.setpoints.append(np.array([72.0, 72.0, 72.0]))
         trace.z.append(np.array([1.0, 2.0, 3.0]))
         trace.order.append(np.array([0, 1, 2]))
-        trace.desired_abs.append(np.ones(3))
-        trace.applied_power.append(np.ones(3))
+        trace.desired.append(np.ones(3))
         trace.temp_F.append(np.full(3, 72.0))
         report = sim.metrics(trace)
+        assert report.l2_power_error == 0.0
         assert report.mean_swaps_per_agent == 0.0
         assert report.total_swaps == 0
         assert report.temperature_rms_error == 0.0

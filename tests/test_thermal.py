@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from cvtalloc import thermal as th
-from cvtalloc.errors import NonHurwitz, Uncontrollable
+from cvtalloc.errors import InvalidScenario, NonHurwitz, Uncontrollable
 from cvtalloc.thermal import ThermalParams
 
 
@@ -314,3 +314,16 @@ class TestDisturbances:
         w = th.load_disturbance_csv(path, 10)
         np.testing.assert_allclose(w[:, 0], 70.0 + np.arange(10))
         np.testing.assert_allclose(w[:, 1], 50.0 * np.arange(10))
+
+    def test_ragged_csv_names_disturbance_the_path_and_the_rows(self,
+                                                                tmp_path):
+        path = tmp_path / "weather.csv"
+        path.write_text("time_min,outdoor_temp_F,solar_radiation_W\n"
+                        "0,70,0\n600,90\n1430,80,5,7\n")
+        with pytest.raises(InvalidScenario) as exc:
+            th.load_disturbance_csv(path, 3)
+        message = str(exc.value)
+        assert message.startswith(f"disturbance {str(path)!r}: ")
+        assert "Line #3 (got 2 columns instead of 3)" in message
+        assert "Line #4 (got 4 columns instead of 3)" in message
+        assert "\n" not in message

@@ -1,4 +1,5 @@
-"""The six ``dynamic-sim`` files against per-file writers, byte for byte.
+"""The six ``dynamic-sim`` files against per-file writers, byte for byte,
+and the trace's derived columns against the values a step computes.
 
 ``TraceLog.rows`` formats each z, applied-power and temperature value once
 and every file reads that text; the oracle writers below format each value
@@ -12,10 +13,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_golden import SHIPPED, fleet_config
+from test_golden import SHIPPED, TRACE_RUNS, fleet_config
 from test_sim import small_scenario
 
-from cvtalloc import cli, sim
+from cvtalloc import sim
 from cvtalloc.dynamic_alloc import rebuild_line_graph
 
 FMT = "%.15g"
@@ -31,15 +32,17 @@ def left_to_right(values) -> float:
 
 
 def oracle_trace_csv(t, path):
+    desired_abs, applied_power = t.desired_abs, t.applied_power
+    sum_z, constraint_error = t.sum_z, t.constraint_error
     with open(path, "w", newline="") as fh:
         fh.write("step,agent,z,desired_abs,applied_power,temp_F,"
                  "sum_z,r,constraint_error\n")
         for k in range(len(t.r)):
             tail = ",".join(FMT % v for v in
-                            (t.sum_z[k], t.r[k], t.constraint_error[k]))
+                            (sum_z[k], t.r[k], constraint_error[k]))
             for i in range(t.n_agents):
-                cols = (t.z[k][i], t.desired_abs[k][i],
-                        t.applied_power[k][i], t.temp_F[k][i])
+                cols = (t.z[k][i], desired_abs[k][i],
+                        applied_power[k][i], t.temp_F[k][i])
                 fh.write(f"{k},{i}," + ",".join(FMT % float(v) for v in cols)
                          + f",{tail}\n")
 
@@ -80,17 +83,6 @@ def oracle_metrics(t) -> dict:
             "temperature_rms_error": rms}
 
 
-def write_files(t, out):
-    """The six files as ``dynamic-sim`` writes them."""
-    out.mkdir()
-    report = sim.metrics(t)
-    t.write_trace_csv(out / "trace.csv")
-    t.write_swaps_csv(out / "swaps.csv")
-    with open(out / "metrics.json", "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-    cli._write_plot_data(t, out)
-
-
 def write_oracle_files(t, out):
     out.mkdir()
     oracle_trace_csv(t, out / "trace.csv")
@@ -101,7 +93,7 @@ def write_oracle_files(t, out):
 
 
 def assert_same_files(t, tmp_path):
-    write_files(t, tmp_path / "memo")
+    sim.write_outputs(t, tmp_path / "memo")
     write_oracle_files(t, tmp_path / "oracle")
     for name in FILES:
         assert ((tmp_path / "memo" / name).read_bytes()
@@ -109,27 +101,27 @@ def assert_same_files(t, tmp_path):
 
 
 def signed_trace() -> sim.TraceLog:
-    """Four steps of four agents: negative resources, ±0, ±inf and NaN, every
-    sign pattern of applied power, swaps from each step's own resources
-    (±0 among them), and one step without swaps."""
+    """Four steps of four agents: negative resources, ±0, ±inf and NaN in
+    both z and desired, every sign pattern of applied power (a desired -0
+    gives +, NaN gives -), swaps from each step's own resources (±0 among
+    them), and one step without swaps."""
     z = [np.array([-30.4, -0.0, 0.0, 2999.999999999]),
          np.array([np.inf, -np.inf, 1.5, -2.25]),
          np.array([np.nan, -np.nan, -1.0, 0.1]),
          np.array([1e-300, 3.0, 7e22, 1.0 / 3.0])]
-    signs = [np.array([1.0, -1.0, 1.0, -1.0]), -np.ones(4),
-             np.array([-1.0, -1.0, 1.0, 1.0]), np.ones(4)]
+    desired = [np.array([0.5, -1e-17, -0.0, -12345.678]),
+               np.array([-1.5, -np.inf, -1.0, -12346.678]),
+               np.array([np.nan, -2.5, 2.0, 12347.678]),
+               np.array([0.0, np.inf, 3.0, 12348.678])]
     picks = [[(0, 1), (2, 1), (3, 2)], [], [(1, 0), (0, 3)], [(2, 3)]]
     t = sim.TraceLog(n_agents=4)
-    for k, (zk, sk, pk) in enumerate(zip(z, signs, picks)):
+    for k, (zk, dk, pk) in enumerate(zip(z, desired, picks)):
         t.z.append(zk)
-        t.desired_abs.append(np.array([0.5, 1e-17, -0.0, 12345.678]) + k)
-        t.applied_power.append(sk * zk)
+        t.desired.append(dk)
         t.temp_F.append(np.array([71.5, 72.0, -3.25, 1e16]) - k)
         t.setpoints.append(np.full(4, 72.0))
         t.order.append(rebuild_line_graph(zk))
         t.r.append(4000.0 + k)
-        t.sum_z.append(4000.0 + k + 1e-9)
-        t.constraint_error.append(abs(0.1 * k))
         pairs = np.array(pk, dtype=float).reshape(-1, 2)
         before = zk[pairs.astype(int)]
         t.swaps.append(np.concatenate([pairs, before], axis=1))
@@ -149,7 +141,9 @@ def test_signed_and_non_finite_values_match_per_file_writers(tmp_path):
     assert z_rows[0] == "-30.4,-0,0,2999.999999999"
     assert power_rows[1] == "-inf,inf,-1.5,2.25"
     assert (z_rows[2], power_rows[2]) == ("nan,nan,-1,0.1", "nan,nan,-1,0.1")
-    assert_same_files(t, tmp_path)
+    # Step 1's +inf and -inf sum to NaN, which NumPy flags as invalid.
+    with np.errstate(invalid="ignore"):
+        assert_same_files(t, tmp_path)
 
 
 def test_one_agent_run_matches_per_file_writers(tmp_path):
@@ -181,14 +175,12 @@ def wide_trace(n=240, steps=40, seed=11) -> sim.TraceLog:
     for k in range(steps):
         z = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6, n)
         t.z.append(z)
-        t.desired_abs.append(np.abs(rng.normal(size=n)))
-        t.applied_power.append(np.where(rng.random(n) < 0.5, -1.0, 1.0) * z)
+        magnitude = np.abs(rng.normal(size=n))
+        t.desired.append(np.where(rng.random(n) < 0.5, -1.0, 1.0) * magnitude)
         t.temp_F.append(72.0 + rng.normal(size=n) * 10.0 ** rng.integers(-6, 3, n))
         t.setpoints.append(np.full(n, 72.0))
         t.order.append(rebuild_line_graph(z))
         t.r.append(float(np.abs(z).sum()))
-        t.sum_z.append(float(z.sum()))
-        t.constraint_error.append(float(rng.random()))
         pairs = rng.integers(0, n, (k % 5 * 30, 2)).astype(float)
         t.swaps.append(np.concatenate([pairs, z[pairs.astype(int)]], axis=1))
     return t
@@ -217,6 +209,40 @@ def test_sum_z_is_the_python_sum(config):
     t = sim.run(sim.Scenario.from_config(config()))
     for z, sum_z in zip(t.z, t.sum_z):
         assert sum_z.hex() == sim._left_sum(z).hex() == float(sum(z)).hex()
+
+
+def stepwise_columns(t) -> dict:
+    """The four derived columns as a step computed and appended them before
+    the trace derived them: one step at a time, from its z, desired and r.
+    The sum is the step's ``_left_sum`` of one row, not ``sum(z)``, which
+    keeps the other operand's NaN when two NaNs meet."""
+    columns = {"desired_abs": [], "applied_power": [], "sum_z": [],
+               "constraint_error": []}
+    for z, desired, r in zip(t.z, t.desired, t.r):
+        sum_z = float(sim._left_sum(z))
+        columns["desired_abs"].append(np.abs(desired))
+        columns["applied_power"].append(np.where(desired >= 0, 1.0, -1.0) * z)
+        columns["sum_z"].append(sum_z)
+        columns["constraint_error"].append(abs(sum_z - r))
+    return columns
+
+
+@pytest.mark.parametrize("trace", [
+    *(lambda config=config: sim.run(sim.Scenario.from_config(config()))
+      for config in TRACE_RUNS.values()),
+    signed_trace,
+], ids=[*TRACE_RUNS, "signed"])
+def test_derived_columns_are_the_stepwise_values(trace):
+    # Bit for bit, NaN payloads and signs of zero included; the signed
+    # trace's +inf and -inf in one step sum to NaN, which NumPy flags.
+    t = trace()
+    with np.errstate(invalid="ignore"):
+        columns = {name: (getattr(t, name), want)
+                   for name, want in stepwise_columns(t).items()}
+    for name, (got, want) in columns.items():
+        assert got.shape == np.shape(want), name
+        assert np.array_equal(got.view(np.int64),
+                              np.asarray(want).view(np.int64)), name
 
 
 @pytest.mark.parametrize("z", [[-0.0], [-0.0] * 240, [-0.0, 0.0],
