@@ -20,7 +20,7 @@ from .dynamic_alloc import (
 )
 from .sim import MetricsReport, Scenario, TraceLog, metrics, run
 from .static_alloc import StaticProblem, StaticSolution, cross_validate, solve
-from .tessellation import Domain1D, Tessellation, energy_K, is_cvt, lloyd
+from .tessellation import Domain1D, Tessellation, energy_K, lloyd
 from .thermal import (
     ControllerGains,
     ThermalParams,
@@ -35,7 +35,7 @@ __all__ = [
     "density", "tessellation", "static_alloc", "dynamic_alloc", "thermal",
     "sim", "errors",
     "DensitySpec", "bind_free_parameter",
-    "Domain1D", "Tessellation", "lloyd", "energy_K", "is_cvt",
+    "Domain1D", "Tessellation", "lloyd", "energy_K",
     "StaticProblem", "StaticSolution", "solve", "cross_validate",
     "AllocationState", "one_step_update",
     "shifted_mean", "verify_shift_property", "rebuild_line_graph",

@@ -32,7 +32,7 @@ from . import dynamic_alloc as dyn
 from . import sim
 from . import static_alloc as sa
 from . import tessellation as tess
-from .density import DensitySpec
+from .density import DensitySpec, _unique_keys
 from .errors import (CvtAllocError, InvalidParameterValue, InvalidScenario,
                      SolverDiverged)
 from .sim import _FMT
@@ -52,7 +52,7 @@ def _parse_density(text: str, dom: Domain1D) -> DensitySpec:
     if text.strip().lower() == "uniform":
         return DensitySpec("uniform", {"a": dom.a, "b": dom.b})
     try:
-        spec = json.loads(text)
+        spec = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InvalidParameterValue(
             f"--density: neither 'uniform' nor JSON ({exc})") from exc
@@ -202,10 +202,9 @@ def _cmd_static_alloc(args) -> int:
     if args.csv:
         with open(out / "allocation.csv", "w", newline="") as fh:
             fh.write("i,z_i,cell_lo,cell_hi\n")
-            t = tess.voronoi_regions(sol.centroids, problem.domain)
-            for i, z in enumerate(t.generators):
-                fh.write(f"{i},{_FMT % z},{_FMT % t.boundaries[i]},"
-                         f"{_FMT % t.boundaries[i + 1]}\n")
+            m = tess.voronoi_regions(sol.centroids, problem.domain)
+            for i, z in enumerate(sol.centroids):
+                fh.write(f"{i},{_FMT % z},{_FMT % m[i]},{_FMT % m[i + 1]}\n")
     print(json.dumps(payload))
     return EXIT_OK
 
@@ -271,7 +270,7 @@ def main(argv=None) -> int:
     except SolverDiverged as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (CvtAllocError, ValueError, OSError, KeyError) as exc:
+    except (CvtAllocError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

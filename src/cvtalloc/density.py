@@ -36,7 +36,7 @@ _FAMILY_PARAMS = {
     "gamma": ("k", "theta"),
 }
 
-# Accepted aliases when parsing config dictionaries.
+# Accepted aliases of the canonical names, in params and free_param alike.
 _PARAM_ALIASES = {"lambda": "lam", "rate": "lam", "variance": "sigma2"}
 
 _SQRT2 = math.sqrt(2.0)
@@ -83,16 +83,26 @@ class DensitySpec:
     free_param: str | None = None
 
     def __post_init__(self):
-        fam = self.family.lower()
+        fam = self.family.lower() if isinstance(self.family, str) else None
         if fam not in _FAMILY_PARAMS:
             raise InvalidParameterValue(f"unknown density family {self.family!r}")
         object.__setattr__(self, "family", fam)
         names = _FAMILY_PARAMS[fam]
+        spelled = {}  # each canonical name taken, and the key that took it
+
+        def canonical(key):
+            name = _PARAM_ALIASES.get(key, key)
+            if name not in names:
+                raise InvalidParameterValue(f"{fam} has no parameter {key!r}")
+            if name in spelled:
+                raise InvalidParameterValue(
+                    f"{fam} parameter {name!r} is named twice, as "
+                    f"{spelled[name]!r} and {key!r}")
+            spelled[name] = key
+            return name
         clean = {}
         for key, value in self.params.items():
-            key = _PARAM_ALIASES.get(key, key)
-            if key not in names:
-                raise InvalidParameterValue(f"{fam} has no parameter {key!r}")
+            key = canonical(key)
             if (isinstance(value, bool)
                     or not isinstance(value, (int, float, np.integer, np.floating))
                     or not math.isfinite(value)):
@@ -100,11 +110,7 @@ class DensitySpec:
                     f"{fam} parameter {key!r} must be a finite number, got {value!r}")
             clean[key] = float(value)
         if self.free_param is not None:
-            free = _PARAM_ALIASES.get(self.free_param, self.free_param)
-            if free not in names:
-                raise InvalidParameterValue(f"{fam} has no parameter {free!r}")
-            object.__setattr__(self, "free_param", free)
-            clean.pop(free, None)
+            object.__setattr__(self, "free_param", canonical(self.free_param))
         missing = [n for n in names if n not in clean and n != self.free_param]
         if missing:
             raise InvalidParameterValue(f"{fam} is missing parameters {missing}")
@@ -127,16 +133,15 @@ class DensitySpec:
         free = None
         params = {}
         for key, value in obj.items():
-            name = _PARAM_ALIASES.get(key, key)
             if isinstance(value, str):
                 if value.lower() != "free":
                     raise InvalidParameterValue(
                         f"parameter {key!r} must be a number or 'free', got {value!r}")
                 if free is not None:
                     raise InvalidParameterValue("at most one parameter may be free")
-                free = name
+                free = key
             else:
-                params[name] = value
+                params[key] = value
         return cls(family=family, params=params, free_param=free)
 
     # -- queries ---------------------------------------------------------
@@ -170,6 +175,17 @@ class DensitySpec:
         if k == 1.0:  # no singularity, pdf(0) finite
             out = np.where(x == 0, math.exp(logc), out)
         return out
+
+
+def _unique_keys(pairs: list) -> dict:
+    """json's object_pairs_hook for every config the package reads: a key
+    given twice raises InvalidParameterValue, where json keeps the last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InvalidParameterValue(f"JSON key {key!r} is given twice")
+        obj[key] = value
+    return obj
 
 
 def _require_bound(d: DensitySpec) -> None:
@@ -332,14 +348,13 @@ def mass_floor(width):
     return 1e-300 * np.minimum(np.maximum(width, 1.0), _FLOOR_WIDTH_CAP)
 
 
-def cell_centroids(d: DensitySpec, m, masses: bool = False):
+def cell_centroids(d: DensitySpec, m) -> np.ndarray:
     """Mass centroids m1 / m0 of the cells [m[i], m[i+1]] under d, for
     boundaries m, clamped into each cell against fp noise.  The package's
     one empty-cell rule: a cell of mass at most mass_floor of its width
-    raises EmptyCell naming the first one.  With masses=True, returns
-    (centroids, m0).  A (K, N+1) stack of boundaries gives (K, N) results,
-    each row the same bits as its own call, and an EmptyCell names the row
-    as well as the cell.
+    raises EmptyCell naming the first one.  A (K, N+1) stack of boundaries
+    gives (K, N) centroids, each row the same bits as its own call, and an
+    EmptyCell names the row as well as the cell.
 
     Analytic moments evaluate each boundary's terms once and difference
     them per cell, with the same values as interval_moments over each cell.
@@ -353,8 +368,7 @@ def cell_centroids(d: DensitySpec, m, masses: bool = False):
     # One errstate for the moments and the widths, which overflow or are
     # NaN only for cells with an infinite end.
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        c, m0 = _cell_centroids(d, m)
-    return (c, m0) if masses else c
+        return _cell_centroids(d, m)[0]
 
 
 def _cell_centroids(d: DensitySpec, m: np.ndarray) -> tuple:

@@ -23,15 +23,17 @@ import numpy as np
 from . import dynamic_alloc as dyn
 from . import static_alloc as sa
 from . import thermal as th
-from .density import DensitySpec
+from .density import DensitySpec, _unique_keys
 from .dynamic_alloc import AllocationState
-from .errors import InvalidScenario, Uncontrollable
+from .errors import InvalidParameterValue, InvalidScenario, Uncontrollable
 from .tessellation import Domain1D
 
 __all__ = ["Scenario", "SimState", "TraceLog", "MetricsReport", "initialize",
            "step", "run", "metrics", "diagnostics", "write_outputs"]
 
 _FMT = "%.15g"  # numeric CSV formatting, 15 significant digits
+# Absolute zero to far above any building's: squared errors stay finite.
+SETPOINT_RANGE_F = (-459.67, 1000.0)
 # The parts of a step whose wall time TraceLog.phase_s sums.
 PHASES = ("shift", "control", "negotiate", "plant", "trace")
 
@@ -109,17 +111,18 @@ class Scenario:
                     f"r(k)/N = {mean} outside domain ({self.domain.a}, {self.domain.b})")
         if self.setpoints and len(self.setpoints) != self.n_agents:
             raise InvalidScenario("setpoints must have one entry per agent")
-        if not all(math.isfinite(v) for v in self.setpoints):
-            raise InvalidScenario("setpoints must be finite numbers")
+        lo, hi = SETPOINT_RANGE_F
+        if not all(lo <= v <= hi for v in self.setpoints):
+            raise InvalidScenario(f"setpoints must lie in [{lo}, {hi}] degF")
         for when, agent, value in self.setpoint_changes:
             if not (0 <= when < self.horizon and 0 <= agent < self.n_agents):
                 raise InvalidScenario(
                     f"setpoint change at step {when} for agent {agent}: need "
                     f"step in [0, {self.horizon}) and agent in [0, {self.n_agents})")
-            if not math.isfinite(value):
+            if not lo <= value <= hi:
                 raise InvalidScenario(
                     f"setpoint_changes: the new setpoint at step {when} for "
-                    f"agent {agent} must be a finite number, got {value!r}")
+                    f"agent {agent} must lie in [{lo}, {hi}] degF, got {value!r}")
         if len(self.poles) != 3:
             raise InvalidScenario(
                 f"poles must have exactly three entries, one per plant "
@@ -162,8 +165,9 @@ class Scenario:
     def from_json(cls, path) -> "Scenario":
         try:
             with open(path, encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                obj = json.load(fh, object_pairs_hook=_unique_keys)
+        except (UnicodeDecodeError, json.JSONDecodeError,
+                InvalidParameterValue) as exc:
             raise InvalidScenario(f"config {str(path)!r}: {exc}") from exc
         return cls.from_config(obj)
 

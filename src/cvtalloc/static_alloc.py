@@ -83,8 +83,8 @@ class StaticProblem:
 class StaticSolution:
     """A solve's sorted centroids, free parameter v_k, final residual_norm,
     Newton iterations and residual_history (the 2-norm at each iterate).
-    It holds no cells or energy: ask tessellation.voronoi_regions for the
-    cells and tessellation.energy_K, at the bound v_k, for the energy."""
+    It holds no cells or energy: tessellation.voronoi_regions gives their
+    boundaries and tessellation.energy_K, at the bound v_k, the energy."""
 
     centroids: np.ndarray
     v_k: float
@@ -416,20 +416,19 @@ def _newton_step(u: np.ndarray, f: np.ndarray, m0: np.ndarray,
 
     Up to N_DENSE agents _fd_jacobian differences the whole matrix (2
     residual evaluations: one stack and the free-parameter column), which
-    is solved densely, by least squares if it is singular.  Above,
-    _banded_jacobian gives the band exactly and the column exactly for a
-    Gaussian free mu (0 evaluations) or by difference otherwise (1), the
-    constraint row is exact ones, and _bordered_step solves in O(N); a
-    system it cannot solve raises InvalidCandidate."""
+    is solved densely.  Above, _banded_jacobian gives the band exactly and
+    the column exactly for a Gaussian free mu (0 evaluations) or by
+    difference otherwise (1), the constraint row is exact ones, and
+    _bordered_step solves in O(N).  A system either path cannot solve
+    raises InvalidCandidate."""
     if p.n_agents > N_DENSE:
         band, col, evals = _banded_jacobian(u, f, m0, p)
         return _bordered_step(band, col, f), evals
     jac, evals = _fd_jacobian(u, f, p)
     try:
         return np.linalg.solve(jac, -f), evals
-    except np.linalg.LinAlgError:
-        logger.debug("singular matrix; least-squares step")
-        return np.linalg.lstsq(jac, -f, rcond=None)[0], evals
+    except np.linalg.LinAlgError as exc:
+        raise InvalidCandidate("dense solve failed (singular matrix)") from exc
 
 
 def _starts(p: StaticProblem, init) -> list:
@@ -456,19 +455,18 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
     norm is finite: above N_DENSE agents first the quantiles of rho^(1/3)
     (the asymptotic point density of the optimal quantizer), then at any N
     the equally spaced centroids and the density quantiles, each with
-    _moment_guess's v_k.  Each step is _newton_step: dense at or
-    below N_DENSE (the shipped N = 15), with 2 residual evaluations and a
-    least-squares step on a singular matrix; banded above, where its bytes
-    are the same at any BLAS thread count, with 1, or none for a Gaussian
-    free mu, whose column is analytic, and SolverDiverged on a system it
-    cannot solve.  Each iterate is evaluated once: the accepted line-search
-    candidate's residual, masses and norm are the next step's.  Armijo
-    acceptance never raises the norm, so the SolverDiverged of a started
-    solve carries the last iterate, a best one, and its norm.  The solve
-    logs one DEBUG record at its end, converged or diverged: its path,
-    Newton steps, residual evaluations (a stack counts as one; those of a
-    step that raises are not counted), final residual norm and the start
-    it took."""
+    _moment_guess's v_k.  Each step is _newton_step: dense at or below
+    N_DENSE (the shipped N = 15), with 2 residual evaluations; banded
+    above, where its bytes are the same at any BLAS thread count, with 1,
+    or none for a Gaussian free mu, whose column is analytic; on either
+    path a system it cannot solve ends in SolverDiverged.  Each iterate is
+    evaluated once: the accepted line-search candidate's residual, masses
+    and norm are the next step's.  Armijo acceptance never raises the norm,
+    so the SolverDiverged of a started solve carries the last iterate, a
+    best one, and its norm.  The solve logs one DEBUG record at its end,
+    converged or diverged: its path, Newton steps, residual evaluations (a
+    stack counts as one; those of a step that raises are not counted),
+    final residual norm and the start it took."""
     path = "banded" if p.n_agents > N_DENSE else "dense"
     evals, steps, norm, start, outcome = 0, 0, np.nan, None, None
     try:

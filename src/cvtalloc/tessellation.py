@@ -27,7 +27,6 @@ __all__ = [
     "voronoi_regions",
     "energy_K",
     "lloyd",
-    "is_cvt",
     "default_init",
 ]
 
@@ -70,23 +69,19 @@ class Domain1D:
 
 @dataclass(frozen=True)
 class Tessellation:
-    """Sorted generators, their midpoint cell boundaries, and the energy K.
-
-    For a Lloyd result, ``iterations`` counts the updates made and
-    ``stop_reason`` says why the iteration ended: "tol" (displacement below
-    the tolerance), "stagnated" (no new minimum displacement for
-    LLOYD_STALL_WINDOW iterations) or "budget" (max_iter reached), and
-    ``final_displacement`` is the max generator move of the last update (0
-    when there was none).
-    """
+    """A Lloyd run's result: the sorted generators, their midpoint cell
+    boundaries, the energy K, the updates made (``iterations``), the max
+    generator move of the last one (``final_displacement``, 0 when there
+    was none) and why the run ended (``stop_reason``): "tol" (displacement
+    below the tolerance), "stagnated" (no new minimum displacement for
+    LLOYD_STALL_WINDOW iterations) or "budget" (max_iter reached)."""
 
     generators: np.ndarray
     boundaries: np.ndarray
     energy: float
-    domain: Domain1D
-    stop_reason: str = "tol"
-    iterations: int = 0
-    final_displacement: float = 0.0
+    stop_reason: str
+    iterations: int
+    final_displacement: float
 
     @property
     def converged(self) -> bool:
@@ -124,23 +119,17 @@ def _midpoint_boundaries(z: np.ndarray, dom: Domain1D,
     return m
 
 
-def voronoi_regions(generators, dom: Domain1D,
-                    d: DensitySpec | None = None) -> Tessellation:
-    """Tessellation of dom induced by the generators.
-
-    If a density is given the energy field holds the quantization energy;
-    otherwise it is left at 0 (pure geometry).
-    """
-    z = _validate_generators(np.ravel(generators), dom)
-    m = _midpoint_boundaries(z, dom)
-    energy = _energy_of_cells(z, m[:-1], m[1:], d) if d is not None else 0.0
-    return Tessellation(generators=z, boundaries=m, energy=energy, domain=dom)
+def voronoi_regions(generators, dom: Domain1D) -> np.ndarray:
+    """The N+1 boundaries of the Voronoi cells that the checked generators
+    induce on dom: its ends and the midpoints of adjacent generators."""
+    return _midpoint_boundaries(_validate_generators(np.ravel(generators), dom),
+                                dom)
 
 
-def _energy_of_cells(points: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+def _energy_of_cells(points: np.ndarray, m: np.ndarray,
                      d: DensitySpec) -> float:
-    """Sum over cells [lo, hi] of the second moment of (x - point) under d."""
-    m0, m1, m2 = dens.interval_moments(d, lo, hi)
+    """The second moment of (x - point) under d summed over the cells of m."""
+    m0, m1, m2 = dens.interval_moments(d, m[:-1], m[1:])
     per_cell = m2 - 2.0 * points * m1 + points * points * m0
     return float(np.sum(np.maximum(per_cell, 0.0)))
 
@@ -148,7 +137,8 @@ def _energy_of_cells(points: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 def energy_K(points, d: DensitySpec, dom: Domain1D) -> float:
     """Quantization energy: the sum over the Voronoi cells of the points of
     the density-weighted squared distance to each cell's point."""
-    return voronoi_regions(points, dom, d).energy
+    z = _validate_generators(np.ravel(points), dom)
+    return _energy_of_cells(z, _midpoint_boundaries(z, dom), d)
 
 
 def default_init(n: int, dom: Domain1D) -> np.ndarray:
@@ -224,14 +214,7 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     logger.debug("N = %d: Lloyd stopped on %s after %d iterations, final "
                  "displacement %.3g", z.size, stop_reason, iterations, moved)
     t = Tessellation(generators=z, boundaries=m,
-                     energy=_energy_of_cells(z, m[:-1], m[1:], d), domain=dom,
+                     energy=_energy_of_cells(z, m, d),
                      stop_reason=stop_reason, iterations=iterations,
                      final_displacement=moved)
     return (t, history) if record_history else t
-
-
-def is_cvt(points, d: DensitySpec, dom: Domain1D, tol: float) -> bool:
-    """True iff every generator is within tol of its own cell centroid."""
-    t = voronoi_regions(points, dom)
-    c = dens.cell_centroids(d, t.boundaries)
-    return bool(np.max(np.abs(t.generators - c)) < tol)

@@ -26,6 +26,7 @@ from cvtalloc.dynamic_alloc import AllocationState
 from cvtalloc.static_alloc import StaticProblem
 from cvtalloc.tessellation import Domain1D
 from cvtalloc.thermal import ThermalParams
+from test_tessellation import is_cvt
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / \
     "demand_response.json"
@@ -137,7 +138,7 @@ def test_criterion_06_one_step_conservation():
             mu += delta_mu
             r = r_next
         d = DensitySpec("gaussian", {"mu": mu, "sigma2": 4.0})
-        cvt_ok = cvt_ok and tess.is_cvt(np.sort(z), d, dom, tol=1e-6)
+        cvt_ok = cvt_ok and is_cvt(np.sort(z), d, dom, tol=1e-6)
     ok = worst_sum < 1e-9 * n and cvt_ok
     report(6, ok, f"100 random schedules, worst sum error {worst_sum:.2e}, "
                   f"CVT preserved at shifted mean: {cvt_ok}")

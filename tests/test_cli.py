@@ -12,7 +12,8 @@ from cvtalloc import cli, sim
 from cvtalloc import static_alloc as sa
 from cvtalloc import tessellation as tess
 from cvtalloc.density import DensitySpec
-from cvtalloc.errors import InvalidParameterValue, SolverDiverged
+from cvtalloc.errors import (InvalidParameterValue, InvalidScenario,
+                             SolverDiverged)
 
 SHIPPED = Path(__file__).resolve().parent.parent / "scenarios" / "demand_response.json"
 OUTPUT_FILES = ("trace.csv", "swaps.csv", "metrics.json", "powers.csv",
@@ -113,6 +114,37 @@ class TestParsing:
         assert rc == cli.EXIT_USAGE
         assert captured.err.startswith(f"error: {option}")
         assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize("exc, rc, line", [
+        (InvalidParameterValue("bad value"), cli.EXIT_USAGE,
+         "error: bad value"),
+        (FileNotFoundError("no such file"), cli.EXIT_USAGE,
+         "error: no such file"),
+        (SolverDiverged("no convergence"), cli.EXIT_SOLVER,
+         "solver failed: no convergence"),
+    ], ids=["typed", "os", "solver"])
+    def test_main_reports_typed_and_os_errors(self, monkeypatch, capsys, exc,
+                                              rc, line):
+        def handler(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_shift_check", handler)
+        assert run_cli("shift-check", "--domain", "0,100", "--n", "5",
+                       "--mu", "50", "--sigma2", "4", "--delta", "2") == rc
+        assert capsys.readouterr().err == f"{line}\n"
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyError, TypeError,
+                                     ZeroDivisionError])
+    def test_untyped_errors_escape_main(self, monkeypatch, exc):
+        # Every input error is typed, so anything else is a bug: a
+        # traceback that a test sees, not an exit code 1.
+        def handler(args):
+            raise exc("a bug")
+
+        monkeypatch.setattr(cli, "_cmd_shift_check", handler)
+        with pytest.raises(exc, match="a bug"):
+            run_cli("shift-check", "--domain", "0,100", "--n", "5", "--mu",
+                    "50", "--sigma2", "4", "--delta", "2")
 
     def test_plot_writer_is_the_trace_method(self):
         assert cli._write_plot_data is sim.TraceLog.write_plot_data
@@ -371,6 +403,12 @@ class TestDynamicSim:
         ({"density": 5}, "density"),
         ({"setpoints": [70.0, float("nan"), 73.0, 74.0]}, "setpoints"),
         ({"setpoint_changes": [[5, 0, float("inf")]]}, "setpoint_changes"),
+        ({"setpoints": [70.0, 1e300, 73.0, 74.0]},
+         "setpoints must lie in [-459.67, 1000.0] degF"),
+        ({"setpoints": [70.0, -460.0, 73.0, 74.0]}, "setpoints"),
+        ({"setpoint_changes": [[5, 0, 1000.5]]},
+         "setpoint_changes: the new setpoint at step 5 for agent 0 must lie "
+         "in [-459.67, 1000.0] degF, got 1000.5"),
         ({"poles": [1.5, 0.85, 0.9]}, "poles"),
         ({"poles": [0.8, 0.9]}, "poles must have exactly three entries"),
         ({"n_agents": DROP}, "missing required key 'n_agents'"),
@@ -388,7 +426,9 @@ class TestDynamicSim:
             "fractional-horizon", "fractional-seed", "fractional-rounds",
             "domain-three-values", "schedule-not-list", "setpoints-not-list",
             "changes-not-list", "poles-not-list", "density-not-object",
-            "setpoint-nan", "setpoint-change-inf", "pole-outside-unit-circle",
+            "setpoint-nan", "setpoint-change-inf", "setpoint-huge",
+            "setpoint-below-absolute-zero", "setpoint-change-too-hot",
+            "pole-outside-unit-circle",
             "poles-two",
             "missing-key", "density-no-family", "ts-nan", "ts-inf", "ts-zero",
             "ts-negative", "ts-huge", "seed-negative"])
@@ -751,6 +791,54 @@ class TestDensityBoundary:
                      "--out", str(tmp_path / "out"))
         assert rc == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: density:")
+
+
+class TestRepeatedNames:
+    """A parameter or key named twice exits 1 with one ``error:`` line,
+    where the last name used to win: two aliases of one density parameter,
+    or a JSON key given twice in --density or in a --config file."""
+
+    @pytest.mark.parametrize("density, message", [
+        ('{"family":"exponential","lam":1,"lambda":5}',
+         "exponential parameter 'lam' is named twice, as 'lam' and "
+         "'lambda'"),
+        ('{"family":"gaussian","mu":"free","sigma2":4,"sigma2":9}',
+         "JSON key 'sigma2' is given twice"),
+    ], ids=["alias", "duplicate-key"])
+    @pytest.mark.parametrize("command", ["cvt", "static-alloc"])
+    def test_density_exits_one(self, tmp_path, capsys, command, density,
+                               message):
+        if command == "cvt":
+            argv = ("cvt", "--domain", "0,10", "--n", "3")
+        else:
+            argv = ("static-alloc", "--domain", "0,100", "--n", "5",
+                    "--r", "250")
+        rc = run_cli(*argv, "--density", density, "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"seed": 1, "seed": 2}', "seed"),
+        ('{"density": {"family": "gaussian", "mu": "free", "sigma2": 4, '
+         '"sigma2": 9}}', "sigma2"),
+    ], ids=["top-level", "nested"])
+    def test_config_duplicate_key_exits_one(self, tmp_path, capsys, text,
+                                            key):
+        # The repeat is refused as the file is read, before any key is.
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        with pytest.raises(InvalidScenario) as exc:
+            sim.Scenario.from_json(path)
+        message = f"config {str(path)!r}: JSON key {key!r} is given twice"
+        assert str(exc.value) == message
+        rc = run_cli("dynamic-sim", "--config", str(path),
+                     "--out", str(tmp_path / "out"))
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestTypedInputErrors:

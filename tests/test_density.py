@@ -93,6 +93,37 @@ class TestDensitySpec:
                                      "variance": 9.0})
         assert d.params == {"mu": 0.0, "sigma2": 9.0}
 
+    @pytest.mark.parametrize("cfg, first, second", [
+        ({"family": "exponential", "lam": 1, "lambda": 2}, "lam", "lambda"),
+        ({"family": "exponential", "rate": 1, "lambda": 2}, "rate", "lambda"),
+        ({"family": "gaussian", "mu": "free", "sigma2": 4, "variance": 9},
+         "sigma2", "variance"),
+        ({"family": "exponential", "lam": 1, "rate": "free"}, "lam", "rate"),
+        ({"family": "exponential", "lambda": "free", "lam": 1},
+         "lam", "lambda"),
+    ], ids=["lam-lambda", "rate-lambda", "sigma2-variance", "value-and-free",
+            "free-and-value"])
+    def test_one_parameter_named_twice_is_refused(self, cfg, first, second):
+        # The keys with values are resolved in order, then the free one, so
+        # the message names a value's spelling first.
+        name = "lam" if first in ("lam", "rate") else "sigma2"
+        with pytest.raises(InvalidParameterValue,
+                           match=f"^{cfg['family']} parameter '{name}' is "
+                                 f"named twice, as '{first}' and "
+                                 f"'{second}'$"):
+            DensitySpec.from_config(cfg)
+
+    def test_free_parameter_also_given_a_value_is_refused(self):
+        with pytest.raises(InvalidParameterValue, match="named twice"):
+            DensitySpec("gaussian", {"mu": 1.0, "sigma2": 4.0},
+                        free_param="mu")
+
+    @pytest.mark.parametrize("family", [3, None, ["gaussian"]], ids=repr)
+    def test_family_not_a_string_is_refused(self, family):
+        with pytest.raises(InvalidParameterValue,
+                           match="^unknown density family"):
+            DensitySpec.from_config({"family": family, "lam": 1.0})
+
     def test_two_free_parameters_rejected(self):
         with pytest.raises(InvalidParameterValue):
             DensitySpec.from_config({"family": "gamma", "k": "free",
@@ -369,7 +400,7 @@ class TestMassFloor:
     def test_cell_wider_than_1e300_holding_all_mass_is_not_empty(self):
         # Uncapped, the floor of this cell would be 1.7e8, above its mass 1.
         d = DensitySpec("uniform", {"a": 0.0, "b": 1.7e308})
-        _, m0 = dens.cell_centroids(d, np.array([0.0, 1.7e308]), masses=True)
+        _, m0 = centroids_and_masses(d, [0.0, 1.7e308])
         assert m0[0] == pytest.approx(1.0, rel=1e-15)
         assert dens.mass_floor(1.7e308) == dens.mass_floor(1e100) < 1e-199
 
@@ -380,7 +411,7 @@ class TestMassFloor:
         # rule, which keeps them too.
         d = DensitySpec("uniform", {"a": 0.0, "b": 1e302})
         m = np.array([0.0, 1e150, 2e150, 3e150])
-        c, m0 = dens.cell_centroids(d, m, masses=True)
+        c, m0 = centroids_and_masses(d, m)
         expected = _cell_centroids_before(d, m, masses=True)
         assert c.tobytes() == expected[0].tobytes()
         assert m0.tobytes() == expected[1].tobytes()
@@ -407,7 +438,7 @@ class TestMassFloor:
                 assert str(got.value) == str(exc)
                 outcomes.add("empty")
                 continue
-            c, m0 = dens.cell_centroids(d, m, masses=True)
+            c, m0 = centroids_and_masses(d, m)
             assert c.tobytes() == c0.tobytes()
             assert m0.tobytes() == m00.tobytes()
             outcomes.add("kept")
@@ -459,6 +490,16 @@ class TestCellCentroids:
                 dens.cell_centroids(d, m)
         else:
             assert np.array_equal(dens.cell_centroids(d, m), expected)
+
+
+def centroids_and_masses(d, m):
+    """(centroids, m0) of the cells of m under the bound d: the work of
+    density.cell_centroids, called under the np.errstate that it opens,
+    whose centroids are the same bits as the wrapper's."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        c, m0 = dens._cell_centroids(d, np.asarray(m, dtype=float))
+    assert c.tobytes() == dens.cell_centroids(d, m).tobytes()
+    return c, m0
 
 
 def _cell_centroids_before(d, m, masses=False):
@@ -544,7 +585,7 @@ class TestEmptyCellPreCheck:
                 assert str(got.value) == str(exc)
                 raised_later += not str(exc).startswith("cell 0 ")
                 continue
-            c, m0 = dens.cell_centroids(d, m, masses=True)
+            c, m0 = centroids_and_masses(d, m)
             assert c.tobytes() == c0.tobytes()
             assert m0.tobytes() == m00.tobytes()
             assert c.tobytes() == dens.cell_centroids(d, m).tobytes()
@@ -612,12 +653,12 @@ def _gaussian_combine_before(d, lo, hi, order):
 
 
 def _gaussian_outcomes(d, m):
-    """The bytes of cell_centroids(d, m, masses=True), or its EmptyCell
+    """The bytes of centroids_and_masses(d, m), or its EmptyCell
     message, and of the order-1 and order-2 moments of the cells of m, all
     through the module's _terms and _combine."""
     lo, hi = m[..., :-1], m[..., 1:]
     try:
-        cells = [a.tobytes() for a in dens.cell_centroids(d, m, masses=True)]
+        cells = [a.tobytes() for a in centroids_and_masses(d, m)]
     except EmptyCell as exc:
         cells = str(exc)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):

@@ -14,6 +14,7 @@ from cvtalloc.density import DensitySpec
 from cvtalloc.dynamic_alloc import AllocationState
 from cvtalloc.errors import DomainTooNarrow, MissingDesiredInput
 from cvtalloc.tessellation import Domain1D
+from test_tessellation import is_cvt
 
 
 class TestOneStepUpdate:
@@ -447,4 +448,4 @@ class TestProtocolProperties:
         r_k1 = r_k - 10.0   # mean moves to 48
         z_new = dyn.one_step_update(t.generators, r_k, r_k1)
         d_new = DensitySpec("gaussian", {"mu": 48.0, "sigma2": 4.0})
-        assert tess.is_cvt(np.sort(z_new), d_new, dom, tol=1e-6)
+        assert is_cvt(np.sort(z_new), d_new, dom, tol=1e-6)

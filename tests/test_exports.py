@@ -15,7 +15,7 @@ PACKAGE_EXPORTS = {
     "density", "tessellation", "static_alloc", "dynamic_alloc", "thermal",
     "sim", "errors",
     "DensitySpec", "bind_free_parameter",
-    "Domain1D", "Tessellation", "lloyd", "energy_K", "is_cvt",
+    "Domain1D", "Tessellation", "lloyd", "energy_K",
     "StaticProblem", "StaticSolution", "solve", "cross_validate",
     "AllocationState", "one_step_update", "shifted_mean",
     "verify_shift_property", "rebuild_line_graph", "negotiate_round",
@@ -40,7 +40,7 @@ SUBMODULE_EXPORTS = {
     "static_alloc": {"CrossValidationReport", "StaticProblem",
                      "StaticSolution", "cross_validate", "residual", "solve"},
     "tessellation": {"Domain1D", "Tessellation", "default_init", "energy_K",
-                     "is_cvt", "lloyd", "voronoi_regions"},
+                     "lloyd", "voronoi_regions"},
     "thermal": {
         "ContinuousModel", "ControllerGains", "DEFAULT_POLES",
         "DEFAULT_TS_MINUTES", "DiscreteModel", "ThermalParams",

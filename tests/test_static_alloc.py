@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import solve_banded
 from test_golden import (ROOT, SHIPPED, fleet_config, solution_hash,
                          static_problems)
+from test_tessellation import is_cvt
 
 import quadrature
 from cvtalloc import density as dens
@@ -236,21 +237,25 @@ class TestFdJacobian:
         _, evals = sa._newton_step(u, f, m0, p)
         assert evals == len(calls) <= 2
 
-    def test_singular_matrix_takes_lstsq_step(self, monkeypatch, caplog):
+    def test_singular_matrix_ends_in_solver_diverged(self, monkeypatch):
         # A zero band and row leave only the free-parameter column: the
-        # bordered matrix is singular, so the step is the least-squares one.
+        # bordered matrix is singular, so the step raises InvalidCandidate,
+        # as the banded path does, and the solve ends in SolverDiverged
+        # carrying its start, the iterate it could not step from, and the
+        # start's norm.
         p = StaticProblem(DOM_100, 5, WIDE_GAUSS_FREE_MU, 250.0)
         u = sa.default_initial_guess(p)
         f, m0 = sa.residual(u, p, masses=True)
         jac = np.zeros((6, 6))
         jac[:, 5] = sa._fd_column(u, f, p, 5)[0]
         monkeypatch.setattr(sa, "_fd_jacobian", lambda *args: (jac, 2))
-        with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
-            step, evals = sa._newton_step(u, f, m0, p)
-        assert "singular matrix" in caplog.text
-        assert evals == 2
-        assert np.array_equal(step,
-                              np.linalg.lstsq(jac, -f, rcond=None)[0])
+        with pytest.raises(InvalidCandidate,
+                           match=r"^dense solve failed \(singular matrix\)$"):
+            sa._newton_step(u, f, m0, p)
+        with pytest.raises(SolverDiverged, match="singular matrix") as info:
+            sa.solve(p)
+        assert np.array_equal(info.value.best, u)
+        assert info.value.residual_norm == np.linalg.norm(f)
 
     def test_shipped_initialize_steps_equal_oracle(self, monkeypatch):
         # Every matrix of the shipped scenario's initial N = 15 solve is the
@@ -950,7 +955,7 @@ class TestBandedAboveShippedN:
         assert sol.residual_norm < sa.RESIDUAL_TOL
         assert abs(np.sum(sol.centroids) - p.r) < 1e-6
         d = bind_free_parameter(p.density, sol.v_k)
-        assert tess.is_cvt(sol.centroids, d, p.domain, tol=1e-7)
+        assert is_cvt(sol.centroids, d, p.domain, tol=1e-7)
 
     @pytest.mark.parametrize("n", [16, 32, 50, 64])
     def test_converges_wherever_the_dense_path_does(self, n, monkeypatch):
@@ -979,7 +984,7 @@ class TestInvariantsAndProperties:
             sol = sa.solve(p)
             assert abs(np.sum(sol.centroids) - p.r) < 1e-6
             d = bind_free_parameter(GAUSS_FREE_MU, sol.v_k)
-            assert tess.is_cvt(sol.centroids, d, DOM_100, tol=1e-7)
+            assert is_cvt(sol.centroids, d, DOM_100, tol=1e-7)
 
     def test_mu_monotone_in_r(self):
         mus = []
