@@ -10,7 +10,6 @@ form.  The tests check them against adaptive quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -69,7 +68,6 @@ def _check_params(family: str, params: dict) -> None:
             raise InvalidParameterValue(f"gamma requires theta > 0, got {theta}")
 
 
-@dataclass(frozen=True)
 class DensitySpec:
     """A density family with fixed parameters and at most one free parameter.
 
@@ -78,15 +76,13 @@ class DensitySpec:
     bound via :func:`bind_free_parameter` before integration.
     """
 
-    family: str
-    params: dict = field(default_factory=dict)
-    free_param: str | None = None
+    __slots__ = ("family", "params", "free_param")
 
-    def __post_init__(self):
-        fam = self.family.lower() if isinstance(self.family, str) else None
+    def __init__(self, family: str, params: dict | None = None,
+                 free_param: str | None = None):
+        fam = family.lower() if isinstance(family, str) else None
         if fam not in _FAMILY_PARAMS:
-            raise InvalidParameterValue(f"unknown density family {self.family!r}")
-        object.__setattr__(self, "family", fam)
+            raise InvalidParameterValue(f"unknown density family {family!r}")
         names = _FAMILY_PARAMS[fam]
         spelled = {}  # each canonical name taken, and the key that took it
 
@@ -101,7 +97,7 @@ class DensitySpec:
             spelled[name] = key
             return name
         clean = {}
-        for key, value in self.params.items():
+        for key, value in (params or {}).items():
             key = canonical(key)
             if (isinstance(value, bool)
                     or not isinstance(value, (int, float, np.integer, np.floating))
@@ -109,13 +105,19 @@ class DensitySpec:
                 raise InvalidParameterValue(
                     f"{fam} parameter {key!r} must be a finite number, got {value!r}")
             clean[key] = float(value)
-        if self.free_param is not None:
-            object.__setattr__(self, "free_param", canonical(self.free_param))
-        missing = [n for n in names if n not in clean and n != self.free_param]
+        if free_param is not None:
+            free_param = canonical(free_param)
+        missing = [n for n in names if n not in clean and n != free_param]
         if missing:
             raise InvalidParameterValue(f"{fam} is missing parameters {missing}")
         _check_params(fam, clean)
-        object.__setattr__(self, "params", clean)
+        self.family, self.params, self.free_param = fam, clean, free_param
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, n) for n in self.__slots__]
+                == [getattr(other, n) for n in self.__slots__])
 
     # -- construction helpers -------------------------------------------
 
@@ -211,9 +213,7 @@ def bind_free_parameter(d: DensitySpec, value: float) -> DensitySpec:
             f"{d.family} parameter {d.free_param!r} must be a finite number, "
             f"got {value!r}")
     bound = object.__new__(DensitySpec)
-    object.__setattr__(bound, "family", d.family)
-    object.__setattr__(bound, "params", params)
-    object.__setattr__(bound, "free_param", None)
+    bound.family, bound.params, bound.free_param = d.family, params, None
     return bound
 
 
@@ -254,7 +254,7 @@ def _terms(d: DensitySpec, x, order: int) -> tuple:
         if order == 2:
             # 0 where e is: at a huge x the polynomial overflows to inf,
             # and inf * 0 would be NaN.
-            poly = xs * xs + 2.0 * xs / lam + 2.0 / lam ** 2
+            poly = xs * xs + 2.0 * xs / lam + 2.0 / np.float64(lam) ** 2
             out += (np.multiply(poly, e, out=np.zeros_like(e), where=e != 0),)
         return out
 

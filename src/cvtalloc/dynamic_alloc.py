@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,20 +37,17 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, eq=False)
 class AllocationState:
     """Per-step snapshot of agent resources, indexed by agent, and the
     resource order that induces the line graph, built from them."""
 
-    resources: np.ndarray
-    r_current: float
-    mu_current: float
-    order: np.ndarray = field(init=False)
+    __slots__ = ("resources", "r_current", "mu_current", "order")
 
-    def __post_init__(self):
-        object.__setattr__(self, "resources",
-                           np.asarray(self.resources, dtype=float))
-        object.__setattr__(self, "order", rebuild_line_graph(self.resources))
+    def __init__(self, resources: np.ndarray, r_current: float,
+                 mu_current: float):
+        self.resources = np.asarray(resources, dtype=float)
+        self.r_current, self.mu_current = r_current, mu_current
+        self.order = rebuild_line_graph(self.resources)
 
 
 def rebuild_line_graph(resources) -> np.ndarray:
@@ -75,14 +71,15 @@ def shifted_mean(mu_k: float, r_k: float, r_k1: float, n: int) -> float:
     return mu_k + (r_k1 - r_k) / n
 
 
-@dataclass(frozen=True)
 class ShiftReport:
     """CVT translation check for a Gaussian mean shift."""
 
-    n: int
-    delta: float
-    max_deviation: float
-    passed: bool
+    __slots__ = ("n", "delta", "max_deviation", "passed")
+
+    def __init__(self, n: int, delta: float, max_deviation: float,
+                 passed: bool):
+        self.n, self.delta = n, delta
+        self.max_deviation, self.passed = max_deviation, passed
 
 
 def _gaussian_tail_mass_outside(mu: float, sigma: float, dom: Domain1D) -> float:
@@ -108,8 +105,7 @@ def verify_shift_property(d_gaussian: DensitySpec, dom: Domain1D, n: int,
         raise InvalidParameterValue(f"tol must be positive, got {tol}")
     mu = d_gaussian.params["mu"]
     sigma = math.sqrt(d_gaussian.params["sigma2"])
-    d_shift = replace(d_gaussian,
-                      params={**d_gaussian.params, "mu": mu - delta})
+    d_shift = DensitySpec("gaussian", {**d_gaussian.params, "mu": mu - delta})
     for m in (mu, mu - delta):
         if _gaussian_tail_mass_outside(m, sigma, dom) >= 1e-9:
             raise DomainTooNarrow(

@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -172,21 +172,23 @@ class Scenario:
         return cls.from_config(obj)
 
 
-@dataclass
 class SimState:
     """The fleet between steps.  ``gains`` holds the controller arrays
     stacked by agent (K_fb (N, 3), N_r (N,), K_w (N, 2)), ``setpoints``
     each step's setpoint per agent (horizon, N), ``X`` the plant states
-    (N, 3) and ``models`` each agent's DiscreteModel, a view of the fleet's
-    one stacked discretization; the plant steps one agent at a time."""
+    (N, 3), ``disturbances`` each step's (horizon, 2) and ``models`` each
+    agent's DiscreteModel, a view of the fleet's one stacked
+    discretization; the plant steps one agent at a time."""
 
-    scenario: Scenario
-    alloc: AllocationState
-    models: list
-    gains: th.ControllerGains
-    X: np.ndarray
-    disturbances: np.ndarray   # (horizon, 2)
-    setpoints: np.ndarray      # (horizon, N)
+    __slots__ = ("scenario", "alloc", "models", "gains", "X", "disturbances",
+                 "setpoints")
+
+    def __init__(self, scenario: Scenario, alloc: AllocationState,
+                 models: list, gains: th.ControllerGains, X: np.ndarray,
+                 disturbances: np.ndarray, setpoints: np.ndarray):
+        self.scenario, self.alloc, self.models, self.gains = (
+            scenario, alloc, models, gains)
+        self.X, self.disturbances, self.setpoints = X, disturbances, setpoints
 
 
 def _signed(text: str, values: np.ndarray) -> str:
@@ -205,7 +207,6 @@ def _applied(desired, z):
     return np.where(desired >= 0, 1.0, -1.0) * z
 
 
-@dataclass
 class TraceLog:
     """Columnar trace of what each step decides, one entry per step.
 
@@ -222,17 +223,19 @@ class TraceLog:
     ``temp_F`` through one memo, :meth:`rows`, so each is formatted once.
     """
 
-    n_agents: int
-    z: list = field(default_factory=list)
-    desired: list = field(default_factory=list)
-    temp_F: list = field(default_factory=list)
-    setpoints: list = field(default_factory=list)
-    order: list = field(default_factory=list)
-    r: list = field(default_factory=list)
-    swaps: list = field(default_factory=list)
-    phase_s: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
-    initialize_s: float = 0.0
-    _memo: tuple = field(default=(-1,), init=False, repr=False, compare=False)
+    __slots__ = ("n_agents", "z", "desired", "temp_F", "setpoints", "order",
+                 "r", "swaps", "phase_s", "initialize_s", "_memo")
+
+    def __init__(self, n_agents: int, z=None, desired=None, temp_F=None,
+                 setpoints=None, order=None, r=None, swaps=None,
+                 phase_s=None, initialize_s: float = 0.0):
+        self.n_agents, self.initialize_s = n_agents, initialize_s
+        self._memo = (-1,)
+        # A column not given starts as a new empty list.
+        (self.z, self.desired, self.temp_F, self.setpoints, self.order,
+         self.r, self.swaps) = ([] if c is None else c for c in (
+             z, desired, temp_F, setpoints, order, r, swaps))
+        self.phase_s = dict.fromkeys(PHASES, 0.0) if phase_s is None else phase_s
 
     desired_abs = property(lambda t: np.abs(t.desired))
     applied_power = property(lambda t: _applied(np.asarray(t.desired), t.z))
@@ -314,17 +317,28 @@ class TraceLog:
                      % tuple(values.ravel().tolist()))
 
 
-@dataclass(frozen=True)
 class MetricsReport:
-    l2_power_error: float
-    mean_swaps_per_agent: float
-    neighbor_coverage: tuple    # per agent, the distinct neighbors ever
-    temperature_rms_error: float
-    total_swaps: int
+    """A run's aggregate metrics, ``neighbor_coverage`` per agent the
+    distinct neighbors ever; :meth:`to_dict` gives metrics.json's object,
+    its keys in this order."""
+
+    __slots__ = ("l2_power_error", "mean_swaps_per_agent",
+                 "neighbor_coverage", "temperature_rms_error", "total_swaps")
+
+    def __init__(self, l2_power_error: float, mean_swaps_per_agent: float,
+                 neighbor_coverage: tuple, temperature_rms_error: float,
+                 total_swaps: int):
+        self.l2_power_error = l2_power_error
+        self.mean_swaps_per_agent = mean_swaps_per_agent
+        self.neighbor_coverage = neighbor_coverage
+        self.temperature_rms_error = temperature_rms_error
+        self.total_swaps = total_swaps
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "neighbor_coverage": {
-            str(i): v for i, v in enumerate(self.neighbor_coverage)}}
+        out = {name: getattr(self, name) for name in self.__slots__}
+        out["neighbor_coverage"] = {
+            str(i): v for i, v in enumerate(self.neighbor_coverage)}
+        return out
 
 
 def _build_disturbances(sc: Scenario) -> np.ndarray:

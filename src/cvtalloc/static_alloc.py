@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -57,55 +56,66 @@ N_DENSE = 15
 CROSSVAL_LLOYD_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class StaticProblem:
     """Allocate r among n_agents on domain under a density with one free
     parameter: the centroids must sum to r."""
 
-    domain: Domain1D
-    n_agents: int
-    density: DensitySpec
-    r: float
+    __slots__ = ("domain", "n_agents", "density", "r")
 
-    def __post_init__(self):
-        if self.n_agents < 1:
+    def __init__(self, domain: Domain1D, n_agents: int, density: DensitySpec,
+                 r: float):
+        if n_agents < 1:
             raise InvalidParameterValue("n_agents must be >= 1")
-        if self.density.free_param is None:
+        if density.free_param is None:
             raise InvalidParameterValue(
                 "density must declare exactly one free parameter")
-        mean = self.r / self.n_agents
-        if not (self.domain.a < mean < self.domain.b):
+        mean = r / n_agents
+        if not (domain.a < mean < domain.b):
             raise InfeasibleProblem(
-                f"mean allocation r/N = {mean} outside ({self.domain.a}, {self.domain.b})")
+                f"mean allocation r/N = {mean} outside ({domain.a}, {domain.b})")
+        self.domain, self.n_agents, self.density, self.r = (
+            domain, n_agents, density, r)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, n) for n in self.__slots__]
+                == [getattr(other, n) for n in self.__slots__])
 
 
-@dataclass(frozen=True)
 class StaticSolution:
     """A solve's sorted centroids, free parameter v_k, final residual_norm,
     Newton iterations and residual_history (the 2-norm at each iterate).
     It holds no cells or energy: tessellation.voronoi_regions gives their
     boundaries and tessellation.energy_K, at the bound v_k, the energy."""
 
-    centroids: np.ndarray
-    v_k: float
-    residual_norm: float
-    iterations: int = 0
-    residual_history: tuple = ()
+    __slots__ = ("centroids", "v_k", "residual_norm", "iterations",
+                 "residual_history")
+
+    def __init__(self, centroids: np.ndarray, v_k: float,
+                 residual_norm: float, iterations: int = 0,
+                 residual_history: tuple = ()):
+        self.centroids, self.v_k, self.residual_norm = (
+            centroids, v_k, residual_norm)
+        self.iterations, self.residual_history = iterations, residual_history
 
 
-@dataclass(frozen=True)
 class CrossValidationReport:
     """Solver-vs-Lloyd agreement at the solved free parameter.
 
     ``lloyd_stop`` and ``lloyd_iterations`` are the Lloyd run's
     ``Tessellation.stop_reason`` and ``iterations``."""
 
-    max_discrepancy: float
-    sum_solver: float
-    sum_lloyd: float
-    lloyd_stop: str
-    lloyd_iterations: int
-    passed: bool
+    __slots__ = ("max_discrepancy", "sum_solver", "sum_lloyd", "lloyd_stop",
+                 "lloyd_iterations", "passed")
+
+    def __init__(self, max_discrepancy: float, sum_solver: float,
+                 sum_lloyd: float, lloyd_stop: str, lloyd_iterations: int,
+                 passed: bool):
+        self.max_discrepancy, self.sum_solver, self.sum_lloyd = (
+            max_discrepancy, sum_solver, sum_lloyd)
+        self.lloyd_stop, self.lloyd_iterations, self.passed = (
+            lloyd_stop, lloyd_iterations, passed)
 
     @property
     def lloyd_converged(self) -> bool:

@@ -8,7 +8,6 @@ per-cell mass centroids until the generators stop moving.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,26 +47,29 @@ LLOYD_STALL_WINDOW = 1000
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
 class Domain1D:
     """The bounded resource interval Omega = [a, b]."""
 
-    a: float
-    b: float
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.b)):
+    def __init__(self, a: float, b: float):
+        if not (np.isfinite(a) and np.isfinite(b)):
             raise InvalidParameterValue("domain endpoints must be finite")
-        if not self.a < self.b:
-            raise InvalidParameterValue(
-                f"domain requires a < b, got [{self.a}, {self.b}]")
+        if not a < b:
+            raise InvalidParameterValue(f"domain requires a < b, got [{a}, {b}]")
+        self.a, self.b = a, b
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, n) for n in self.__slots__]
+                == [getattr(other, n) for n in self.__slots__])
 
     @property
     def width(self) -> float:
         return self.b - self.a
 
 
-@dataclass(frozen=True)
 class Tessellation:
     """A Lloyd run's result: the sorted generators, their midpoint cell
     boundaries, the energy K, the updates made (``iterations``), the max
@@ -76,12 +78,16 @@ class Tessellation:
     below the tolerance), "stagnated" (no new minimum displacement for
     LLOYD_STALL_WINDOW iterations) or "budget" (max_iter reached)."""
 
-    generators: np.ndarray
-    boundaries: np.ndarray
-    energy: float
-    stop_reason: str
-    iterations: int
-    final_displacement: float
+    __slots__ = ("generators", "boundaries", "energy", "stop_reason",
+                 "iterations", "final_displacement")
+
+    def __init__(self, generators: np.ndarray, boundaries: np.ndarray,
+                 energy: float, stop_reason: str, iterations: int,
+                 final_displacement: float):
+        self.generators, self.boundaries = generators, boundaries
+        self.energy, self.stop_reason = energy, stop_reason
+        self.iterations = iterations
+        self.final_displacement = final_displacement
 
     @property
     def converged(self) -> bool:

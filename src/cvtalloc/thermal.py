@@ -19,7 +19,6 @@ throughout, time is seconds internally with sample times given in minutes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -60,28 +59,30 @@ OUTDOOR_AMPLITUDE_F = 12.0
 SOLAR_PEAK_W = 600.0
 
 
-@dataclass(frozen=True)
 class ThermalParams:
     """One agent's eight RC parameters as floats, or a fleet's stacked by
     agent as (N,) arrays."""
 
-    K1: float | np.ndarray
-    K2: float | np.ndarray
-    K3: float | np.ndarray
-    K4: float | np.ndarray
-    K5: float | np.ndarray
-    C1: float | np.ndarray
-    C2: float | np.ndarray
-    C3: float | np.ndarray
+    __slots__ = PARAM_NAMES
 
-    def __post_init__(self):
-        # One array call for all eight fields: a NumPy call per field would
-        # cost more than drawing the parameters.
-        values = np.array([getattr(self, name) for name in PARAM_NAMES])
-        lows = values.reshape(len(PARAM_NAMES), -1).min(axis=1).tolist()
+    def __init__(self, K1, K2, K3, K4, K5, C1, C2, C3):
+        values = (K1, K2, K3, K4, K5, C1, C2, C3)
+        # One agent's floats are checked in Python, where a NumPy round trip
+        # would cost more than drawing them; a fleet's arrays in one call.
+        lows = values
+        if isinstance(K1, np.ndarray):
+            lows = np.array(values).reshape(len(values), -1).min(axis=1).tolist()
         for name, low in zip(PARAM_NAMES, lows):
             if low <= 0:
                 raise ValueError(f"{name} must be strictly positive")
+        (self.K1, self.K2, self.K3, self.K4, self.K5,
+         self.C1, self.C2, self.C3) = values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, n) for n in self.__slots__]
+                == [getattr(other, n) for n in self.__slots__])
 
     @classmethod
     def means(cls) -> "ThermalParams":
@@ -95,40 +96,42 @@ class ThermalParams:
         return cls(*values.T)
 
 
-@dataclass(frozen=True)
 class ContinuousModel:
     """One agent's A (3, 3), B (3, 1) and G (3, 2), or a fleet's with a
     leading agent axis.  The output is the first state, the indoor air."""
 
-    A: np.ndarray
-    B: np.ndarray
-    G: np.ndarray
+    __slots__ = ("A", "B", "G")
+
+    def __init__(self, A: np.ndarray, B: np.ndarray, G: np.ndarray):
+        self.A, self.B, self.G = A, B, G
 
 
-@dataclass(frozen=True)
 class DiscreteModel:
     """One agent's Ad (3, 3), Bd (3, 1) and Gd (3, 2), or a fleet's with a
-    leading agent axis."""
+    leading agent axis; Ts in minutes."""
 
-    Ad: np.ndarray
-    Bd: np.ndarray
-    Gd: np.ndarray
-    Ts: float  # minutes
+    __slots__ = ("Ad", "Bd", "Gd", "Ts")
+
+    def __init__(self, Ad: np.ndarray, Bd: np.ndarray, Gd: np.ndarray,
+                 Ts: float):
+        self.Ad, self.Bd, self.Gd, self.Ts = Ad, Bd, Gd, Ts
 
 
-@dataclass(frozen=True)
 class ControllerGains:
     """One agent's gains (K_fb and K_w one row each, N_r a float), or a
     fleet's stacked by agent: K_fb (N, 3), K_w (N, 2) and N_r (N,); the
-    setpoint is an input of :func:`desired_power`."""
+    setpoint is an input of :func:`desired_power`.
 
-    K_fb: np.ndarray
-    N_r: float | np.ndarray
-    # DC disturbance feedforward row (1x2).  Without it the state-feedback
-    # term is dominated by a large constant offset whenever the slow
-    # envelope state sits at a disturbance-shifted equilibrium, which makes
-    # the control signal useless as a "power I actually need" quantity.
-    K_w: np.ndarray
+    K_w is the DC disturbance feedforward row (1x2).  Without it the
+    state-feedback term is dominated by a large constant offset whenever
+    the slow envelope state sits at a disturbance-shifted equilibrium, which
+    makes the control signal useless as a "power I actually need" quantity.
+    """
+
+    __slots__ = ("K_fb", "N_r", "K_w")
+
+    def __init__(self, K_fb: np.ndarray, N_r, K_w: np.ndarray):
+        self.K_fb, self.N_r, self.K_w = K_fb, N_r, K_w
 
 
 def sample_parameters(seed: int) -> ThermalParams:

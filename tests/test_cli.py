@@ -182,6 +182,17 @@ class TestCvt:
         assert rc == 0 and out["converged"]
         assert out["energy"] == pytest.approx(5e119 ** 2 / 12, rel=1e-12)
 
+    def test_exponential_energy_finite_past_the_square_overflow(
+            self, tmp_path, capsys):
+        # lam ** 2 overflows a Python float above about 1.3e154; as a NumPy
+        # float it is inf, and the second-moment term 2 / lam ** 2 is 0.
+        rc = run_cli("cvt", "--domain", "0,1e-300", "--n", "3",
+                     "--density", '{"family":"exponential","lam":1e300}',
+                     "--out", str(tmp_path))
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0 and out["converged"]
+        assert np.isfinite([out["energy"], *out["generators"]]).all()
+
     def test_budget_stop_exits_two(self, tmp_path, capsys):
         # The file and the JSON are written first; only the exit code says
         # that the run did not converge.

@@ -1,7 +1,6 @@
 """Density families: construction, closed-form interval moments, and their
 agreement with the quadrature oracle of tests/quadrature.py."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -143,7 +142,7 @@ def _bind_before(d, value):
     params = dict(d.params)
     params[d.free_param] = float(value)
     dens._check_params(d.family, params)
-    return dataclasses.replace(d, params=params, free_param=None)
+    return DensitySpec(d.family, params, free_param=None)
 
 
 def _bind_outcome(bind, d, value):

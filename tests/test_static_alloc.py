@@ -1010,8 +1010,9 @@ class TestCrossValidate:
         p = StaticProblem(domain=DOM_100, n_agents=50,
                           density=GAUSS_FREE_MU, r=2500.0)
         sol = sa.solve(p)
-        from dataclasses import replace
-        bad = replace(sol, v_k=sol.v_k * 1.1)
+        bad = sa.StaticSolution(sol.centroids, sol.v_k * 1.1,
+                                sol.residual_norm, sol.iterations,
+                                sol.residual_history)
         report = sa.cross_validate(bad, p)
         assert not report.passed
 

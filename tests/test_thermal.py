@@ -1,7 +1,5 @@
 """RC thermal plant, ZOH discretization, and pole-placement control."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -24,6 +22,38 @@ class TestSampleParameters:
             p = th.sample_parameters(seed)
             for name in ("K1", "K2", "K3", "K4", "K5", "C1", "C2", "C3"):
                 assert getattr(p, name) > 0
+
+
+class TestThermalParamsCheck:
+    """One agent's floats are checked in Python, a fleet's (N,) arrays in
+    NumPy, by one rule: the first parameter whose least value is <= 0 is
+    named, and NaN, which compares false, passes."""
+
+    MEANS = th.K_MEANS + th.C_MEANS
+
+    def values(self, stacked, **changed):
+        values = [changed.get(n, m) for n, m in zip(th.PARAM_NAMES, self.MEANS)]
+        if stacked:
+            values = [np.array([m, v]) for m, v in zip(self.MEANS, values)]
+        return values
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_first_nonpositive_parameter_is_named(self, stacked):
+        with pytest.raises(ValueError, match="^K4 must be strictly positive$"):
+            ThermalParams(*self.values(stacked, K4=0.0, C2=-1.0))
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_nan_passes(self, stacked):
+        p = ThermalParams(*self.values(stacked, K2=np.nan))
+        assert np.isnan(p.K2).any()
+
+    def test_floats_are_checked_without_numpy(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("np.array called")
+        monkeypatch.setattr(np, "array", fail)
+        assert ThermalParams(*self.MEANS).C3 == th.C_MEANS[2]
+        with pytest.raises(ValueError, match="^C1 must be strictly positive$"):
+            ThermalParams(*self.values(False, C1=-2.0))
 
 
 class TestContinuousModel:
@@ -181,7 +211,8 @@ class TestStackedFleet:
         Bd = fleet.Bd.copy()
         Bd[[1, 3]] = 0.0
         with pytest.raises(Uncontrollable, match="^agent 1: .* rank deficient"):
-            th.design_controller(replace(fleet, Bd=Bd))
+            th.design_controller(
+                th.DiscreteModel(fleet.Ad, Bd, fleet.Gd, fleet.Ts))
 
 
 class TestDesiredPowerAndEquilibrium:
