@@ -212,11 +212,11 @@ class TraceLog:
 
     ``z``, the signed ``desired``, ``temp_F`` and ``setpoints`` hold one
     (N,) array per step, indexed by agent, ``order`` each step's line graph,
-    ``r`` one float and ``swaps`` one (S, 4) array per step, a row per swap
-    in execution order: proposer, target and their resources before the
-    round, agent ids stored as floats; the four properties below stack what
-    they derive from these on each read.  ``phase_s`` sums the wall seconds of
-    each step phase and ``initialize_s`` those of :func:`initialize` in
+    ``r`` one float and ``swaps`` one (S, 2) int array per step: the
+    (proposer, target) pairs its civility rounds returned, in execution
+    order.  The four properties below stack what they derive from these on
+    each read.  Each column starts empty; ``phase_s`` sums the wall seconds
+    of each step phase and ``initialize_s`` those of :func:`initialize` in
     :func:`run`; only :func:`diagnostics` reads them, not the output files.
 
     Its three writers format each value of ``z``, ``applied_power`` and
@@ -226,16 +226,12 @@ class TraceLog:
     __slots__ = ("n_agents", "z", "desired", "temp_F", "setpoints", "order",
                  "r", "swaps", "phase_s", "initialize_s", "_memo")
 
-    def __init__(self, n_agents: int, z=None, desired=None, temp_F=None,
-                 setpoints=None, order=None, r=None, swaps=None,
-                 phase_s=None, initialize_s: float = 0.0):
-        self.n_agents, self.initialize_s = n_agents, initialize_s
-        self._memo = (-1,)
-        # A column not given starts as a new empty list.
+    def __init__(self, n_agents: int, initialize_s: float = 0.0):
+        self.n_agents, self.initialize_s, self._memo = (
+            n_agents, initialize_s, (-1,))
         (self.z, self.desired, self.temp_F, self.setpoints, self.order,
-         self.r, self.swaps) = ([] if c is None else c for c in (
-             z, desired, temp_F, setpoints, order, r, swaps))
-        self.phase_s = dict.fromkeys(PHASES, 0.0) if phase_s is None else phase_s
+         self.r, self.swaps) = ([] for _ in range(7))
+        self.phase_s = dict.fromkeys(PHASES, 0.0)
 
     desired_abs = property(lambda t: np.abs(t.desired))
     applied_power = property(lambda t: _applied(np.asarray(t.desired), t.z))
@@ -280,23 +276,20 @@ class TraceLog:
                 fh.write(row * n % tuple(values))
 
     def write_swaps_csv(self, path) -> None:
-        """One row per swap; each step is one template over its rows.  A
-        round only exchanges resources, so each resource before a swap is,
-        bit for bit, one of the step's z values: its text is looked up in
-        the memo by the value's bits."""
+        """One row per swap; each step is one template over its rows.  The
+        step's swaps, undone last first on the memo's z text, give each
+        pair the texts it held before its swap."""
         z_rows = self.rows()[0]
         with open(path, "w", newline="") as fh:
             fh.write("step,proposer,target,z_proposer_before,z_target_before\n")
-            for k, swaps in enumerate(self.swaps):
-                text = dict(zip(self.z[k].view(np.int64).tolist(),
-                                z_rows[k].split(",")))
-                agents = swaps[:, :2].astype(np.int64).ravel().tolist()
-                before = [text[b] for b in
-                          swaps[:, 2:].ravel().view(np.int64).tolist()]
-                values = [None] * (4 * len(swaps))
-                values[0::4], values[1::4] = agents[0::2], agents[1::2]
-                values[2::4], values[3::4] = before[0::2], before[1::2]
-                fh.write(f"{k},%d,%d,%s,%s\n" * len(swaps) % tuple(values))
+            for k, pairs in enumerate(self.swaps):
+                text = z_rows[k].split(",")
+                values = []  # each row backwards, last row first
+                for p, q in reversed(pairs.tolist()):
+                    text[p], text[q] = text[q], text[p]
+                    values += (text[q], text[p], q, p)
+                values.reverse()
+                fh.write(f"{k},%d,%d,%s,%s\n" * len(pairs) % tuple(values))
 
     def write_plot_data(self, out) -> None:
         """Plot data in directory ``out``: applied powers, total vs
@@ -440,9 +433,8 @@ def step(st: SimState, k: int, trace: TraceLog) -> SimState:
     # Phase 3: civility negotiation rounds on desired magnitudes.
     swaps = []
     for _ in range(sc.rounds_per_step):
-        z_before = alloc.resources
         alloc, pairs = dyn.negotiate_round(alloc, desired_abs)
-        swaps.append(np.concatenate([pairs, z_before[pairs]], axis=1))
+        swaps.append(pairs)
     t3 = time.perf_counter()
 
     # Phase 4: apply the allocated magnitude with the controller's sign.

@@ -134,10 +134,17 @@ def voronoi_regions(generators, dom: Domain1D) -> np.ndarray:
 
 def _energy_of_cells(points: np.ndarray, m: np.ndarray,
                      d: DensitySpec) -> float:
-    """The second moment of (x - point) under d summed over the cells of m."""
-    m0, m1, m2 = dens.interval_moments(d, m[:-1], m[1:])
-    per_cell = m2 - 2.0 * points * m1 + points * points * m0
-    return float(np.sum(np.maximum(per_cell, 0.0)))
+    """The second moment of (x - point) under d summed over the cells of m;
+    InvalidParameterValue, naming the domain, when the sum is not finite."""
+    with np.errstate(all="ignore"):
+        m0, m1, m2 = dens.interval_moments(d, m[:-1], m[1:])
+        per_cell = m2 - 2.0 * points * m1 + points * points * m0
+        energy = float(np.sum(np.maximum(per_cell, 0.0)))
+    if not np.isfinite(energy):
+        raise InvalidParameterValue(
+            f"the quantization energy on [{m[0]}, {m[-1]}] is not a finite "
+            f"float64 ({energy})")
+    return energy
 
 
 def energy_K(points, d: DensitySpec, dom: Domain1D) -> float:

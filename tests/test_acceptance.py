@@ -6,7 +6,9 @@ only when the bound is missed.
 
 The verdict lines are collected here and echoed by the terminal-summary hook
 in conftest.py, so a plain ``pytest`` run always shows one line per
-criterion regardless of output capturing.
+criterion regardless of output capturing.  Each line must equal its
+criterion's line in tests/golden_acceptance.txt, so a run that selects some
+criteria compares only the lines it printed.
 """
 
 import json
@@ -30,6 +32,7 @@ from test_tessellation import is_cvt
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / \
     "demand_response.json"
+GOLDEN = Path(__file__).resolve().parent / "golden_acceptance.txt"
 
 
 VERDICT_LINES: list = []
@@ -41,6 +44,7 @@ def report(criterion: int, passed: bool, detail: str) -> None:
     VERDICT_LINES.append(line)
     print(line)
     assert passed, f"criterion {criterion}: {detail}"
+    assert line == GOLDEN.read_text().splitlines()[criterion - 1]
 
 
 def test_criterion_01_uniform_cvt_cli(tmp_path, capsys):

@@ -193,6 +193,18 @@ class TestCvt:
         assert rc == 0 and out["converged"]
         assert np.isfinite([out["energy"], *out["generators"]]).all()
 
+    def test_energy_that_is_not_finite_is_an_error(self, tmp_path, capsys):
+        # The generators are finite, but every cell's m2 - 2 z m1 + z² m0
+        # overflows; a NumPy warning would fail the test (pyproject.toml),
+        # and NaN is not JSON.
+        rc = run_cli("cvt", "--domain", "0,1e170", "--n", "3",
+                     "--density", '{"family":"exponential","lam":1e-170}',
+                     "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE and captured.out == ""
+        assert captured.err == ("error: the quantization energy on [0.0, "
+                                "1e+170] is not a finite float64 (nan)\n")
+
     def test_budget_stop_exits_two(self, tmp_path, capsys):
         # The file and the JSON are written first; only the exit code says
         # that the run did not converge.

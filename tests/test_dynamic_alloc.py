@@ -392,7 +392,7 @@ class TestAgainstReference:
     def test_same_values_and_events_with_ties(self, case):
         """The same resources and swaps as the reference; the resources a
         swap starts from, which the reference reads at swap time, are the
-        pre-round ones, as the trace records them."""
+        pre-round ones, as swaps.csv writes them."""
         z0, rounds = case
         state = _state(z0)
         ref = dict(enumerate(z0))

@@ -203,17 +203,35 @@ TRACE_COLUMNS = ("z", "desired_abs", "applied_power", "temp_F", "sum_z",
                  "constraint_error", "swaps")
 
 
+def undo_swaps(z, pairs) -> np.ndarray:
+    """The values that each swap of ``pairs`` (S, 2) found at its two
+    agents, (S, 2) float64: the swaps undone, last first, on the bits of
+    the values ``z`` they ended in, so signs of zero and NaNs survive."""
+    bits = np.asarray(z, dtype=np.float64).view(np.int64).tolist()
+    before = []
+    for p, q in reversed(pairs.tolist()):
+        bits[p], bits[q] = bits[q], bits[p]
+        before += (bits[q], bits[p])
+    return np.array(before[::-1], dtype=np.int64).reshape(-1, 2).view(
+        np.float64)
+
+
 def trace_bit_hashes(config: dict) -> dict:
     """SHA-256 of the float64 bytes of each trace column, all steps in
     order, of the per-step swap counts (int64) and of the line-graph column
     ``order`` (int64).  The text goldens print 15 digits, so a change in a
     value's last bit passes them; this one does not.  The ``order`` entry
     was recorded from ``np.argsort(z, kind="stable")`` of each step, before
-    the trace kept the line graph."""
+    the trace kept the line graph, and the ``swaps`` entry from rows of
+    proposer, target and their resources before the round, which the trace
+    stored then; the rows are rebuilt here from its pairs and z."""
     t = sim.run(Scenario.from_config(config))
     hashes = {}
     for name in TRACE_COLUMNS:
         column = getattr(t, name)
+        if name == "swaps":
+            column = [np.column_stack([pairs, undo_swaps(z, pairs)])
+                      for z, pairs in zip(t.z, column)]
         values = (np.concatenate(column) if name == "swaps"
                   else np.asarray(column, dtype=np.float64))
         hashes[name] = hashlib.sha256(values.tobytes()).hexdigest()

@@ -455,8 +455,8 @@ def order_trace(orders):
     """A trace of the line graphs ``orders`` (steps, N), with zeros in every
     other column that metrics reads."""
     steps, n = orders.shape
-    t = sim.TraceLog(n_agents=n, order=list(orders))
-    t.r = [0.0] * steps
+    t = sim.TraceLog(n_agents=n)
+    t.order, t.r = list(orders), [0.0] * steps
     t.z = t.temp_F = t.setpoints = list(np.zeros((steps, n)))
     return t
 

@@ -13,11 +13,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_golden import SHIPPED, TRACE_RUNS, fleet_config
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_golden import SHIPPED, TRACE_RUNS, fleet_config, undo_swaps
 from test_sim import small_scenario
 
+from cvtalloc import dynamic_alloc as dyn
 from cvtalloc import sim
-from cvtalloc.dynamic_alloc import rebuild_line_graph
+from cvtalloc.dynamic_alloc import AllocationState, rebuild_line_graph
 
 FMT = "%.15g"
 FILES = ("trace.csv", "swaps.csv", "metrics.json",
@@ -48,11 +51,13 @@ def oracle_trace_csv(t, path):
 
 
 def oracle_swaps_csv(t, path):
+    """The resources before each swap from the values, not from text."""
     with open(path, "w", newline="") as fh:
         fh.write("step,proposer,target,z_proposer_before,z_target_before\n")
-        for k, swaps in enumerate(t.swaps):
-            for p, q, zp, zq in swaps.tolist():
-                fh.write(f"{k},{int(p)},{int(q)},{FMT % zp},{FMT % zq}\n")
+        for k, (z, pairs) in enumerate(zip(t.z, t.swaps)):
+            for (p, q), (zp, zq) in zip(pairs.tolist(),
+                                        undo_swaps(z, pairs).tolist()):
+                fh.write(f"{k},{p},{q},{FMT % zp},{FMT % zq}\n")
 
 
 def oracle_plot_data(t, out):
@@ -103,8 +108,8 @@ def assert_same_files(t, tmp_path):
 def signed_trace() -> sim.TraceLog:
     """Four steps of four agents: negative resources, ±0, ±inf and NaN in
     both z and desired, every sign pattern of applied power (a desired -0
-    gives +, NaN gives -), swaps from each step's own resources (±0 among
-    them), and one step without swaps."""
+    gives +, NaN gives -), swaps over each step's own resources (±0 among
+    them, and agents that swap twice), and one step without swaps."""
     z = [np.array([-30.4, -0.0, 0.0, 2999.999999999]),
          np.array([np.inf, -np.inf, 1.5, -2.25]),
          np.array([np.nan, -np.nan, -1.0, 0.1]),
@@ -122,9 +127,7 @@ def signed_trace() -> sim.TraceLog:
         t.setpoints.append(np.full(4, 72.0))
         t.order.append(rebuild_line_graph(zk))
         t.r.append(4000.0 + k)
-        pairs = np.array(pk, dtype=float).reshape(-1, 2)
-        before = zk[pairs.astype(int)]
-        t.swaps.append(np.concatenate([pairs, before], axis=1))
+        t.swaps.append(np.array(pk, dtype=int).reshape(-1, 2))
     return t
 
 
@@ -181,13 +184,65 @@ def wide_trace(n=240, steps=40, seed=11) -> sim.TraceLog:
         t.setpoints.append(np.full(n, 72.0))
         t.order.append(rebuild_line_graph(z))
         t.r.append(float(np.abs(z).sum()))
-        pairs = rng.integers(0, n, (k % 5 * 30, 2)).astype(float)
-        t.swaps.append(np.concatenate([pairs, z[pairs.astype(int)]], axis=1))
+        t.swaps.append(rng.integers(0, n, (k % 5 * 30, 2)))
     return t
 
 
 def test_wide_random_trace_matches_per_file_writers(tmp_path):
     assert_same_files(wide_trace(), tmp_path)
+
+
+def spy_rounds(calls: list):
+    """dyn.negotiate_round, recording each call's pre-round resources and
+    the pairs it returned in ``calls``."""
+    negotiate_round = dyn.negotiate_round
+
+    def spy(state, desired):
+        new, pairs = negotiate_round(state, desired)
+        calls.append((state.resources, pairs))
+        return new, pairs
+    return spy
+
+
+# Half-integers from -4 to 4 tie often, and -0.0 (drawn for -9) equals
+# 0.0 with other bits.
+half_values = st.integers(-9, 8).map(lambda k: -0.0 if k == -9 else k / 2.0)
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(half_values, min_size=n, max_size=n),
+    st.lists(st.lists(half_values, min_size=n, max_size=n),
+             min_size=1, max_size=4))))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_undoing_the_pairs_gives_each_swaps_pre_round_values(case):
+    z0, rounds = case
+    calls = []
+    negotiate = spy_rounds(calls)
+    state = AllocationState(z0, 0.0, 0.0)
+    for desired in rounds:
+        state, _ = negotiate(state, desired)
+    pairs = np.concatenate([pairs for _, pairs in calls])
+    want = np.concatenate([z[pairs] for z, pairs in calls])
+    got = undo_swaps(state.resources, pairs)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("label", list(TRACE_RUNS))
+def test_trace_keeps_the_pairs_each_round_returned(label, monkeypatch):
+    calls = []
+    monkeypatch.setattr(dyn, "negotiate_round", spy_rounds(calls))
+    sc = sim.Scenario.from_config(TRACE_RUNS[label]())
+    t = sim.run(sc)
+    rounds = sc.rounds_per_step
+    assert len(calls) == rounds * len(t.swaps)
+    for k, (z, swaps) in enumerate(zip(t.z, t.swaps)):
+        step = calls[k * rounds:(k + 1) * rounds]
+        assert np.issubdtype(swaps.dtype, np.integer)
+        assert np.array_equal(swaps,
+                              np.concatenate([pairs for _, pairs in step]))
+        before = np.concatenate([z_round[pairs] for z_round, pairs in step])
+        assert np.array_equal(undo_swaps(z, swaps).view(np.int64),
+                              before.view(np.int64))
 
 
 def test_sum_of_squares_is_the_python_loop():

@@ -57,12 +57,7 @@ VALUE_TYPES = {
                    "gains": None, "X": np.zeros((2, 3)),
                    "disturbances": np.zeros((4, 2)),
                    "setpoints": np.zeros((4, 2))},
-    sim.TraceLog: {"n_agents": 2, "z": [ARRAY], "desired": [ARRAY],
-                   "temp_F": [ARRAY], "setpoints": [ARRAY],
-                   "order": [np.array([0, 1])], "r": [3.0],
-                   "swaps": [np.zeros((0, 4))],
-                   "phase_s": dict.fromkeys(sim.PHASES, 1.0),
-                   "initialize_s": 0.5},
+    sim.TraceLog: {"n_agents": 2, "initialize_s": 0.5},
     sim.MetricsReport: {"l2_power_error": 1e-11,
                         "mean_swaps_per_agent": 2.0,
                         "neighbor_coverage": (1, 2, 1),
@@ -121,6 +116,8 @@ def test_defaults():
     assert sol.iterations == 0 and sol.residual_history == ()
     assert DensitySpec("uniform", {"a": 0.0, "b": 1.0}).free_param is None
     assert DensitySpec("exponential", free_param="lam").params == {}
+    assert list(inspect.signature(sim.TraceLog).parameters) == [
+        "n_agents", "initialize_s"]
     first, second = sim.TraceLog(3), sim.TraceLog(n_agents=3)
     for name in ("z", "desired", "temp_F", "setpoints", "order", "r",
                  "swaps"):
