@@ -441,19 +441,19 @@ def _newton_step(u: np.ndarray, f: np.ndarray, m0: np.ndarray,
         raise InvalidCandidate("dense solve failed (singular matrix)") from exc
 
 
-def _starts(p: StaticProblem, init) -> list:
-    """solve's starts in order, as (name, guess) with guess(p) the unknowns
-    or None.  A given init is the only start.  Otherwise: above N_DENSE the
-    cube-root quantiles, then the equally spaced centroids, then the density
-    quantiles; at or below it, as the shipped N = 15 solve has always
-    started, only the last two."""
+def _starts(p: StaticProblem, init):
+    """solve's starts in order, as (name, unknowns or None), each guess made
+    only when the start before it was not used.  A given init is the only
+    start.  Otherwise: above N_DENSE the cube-root quantiles, then the
+    equally spaced centroids, then the density quantiles; at or below it, as
+    the shipped N = 15 solve has always started, only the last two."""
     if init is not None:
-        return [("given", lambda p: np.asarray(init, dtype=float).ravel())]
-    starts = [("equally spaced", default_initial_guess),
-              ("density quantiles", _quantile_guess)]
+        yield "given", np.asarray(init, dtype=float).ravel()
+        return
     if p.n_agents > N_DENSE:
-        starts.insert(0, ("cube-root quantiles", _cube_root_guess))
-    return starts
+        yield "cube-root quantiles", _cube_root_guess(p)
+    yield "equally spaced", default_initial_guess(p)
+    yield "density quantiles", _quantile_guess(p)
 
 
 def solve(p: StaticProblem, init=None) -> StaticSolution:
@@ -468,79 +468,68 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
     _moment_guess's v_k.  Each step is _newton_step: dense at or below
     N_DENSE (the shipped N = 15), with 2 residual evaluations; banded
     above, where its bytes are the same at any BLAS thread count, with 1,
-    or none for a Gaussian free mu, whose column is analytic; on either
-    path a system it cannot solve ends in SolverDiverged.  Each iterate is
-    evaluated once: the accepted line-search candidate's residual, masses
-    and norm are the next step's.  Armijo acceptance never raises the norm,
-    so the SolverDiverged of a started solve carries the last iterate, a
-    best one, and its norm.  The solve logs one DEBUG record at its end,
-    converged or diverged: its path, Newton steps, residual evaluations (a
-    stack counts as one; those of a step that raises are not counted),
-    final residual norm and the start it took."""
+    or none for a Gaussian free mu, whose column is analytic.  Each iterate
+    is evaluated once: the accepted line-search candidate's residual,
+    masses and norm are the next step's.  Every iterate is tested against
+    RESIDUAL_TOL, the one after the MAX_NEWTON_ITER-th step included.
+
+    One loop names why it stopped, and the solve ends in one place: one
+    DEBUG record, converged or diverged, with its path, Newton steps,
+    residual evaluations (a stack counts as one; those of a step that
+    raises are not counted), final residual norm and the start it took;
+    then the StaticSolution, or SolverDiverged for an infeasible start, a
+    step _newton_step cannot solve (its InvalidCandidate the cause), a
+    stalled line search or a spent budget.  Armijo acceptance never raises
+    the norm, so the SolverDiverged of a started solve carries the last
+    iterate, a best one, and its norm."""
     path = "banded" if p.n_agents > N_DENSE else "dense"
-    evals, steps, norm, start, outcome = 0, 0, np.nan, None, None
-    try:
-        for start, guess in _starts(p, init):
-            cand = guess(p)
-            if cand is None:
-                continue
+    evals, steps, norm = 0, 0, math.nan
+    for start, cand in _starts(p, init):
+        if cand is not None:
             u = cand
             f, m0, norm = _evaluate(u, p)
             evals += 1
-            if np.isfinite(norm):
+            if math.isfinite(norm):
                 break
-        if not np.isfinite(norm):
-            raise SolverDiverged("initial guess is infeasible", best=u,
-                                 residual_norm=norm)
-
-        history = []
-        for steps in range(MAX_NEWTON_ITER):
-            history.append(norm)
-            if norm < RESIDUAL_TOL:
-                outcome = "converged"
-                return _package(u, tuple(history), p)
-
-            try:
-                step, step_evals = _newton_step(u, f, m0, p)
-            except InvalidCandidate as exc:
-                raise SolverDiverged(str(exc), best=u,
-                                     residual_norm=norm) from exc
-            evals += step_evals
-
-            alpha = 1.0
-            while alpha >= MIN_ALPHA:
-                cand = u + alpha * step
-                cand_f, cand_m0, cand_norm = _evaluate(cand, p)
-                evals += 1
-                if cand_norm <= (1.0 - ARMIJO_C * alpha) * norm:
-                    u, f, m0, norm = cand, cand_f, cand_m0, cand_norm
-                    break
-                alpha *= 0.5
-            else:
-                raise SolverDiverged(
-                    f"line search stalled at residual norm {norm:g}",
-                    best=u, residual_norm=norm)
-        steps = MAX_NEWTON_ITER
-        raise SolverDiverged(
-            f"no convergence in {MAX_NEWTON_ITER} iterations "
-            f"(residual norm {norm:g})", best=u, residual_norm=norm)
-    except SolverDiverged:
-        outcome = "diverged"
-        raise
-    finally:
-        if outcome:
-            logger.debug("N = %d: %s Newton steps %d, residual evaluations %d, "
-                         "final residual norm %.3g, %s, start %s", p.n_agents,
-                         path, steps, evals, norm, outcome, start)
-
-
-def _package(u: np.ndarray, history: tuple,
-             p: StaticProblem) -> StaticSolution:
-    """The StaticSolution at the converged unknowns u."""
+    stop = None if math.isfinite(norm) else "initial guess is infeasible"
+    history, cause = [], None
+    while stop is None:
+        history.append(norm)
+        if norm < RESIDUAL_TOL:
+            stop = "converged"
+            break
+        if steps == MAX_NEWTON_ITER:
+            stop = (f"no convergence in {MAX_NEWTON_ITER} iterations "
+                    f"(residual norm {norm:g})")
+            break
+        try:
+            step, step_evals = _newton_step(u, f, m0, p)
+        except InvalidCandidate as exc:
+            stop, cause = str(exc), exc
+            break
+        evals += step_evals
+        alpha = 1.0
+        while alpha >= MIN_ALPHA:
+            cand = u + alpha * step
+            cand_f, cand_m0, cand_norm = _evaluate(cand, p)
+            evals += 1
+            if cand_norm <= (1.0 - ARMIJO_C * alpha) * norm:
+                u, f, m0, norm = cand, cand_f, cand_m0, cand_norm
+                steps += 1
+                break
+            alpha *= 0.5
+        else:
+            stop = f"line search stalled at residual norm {norm:g}"
+    converged = stop == "converged"
+    logger.debug("N = %d: %s Newton steps %d, residual evaluations %d, "
+                 "final residual norm %.3g, %s, start %s", p.n_agents, path,
+                 steps, evals, norm, "converged" if converged else "diverged",
+                 start)
+    if not converged:
+        raise SolverDiverged(stop, best=u, residual_norm=norm) from cause
     z, v = _split(u, p.n_agents)
-    return StaticSolution(centroids=z, v_k=v, residual_norm=history[-1],
-                          iterations=len(history) - 1,
-                          residual_history=history)
+    return StaticSolution(centroids=z, v_k=v, residual_norm=norm,
+                          iterations=steps, residual_history=tuple(history))
 
 
 def cross_validate(sol: StaticSolution, p: StaticProblem) -> CrossValidationReport:

@@ -586,6 +586,28 @@ class TestSolve:
         assert norm == np.linalg.norm(sa.residual(exc.value.best, p))
         assert norm == hist[2] < hist[1]
 
+    @pytest.mark.parametrize("n, r, needed", [(15, 750.0, 5),
+                                              (50, 2500.0, 4)])
+    def test_budget_tests_its_last_iterate(self, n, r, needed, monkeypatch):
+        # The iterate after the last allowed step is tested against
+        # RESIDUAL_TOL: a budget of the steps a solve needs converges, and
+        # one step less stops at that budget's last iterate.
+        p = StaticProblem(DOM_100, n, GAUSS_FREE_MU, r)
+        ref = sa.solve(p)
+        assert ref.iterations == needed
+        monkeypatch.setattr(sa, "MAX_NEWTON_ITER", needed)
+        sol = sa.solve(p)
+        assert sol.iterations == needed
+        assert sol.centroids.tobytes() == ref.centroids.tobytes()
+        assert sol.residual_history == ref.residual_history
+        monkeypatch.setattr(sa, "MAX_NEWTON_ITER", needed - 1)
+        with pytest.raises(SolverDiverged,
+                           match="^no convergence in ") as exc:
+            sa.solve(p)
+        norm = exc.value.residual_norm
+        assert norm == np.linalg.norm(sa.residual(exc.value.best, p))
+        assert norm == ref.residual_history[needed - 1]
+
     def test_narrow_gaussian_uses_quantile_fallback(self, caplog):
         # Equally spaced initial centroids leave empty tail cells here; the
         # solver must still converge from its quantile-based fallback.
@@ -694,15 +716,20 @@ class TestEvaluationCount:
             f"N = 15: dense Newton steps {sol.iterations}, residual "
             f"evaluations {len(calls)}, final residual norm "
             f"{sol.residual_norm:.3g}, converged, start equally spaced"]
+        assert sol.residual_norm == sol.residual_history[-1]
+        assert sol.iterations == len(sol.residual_history) - 1
 
         caplog.clear()
         bad = np.append(np.linspace(10.0, 20.0, 15)[::-1], 50.0)
         with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
-            with pytest.raises(SolverDiverged):
+            with pytest.raises(SolverDiverged,
+                               match="^initial guess is infeasible$") as exc:
                 sa.solve(p, init=bad)
         assert [r.getMessage() for r in caplog.records] == [
             "N = 15: dense Newton steps 0, residual evaluations 1, final "
             "residual norm inf, diverged, start given"]
+        assert exc.value.residual_norm == np.inf
+        assert np.array_equal(exc.value.best, bad)
 
     @pytest.mark.parametrize("n", [50, 200, 800])
     def test_static_sweep_solve(self, n, monkeypatch):
@@ -761,6 +788,106 @@ class TestEvaluationCount:
         alloc = sim.initialize(shipped).alloc
         assert np.array_equal(alloc.resources, reference.centroids)
         assert alloc.mu_current == reference.v_k
+
+
+def logged_solve(p, caplog):
+    """(the solution or the SolverDiverged, the solve's end records)."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
+        try:
+            out = sa.solve(p)
+        except SolverDiverged as exc:
+            out = exc
+    return out, [r.getMessage() for r in caplog.records
+                 if "Newton steps" in r.getMessage()]
+
+
+def carries_its_best(exc, p):
+    return exc.residual_norm == np.linalg.norm(sa.residual(exc.best, p))
+
+
+class TestOneExit:
+    """Every way a solve ends passes through one exit: one DEBUG record,
+    then the StaticSolution or one SolverDiverged carrying its best iterate
+    and that iterate's norm.  test_one_debug_record_per_solve covers the
+    converged solve and the infeasible given start."""
+
+    def test_no_usable_start(self, monkeypatch, caplog):
+        # The equally spaced start leaves an empty cell and neither quantile
+        # start is made: the error carries the last start that was made.
+        p = TestEmptyCellRule.P
+        for name in ("_cube_root_guess", "_quantile_guess"):
+            monkeypatch.setattr(sa, name, lambda p: None)
+        exc, records = logged_solve(p, caplog)
+        assert str(exc) == "initial guess is infeasible"
+        assert exc.residual_norm == np.inf
+        assert np.array_equal(exc.best, sa.default_initial_guess(p))
+        assert records == [
+            "N = 200: banded Newton steps 0, residual evaluations 1, final "
+            "residual norm inf, diverged, start density quantiles"]
+
+    def test_invalid_step(self, monkeypatch, caplog):
+        # The second step cannot be solved: the error keeps its text, names
+        # it as the cause and carries iterate 1.
+        p = StaticProblem(DOM_100, 15, GAUSS_FREE_MU, 750.0)
+        ref = sa.solve(p)
+        real, calls = sa._newton_step, []
+        invalid = InvalidCandidate("no step at iterate 1")
+
+        def newton_step(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise invalid
+            return real(*args)
+
+        monkeypatch.setattr(sa, "_newton_step", newton_step)
+        exc, records = logged_solve(p, caplog)
+        assert str(exc) == "no step at iterate 1"
+        assert exc.__cause__ is invalid
+        assert carries_its_best(exc, p)
+        assert exc.residual_norm == ref.residual_history[1]
+        assert len(records) == 1
+        assert records[0].startswith("N = 15: dense Newton steps 1, ")
+        assert records[0].endswith(
+            f"final residual norm {ref.residual_history[1]:.3g}, diverged, "
+            f"start equally spaced")
+
+    def test_line_search_stall(self, caplog):
+        d = DensitySpec("gamma", {"theta": 100.0}, free_param="k")
+        p = StaticProblem(Domain1D(0.0, 300.0), 20, d, 1000.0)
+        exc, records = logged_solve(p, caplog)
+        assert str(exc) == "line search stalled at residual norm 886.221"
+        assert exc.__cause__ is None
+        assert carries_its_best(exc, p)
+        assert records == [
+            "N = 20: banded Newton steps 23, residual evaluations 502, final "
+            "residual norm 886, diverged, start cube-root quantiles"]
+
+    def test_budget(self, monkeypatch, caplog):
+        p = StaticProblem(DOM_100, 50, GAUSS_FREE_MU, 2500.0)
+        monkeypatch.setattr(sa, "MAX_NEWTON_ITER", 2)
+        exc, records = logged_solve(p, caplog)
+        assert str(exc).startswith("no convergence in 2 iterations")
+        assert exc.__cause__ is None
+        assert carries_its_best(exc, p)
+        assert records == [
+            f"N = 50: banded Newton steps 2, residual evaluations 3, final "
+            f"residual norm {exc.residual_norm:.3g}, diverged, start "
+            f"cube-root quantiles"]
+
+    @pytest.mark.parametrize("n, later", [
+        (15, ["_quantile_guess"]),
+        (50, ["default_initial_guess", "_quantile_guess"]),
+    ])
+    def test_later_starts_are_never_made(self, n, later, monkeypatch):
+        # A solve whose first start is used never calls the later guesses.
+        def fail(p):
+            raise AssertionError("a later start was made")
+
+        for name in later:
+            monkeypatch.setattr(sa, name, fail)
+        p = StaticProblem(DOM_100, n, GAUSS_FREE_MU, 50.0 * n)
+        assert sa.solve(p).residual_norm < sa.RESIDUAL_TOL
 
 
 class TestEmptyCellRule:
