@@ -23,7 +23,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -234,11 +233,11 @@ def _cmd_dynamic_sim(args) -> int:
             raise InvalidScenario(
                 f"--horizon {h} must be between 1 and the schedule length "
                 f"{len(sc.power_schedule)}")
-        sc = replace(sc, horizon=h, power_schedule=sc.power_schedule[:h],
-                     setpoint_changes=tuple(c for c in sc.setpoint_changes
-                                            if c[0] < h))
+        sc = sc.replace(horizon=h, power_schedule=sc.power_schedule[:h],
+                        setpoint_changes=tuple(c for c in sc.setpoint_changes
+                                               if c[0] < h))
     if args.seed is not None:
-        sc = replace(sc, seed=args.seed)
+        sc = sc.replace(seed=args.seed)
 
     t0 = time.perf_counter()
     trace = sim.run(sc)

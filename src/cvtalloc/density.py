@@ -19,6 +19,7 @@ from .errors import (
     InvalidParameterValue,
     NoFreeParameter,
     UnboundFreeParameter,
+    _slot_eq,
 )
 
 __all__ = [
@@ -77,6 +78,7 @@ class DensitySpec:
     """
 
     __slots__ = ("family", "params", "free_param")
+    __eq__ = _slot_eq
 
     def __init__(self, family: str, params: dict | None = None,
                  free_param: str | None = None):
@@ -112,12 +114,6 @@ class DensitySpec:
             raise InvalidParameterValue(f"{fam} is missing parameters {missing}")
         _check_params(fam, clean)
         self.family, self.params, self.free_param = fam, clean, free_param
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ([getattr(self, n) for n in self.__slots__]
-                == [getattr(other, n) for n in self.__slots__])
 
     # -- construction helpers -------------------------------------------
 

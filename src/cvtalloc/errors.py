@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the value types' equality."""
+
+
+def _slot_eq(self, other):
+    """``__eq__`` by value for a ``__slots__`` class, whose instances it
+    leaves unhashable: the slots compared in order, within one class."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return ([getattr(self, n) for n in self.__slots__]
+            == [getattr(other, n) for n in self.__slots__])
 
 
 class CvtAllocError(Exception):
@@ -49,14 +58,14 @@ class InvalidCandidate(CvtAllocError):
 class SolverDiverged(CvtAllocError):
     """Newton iteration failed to reach the residual tolerance.
 
-    Carries the best iterate found in ``best`` and its norm in
-    ``residual_norm`` for diagnostics.
+    Carries the best iterate found in ``best``, its norm in
+    ``residual_norm`` and the norm of each tested iterate in ``history``
+    (empty when no start was usable) for diagnostics.
     """
 
-    def __init__(self, message, best=None, residual_norm=None):
+    def __init__(self, message, best=None, residual_norm=None, history=()):
         super().__init__(message)
-        self.best = best
-        self.residual_norm = residual_norm
+        self.best, self.residual_norm, self.history = best, residual_norm, history
 
 
 class InfeasibleProblem(CvtAllocError):

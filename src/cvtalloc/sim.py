@@ -16,7 +16,6 @@ import json
 import logging
 import math
 import time
-from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from . import static_alloc as sa
 from . import thermal as th
 from .density import DensitySpec, _unique_keys
 from .dynamic_alloc import AllocationState
-from .errors import InvalidParameterValue, InvalidScenario, Uncontrollable
+from .errors import InvalidParameterValue, InvalidScenario, Uncontrollable, _slot_eq
 from .tessellation import Domain1D
 
 __all__ = ["Scenario", "SimState", "TraceLog", "MetricsReport", "initialize",
@@ -67,79 +66,86 @@ def _floats(values) -> tuple:
     return tuple(_number(v) for v in values)
 
 
-# How Scenario.from_config reads each config field; a TypeError or
-# ValueError from one becomes an InvalidScenario naming the field.
+# How Scenario.from_config reads each config field, in the constructor's order;
+# a TypeError or ValueError from one becomes an InvalidScenario naming the field.
 _FROM_CONFIG = {
-    "n_agents": _integer, "horizon": _integer, "seed": _integer,
-    "rounds_per_step": _integer, "ts_minutes": _number, "disturbance": _string,
+    "n_agents": _integer, "horizon": _integer,
     "domain": lambda v: Domain1D(*_floats(v)),
-    "density": DensitySpec.from_config,
-    "power_schedule": _floats, "setpoints": _floats, "poles": _floats,
+    "density": DensitySpec.from_config, "power_schedule": _floats,
+    "seed": _integer, "disturbance": _string, "setpoints": _floats,
     "setpoint_changes": lambda v: tuple(
         (_integer(s), _integer(a), _number(x)) for s, a, x in v),
+    "rounds_per_step": _integer, "ts_minutes": _number, "poles": _floats,
 }
+_REQUIRED = ("n_agents", "horizon", "domain", "density", "power_schedule")
 
 
-@dataclass(frozen=True)
 class Scenario:
-    """Configuration of one demand-response run."""
+    """Configuration of one demand-response run: ``density`` gaussian with
+    free mu, ``power_schedule`` r(k) as floats, one entry per step,
+    ``disturbance`` "synthetic" or a CSV path, ``setpoints`` per-agent degF
+    (empty: all 72), ``setpoint_changes`` (step, agent, new_setpoint)
+    triples.  Equal by value, unhashable; ``replace`` builds a checked copy."""
 
-    n_agents: int
-    horizon: int
-    domain: Domain1D
-    density: DensitySpec          # gaussian with free mu
-    power_schedule: tuple         # r(k), one entry per step
-    seed: int = 0
-    disturbance: str = "synthetic"   # or a CSV path
-    setpoints: tuple = ()            # per-agent degF; empty -> all 72
-    setpoint_changes: tuple = ()     # (step, agent, new_setpoint) triples
-    rounds_per_step: int = 1
-    ts_minutes: float = th.DEFAULT_TS_MINUTES
-    poles: tuple = th.DEFAULT_POLES
+    __slots__ = tuple(_FROM_CONFIG)
+    __eq__ = _slot_eq
 
-    def __post_init__(self):
-        if self.n_agents < 1 or self.horizon < 1:
+    def __init__(self, n_agents: int, horizon: int, domain: Domain1D,
+                 density: DensitySpec, power_schedule: tuple, seed: int = 0,
+                 disturbance: str = "synthetic", setpoints: tuple = (),
+                 setpoint_changes: tuple = (), rounds_per_step: int = 1,
+                 ts_minutes: float = th.DEFAULT_TS_MINUTES,
+                 poles: tuple = th.DEFAULT_POLES):
+        if n_agents < 1 or horizon < 1:
             raise InvalidScenario("n_agents and horizon must be >= 1")
-        if self.horizon != len(self.power_schedule):
+        if horizon != len(power_schedule):
             raise InvalidScenario("horizon must equal len(power_schedule)")
-        if self.density.family != "gaussian" or self.density.free_param != "mu":
+        if density.family != "gaussian" or density.free_param != "mu":
             raise InvalidScenario("scenario density must be gaussian with free mu")
-        for r in self.power_schedule:
-            mean = r / self.n_agents
-            if not (self.domain.a < mean < self.domain.b):
+        for r in power_schedule:
+            mean = r / n_agents
+            if not (domain.a < mean < domain.b):
                 raise InvalidScenario(
-                    f"r(k)/N = {mean} outside domain ({self.domain.a}, {self.domain.b})")
-        if self.setpoints and len(self.setpoints) != self.n_agents:
+                    f"r(k)/N = {mean} outside domain ({domain.a}, {domain.b})")
+        if setpoints and len(setpoints) != n_agents:
             raise InvalidScenario("setpoints must have one entry per agent")
         lo, hi = SETPOINT_RANGE_F
-        if not all(lo <= v <= hi for v in self.setpoints):
+        if not all(lo <= v <= hi for v in setpoints):
             raise InvalidScenario(f"setpoints must lie in [{lo}, {hi}] degF")
-        for when, agent, value in self.setpoint_changes:
-            if not (0 <= when < self.horizon and 0 <= agent < self.n_agents):
+        for when, agent, value in setpoint_changes:
+            if not (0 <= when < horizon and 0 <= agent < n_agents):
                 raise InvalidScenario(
                     f"setpoint change at step {when} for agent {agent}: need "
-                    f"step in [0, {self.horizon}) and agent in [0, {self.n_agents})")
+                    f"step in [0, {horizon}) and agent in [0, {n_agents})")
             if not lo <= value <= hi:
                 raise InvalidScenario(
                     f"setpoint_changes: the new setpoint at step {when} for "
                     f"agent {agent} must lie in [{lo}, {hi}] degF, got {value!r}")
-        if len(self.poles) != 3:
+        if len(poles) != 3:
             raise InvalidScenario(
                 f"poles must have exactly three entries, one per plant "
-                f"state, got {len(self.poles)}")
-        if not all(abs(pole) < 1.0 for pole in self.poles):
+                f"state, got {len(poles)}")
+        if not all(abs(pole) < 1.0 for pole in poles):
             raise InvalidScenario(
                 f"poles must lie strictly inside the unit circle for a "
-                f"stable closed loop, got {list(self.poles)}")
-        if self.rounds_per_step < 1:
+                f"stable closed loop, got {list(poles)}")
+        if rounds_per_step < 1:
             raise InvalidScenario("rounds_per_step must be >= 1")
-        if not (math.isfinite(self.ts_minutes) and self.ts_minutes > 0):
+        if not (math.isfinite(ts_minutes) and ts_minutes > 0):
             raise InvalidScenario(
-                f"ts_minutes must be a finite number > 0, got {self.ts_minutes!r}")
-        if self.seed < 0:
-            raise InvalidScenario(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "power_schedule",
-                           tuple(float(r) for r in self.power_schedule))
+                f"ts_minutes must be a finite number > 0, got {ts_minutes!r}")
+        if seed < 0:
+            raise InvalidScenario(f"seed must be >= 0, got {seed}")
+        self.n_agents, self.horizon, self.domain = n_agents, horizon, domain
+        self.density, self.seed, self.disturbance = density, seed, disturbance
+        self.power_schedule = tuple(float(r) for r in power_schedule)
+        self.setpoints, self.setpoint_changes = setpoints, setpoint_changes
+        self.rounds_per_step, self.ts_minutes = rounds_per_step, ts_minutes
+        self.poles = poles
+
+    def replace(self, **changes) -> "Scenario":
+        """A copy with ``changes`` applied, checked again by the constructor."""
+        return type(self)(**{n: getattr(self, n) for n in self.__slots__} | changes)
 
     @classmethod
     def from_config(cls, obj: dict) -> "Scenario":
@@ -150,15 +156,15 @@ class Scenario:
         if unknown:
             raise InvalidScenario(f"unknown scenario keys: {', '.join(unknown)}")
         values = {}
-        for f in fields(cls):
-            if f.name not in obj:
-                if f.default is MISSING:
-                    raise InvalidScenario(f"missing required key {f.name!r}")
+        for name, read in _FROM_CONFIG.items():
+            if name not in obj:
+                if name in _REQUIRED:
+                    raise InvalidScenario(f"missing required key {name!r}")
                 continue
             try:
-                values[f.name] = _FROM_CONFIG[f.name](obj[f.name])
+                values[name] = read(obj[name])
             except (TypeError, ValueError) as exc:
-                raise InvalidScenario(f"{f.name}: {exc}") from exc
+                raise InvalidScenario(f"{name}: {exc}") from exc
         return cls(**values)
 
     @classmethod

@@ -35,6 +35,7 @@ from .errors import (
     InvalidParameterValue,
     SolverDiverged,
     UnsortedGenerators,
+    _slot_eq,
 )
 from .tessellation import Domain1D
 
@@ -61,6 +62,7 @@ class StaticProblem:
     parameter: the centroids must sum to r."""
 
     __slots__ = ("domain", "n_agents", "density", "r")
+    __eq__ = _slot_eq
 
     def __init__(self, domain: Domain1D, n_agents: int, density: DensitySpec,
                  r: float):
@@ -75,12 +77,6 @@ class StaticProblem:
                 f"mean allocation r/N = {mean} outside ({domain.a}, {domain.b})")
         self.domain, self.n_agents, self.density, self.r = (
             domain, n_agents, density, r)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ([getattr(self, n) for n in self.__slots__]
-                == [getattr(other, n) for n in self.__slots__])
 
 
 class StaticSolution:
@@ -481,7 +477,7 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
     step _newton_step cannot solve (its InvalidCandidate the cause), a
     stalled line search or a spent budget.  Armijo acceptance never raises
     the norm, so the SolverDiverged of a started solve carries the last
-    iterate, a best one, and its norm."""
+    iterate, a best one, its norm and the history of tested norms."""
     path = "banded" if p.n_agents > N_DENSE else "dense"
     evals, steps, norm = 0, 0, math.nan
     for start, cand in _starts(p, init):
@@ -526,7 +522,8 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
                  steps, evals, norm, "converged" if converged else "diverged",
                  start)
     if not converged:
-        raise SolverDiverged(stop, best=u, residual_norm=norm) from cause
+        raise SolverDiverged(stop, best=u, residual_norm=norm,
+                             history=tuple(history)) from cause
     z, v = _split(u, p.n_agents)
     return StaticSolution(centroids=z, v_k=v, residual_norm=norm,
                           iterations=steps, residual_history=tuple(history))

@@ -18,6 +18,7 @@ from .errors import (
     GeneratorOutOfDomain,
     InvalidParameterValue,
     UnsortedGenerators,
+    _slot_eq,
 )
 
 __all__ = [
@@ -51,6 +52,7 @@ class Domain1D:
     """The bounded resource interval Omega = [a, b]."""
 
     __slots__ = ("a", "b")
+    __eq__ = _slot_eq
 
     def __init__(self, a: float, b: float):
         if not (np.isfinite(a) and np.isfinite(b)):
@@ -58,12 +60,6 @@ class Domain1D:
         if not a < b:
             raise InvalidParameterValue(f"domain requires a < b, got [{a}, {b}]")
         self.a, self.b = a, b
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ([getattr(self, n) for n in self.__slots__]
-                == [getattr(other, n) for n in self.__slots__])
 
     @property
     def width(self) -> float:

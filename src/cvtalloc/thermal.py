@@ -23,7 +23,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import InvalidScenario, NonHurwitz, Uncontrollable
+from .errors import InvalidScenario, NonHurwitz, Uncontrollable, _slot_eq
 
 __all__ = [
     "ThermalParams",
@@ -64,6 +64,7 @@ class ThermalParams:
     agent as (N,) arrays."""
 
     __slots__ = PARAM_NAMES
+    __eq__ = _slot_eq
 
     def __init__(self, K1, K2, K3, K4, K5, C1, C2, C3):
         values = (K1, K2, K3, K4, K5, C1, C2, C3)
@@ -77,12 +78,6 @@ class ThermalParams:
                 raise ValueError(f"{name} must be strictly positive")
         (self.K1, self.K2, self.K3, self.K4, self.K5,
          self.C1, self.C2, self.C3) = values
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ([getattr(self, n) for n in self.__slots__]
-                == [getattr(other, n) for n in self.__slots__])
 
     @classmethod
     def means(cls) -> "ThermalParams":

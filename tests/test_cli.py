@@ -429,6 +429,8 @@ class TestDynamicSim:
         ({"setpoints": [70.0, 1e300, 73.0, 74.0]},
          "setpoints must lie in [-459.67, 1000.0] degF"),
         ({"setpoints": [70.0, -460.0, 73.0, 74.0]}, "setpoints"),
+        ({"setpoints": [70.0, 71.0, 73.0]},
+         "setpoints must have one entry per agent"),
         ({"setpoint_changes": [[5, 0, 1000.5]]},
          "setpoint_changes: the new setpoint at step 5 for agent 0 must lie "
          "in [-459.67, 1000.0] degF, got 1000.5"),
@@ -450,7 +452,8 @@ class TestDynamicSim:
             "domain-three-values", "schedule-not-list", "setpoints-not-list",
             "changes-not-list", "poles-not-list", "density-not-object",
             "setpoint-nan", "setpoint-change-inf", "setpoint-huge",
-            "setpoint-below-absolute-zero", "setpoint-change-too-hot",
+            "setpoint-below-absolute-zero", "setpoints-too-few",
+            "setpoint-change-too-hot",
             "pole-outside-unit-circle",
             "poles-two",
             "missing-key", "density-no-family", "ts-nan", "ts-inf", "ts-zero",

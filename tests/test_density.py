@@ -57,6 +57,12 @@ class TestDensitySpec:
             DensitySpec("uniform", {"a": 1.0, "b": 1.0})
         with pytest.raises(InvalidParameterValue):
             DensitySpec("weibull", {"k": 1.0})
+        with pytest.raises(InvalidParameterValue,
+                           match="^gaussian has no parameter 'k'$"):
+            DensitySpec("gaussian", {"mu": 0.0, "sigma2": 1.0, "k": 2.0})
+        with pytest.raises(InvalidParameterValue,
+                           match=r"^gamma is missing parameters \['theta'\]$"):
+            DensitySpec("gamma", {"k": 2.0})
 
     def test_free_parameter_marking(self):
         d = DensitySpec("gaussian", {"sigma2": 4.0}, free_param="mu")

@@ -55,6 +55,10 @@ class TestShiftedMean:
         mu1 = dyn.shifted_mean(50.0, 100.0, 90.0, 5)
         assert 50.0 - mu1 == pytest.approx(2.0)
 
+    def test_no_agents_rejected(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            dyn.shifted_mean(50.0, 100.0, 90.0, 0)
+
 
 class TestVerifyShiftProperty:
     def test_passes_on_wide_domain(self):
@@ -90,6 +94,12 @@ class TestVerifyShiftProperty:
     def test_non_gaussian_rejected(self):
         d = DensitySpec("exponential", {"lam": 1.0})
         with pytest.raises(ValueError):
+            dyn.verify_shift_property(d, Domain1D(0.0, 100.0), n=3,
+                                      delta=1.0, tol=1e-7)
+
+    def test_unbound_density_rejected(self):
+        d = DensitySpec("gaussian", {"sigma2": 4.0}, free_param="mu")
+        with pytest.raises(ValueError, match="^density must be fully bound$"):
             dyn.verify_shift_property(d, Domain1D(0.0, 100.0), n=3,
                                       delta=1.0, tol=1e-7)
 

@@ -501,4 +501,6 @@ class TestMetrics:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             sim.metrics(sim.TraceLog(n_agents=2))
+        with pytest.raises(ValueError, match="^empty trace$"):
+            sim.diagnostics(sim.TraceLog(n_agents=2), Domain1D(0.0, 1.0))
 

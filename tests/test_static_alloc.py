@@ -161,6 +161,11 @@ class TestResidualStack:
             with pytest.raises(InvalidCandidate):
                 sa.residual(np.insert(good, at, bad, axis=0), p)
 
+    def test_wrong_count_of_unknowns(self):
+        p = StaticProblem(DOM_100, 3, GAUSS_FREE_MU, 15.0)
+        with pytest.raises(ValueError, match="^expected 4 unknowns, got 3$"):
+            sa.residual([3.0, 5.0, 7.0], p)
+
     def test_rows_must_share_the_free_parameter(self):
         p = StaticProblem(DOM_100, 3, GAUSS_FREE_MU, 15.0)
         with pytest.raises(ValueError, match="share one free parameter"):
@@ -808,9 +813,10 @@ def carries_its_best(exc, p):
 
 class TestOneExit:
     """Every way a solve ends passes through one exit: one DEBUG record,
-    then the StaticSolution or one SolverDiverged carrying its best iterate
-    and that iterate's norm.  test_one_debug_record_per_solve covers the
-    converged solve and the infeasible given start."""
+    then the StaticSolution or one SolverDiverged carrying its best iterate,
+    that iterate's norm and the norm of each tested iterate, the last its
+    own.  test_one_debug_record_per_solve covers the converged solve and
+    the infeasible given start."""
 
     def test_no_usable_start(self, monkeypatch, caplog):
         # The equally spaced start leaves an empty cell and neither quantile
@@ -821,6 +827,7 @@ class TestOneExit:
         exc, records = logged_solve(p, caplog)
         assert str(exc) == "initial guess is infeasible"
         assert exc.residual_norm == np.inf
+        assert exc.history == ()
         assert np.array_equal(exc.best, sa.default_initial_guess(p))
         assert records == [
             "N = 200: banded Newton steps 0, residual evaluations 1, final "
@@ -846,6 +853,8 @@ class TestOneExit:
         assert exc.__cause__ is invalid
         assert carries_its_best(exc, p)
         assert exc.residual_norm == ref.residual_history[1]
+        assert exc.history == ref.residual_history[:2]
+        assert exc.history[-1] == exc.residual_norm
         assert len(records) == 1
         assert records[0].startswith("N = 15: dense Newton steps 1, ")
         assert records[0].endswith(
@@ -859,6 +868,8 @@ class TestOneExit:
         assert str(exc) == "line search stalled at residual norm 886.221"
         assert exc.__cause__ is None
         assert carries_its_best(exc, p)
+        assert len(exc.history) == 24 and exc.history[-1] == exc.residual_norm
+        assert all(b <= a for a, b in zip(exc.history, exc.history[1:]))
         assert records == [
             "N = 20: banded Newton steps 23, residual evaluations 502, final "
             "residual norm 886, diverged, start cube-root quantiles"]
@@ -870,6 +881,7 @@ class TestOneExit:
         assert str(exc).startswith("no convergence in 2 iterations")
         assert exc.__cause__ is None
         assert carries_its_best(exc, p)
+        assert len(exc.history) == 3 and exc.history[-1] == exc.residual_norm
         assert records == [
             f"N = 50: banded Newton steps 2, residual evaluations 3, final "
             f"residual norm {exc.residual_norm:.3g}, diverged, start "
@@ -997,10 +1009,30 @@ class TestCubeRootStart:
         DensitySpec("gaussian", {"sigma2": 1e-30}, free_param="mu"),
         # rho^(1/3) = N(1000, 3) has no mass left on [0, 100].
         DensitySpec("gaussian", {"mu": 1000.0}, free_param="sigma2"),
-    ], ids=["collapsed", "outside"])
+        # rho^(1/3) = N(50, 3e308) has an infinite variance.
+        DensitySpec("gaussian", {"sigma2": 1e308}, free_param="mu"),
+    ], ids=["collapsed", "outside", "overflowing"])
     def test_unusable_quantiles_give_no_start(self, density):
         assert sa._cube_root_guess(
             StaticProblem(DOM_100, 100, density, 5000.0)) is None
+
+    @pytest.mark.parametrize("density, r, v0", [
+        (DensitySpec("gamma", {"k": 3.0}, free_param="theta"), 3000.0, 10.0),
+        (DensitySpec("uniform", {"b": 100.0}, free_param="a"), 6000.0, 20.0),
+    ], ids=["gamma-theta", "uniform-a"])
+    def test_moment_guess_matches_the_mean(self, density, r, v0):
+        # The free parameter at which the untruncated density's mean is r/N.
+        assert sa._moment_guess(StaticProblem(DOM_100, 100, density, r)) == v0
+
+    def test_invalid_moment_guess_gives_no_start(self):
+        # U(60, b) with mean 50 needs b = 40 < a: no density to take
+        # quantiles of.
+        d = DensitySpec("uniform", {"a": 60.0}, free_param="b")
+        p = StaticProblem(DOM_100, 100, d, 5000.0)
+        assert sa._moment_guess(p) == 40.0
+        assert sa._moment_density(p) is None
+        assert sa._quantile_guess(p) is None
+        assert sa._cube_root_guess(p) is None
 
     @pytest.mark.parametrize("guess", [
         lambda p: None,

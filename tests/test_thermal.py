@@ -119,6 +119,12 @@ class TestDiscretization:
             x_zoh, _ = th.step_plant(x, u, w, dm)
             assert np.max(np.abs(x_zoh - xf) / np.abs(xf)) < 1e-6
 
+    @pytest.mark.parametrize("ts", [0.0, -10.0])
+    def test_nonpositive_sample_time_rejected(self, ts):
+        m = th.build_continuous_model(ThermalParams.means())
+        with pytest.raises(ValueError, match="^Ts must be positive$"):
+            th.discretize_zoh(m, ts)
+
     def test_stability_over_sampled_parameters(self):
         for seed in range(1000):
             p = th.sample_parameters(seed)
@@ -163,6 +169,12 @@ class TestController:
             u = th.desired_power(g, x, 72.0)
             x, y = th.step_plant(x, u, w, dm)
         assert y == pytest.approx(72.0, abs=0.1)
+
+    @pytest.mark.parametrize("poles", [(0.8, 0.9), (0.8, 0.85, 0.9, 0.95)])
+    def test_wrong_number_of_poles_rejected(self, dm, poles):
+        with pytest.raises(ValueError,
+                           match=f"^need 3 poles, got {len(poles)}$"):
+            th.design_controller(dm, poles)
 
     def test_uncontrollable_pair_rejected(self):
         dm = th.DiscreteModel(Ad=np.eye(3), Bd=np.zeros((3, 1)),

@@ -9,7 +9,6 @@ where each file writes it, with ``%.15g``, and add the sums and squares of
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,7 +133,7 @@ def signed_trace() -> sim.TraceLog:
 @pytest.mark.parametrize("rounds", [1, 3], ids=["shipped", "shipped-rounds3"])
 def test_shipped_runs_match_per_file_writers(rounds, tmp_path):
     sc = sim.Scenario.from_json(SHIPPED)
-    assert_same_files(sim.run(replace(sc, rounds_per_step=rounds)),
+    assert_same_files(sim.run(sc.replace(rounds_per_step=rounds)),
                       tmp_path)
 
 

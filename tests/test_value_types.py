@@ -1,8 +1,8 @@
 """The package's value types are plain classes with ``__slots__`` and
-explicit constructors.  ``sim.Scenario`` alone is a dataclass: its fields
-carry the config grammar and ``dataclasses.replace`` the CLI's overrides.
-Every other class builds without generated code, which keeps the cost of
-importing the package down."""
+explicit constructors; none is a dataclass, so every class builds without
+generated code, which keeps the cost of importing the package down.  The
+five that compare by value share one equality, errors._slot_eq, and are
+unhashable."""
 
 import dataclasses
 import importlib
@@ -13,6 +13,7 @@ import pytest
 from test_exports import SUBMODULES
 
 from cvtalloc import dynamic_alloc as dyn
+from cvtalloc import errors
 from cvtalloc import sim
 from cvtalloc import static_alloc as sa
 from cvtalloc import tessellation as tess
@@ -62,8 +63,18 @@ VALUE_TYPES = {
                         "mean_swaps_per_agent": 2.0,
                         "neighbor_coverage": (1, 2, 1),
                         "temperature_rms_error": 0.5, "total_swaps": 3},
+    sim.Scenario: {"n_agents": 2, "horizon": 2, "domain": DOM,
+                   "density": FREE_MU, "power_schedule": (10.0, 12.0),
+                   "seed": 4, "disturbance": "synthetic",
+                   "setpoints": (70.0, 74.0),
+                   "setpoint_changes": ((1, 0, 68.0),),
+                   "rounds_per_step": 2, "ts_minutes": 5.0,
+                   "poles": (0.7, 0.8, 0.9)},
 }
 IDS = [cls.__name__ for cls in VALUE_TYPES]
+# The classes that compare by value; every other one compares by identity.
+BY_VALUE = [tess.Domain1D, DensitySpec, sa.StaticProblem, th.ThermalParams,
+            sim.Scenario]
 
 
 def package_classes():
@@ -83,9 +94,9 @@ def assert_holds(obj, args: dict):
             assert held == value, name
 
 
-def test_scenario_is_the_one_dataclass():
+def test_no_class_is_a_dataclass():
     assert [cls.__name__ for cls in package_classes()
-            if dataclasses.is_dataclass(cls)] == ["Scenario"]
+            if dataclasses.is_dataclass(cls)] == []
 
 
 def test_the_slots_value_types_are_pinned():
@@ -126,6 +137,12 @@ def test_defaults():
     assert first.phase_s == dict.fromkeys(sim.PHASES, 0.0)
     assert first.phase_s is not second.phase_s
     assert first.initialize_s == 0.0
+    sc = sim.Scenario(1, 2, DOM, FREE_MU, [3, 4.5])
+    assert sc.power_schedule == (3.0, 4.5)
+    assert type(sc.power_schedule[0]) is float
+    assert (sc.seed, sc.disturbance, sc.setpoints, sc.setpoint_changes,
+            sc.rounds_per_step, sc.ts_minutes, sc.poles) == (
+        0, "synthetic", (), (), 1, th.DEFAULT_TS_MINUTES, th.DEFAULT_POLES)
 
 
 def test_allocation_state_derives_the_order():
@@ -166,9 +183,39 @@ def test_value_equality_of_the_compared_types():
     assert th.sample_parameters(3) != th.sample_parameters(4)
 
 
-@pytest.mark.parametrize("cls", [tess.Domain1D, DensitySpec,
-                                 sa.StaticProblem, th.ThermalParams],
-                         ids=lambda cls: cls.__name__)
+def test_the_value_equality_is_shared():
+    assert {cls for cls in package_classes()
+            if "__eq__" in vars(cls)} == set(BY_VALUE)
+    assert all(cls.__eq__ is errors._slot_eq for cls in BY_VALUE)
+
+
+@pytest.mark.parametrize("cls", BY_VALUE, ids=lambda cls: cls.__name__)
 def test_equal_values_are_unhashable(cls):
     with pytest.raises(TypeError, match="unhashable"):
         hash(cls(**VALUE_TYPES[cls]))
+
+
+@pytest.mark.parametrize("cls", BY_VALUE, ids=lambda cls: cls.__name__)
+def test_another_class_is_not_implemented(cls):
+    obj = cls(**VALUE_TYPES[cls])
+    assert obj.__eq__(tuple(VALUE_TYPES[cls].values())) is NotImplemented
+    assert obj != tuple(VALUE_TYPES[cls].values())
+    assert obj == cls(**VALUE_TYPES[cls])
+
+
+def test_scenario_equality_and_replace():
+    sc = sim.Scenario(**VALUE_TYPES[sim.Scenario])
+    assert sc.replace() == sc and sc.replace() is not sc
+    changed = sc.replace(seed=5, power_schedule=[10, 14])
+    assert changed != sc
+    assert (changed.seed, changed.power_schedule) == (5, (10.0, 14.0))
+    assert changed.replace(seed=4, power_schedule=(10.0, 12.0)) == sc
+    # The copy is checked again, as the constructor checks.
+    with pytest.raises(errors.InvalidScenario,
+                       match="^seed must be >= 0, got -1$"):
+        sc.replace(seed=-1)
+    with pytest.raises(errors.InvalidScenario,
+                       match=r"^horizon must equal len\(power_schedule\)$"):
+        sc.replace(horizon=3)
+    with pytest.raises(TypeError, match="seeds"):
+        sc.replace(seeds=5)
