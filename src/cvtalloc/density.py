@@ -175,6 +175,14 @@ class DensitySpec:
         return out
 
 
+def _pdf_at(d: DensitySpec, m: np.ndarray, t: tuple) -> np.ndarray:
+    """d.pdf(m), t being _terms(d, m, order, keep_exp=True): a Gaussian's
+    from the terms' exp(-t^2/2), by pdf's own expression and its bits."""
+    if d.family == "gaussian":
+        return t[-1] * (_INV_SQRT_2PI / math.sqrt(d.params["sigma2"]))
+    return d.pdf(m)
+
+
 def _unique_keys(pairs: list) -> dict:
     """json's object_pairs_hook for every config the package reads: a key
     given twice raises InvalidParameterValue, where json keeps the last."""
@@ -222,9 +230,10 @@ def bind_free_parameter(d: DensitySpec, value: float) -> DensitySpec:
 # its whole loop, which also covers its midpoints and displacements.
 # ---------------------------------------------------------------------------
 
-def _terms(d: DensitySpec, x, order: int) -> tuple:
+def _terms(d: DensitySpec, x, order: int, keep_exp: bool = False) -> tuple:
     """Per-point values whose differences between two ends give d's
-    moments up to order over the interval between them."""
+    moments up to order over the interval between them; with keep_exp, a
+    Gaussian's end with its exp(-t^2/2), which _pdf_at reads."""
     p = d.params
     if d.family == "uniform":
         c = np.clip(x, p["a"], p["b"])
@@ -239,7 +248,7 @@ def _terms(d: DensitySpec, x, order: int) -> tuple:
         out = (t, special.erfc(np.abs(s)), special.erf(s), e * _INV_SQRT_2PI)
         if order == 2:
             out += (np.where(np.isfinite(t), t, 0.0) * e * _INV_SQRT_2PI,)
-        return out
+        return out + (e,) if keep_exp else out
 
     if d.family == "exponential":
         lam = p["lam"]
@@ -272,12 +281,15 @@ def _combine(d: DensitySpec, lo, hi, order: int) -> tuple:
     if d.family == "uniform":
         w = 1.0 / (p["b"] - p["a"])
         m0 = (hi[0] - lo[0]) * w
-        m1 = 0.5 * (hi[1] - lo[1]) * w
+        # A square above about 1.3e154 or a cube above about 5.6e102
+        # overflows, and two infinite powers differ by NaN: there, the same
+        # moment factored as m0 (hi + lo) / 2 or m0 (hi^2 + hi lo + lo^2) / 3.
+        ok = np.isfinite(hi[1]) & np.isfinite(lo[1])
+        squares = np.subtract(hi[1], lo[1], out=np.zeros(np.shape(ok)),
+                              where=ok)
+        m1 = np.where(ok, 0.5 * squares * w, m0 * (0.5 * hi[0] + 0.5 * lo[0]))
         if order == 1:
             return m0, m1
-        # A cube above about 5.6e102 overflows, and two infinite cubes
-        # differ by NaN: there, the same moment factored as
-        # m0 (hi^2 + hi lo + lo^2) / 3.
         ok = np.isfinite(hi[2]) & np.isfinite(lo[2])
         cubes = np.subtract(hi[2], lo[2], out=np.zeros(np.shape(ok)),
                             where=ok)
@@ -352,12 +364,9 @@ def cell_centroids(d: DensitySpec, m) -> np.ndarray:
     gives (K, N) centroids, each row the same bits as its own call, and an
     EmptyCell names the row as well as the cell.
 
-    Analytic moments evaluate each boundary's terms once and difference
-    them per cell, with the same values as interval_moments over each cell.
-    The empty-cell rule is checked exactly, but per cell only when some
-    cell is near empty.  This wrapper checks d and m and opens the
-    np.errstate; the work is _cell_centroids, which tessellation.lloyd
-    calls directly, inside one errstate per run.
+    Each boundary's terms are evaluated once and differenced per cell,
+    with interval_moments' values.  This wrapper checks d and m and opens
+    the np.errstate; the work is _cell_centroids.
     """
     _require_bound(d)
     m = np.asarray(m, dtype=float)
@@ -367,10 +376,10 @@ def cell_centroids(d: DensitySpec, m) -> np.ndarray:
         return _cell_centroids(d, m)[0]
 
 
-def _cell_centroids(d: DensitySpec, m: np.ndarray) -> tuple:
+def _cell_centroids(d: DensitySpec, m: np.ndarray, t=None) -> tuple:
     """(centroids, m0) of the cells between boundaries m under the bound d,
-    for a caller that has checked d and holds an np.errstate ignoring over-,
-    underflow and invalid values.
+    from t = _terms(d, m, 1) when given, for a caller that has checked d
+    and holds an np.errstate ignoring over-, underflow and invalid values.
 
     The empty-cell rule costs two reductions when no cell is near empty:
     every cell's mass_floor is at most 1e-300 * min(max(largest width, 1),
@@ -382,7 +391,7 @@ def _cell_centroids(d: DensitySpec, m: np.ndarray) -> tuple:
     full per-cell rule decides.  Cells run along the last axis of m.
     """
     lo, hi = m[..., :-1], m[..., 1:]
-    t = _terms(d, m, 1)
+    t = _terms(d, m, 1) if t is None else t
     m0, m1 = _combine(d, [a[..., :-1] for a in t], [a[..., 1:] for a in t], 1)
     width = hi - lo
     widest = np.maximum.reduce(width, axis=None, initial=1.0)

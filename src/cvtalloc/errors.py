@@ -58,14 +58,16 @@ class InvalidCandidate(CvtAllocError):
 class SolverDiverged(CvtAllocError):
     """Newton iteration failed to reach the residual tolerance.
 
-    Carries the best iterate found in ``best``, its norm in
-    ``residual_norm`` and the norm of each tested iterate in ``history``
-    (empty when no start was usable) for diagnostics.
+    Carries for diagnostics the best iterate, ``best``, its
+    ``residual_norm``, each tested iterate's norm (``history``, empty when
+    no start was usable), the ``path`` ("dense"/"banded") and the ``start``.
     """
 
-    def __init__(self, message, best=None, residual_norm=None, history=()):
+    def __init__(self, message, best=None, residual_norm=None, history=(),
+                 path=None, start=None):
         super().__init__(message)
         self.best, self.residual_norm, self.history = best, residual_norm, history
+        self.path, self.start = path, start
 
 
 class InfeasibleProblem(CvtAllocError):

@@ -151,8 +151,15 @@ def energy_K(points, d: DensitySpec, dom: Domain1D) -> float:
 
 
 def default_init(n: int, dom: Domain1D) -> np.ndarray:
-    """N equally spaced points at a + (i - 1/2) * width / N."""
-    return dom.a + (np.arange(1, n + 1) - 0.5) * dom.width / n
+    """N equally spaced points at a + (i - 1/2) * width / N; where
+    (i - 1/2) * width overflows, at a + (i - 1/2) * (width / N)."""
+    k = np.arange(1, n + 1) - 0.5
+    with np.errstate(over="ignore"):
+        z = dom.a + k * dom.width / n
+    big = np.isinf(z)
+    if big.any():
+        z[big] = dom.a + k[big] * (dom.width / n)
+    return z
 
 
 def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
@@ -172,13 +179,11 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     moments overflow is clamped.  Each call logs one DEBUG record with the
     stop reason, the iteration count and the final displacement.
 
-    d is checked and one np.errstate opened once per run, not once per
-    iteration; each iteration calls density._cell_centroids, whose
-    empty-cell check runs per cell only when some cell is near empty, and
-    the displacement and the boundaries are written into reused buffers.
-    The errstate covers the whole loop, midpoints and displacement too: a
-    midpoint that overflows gives an infinite boundary with no warning, and
-    the next centroid map raises EmptyCell for the reversed cell after it.
+    d is checked and one np.errstate opened once per run, around every
+    midpoint, centroid map and displacement: a midpoint that overflows
+    gives an infinite boundary with no warning, and the next centroid map
+    raises EmptyCell for the reversed cell after it.  The displacement and
+    the boundaries are written into reused buffers.
 
     Returns the Tessellation, or (Tessellation, history) when
     record_history is true; history holds the generator array per iterate,
@@ -191,7 +196,6 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     if max_iter < 0:
         raise InvalidParameterValue(f"max_iter must be >= 0, got {max_iter}")
     z = _validate_generators(np.ravel(init), dom)
-    m = _midpoint_boundaries(z, dom)
     dens._require_bound(d)
     history = [z.copy()] if record_history else None
     stop_reason = "budget"
@@ -199,6 +203,7 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     least_moved, least_at = np.inf, 0
     diff = np.empty_like(z)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        m = _midpoint_boundaries(z, dom)
         for iterations in range(1, max_iter + 1):
             z_new, _ = dens._cell_centroids(d, m)
             if record_history:

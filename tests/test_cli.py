@@ -205,6 +205,27 @@ class TestCvt:
         assert captured.err == ("error: the quantization energy on [0.0, "
                                 "1e+170] is not a finite float64 (nan)\n")
 
+    @pytest.mark.parametrize("domain, n, message", [
+        # (i - 1/2) * width overflows at i = 2 and 3: the equally spaced
+        # start is finite, and the midpoint of the last two generators is
+        # the first value to overflow.
+        ("2,1.7e308", "3", "cell 2 = [inf, 1.7e+308] has mass 0"),
+        # The clipped ends squared overflow: the centroids are finite, and
+        # only the energy, about 2.1e318, is not.
+        ("0,1e160", "2", "the quantization energy on [0.0, 1e+160] is not "
+                         "a finite float64"),
+    ], ids=["start-overflow", "square-overflow"])
+    def test_wide_uniform_domain_is_one_typed_error(self, domain, n, message,
+                                                    tmp_path, capsys):
+        # No NumPy warning (pyproject.toml makes one fail the test) and no
+        # "generators must be finite" from an overflowed start or moment.
+        rc = run_cli("cvt", "--domain", domain, "--n", n, "--density",
+                     "uniform", "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE and captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+
     def test_budget_stop_exits_two(self, tmp_path, capsys):
         # The file and the JSON are written first; only the exit code says
         # that the run did not converge.
@@ -316,6 +337,17 @@ class TestStaticAlloc:
             f"{i},{sim._FMT % z[i]},{sim._FMT % m[i]},{sim._FMT % m[i + 1]}\n"
             for i in range(int(n)))
         assert (tmp_path / "allocation.csv").read_text() == expected
+
+    def test_uniform_free_b_past_the_square_overflow(self, tmp_path, capsys):
+        # The clipped ends squared overflow above about 1.3e154; the first
+        # moments, m0 (hi + lo) / 2 there, give the exact allocation.
+        rc = run_cli("static-alloc", "--domain", "0,1e160", "--n", "2",
+                     "--density", '{"family":"uniform","a":0,"b":"free"}',
+                     "--r", "9e159", "--out", str(tmp_path))
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert out["centroids"] == [2.25e159, 6.75e159]
+        assert out["v_k"] == 9e159 and out["residual_norm"] == 0.0
 
     def test_non_finite_band_is_a_solver_failure(self, tmp_path, capfd,
                                                  monkeypatch):
@@ -774,16 +806,19 @@ class TestDensityBoundary:
           "--max-iter", "-3"), "max_iter must be >= 0"),
         (("cvt", "--domain", "0,15", "--n", "3", "--density", "uniform",
           "--init", "nan,5,10"), "generators must be finite"),
+        # The centroids are finite; their squares, in the energy, are not.
         (("cvt", "--domain", f"{_H - 1e299!r},{_H + 1e299!r}", "--n", "2",
           "--density", "uniform", "--init",
-          f"{_H - 9e298!r},{_H - 8e298!r}"), "generators must be finite"),
-        (("cvt", "--domain", "0,1.7e308", "--n", "1", "--density", "uniform"),
-         "onto an end"),
+          f"{_H - 9e298!r},{_H - 8e298!r}"),
+         f"the quantization energy on [{_H - 1e299!r}, {_H + 1e299!r}] is "
+         f"not a finite float64"),
+        (("cvt", "--domain", "0,1.7e308", "--n", "1", "--density",
+          '{"family": "exponential", "lam": 1e-308}'), "onto an end"),
         (("shift-check", "--domain", "0,100", "--n", "5", "--mu", "50",
           "--sigma2", "4", "--delta", "2", "--tol", "nan"),
          "tol must be positive"),
     ], ids=["cvt-tol-nan", "cvt-max-iter-negative", "cvt-init-nan",
-            "cvt-nan-centroids", "cvt-generator-on-domain-end",
+            "cvt-energy-overflow", "cvt-generator-on-domain-end",
             "shift-tol-nan"])
     def test_bad_lloyd_input_exits_one(self, tmp_path, capsys, argv,
                                        message):

@@ -290,6 +290,34 @@ class TestKnownIntegrals:
         np.testing.assert_allclose(m2, [b * b / 24.0, 7.0 * b * b / 24.0,
                                         b * b / 3.0], rtol=1e-15)
 
+    def test_uniform_first_moment_past_the_square_overflow(self):
+        # Above about 1.3e154 the squared ends overflow; the first moment is
+        # the factored m0 (hi + lo) / 2 there, not NaN, and the centroids
+        # are the cells' midpoints.
+        b = 1.7e308
+        d = DensitySpec("uniform", {"a": 0.0, "b": b})
+        m = np.array([0.0, 1e160, 0.5 * b, b])
+        np.testing.assert_allclose(dens.cell_centroids(d, m),
+                                   [5e159, 0.25 * b + 5e159, 0.75 * b],
+                                   rtol=1e-15)
+
+    @pytest.mark.parametrize("b", [1.0, 1e100, 1e154, 1e200, 1e308])
+    def test_uniform_first_moment_keeps_its_bits(self, b):
+        # Wherever the difference of squares was finite, the first moment
+        # has its bits.
+        d = DensitySpec("uniform", {"a": -b, "b": b})
+        x = np.sort(np.concatenate((b * np.linspace(-1.0, 1.0, 201),
+                                    10.0 ** np.linspace(-3, 308, 200))))
+        lo, hi = x[:-1], x[1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            before = 0.5 * (np.clip(hi, -b, b) ** 2
+                            - np.clip(lo, -b, b) ** 2) * (1.0 / (2.0 * b))
+            got = dens._combine(d, dens._terms(d, lo, 1),
+                                dens._terms(d, hi, 1), 1)[1]
+        finite = np.isfinite(before)
+        assert finite.any() and np.isfinite(got).all()
+        assert got[finite].tobytes() == before[finite].tobytes()
+
     @pytest.mark.parametrize("b", [1.0, 1e100, 1e120, 1e150])
     def test_uniform_second_moment_keeps_its_bits(self, b):
         # Wherever the difference of cubes was finite, the second moment

@@ -65,6 +65,13 @@ def fd_jacobian(u, f, p):
     return sa._fd_jacobian(u, f, p)[0]
 
 
+def evaluation(u, p):
+    """_evaluate's (f, norm, cells) at u, under the np.errstate that a
+    solve opens."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return sa._evaluate(np.asarray(u, dtype=float), p)
+
+
 @pytest.fixture()
 def no_dense_solve(monkeypatch):
     """Fail the test on any call of np.linalg.solve or np.linalg.lstsq."""
@@ -230,7 +237,7 @@ class TestFdJacobian:
         n = sa.N_DENSE
         p = StaticProblem(DOM_100, n, WIDE_GAUSS_FREE_MU, 50.0 * n)
         u = sa.default_initial_guess(p)
-        f, m0 = sa.residual(u, p, masses=True)
+        f, _, cells = evaluation(u, p)
         calls = []
         real = sa.residual
 
@@ -239,7 +246,7 @@ class TestFdJacobian:
             return real(unknowns, problem)
 
         monkeypatch.setattr(sa, "residual", counting)
-        _, evals = sa._newton_step(u, f, m0, p)
+        _, evals = sa._newton_step(u, f, cells, p)
         assert evals == len(calls) <= 2
 
     def test_singular_matrix_ends_in_solver_diverged(self, monkeypatch):
@@ -250,13 +257,13 @@ class TestFdJacobian:
         # start's norm.
         p = StaticProblem(DOM_100, 5, WIDE_GAUSS_FREE_MU, 250.0)
         u = sa.default_initial_guess(p)
-        f, m0 = sa.residual(u, p, masses=True)
+        f, _, cells = evaluation(u, p)
         jac = np.zeros((6, 6))
         jac[:, 5] = sa._fd_column(u, f, p, 5)[0]
         monkeypatch.setattr(sa, "_fd_jacobian", lambda *args: (jac, 2))
         with pytest.raises(InvalidCandidate,
                            match=r"^dense solve failed \(singular matrix\)$"):
-            sa._newton_step(u, f, m0, p)
+            sa._newton_step(u, f, cells, p)
         with pytest.raises(SolverDiverged, match="singular matrix") as info:
             sa.solve(p)
         assert np.array_equal(info.value.best, u)
@@ -294,8 +301,8 @@ class TestBandedStep:
         density, mean = FAMILIES[family]
         p = StaticProblem(DOM_100, n, density, mean * n)
         u = sa.default_initial_guess(p)
-        f, m0 = sa.residual(u, p, masses=True)
-        band, _, _ = sa._banded_jacobian(u, f, m0, p)
+        f, _, cells = evaluation(u, p)
+        band, _, _ = sa._banded_jacobian(u, f, cells, p)
         t = fd_jacobian(u, f, p)[:n, :n]
         for k, diag in ((1, band[0, 1:]), (0, band[1]), (-1, band[2, :-1])):
             fd = np.diag(t, k)
@@ -338,9 +345,9 @@ class TestBandedStep:
             density, mean = FAMILIES[family]
             p = StaticProblem(DOM_100, 200, density, 200 * mean)
             u = sa.default_initial_guess(p)
-            f, m0 = real(u, p, masses=True)
+            f, _, cells = evaluation(u, p)
             calls.clear()
-            _, evals = sa._newton_step(u, f, m0, p)
+            _, evals = sa._newton_step(u, f, cells, p)
             assert evals == len(calls) == expected, family
 
     def test_singular_band_is_an_invalid_candidate(self, no_dense_solve):
@@ -432,8 +439,8 @@ class TestBandedStep:
         assert sa.solve(seed0_sweep(50)).residual_norm < sa.RESIDUAL_TOL
         real = sa._banded_jacobian
 
-        def singular(u, f, m0, p):
-            band, col, evals = real(u, f, m0, p)
+        def singular(u, f, cells, p):
+            band, col, evals = real(u, f, cells, p)
             band[:, 1000] = 0.0  # T's column 1000
             return band, col, evals
 
@@ -467,8 +474,8 @@ class TestGaussianMuColumn:
         p = StaticProblem(domain, n, d, mean * n)
         sol = sa.solve(p)
         for u in (sa._cube_root_guess(p), np.append(sol.centroids, sol.v_k)):
-            f, m0 = sa.residual(u, p, masses=True)
-            _, col, evals = sa._banded_jacobian(u, f, m0, p)
+            f, _, cells = evaluation(u, p)
+            _, col, evals = sa._banded_jacobian(u, f, cells, p)
             assert evals == 0
             assert col[n] == 0.0
             # The density at a tail end is above 1 % of its peak.
@@ -509,9 +516,9 @@ class TestGaussianMuColumn:
         problems["fleet-240"] = fleet240_initial()
         real = sa._banded_jacobian
 
-        def differenced(u, f, m0, p):
-            return (real(u, f, m0, p)[0],) + sa._fd_column(u, f, p,
-                                                           p.n_agents)
+        def differenced(u, f, cells, p):
+            return (real(u, f, cells, p)[0],) + sa._fd_column(u, f, p,
+                                                              p.n_agents)
 
         for label, p in problems.items():
             if p.density.family != "gaussian":
@@ -655,6 +662,7 @@ class TestEvaluationCount:
 
         def evaluate(u, problem):
             evaluated.append(1)
+            seen.append(u.tobytes())
             return real_evaluate(u, problem)
 
         monkeypatch.setattr(sa, "residual", residual)
@@ -677,21 +685,22 @@ class TestEvaluationCount:
         p = StaticProblem(DOM_100, sa.N_DENSE, GAUSS_FREE_MU,
                           50.0 * sa.N_DENSE)
         start = sa.default_initial_guess(p)
-        real = sa.residual
+        real = sa._evaluate
 
-        def nan_at_start(unknowns, problem, masses=False):
-            f, m0 = real(unknowns, problem, masses=True)
-            if np.array_equal(unknowns, start):
+        def nan_at_start(u, problem):
+            f, norm, cells = real(u, problem)
+            if np.array_equal(u, start):
                 f = np.full_like(f, np.nan)
-            return (f, m0) if masses else f
+                norm = math.sqrt(f.dot(f))
+            return f, norm, cells
 
-        monkeypatch.setattr(sa, "residual", nan_at_start)
+        monkeypatch.setattr(sa, "_evaluate", nan_at_start)
         if init is None:
             with caplog.at_level(logging.DEBUG,
                                  logger="cvtalloc.static_alloc"):
                 sol = sa.solve(p)
             assert "density quantiles" in caplog.text
-            monkeypatch.setattr(sa, "residual", real)
+            monkeypatch.setattr(sa, "_evaluate", real)
             ref = sa.solve(p, init=sa._quantile_guess(p))
             assert sol.centroids.tobytes() == ref.centroids.tobytes()
             assert sol.v_k == ref.v_k
@@ -705,14 +714,7 @@ class TestEvaluationCount:
 
     def test_one_debug_record_per_solve(self, monkeypatch, caplog):
         p = StaticProblem(DOM_100, 15, GAUSS_FREE_MU, 750.0)
-        calls = []
-        real = sa.residual
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sa, "residual", counting)
+        calls = count_evaluations(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
             sol = sa.solve(p)
         records = [r.getMessage() for r in caplog.records
@@ -739,34 +741,32 @@ class TestEvaluationCount:
     @pytest.mark.parametrize("n", [50, 200, 800])
     def test_static_sweep_solve(self, n, monkeypatch):
         # The seed-0 static-sweep solve: 4 Gaussian-mu banded steps, whose
-        # columns are analytic, and 5 evaluations, all through sa.residual.
-        calls = []
-        real = sa.residual
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sa, "residual", counting)
+        # columns are analytic, and 5 evaluations, all through sa._evaluate.
+        calls = count_evaluations(monkeypatch)
         sol = sa.solve(seed0_sweep(n))
         assert sol.iterations == 4
         assert len(calls) == 5
 
-    def test_norm_is_numpy_norm(self, monkeypatch):
+    def test_norm_is_numpy_norm(self):
         # _evaluate's norm is np.linalg.norm's bit for bit, a Python float,
-        # on residuals of entries from 1e-12 to 1e3.
+        # on residuals of entries from about 1e-12 to 1e3: the N = 50
+        # sweep solution with its centroids shifted by up to 30 and
+        # jittered by 1e-12 to 1e-2.
         rng = np.random.default_rng(11)
         p = seed0_sweep(50)
-        u = sa.default_initial_guess(p)
+        sol = sa.solve(p)
+        tested = 0
         for _ in range(500):
-            size = int(rng.integers(1, 900))
-            f = (rng.choice([-1.0, 1.0], size)
-                 * 10.0 ** rng.uniform(-12.0, 3.0, size))
-            monkeypatch.setattr(sa, "residual",
-                                lambda unknowns, problem, masses: (f, None))
-            norm = sa._evaluate(u, p)[2]
+            u = np.append(sol.centroids, sol.v_k)
+            u[:-1] += (rng.uniform(-30.0, 30.0) * 10.0 ** rng.uniform(-12, 0)
+                       + rng.normal(0.0, 10.0 ** rng.uniform(-12, -2), 50))
+            f, norm, _ = evaluation(u, p)
+            if f is None:
+                continue
+            tested += 1
             assert type(norm) is float
             assert norm == float(np.linalg.norm(f))
+        assert tested >= 400
 
     def test_solve_evaluates_no_second_moments(self, monkeypatch):
         # A solve returns no energy, so neither it nor sim.initialize
@@ -793,6 +793,17 @@ class TestEvaluationCount:
         alloc = sim.initialize(shipped).alloc
         assert np.array_equal(alloc.resources, reference.centroids)
         assert alloc.mu_current == reference.v_k
+
+
+def count_evaluations(monkeypatch):
+    """A list that gains one entry per residual evaluation of a solve:
+    per call of _evaluate and of residual (a stack counts as one)."""
+    calls = []
+    for name in ("_evaluate", "residual"):
+        real = getattr(sa, name)
+        monkeypatch.setattr(sa, name, lambda *args, real=real, **kwargs: (
+            calls.append(1) or real(*args, **kwargs)))
+    return calls
 
 
 def logged_solve(p, caplog):
@@ -873,6 +884,29 @@ class TestOneExit:
         assert records == [
             "N = 20: banded Newton steps 23, residual evaluations 502, final "
             "residual norm 886, diverged, start cube-root quantiles"]
+
+    def test_carries_path_and_start(self, monkeypatch):
+        # The stalled banded solve, a dense one out of budget and a dense
+        # one whose given start is infeasible.
+        stalled = StaticProblem(Domain1D(0.0, 300.0), 20, DensitySpec(
+            "gamma", {"theta": 100.0}, free_param="k"), 1000.0)
+        dense = StaticProblem(DOM_100, 15, GAUSS_FREE_MU, 750.0)
+        bad = np.append(np.linspace(10.0, 20.0, 15)[::-1], 50.0)
+        with pytest.raises(SolverDiverged, match="^line search stalled"
+                           ) as exc:
+            sa.solve(stalled)
+        assert (exc.value.path, exc.value.start) == (
+            "banded", "cube-root quantiles")
+        with pytest.raises(SolverDiverged,
+                           match="^initial guess is infeasible$") as exc:
+            sa.solve(dense, init=bad)
+        assert (exc.value.path, exc.value.start) == ("dense", "given")
+        monkeypatch.setattr(sa, "MAX_NEWTON_ITER", 1)
+        with pytest.raises(SolverDiverged, match="^no convergence in 1 "
+                           ) as exc:
+            sa.solve(dense)
+        assert (exc.value.path, exc.value.start) == ("dense",
+                                                     "equally spaced")
 
     def test_budget(self, monkeypatch, caplog):
         p = StaticProblem(DOM_100, 50, GAUSS_FREE_MU, 2500.0)
@@ -960,7 +994,7 @@ def old_default_start(p):
     """The start a solve without init took before the cube-root start: the
     equally spaced one, else the density quantiles."""
     u = sa.default_initial_guess(p)
-    return u if np.isfinite(sa._evaluate(u, p)[2]) else sa._quantile_guess(p)
+    return u if np.isfinite(evaluation(u, p)[1]) else sa._quantile_guess(p)
 
 
 class TestCubeRootStart:
@@ -1201,3 +1235,145 @@ class TestCrossValidate:
         assert abs(report.sum_solver - 2500.0) < 1e-6
         assert abs(report.sum_lloyd - 2500.0) < 1e-6
         assert not report.passed
+
+
+def banded_jacobian_before(u, f, m0, p):
+    """_banded_jacobian as it was before it read the evaluation's cells,
+    where (f, m0) = residual(u, p, masses=True): it built the midpoints,
+    bound the free parameter and called pdf itself."""
+    n = p.n_agents
+    z = u[:n]
+    c = z - f[:n]
+    m = tess._midpoint_boundaries(z, p.domain)
+    half = 0.5 * bind_free_parameter(p.density, u[n]).pdf(m)
+    lo = half[:-1] * (c - m[:-1]) / m0
+    hi = half[1:] * (m[1:] - c) / m0
+    left, right = lo[1:], hi[:-1]
+    band = np.zeros((3, n))
+    band[0, 1:] = -right
+    band[1] = 1.0
+    band[1, 1:] -= left
+    band[1, :-1] -= right
+    band[2, :-1] = -left
+    if (p.density.family, p.density.free_param) != ("gaussian", "mu"):
+        return (band,) + sa._fd_column(u, f, p, n)
+    col = np.zeros(n + 1)
+    col[:n] = 2.0 * (lo + hi) - 1.0
+    return band, col, 0
+
+
+def bits(a):
+    """The float64 values of a as int64 words: equal only bit for bit."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestKeptEvaluation:
+    """One centroid-map pass per tested iterate: _evaluate keeps the
+    boundaries, masses and density terms, and the banded step reads them
+    instead of building its own."""
+
+    def test_steps_equal_the_oracle(self, acceptance3_problems, monkeypatch):
+        # Every banded step of the golden static solves and of fleet-240's
+        # initialize solve: the evaluation has residual's bits, and the
+        # band, the column and the bordered step have the oracle's.
+        problems = static_problems(acceptance3_problems)
+        seen = []
+        real = sa._banded_jacobian
+
+        def spy(u, f, cells, p):
+            out = real(u, f, cells, p)
+            seen.append((u, f, cells, p) + out[:2])
+            return out
+
+        monkeypatch.setattr(sa, "_banded_jacobian", spy)
+        for p in problems.values():
+            sa.solve(p)
+        sim.initialize(Scenario.from_config(fleet_config(240)))
+        assert seen[-1][3].n_agents == 240
+        assert len(seen) >= 4 * (len(problems) + 1)
+        for u, f, cells, p, band, col in seen:
+            f0, m0 = sa.residual(u, p, masses=True)
+            assert np.array_equal(bits(f), bits(f0))
+            assert np.array_equal(bits(cells[2]), bits(m0))
+            band0, col0, _ = banded_jacobian_before(u, f0, m0, p)
+            assert np.array_equal(bits(band), bits(band0))
+            assert np.array_equal(bits(col), bits(col0))
+            assert np.array_equal(bits(sa._bordered_step(band, col, f)),
+                                  bits(sa._bordered_step(band0, col0, f0)))
+
+    @pytest.mark.parametrize("family, pdf_per_step", [
+        ("gaussian", 0), ("exponential", 1), ("gamma", 1), ("uniform", 1)])
+    def test_work_per_iterate(self, family, pdf_per_step, monkeypatch):
+        # At most one centroid map and one set of midpoints per
+        # evaluation, be it an _evaluate or a residual for a differenced
+        # column, and exactly one per evaluation that keeps its cells; no
+        # pdf for a Gaussian mu step, whose density comes from the terms'
+        # exp, and one pdf call per step for the other families.
+        density, mean = FAMILIES[family]
+        init = None
+        if family == "uniform":  # whose quantile start is the solution
+            p = StaticProblem(DOM_100, 200, density, 45.0 * 200)
+            init = sa._quantile_guess(p)
+            init[-1] *= 1.02
+        else:
+            p = StaticProblem(DOM_100, 200, density, mean * 200)
+        calls = {}
+        for owner, name in ((sa, "_evaluate"), (sa, "residual"),
+                            (sa, "_banded_jacobian"),
+                            (dens, "_cell_centroids"),
+                            (tess, "_midpoint_boundaries"),
+                            (DensitySpec, "pdf")):
+            real = getattr(owner, name)
+            calls[name] = 0
+
+            def counting(*args, real=real, name=name, **kwargs):
+                calls[name] += 1
+                out = real(*args, **kwargs)
+                if name == "_evaluate" and out[2] is not None:
+                    calls["kept"] += 1
+                return out
+
+            monkeypatch.setattr(owner, name, counting)
+        calls["kept"] = 0
+        sol = sa.solve(p, init)
+        assert sol.residual_norm < sa.RESIDUAL_TOL
+        steps = calls["_banded_jacobian"]
+        assert steps == sol.iterations >= 1
+        assert calls["residual"] == (family != "gaussian") * steps
+        maps = calls["_cell_centroids"]
+        assert maps == calls["_midpoint_boundaries"]
+        assert (calls["kept"] + calls["residual"] <= maps
+                <= calls["_evaluate"] + calls["residual"])
+        assert calls["pdf"] == pdf_per_step * steps
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("n", [1, 3, 50])
+    def test_candidate_checks_equal_residuals(self, family, n):
+        # _evaluate rejects exactly what residual raises InvalidCandidate
+        # for, and otherwise has its bits: the default start with one
+        # unknown at a time set non-finite, onto or past a domain end,
+        # onto its neighbour or within the duplicate gap of it, and the
+        # free parameter far from the start.
+        density, mean = FAMILIES[family]
+        p = StaticProblem(DOM_100, n, density, mean * n)
+        start = sa.default_initial_guess(p)
+        candidates = [start]
+        for j in range(n + 1):
+            near = start[j - 1] + 0.5 * tess.DUPLICATE_GAP_FRACTION * 100.0
+            for value in (np.nan, np.inf, -np.inf, 0.0, 100.0, -1.0, 1e4,
+                          start[j - 1], near, -start[j]):
+                u = start.copy()
+                u[j] = value
+                candidates.append(u)
+        rejected = 0
+        for u in candidates:
+            f, norm, cells = evaluation(u, p)
+            try:
+                f0 = sa.residual(u, p)
+            except InvalidCandidate:
+                assert (f, norm, cells) == (None, math.inf, None)
+                rejected += 1
+                continue
+            assert np.array_equal(bits(f), bits(f0))
+            assert norm == np.linalg.norm(f0)
+        assert 0 < rejected < len(candidates)

@@ -259,23 +259,23 @@ class TestLloydLoopOracle:
 
     @pytest.mark.parametrize("max_iter", [50, tess.LLOYD_MAX_ITER])
     def test_nan_centroids_raise(self, max_iter):
-        # The uniform moments overflow here (the clipped ends squared are
-        # inf, and inf - inf is NaN), so the first centroid map is NaN:
-        # Lloyd raises instead of running on to a "budget" or "stagnated"
-        # stop with NaN generators.
-        h = np.finfo(float).max / 2
-        dom = Domain1D(h - 1e299, h + 1e299)
-        d = DensitySpec("uniform", {"a": dom.a, "b": dom.b})
+        # The exponential first moments overflow here (the term
+        # (x + 1/lam) exp(-lam x) is inf at both ends of a cell, and
+        # inf - inf is NaN), so the first centroid map is NaN: Lloyd raises
+        # instead of running on to a "budget" or "stagnated" stop with NaN
+        # generators.
+        dom = Domain1D(0.0, 1.7e308)
+        d = DensitySpec("exponential", {"lam": 1e-308})
         with pytest.raises(GeneratorOutOfDomain,
                            match="^generators must be finite$"):
-            tess.lloyd([h - 9e298, h - 8e298], d, dom, max_iter=max_iter)
+            tess.lloyd(tess.default_init(2, dom), d, dom, max_iter=max_iter)
 
     def test_generator_clamped_onto_a_domain_end_raises(self):
-        # On [0, 1.7e308] the uniform moments overflow (the clipped end
-        # squared is inf), so the centroid is clamped onto b: Lloyd raises
-        # instead of reporting a converged generator at b with NaN energy.
+        # On [0, 1.7e308] the exponential first moment overflows (the term
+        # at b is inf), so the centroid is clamped onto a: Lloyd raises
+        # instead of reporting a converged generator at a with NaN energy.
         dom = Domain1D(0.0, 1.7e308)
-        d = DensitySpec("uniform", {"a": dom.a, "b": dom.b})
+        d = DensitySpec("exponential", {"lam": 1e-308})
         with pytest.raises(GeneratorOutOfDomain, match="onto an end"):
             tess.lloyd(tess.default_init(1, dom), d, dom)
 
@@ -406,3 +406,22 @@ class TestInvariants:
     def test_default_init(self):
         np.testing.assert_allclose(tess.default_init(3, DOM_15),
                                    [2.5, 7.5, 12.5])
+
+    @pytest.mark.parametrize("a, b, n", [
+        (0.0, 15.0, 3), (-1e300, 1e300, 7), (2.0, 1.7e308, 3),
+        (0.0, 1.7e308, 1000), (-8e307, 9e307, 5)])
+    def test_default_init_keeps_its_bits_where_finite(self, a, b, n):
+        # Where (i - 1/2) * width overflows, the width is divided by N
+        # first; elsewhere the points have today's a + (i - 1/2) * width / N
+        # bits.
+        dom = Domain1D(a, b)
+        k = np.arange(1, n + 1) - 0.5
+        with np.errstate(over="ignore"):
+            before = dom.a + k * dom.width / n
+        z = tess.default_init(n, dom)
+        finite = np.isfinite(before)
+        assert np.isfinite(z).all() and np.all(np.diff(z) > 0)
+        assert a < z[0] and z[-1] < b
+        assert z[finite].tobytes() == before[finite].tobytes()
+        assert (z[~finite].tobytes()
+                == (dom.a + k[~finite] * (dom.width / n)).tobytes())
