@@ -364,9 +364,12 @@ def cell_centroids(d: DensitySpec, m) -> np.ndarray:
     gives (K, N) centroids, each row the same bits as its own call, and an
     EmptyCell names the row as well as the cell.
 
-    Each boundary's terms are evaluated once and differenced per cell,
-    with interval_moments' values.  This wrapper checks d and m and opens
-    the np.errstate; the work is _cell_centroids.
+    Analytic moments evaluate each boundary's terms once and difference
+    them per cell, with the same values as interval_moments over each cell.
+    The empty-cell rule is checked exactly, but per cell only when some
+    cell is near empty.  This wrapper checks d and m and opens the
+    np.errstate; the work is _cell_centroids, which tessellation.lloyd
+    calls directly, inside one errstate per run.
     """
     _require_bound(d)
     m = np.asarray(m, dtype=float)

@@ -58,9 +58,10 @@ class InvalidCandidate(CvtAllocError):
 class SolverDiverged(CvtAllocError):
     """Newton iteration failed to reach the residual tolerance.
 
-    Carries for diagnostics the best iterate, ``best``, its
-    ``residual_norm``, each tested iterate's norm (``history``, empty when
-    no start was usable), the ``path`` ("dense"/"banded") and the ``start``.
+    Carries the best iterate found in ``best``, its norm in
+    ``residual_norm`` and the norm of each tested iterate in ``history``
+    (empty when no start was usable) for diagnostics, with the Newton
+    ``path`` ("dense" or "banded") and the ``start`` the solve took.
     """
 
     def __init__(self, message, best=None, residual_norm=None, history=(),

@@ -81,8 +81,9 @@ class StaticProblem:
 
 class StaticSolution:
     """A solve's sorted centroids, free parameter v_k, final residual_norm,
-    Newton iterations and residual_history (the 2-norm at each iterate);
-    tessellation.voronoi_regions and energy_K give its cells and energy."""
+    Newton iterations and residual_history (the 2-norm at each iterate).
+    It holds no cells or energy: tessellation.voronoi_regions gives their
+    boundaries and tessellation.energy_K, at the bound v_k, the energy."""
 
     __slots__ = ("centroids", "v_k", "residual_norm", "iterations",
                  "residual_history")
@@ -132,14 +133,18 @@ def _split(unknowns, n: int):
 def residual(unknowns, p: StaticProblem, masses: bool = False):
     """Rows 1..N: z_i minus the centroid of its midpoint cell; row N+1:
     sum(z) - r.  With masses=True, returns (residual, cell masses) from the
-    same moment evaluation.  unknowns may be a (K, N+1) stack whose rows
-    share one free-parameter value (ValueError otherwise): one moment
-    evaluation then gives the (K, N+1) residuals and (K, N) masses, each
-    row the same bits as its own call.  A candidate with unsorted,
-    duplicate or out-of-domain centroids, an invalid free parameter or an
-    empty cell raises InvalidCandidate; a stack raises it when any row is
-    such a candidate.  d and m are checked here, so density._cell_centroids
-    is called under this errstate."""
+    same moment evaluation.
+
+    unknowns may be a (K, N+1) stack whose rows share one free-parameter
+    value (ValueError otherwise): one moment evaluation then gives the
+    (K, N+1) residuals and (K, N) masses, each row the same bits as its own
+    call.  A candidate with unsorted, duplicate or out-of-domain centroids,
+    an invalid free parameter or an empty cell raises InvalidCandidate; a
+    stack raises it when any row is such a candidate.
+
+    d is bound and m built as floats here, all that density.cell_centroids
+    checks, so its work, density._cell_centroids, is called directly, under
+    the errstate the wrapper would open."""
     z, v = _split(unknowns, p.n_agents)
     try:
         z = tess._validate_generators(z, p.domain)
@@ -163,8 +168,11 @@ def default_initial_guess(p: StaticProblem) -> np.ndarray:
 
 
 def _moment_guess(p: StaticProblem) -> float:
-    """The family's moment guess for v_k, which every default start takes."""
-    mean, fam, free = p.r / p.n_agents, p.density.family, p.density.free_param
+    """A family-specific moment guess for v_k, which every default start
+    of solve takes."""
+    mean = p.r / p.n_agents
+    free = p.density.free_param
+    fam = p.density.family
     if fam == "gaussian" and free == "mu":
         v0 = mean
     elif fam == "exponential":
@@ -211,7 +219,8 @@ def _quantiles(d: DensitySpec, q: np.ndarray,
 
 
 def _moment_density(p: StaticProblem) -> DensitySpec | None:
-    """The density at _moment_guess's v_k; None when that value is invalid."""
+    """The density at _moment_guess's v_k; None when that value is
+    invalid."""
     try:
         return bind_free_parameter(p.density, _moment_guess(p))
     except InvalidParameterValue:
@@ -225,8 +234,8 @@ def _levels(n: int) -> np.ndarray:
 def _quantile_guess(p: StaticProblem) -> np.ndarray | None:
     """Centroid guess at the density quantiles (i - 1/2)/N of the moment-based
     v_k, untruncated and clipped into the domain; None when they are not
-    strictly increasing.  The last default start, for a Gaussian far
-    narrower than the domain, where the equally spaced one leaves empty
+    strictly increasing.  The last default start: it takes a Gaussian far
+    narrower than the domain, where the equally spaced start leaves empty
     tail cells."""
     d = _moment_density(p)
     if d is None:
@@ -265,7 +274,7 @@ def _cube_root_guess(p: StaticProblem) -> np.ndarray | None:
         return None
     z = _quantiles(d, _levels(p.n_agents), p.domain)
     if not (p.domain.a < z[0] and z[-1] < p.domain.b
-            and np.minimum.reduce(z[1:] - z[:-1], initial=np.inf) > 0):
+            and np.all(np.diff(z) > 0)):
         return None
     return np.concatenate((z, [v0]))
 
@@ -276,13 +285,11 @@ def _evaluate(u: np.ndarray, p: StaticProblem) -> tuple:
     and norm have the bits of residual(u, p) and its np.linalg.norm, and
     cells = (d, m, m0, t), the bound density, boundaries, cell masses and
     density terms, is what the banded step reads.  (None, inf, None) for an
-    invalid candidate: residual's checks, made on the one row."""
+    invalid candidate: residual's checks, made on the one row, whose
+    centroids tessellation._valid_row tests as _validate_generators does."""
     n, dom = p.n_agents, p.domain
     z = u[:n]
-    gap = np.minimum.reduce(z[1:] - z[:-1], initial=np.inf)
-    # A NaN or infinite centroid fails one of these comparisons.
-    if not (gap >= tess.DUPLICATE_GAP_FRACTION * dom.width
-            and dom.a < z[0] and z[-1] < dom.b):
+    if not tess._valid_row(z, dom):
         return None, math.inf, None
     try:
         d = bind_free_parameter(p.density, u[n])
@@ -322,10 +329,16 @@ def _fd_column(u: np.ndarray, f: np.ndarray, p: StaticProblem, j: int):
 
 def _fd_jacobian(u: np.ndarray, f: np.ndarray, p: StaticProblem):
     """The forward-difference Jacobian at u, where f = residual(u, p):
-    (matrix, residual evaluations made).  The N generator columns come from
-    one (N, N+1) residual stack, row j being u with z_j stepped, so every
-    entry has its single-column quotient's bits; when the stack is invalid,
-    all N columns are _fd_column's, as is the free-parameter column."""
+    (matrix, residual evaluations made).
+
+    The N generator columns come from one (N, N+1) residual stack whose row
+    j is u with z_j stepped, the constraint row included, so every entry
+    equals its single-column quotient bit for bit, and the stack is valid
+    exactly when each single-column candidate is.  When it is invalid, all
+    N columns are differenced one at a time with _fd_column, which steps
+    backward where the forward candidate is invalid and gives the same bits
+    where it is valid.  The free-parameter column is _fd_column's.
+    """
     n = p.n_agents
     h = FD_STEP * np.maximum(1.0, np.abs(u[:n]))
     stack = np.tile(u, (n, 1))
@@ -345,10 +358,12 @@ def _fd_jacobian(u: np.ndarray, f: np.ndarray, p: StaticProblem):
 def _banded_jacobian(u: np.ndarray, f: np.ndarray, cells: tuple,
                      p: StaticProblem):
     """(band, column, residual evaluations made) for the banded Newton
-    step at u, where (f, _, cells) = _evaluate(u, p): the centroid rows'
-    derivatives in z as a (3, N) band, and the N+1 rows' derivatives in the
-    free parameter.  By the Leibniz rule a cell [m_i, m_{i+1}] of mass M_i
-    and centroid c_i has dc_i/dm_i = rho(m_i)(c_i - m_i)/M_i and
+    step at u, where (f, _, cells) = _evaluate(u, p): band holds the
+    centroid rows' derivatives in z as a (3, N) band, column the N+1 rows'
+    derivatives in the free parameter.
+
+    By the Leibniz rule a cell [m_i, m_{i+1}] of mass M_i and centroid c_i
+    has dc_i/dm_i = rho(m_i)(c_i - m_i)/M_i and
     dc_i/dm_{i+1} = rho(m_{i+1})(m_{i+1} - c_i)/M_i, and each interior
     boundary is the midpoint of its two generators, so the band is exact.
     For a Gaussian free mu so is the column, with no residual evaluation:
@@ -356,7 +371,9 @@ def _banded_jacobian(u: np.ndarray, f: np.ndarray, cells: tuple,
     moves c_i as much, and dc_i/dmu = 1 - dc_i/dm_i - dc_i/dm_{i+1} over
     all N+1 boundaries (the domain ends stay fixed; a Gaussian is finite
     there).  Every other free parameter's column is _fd_column's difference
-    (1 evaluation).  rho at the boundaries, from the cells, serves both."""
+    (1 evaluation).  One density value at each of the N+1 boundaries, read
+    from the evaluation's cells with pdf's bits, serves both.
+    """
     n = p.n_agents
     d, m, m0, t = cells
     c = u[:n] - f[:n]  # centroid row i is z_i - c_i
@@ -385,11 +402,17 @@ def _bordered_step(band: np.ndarray, col: np.ndarray,
     """Solve [[T, col[:N]], [1 ... 1, col[N]]] step = -f in O(N), T the
     tridiagonal given as a (3, N) band in LAPACK's banded storage
     (T[i-1, i] = band[0, i], T[i, i] = band[1, i], T[i+1, i] = band[2, i]):
-    one dgtsv solve of -f[:N] and col[:N] (solve_banded's routine and bits
-    for a (1, 1) band, without its argument checks), then the Schur
-    complement of T, summed by pairwise np.add.reduce, so the same at any
-    BLAS thread count.  A non-finite band or right-hand side, a singular T
-    or a zero or non-finite complement raises InvalidCandidate."""
+    one tridiagonal solve with the two right-hand sides -f[:N] and col[:N],
+    then the Schur complement of T for the last unknown.
+
+    The solve calls LAPACK's dgtsv as scipy's solve_banded does for a
+    (1, 1) band, with the same bits and without its per-call argument
+    checks.  The complement's sums are pairwise np.add.reduce, not BLAS
+    dot products, so the step is the same at any BLAS thread count; one
+    reduction along the solution's rows gives both columns' sums, each with
+    its own reduction's bits.  A non-finite band or right-hand side, a
+    singular T or a zero or non-finite complement raises
+    InvalidCandidate."""
     n = band.shape[1]
     rhs = np.array((-f[:n], col[:n])).T  # Fortran order: solved in place
     if not (np.logical_and.reduce(np.isfinite(band), axis=None)
@@ -413,10 +436,15 @@ def _bordered_step(band: np.ndarray, col: np.ndarray,
 def _newton_step(u: np.ndarray, f: np.ndarray, cells: tuple,
                  p: StaticProblem):
     """(step, residual evaluations made): the Newton step at u, where
-    (f, _, cells) = _evaluate(u, p).  Up to N_DENSE agents the whole
-    _fd_jacobian (2 evaluations) is solved densely; above, _banded_jacobian
-    (0 evaluations for a Gaussian free mu, else 1) and _bordered_step solve
-    in O(N).  A system either path cannot solve raises InvalidCandidate."""
+    (f, _, cells) = _evaluate(u, p).
+
+    Up to N_DENSE agents _fd_jacobian differences the whole matrix (2
+    residual evaluations: one stack and the free-parameter column), which
+    is solved densely.  Above, _banded_jacobian gives the band exactly and
+    the column exactly for a Gaussian free mu (0 evaluations) or by
+    difference otherwise (1), the constraint row is exact ones, and
+    _bordered_step solves in O(N).  A system either path cannot solve
+    raises InvalidCandidate."""
     if p.n_agents > N_DENSE:
         band, col, evals = _banded_jacobian(u, f, cells, p)
         return _bordered_step(band, col, f), evals
@@ -447,22 +475,29 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
     Candidates that break ordering or parameter invariants are treated as
     line-search rejections.
 
-    Newton starts from the first of _starts whose residual norm is finite.
-    Each step is _newton_step's: dense at or below N_DENSE, with 2
-    residual evaluations; banded above, with 1, or none for a Gaussian free
-    mu.  Each iterate is evaluated once, by _evaluate under the solve's one
-    np.errstate: the accepted candidate's residual, norm and cells are the
-    next step's.  Every iterate is tested against RESIDUAL_TOL, the one
-    after the MAX_NEWTON_ITER-th step included.
+    Without init, Newton starts from the first of _starts whose residual
+    norm is finite: above N_DENSE agents first the quantiles of rho^(1/3)
+    (the asymptotic point density of the optimal quantizer), then at any N
+    the equally spaced centroids and the density quantiles, each with
+    _moment_guess's v_k.  Each step is _newton_step: dense at or below
+    N_DENSE (the shipped N = 15), with 2 residual evaluations; banded
+    above, where its bytes are the same at any BLAS thread count, with 1,
+    or none for a Gaussian free mu, whose column is analytic.  Each iterate
+    is evaluated once, by _evaluate under the solve's one np.errstate: the
+    accepted line-search candidate's residual, norm and cells are the next
+    step's.  Every iterate is tested against RESIDUAL_TOL, the one after
+    the MAX_NEWTON_ITER-th step included.
 
-    The solve ends in one place: one DEBUG record with its path, Newton
-    steps, residual evaluations (a stack counts as one; those of a step
-    that raises do not), final norm, outcome and start; then the
-    StaticSolution, or SolverDiverged for an infeasible start, a step
-    _newton_step cannot solve (its InvalidCandidate the cause), a stalled
-    line search or a spent budget.  Armijo acceptance never raises the
-    norm, so SolverDiverged carries the last iterate, a best one, its norm,
-    the history of tested norms, the path and the start."""
+    One loop names why it stopped, and the solve ends in one place: one
+    DEBUG record, converged or diverged, with its path, Newton steps,
+    residual evaluations (a stack counts as one; those of a step that
+    raises are not counted), final residual norm and the start it took;
+    then the StaticSolution, or SolverDiverged for an infeasible start, a
+    step _newton_step cannot solve (its InvalidCandidate the cause), a
+    stalled line search or a spent budget.  Armijo acceptance never raises
+    the norm, so the SolverDiverged of a started solve carries the last
+    iterate, a best one, its norm and the history of tested norms, and
+    every SolverDiverged the path and the start."""
     path = "banded" if p.n_agents > N_DENSE else "dense"
     evals, steps, norm, history, cause = 0, 0, math.nan, [], None
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -510,19 +545,21 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
         raise SolverDiverged(stop, best=u, residual_norm=norm,
                              history=tuple(history), path=path,
                              start=start) from cause
-    return StaticSolution(centroids=u[:-1], v_k=float(u[-1]),
-                          residual_norm=norm, iterations=steps,
-                          residual_history=tuple(history))
+    z, v = _split(u, p.n_agents)
+    return StaticSolution(centroids=z, v_k=v, residual_norm=norm,
+                          iterations=steps, residual_history=tuple(history))
 
 
 def cross_validate(sol: StaticSolution, p: StaticProblem) -> CrossValidationReport:
     """Re-derive the tessellation with Lloyd's algorithm at the solved free
     parameter (default equally spaced start) and compare generators and sums.
 
-    Lloyd converges linearly, at a rate near 1 for a density concentrated
-    well inside the domain, so its tolerance is far below the comparison's.
-    A run that stagnates on the noise floor before CROSSVAL_LLOYD_TOL can
-    still pass; one cut off by tessellation.REFERENCE_MAX_ITER never does.
+    Lloyd converges linearly with a rate that can approach 1 for densities
+    concentrated well inside the domain, so the displacement tolerance here
+    is far below the comparison tolerance: the sum check needs the
+    accumulated N-generator error under 1e-6.  A Lloyd run that stagnates on
+    the noise floor before reaching CROSSVAL_LLOYD_TOL can still pass the
+    comparison; one cut off by tessellation.REFERENCE_MAX_ITER never passes.
     """
     d = bind_free_parameter(p.density, sol.v_k)
     t = tess.lloyd(tess.default_init(p.n_agents, p.domain), d, p.domain,

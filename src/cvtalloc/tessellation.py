@@ -90,11 +90,25 @@ class Tessellation:
         return self.stop_reason == "tol"
 
 
+def _valid_row(z: np.ndarray, dom: Domain1D) -> bool:
+    """Whether the non-empty 1-D float generators z pass
+    _validate_generators: strictly increasing by at least the duplicate
+    gap and inside (a, b).  A NaN or infinite generator fails one of the
+    comparisons.  static_alloc tests each Newton iterate with it."""
+    gap = np.minimum.reduce(z[1:] - z[:-1], initial=np.inf)
+    return bool(gap >= DUPLICATE_GAP_FRACTION * dom.width
+                and dom.a < z[0] and z[-1] < dom.b)
+
+
 def _validate_generators(generators, dom: Domain1D) -> np.ndarray:
-    """Checked along the last axis: a (K, N) stack fails if any row does."""
+    """Checked along the last axis: a (K, N) stack fails if any row does.
+    A 1-D row is accepted by _valid_row; the checks after it name the rule
+    a failing row or stack breaks."""
     z = np.asarray(generators, dtype=float)
     if z.shape[-1] == 0:
         raise InvalidParameterValue("need at least one generator")
+    if z.ndim == 1 and _valid_row(z, dom):
+        return z
     if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise GeneratorOutOfDomain("generators must be finite")
     gap = np.minimum.reduce(z[..., 1:] - z[..., :-1], axis=None,
@@ -179,11 +193,14 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     moments overflow is clamped.  Each call logs one DEBUG record with the
     stop reason, the iteration count and the final displacement.
 
-    d is checked and one np.errstate opened once per run, around every
-    midpoint, centroid map and displacement: a midpoint that overflows
-    gives an infinite boundary with no warning, and the next centroid map
-    raises EmptyCell for the reversed cell after it.  The displacement and
-    the boundaries are written into reused buffers.
+    d is checked and one np.errstate opened once per run, not once per
+    iteration; each iteration calls density._cell_centroids, whose
+    empty-cell check runs per cell only when some cell is near empty, and
+    the displacement and the boundaries are written into reused buffers.
+    The errstate covers the whole loop, the first midpoints, every later
+    one and the displacement too: a midpoint that overflows gives an
+    infinite boundary with no warning, and the next centroid map raises
+    EmptyCell for the reversed cell after it.
 
     Returns the Tessellation, or (Tessellation, history) when
     record_history is true; history holds the generator array per iterate,

@@ -747,11 +747,29 @@ class TestEvaluationCount:
         assert sol.iterations == 4
         assert len(calls) == 5
 
-    def test_norm_is_numpy_norm(self):
+    def test_norm_is_numpy_norm(self, monkeypatch):
         # _evaluate's norm is np.linalg.norm's bit for bit, a Python float,
-        # on residuals of entries from about 1e-12 to 1e3: the N = 50
-        # sweep solution with its centroids shifted by up to 30 and
-        # jittered by 1e-12 to 1e-2.
+        # on residuals of 2 to 900 entries from 1e-12 to 1e3: the centroid
+        # map gives the centroids z - f[:N], and r = sum(z) - f[N].
+        rng = np.random.default_rng(11)
+        dom = Domain1D(-2e3, 2e3)
+        for _ in range(500):
+            n = int(rng.integers(1, 900))
+            f = (rng.choice([-1.0, 1.0], n + 1)
+                 * 10.0 ** rng.uniform(-12.0, 3.0, n + 1))
+            z = tess.default_init(n, Domain1D(-1.0, 1.0))
+            c = z - f[:n]
+            monkeypatch.setattr(dens, "_cell_centroids",
+                                lambda d, m, t: (c, np.ones(n)))
+            p = StaticProblem(dom, n, GAUSS_FREE_MU, np.add.reduce(z) - f[n])
+            got, norm, _ = evaluation(np.append(z, 0.0), p)
+            assert np.allclose(got, f, rtol=1e-3, atol=0.0)
+            assert type(norm) is float
+            assert norm == float(np.linalg.norm(got))
+
+    def test_norm_of_real_candidates(self):
+        # The same on unpatched evaluations: the N = 50 sweep solution with
+        # its centroids shifted by up to 30 and jittered by 1e-12 to 1e-2.
         rng = np.random.default_rng(11)
         p = seed0_sweep(50)
         sol = sa.solve(p)

@@ -53,6 +53,39 @@ class TestVoronoiRegions:
         with pytest.raises(GeneratorOutOfDomain):
             tess.voronoi_regions([5.0, 16.0], DOM_15)
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_valid_row_is_the_stack_checks(self, n):
+        # _valid_row accepts a row exactly when the checks that decide a
+        # stack accept it as a one-row stack: one unknown at a time set
+        # non-finite, onto or past a domain end, onto a neighbour, inside,
+        # at or just past the duplicate gap of it, or below it, and a first
+        # pair exactly the gap apart and one ulp closer.
+        start = tess.default_init(n, DOM_15)
+        gap = tess.DUPLICATE_GAP_FRACTION * DOM_15.width
+        rows = [start] + [np.concatenate(([gap, second], start[2:]))
+                          for second in (2.0 * gap,
+                                         np.nextafter(2.0 * gap, 0.0))
+                          if n >= 2]
+        for j in range(n):
+            before = start[j - 1] if j else 0.0
+            for value in (np.nan, np.inf, -np.inf, 0.0, 15.0, -1.0, 16.0,
+                          before, before + 0.5 * gap, before + gap,
+                          before + 2.0 * gap, before - 1.0):
+                z = start.copy()
+                z[j] = value
+                rows.append(z)
+        accepted = 0
+        for z in rows:
+            try:
+                tess._validate_generators(z[None, :], DOM_15)
+            except (UnsortedGenerators, DuplicateGenerators,
+                    GeneratorOutOfDomain):
+                assert tess._valid_row(z, DOM_15) is False
+                continue
+            assert tess._valid_row(z, DOM_15) is True
+            accepted += 1
+        assert 0 < accepted < len(rows)
+
 
 class TestEnergies:
     def test_uniform_two_generator_energy(self):
