@@ -175,11 +175,11 @@ class DensitySpec:
         return out
 
 
-def _pdf_at(d: DensitySpec, m: np.ndarray, t: tuple) -> np.ndarray:
-    """d.pdf(m), t being _terms(d, m, order, keep_exp=True): a Gaussian's
-    from the terms' exp(-t^2/2), by pdf's own expression and its bits."""
-    if d.family == "gaussian":
-        return t[-1] * (_INV_SQRT_2PI / math.sqrt(d.params["sigma2"]))
+def _pdf_at(d: DensitySpec, m: np.ndarray, e) -> np.ndarray:
+    """d.pdf(m), e being what d's centroid map gave for m: a Gaussian's
+    from its exp(-t^2/2), by pdf's own expression and its bits."""
+    if e is not None:
+        return e * (_INV_SQRT_2PI / math.sqrt(d.params["sigma2"]))
     return d.pdf(m)
 
 
@@ -230,10 +230,9 @@ def bind_free_parameter(d: DensitySpec, value: float) -> DensitySpec:
 # its whole loop, which also covers its midpoints and displacements.
 # ---------------------------------------------------------------------------
 
-def _terms(d: DensitySpec, x, order: int, keep_exp: bool = False) -> tuple:
+def _terms(d: DensitySpec, x, order: int) -> tuple:
     """Per-point values whose differences between two ends give d's
-    moments up to order over the interval between them; with keep_exp, a
-    Gaussian's end with its exp(-t^2/2), which _pdf_at reads."""
+    moments up to order over the interval between them."""
     p = d.params
     if d.family == "uniform":
         c = np.clip(x, p["a"], p["b"])
@@ -248,7 +247,7 @@ def _terms(d: DensitySpec, x, order: int, keep_exp: bool = False) -> tuple:
         out = (t, special.erfc(np.abs(s)), special.erf(s), e * _INV_SQRT_2PI)
         if order == 2:
             out += (np.where(np.isfinite(t), t, 0.0) * e * _INV_SQRT_2PI,)
-        return out + (e,) if keep_exp else out
+        return out
 
     if d.family == "exponential":
         lam = p["lam"]
@@ -293,8 +292,10 @@ def _combine(d: DensitySpec, lo, hi, order: int) -> tuple:
         ok = np.isfinite(hi[2]) & np.isfinite(lo[2])
         cubes = np.subtract(hi[2], lo[2], out=np.zeros(np.shape(ok)),
                             where=ok)
-        return m0, m1, np.where(ok, cubes / 3.0 * w,
-                                m0 * (hi[1] + hi[0] * lo[0] + lo[1]) / 3.0)
+        # An empty interval's factored moment is 0, not 0 * inf = NaN.
+        factored = np.multiply(m0, hi[1] + hi[0] * lo[0] + lo[1],
+                               out=np.zeros(np.shape(ok)), where=m0 != 0)
+        return m0, m1, np.where(ok, cubes / 3.0 * w, factored / 3.0)
 
     if d.family == "gaussian":
         # Terms t, erfc(|t|/sqrt2), erf(t/sqrt2), phi(t)[, t phi(t)].  Deep
@@ -357,58 +358,83 @@ def mass_floor(width):
 
 
 def cell_centroids(d: DensitySpec, m) -> np.ndarray:
-    """Mass centroids m1 / m0 of the cells [m[i], m[i+1]] under d, for
-    boundaries m, clamped into each cell against fp noise.  The package's
+    """Mass centroids m1 / m0 of the cells [m[i], m[i+1]] under d, clamped
+    into each cell against fp noise, for boundaries m in non-decreasing
+    order: InvalidParameterValue otherwise, or for a NaN.  The package's
     one empty-cell rule: a cell of mass at most mass_floor of its width
     raises EmptyCell naming the first one.  A (K, N+1) stack of boundaries
     gives (K, N) centroids, each row the same bits as its own call, and an
-    EmptyCell names the row as well as the cell.
-
-    Analytic moments evaluate each boundary's terms once and difference
-    them per cell, with the same values as interval_moments over each cell.
-    The empty-cell rule is checked exactly, but per cell only when some
-    cell is near empty.  This wrapper checks d and m and opens the
-    np.errstate; the work is _cell_centroids, which tessellation.lloyd
-    calls directly, inside one errstate per run.
+    EmptyCell names the row as well as the cell.  The values are
+    interval_moments' over each cell; the work is d's _centroid_map.
     """
     _require_bound(d)
     m = np.asarray(m, dtype=float)
+    if not np.logical_and.reduce(m[..., 1:] >= m[..., :-1], axis=None):
+        raise InvalidParameterValue(
+            "cell boundaries must be non-decreasing, with no NaN")
     # One errstate for the moments and the widths, which overflow or are
     # NaN only for cells with an infinite end.
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        return _cell_centroids(d, m)[0]
+        return _centroid_map(d)(m)[0]
 
 
-def _cell_centroids(d: DensitySpec, m: np.ndarray, t=None) -> tuple:
-    """(centroids, m0) of the cells between boundaries m under the bound d,
-    from t = _terms(d, m, 1) when given, for a caller that has checked d
-    and holds an np.errstate ignoring over-, underflow and invalid values.
+def _centroid_map(d: DensitySpec):
+    """The bound d's centroid map: a function of ordered boundaries m, 1-D
+    or (K, N+1), giving (centroids, m0, e) with _combine's bits per cell,
+    under a caller's np.errstate ignoring over-, underflow and invalid
+    values; e is what _pdf_at reads.  A Gaussian row's cells run left of
+    mu, across it (one at most) and right of it, reading E_hi - E_lo,
+    erf_hi - erf_lo and E_lo - E_hi of E = erfc(|t|/sqrt2): erf is taken
+    only at the ends of a cell across mu.  No cell is wider than its row's
+    span m[-1] - m[0], so a least mass above 1e-300 * min(max(span, 1),
+    _FLOOR_WIDTH_CAP) means none is empty; else, as for a NaN span or
+    mass, the per-cell rule decides."""
+    if d.family == "gaussian":
+        mu, sigma = d.params["mu"], math.sqrt(d.params["sigma2"])
+        erf, erfc = special.erf, special.erfc
 
-    The empty-cell rule costs two reductions when no cell is near empty:
-    every cell's mass_floor is at most 1e-300 * min(max(largest width, 1),
-    _FLOOR_WIDTH_CAP), so a least mass above that bound means no cell is
-    empty.  An infinite width makes the bound the capped one, which is still
-    at least the floor of 1e-300 that the per-cell rule gives it.  A NaN
-    width makes the bound NaN and a NaN mass makes the least mass NaN; the
-    comparison is then false, as it is when some mass is small, and the
-    full per-cell rule decides.  Cells run along the last axis of m.
-    """
-    lo, hi = m[..., :-1], m[..., 1:]
-    t = _terms(d, m, 1) if t is None else t
-    m0, m1 = _combine(d, [a[..., :-1] for a in t], [a[..., 1:] for a in t], 1)
-    width = hi - lo
-    widest = np.maximum.reduce(width, axis=None, initial=1.0)
-    # min keeps a NaN widest: the cap is never less than NaN.
-    if not (np.minimum.reduce(m0, axis=None, initial=np.inf)
-            > 1e-300 * min(widest, _FLOOR_WIDTH_CAP)):
-        bad = m0 <= mass_floor(width)
-        if bad.any():
-            at = np.unravel_index(np.argmax(bad), bad.shape)
-            row = f"row {at[0]}, " if bad.ndim > 1 else ""
-            raise EmptyCell(f"{row}cell {at[-1]} = [{lo[at]}, {hi[at]}] "
-                            f"has mass {m0[at]:g}")
-    # m1 is a fresh array from _combine: the centroids take its place.
-    c = np.divide(m1, m0, out=m1)
-    np.maximum(c, lo, out=c)
-    np.minimum(c, hi, out=c)
-    return c, m0
+        def moments(m):
+            t = (m - mu) / sigma
+            e = np.exp(-0.5 * t * t)
+            tail = erfc(np.abs(t) / _SQRT2)
+            m0 = np.subtract(tail[..., 1:], tail[..., :-1])
+            if t.ndim == 1:  # the cells from i on lie right of mu
+                i = t.searchsorted(0.0)
+                np.subtract(tail[i:-1], tail[i + 1:], out=m0[i:])
+                at = (i - 1,) if 0 < i < t.size and t[i] > 0 else None
+            else:
+                np.subtract(tail[:, :-1], tail[:, 1:], out=m0,
+                            where=t[:, :-1] >= 0)
+                at = np.nonzero((t[:, :-1] < 0) & (t[:, 1:] > 0))
+            if at is not None:
+                m0[at] = (erf(t[at[:-1] + (at[-1] + 1,)] / _SQRT2)
+                          - erf(t[at] / _SQRT2))
+            m0 *= 0.5
+            phi = e * _INV_SQRT_2PI
+            return m0, mu * m0 + sigma * (phi[..., :-1] - phi[..., 1:]), e
+    else:
+        def moments(m):
+            t = _terms(d, m, 1)
+            return _combine(d, [a[..., :-1] for a in t],
+                            [a[..., 1:] for a in t], 1) + (None,)
+
+    def centroids(m):
+        m0, m1, e = moments(m)
+        lo, hi = m[..., :-1], m[..., 1:]
+        span = (m[-1] - m[0] if m.ndim == 1 and m.size else np.maximum.reduce(
+            m[..., -1:] - m[..., :1], axis=None, initial=1.0))
+        # max and min keep a NaN span: neither bound exceeds NaN.
+        if not (np.minimum.reduce(m0, axis=None, initial=np.inf)
+                > 1e-300 * min(max(span, 1.0), _FLOOR_WIDTH_CAP)):
+            bad = m0 <= mass_floor(hi - lo)
+            if bad.any():
+                at = np.unravel_index(np.argmax(bad), bad.shape)
+                row = f"row {at[0]}, " if bad.ndim > 1 else ""
+                raise EmptyCell(f"{row}cell {at[-1]} = [{lo[at]}, {hi[at]}] "
+                                f"has mass {m0[at]:g}")
+        # m1 is a fresh array: the centroids take its place.
+        c = np.divide(m1, m0, out=m1)
+        np.maximum(c, lo, out=c)
+        np.minimum(c, hi, out=c)
+        return c, m0, e
+    return centroids

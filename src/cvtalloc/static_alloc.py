@@ -142,16 +142,16 @@ def residual(unknowns, p: StaticProblem, masses: bool = False):
     an invalid free parameter or an empty cell raises InvalidCandidate; a
     stack raises it when any row is such a candidate.
 
-    d is bound and m built as floats here, all that density.cell_centroids
-    checks, so its work, density._cell_centroids, is called directly, under
-    the errstate the wrapper would open."""
+    d is bound and m built as ordered floats here, all that
+    density.cell_centroids checks, so d's centroid map is called directly,
+    under the errstate the wrapper would open."""
     z, v = _split(unknowns, p.n_agents)
     try:
         z = tess._validate_generators(z, p.domain)
         d = bind_free_parameter(p.density, v)
         m = tess._midpoint_boundaries(z, p.domain)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            c, m0 = dens._cell_centroids(d, m)
+            c, m0, _ = dens._centroid_map(d)(m)
     except (UnsortedGenerators, DuplicateGenerators, GeneratorOutOfDomain,
             InvalidParameterValue, EmptyCell) as exc:
         raise InvalidCandidate(str(exc)) from exc
@@ -282,11 +282,12 @@ def _cube_root_guess(p: StaticProblem) -> np.ndarray | None:
 def _evaluate(u: np.ndarray, p: StaticProblem) -> tuple:
     """(f, norm, cells) at u, a 1-D (N+1,) float array, from one
     centroid-map pass under the caller's np.errstate (solve holds one): f
-    and norm have the bits of residual(u, p) and its np.linalg.norm, and
-    cells = (d, m, m0, t), the bound density, boundaries, cell masses and
-    density terms, is what the banded step reads.  (None, inf, None) for an
-    invalid candidate: residual's checks, made on the one row, whose
-    centroids tessellation._valid_row tests as _validate_generators does."""
+    and norm have the bits of residual(u, p) and of its np.linalg.norm
+    wherever that is finite, and cells = (d, m, m0, e), the bound density,
+    boundaries, cell masses and the map's density terms, is what the banded
+    step reads.  (None, inf, None) for an invalid candidate: residual's
+    checks, made on the one row, whose centroids tessellation._valid_row
+    tests as _validate_generators does."""
     n, dom = p.n_agents, p.domain
     z = u[:n]
     if not tess._valid_row(z, dom):
@@ -294,15 +295,18 @@ def _evaluate(u: np.ndarray, p: StaticProblem) -> tuple:
     try:
         d = bind_free_parameter(p.density, u[n])
         m = tess._midpoint_boundaries(z, dom)
-        t = dens._terms(d, m, 1, keep_exp=True)
-        c, m0 = dens._cell_centroids(d, m, t)
+        c, m0, e = dens._centroid_map(d)(m)
     except (InvalidParameterValue, EmptyCell):
         return None, math.inf, None
     f = np.empty(n + 1)
     np.subtract(z, c, out=f[:n])
     f[n] = np.add.reduce(z) - p.r
-    # np.linalg.norm's own computation for a 1-D float array.
-    return f, math.sqrt(f.dot(f)), (d, m, m0, t)
+    # np.linalg.norm's own computation; where a square overflows, hypot's,
+    # which scales by the largest entry.
+    norm = math.sqrt(f.dot(f))
+    if norm == math.inf and np.isfinite(f).all():
+        norm = math.hypot(*f)
+    return f, norm, (d, m, m0, e)
 
 
 def _fd_column(u: np.ndarray, f: np.ndarray, p: StaticProblem, j: int):
@@ -375,12 +379,12 @@ def _banded_jacobian(u: np.ndarray, f: np.ndarray, cells: tuple,
     from the evaluation's cells with pdf's bits, serves both.
     """
     n = p.n_agents
-    d, m, m0, t = cells
+    d, m, m0, e = cells
     c = u[:n] - f[:n]  # centroid row i is z_i - c_i
     # Half of each slope: an interior boundary moves half as far as either
     # generator.  A gamma density with k < 1 is infinite at 0, where pdf
     # gives 0; only the Gaussian column reads the domain ends.
-    half = 0.5 * dens._pdf_at(d, m, t)
+    half = 0.5 * dens._pdf_at(d, m, e)
     lo = half[:-1] * (c - m[:-1]) / m0  # dc_i/dm_i / 2
     hi = half[1:] * (m[1:] - c) / m0    # dc_i/dm_{i+1} / 2
     left, right = lo[1:], hi[:-1]       # dc_{i+1}/dz_i, dc_i/dz_{i+1}

@@ -7,7 +7,9 @@ per-cell mass centroids until the generators stop moving.
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import math
 
 import numpy as np
 
@@ -124,15 +126,24 @@ def _validate_generators(generators, dom: Domain1D) -> np.ndarray:
     return z
 
 
-def _midpoint_boundaries(z: np.ndarray, dom: Domain1D,
-                         out: np.ndarray | None = None) -> np.ndarray:
+def _midpoint_boundaries(z: np.ndarray, dom: Domain1D) -> np.ndarray:
     """The domain ends and the midpoints of z, along its last axis."""
-    m = np.empty(z.shape[:-1] + (z.shape[-1] + 1,)) if out is None else out
-    inner = m[..., 1:-1]
+    m = np.empty(z.shape[:-1] + (z.shape[-1] + 1,))
     m[..., 0], m[..., -1] = dom.a, dom.b
-    np.add(z[..., :-1], z[..., 1:], out=inner)
-    inner *= 0.5
+    _midpoints(z, dom, m[..., 1:-1])
     return m
+
+
+def _midpoints(z: np.ndarray, dom: Domain1D, out: np.ndarray) -> None:
+    """out = (z_i + z_{i+1}) / 2 along z's last axis, z in dom; z_i / 2 +
+    z_{i+1} / 2 where that sum overflows, as only past half the largest float."""
+    wide = math.isinf(2.0 * dom.a) or math.isinf(2.0 * dom.b)
+    with np.errstate(over="ignore") if wide else contextlib.nullcontext():
+        np.add(z[..., :-1], z[..., 1:], out=out)
+    out *= 0.5
+    if wide:
+        big = np.isinf(out)
+        out[big] = 0.5 * z[..., :-1][big] + 0.5 * z[..., 1:][big]
 
 
 def voronoi_regions(generators, dom: Domain1D) -> np.ndarray:
@@ -193,14 +204,11 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     moments overflow is clamped.  Each call logs one DEBUG record with the
     stop reason, the iteration count and the final displacement.
 
-    d is checked and one np.errstate opened once per run, not once per
-    iteration; each iteration calls density._cell_centroids, whose
-    empty-cell check runs per cell only when some cell is near empty, and
-    the displacement and the boundaries are written into reused buffers.
-    The errstate covers the whole loop, the first midpoints, every later
-    one and the displacement too: a midpoint that overflows gives an
-    infinite boundary with no warning, and the next centroid map raises
-    EmptyCell for the reversed cell after it.
+    d is checked, its centroid map built and one np.errstate opened once
+    per run, not once per iteration; the errstate covers the whole loop,
+    midpoints and displacements too.  The domain ends are written once, and
+    each iteration writes the interior midpoints and the displacement into
+    reused buffers.
 
     Returns the Tessellation, or (Tessellation, history) when
     record_history is true; history holds the generator array per iterate,
@@ -219,16 +227,18 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     iterations, moved = 0, 0.0
     least_moved, least_at = np.inf, 0
     diff = np.empty_like(z)
+    centroids = dens._centroid_map(d)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         m = _midpoint_boundaries(z, dom)
+        inner = m[1:-1]
         for iterations in range(1, max_iter + 1):
-            z_new, _ = dens._cell_centroids(d, m)
+            z_new = centroids(m)[0]
             if record_history:
                 history.append(z_new.copy())
             moved = float(np.abs(np.subtract(z_new, z, out=diff),
                                  out=diff).max())
             z = z_new
-            m = _midpoint_boundaries(z, dom, out=m)
+            _midpoints(z, dom, inner)
             if moved < tol:
                 stop_reason = "tol"
                 break

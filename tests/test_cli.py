@@ -207,9 +207,11 @@ class TestCvt:
 
     @pytest.mark.parametrize("domain, n, message", [
         # (i - 1/2) * width overflows at i = 2 and 3: the equally spaced
-        # start is finite, and the midpoint of the last two generators is
-        # the first value to overflow.
-        ("2,1.7e308", "3", "cell 2 = [inf, 1.7e+308] has mass 0"),
+        # start is finite, and so is the midpoint of the last two
+        # generators, whose sum overflows and which is halved first; only
+        # the energy is not.
+        ("2,1.7e308", "3", "the quantization energy on [2.0, 1.7e+308] is "
+                           "not a finite float64"),
         # The clipped ends squared overflow: the centroids are finite, and
         # only the energy, about 2.1e318, is not.
         ("0,1e160", "2", "the quantization energy on [0.0, 1e+160] is not "
@@ -348,6 +350,19 @@ class TestStaticAlloc:
         assert rc == 0
         assert out["centroids"] == [2.25e159, 6.75e159]
         assert out["v_k"] == 9e159 and out["residual_norm"] == 0.0
+
+    def test_residual_norm_past_the_square_overflow(self, tmp_path, capsys):
+        # Residual entries above about 1.3e154 overflow the sum of squares:
+        # the scaled norm of the start is finite, so the solve runs and
+        # ends in a solver failure, not in "initial guess is infeasible".
+        rc = run_cli("static-alloc", "--domain", "0,1.7e308", "--n", "3",
+                     "--density", '{"family":"uniform","a":0,"b":"free"}',
+                     "--r", "1.53e308", "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_SOLVER and captured.out == ""
+        assert captured.err.startswith("solver failed: line search stalled "
+                                       "at residual norm ")
+        assert captured.err.count("\n") == 1
 
     def test_non_finite_band_is_a_solver_failure(self, tmp_path, capfd,
                                                  monkeypatch):

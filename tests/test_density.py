@@ -1,6 +1,7 @@
 """Density families: construction, closed-form interval moments, and their
 agreement with the quadrature oracle of tests/quadrature.py."""
 
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from scipy import special
 
 import quadrature
 from cvtalloc import density as dens
+from cvtalloc import sim
+from cvtalloc import static_alloc as sa
 from cvtalloc.density import DensitySpec, bind_free_parameter
 from cvtalloc.errors import (
     EmptyCell,
@@ -18,6 +21,7 @@ from cvtalloc.errors import (
     NoFreeParameter,
     UnboundFreeParameter,
 )
+from test_golden import SHIPPED, lloyd_runs, static_problems
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +294,24 @@ class TestKnownIntegrals:
         np.testing.assert_allclose(m2, [b * b / 24.0, 7.0 * b * b / 24.0,
                                         b * b / 3.0], rtol=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    def test_uniform_second_moment_of_an_empty_interval(self):
+        # Past the square overflow an interval outside [a, b] has m0 = 0
+        # and clipped ends whose square is inf: its second moment is 0,
+        # not 0 * inf = NaN with a RuntimeWarning.  Where m0 is not 0 the
+        # factored moment keeps its bits.
+        b = 1e200
+        d = DensitySpec("uniform", {"a": 0.0, "b": b})
+        assert dens.interval_moments(d, 2e200, 3e200) == (0.0, 0.0, 0.0)
+        lo = np.array([0.0, 0.25 * b, 2e200, 0.5 * b])
+        hi = np.array([0.5 * b, b, 3e200, 0.5 * b])
+        m0, _, m2 = dens.interval_moments(d, lo, hi)
+        c_lo, c_hi = np.clip(lo, 0.0, b), np.clip(hi, 0.0, b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            before = m0 * (c_hi ** 2 + c_hi * c_lo + c_lo ** 2) / 3.0
+        assert m2[:2].tobytes() == before[:2].tobytes()
+        assert np.array_equal(m2[2:], [0.0, 0.0]) and np.isnan(before[2:]).all()
+
     def test_uniform_first_moment_past_the_square_overflow(self):
         # Above about 1.3e154 the squared ends overflow; the first moment is
         # the factored m0 (hi + lo) / 2 there, not NaN, and the centroids
@@ -526,12 +548,76 @@ class TestCellCentroids:
 
 
 def centroids_and_masses(d, m):
-    """(centroids, m0) of the cells of m under the bound d: the work of
-    density.cell_centroids, called under the np.errstate that it opens,
-    whose centroids are the same bits as the wrapper's."""
+    """(centroids, m0) of the ordered cells of m under the bound d: d's
+    centroid map, called under the np.errstate that density.cell_centroids
+    opens, whose centroids are the same bits as the wrapper's."""
+    m = np.asarray(m, dtype=float)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        c, m0 = dens._cell_centroids(d, np.asarray(m, dtype=float))
+        c, m0, _ = dens._centroid_map(d)(m)
     assert c.tobytes() == dens.cell_centroids(d, m).tobytes()
+    return c, m0
+
+
+def _gaussian_terms_kept(d, x, order):
+    """The Gaussian _terms that the centroid map replaced for cells: t,
+    erfc(|t|/sqrt2), erf(t/sqrt2), phi(t)[, t phi(t)]."""
+    t = (x - d.params["mu"]) / math.sqrt(d.params["sigma2"])
+    s = t / dens._SQRT2
+    e = np.exp(-0.5 * t * t)
+    out = (t, special.erfc(np.abs(s)), special.erf(s), e * dens._INV_SQRT_2PI)
+    if order == 2:
+        out += (np.where(np.isfinite(t), t, 0.0) * e * dens._INV_SQRT_2PI,)
+    return out
+
+
+def _gaussian_combine_kept(d, lo, hi, order):
+    """The Gaussian _combine of _gaussian_terms_kept: a nested np.where
+    over every cell, with erf read at every boundary."""
+    mu, s2 = d.params["mu"], d.params["sigma2"]
+    sigma = math.sqrt(s2)
+    m0 = 0.5 * np.where(lo[0] >= 0, lo[1] - hi[1],
+                        np.where(hi[0] <= 0, hi[1] - lo[1], hi[2] - lo[2]))
+    dphi = lo[3] - hi[3]
+    m1 = mu * m0 + sigma * dphi
+    if order == 1:
+        return m0, m1
+    central2 = s2 * (m0 + lo[4] - hi[4])
+    return m0, m1, mu * mu * m0 + 2.0 * mu * sigma * dphi + central2
+
+
+def _kept(d):
+    """The (_terms, _combine) pair of the oracle maps for d: the kept
+    Gaussian copies, or the module's for the other families."""
+    if d.family == "gaussian":
+        return _gaussian_terms_kept, _gaussian_combine_kept
+    return dens._terms, dens._combine
+
+
+def _cell_centroids_kept(d, m, terms=None, combine=None):
+    """(centroids, m0) of d's cells between the boundaries m, 1-D or a
+    (K, N+1) stack, as the centroid map computed them before it took a
+    Gaussian's cells from their runs: every cell's terms through one
+    _combine, the empty-cell rule checked per cell only when the least
+    mass is at most the bound of the widest cell."""
+    kept = _kept(d)
+    terms, combine = terms or kept[0], combine or kept[1]
+    m = np.asarray(m, dtype=float)
+    lo, hi = m[..., :-1], m[..., 1:]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        t = terms(d, m, 1)
+        m0, m1 = combine(d, [a[..., :-1] for a in t],
+                         [a[..., 1:] for a in t], 1)
+        width = hi - lo
+        widest = np.maximum.reduce(width, axis=None, initial=1.0)
+        if not (np.minimum.reduce(m0, axis=None, initial=np.inf)
+                > 1e-300 * min(widest, dens._FLOOR_WIDTH_CAP)):
+            bad = m0 <= dens.mass_floor(width)
+            if bad.any():
+                at = np.unravel_index(np.argmax(bad), bad.shape)
+                row = f"row {at[0]}, " if bad.ndim > 1 else ""
+                raise EmptyCell(f"{row}cell {at[-1]} = [{lo[at]}, {hi[at]}] "
+                                f"has mass {m0[at]:g}")
+        c = np.minimum(np.maximum(m1 / m0, lo), hi)
     return c, m0
 
 
@@ -540,17 +626,24 @@ def _cell_centroids_before(d, m, masses=False):
     and the in-place centroids: every cell's mass_floor, compared cell by
     cell, and fresh arrays for the quotient and the clamp."""
     dens._require_bound(d)
+    terms, combine = _kept(d)
     m = np.asarray(m, dtype=float)
     lo, hi = m[:-1], m[1:]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        t = dens._terms(d, m, 1)
-        m0, m1 = dens._combine(d, [a[:-1] for a in t], [a[1:] for a in t], 1)
+        t = terms(d, m, 1)
+        m0, m1 = combine(d, [a[:-1] for a in t], [a[1:] for a in t], 1)
         bad = m0 <= dens.mass_floor(hi - lo)
     if bad.any():
         i = int(np.argmax(bad))
         raise EmptyCell(f"cell {i} = [{lo[i]}, {hi[i]}] has mass {m0[i]:g}")
     c = np.minimum(np.maximum(m1 / m0, lo), hi)
     return (c, m0) if masses else c
+
+
+def _ordered(m):
+    """Whether every row of m is non-decreasing, with no NaN."""
+    m = np.asarray(m, dtype=float)
+    return bool(np.all(m[..., 1:] >= m[..., :-1]))
 
 
 # Per family: a density, the span of its bulk, and a far-tail span where
@@ -608,8 +701,14 @@ class TestEmptyCellPreCheck:
         d, bulk, tail = _PRECHECK_CASES[family]
         rng = np.random.default_rng(sorted(_PRECHECK_CASES).index(family))
         raised_later = tail_masses = 0
-        for _ in range(1500):
+        for _ in range(4500):
             m = _precheck_boundaries(rng, bulk, tail)
+            if not _ordered(m):
+                # Kinds 1, 2 and 5, and infinite ends out of order.
+                with pytest.raises(InvalidParameterValue,
+                                   match="non-decreasing"):
+                    dens.cell_centroids(d, m)
+                continue
             try:
                 c0, m00 = _cell_centroids_before(d, m, masses=True)
             except EmptyCell as exc:
@@ -624,7 +723,8 @@ class TestEmptyCellPreCheck:
             assert c.tobytes() == dens.cell_centroids(d, m).tobytes()
             tail_masses += bool(np.any(m0 < 1e-290))
         # Both outcomes occur, and near-empty cells past the first and
-        # kept cells with far-tail masses are among them.
+        # kept cells with far-tail masses are among them; the draws are
+        # three times as many as when the unordered kinds reached the map.
         assert raised_later > 50
         assert tail_masses > 10
 
@@ -685,20 +785,26 @@ def _gaussian_combine_before(d, lo, hi, order):
     return m0, m1, mu * mu * m0 + 2.0 * mu * sigma * dphi + central2
 
 
-def _gaussian_outcomes(d, m):
-    """The bytes of centroids_and_masses(d, m), or its EmptyCell
-    message, and of the order-1 and order-2 moments of the cells of m, all
+def _gaussian_outcomes(d, m, cells=centroids_and_masses):
+    """The bytes of cells(d, m), or its EmptyCell message, or None for
+    boundaries out of order or NaN, which cell_centroids rejects; and the
+    bytes of the order-1 and order-2 moments of the cells of m, all
     through the module's _terms and _combine."""
     lo, hi = m[..., :-1], m[..., 1:]
-    try:
-        cells = [a.tobytes() for a in centroids_and_masses(d, m)]
-    except EmptyCell as exc:
-        cells = str(exc)
+    if not _ordered(m):
+        with pytest.raises(InvalidParameterValue, match="non-decreasing"):
+            dens.cell_centroids(d, m)
+        out = None
+    else:
+        try:
+            out = [a.tobytes() for a in cells(d, m)]
+        except EmptyCell as exc:
+            out = str(exc)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         order1 = dens._combine(d, dens._terms(d, lo, 1),
                                dens._terms(d, hi, 1), 1)
         order2 = dens.interval_moments(d, lo, hi)
-    return cells, [a.tobytes() for a in order1 + order2]
+    return out, [a.tobytes() for a in order1 + order2]
 
 
 _GAUSSIANS = [DensitySpec("gaussian", {"mu": 0.0, "sigma2": 1.0}),
@@ -733,10 +839,14 @@ class TestOneErfcGaussian:
 
     @staticmethod
     def assert_same_as_before(d, m, monkeypatch):
+        def before_map(d, m):
+            return _cell_centroids_kept(d, m, _gaussian_terms_before,
+                                        _gaussian_combine_before)
+
         with monkeypatch.context() as mp:
             mp.setattr(dens, "_terms", _gaussian_terms_before)
             mp.setattr(dens, "_combine", _gaussian_combine_before)
-            before = _gaussian_outcomes(d, m)
+            before = _gaussian_outcomes(d, m, before_map)
         assert _gaussian_outcomes(d, m) == before
 
     @pytest.mark.parametrize("kind", ["left", "right", "straddle",
@@ -750,7 +860,8 @@ class TestOneErfcGaussian:
                 m = _gaussian_boundaries(rng, d, kind, n)
                 self.assert_same_as_before(d, m, monkeypatch)
                 empty += isinstance(_gaussian_outcomes(d, m)[0], str)
-        # Cells past the underflow are empty; elsewhere none is.
+        # Cells past the underflow are empty; elsewhere none is.  A row
+        # with a NaN boundary is rejected by cell_centroids.
         assert (empty > 200) if kind == "underflow" else (empty == 0)
 
     @pytest.mark.parametrize("m", [
@@ -777,6 +888,114 @@ class TestOneErfcGaussian:
                 rows = [_gaussian_boundaries(rng, d, kind, n)
                         for kind in rng.choice(kinds, 4)]
                 self.assert_same_as_before(d, np.array(rows), monkeypatch)
+
+
+def _bits(a):
+    """The float64 values of a as int64 words: equal only bit for bit."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _map_outcome(d, m, cells):
+    """cells(d, m) as int64 words of (centroids, m0), or the EmptyCell
+    message."""
+    try:
+        return [_bits(a).tolist() for a in cells(d, m)]
+    except EmptyCell as exc:
+        return str(exc)
+
+
+def _sorted_cells(rng, d, n):
+    """n + 1 sorted Gaussian boundaries in sigma units about mu: with mu
+    left of, inside or right of their span, one of them exactly at mu in
+    one set of five, and an infinite end in order in one of ten."""
+    mu, sigma = d.params["mu"], math.sqrt(d.params["sigma2"])
+    shift = rng.choice([-12.0, 0.0, 12.0])
+    t = np.sort(rng.uniform(-9.0, 9.0, n + 1) + shift)
+    m = mu + sigma * t
+    if rng.random() < 0.2:
+        m[rng.integers(n + 1)] = mu
+        m.sort()
+    if rng.random() < 0.1:
+        m[0 if rng.random() < 0.5 else -1] = rng.choice([-np.inf, np.inf])
+        m.sort()
+    return m
+
+
+class TestCentroidMap:
+    """d's centroid map against the map it replaced, kept in
+    _cell_centroids_kept: the same int64 words of centroids and masses, or
+    the same EmptyCell message, on ordered boundaries; cell_centroids
+    rejects boundaries out of order or NaN."""
+
+    @pytest.mark.parametrize("d", _GAUSSIANS + [
+        DensitySpec("gaussian", {"mu": 7.5, "sigma2": 1e-6})],
+        ids=lambda d: f"mu={d.params['mu']:g}")
+    def test_gaussian_rows_and_stacks_equal_the_kept_map(self, d):
+        rng = np.random.default_rng(int(d.params["sigma2"] * 1000))
+        at_mu = across = infinite = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 900 if rng.random() < 0.1 else 60))
+            m = _sorted_cells(rng, d, n)
+            got = _map_outcome(d, m, centroids_and_masses)
+            assert got == _map_outcome(d, m, _cell_centroids_kept)
+            at_mu += bool(np.any(m == d.params["mu"]))
+            t = m - d.params["mu"]
+            across += bool(np.any((t[:-1] < 0) & (t[1:] > 0)))
+            infinite += bool(np.isinf(m).any())
+        assert at_mu > 30 and across > 60 and infinite > 10
+        for _ in range(60):
+            n = int(rng.integers(1, 30))
+            m = np.array([_sorted_cells(rng, d, n) for _ in range(4)])
+            got = _map_outcome(d, m, centroids_and_masses)
+            assert got == _map_outcome(d, m, _cell_centroids_kept)
+            if not isinstance(got, str):
+                for row, c in zip(m, np.array(got[0])):
+                    assert (_bits(dens.cell_centroids(d, row)).tolist()
+                            == c.tolist())
+
+    @pytest.mark.parametrize("m", [
+        [0.0, 2.0, 1.0], [0.0, np.nan, 1.0], [np.inf, 0.0], [np.nan, np.nan],
+        [[0.0, 1.0, 2.0], [0.0, 2.0, 1.0]], [[0.0, 1.0], [np.nan, 1.0]]])
+    def test_out_of_order_or_nan_is_a_typed_error(self, m):
+        for d in _ALL_BOUND:
+            with pytest.raises(InvalidParameterValue,
+                               match="non-decreasing, with no NaN"):
+                dens.cell_centroids(d, m)
+
+    def test_every_golden_iterate_equals_the_kept_map(
+            self, acceptance3_problems, monkeypatch):
+        # Every centroid map of the Lloyd goldens' runs, of the static
+        # goldens' solves and of the shipped N = 15 dense solve, whose
+        # difference stacks are (15, 16).
+        real = dens._centroid_map
+        seen = {"rows": 0, "stacks": 0}
+
+        def checked(d):
+            cells = real(d)
+
+            def compare(m):
+                try:
+                    out = cells(m)
+                except EmptyCell as exc:
+                    with pytest.raises(EmptyCell) as kept:
+                        _cell_centroids_kept(d, m)
+                    assert str(kept.value) == str(exc)
+                    raise
+                c, m0 = _cell_centroids_kept(d, m)
+                assert np.array_equal(_bits(out[0]), _bits(c))
+                assert np.array_equal(_bits(out[1]), _bits(m0))
+                seen["rows" if m.ndim == 1 else "stacks"] += 1
+                return out
+            return compare
+
+        monkeypatch.setattr(dens, "_centroid_map", checked)
+        runs = dict(lloyd_runs())
+        for p in static_problems(acceptance3_problems).values():
+            sa.solve(p)
+        sim.initialize(sim.Scenario.from_config(
+            json.loads(SHIPPED.read_text())))
+        assert len(runs) == 20
+        assert seen["rows"] > 20_000 and seen["stacks"] >= 4
 
 
 class TestProperties:

@@ -759,8 +759,8 @@ class TestEvaluationCount:
                  * 10.0 ** rng.uniform(-12.0, 3.0, n + 1))
             z = tess.default_init(n, Domain1D(-1.0, 1.0))
             c = z - f[:n]
-            monkeypatch.setattr(dens, "_cell_centroids",
-                                lambda d, m, t: (c, np.ones(n)))
+            monkeypatch.setattr(dens, "_centroid_map",
+                                lambda d: lambda m: (c, np.ones(n), None))
             p = StaticProblem(dom, n, GAUSS_FREE_MU, np.add.reduce(z) - f[n])
             got, norm, _ = evaluation(np.append(z, 0.0), p)
             assert np.allclose(got, f, rtol=1e-3, atol=0.0)
@@ -785,6 +785,28 @@ class TestEvaluationCount:
             assert type(norm) is float
             assert norm == float(np.linalg.norm(f))
         assert tested >= 400
+
+    @pytest.mark.parametrize("scale", [1e140, 1e160, 1e300])
+    def test_norm_past_the_square_overflow(self, scale, monkeypatch):
+        # Entries above about 1.3e154 overflow f.dot(f) to inf: where f is
+        # finite the norm is then scaled by its largest entry, and finite
+        # below the largest float; np.linalg.norm's bits elsewhere.
+        n = 5
+        z = tess.default_init(n, Domain1D(-1.0, 1.0))
+        f = np.append(np.array([3.0, -4.0, 0.0, 1e-300, 12.0]) * scale, 0.5)
+        c = z - f[:n]
+        monkeypatch.setattr(dens, "_centroid_map",
+                            lambda d: lambda m: (c, np.ones(n), None))
+        p = StaticProblem(Domain1D(-2e3, 2e3), n, GAUSS_FREE_MU,
+                          np.add.reduce(z) - f[n])
+        got, norm, _ = evaluation(np.append(z, 0.0), p)
+        assert type(norm) is float
+        assert norm == pytest.approx(13.0 * scale, rel=1e-15)
+        with np.errstate(over="ignore"):
+            numpy_norm = float(np.linalg.norm(got))
+        assert math.isinf(numpy_norm) == (scale > 1e150)
+        if math.isfinite(numpy_norm):
+            assert norm == numpy_norm
 
     def test_solve_evaluates_no_second_moments(self, monkeypatch):
         # A solve returns no energy, so neither it nor sim.initialize
@@ -1338,7 +1360,7 @@ class TestKeptEvaluation:
         calls = {}
         for owner, name in ((sa, "_evaluate"), (sa, "residual"),
                             (sa, "_banded_jacobian"),
-                            (dens, "_cell_centroids"),
+                            (dens, "_centroid_map"),
                             (tess, "_midpoint_boundaries"),
                             (DensitySpec, "pdf")):
             real = getattr(owner, name)
@@ -1358,7 +1380,7 @@ class TestKeptEvaluation:
         steps = calls["_banded_jacobian"]
         assert steps == sol.iterations >= 1
         assert calls["residual"] == (family != "gaussian") * steps
-        maps = calls["_cell_centroids"]
+        maps = calls["_centroid_map"]
         assert maps == calls["_midpoint_boundaries"]
         assert (calls["kept"] + calls["residual"] <= maps
                 <= calls["_evaluate"] + calls["residual"])

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from cvtalloc import density as dens
 from cvtalloc import tessellation as tess
@@ -14,6 +15,7 @@ from cvtalloc.errors import (
     DuplicateGenerators,
     EmptyCell,
     GeneratorOutOfDomain,
+    InvalidParameterValue,
     UnsortedGenerators,
 )
 from cvtalloc.tessellation import Domain1D
@@ -42,6 +44,31 @@ class TestVoronoiRegions:
     def test_midpoint_boundaries(self):
         m = tess.voronoi_regions([2.5, 7.5, 12.5], DOM_15)
         np.testing.assert_allclose(m, [0.0, 5.0, 10.0, 15.0])
+
+    @pytest.mark.parametrize("a, b", [
+        (0.0, 15.0), (-1e300, 1e300), (2.0, 1.7e308), (-1.7e308, 1e308),
+        (-1.7e308, 1.7e308)])
+    def test_midpoints_halved_first_only_where_the_sum_overflows(self, a, b):
+        # Rows and stacks of generators in (a, b): each midpoint has the
+        # bits of (z_i + z_{i+1}) / 2 where that sum is finite, and is
+        # z_i / 2 + z_{i+1} / 2 where it overflows.
+        dom = Domain1D(a, b)
+        rng = np.random.default_rng(5)
+        z = np.sort(rng.uniform(0.0, 1.0, (4, 9)), axis=-1)
+        z = a + z * b - z * a  # in (a, b) without forming b - a
+        for rows in (z, z[0]):
+            m = tess._midpoint_boundaries(rows, dom)
+            with np.errstate(over="ignore"):
+                before = (rows[..., :-1] + rows[..., 1:]) * 0.5
+            halved = 0.5 * rows[..., :-1] + 0.5 * rows[..., 1:]
+            finite = np.isfinite(before)
+            assert np.isfinite(m).all()
+            assert (m[..., 0] == a).all() and (m[..., -1] == b).all()
+            assert np.array_equal(m[..., 1:-1][finite], before[finite])
+            assert np.array_equal(m[..., 1:-1][~finite], halved[~finite])
+            assert (np.diff(m, axis=-1) >= 0).all()
+        if b < 9e307 and a > -9e307:
+            assert finite.all()
 
     def test_validation(self):
         with pytest.raises(UnsortedGenerators):
@@ -278,16 +305,67 @@ class TestLloydLoopOracle:
                 stops.add(t.stop_reason)
         assert stops == {"tol", "stagnated", "budget"}
 
-    def test_midpoint_overflow_inside_the_loop(self):
-        # The one errstate per run also covers the midpoints: on a domain
-        # straddling half the largest float, the midpoint of the second
-        # iterate overflows to inf with no RuntimeWarning, and the third
-        # centroid map names the reversed cell [inf, b].
+    def test_midpoint_overflow_inside_the_loop(self, monkeypatch):
+        # On a domain straddling half the largest float, the sum of the
+        # second iterate's generators overflows: that midpoint, above half
+        # the largest float, is halved first, so every map sees finite,
+        # ordered boundaries, and no RuntimeWarning is raised.  The run ends in the energy's typed
+        # error, as every energy on this domain overflows.
         h = np.finfo(float).max / 2
         d = DensitySpec("gamma", {"k": 8.1e17, "theta": (h + 3e298) / 8.1e17})
         dom = Domain1D(h - 1e299, h + 1e299)
-        with pytest.raises(EmptyCell, match=r"^cell 1 = \[inf, "):
+        seen = []
+        real = dens._centroid_map
+
+        def spy(d):
+            cells = real(d)
+
+            def recorded(m):
+                seen.append(m.copy())
+                return cells(m)
+            return recorded
+
+        monkeypatch.setattr(dens, "_centroid_map", spy)
+        with pytest.raises(InvalidParameterValue,
+                           match="^the quantization energy on "):
             tess.lloyd([h - 6e298, h - 5e298], d, dom, max_iter=3)
+        assert len(seen) == 3
+        for m in seen:
+            assert np.isfinite(m).all() and np.all(np.diff(m) > 0)
+        assert seen[2][1] > h
+
+    def test_one_map_per_run_and_erf_at_two_boundaries(self, monkeypatch):
+        # Lloyd builds the Gaussian's centroid map once per run, and in
+        # each map call erf sees only the two ends of the cell across mu.
+        d, dom = LLOYD_FAMILIES["gaussian"]
+        real_map, real_erf = dens._centroid_map, special.erf
+        builds, per_call, inside = [], [], [False]
+
+        def spy_map(d):
+            builds.append(d)
+            cells = real_map(d)
+
+            def counted(m):
+                per_call.append(0)
+                inside[0] = True
+                try:
+                    return cells(m)
+                finally:
+                    inside[0] = False
+            return counted
+
+        def spy_erf(x, *args, **kwargs):
+            if inside[0]:
+                per_call[-1] += np.size(x)
+            return real_erf(x, *args, **kwargs)
+
+        monkeypatch.setattr(dens, "_centroid_map", spy_map)
+        monkeypatch.setattr(special, "erf", spy_erf)
+        t = tess.lloyd(np.linspace(1.0, 99.0, 50), d, dom, max_iter=300)
+        assert builds == [d] and len(per_call) == t.iterations == 300
+        # 0 where a boundary sits exactly at mu = 40, as the first
+        # iterates' midpoints of the evenly spaced start do.
+        assert set(per_call) == {0, 2} and per_call.count(2) > 250
 
 
     @pytest.mark.parametrize("max_iter", [50, tess.LLOYD_MAX_ITER])
