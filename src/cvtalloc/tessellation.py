@@ -137,7 +137,7 @@ def _midpoint_boundaries(z: np.ndarray, dom: Domain1D) -> np.ndarray:
 def _midpoints(z: np.ndarray, dom: Domain1D, out: np.ndarray) -> None:
     """out = (z_i + z_{i+1}) / 2 along z's last axis, z in dom; z_i / 2 +
     z_{i+1} / 2 where that sum overflows, as only past half the largest float."""
-    wide = math.isinf(2.0 * dom.a) or math.isinf(2.0 * dom.b)
+    wide = math.isinf(2.0 * float(dom.a)) or math.isinf(2.0 * float(dom.b))
     with np.errstate(over="ignore") if wide else contextlib.nullcontext():
         np.add(z[..., :-1], z[..., 1:], out=out)
     out *= 0.5

@@ -52,11 +52,11 @@ class TestVoronoiRegions:
         # Rows and stacks of generators in (a, b): each midpoint has the
         # bits of (z_i + z_{i+1}) / 2 where that sum is finite, and is
         # z_i / 2 + z_{i+1} / 2 where it overflows.
-        dom = Domain1D(a, b)
         rng = np.random.default_rng(5)
         z = np.sort(rng.uniform(0.0, 1.0, (4, 9)), axis=-1)
         z = a + z * b - z * a  # in (a, b) without forming b - a
-        for rows in (z, z[0]):
+        for rows, dom in ((z, Domain1D(a, b)),
+                          (z[0], Domain1D(np.float64(a), np.float64(b)))):
             m = tess._midpoint_boundaries(rows, dom)
             with np.errstate(over="ignore"):
                 before = (rows[..., :-1] + rows[..., 1:]) * 0.5
