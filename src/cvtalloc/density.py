@@ -222,32 +222,21 @@ def bind_free_parameter(d: DensitySpec, value: float) -> DensitySpec:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form moments: per-point terms, differenced per interval.  A cell's
-# moments are differences of terms at its two ends, so a tessellation needs
-# the terms once per boundary, not twice.  Callers wrap both steps in one
-# np.errstate that ignores over- and underflow: interval_moments and
-# cell_centroids once per call, and tessellation.lloyd once per run around
-# its whole loop, which also covers its midpoints and displacements.
+# Closed-form moments: one kernel per density, _cell_moments, whose cell
+# moments are differences of per-point terms at the two ends, taken once
+# per boundary.  Callers open one np.errstate that ignores over- and
+# underflow: interval_moments and cell_centroids once per call, and
+# tessellation.lloyd once per run around its whole loop, which also covers
+# its midpoints and displacements.
 # ---------------------------------------------------------------------------
 
 def _terms(d: DensitySpec, x, order: int) -> tuple:
     """Per-point values whose differences between two ends give d's
-    moments up to order over the interval between them."""
+    moments up to order over the interval between them (not a Gaussian's)."""
     p = d.params
     if d.family == "uniform":
         c = np.clip(x, p["a"], p["b"])
         return (c, c ** 2, c ** 3) if order == 2 else (c, c ** 2)
-
-    if d.family == "gaussian":
-        t = (x - p["mu"]) / math.sqrt(p["sigma2"])
-        s = t / _SQRT2
-        e = np.exp(-0.5 * t * t)  # 0 at t = +-inf
-        # One erfc per point, of |s|: a cell reads it only on its own side
-        # of mu, where |s| is bitwise the argument erfc(s) or erfc(-s) takes.
-        out = (t, special.erfc(np.abs(s)), special.erf(s), e * _INV_SQRT_2PI)
-        if order == 2:
-            out += (np.where(np.isfinite(t), t, 0.0) * e * _INV_SQRT_2PI,)
-        return out
 
     if d.family == "exponential":
         lam = p["lam"]
@@ -274,8 +263,8 @@ def _terms(d: DensitySpec, x, order: int) -> tuple:
 
 def _combine(d: DensitySpec, lo, hi, order: int) -> tuple:
     """(mass, first moment[, second moment]) over [lo, hi] from the _terms
-    at both ends, each difference taken in a cancellation-safe branch; the
-    intervals are cells, lo <= hi."""
+    at both ends, arrays, each difference taken in a cancellation-safe
+    branch."""
     p = d.params
     if d.family == "uniform":
         w = 1.0 / (p["b"] - p["a"])
@@ -289,30 +278,21 @@ def _combine(d: DensitySpec, lo, hi, order: int) -> tuple:
         m1 = np.where(ok, 0.5 * squares * w, m0 * (0.5 * hi[0] + 0.5 * lo[0]))
         if order == 1:
             return m0, m1
+        # Past the square overflow hi^2 + hi lo + lo^2 is inf, or NaN for
+        # ends of opposite signs: there it is s (s q) for the larger |end| s
+        # and the sum q of the ends over s.  An empty interval's factored
+        # moment is 0, not 0 * inf = NaN.
+        factored = np.multiply(m0, hi[1] + np.where(ok, hi[0] * lo[0], 0.0)
+                               + lo[1], out=np.zeros(np.shape(ok)),
+                               where=m0 != 0)
+        wide = ~ok & (m0 != 0)
+        s = np.maximum(np.abs(hi[0]), np.abs(lo[0]))[wide]
+        h, l = hi[0][wide] / s, lo[0][wide] / s
+        factored[wide] = m0[wide] * s * (s * (h * h + h * l + l * l))
         ok = np.isfinite(hi[2]) & np.isfinite(lo[2])
         cubes = np.subtract(hi[2], lo[2], out=np.zeros(np.shape(ok)),
                             where=ok)
-        # An empty interval's factored moment is 0, not 0 * inf = NaN.
-        factored = np.multiply(m0, hi[1] + hi[0] * lo[0] + lo[1],
-                               out=np.zeros(np.shape(ok)), where=m0 != 0)
         return m0, m1, np.where(ok, cubes / 3.0 * w, factored / 3.0)
-
-    if d.family == "gaussian":
-        # Terms t, erfc(|t|/sqrt2), erf(t/sqrt2), phi(t)[, t phi(t)].  Deep
-        # in one tail the difference of CDFs loses all relative accuracy;
-        # the complementary error function of that tail keeps it: a cell
-        # right of mu reads erfc(t/sqrt2) at both ends, one left of it
-        # erfc(-t/sqrt2).
-        mu, s2 = p["mu"], p["sigma2"]
-        sigma = math.sqrt(s2)
-        m0 = 0.5 * np.where(lo[0] >= 0, lo[1] - hi[1],
-                            np.where(hi[0] <= 0, hi[1] - lo[1], hi[2] - lo[2]))
-        dphi = lo[3] - hi[3]
-        m1 = mu * m0 + sigma * dphi
-        if order == 1:
-            return m0, m1
-        central2 = s2 * (m0 + lo[4] - hi[4])
-        return m0, m1, mu * mu * m0 + 2.0 * mu * sigma * dphi + central2
 
     if d.family == "exponential":
         return tuple(a - b for a, b in zip(lo, hi))
@@ -327,16 +307,67 @@ def _combine(d: DensitySpec, lo, hi, order: int) -> tuple:
     return m[0], k * theta * m[1], k * (k + 1.0) * theta * theta * m[2]
 
 
-def interval_moments(d: DensitySpec, lo, hi):
-    """Vectorized (mass, first moment, second moment) over [lo, hi] arrays.
-
-    For the centroids of a tessellation's cells, cell_centroids shares each
-    boundary's terms between its two cells and skips the second moment.
-    """
+def _cell_moments(d: DensitySpec):
+    """The bound d's moment kernel: a function of boundaries m, a 1-D row
+    in non-decreasing order or a (K, N+1) stack of rows in any order, and
+    an order, 1 or 2, giving (m0, m1[, m2], e) of the cells along m's last
+    axis, under a caller's np.errstate ignoring over- and underflow; e is
+    what _pdf_at reads, None but for a Gaussian.  A Gaussian cell reads the
+    erfc of its own tail, E = erfc(|t|/sqrt2), which keeps the accuracy a
+    difference of CDFs loses there: E_lo - E_hi right of mu, E_hi - E_lo
+    left of it, and erf only across it.  A row's cells run left of mu,
+    across it (one at most) and right of it, split by one searchsorted of t
+    for 0; a stack takes each cell's side.  The other families difference
+    their _terms in _combine."""
     _require_bound(d)
+    if d.family != "gaussian":
+        def moments(m, order):
+            t = _terms(d, m, order)
+            return _combine(d, [a[..., :-1] for a in t],
+                            [a[..., 1:] for a in t], order) + (None,)
+        return moments
+
+    mu, s2 = d.params["mu"], d.params["sigma2"]
+    sigma = math.sqrt(s2)
+    erf, erfc = special.erf, special.erfc
+
+    def moments(m, order):
+        t = (m - mu) / sigma
+        e = np.exp(-0.5 * t * t)  # 0 at t = +-inf
+        tail = erfc(np.abs(t) / _SQRT2)
+        m0 = np.subtract(tail[..., 1:], tail[..., :-1])
+        if t.ndim == 1:  # the cells from i on lie right of mu
+            i = t.searchsorted(0.0)
+            np.subtract(tail[i:-1], tail[i + 1:], out=m0[i:])
+            at = (i - 1,) if 0 < i < t.size and t[i] > 0 else None
+        else:
+            np.subtract(tail[:, :-1], tail[:, 1:], out=m0,
+                        where=t[:, :-1] >= 0)
+            at = np.nonzero((t[:, :-1] < 0) & (t[:, 1:] > 0))
+        if at is not None:
+            m0[at] = (erf(t[at[:-1] + (at[-1] + 1,)] / _SQRT2)
+                      - erf(t[at] / _SQRT2))
+        m0 *= 0.5
+        phi = e * _INV_SQRT_2PI
+        dphi = phi[..., :-1] - phi[..., 1:]
+        m1 = mu * m0 + sigma * dphi
+        if order == 1:
+            return m0, m1, e
+        tphi = np.where(np.isfinite(t), t, 0.0) * e * _INV_SQRT_2PI
+        central2 = s2 * (m0 + tphi[..., :-1] - tphi[..., 1:])
+        return m0, m1, mu * mu * m0 + 2.0 * mu * sigma * dphi + central2, e
+    return moments
+
+
+def interval_moments(d: DensitySpec, lo, hi):
+    """Vectorized (mass, first moment, second moment) over [lo, hi],
+    broadcast together: each interval a one-cell row of a stack for d's
+    kernel, so that its ends may come in either order."""
+    moments = _cell_moments(d)
+    m = np.stack(np.broadcast_arrays(lo, hi), axis=-1).astype(float)
     with np.errstate(over="ignore", under="ignore"):
-        return _combine(d, _terms(d, np.asarray(lo, dtype=float), 2),
-                        _terms(d, np.asarray(hi, dtype=float), 2), 2)
+        out = moments(m.reshape(-1, 2), 2)
+    return tuple(a.reshape(m.shape[:-1])[()] for a in out[:3])
 
 
 # Widths above this count as this wide in mass_floor, so no floor exceeds
@@ -364,8 +395,8 @@ def cell_centroids(d: DensitySpec, m) -> np.ndarray:
     one empty-cell rule: a cell of mass at most mass_floor of its width
     raises EmptyCell naming the first one.  A (K, N+1) stack of boundaries
     gives (K, N) centroids, each row the same bits as its own call, and an
-    EmptyCell names the row as well as the cell.  The values are
-    interval_moments' over each cell; the work is d's _centroid_map.
+    EmptyCell names the row as well as the cell.  Its work is d's
+    _centroid_map, on the moment kernel that interval_moments reads.
     """
     _require_bound(d)
     m = np.asarray(m, dtype=float)
@@ -380,46 +411,15 @@ def cell_centroids(d: DensitySpec, m) -> np.ndarray:
 
 def _centroid_map(d: DensitySpec):
     """The bound d's centroid map: a function of ordered boundaries m, 1-D
-    or (K, N+1), giving (centroids, m0, e) with _combine's bits per cell,
-    under a caller's np.errstate ignoring over-, underflow and invalid
-    values; e is what _pdf_at reads.  A Gaussian row's cells run left of
-    mu, across it (one at most) and right of it, reading E_hi - E_lo,
-    erf_hi - erf_lo and E_lo - E_hi of E = erfc(|t|/sqrt2): erf is taken
-    only at the ends of a cell across mu.  No cell is wider than its row's
-    span m[-1] - m[0], so a least mass above 1e-300 * min(max(span, 1),
-    _FLOOR_WIDTH_CAP) means none is empty; else, as for a NaN span or
-    mass, the per-cell rule decides."""
-    if d.family == "gaussian":
-        mu, sigma = d.params["mu"], math.sqrt(d.params["sigma2"])
-        erf, erfc = special.erf, special.erfc
-
-        def moments(m):
-            t = (m - mu) / sigma
-            e = np.exp(-0.5 * t * t)
-            tail = erfc(np.abs(t) / _SQRT2)
-            m0 = np.subtract(tail[..., 1:], tail[..., :-1])
-            if t.ndim == 1:  # the cells from i on lie right of mu
-                i = t.searchsorted(0.0)
-                np.subtract(tail[i:-1], tail[i + 1:], out=m0[i:])
-                at = (i - 1,) if 0 < i < t.size and t[i] > 0 else None
-            else:
-                np.subtract(tail[:, :-1], tail[:, 1:], out=m0,
-                            where=t[:, :-1] >= 0)
-                at = np.nonzero((t[:, :-1] < 0) & (t[:, 1:] > 0))
-            if at is not None:
-                m0[at] = (erf(t[at[:-1] + (at[-1] + 1,)] / _SQRT2)
-                          - erf(t[at] / _SQRT2))
-            m0 *= 0.5
-            phi = e * _INV_SQRT_2PI
-            return m0, mu * m0 + sigma * (phi[..., :-1] - phi[..., 1:]), e
-    else:
-        def moments(m):
-            t = _terms(d, m, 1)
-            return _combine(d, [a[..., :-1] for a in t],
-                            [a[..., 1:] for a in t], 1) + (None,)
+    or (K, N+1), giving (centroids, m0, e) from _cell_moments(d) at order
+    1, under a caller's np.errstate ignoring over-, underflow and invalid
+    values.  No cell is wider than its row's span m[-1] - m[0], so a least
+    mass above 1e-300 * min(max(span, 1), _FLOOR_WIDTH_CAP) means none is
+    empty; else, as for a NaN span or mass, the per-cell rule decides."""
+    moments = _cell_moments(d)
 
     def centroids(m):
-        m0, m1, e = moments(m)
+        m0, m1, e = moments(m, 1)
         lo, hi = m[..., :-1], m[..., 1:]
         span = (m[-1] - m[0] if m.ndim == 1 and m.size else np.maximum.reduce(
             m[..., -1:] - m[..., :1], axis=None, initial=1.0))

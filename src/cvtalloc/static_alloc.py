@@ -130,16 +130,15 @@ def _split(unknowns, n: int):
     return u[..., :n], float(v.flat[0])
 
 
-def residual(unknowns, p: StaticProblem, masses: bool = False):
+def residual(unknowns, p: StaticProblem):
     """Rows 1..N: z_i minus the centroid of its midpoint cell; row N+1:
-    sum(z) - r.  With masses=True, returns (residual, cell masses) from the
-    same moment evaluation.
+    sum(z) - r.
 
     unknowns may be a (K, N+1) stack whose rows share one free-parameter
     value (ValueError otherwise): one moment evaluation then gives the
-    (K, N+1) residuals and (K, N) masses, each row the same bits as its own
-    call.  A candidate with unsorted, duplicate or out-of-domain centroids,
-    an invalid free parameter or an empty cell raises InvalidCandidate; a
+    (K, N+1) residuals, each row the same bits as its own call.  A
+    candidate with unsorted, duplicate or out-of-domain centroids, an
+    invalid free parameter or an empty cell raises InvalidCandidate; a
     stack raises it when any row is such a candidate.
 
     d is bound and m built as ordered floats here, all that
@@ -151,14 +150,14 @@ def residual(unknowns, p: StaticProblem, masses: bool = False):
         d = bind_free_parameter(p.density, v)
         m = tess._midpoint_boundaries(z, p.domain)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            c, m0, _ = dens._centroid_map(d)(m)
+            c = dens._centroid_map(d)(m)[0]
     except (UnsortedGenerators, DuplicateGenerators, GeneratorOutOfDomain,
             InvalidParameterValue, EmptyCell) as exc:
         raise InvalidCandidate(str(exc)) from exc
     f = np.empty(z.shape[:-1] + (z.shape[-1] + 1,))
     np.subtract(z, c, out=f[..., :-1])
     f[..., -1] = np.add.reduce(z, axis=-1) - p.r
-    return (f, m0) if masses else f
+    return f
 
 
 def default_initial_guess(p: StaticProblem) -> np.ndarray:

@@ -155,10 +155,11 @@ def voronoi_regions(generators, dom: Domain1D) -> np.ndarray:
 
 def _energy_of_cells(points: np.ndarray, m: np.ndarray,
                      d: DensitySpec) -> float:
-    """The second moment of (x - point) under d summed over the cells of m;
+    """The second moment of (x - point) under d summed over the cells of
+    the ordered boundaries m, from d's moment kernel at order 2;
     InvalidParameterValue, naming the domain, when the sum is not finite."""
     with np.errstate(all="ignore"):
-        m0, m1, m2 = dens.interval_moments(d, m[:-1], m[1:])
+        m0, m1, m2, _ = dens._cell_moments(d)(m, 2)
         per_cell = m2 - 2.0 * points * m1 + points * points * m0
         energy = float(np.sum(np.maximum(per_cell, 0.0)))
     if not np.isfinite(energy):
@@ -221,7 +222,6 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     if max_iter < 0:
         raise InvalidParameterValue(f"max_iter must be >= 0, got {max_iter}")
     z = _validate_generators(np.ravel(init), dom)
-    dens._require_bound(d)
     history = [z.copy()] if record_history else None
     stop_reason = "budget"
     iterations, moved = 0, 0.0

@@ -3,6 +3,7 @@ agreement with the quadrature oracle of tests/quadrature.py."""
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import quadrature
 from cvtalloc import density as dens
 from cvtalloc import sim
 from cvtalloc import static_alloc as sa
+from cvtalloc import tessellation as tess
 from cvtalloc.density import DensitySpec, bind_free_parameter
 from cvtalloc.errors import (
     EmptyCell,
@@ -311,6 +313,24 @@ class TestKnownIntegrals:
             before = m0 * (c_hi ** 2 + c_hi * c_lo + c_lo ** 2) / 3.0
         assert m2[:2].tobytes() == before[:2].tobytes()
         assert np.array_equal(m2[2:], [0.0, 0.0]) and np.isnan(before[2:]).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_uniform_second_moment_past_the_square_overflow(self):
+        # Where a squared end overflows, hi^2 + hi lo + lo^2 is inf, or
+        # inf - inf = NaN, with a RuntimeWarning, for ends of opposite
+        # signs.  Over the whole of [-1e200, 1e200] the moment overflows
+        # to +inf; over narrower intervals, on one side of 0 or across it
+        # and in either order, it is finite.
+        a, b = -1e200, 1e200
+        d = DensitySpec("uniform", {"a": a, "b": b})
+        assert dens.interval_moments(d, a, b)[2] == math.inf
+        lo = np.array([-1e155, -3e154, 2e155, 1e150, -2e155, 1e199])
+        hi = np.array([1e155, 2e155, -3e154, 2e155, -1e155, 1e199])
+        m2 = dens.interval_moments(d, lo, hi)[2]
+        exact = [float((Fraction(h) ** 3 - Fraction(l) ** 3)
+                       / (3 * (Fraction(b) - Fraction(a))))
+                 for l, h in zip(lo, hi)]
+        np.testing.assert_allclose(m2, exact, rtol=2e-15)
 
     def test_uniform_first_moment_past_the_square_overflow(self):
         # Above about 1.3e154 the squared ends overflow; the first moment is
@@ -785,11 +805,31 @@ def _gaussian_combine_before(d, lo, hi, order):
     return m0, m1, mu * mu * m0 + 2.0 * mu * sigma * dphi + central2
 
 
-def _gaussian_outcomes(d, m, cells=centroids_and_masses):
+def _module_moments(d, lo, hi, order):
+    """The module's moments of the intervals [lo, hi] at order: d's kernel
+    on them as one-cell rows of a stack, which interval_moments reads at
+    order 2."""
+    if order == 2:
+        return dens.interval_moments(d, lo, hi)
+    rows = np.stack((lo, hi), axis=-1).reshape(-1, 2)
+    return tuple(a.reshape(np.shape(lo))
+                 for a in dens._cell_moments(d)(rows, order)[:order + 1])
+
+
+def _before_moments(d, lo, hi, order):
+    """The moments of the intervals [lo, hi] at order through the
+    three-erfc _gaussian_terms_before and _gaussian_combine_before."""
+    return _gaussian_combine_before(d, _gaussian_terms_before(d, lo, order),
+                                    _gaussian_terms_before(d, hi, order),
+                                    order)
+
+
+def _gaussian_outcomes(d, m, cells=centroids_and_masses,
+                       moments=_module_moments):
     """The bytes of cells(d, m), or its EmptyCell message, or None for
     boundaries out of order or NaN, which cell_centroids rejects; and the
-    bytes of the order-1 and order-2 moments of the cells of m, all
-    through the module's _terms and _combine."""
+    bytes of the order-1 and order-2 moments of the cells of m, each cell
+    taken as its own interval by moments."""
     lo, hi = m[..., :-1], m[..., 1:]
     if not _ordered(m):
         with pytest.raises(InvalidParameterValue, match="non-decreasing"):
@@ -801,9 +841,8 @@ def _gaussian_outcomes(d, m, cells=centroids_and_masses):
         except EmptyCell as exc:
             out = str(exc)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        order1 = dens._combine(d, dens._terms(d, lo, 1),
-                               dens._terms(d, hi, 1), 1)
-        order2 = dens.interval_moments(d, lo, hi)
+        order1 = moments(d, lo, hi, 1)
+        order2 = moments(d, lo, hi, 2)
     return out, [a.tobytes() for a in order1 + order2]
 
 
@@ -833,32 +872,29 @@ def _gaussian_boundaries(rng, d, kind, n):
 
 
 class TestOneErfcGaussian:
-    """The Gaussian terms keep one erfc, of |t|/sqrt2: cell_centroids and the
-    order-1 and order-2 moments keep the bits, and the EmptyCell messages,
-    of the three-erfc kernel of _gaussian_terms_before."""
+    """The Gaussian kernel keeps one erfc, of |t|/sqrt2: cell_centroids and
+    the order-1 and order-2 moments keep the bits, and the EmptyCell
+    messages, of the three-erfc kernel of _gaussian_terms_before."""
 
     @staticmethod
-    def assert_same_as_before(d, m, monkeypatch):
+    def assert_same_as_before(d, m):
         def before_map(d, m):
             return _cell_centroids_kept(d, m, _gaussian_terms_before,
                                         _gaussian_combine_before)
 
-        with monkeypatch.context() as mp:
-            mp.setattr(dens, "_terms", _gaussian_terms_before)
-            mp.setattr(dens, "_combine", _gaussian_combine_before)
-            before = _gaussian_outcomes(d, m, before_map)
+        before = _gaussian_outcomes(d, m, before_map, _before_moments)
         assert _gaussian_outcomes(d, m) == before
 
     @pytest.mark.parametrize("kind", ["left", "right", "straddle",
                                       "underflow", "nan"])
-    def test_same_bits_as_three_erfc(self, kind, monkeypatch):
+    def test_same_bits_as_three_erfc(self, kind):
         rng = np.random.default_rng(len(kind))
         empty = 0
         for d in _GAUSSIANS:
             for _ in range(100):
                 n = int(rng.integers(2, 40))
                 m = _gaussian_boundaries(rng, d, kind, n)
-                self.assert_same_as_before(d, m, monkeypatch)
+                self.assert_same_as_before(d, m)
                 empty += isinstance(_gaussian_outcomes(d, m)[0], str)
         # Cells past the underflow are empty; elsewhere none is.  A row
         # with a NaN boundary is rejected by cell_centroids.
@@ -869,15 +905,15 @@ class TestOneErfcGaussian:
         [-0.0, 3.0], [0.0, 3.0], [-3.0, -0.0], [-3.0, 0.0],
         [-0.0, 0.0, 2.0], [-1e-300, -0.0, 0.0, 1e-300],
     ])
-    def test_boundaries_at_signed_zero(self, m, monkeypatch):
+    def test_boundaries_at_signed_zero(self, m):
         # mu = 0, so a boundary at -0.0 has t = -0.0 and one at 0.0 has
         # t = +0.0, on either side of every branch of _combine.
         m = np.array(m)
         d = _GAUSSIANS[0]
         assert np.array_equal(np.signbit((m - 0.0) / 1.0), np.signbit(m))
-        self.assert_same_as_before(d, m, monkeypatch)
+        self.assert_same_as_before(d, m)
 
-    def test_stacks(self, monkeypatch):
+    def test_stacks(self):
         # (K, N+1) stacks of rows of every kind: an EmptyCell names the
         # row as well as the cell.
         rng = np.random.default_rng(3)
@@ -887,7 +923,7 @@ class TestOneErfcGaussian:
                 n = int(rng.integers(2, 20))
                 rows = [_gaussian_boundaries(rng, d, kind, n)
                         for kind in rng.choice(kinds, 4)]
-                self.assert_same_as_before(d, np.array(rows), monkeypatch)
+                self.assert_same_as_before(d, np.array(rows))
 
 
 def _bits(a):
@@ -996,6 +1032,50 @@ class TestCentroidMap:
             json.loads(SHIPPED.read_text())))
         assert len(runs) == 20
         assert seen["rows"] > 20_000 and seen["stacks"] >= 4
+
+
+def _energy_per_interval(z, d, dom):
+    """energy_K of the points z through per-interval moments: each cell's
+    terms taken at both its ends by the kept Gaussian copies, or the
+    module's _terms and _combine for the other families."""
+    terms, combine = _kept(d)
+    m = tess._midpoint_boundaries(z, dom)
+    with np.errstate(all="ignore"):
+        m0, m1, m2 = combine(d, terms(d, m[:-1], 2), terms(d, m[1:], 2), 2)
+        per_cell = m2 - 2.0 * z * m1 + z * z * m0
+        return float(np.sum(np.maximum(per_cell, 0.0)))
+
+
+class TestOneMomentKernel:
+    """The centroid map, the energy and interval_moments read one moment
+    kernel per density."""
+
+    @pytest.mark.parametrize("d", _ALL_BOUND + _GAUSSIANS[1:],
+                             ids=lambda d: f"{d.family}-{d.params}")
+    def test_energy_has_the_bits_of_the_per_interval_oracle(self, d):
+        rng = np.random.default_rng(len(str(d.params)))
+        for _ in range(500):
+            a = rng.uniform(-30.0, 60.0)
+            dom = tess.Domain1D(a, a + rng.uniform(0.01, 80.0))
+            z = np.unique(rng.uniform(dom.a, dom.b, rng.integers(1, 80)))
+            assert (tess.energy_K(z, d, dom).hex()
+                    == _energy_per_interval(z, d, dom).hex())
+
+    @pytest.mark.parametrize("d", _ALL_BOUND + [
+        DensitySpec("uniform", {"a": -3.0, "b": 40.0})],
+        ids=lambda d: f"{d.family}-{d.params}")
+    def test_scalar_calls_have_the_bits_of_array_calls(self, d):
+        # A lone interval is a one-cell row of the kernel, as each interval
+        # of an array is: its moments are numpy float64 scalars with the
+        # same bits, in either order of the ends.
+        rng = np.random.default_rng(7)
+        lo, hi = rng.uniform(-5.0, 45.0, (2, 300))
+        arrays = dens.interval_moments(d, lo, hi)
+        scalars = [dens.interval_moments(d, lo[k], float(hi[k]))
+                   for k in range(lo.size)]
+        assert (_bits(scalars).tolist()
+                == _bits(np.transpose(arrays)).tolist())
+        assert all(type(v) is np.float64 for s in scalars for v in s)
 
 
 class TestProperties:
