@@ -51,8 +51,14 @@ def _check_params(family: str, params: dict) -> None:
 
     if family == "uniform":
         a, b = bound("a"), bound("b")
-        if a is not None and b is not None and not a < b:
-            raise InvalidParameterValue(f"uniform requires a < b, got a={a}, b={b}")
+        if a is not None and b is not None:
+            if not a < b:
+                raise InvalidParameterValue(
+                    f"uniform requires a < b, got a={a}, b={b}")
+            # An infinite end is refused as not finite, not here.
+            if math.isfinite(a) and math.isfinite(b) and math.isinf(b - a):
+                raise InvalidParameterValue(
+                    f"uniform requires a finite width b - a, got a={a}, b={b}")
     elif family == "gaussian":
         s2 = bound("sigma2")
         if s2 is not None and not s2 > 0:
@@ -222,112 +228,97 @@ def bind_free_parameter(d: DensitySpec, value: float) -> DensitySpec:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form moments: one kernel per density, _cell_moments, whose cell
-# moments are differences of per-point terms at the two ends, taken once
-# per boundary.  Callers open one np.errstate that ignores over- and
-# underflow: interval_moments and cell_centroids once per call, and
-# tessellation.lloyd once per run around its whole loop, which also covers
-# its midpoints and displacements.
+# Closed-form moments: one kernel per density, _cell_moments, built once by
+# its family's builder, whose cell moments are differences of per-point
+# terms at the two ends, taken once per boundary.  Callers open one
+# np.errstate that ignores over- and underflow: interval_moments and
+# cell_centroids once per call, and tessellation.lloyd once per run around
+# its whole loop, which also covers its midpoints and displacements.
 # ---------------------------------------------------------------------------
 
-def _terms(d: DensitySpec, x, order: int) -> tuple:
-    """Per-point values whose differences between two ends give d's
-    moments up to order over the interval between them (not a Gaussian's)."""
-    p = d.params
-    if d.family == "uniform":
-        c = np.clip(x, p["a"], p["b"])
-        return (c, c ** 2, c ** 3) if order == 2 else (c, c ** 2)
+def _uniform(p: dict):
+    """The uniform kernel: powers of the ends clipped into [a, b]."""
+    a, b = p["a"], p["b"]
+    w = 1.0 / (b - a)
 
-    if d.family == "exponential":
-        lam = p["lam"]
-        x = np.maximum(x, 0.0)
-        xs = np.where(np.isfinite(x), x, 0.0)
-        e = np.exp(-lam * x)  # 0 at x = inf
-        out = (e, (xs + 1.0 / lam) * e)
-        if order == 2:
-            # 0 where e is: at a huge x the polynomial overflows to inf,
-            # and inf * 0 would be NaN.
-            poly = xs * xs + 2.0 * xs / lam + 2.0 / np.float64(lam) ** 2
-            out += (np.multiply(poly, e, out=np.zeros_like(e), where=e != 0),)
-        return out
-
-    # gamma: the lower and upper regularized incomplete gamma functions P
-    # and Q of shapes k, k + 1[, k + 2]
-    k = p["k"]
-    x = np.maximum(x, 0.0) / p["theta"]
-    out = ()
-    for shape in (k, k + 1.0, k + 2.0)[:order + 1]:
-        out += (special.gammainc(shape, x), special.gammaincc(shape, x))
-    return out
-
-
-def _combine(d: DensitySpec, lo, hi, order: int) -> tuple:
-    """(mass, first moment[, second moment]) over [lo, hi] from the _terms
-    at both ends, arrays, each difference taken in a cancellation-safe
-    branch."""
-    p = d.params
-    if d.family == "uniform":
-        w = 1.0 / (p["b"] - p["a"])
-        m0 = (hi[0] - lo[0]) * w
+    def moments(m, order):
+        c = np.clip(m, a, b)
+        c2 = c ** 2
+        lo, hi, lo2, hi2 = c[..., :-1], c[..., 1:], c2[..., :-1], c2[..., 1:]
+        m0 = (hi - lo) * w
         # A square above about 1.3e154 or a cube above about 5.6e102
         # overflows, and two infinite powers differ by NaN: there, the same
         # moment factored as m0 (hi + lo) / 2 or m0 (hi^2 + hi lo + lo^2) / 3.
-        ok = np.isfinite(hi[1]) & np.isfinite(lo[1])
-        squares = np.subtract(hi[1], lo[1], out=np.zeros(np.shape(ok)),
-                              where=ok)
-        m1 = np.where(ok, 0.5 * squares * w, m0 * (0.5 * hi[0] + 0.5 * lo[0]))
+        ok = np.isfinite(hi2) & np.isfinite(lo2)
+        squares = np.subtract(hi2, lo2, out=np.zeros(np.shape(ok)), where=ok)
+        m1 = np.where(ok, 0.5 * squares * w, m0 * (0.5 * hi + 0.5 * lo))
         if order == 1:
-            return m0, m1
+            return m0, m1, None
         # Past the square overflow hi^2 + hi lo + lo^2 is inf, or NaN for
         # ends of opposite signs: there it is s (s q) for the larger |end| s
         # and the sum q of the ends over s.  An empty interval's factored
         # moment is 0, not 0 * inf = NaN.
-        factored = np.multiply(m0, hi[1] + np.where(ok, hi[0] * lo[0], 0.0)
-                               + lo[1], out=np.zeros(np.shape(ok)),
-                               where=m0 != 0)
+        factored = np.multiply(m0, hi2 + np.where(ok, hi * lo, 0.0) + lo2,
+                               out=np.zeros(np.shape(ok)), where=m0 != 0)
         wide = ~ok & (m0 != 0)
-        s = np.maximum(np.abs(hi[0]), np.abs(lo[0]))[wide]
-        h, l = hi[0][wide] / s, lo[0][wide] / s
+        s = np.maximum(np.abs(hi), np.abs(lo))[wide]
+        h, l = hi[wide] / s, lo[wide] / s
         factored[wide] = m0[wide] * s * (s * (h * h + h * l + l * l))
-        ok = np.isfinite(hi[2]) & np.isfinite(lo[2])
-        cubes = np.subtract(hi[2], lo[2], out=np.zeros(np.shape(ok)),
-                            where=ok)
-        return m0, m1, np.where(ok, cubes / 3.0 * w, factored / 3.0)
+        c3 = c ** 3
+        ok = np.isfinite(c3[..., 1:]) & np.isfinite(c3[..., :-1])
+        cubes = np.subtract(c3[..., 1:], c3[..., :-1],
+                            out=np.zeros(np.shape(ok)), where=ok)
+        return m0, m1, np.where(ok, cubes / 3.0 * w, factored / 3.0), None
+    return moments
 
-    if d.family == "exponential":
-        return tuple(a - b for a, b in zip(lo, hi))
 
-    # gamma: terms P, Q per shape.  The upper tail Q when the lower end sits
-    # past the bulk, to avoid catastrophic cancellation of near-1 P values.
+def _exponential(p: dict):
+    """The exponential kernel: each moment's polynomial times exp(-lam x)."""
+    lam = p["lam"]
+
+    def moments(m, order):
+        x = np.maximum(m, 0.0)
+        xs = np.where(np.isfinite(x), x, 0.0)
+        e = np.exp(-lam * x)  # 0 at x = inf
+        terms = (e, (xs + 1.0 / lam) * e)
+        if order == 2:
+            # 0 where e is: at a huge x the polynomial overflows to inf,
+            # and inf * 0 would be NaN.
+            poly = xs * xs + 2.0 * xs / lam + 2.0 / np.float64(lam) ** 2
+            terms += (np.multiply(poly, e, out=np.zeros_like(e),
+                                  where=e != 0),)
+        return tuple(t[..., :-1] - t[..., 1:] for t in terms) + (None,)
+    return moments
+
+
+def _gamma(p: dict):
+    """The gamma kernel: the lower and upper regularized incomplete gamma
+    functions P and Q of shapes k, k + 1[, k + 2] at the ends clipped at 0,
+    over theta.  A cell reads the upper tail Q when its lower end sits past
+    the bulk, to avoid catastrophic cancellation of near-1 P values."""
     k, theta = p["k"], p["theta"]
-    m = [np.where(lo[j] > 0.5, lo[j + 1] - hi[j + 1], hi[j] - lo[j])
-         for j in range(0, 2 * order + 2, 2)]
-    if order == 1:
-        return m[0], k * theta * m[1]
-    return m[0], k * theta * m[1], k * (k + 1.0) * theta * theta * m[2]
+    shapes = (k, k + 1.0, k + 2.0)
+    scales = (k * theta, k * (k + 1.0) * theta * theta)
+
+    def moments(m, order):
+        x = np.maximum(m, 0.0) / theta
+        diffs = []
+        for shape in shapes[:order + 1]:
+            P, Q = special.gammainc(shape, x), special.gammaincc(shape, x)
+            diffs.append(np.where(P[..., :-1] > 0.5, Q[..., :-1] - Q[..., 1:],
+                                  P[..., 1:] - P[..., :-1]))
+        return (diffs[0], *(c * v for c, v in zip(scales, diffs[1:])), None)
+    return moments
 
 
-def _cell_moments(d: DensitySpec):
-    """The bound d's moment kernel: a function of boundaries m, a 1-D row
-    in non-decreasing order or a (K, N+1) stack of rows in any order, and
-    an order, 1 or 2, giving (m0, m1[, m2], e) of the cells along m's last
-    axis, under a caller's np.errstate ignoring over- and underflow; e is
-    what _pdf_at reads, None but for a Gaussian.  A Gaussian cell reads the
-    erfc of its own tail, E = erfc(|t|/sqrt2), which keeps the accuracy a
-    difference of CDFs loses there: E_lo - E_hi right of mu, E_hi - E_lo
-    left of it, and erf only across it.  A row's cells run left of mu,
-    across it (one at most) and right of it, split by one searchsorted of t
-    for 0; a stack takes each cell's side.  The other families difference
-    their _terms in _combine."""
-    _require_bound(d)
-    if d.family != "gaussian":
-        def moments(m, order):
-            t = _terms(d, m, order)
-            return _combine(d, [a[..., :-1] for a in t],
-                            [a[..., 1:] for a in t], order) + (None,)
-        return moments
-
-    mu, s2 = d.params["mu"], d.params["sigma2"]
+def _gaussian(p: dict):
+    """The Gaussian kernel.  A cell reads the erfc of its own tail,
+    E = erfc(|t|/sqrt2), which keeps the accuracy a difference of CDFs
+    loses there: E_lo - E_hi right of mu, E_hi - E_lo left of it, and erf
+    only across it.  A row's cells run left of mu, across it (one at most)
+    and right of it, split by one searchsorted of t for 0; a stack takes
+    each cell's side.  Its e is exp(-t^2/2) at the boundaries."""
+    mu, s2 = p["mu"], p["sigma2"]
     sigma = math.sqrt(s2)
     erf, erfc = special.erf, special.erfc
 
@@ -357,6 +348,20 @@ def _cell_moments(d: DensitySpec):
         central2 = s2 * (m0 + tphi[..., :-1] - tphi[..., 1:])
         return m0, m1, mu * mu * m0 + 2.0 * mu * sigma * dphi + central2, e
     return moments
+
+
+_KERNELS = {"uniform": _uniform, "gaussian": _gaussian,
+            "exponential": _exponential, "gamma": _gamma}
+
+
+def _cell_moments(d: DensitySpec):
+    """The bound d's moment kernel, from its family's builder: a function
+    of boundaries m, a 1-D row in non-decreasing order or a (K, N+1) stack
+    of rows in any order, and an order, 1 or 2, giving (m0, m1[, m2], e)
+    of the cells along m's last axis, under a caller's np.errstate ignoring
+    over- and underflow; e is what _pdf_at reads, None but for a Gaussian."""
+    _require_bound(d)
+    return _KERNELS[d.family](d.params)
 
 
 def interval_moments(d: DensitySpec, lo, hi):

@@ -61,6 +61,10 @@ class Domain1D:
             raise InvalidParameterValue("domain endpoints must be finite")
         if not a < b:
             raise InvalidParameterValue(f"domain requires a < b, got [{a}, {b}]")
+        # On Python floats: a NumPy scalar's overflow would warn.
+        if math.isinf(float(b) - float(a)):
+            raise InvalidParameterValue(
+                f"domain width b - a overflows, got [{a}, {b}]")
         self.a, self.b = a, b
 
     @property

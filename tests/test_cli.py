@@ -934,6 +934,10 @@ class TestTypedInputErrors:
          "domain requires a < b, got [1.0, 0.0]"),
         (("cvt", "--domain", "0,inf", "--n", "3", "--density", "uniform"),
          "domain endpoints must be finite"),
+        # Every width-scaled rule (the duplicate gap, Lloyd's tolerance,
+        # the mass floor) needs a finite b - a; no NumPy warning comes first.
+        (("cvt", "--domain=-1e308,1e308", "--n", "2", "--density",
+          "uniform"), "domain width b - a overflows, got [-1e+308, 1e+308]"),
         (("static-alloc", "--domain", "0,100", "--n", "0", "--r", "250",
           "--density", GAUSS), "n_agents must be >= 1"),
         (("static-alloc", "--domain", "0,100", "--n", "5", "--r", "250",
@@ -943,7 +947,8 @@ class TestTypedInputErrors:
           "--sigma2", "4", "--delta", "2", "--tol", "0"),
          "tol must be positive, got 0.0"),
     ], ids=["cvt-n-zero", "cvt-tol-zero", "cvt-max-iter-negative",
-            "cvt-domain-reversed", "cvt-domain-infinite", "static-n-zero",
+            "cvt-domain-reversed", "cvt-domain-infinite",
+            "cvt-domain-width-overflows", "static-n-zero",
             "static-no-free-parameter", "shift-tol-zero"])
     def test_exits_one_with_one_error_line(self, tmp_path, capsys, argv,
                                            message):

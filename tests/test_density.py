@@ -273,6 +273,8 @@ class TestKnownIntegrals:
     def test_exponential_second_moment_term_keeps_its_bits(self, lam):
         # Wherever the product poly * e was finite, the guarded term has its
         # bits; elsewhere (inf * 0) it is 0.
+        # The kernel's m2 of each one-cell row [x_i, x_{i+1}] is the
+        # difference of those terms.
         d = DensitySpec("exponential", {"lam": lam})
         x = np.concatenate(([0.0, np.inf], 10.0 ** np.linspace(-3, 308, 400),
                             np.linspace(0.0, 2000.0 / lam, 400)))
@@ -280,11 +282,12 @@ class TestKnownIntegrals:
             e = np.exp(-lam * x)
             xs = np.where(np.isfinite(x), x, 0.0)
             before = (xs * xs + 2.0 * xs / lam + 2.0 / lam ** 2) * e
-            got = dens._terms(d, x, 2)[2]
+            got = dens._cell_moments(d)(np.column_stack((x[:-1], x[1:])),
+                                        2)[2][:, 0]
         finite = np.isfinite(before)
         assert not finite.all()
-        assert got[finite].tobytes() == before[finite].tobytes()
-        assert np.all(got[~finite] == 0.0)
+        term = np.where(finite, before, 0.0)
+        assert got.tobytes() == (term[:-1] - term[1:]).tobytes()
 
     def test_uniform_second_moment_past_the_cube_overflow(self):
         # Above about 5.6e102 the cubed ends overflow; the second moment is
@@ -343,10 +346,13 @@ class TestKnownIntegrals:
                                    [5e159, 0.25 * b + 5e159, 0.75 * b],
                                    rtol=1e-15)
 
-    @pytest.mark.parametrize("b", [1.0, 1e100, 1e154, 1e200, 1e308])
+    @pytest.mark.parametrize("b", [1.0, 1e100, 1e154, 1e200, 8e307])
     def test_uniform_first_moment_keeps_its_bits(self, b):
         # Wherever the difference of squares was finite, the first moment
-        # has its bits.
+        # has its bits.  Up to b = 8e307 the squares overflow but b - a
+        # does not; at 1e308 it does, and the uniform is refused.
+        with pytest.raises(InvalidParameterValue, match="finite width"):
+            DensitySpec("uniform", {"a": -1e308, "b": 1e308})
         d = DensitySpec("uniform", {"a": -b, "b": b})
         x = np.sort(np.concatenate((b * np.linspace(-1.0, 1.0, 201),
                                     10.0 ** np.linspace(-3, 308, 200))))
@@ -354,8 +360,7 @@ class TestKnownIntegrals:
         with np.errstate(over="ignore", invalid="ignore"):
             before = 0.5 * (np.clip(hi, -b, b) ** 2
                             - np.clip(lo, -b, b) ** 2) * (1.0 / (2.0 * b))
-            got = dens._combine(d, dens._terms(d, lo, 1),
-                                dens._terms(d, hi, 1), 1)[1]
+            got = dens._cell_moments(d)(x, 1)[1]
         finite = np.isfinite(before)
         assert finite.any() and np.isfinite(got).all()
         assert got[finite].tobytes() == before[finite].tobytes()
@@ -605,12 +610,90 @@ def _gaussian_combine_kept(d, lo, hi, order):
     return m0, m1, mu * mu * m0 + 2.0 * mu * sigma * dphi + central2
 
 
+def _terms_kept(d, x, order):
+    """The non-Gaussian _terms that each family's kernel builder replaced:
+    per-point values whose differences between two ends give d's moments
+    up to order over the interval between them."""
+    p = d.params
+    if d.family == "uniform":
+        c = np.clip(x, p["a"], p["b"])
+        return (c, c ** 2, c ** 3) if order == 2 else (c, c ** 2)
+
+    if d.family == "exponential":
+        lam = p["lam"]
+        x = np.maximum(x, 0.0)
+        xs = np.where(np.isfinite(x), x, 0.0)
+        e = np.exp(-lam * x)  # 0 at x = inf
+        out = (e, (xs + 1.0 / lam) * e)
+        if order == 2:
+            # 0 where e is: at a huge x the polynomial overflows to inf,
+            # and inf * 0 would be NaN.
+            poly = xs * xs + 2.0 * xs / lam + 2.0 / np.float64(lam) ** 2
+            out += (np.multiply(poly, e, out=np.zeros_like(e), where=e != 0),)
+        return out
+
+    # gamma: the lower and upper regularized incomplete gamma functions P
+    # and Q of shapes k, k + 1[, k + 2]
+    k = p["k"]
+    x = np.maximum(x, 0.0) / p["theta"]
+    out = ()
+    for shape in (k, k + 1.0, k + 2.0)[:order + 1]:
+        out += (special.gammainc(shape, x), special.gammaincc(shape, x))
+    return out
+
+
+def _combine_kept(d, lo, hi, order):
+    """The non-Gaussian _combine of _terms_kept: (mass, first moment[,
+    second moment]) over [lo, hi] from the terms at both ends, arrays,
+    each difference taken in a cancellation-safe branch."""
+    p = d.params
+    if d.family == "uniform":
+        w = 1.0 / (p["b"] - p["a"])
+        m0 = (hi[0] - lo[0]) * w
+        # A square above about 1.3e154 or a cube above about 5.6e102
+        # overflows, and two infinite powers differ by NaN: there, the same
+        # moment factored as m0 (hi + lo) / 2 or m0 (hi^2 + hi lo + lo^2) / 3.
+        ok = np.isfinite(hi[1]) & np.isfinite(lo[1])
+        squares = np.subtract(hi[1], lo[1], out=np.zeros(np.shape(ok)),
+                              where=ok)
+        m1 = np.where(ok, 0.5 * squares * w, m0 * (0.5 * hi[0] + 0.5 * lo[0]))
+        if order == 1:
+            return m0, m1
+        # Past the square overflow hi^2 + hi lo + lo^2 is inf, or NaN for
+        # ends of opposite signs: there it is s (s q) for the larger |end| s
+        # and the sum q of the ends over s.  An empty interval's factored
+        # moment is 0, not 0 * inf = NaN.
+        factored = np.multiply(m0, hi[1] + np.where(ok, hi[0] * lo[0], 0.0)
+                               + lo[1], out=np.zeros(np.shape(ok)),
+                               where=m0 != 0)
+        wide = ~ok & (m0 != 0)
+        s = np.maximum(np.abs(hi[0]), np.abs(lo[0]))[wide]
+        h, l = hi[0][wide] / s, lo[0][wide] / s
+        factored[wide] = m0[wide] * s * (s * (h * h + h * l + l * l))
+        ok = np.isfinite(hi[2]) & np.isfinite(lo[2])
+        cubes = np.subtract(hi[2], lo[2], out=np.zeros(np.shape(ok)),
+                            where=ok)
+        return m0, m1, np.where(ok, cubes / 3.0 * w, factored / 3.0)
+
+    if d.family == "exponential":
+        return tuple(a - b for a, b in zip(lo, hi))
+
+    # gamma: terms P, Q per shape.  The upper tail Q when the lower end sits
+    # past the bulk, to avoid catastrophic cancellation of near-1 P values.
+    k, theta = p["k"], p["theta"]
+    m = [np.where(lo[j] > 0.5, lo[j + 1] - hi[j + 1], hi[j] - lo[j])
+         for j in range(0, 2 * order + 2, 2)]
+    if order == 1:
+        return m[0], k * theta * m[1]
+    return m[0], k * theta * m[1], k * (k + 1.0) * theta * theta * m[2]
+
+
 def _kept(d):
     """The (_terms, _combine) pair of the oracle maps for d: the kept
-    Gaussian copies, or the module's for the other families."""
+    Gaussian copies, or the kept copies of the other families'."""
     if d.family == "gaussian":
         return _gaussian_terms_kept, _gaussian_combine_kept
-    return dens._terms, dens._combine
+    return _terms_kept, _combine_kept
 
 
 def _cell_centroids_kept(d, m, terms=None, combine=None):
@@ -1036,8 +1119,8 @@ class TestCentroidMap:
 
 def _energy_per_interval(z, d, dom):
     """energy_K of the points z through per-interval moments: each cell's
-    terms taken at both its ends by the kept Gaussian copies, or the
-    module's _terms and _combine for the other families."""
+    terms taken at both its ends by the kept copies of _terms and
+    _combine."""
     terms, combine = _kept(d)
     m = tess._midpoint_boundaries(z, dom)
     with np.errstate(all="ignore"):
@@ -1049,6 +1132,42 @@ def _energy_per_interval(z, d, dom):
 class TestOneMomentKernel:
     """The centroid map, the energy and interval_moments read one moment
     kernel per density."""
+
+    @pytest.mark.parametrize("d, span", [
+        (DensitySpec("uniform", {"a": 0.0, "b": 10.0}), (0.0, 10.0)),
+        (DensitySpec("uniform", {"a": -8e307, "b": 8e307}), (-8e307, 8e307)),
+        (DensitySpec("uniform", {"a": 0.0, "b": 1e160}), (0.0, 1e160)),
+        (DensitySpec("exponential", {"lam": 0.5}), (0.0, 20.0)),
+        (DensitySpec("exponential", {"lam": 1e-3}), (0.0, 1e4)),
+        (DensitySpec("gamma", {"k": 3.0, "theta": 1.5}), (0.0, 20.0)),
+        (DensitySpec("gamma", {"k": 0.4, "theta": 100.0}), (0.0, 1e3))],
+        ids=lambda v: f"{v.family}-{v.params}" if isinstance(v, DensitySpec)
+        else None)
+    def test_stacks_have_the_bits_of_the_kept_terms(self, d, span):
+        # (K, 2) one-cell rows with ends in either order, infinite ends and
+        # NaN: the kernel at order 1 and 2, and interval_moments, have the
+        # bits of the kept _combine of the kept _terms at both ends.
+        rng = np.random.default_rng(11)
+        u = rng.uniform(-0.2, 1.2, (2, 800))
+        lo, hi = span[0] + u * span[1] - u * span[0]
+        for ends in (lo, hi):
+            ends[rng.random(ends.size) < 0.05] = np.inf
+            ends[rng.random(ends.size) < 0.05] = -np.inf
+            ends[rng.random(ends.size) < 0.03] = np.nan
+        assert (lo > hi).sum() > 200
+        for order in (1, 2):
+            with np.errstate(all="ignore"):
+                got = dens._cell_moments(d)(np.column_stack((lo, hi)), order)
+                want = _combine_kept(d, _terms_kept(d, lo[:, None], order),
+                                     _terms_kept(d, hi[:, None], order),
+                                     order)
+            assert got[-1] is None and len(got) == order + 2
+            assert ([_bits(a).tolist() for a in got[:-1]]
+                    == [_bits(a).tolist() for a in want])
+        with np.errstate(invalid="ignore"):
+            moments = dens.interval_moments(d, lo, hi)
+        assert ([_bits(a).tolist() for a in moments]
+                == [_bits(a[:, 0]).tolist() for a in want])
 
     @pytest.mark.parametrize("d", _ALL_BOUND + _GAUSSIANS[1:],
                              ids=lambda d: f"{d.family}-{d.params}")
