@@ -64,6 +64,26 @@ def _parse_init(text: str, n: int, dom: Domain1D) -> np.ndarray:
     return np.array(_parse_floats("--init", text, n))
 
 
+def _join_negative(argv: list) -> list:
+    """argv with each option followed by a value that starts with '-' and a
+    number, as in '--domain -1,5' or '--delta -1e-3', made one argument,
+    '--domain=-1,5': argparse takes such a value for an option, and the
+    option for one missing its value, unless the value is a plain negative
+    number such as -5 or -0.5."""
+    out = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if flag[:2] == "--" and "=" not in flag and arg[:1] == "-":
+            try:
+                float(arg.split(",")[0])
+                out[-1] += "=" + arg
+                continue
+            except ValueError:
+                pass
+        out.append(arg)
+    return out
+
+
 def _parse_floats(option: str, text: str, count: int) -> list:
     """``count`` comma-separated numbers; an InvalidParameterValue naming
     the option for any other count or for a value that is not a number."""
@@ -260,7 +280,8 @@ def _cmd_dynamic_sim(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the documented code 1.
         return EXIT_USAGE if exc.code else EXIT_OK

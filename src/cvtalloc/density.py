@@ -230,28 +230,62 @@ def bind_free_parameter(d: DensitySpec, value: float) -> DensitySpec:
 # ---------------------------------------------------------------------------
 # Closed-form moments: one kernel per density, _cell_moments, built once by
 # its family's builder, whose cell moments are differences of per-point
-# terms at the two ends, taken once per boundary.  Callers open one
-# np.errstate that ignores over- and underflow: interval_moments and
-# cell_centroids once per call, and tessellation.lloyd once per run around
-# its whole loop, which also covers its midpoints and displacements.
+# terms at the two ends, taken once per boundary.  A kernel writes its terms
+# and its order-1 moments into buffers it keeps, made on its first call and
+# again only when the boundaries' shape changes, so that a Lloyd run
+# allocates nothing per iteration; what it returns is valid until its next
+# call.  Order 2's further terms are fresh arrays, but for the gamma's,
+# which share its loop.  Its constants are 0-d arrays: as ufunc operands
+# they give the bits of the Python floats, but are not converted again on
+# every call.  Callers open one np.errstate that ignores over- and
+# underflow: interval_moments and cell_centroids once per call, and
+# tessellation.lloyd once per run around its whole loop, which also covers
+# its midpoints and displacements.
 # ---------------------------------------------------------------------------
+
+_ZERO, _HALF, _MINUS_HALF, _ROOT2, _INV_ROOT = map(
+    np.array, (0.0, 0.5, -0.5, _SQRT2, _INV_SQRT_2PI))
+
+
+def _buffers(kept: list, shape: tuple, make) -> tuple:
+    """A kernel's buffers for boundaries of the given shape: make(shape of
+    the ends, shape of the cells), kept in the kernel's list kept."""
+    if shape != kept[0]:
+        kept[:] = shape, make(shape, shape[:-1] + (max(shape[-1] - 1, 0),))
+    return kept[1]
+
+
+def _uniform_buffers(ends, cells):
+    c, c2, fin = np.empty(ends), np.empty(ends), np.empty(ends, bool)
+    return (c, c2, fin, np.empty(cells), np.empty(cells), np.empty(cells),
+            np.empty(cells, bool), c[..., :-1], c[..., 1:], c2[..., :-1],
+            c2[..., 1:], fin[..., :-1], fin[..., 1:])
+
 
 def _uniform(p: dict):
     """The uniform kernel: powers of the ends clipped into [a, b]."""
-    a, b = p["a"], p["b"]
-    w = 1.0 / (b - a)
+    a, b, w = map(np.array, (p["a"], p["b"], 1.0 / (p["b"] - p["a"])))
+    kept = [None, None]
 
     def moments(m, order):
-        c = np.clip(m, a, b)
-        c2 = c ** 2
-        lo, hi, lo2, hi2 = c[..., :-1], c[..., 1:], c2[..., :-1], c2[..., 1:]
-        m0 = (hi - lo) * w
+        (c, c2, fin, m0, m1, half, ok, lo, hi, lo2, hi2, fin_lo,
+         fin_hi) = _buffers(kept, m.shape, _uniform_buffers)
+        np.clip(m, a, b, out=c)
+        np.square(c, out=c2)
+        np.subtract(hi, lo, out=m0)
+        m0 *= w
         # A square above about 1.3e154 or a cube above about 5.6e102
         # overflows, and two infinite powers differ by NaN: there, the same
         # moment factored as m0 (hi + lo) / 2 or m0 (hi^2 + hi lo + lo^2) / 3.
-        ok = np.isfinite(hi2) & np.isfinite(lo2)
-        squares = np.subtract(hi2, lo2, out=np.zeros(np.shape(ok)), where=ok)
-        m1 = np.where(ok, 0.5 * squares * w, m0 * (0.5 * hi + 0.5 * lo))
+        np.isfinite(c2, out=fin)
+        np.logical_and(fin_hi, fin_lo, out=ok)
+        np.multiply(hi, _HALF, out=m1)
+        np.multiply(lo, _HALF, out=half)
+        m1 += half
+        m1 *= m0
+        np.subtract(hi2, lo2, out=half, where=ok)
+        np.multiply(half, _HALF, out=half, where=ok)
+        np.multiply(half, w, out=m1, where=ok)
         if order == 1:
             return m0, m1, None
         # Past the square overflow hi^2 + hi lo + lo^2 is inf, or NaN for
@@ -272,23 +306,47 @@ def _uniform(p: dict):
     return moments
 
 
+def _exponential_buffers(ends, cells):
+    e, t1 = np.empty(ends), np.empty(ends)
+    return (np.empty(ends), np.empty(ends), e, t1, np.empty(ends, bool),
+            np.empty(cells), np.empty(cells),
+            e[..., :-1], e[..., 1:], t1[..., :-1], t1[..., 1:])
+
+
 def _exponential(p: dict):
     """The exponential kernel: each moment's polynomial times exp(-lam x)."""
     lam = p["lam"]
+    minus_lam, inv = np.array(-lam), np.array(1.0 / lam)
+    kept = [None, None]
 
     def moments(m, order):
-        x = np.maximum(m, 0.0)
-        xs = np.where(np.isfinite(x), x, 0.0)
-        e = np.exp(-lam * x)  # 0 at x = inf
-        terms = (e, (xs + 1.0 / lam) * e)
-        if order == 2:
-            # 0 where e is: at a huge x the polynomial overflows to inf,
-            # and inf * 0 would be NaN.
-            poly = xs * xs + 2.0 * xs / lam + 2.0 / np.float64(lam) ** 2
-            terms += (np.multiply(poly, e, out=np.zeros_like(e),
-                                  where=e != 0),)
-        return tuple(t[..., :-1] - t[..., 1:] for t in terms) + (None,)
+        (x, xs, e, t1, fin, m0, m1, e_lo, e_hi, t1_lo,
+         t1_hi) = _buffers(kept, m.shape, _exponential_buffers)
+        np.maximum(m, _ZERO, out=x)
+        np.isfinite(x, out=fin)
+        xs.fill(0.0)
+        np.copyto(xs, x, where=fin)
+        np.multiply(x, minus_lam, out=e)
+        np.exp(e, out=e)  # 0 at x = inf
+        np.add(xs, inv, out=t1)
+        t1 *= e
+        np.subtract(e_lo, e_hi, out=m0)
+        np.subtract(t1_lo, t1_hi, out=m1)
+        if order == 1:
+            return m0, m1, None
+        # 0 where e is: at a huge x the polynomial overflows to inf, and
+        # inf * 0 would be NaN.
+        poly = xs * xs + 2.0 * xs / lam + 2.0 / np.float64(lam) ** 2
+        t2 = np.multiply(poly, e, out=np.zeros_like(e), where=e != 0)
+        return m0, m1, t2[..., :-1] - t2[..., 1:], None
     return moments
+
+
+def _gamma_buffers(ends, cells):
+    P, Q = np.empty(ends), np.empty(ends)
+    return (np.empty(ends), P, Q, P[..., :-1], P[..., 1:], Q[..., :-1],
+            Q[..., 1:], np.empty(cells, bool),
+            (np.empty(cells), np.empty(cells), np.empty(cells)))
 
 
 def _gamma(p: dict):
@@ -297,18 +355,34 @@ def _gamma(p: dict):
     over theta.  A cell reads the upper tail Q when its lower end sits past
     the bulk, to avoid catastrophic cancellation of near-1 P values."""
     k, theta = p["k"], p["theta"]
-    shapes = (k, k + 1.0, k + 2.0)
-    scales = (k * theta, k * (k + 1.0) * theta * theta)
+    shapes = tuple(map(np.array, (k, k + 1.0, k + 2.0)))
+    scales = tuple(map(np.array, (k * theta, k * (k + 1.0) * theta * theta)))
+    theta = np.array(theta)
+    gammainc, gammaincc = special.gammainc, special.gammaincc
+    kept = [None, None]
 
     def moments(m, order):
-        x = np.maximum(m, 0.0) / theta
-        diffs = []
-        for shape in shapes[:order + 1]:
-            P, Q = special.gammainc(shape, x), special.gammaincc(shape, x)
-            diffs.append(np.where(P[..., :-1] > 0.5, Q[..., :-1] - Q[..., 1:],
-                                  P[..., 1:] - P[..., :-1]))
-        return (diffs[0], *(c * v for c, v in zip(scales, diffs[1:])), None)
+        (x, P, Q, P_lo, P_hi, Q_lo, Q_hi, upper,
+         diffs) = _buffers(kept, m.shape, _gamma_buffers)
+        np.maximum(m, _ZERO, out=x)
+        x /= theta
+        diffs = diffs[:order + 1]
+        for shape, diff in zip(shapes, diffs):
+            gammainc(shape, x, out=P)
+            gammaincc(shape, x, out=Q)
+            np.greater(P_lo, _HALF, out=upper)
+            np.subtract(P_hi, P_lo, out=diff)
+            np.subtract(Q_lo, Q_hi, out=diff, where=upper)
+        for c, diff in zip(scales, diffs[1:]):
+            diff *= c
+        return (*diffs, None)
     return moments
+
+
+def _gaussian_buffers(ends, cells):
+    tail = np.empty(ends)
+    return (np.empty(ends), np.empty(ends), tail, np.empty(cells),
+            np.empty(cells), np.empty(cells), tail[..., :-1], tail[..., 1:])
 
 
 def _gaussian(p: dict):
@@ -318,30 +392,40 @@ def _gaussian(p: dict):
     only across it.  A row's cells run left of mu, across it (one at most)
     and right of it, split by one searchsorted of t for 0; a stack takes
     each cell's side.  Its e is exp(-t^2/2) at the boundaries."""
-    mu, s2 = p["mu"], p["sigma2"]
-    sigma = math.sqrt(s2)
+    s2 = p["sigma2"]
+    mu, sigma = np.array(p["mu"]), np.array(math.sqrt(s2))
     erf, erfc = special.erf, special.erfc
+    kept = [None, None]
 
     def moments(m, order):
-        t = (m - mu) / sigma
-        e = np.exp(-0.5 * t * t)  # 0 at t = +-inf
-        tail = erfc(np.abs(t) / _SQRT2)
-        m0 = np.subtract(tail[..., 1:], tail[..., :-1])
+        (t, e, tail, m0, m1, dphi, tail_lo,
+         tail_hi) = _buffers(kept, m.shape, _gaussian_buffers)
+        np.subtract(m, mu, out=t)
+        t /= sigma
+        np.multiply(t, _MINUS_HALF, out=e)
+        e *= t
+        np.exp(e, out=e)  # 0 at t = +-inf
+        np.abs(t, out=tail)
+        tail /= _ROOT2
+        erfc(tail, out=tail)
+        np.subtract(tail_hi, tail_lo, out=m0)
         if t.ndim == 1:  # the cells from i on lie right of mu
             i = t.searchsorted(0.0)
             np.subtract(tail[i:-1], tail[i + 1:], out=m0[i:])
             at = (i - 1,) if 0 < i < t.size and t[i] > 0 else None
         else:
-            np.subtract(tail[:, :-1], tail[:, 1:], out=m0,
-                        where=t[:, :-1] >= 0)
+            np.subtract(tail_lo, tail_hi, out=m0, where=t[:, :-1] >= 0)
             at = np.nonzero((t[:, :-1] < 0) & (t[:, 1:] > 0))
         if at is not None:
             m0[at] = (erf(t[at[:-1] + (at[-1] + 1,)] / _SQRT2)
                       - erf(t[at] / _SQRT2))
-        m0 *= 0.5
-        phi = e * _INV_SQRT_2PI
-        dphi = phi[..., :-1] - phi[..., 1:]
-        m1 = mu * m0 + sigma * dphi
+        m0 *= _HALF
+        # The spent tail holds the pdf phi, then sigma dphi.
+        np.multiply(e, _INV_ROOT, out=tail)
+        np.subtract(tail_lo, tail_hi, out=dphi)
+        np.multiply(m0, mu, out=m1)
+        np.multiply(dphi, sigma, out=tail_lo)
+        m1 += tail_lo
         if order == 1:
             return m0, m1, e
         tphi = np.where(np.isfinite(t), t, 0.0) * e * _INV_SQRT_2PI
@@ -359,7 +443,9 @@ def _cell_moments(d: DensitySpec):
     of boundaries m, a 1-D row in non-decreasing order or a (K, N+1) stack
     of rows in any order, and an order, 1 or 2, giving (m0, m1[, m2], e)
     of the cells along m's last axis, under a caller's np.errstate ignoring
-    over- and underflow; e is what _pdf_at reads, None but for a Gaussian."""
+    over- and underflow; e is what _pdf_at reads, None but for a Gaussian.
+    m0, m1 and e are the kernel's buffers, and so is a gamma m2: each is
+    valid until the kernel's next call."""
     _require_bound(d)
     return _KERNELS[d.family](d.params)
 
@@ -416,29 +502,35 @@ def cell_centroids(d: DensitySpec, m) -> np.ndarray:
 
 def _centroid_map(d: DensitySpec):
     """The bound d's centroid map: a function of ordered boundaries m, 1-D
-    or (K, N+1), giving (centroids, m0, e) from _cell_moments(d) at order
-    1, under a caller's np.errstate ignoring over-, underflow and invalid
-    values.  No cell is wider than its row's span m[-1] - m[0], so a least
-    mass above 1e-300 * min(max(span, 1), _FLOOR_WIDTH_CAP) means none is
-    empty; else, as for a NaN span or mass, the per-cell rule decides."""
+    or (K, N+1), and an optional out for the centroids, giving
+    (centroids, m0, e) from _cell_moments(d) at order 1, under a caller's
+    np.errstate ignoring over-, underflow and invalid values.  Without out
+    the centroids take the place of the kernel's first moments; they, m0
+    and e are the map's own buffers, valid until its next call.  No cell is
+    wider than its row's span m[-1] - m[0], so a least mass above 1e-300 *
+    min(max(span, 1), _FLOOR_WIDTH_CAP) means none is empty; else, as for a
+    NaN span or mass, the per-cell rule decides."""
     moments = _cell_moments(d)
 
-    def centroids(m):
+    def centroids(m, out=None):
         m0, m1, e = moments(m, 1)
         lo, hi = m[..., :-1], m[..., 1:]
-        span = (m[-1] - m[0] if m.ndim == 1 and m.size else np.maximum.reduce(
-            m[..., -1:] - m[..., :1], axis=None, initial=1.0))
-        # max and min keep a NaN span: neither bound exceeds NaN.
-        if not (np.minimum.reduce(m0, axis=None, initial=np.inf)
-                > 1e-300 * min(max(span, 1.0), _FLOOR_WIDTH_CAP)):
+        if m.ndim == 1 and m0.size:  # argmin, unlike min, is no reduction
+            span, least = m[-1] - m[0], m0[m0.argmin()]
+        else:
+            span = np.maximum.reduce(m[..., -1:] - m[..., :1], axis=None,
+                                     initial=1.0)
+            least = np.minimum.reduce(m0, axis=None, initial=np.inf)
+        # max and min keep a NaN span, and argmin a NaN mass: neither bound
+        # exceeds NaN.
+        if not least > 1e-300 * min(max(span, 1.0), _FLOOR_WIDTH_CAP):
             bad = m0 <= mass_floor(hi - lo)
             if bad.any():
                 at = np.unravel_index(np.argmax(bad), bad.shape)
                 row = f"row {at[0]}, " if bad.ndim > 1 else ""
                 raise EmptyCell(f"{row}cell {at[-1]} = [{lo[at]}, {hi[at]}] "
                                 f"has mass {m0[at]:g}")
-        # m1 is a fresh array: the centroids take its place.
-        c = np.divide(m1, m0, out=m1)
+        c = np.divide(m1, m0, out=m1 if out is None else out)
         np.maximum(c, lo, out=c)
         np.minimum(c, hi, out=c)
         return c, m0, e

@@ -99,19 +99,22 @@ class StaticSolution:
 class CrossValidationReport:
     """Solver-vs-Lloyd agreement at the solved free parameter.
 
-    ``lloyd_stop`` and ``lloyd_iterations`` are the Lloyd run's
-    ``Tessellation.stop_reason`` and ``iterations``."""
+    ``lloyd_stop``, ``lloyd_iterations`` and ``lloyd_final_displacement``
+    are the Lloyd run's ``Tessellation.stop_reason``, ``iterations`` and
+    ``final_displacement`` (NaN when not given): on a "stagnated" run the
+    last shows how far above CROSSVAL_LLOYD_TOL its noise floor sits."""
 
     __slots__ = ("max_discrepancy", "sum_solver", "sum_lloyd", "lloyd_stop",
-                 "lloyd_iterations", "passed")
+                 "lloyd_iterations", "passed", "lloyd_final_displacement")
 
     def __init__(self, max_discrepancy: float, sum_solver: float,
                  sum_lloyd: float, lloyd_stop: str, lloyd_iterations: int,
-                 passed: bool):
+                 passed: bool, lloyd_final_displacement: float = math.nan):
         self.max_discrepancy, self.sum_solver, self.sum_lloyd = (
             max_discrepancy, sum_solver, sum_lloyd)
         self.lloyd_stop, self.lloyd_iterations, self.passed = (
             lloyd_stop, lloyd_iterations, passed)
+        self.lloyd_final_displacement = lloyd_final_displacement
 
     @property
     def lloyd_converged(self) -> bool:
@@ -284,9 +287,11 @@ def _evaluate(u: np.ndarray, p: StaticProblem) -> tuple:
     and norm have the bits of residual(u, p) and of its np.linalg.norm
     wherever that is finite, and cells = (d, m, m0, e), the bound density,
     boundaries, cell masses and the map's density terms, is what the banded
-    step reads.  (None, inf, None) for an invalid candidate: residual's
-    checks, made on the one row, whose centroids tessellation._valid_row
-    tests as _validate_generators does."""
+    step reads: m0 and e, the map's buffers, stay valid because each
+    evaluation builds its own map, which nothing calls again.  (None, inf,
+    None) for an invalid candidate: residual's checks, made on the one row,
+    whose centroids tessellation._valid_row tests as _validate_generators
+    does."""
     n, dom = p.n_agents, p.domain
     z = u[:n]
     if not tess._valid_row(z, dom):
@@ -577,4 +582,5 @@ def cross_validate(sol: StaticSolution, p: StaticProblem) -> CrossValidationRepo
     return CrossValidationReport(max_discrepancy=disc, sum_solver=sum_solver,
                                  sum_lloyd=sum_lloyd,
                                  lloyd_stop=t.stop_reason,
-                                 lloyd_iterations=t.iterations, passed=passed)
+                                 lloyd_iterations=t.iterations, passed=passed,
+                                 lloyd_final_displacement=t.final_displacement)

@@ -138,10 +138,16 @@ def _midpoint_boundaries(z: np.ndarray, dom: Domain1D) -> np.ndarray:
     return m
 
 
+def _sums_overflow(dom: Domain1D) -> bool:
+    """Whether the sum of two points of dom can overflow: only past half
+    the largest float."""
+    return math.isinf(2.0 * float(dom.a)) or math.isinf(2.0 * float(dom.b))
+
+
 def _midpoints(z: np.ndarray, dom: Domain1D, out: np.ndarray) -> None:
     """out = (z_i + z_{i+1}) / 2 along z's last axis, z in dom; z_i / 2 +
-    z_{i+1} / 2 where that sum overflows, as only past half the largest float."""
-    wide = math.isinf(2.0 * float(dom.a)) or math.isinf(2.0 * float(dom.b))
+    z_{i+1} / 2 where that sum overflows."""
+    wide = _sums_overflow(dom)
     with np.errstate(over="ignore") if wide else contextlib.nullcontext():
         np.add(z[..., :-1], z[..., 1:], out=out)
     out *= 0.5
@@ -209,11 +215,15 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     moments overflow is clamped.  Each call logs one DEBUG record with the
     stop reason, the iteration count and the final displacement.
 
-    d is checked, its centroid map built and one np.errstate opened once
-    per run, not once per iteration; the errstate covers the whole loop,
-    midpoints and displacements too.  The domain ends are written once, and
-    each iteration writes the interior midpoints and the displacement into
-    reused buffers.
+    d is checked, its centroid map built, one np.errstate opened and the
+    midpoints' overflow rule chosen once per run, not once per iteration;
+    the errstate covers the whole loop, midpoints and displacements too.
+    The domain ends are written once.  Each iteration allocates nothing: the
+    map writes its terms and moments into its own buffers and the centroids
+    into the one of two run buffers that the last iterate is not in, and
+    the interior midpoints and the displacement go into fixed views.  So
+    the returned generators and boundaries, like the history's copies,
+    belong to this run alone.
 
     Returns the Tessellation, or (Tessellation, history) when
     record_history is true; history holds the generator array per iterate,
@@ -230,19 +240,27 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     stop_reason = "budget"
     iterations, moved = 0, 0.0
     least_moved, least_at = np.inf, 0
-    diff = np.empty_like(z)
+    diff = np.empty(z.size)
+    # The iterates alternate between two buffers, each with its pairs' ends.
+    buffers = [(b, b[:-1], b[1:]) for b in (np.empty(z.size), np.empty(z.size))]
+    wide, half = _sums_overflow(dom), np.array(0.5)
     centroids = dens._centroid_map(d)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         m = _midpoint_boundaries(z, dom)
         inner = m[1:-1]
         for iterations in range(1, max_iter + 1):
-            z_new = centroids(m)[0]
+            z_new, left, right = buffers[iterations & 1]
+            centroids(m, z_new)
             if record_history:
                 history.append(z_new.copy())
-            moved = float(np.abs(np.subtract(z_new, z, out=diff),
-                                 out=diff).max())
+            np.abs(np.subtract(z_new, z, out=diff), out=diff)
+            moved = float(diff[diff.argmax()])  # a NaN's, if there is one
             z = z_new
-            _midpoints(z, dom, inner)
+            if wide:
+                _midpoints(z, dom, inner)
+            else:
+                np.add(left, right, out=inner)
+                inner *= half
             if moved < tol:
                 stop_reason = "tol"
                 break

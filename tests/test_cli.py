@@ -100,6 +100,48 @@ class TestParsing:
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, key", [
+        (("cvt", "--n", "2", "--density", "uniform"), "generators"),
+        (("static-alloc", "--n", "5", "--r", "250", "--density",
+          '{"family":"gaussian","mu":"free","sigma2":4.0}'), "centroids"),
+        (("shift-check", "--n", "5", "--mu", "50", "--sigma2", "4",
+          "--delta", "2"), "passed"),
+    ], ids=["cvt", "static-alloc", "shift-check"])
+    def test_negative_first_domain_end_after_a_space(self, tmp_path, capsys,
+                                                      argv, key):
+        # argparse takes "-10,100" for an option; "--domain -10,100" runs
+        # as "--domain=-10,100" does, to the same output, and so does the
+        # abbreviation "--dom".
+        out = ("--out", str(tmp_path)) if argv[0] != "shift-check" else ()
+        printed = []
+        for domain in (("--domain=-10,100",), ("--domain", "-10,100"),
+                       ("--dom", "-10,100")):
+            assert run_cli(*argv[:1], *domain, *argv[1:], *out) == cli.EXIT_OK
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            printed.append(captured.out)
+        assert printed[1:] == printed[:1] * 2 and json.loads(printed[0])[key]
+
+    @pytest.mark.parametrize("argv", [
+        ("cvt", "--domain=-10,100", "--n", "3", "--density", "uniform",
+         "--init", "-5,0,50"),
+        ("shift-check", "--domain", "0,100", "--n", "5", "--mu", "50",
+         "--sigma2", "4", "--delta", "-1e-1"),
+    ], ids=["cvt-init", "shift-check-delta"])
+    def test_other_values_that_start_with_a_minus(self, tmp_path, capsys,
+                                                  argv):
+        # "-5,0,50" and "-1e-1" are no plain negative numbers to argparse.
+        out = ("--out", str(tmp_path)) if argv[0] == "cvt" else ()
+        assert run_cli(*argv, *out) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("value", ["--n", "-x,5"])
+    def test_domain_missing_its_value_is_a_usage_error(self, capsys, value):
+        rc = run_cli("cvt", "--domain", value, "2", "--density", "uniform")
+        assert rc == cli.EXIT_USAGE
+        assert "argument --domain: expected one argument" in (
+            capsys.readouterr().err)
+
     @pytest.mark.parametrize("option, value", [
         ("--domain", "0,x"), ("--domain", "0,1,2"),
         ("--init", "1,x,3"), ("--init", "1,2"),

@@ -1092,9 +1092,9 @@ class TestCentroidMap:
         def checked(d):
             cells = real(d)
 
-            def compare(m):
+            def compare(m, into=None):
                 try:
-                    out = cells(m)
+                    out = cells(m, into)
                 except EmptyCell as exc:
                     with pytest.raises(EmptyCell) as kept:
                         _cell_centroids_kept(d, m)

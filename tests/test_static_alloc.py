@@ -1287,6 +1287,30 @@ class TestCrossValidate:
                 assert report.lloyd_stop == "tol", label
                 assert report.lloyd_converged, label
 
+    def test_lloyd_final_displacement_shows_the_noise_floor(
+            self, acceptance3_reports):
+        # Each "tol" stop ends below CROSSVAL_LLOYD_TOL; the gamma run,
+        # which stagnates, ends on its noise floor above it (5.3e-12 on
+        # [0, 300]).
+        for label, p, report in acceptance3_reports:
+            moved = report.lloyd_final_displacement
+            if label.startswith("gamma"):
+                assert sa.CROSSVAL_LLOYD_TOL < moved < 1e3 * sa.CROSSVAL_LLOYD_TOL
+            else:
+                assert 0.0 < moved < sa.CROSSVAL_LLOYD_TOL, label
+
+    def test_report_carries_the_lloyd_run(self, monkeypatch):
+        p = StaticProblem(domain=DOM_100, n_agents=50,
+                          density=GAUSS_FREE_MU, r=2500.0)
+        runs, real = [], tess.lloyd
+        monkeypatch.setattr(tess, "lloyd", lambda *args, **kwargs: (
+            runs.append(real(*args, **kwargs)) or runs[-1]))
+        report = sa.cross_validate(sa.solve(p), p)
+        (t,) = runs
+        assert (report.lloyd_stop, report.lloyd_iterations,
+                report.lloyd_final_displacement) == (
+            t.stop_reason, t.iterations, t.final_displacement)
+
     def test_budget_stop_never_passes(self, monkeypatch):
         # At 3000 iterations Lloyd is already within every comparison gate,
         # but a run cut off by its budget is not accepted.

@@ -19,7 +19,7 @@ from cvtalloc.errors import (
     UnsortedGenerators,
 )
 from cvtalloc.tessellation import Domain1D
-from test_golden import LLOYD_FAMILIES
+from test_golden import LLOYD_FAMILIES, LLOYD_RUNS
 
 UNIFORM_15 = DensitySpec("uniform", {"a": 0.0, "b": 15.0})
 DOM_15 = Domain1D(0.0, 15.0)
@@ -328,9 +328,9 @@ class TestLloydLoopOracle:
         def spy(d):
             cells = real(d)
 
-            def recorded(m):
+            def recorded(m, out=None):
                 seen.append(m.copy())
-                return cells(m)
+                return cells(m, out)
             return recorded
 
         monkeypatch.setattr(dens, "_centroid_map", spy)
@@ -353,11 +353,11 @@ class TestLloydLoopOracle:
             builds.append(d)
             cells = real_map(d)
 
-            def counted(m):
+            def counted(m, out=None):
                 per_call.append(0)
                 inside[0] = True
                 try:
-                    return cells(m)
+                    return cells(m, out)
                 finally:
                     inside[0] = False
             return counted
@@ -414,6 +414,56 @@ class TestLloydLoopOracle:
         t = tess.lloyd([1e307], d, Domain1D(-8e307, 8e307))
         assert t.generators.tolist() == [3.0]
         assert t.stop_reason == "tol"
+
+
+def _run_bits(t) -> tuple:
+    return (t.generators.tobytes(), t.boundaries.tobytes(),
+            t.final_displacement.hex(), t.energy.hex(), t.iterations,
+            t.stop_reason)
+
+
+class TestReusedBuffers:
+    """Lloyd keeps its iterates, and a centroid map its terms, in buffers
+    reused from one iteration or call to the next: nothing that a run or
+    a cell_centroids call returns moves afterwards."""
+
+    @pytest.mark.parametrize("family", sorted(LLOYD_FAMILIES))
+    def test_history_changes_no_bit(self, family):
+        d, dom = LLOYD_FAMILIES[family]
+        for n in (1, 2, 15, 50):
+            tol, max_iter = LLOYD_RUNS[n]
+            z = np.sort(np.random.default_rng(n).uniform(dom.a, dom.b, n))
+            t = tess.lloyd(z, d, dom, tol=tol, max_iter=max_iter)
+            kept, history = tess.lloyd(z, d, dom, tol=tol, max_iter=max_iter,
+                                       record_history=True)
+            assert _run_bits(t) == _run_bits(kept), n
+            assert len(history) == t.iterations + 1
+
+    @pytest.mark.parametrize("family", sorted(LLOYD_FAMILIES))
+    def test_a_second_run_moves_nothing_of_the_first(self, family):
+        d, dom = LLOYD_FAMILIES[family]
+        rng = np.random.default_rng(7)
+        first, history = tess.lloyd(
+            np.sort(rng.uniform(dom.a, dom.b, 15)), d, dom, max_iter=200,
+            record_history=True)
+        bits = _run_bits(first), [z.tobytes() for z in history]
+        second = tess.lloyd(np.sort(rng.uniform(dom.a, dom.b, 15)), d, dom,
+                            max_iter=200)
+        assert (_run_bits(first), [z.tobytes() for z in history]) == bits
+        assert not np.shares_memory(first.generators, second.generators)
+        assert not np.shares_memory(first.boundaries, second.boundaries)
+
+    @pytest.mark.parametrize("family", sorted(LLOYD_FAMILIES))
+    def test_cell_centroids_survive_a_further_call(self, family):
+        d, dom = LLOYD_FAMILIES[family]
+        rng = np.random.default_rng(8)
+        rows = [tess.voronoi_regions(np.sort(rng.uniform(dom.a, dom.b, n)),
+                                     dom) for n in (15, 15, 40)]
+        first = dens.cell_centroids(d, rows[0])
+        bits = first.tobytes()
+        for m in rows[1:]:
+            dens.cell_centroids(d, m)
+            assert first.tobytes() == bits
 
 
 class TestIsCvt:

@@ -42,7 +42,7 @@ VALUE_TYPES = {
     sa.CrossValidationReport: {
         "max_discrepancy": 1e-9, "sum_solver": 3.0, "sum_lloyd": 3.0,
         "lloyd_stop": "stagnated", "lloyd_iterations": 1000,
-        "passed": True},
+        "passed": True, "lloyd_final_displacement": 5e-12},
     dyn.AllocationState: {"resources": ARRAY, "r_current": 3.0,
                           "mu_current": 1.5},
     dyn.ShiftReport: {"n": 5, "delta": 0.5, "max_deviation": 1e-10,
@@ -125,6 +125,8 @@ def test_a_misspelled_attribute_raises(cls):
 def test_defaults():
     sol = sa.StaticSolution(ARRAY, 5.0, 1e-12)
     assert sol.iterations == 0 and sol.residual_history == ()
+    report = sa.CrossValidationReport(1e-9, 3.0, 3.0, "tol", 7, True)
+    assert np.isnan(report.lloyd_final_displacement)
     assert DensitySpec("uniform", {"a": 0.0, "b": 1.0}).free_param is None
     assert DensitySpec("exponential", free_param="lam").params == {}
     assert list(inspect.signature(sim.TraceLog).parameters) == [
