@@ -230,12 +230,14 @@ def bind_free_parameter(d: DensitySpec, value: float) -> DensitySpec:
 # ---------------------------------------------------------------------------
 # Closed-form moments: one kernel per density, _cell_moments, built once by
 # its family's builder, whose cell moments are differences of per-point
-# terms at the two ends, taken once per boundary.  A kernel writes its terms
-# and its order-1 moments into buffers it keeps, made on its first call and
-# again only when the boundaries' shape changes, so that a Lloyd run
-# allocates nothing per iteration; what it returns is valid until its next
-# call.  Order 2's further terms are fresh arrays, but for the gamma's,
-# which share its loop.  Its constants are 0-d arrays: as ufunc operands
+# terms at the two ends, taken once per boundary.  The Gaussian, exponential
+# and gamma kernels write their terms and order-1 moments into buffers they
+# keep, made on the first call and again only when the boundaries' shape
+# changes, so that a Lloyd run on them allocates no array data per
+# iteration; what they return is valid until their next call.  Order 2's
+# further terms are fresh arrays, but for the gamma's, which share its
+# loop; the uniform kernel allocates all of its results afresh on every
+# call.  Their constants are 0-d arrays: as ufunc operands
 # they give the bits of the Python floats, but are not converted again on
 # every call.  Callers open one np.errstate that ignores over- and
 # underflow: interval_moments and cell_centroids once per call, and
@@ -255,37 +257,22 @@ def _buffers(kept: list, shape: tuple, make) -> tuple:
     return kept[1]
 
 
-def _uniform_buffers(ends, cells):
-    c, c2, fin = np.empty(ends), np.empty(ends), np.empty(ends, bool)
-    return (c, c2, fin, np.empty(cells), np.empty(cells), np.empty(cells),
-            np.empty(cells, bool), c[..., :-1], c[..., 1:], c2[..., :-1],
-            c2[..., 1:], fin[..., :-1], fin[..., 1:])
-
-
 def _uniform(p: dict):
     """The uniform kernel: powers of the ends clipped into [a, b]."""
-    a, b, w = map(np.array, (p["a"], p["b"], 1.0 / (p["b"] - p["a"])))
-    kept = [None, None]
+    a, b = p["a"], p["b"]
+    w = 1.0 / (b - a)
 
     def moments(m, order):
-        (c, c2, fin, m0, m1, half, ok, lo, hi, lo2, hi2, fin_lo,
-         fin_hi) = _buffers(kept, m.shape, _uniform_buffers)
-        np.clip(m, a, b, out=c)
-        np.square(c, out=c2)
-        np.subtract(hi, lo, out=m0)
-        m0 *= w
+        c = np.clip(m, a, b)
+        c2 = c ** 2
+        lo, hi, lo2, hi2 = c[..., :-1], c[..., 1:], c2[..., :-1], c2[..., 1:]
+        m0 = (hi - lo) * w
         # A square above about 1.3e154 or a cube above about 5.6e102
         # overflows, and two infinite powers differ by NaN: there, the same
         # moment factored as m0 (hi + lo) / 2 or m0 (hi^2 + hi lo + lo^2) / 3.
-        np.isfinite(c2, out=fin)
-        np.logical_and(fin_hi, fin_lo, out=ok)
-        np.multiply(hi, _HALF, out=m1)
-        np.multiply(lo, _HALF, out=half)
-        m1 += half
-        m1 *= m0
-        np.subtract(hi2, lo2, out=half, where=ok)
-        np.multiply(half, _HALF, out=half, where=ok)
-        np.multiply(half, w, out=m1, where=ok)
+        ok = np.isfinite(hi2) & np.isfinite(lo2)
+        squares = np.subtract(hi2, lo2, out=np.zeros(np.shape(ok)), where=ok)
+        m1 = np.where(ok, 0.5 * squares * w, m0 * (0.5 * hi + 0.5 * lo))
         if order == 1:
             return m0, m1, None
         # Past the square overflow hi^2 + hi lo + lo^2 is inf, or NaN for
@@ -444,8 +431,9 @@ def _cell_moments(d: DensitySpec):
     of rows in any order, and an order, 1 or 2, giving (m0, m1[, m2], e)
     of the cells along m's last axis, under a caller's np.errstate ignoring
     over- and underflow; e is what _pdf_at reads, None but for a Gaussian.
-    m0, m1 and e are the kernel's buffers, and so is a gamma m2: each is
-    valid until the kernel's next call."""
+    But for the uniform kernel's, whose results are fresh arrays, m0, m1
+    and e are the kernel's buffers, and so is a gamma m2: each is valid
+    until the kernel's next call."""
     _require_bound(d)
     return _KERNELS[d.family](d.params)
 

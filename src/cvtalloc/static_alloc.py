@@ -101,15 +101,15 @@ class CrossValidationReport:
 
     ``lloyd_stop``, ``lloyd_iterations`` and ``lloyd_final_displacement``
     are the Lloyd run's ``Tessellation.stop_reason``, ``iterations`` and
-    ``final_displacement`` (NaN when not given): on a "stagnated" run the
-    last shows how far above CROSSVAL_LLOYD_TOL its noise floor sits."""
+    ``final_displacement``: on a "stagnated" run the last shows how far
+    above CROSSVAL_LLOYD_TOL its noise floor sits."""
 
     __slots__ = ("max_discrepancy", "sum_solver", "sum_lloyd", "lloyd_stop",
                  "lloyd_iterations", "passed", "lloyd_final_displacement")
 
     def __init__(self, max_discrepancy: float, sum_solver: float,
                  sum_lloyd: float, lloyd_stop: str, lloyd_iterations: int,
-                 passed: bool, lloyd_final_displacement: float = math.nan):
+                 passed: bool, lloyd_final_displacement: float):
         self.max_discrepancy, self.sum_solver, self.sum_lloyd = (
             max_discrepancy, sum_solver, sum_lloyd)
         self.lloyd_stop, self.lloyd_iterations, self.passed = (

@@ -134,7 +134,7 @@ def _midpoint_boundaries(z: np.ndarray, dom: Domain1D) -> np.ndarray:
     """The domain ends and the midpoints of z, along its last axis."""
     m = np.empty(z.shape[:-1] + (z.shape[-1] + 1,))
     m[..., 0], m[..., -1] = dom.a, dom.b
-    _midpoints(z, dom, m[..., 1:-1])
+    _midpoints(z[..., :-1], z[..., 1:], _sums_overflow(dom), m[..., 1:-1])
     return m
 
 
@@ -144,16 +144,20 @@ def _sums_overflow(dom: Domain1D) -> bool:
     return math.isinf(2.0 * float(dom.a)) or math.isinf(2.0 * float(dom.b))
 
 
-def _midpoints(z: np.ndarray, dom: Domain1D, out: np.ndarray) -> None:
-    """out = (z_i + z_{i+1}) / 2 along z's last axis, z in dom; z_i / 2 +
-    z_{i+1} / 2 where that sum overflows."""
-    wide = _sums_overflow(dom)
-    with np.errstate(over="ignore") if wide else contextlib.nullcontext():
-        np.add(z[..., :-1], z[..., 1:], out=out)
-    out *= 0.5
+_NO_ERRSTATE = contextlib.nullcontext()
+
+
+def _midpoints(lo: np.ndarray, hi: np.ndarray, wide: bool,
+               out: np.ndarray) -> None:
+    """out = (lo + hi) / 2 for points lo <= hi of a domain; when wide, as
+    _sums_overflow of the domain says, lo / 2 + hi / 2 where that sum
+    overflows.  lloyd passes fixed views and a wide chosen once per run."""
+    with np.errstate(over="ignore") if wide else _NO_ERRSTATE:
+        np.add(lo, hi, out=out)
+    out *= dens._HALF
     if wide:
         big = np.isinf(out)
-        out[big] = 0.5 * z[..., :-1][big] + 0.5 * z[..., 1:][big]
+        out[big] = 0.5 * lo[big] + 0.5 * hi[big]
 
 
 def voronoi_regions(generators, dom: Domain1D) -> np.ndarray:
@@ -218,8 +222,9 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     d is checked, its centroid map built, one np.errstate opened and the
     midpoints' overflow rule chosen once per run, not once per iteration;
     the errstate covers the whole loop, midpoints and displacements too.
-    The domain ends are written once.  Each iteration allocates nothing: the
-    map writes its terms and moments into its own buffers and the centroids
+    The domain ends are written once.  But for a uniform d, whose kernel
+    allocates its moments, no iteration allocates array data: the map
+    writes its terms and moments into its own buffers and the centroids
     into the one of two run buffers that the last iterate is not in, and
     the interior midpoints and the displacement go into fixed views.  So
     the returned generators and boundaries, like the history's copies,
@@ -243,7 +248,7 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     diff = np.empty(z.size)
     # The iterates alternate between two buffers, each with its pairs' ends.
     buffers = [(b, b[:-1], b[1:]) for b in (np.empty(z.size), np.empty(z.size))]
-    wide, half = _sums_overflow(dom), np.array(0.5)
+    wide = _sums_overflow(dom)
     centroids = dens._centroid_map(d)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         m = _midpoint_boundaries(z, dom)
@@ -256,11 +261,7 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
             np.abs(np.subtract(z_new, z, out=diff), out=diff)
             moved = float(diff[diff.argmax()])  # a NaN's, if there is one
             z = z_new
-            if wide:
-                _midpoints(z, dom, inner)
-            else:
-                np.add(left, right, out=inner)
-                inner *= half
+            _midpoints(left, right, wide, inner)
             if moved < tol:
                 stop_reason = "tol"
                 break

@@ -125,8 +125,6 @@ def test_a_misspelled_attribute_raises(cls):
 def test_defaults():
     sol = sa.StaticSolution(ARRAY, 5.0, 1e-12)
     assert sol.iterations == 0 and sol.residual_history == ()
-    report = sa.CrossValidationReport(1e-9, 3.0, 3.0, "tol", 7, True)
-    assert np.isnan(report.lloyd_final_displacement)
     assert DensitySpec("uniform", {"a": 0.0, "b": 1.0}).free_param is None
     assert DensitySpec("exponential", free_param="lam").params == {}
     assert list(inspect.signature(sim.TraceLog).parameters) == [
