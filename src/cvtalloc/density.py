@@ -231,10 +231,10 @@ def bind_free_parameter(d: DensitySpec, value: float) -> DensitySpec:
 # Closed-form moments: one kernel per density, _cell_moments, built once by
 # its family's builder, whose cell moments are differences of per-point
 # terms at the two ends, taken once per boundary.  The Gaussian, exponential
-# and gamma kernels write their terms and order-1 moments into buffers they
-# keep, made on the first call and again only when the boundaries' shape
-# changes, so that a Lloyd run on them allocates no array data per
-# iteration; what they return is valid until their next call.  Order 2's
+# and gamma kernels write their terms and order-1 moments into the buffers
+# of a list, made when the boundaries' shape changes, so that a Lloyd run or
+# a static solve on them allocates no array data per iteration; what they
+# return is valid until the next call on that list.  Order 2's
 # further terms are fresh arrays, but for the gamma's, which share its
 # loop; the uniform kernel allocates all of its results afresh on every
 # call.  Their constants are 0-d arrays: as ufunc operands
@@ -257,7 +257,7 @@ def _buffers(kept: list, shape: tuple, make) -> tuple:
     return kept[1]
 
 
-def _uniform(p: dict):
+def _uniform(p: dict, kept: list):
     """The uniform kernel: powers of the ends clipped into [a, b]."""
     a, b = p["a"], p["b"]
     w = 1.0 / (b - a)
@@ -300,11 +300,10 @@ def _exponential_buffers(ends, cells):
             e[..., :-1], e[..., 1:], t1[..., :-1], t1[..., 1:])
 
 
-def _exponential(p: dict):
+def _exponential(p: dict, kept: list):
     """The exponential kernel: each moment's polynomial times exp(-lam x)."""
     lam = p["lam"]
     minus_lam, inv = np.array(-lam), np.array(1.0 / lam)
-    kept = [None, None]
 
     def moments(m, order):
         (x, xs, e, t1, fin, m0, m1, e_lo, e_hi, t1_lo,
@@ -336,7 +335,7 @@ def _gamma_buffers(ends, cells):
             (np.empty(cells), np.empty(cells), np.empty(cells)))
 
 
-def _gamma(p: dict):
+def _gamma(p: dict, kept: list):
     """The gamma kernel: the lower and upper regularized incomplete gamma
     functions P and Q of shapes k, k + 1[, k + 2] at the ends clipped at 0,
     over theta.  A cell reads the upper tail Q when its lower end sits past
@@ -346,7 +345,6 @@ def _gamma(p: dict):
     scales = tuple(map(np.array, (k * theta, k * (k + 1.0) * theta * theta)))
     theta = np.array(theta)
     gammainc, gammaincc = special.gammainc, special.gammaincc
-    kept = [None, None]
 
     def moments(m, order):
         (x, P, Q, P_lo, P_hi, Q_lo, Q_hi, upper,
@@ -372,7 +370,7 @@ def _gaussian_buffers(ends, cells):
             np.empty(cells), np.empty(cells), tail[..., :-1], tail[..., 1:])
 
 
-def _gaussian(p: dict):
+def _gaussian(p: dict, kept: list):
     """The Gaussian kernel.  A cell reads the erfc of its own tail,
     E = erfc(|t|/sqrt2), which keeps the accuracy a difference of CDFs
     loses there: E_lo - E_hi right of mu, E_hi - E_lo left of it, and erf
@@ -382,7 +380,6 @@ def _gaussian(p: dict):
     s2 = p["sigma2"]
     mu, sigma = np.array(p["mu"]), np.array(math.sqrt(s2))
     erf, erfc = special.erf, special.erfc
-    kept = [None, None]
 
     def moments(m, order):
         (t, e, tail, m0, m1, dphi, tail_lo,
@@ -425,17 +422,18 @@ _KERNELS = {"uniform": _uniform, "gaussian": _gaussian,
             "exponential": _exponential, "gamma": _gamma}
 
 
-def _cell_moments(d: DensitySpec):
+def _cell_moments(d: DensitySpec, kept: list | None = None):
     """The bound d's moment kernel, from its family's builder: a function
     of boundaries m, a 1-D row in non-decreasing order or a (K, N+1) stack
     of rows in any order, and an order, 1 or 2, giving (m0, m1[, m2], e)
     of the cells along m's last axis, under a caller's np.errstate ignoring
     over- and underflow; e is what _pdf_at reads, None but for a Gaussian.
     But for the uniform kernel's, whose results are fresh arrays, m0, m1
-    and e are the kernel's buffers, and so is a gamma m2: each is valid
-    until the kernel's next call."""
+    and e are buffers in kept, a new list by default that kernels of one
+    family may share, and so is a gamma m2: each is valid until the next
+    call of a kernel on kept."""
     _require_bound(d)
-    return _KERNELS[d.family](d.params)
+    return _KERNELS[d.family](d.params, [None, None] if kept is None else kept)
 
 
 def interval_moments(d: DensitySpec, lo, hi):
@@ -488,17 +486,18 @@ def cell_centroids(d: DensitySpec, m) -> np.ndarray:
         return _centroid_map(d)(m)[0]
 
 
-def _centroid_map(d: DensitySpec):
+def _centroid_map(d: DensitySpec, kept: list | None = None):
     """The bound d's centroid map: a function of ordered boundaries m, 1-D
     or (K, N+1), and an optional out for the centroids, giving
-    (centroids, m0, e) from _cell_moments(d) at order 1, under a caller's
-    np.errstate ignoring over-, underflow and invalid values.  Without out
-    the centroids take the place of the kernel's first moments; they, m0
-    and e are the map's own buffers, valid until its next call.  No cell is
+    (centroids, m0, e) from _cell_moments(d, kept) at order 1, under a
+    caller's np.errstate ignoring over-, underflow and invalid values.
+    Without out the centroids take the place of the kernel's first moments;
+    they, m0 and e are the kernel's buffers, valid until the next call of a
+    map on the same kept list (the map's own without kept).  No cell is
     wider than its row's span m[-1] - m[0], so a least mass above 1e-300 *
     min(max(span, 1), _FLOOR_WIDTH_CAP) means none is empty; else, as for a
     NaN span or mass, the per-cell rule decides."""
-    moments = _cell_moments(d)
+    moments = _cell_moments(d, kept)
 
     def centroids(m, out=None):
         m0, m1, e = moments(m, 1)

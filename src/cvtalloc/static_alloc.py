@@ -192,28 +192,29 @@ def _moment_guess(p: StaticProblem) -> float:
     return v0
 
 
-def _quantiles(d: DensitySpec, q: np.ndarray,
-               domain: Domain1D | None = None) -> np.ndarray:
+def _quantiles(d: DensitySpec, q: np.ndarray, domain: Domain1D | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
     """The q-quantiles of the bound density d, from the family's inverse
-    CDF; with a domain, those of d truncated to it, at the levels
-    F(a) + q (F(b) - F(a)) of the family's CDF F."""
+    CDF, into out if given; with a domain, those of d truncated to it, at
+    the levels F(a) + q (F(b) - F(a)) of the family's CDF F."""
     fam, par = d.family, d.params
     if fam == "gaussian":
         mu, sigma = par["mu"], math.sqrt(par["sigma2"])
         cdf = lambda x: special.ndtr((x - mu) / sigma)
-        inverse = lambda q: mu + sigma * special.ndtri(q)
+        inverse = lambda q: np.add(mu, sigma * special.ndtri(q), out=out)
     elif fam == "exponential":
         lam = par["lam"]
         cdf = lambda x: -math.expm1(-lam * max(x, 0.0))
-        inverse = lambda q: -np.log1p(-q) / lam
+        inverse = lambda q: np.divide(-np.log1p(-q), lam, out=out)
     elif fam == "gamma":
         k, theta = par["k"], par["theta"]
         cdf = lambda x: special.gammainc(k, max(x, 0.0) / theta)
-        inverse = lambda q: special.gammaincinv(k, q) * theta
+        inverse = lambda q: np.multiply(special.gammaincinv(k, q), theta,
+                                        out=out)
     else:
         a, width = par["a"], par["b"] - par["a"]
         cdf = lambda x: min(max((x - a) / width, 0.0), 1.0)
-        inverse = lambda q: a + width * q
+        inverse = lambda q: np.add(a, width * q, out=out)
     if domain is not None:
         lo, hi = cdf(domain.a), cdf(domain.b)
         q = lo + (hi - lo) * q
@@ -274,43 +275,65 @@ def _cube_root_guess(p: StaticProblem) -> np.ndarray | None:
                                       "theta": 3.0 * par["theta"]})
     except InvalidParameterValue:
         return None
-    z = _quantiles(d, _levels(p.n_agents), p.domain)
+    u = np.empty(p.n_agents + 1)
+    z = _quantiles(d, _levels(p.n_agents), p.domain, out=u[:-1])
     if not (p.domain.a < z[0] and z[-1] < p.domain.b
-            and np.all(np.diff(z) > 0)):
+            and np.logical_and.reduce(z[1:] > z[:-1])):
         return None
-    return np.concatenate((z, [v0]))
+    u[-1] = v0
+    return u
 
 
-def _evaluate(u: np.ndarray, p: StaticProblem) -> tuple:
+class _Workspace:
+    """The arrays a solve call writes into, made for its N as it begins: m
+    with the domain ends, f, kept for the kernels' buffers, two candidate
+    rows, and those that _banded_jacobian and _bordered_step fill."""
+
+    def __init__(self, p: StaticProblem):
+        n = p.n_agents
+        self.wide, self.kept = tess._sums_overflow(p.domain), [None, None]
+        self.m, self.f = np.empty(n + 1), np.empty(n + 1)
+        self.m[0], self.m[n] = p.domain.a, p.domain.b
+        self.inner, self.head = self.m[1:-1], self.f[:n]
+        lo, hi, band, col = (np.empty(n), np.empty(n), np.zeros((3, n)),
+                             np.zeros(n + 1))
+        self.jac = (np.empty(n), lo, hi, lo[1:], hi[:-1], band, band[0, 1:],
+                    band[1], band[1, 1:], band[1, :-1], band[2, :-1], col,
+                    col[:n])
+        rhs, step = np.empty((n, 2), order="F"), np.empty(n + 1)
+        self.solved = (rhs, rhs[:, 0], rhs[:, 1], step, step[:n])
+        self.rows = tuple(np.empty((2, n + 1)))
+
+
+def _evaluate(u: np.ndarray, p: StaticProblem, ws: _Workspace) -> tuple:
     """(f, norm, cells) at u, a 1-D (N+1,) float array, from one
     centroid-map pass under the caller's np.errstate (solve holds one): f
     and norm have the bits of residual(u, p) and of its np.linalg.norm
     wherever that is finite, and cells = (d, m, m0, e), the bound density,
     boundaries, cell masses and the map's density terms, is what the banded
-    step reads: m0 and e, the map's buffers, stay valid because each
-    evaluation builds its own map, which nothing calls again.  (None, inf,
-    None) for an invalid candidate: residual's checks, made on the one row,
-    whose centroids tessellation._valid_row tests as _validate_generators
-    does."""
+    step reads.  f, m, m0 and e are ws's arrays, valid until its next
+    evaluation.  (None, inf, None) for an invalid candidate: residual's
+    checks, made on the one row, whose centroids tessellation._valid_row
+    tests as _validate_generators does."""
     n, dom = p.n_agents, p.domain
     z = u[:n]
     if not tess._valid_row(z, dom):
         return None, math.inf, None
     try:
         d = bind_free_parameter(p.density, u[n])
-        m = tess._midpoint_boundaries(z, dom)
-        c, m0, e = dens._centroid_map(d)(m)
+        tess._midpoints(z[:-1], z[1:], ws.wide, ws.inner)
+        c, m0, e = dens._centroid_map(d, ws.kept)(ws.m)
     except (InvalidParameterValue, EmptyCell):
         return None, math.inf, None
-    f = np.empty(n + 1)
-    np.subtract(z, c, out=f[:n])
+    f = ws.f
+    np.subtract(z, c, out=ws.head)
     f[n] = np.add.reduce(z) - p.r
     # np.linalg.norm's own computation; where a square overflows, hypot's,
     # which scales by the largest entry.
     norm = math.sqrt(f.dot(f))
     if norm == math.inf and np.isfinite(f).all():
         norm = math.hypot(*f)
-    return f, norm, (d, m, m0, e)
+    return f, norm, (d, ws.m, m0, e)
 
 
 def _fd_column(u: np.ndarray, f: np.ndarray, p: StaticProblem, j: int):
@@ -364,9 +387,9 @@ def _fd_jacobian(u: np.ndarray, f: np.ndarray, p: StaticProblem):
 
 
 def _banded_jacobian(u: np.ndarray, f: np.ndarray, cells: tuple,
-                     p: StaticProblem):
+                     p: StaticProblem, ws: _Workspace):
     """(band, column, residual evaluations made) for the banded Newton
-    step at u, where (f, _, cells) = _evaluate(u, p): band holds the
+    step at u, where (f, _, cells) = _evaluate(u, p, ws): band holds the
     centroid rows' derivatives in z as a (3, N) band, column the N+1 rows'
     derivatives in the free parameter.
 
@@ -380,33 +403,33 @@ def _banded_jacobian(u: np.ndarray, f: np.ndarray, cells: tuple,
     all N+1 boundaries (the domain ends stay fixed; a Gaussian is finite
     there).  Every other free parameter's column is _fd_column's difference
     (1 evaluation).  One density value at each of the N+1 boundaries, read
-    from the evaluation's cells with pdf's bits, serves both.
+    from the evaluation's cells with pdf's bits, serves both.  band and an
+    analytic column are ws's, valid until its next step.
     """
     n = p.n_agents
     d, m, m0, e = cells
-    c = u[:n] - f[:n]  # centroid row i is z_i - c_i
+    (c, lo, hi, left, right, band, upper, diag, diag_tail, diag_head, lower,
+     col, col_head) = ws.jac  # left, right: dc_{i+1}/dz_i, dc_i/dz_{i+1}
+    np.subtract(u[:n], f[:n], out=c)  # centroid row i is z_i - c_i
     # Half of each slope: an interior boundary moves half as far as either
     # generator.  A gamma density with k < 1 is infinite at 0, where pdf
     # gives 0; only the Gaussian column reads the domain ends.
     half = 0.5 * dens._pdf_at(d, m, e)
-    lo = half[:-1] * (c - m[:-1]) / m0  # dc_i/dm_i / 2
-    hi = half[1:] * (m[1:] - c) / m0    # dc_i/dm_{i+1} / 2
-    left, right = lo[1:], hi[:-1]       # dc_{i+1}/dz_i, dc_i/dz_{i+1}
-    band = np.zeros((3, n))
-    band[0, 1:] = -right
-    band[1] = 1.0
-    band[1, 1:] -= left
-    band[1, :-1] -= right
-    band[2, :-1] = -left
+    np.divide(half[:-1] * (c - m[:-1]), m0, out=lo)  # dc_i/dm_i / 2
+    np.divide(half[1:] * (m[1:] - c), m0, out=hi)    # dc_i/dm_{i+1} / 2
+    np.negative(right, out=upper)
+    diag.fill(1.0)
+    diag_tail -= left
+    diag_head -= right
+    np.negative(left, out=lower)
     if (p.density.family, p.density.free_param) != ("gaussian", "mu"):
         return (band,) + _fd_column(u, f, p, n)
-    col = np.zeros(n + 1)  # the constraint row does not depend on mu
-    col[:n] = 2.0 * (lo + hi) - 1.0
+    np.subtract(2.0 * (lo + hi), 1.0, out=col_head)  # col[n] stays 0
     return band, col, 0
 
 
-def _bordered_step(band: np.ndarray, col: np.ndarray,
-                   f: np.ndarray) -> np.ndarray:
+def _bordered_step(band: np.ndarray, col: np.ndarray, f: np.ndarray,
+                   ws: _Workspace) -> np.ndarray:
     """Solve [[T, col[:N]], [1 ... 1, col[N]]] step = -f in O(N), T the
     tridiagonal given as a (3, N) band in LAPACK's banded storage
     (T[i-1, i] = band[0, i], T[i, i] = band[1, i], T[i+1, i] = band[2, i]):
@@ -420,9 +443,11 @@ def _bordered_step(band: np.ndarray, col: np.ndarray,
     reduction along the solution's rows gives both columns' sums, each with
     its own reduction's bits.  A non-finite band or right-hand side, a
     singular T or a zero or non-finite complement raises
-    InvalidCandidate."""
+    InvalidCandidate.  The step is ws's, valid until its next step."""
     n = band.shape[1]
-    rhs = np.array((-f[:n], col[:n])).T  # Fortran order: solved in place
+    rhs, minus_f, rhs_col, step, step_head = ws.solved
+    np.negative(f[:n], out=minus_f)  # rhs = np.array((-f[:n], col[:n])).T
+    rhs_col[...] = col[:n]
     if not (np.logical_and.reduce(np.isfinite(band), axis=None)
             and np.logical_and.reduce(np.isfinite(rhs), axis=None)):
         raise InvalidCandidate(
@@ -435,16 +460,15 @@ def _bordered_step(band: np.ndarray, col: np.ndarray,
     schur = col[n] - sums[1]
     if schur == 0.0 or not math.isfinite(schur):
         raise InvalidCandidate(f"Schur complement {schur:g}")
-    step = np.empty(n + 1)
     step[n] = dv = (-f[n] - sums[0]) / schur
-    np.subtract(x[:, 0], dv * x[:, 1], out=step[:n])
+    np.subtract(x[:, 0], dv * x[:, 1], out=step_head)
     return step
 
 
 def _newton_step(u: np.ndarray, f: np.ndarray, cells: tuple,
-                 p: StaticProblem):
+                 p: StaticProblem, ws: _Workspace):
     """(step, residual evaluations made): the Newton step at u, where
-    (f, _, cells) = _evaluate(u, p).
+    (f, _, cells) = _evaluate(u, p, ws).
 
     Up to N_DENSE agents _fd_jacobian differences the whole matrix (2
     residual evaluations: one stack and the free-parameter column), which
@@ -454,8 +478,8 @@ def _newton_step(u: np.ndarray, f: np.ndarray, cells: tuple,
     _bordered_step solves in O(N).  A system either path cannot solve
     raises InvalidCandidate."""
     if p.n_agents > N_DENSE:
-        band, col, evals = _banded_jacobian(u, f, cells, p)
-        return _bordered_step(band, col, f), evals
+        band, col, evals = _banded_jacobian(u, f, cells, p, ws)
+        return _bordered_step(band, col, f, ws), evals
     jac, evals = _fd_jacobian(u, f, p)
     try:
         return np.linalg.solve(jac, -f), evals
@@ -493,8 +517,9 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
     or none for a Gaussian free mu, whose column is analytic.  Each iterate
     is evaluated once, by _evaluate under the solve's one np.errstate: the
     accepted line-search candidate's residual, norm and cells are the next
-    step's.  Every iterate is tested against RESIDUAL_TOL, the one after
-    the MAX_NEWTON_ITER-th step included.
+    step's, read before the next evaluation writes over this call's one
+    _Workspace.  Every iterate is tested against RESIDUAL_TOL, the one
+    after the MAX_NEWTON_ITER-th step included.
 
     One loop names why it stopped, and the solve ends in one place: one
     DEBUG record, converged or diverged, with its path, Newton steps,
@@ -505,14 +530,16 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
     stalled line search or a spent budget.  Armijo acceptance never raises
     the norm, so the SolverDiverged of a started solve carries the last
     iterate, a best one, its norm and the history of tested norms, and
-    every SolverDiverged the path and the start."""
+    every SolverDiverged the path and the start; its text names the ulp of
+    the larger |domain end| where that ulp exceeds RESIDUAL_TOL."""
     path = "banded" if p.n_agents > N_DENSE else "dense"
     evals, steps, norm, history, cause = 0, 0, math.nan, [], None
+    ws = _Workspace(p)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for start, cand in _starts(p, init):
             if cand is not None:
                 u = cand
-                f, norm, cells = _evaluate(u, p)
+                f, norm, cells = _evaluate(u, p, ws)
                 evals += 1
                 if math.isfinite(norm):
                     break
@@ -527,15 +554,15 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
                         f"(residual norm {norm:g})")
                 break
             try:
-                step, step_evals = _newton_step(u, f, cells, p)
+                step, step_evals = _newton_step(u, f, cells, p, ws)
             except InvalidCandidate as exc:
                 stop, cause = str(exc), exc
                 break
             evals += step_evals
             alpha = 1.0
             while alpha >= MIN_ALPHA:
-                cand = u + alpha * step
-                cand_f, cand_norm, cand_cells = _evaluate(cand, p)
+                cand = np.add(u, alpha * step, out=ws.rows[steps & 1])
+                cand_f, cand_norm, cand_cells = _evaluate(cand, p, ws)
                 evals += 1
                 if cand_norm <= (1.0 - ARMIJO_C * alpha) * norm:
                     u, f, cells, norm = cand, cand_f, cand_cells, cand_norm
@@ -550,6 +577,10 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
                  steps, evals, norm, "converged" if converged else "diverged",
                  start)
     if not converged:
+        ulp = math.ulp(max(abs(p.domain.a), abs(p.domain.b)))
+        if ulp > RESIDUAL_TOL:
+            stop += (f"; the residual tolerance {RESIDUAL_TOL:g} is below "
+                     f"{ulp:g}, one ulp of the larger domain end")
         raise SolverDiverged(stop, best=u, residual_norm=norm,
                              history=tuple(history), path=path,
                              start=start) from cause

@@ -151,7 +151,7 @@ def _midpoints(lo: np.ndarray, hi: np.ndarray, wide: bool,
                out: np.ndarray) -> None:
     """out = (lo + hi) / 2 for points lo <= hi of a domain; when wide, as
     _sums_overflow of the domain says, lo / 2 + hi / 2 where that sum
-    overflows.  lloyd passes fixed views and a wide chosen once per run."""
+    overflows.  lloyd and static_alloc.solve choose wide once per call."""
     with np.errstate(over="ignore") if wide else _NO_ERRSTATE:
         np.add(lo, hi, out=out)
     out *= dens._HALF

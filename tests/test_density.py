@@ -1089,8 +1089,8 @@ class TestCentroidMap:
         real = dens._centroid_map
         seen = {"rows": 0, "stacks": 0}
 
-        def checked(d):
-            cells = real(d)
+        def checked(d, kept=None):
+            cells = real(d, kept)
 
             def compare(m, into=None):
                 try:

@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,11 +66,17 @@ def fd_jacobian(u, f, p):
     return sa._fd_jacobian(u, f, p)[0]
 
 
-def evaluation(u, p):
+def evaluation(u, p, ws=None):
     """_evaluate's (f, norm, cells) at u, under the np.errstate that a
-    solve opens."""
+    solve opens, written into the workspace ws, or a new one for p."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        return sa._evaluate(np.asarray(u, dtype=float), p)
+        return sa._evaluate(np.asarray(u, dtype=float), p,
+                            sa._Workspace(p) if ws is None else ws)
+
+
+def workspace(n):
+    """A solve's workspace for N = n agents on [0, 100]."""
+    return sa._Workspace(seed0_sweep(n))
 
 
 @pytest.fixture()
@@ -159,7 +166,7 @@ class TestResidualStack:
         for k, row in enumerate(rows):
             assert f[k].tobytes() == sa.residual(row, p).tobytes()
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                fk, _, cells = sa._evaluate(row, p)
+                fk, _, cells = sa._evaluate(row, p, sa._Workspace(p))
             assert f[k].tobytes() == fk.tobytes()
             assert m0[k].tobytes() == cells[2].tobytes()
 
@@ -248,8 +255,8 @@ class TestFdJacobian:
         # column.
         n = sa.N_DENSE
         p = StaticProblem(DOM_100, n, WIDE_GAUSS_FREE_MU, 50.0 * n)
-        u = sa.default_initial_guess(p)
-        f, _, cells = evaluation(u, p)
+        u, ws = sa.default_initial_guess(p), sa._Workspace(p)
+        f, _, cells = evaluation(u, p, ws)
         calls = []
         real = sa.residual
 
@@ -258,7 +265,7 @@ class TestFdJacobian:
             return real(unknowns, problem)
 
         monkeypatch.setattr(sa, "residual", counting)
-        _, evals = sa._newton_step(u, f, cells, p)
+        _, evals = sa._newton_step(u, f, cells, p, ws)
         assert evals == len(calls) <= 2
 
     def test_singular_matrix_ends_in_solver_diverged(self, monkeypatch):
@@ -268,14 +275,14 @@ class TestFdJacobian:
         # carrying its start, the iterate it could not step from, and the
         # start's norm.
         p = StaticProblem(DOM_100, 5, WIDE_GAUSS_FREE_MU, 250.0)
-        u = sa.default_initial_guess(p)
-        f, _, cells = evaluation(u, p)
+        u, ws = sa.default_initial_guess(p), sa._Workspace(p)
+        f, _, cells = evaluation(u, p, ws)
         jac = np.zeros((6, 6))
         jac[:, 5] = sa._fd_column(u, f, p, 5)[0]
         monkeypatch.setattr(sa, "_fd_jacobian", lambda *args: (jac, 2))
         with pytest.raises(InvalidCandidate,
                            match=r"^dense solve failed \(singular matrix\)$"):
-            sa._newton_step(u, f, cells, p)
+            sa._newton_step(u, f, cells, p, ws)
         with pytest.raises(SolverDiverged, match="singular matrix") as info:
             sa.solve(p)
         assert np.array_equal(info.value.best, u)
@@ -283,13 +290,14 @@ class TestFdJacobian:
 
     def test_shipped_initialize_steps_equal_oracle(self, monkeypatch):
         # Every matrix of the shipped scenario's initial N = 15 solve is the
-        # per-column difference Jacobian bit for bit.
+        # per-column difference Jacobian bit for bit.  u and f are copied
+        # out of the solve's workspace, which later iterates write over.
         seen = []
         real = sa._fd_jacobian
 
         def spy(u, f, p):
             jac, evals = real(u, f, p)
-            seen.append((u, f, p, jac))
+            seen.append((u.copy(), f.copy(), p, jac))
             return jac, evals
 
         monkeypatch.setattr(sa, "_fd_jacobian", spy)
@@ -312,9 +320,9 @@ class TestBandedStep:
         # up to 3e-5 at N = 400; each diagonal is compared as a whole.
         density, mean = FAMILIES[family]
         p = StaticProblem(DOM_100, n, density, mean * n)
-        u = sa.default_initial_guess(p)
-        f, _, cells = evaluation(u, p)
-        band, _, _ = sa._banded_jacobian(u, f, cells, p)
+        u, ws = sa.default_initial_guess(p), sa._Workspace(p)
+        f, _, cells = evaluation(u, p, ws)
+        band, _, _ = sa._banded_jacobian(u, f, cells, p, ws)
         t = fd_jacobian(u, f, p)[:n, :n]
         for k, diag in ((1, band[0, 1:]), (0, band[1]), (-1, band[2, :-1])):
             fd = np.diag(t, k)
@@ -356,10 +364,10 @@ class TestBandedStep:
         for family, expected in (("gaussian", 0), ("gamma", 1)):
             density, mean = FAMILIES[family]
             p = StaticProblem(DOM_100, 200, density, 200 * mean)
-            u = sa.default_initial_guess(p)
-            f, _, cells = evaluation(u, p)
+            u, ws = sa.default_initial_guess(p), sa._Workspace(p)
+            f, _, cells = evaluation(u, p, ws)
             calls.clear()
-            _, evals = sa._newton_step(u, f, cells, p)
+            _, evals = sa._newton_step(u, f, cells, p, ws)
             assert evals == len(calls) == expected, family
 
     def test_singular_band_is_an_invalid_candidate(self, no_dense_solve):
@@ -372,7 +380,7 @@ class TestBandedStep:
         f = np.array([1.0, 1.0, -2.0, 0.5, 0.25])
         with pytest.raises(InvalidCandidate,
                            match=r"^banded solve failed \(singular matrix\)$"):
-            sa._bordered_step(band, col, f)
+            sa._bordered_step(band, col, f, workspace(n))
 
     def test_zero_schur_complement_is_an_invalid_candidate(self,
                                                            no_dense_solve):
@@ -384,7 +392,7 @@ class TestBandedStep:
         col = np.array([1.0, -1.0, 0.0, 0.0])
         f = np.array([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(InvalidCandidate, match="^Schur complement 0$"):
-            sa._bordered_step(band, col, f)
+            sa._bordered_step(band, col, f, workspace(n))
 
     def test_regular_step_solves_bordered_system(self):
         rng = np.random.default_rng(3)
@@ -397,7 +405,8 @@ class TestBandedStep:
         jac[:n, :n] = (np.diag(band[1]) + np.diag(band[0, 1:], 1)
                        + np.diag(band[2, :-1], -1))
         jac[:, n] = col
-        np.testing.assert_allclose(sa._bordered_step(band, col, f),
+        np.testing.assert_allclose(sa._bordered_step(band, col, f,
+                                                     workspace(n)),
                                    np.linalg.solve(jac, -f), rtol=1e-12,
                                    atol=1e-12)
 
@@ -406,7 +415,7 @@ class TestBandedStep:
         # The direct dgtsv call is the routine solve_banded runs for a
         # (1, 1) band: the step is the old body's bit for bit.
         rng = np.random.default_rng(n)
-        row = np.ones(n)
+        row, ws = np.ones(n), workspace(n)
         for _ in range(20):
             band = rng.uniform(-1.0, 1.0, (3, n))
             band[1] = (np.abs(band[0]) + np.abs(band[2])
@@ -419,7 +428,8 @@ class TestBandedStep:
             dv = (-f[n] - np.sum(row * x[:, 0])) / schur
             expected = np.append(x[:, 0] - dv * x[:, 1], dv)
             before = band.copy()
-            assert np.array_equal(sa._bordered_step(band, col, f), expected)
+            assert np.array_equal(sa._bordered_step(band, col, f, ws),
+                                  expected)
             assert np.array_equal(band, before)
 
     @pytest.mark.parametrize("where", ["band", "col", "f"])
@@ -442,7 +452,7 @@ class TestBandedStep:
         with pytest.raises(InvalidCandidate, match=(
                 r"^banded solve failed \(non-finite band or right-hand "
                 r"side\)$")):
-            sa._bordered_step(band, col, f)
+            sa._bordered_step(band, col, f, workspace(n))
 
     def test_no_dense_solver_at_any_step(self, monkeypatch, no_dense_solve):
         # A banded solve converges without np.linalg.solve or lstsq, and a
@@ -451,8 +461,8 @@ class TestBandedStep:
         assert sa.solve(seed0_sweep(50)).residual_norm < sa.RESIDUAL_TOL
         real = sa._banded_jacobian
 
-        def singular(u, f, cells, p):
-            band, col, evals = real(u, f, cells, p)
+        def singular(u, f, cells, p, ws):
+            band, col, evals = real(u, f, cells, p, ws)
             band[:, 1000] = 0.0  # T's column 1000
             return band, col, evals
 
@@ -486,8 +496,9 @@ class TestGaussianMuColumn:
         p = StaticProblem(domain, n, d, mean * n)
         sol = sa.solve(p)
         for u in (sa._cube_root_guess(p), np.append(sol.centroids, sol.v_k)):
-            f, _, cells = evaluation(u, p)
-            _, col, evals = sa._banded_jacobian(u, f, cells, p)
+            ws = sa._Workspace(p)
+            f, _, cells = evaluation(u, p, ws)
+            _, col, evals = sa._banded_jacobian(u, f, cells, p, ws)
             assert evals == 0
             assert col[n] == 0.0
             # The density at a tail end is above 1 % of its peak.
@@ -528,9 +539,9 @@ class TestGaussianMuColumn:
         problems["fleet-240"] = fleet240_initial()
         real = sa._banded_jacobian
 
-        def differenced(u, f, cells, p):
-            return (real(u, f, cells, p)[0],) + sa._fd_column(u, f, p,
-                                                              p.n_agents)
+        def differenced(u, f, cells, p, ws):
+            return (real(u, f, cells, p, ws)[0],) + sa._fd_column(
+                u, f, p, p.n_agents)
 
         for label, p in problems.items():
             if p.density.family != "gaussian":
@@ -672,10 +683,10 @@ class TestEvaluationCount:
             steps.append(1)
             return real_step(*args)
 
-        def evaluate(u, problem):
+        def evaluate(u, problem, ws):
             evaluated.append(1)
             seen.append(u.tobytes())
-            return real_evaluate(u, problem)
+            return real_evaluate(u, problem, ws)
 
         monkeypatch.setattr(sa, "residual", residual)
         monkeypatch.setattr(sa, "_newton_step", newton_step)
@@ -699,8 +710,8 @@ class TestEvaluationCount:
         start = sa.default_initial_guess(p)
         real = sa._evaluate
 
-        def nan_at_start(u, problem):
-            f, norm, cells = real(u, problem)
+        def nan_at_start(u, problem, ws):
+            f, norm, cells = real(u, problem, ws)
             if np.array_equal(u, start):
                 f = np.full_like(f, np.nan)
                 norm = math.sqrt(f.dot(f))
@@ -771,8 +782,8 @@ class TestEvaluationCount:
                  * 10.0 ** rng.uniform(-12.0, 3.0, n + 1))
             z = tess.default_init(n, Domain1D(-1.0, 1.0))
             c = z - f[:n]
-            monkeypatch.setattr(dens, "_centroid_map",
-                                lambda d: lambda m: (c, np.ones(n), None))
+            monkeypatch.setattr(dens, "_centroid_map", lambda d, kept: (
+                lambda m: (c, np.ones(n), None)))
             p = StaticProblem(dom, n, GAUSS_FREE_MU, np.add.reduce(z) - f[n])
             got, norm, _ = evaluation(np.append(z, 0.0), p)
             assert np.allclose(got, f, rtol=1e-3, atol=0.0)
@@ -807,8 +818,8 @@ class TestEvaluationCount:
         z = tess.default_init(n, Domain1D(-1.0, 1.0))
         f = np.append(np.array([3.0, -4.0, 0.0, 1e-300, 12.0]) * scale, 0.5)
         c = z - f[:n]
-        monkeypatch.setattr(dens, "_centroid_map",
-                            lambda d: lambda m: (c, np.ones(n), None))
+        monkeypatch.setattr(dens, "_centroid_map", lambda d, kept: (
+            lambda m: (c, np.ones(n), None)))
         p = StaticProblem(Domain1D(-2e3, 2e3), n, GAUSS_FREE_MU,
                           np.add.reduce(z) - f[n])
         got, norm, _ = evaluation(np.append(z, 0.0), p)
@@ -840,8 +851,8 @@ class TestEvaluationCount:
 
         real_kernel = dens._cell_moments
 
-        def first_order_only(d):
-            moments = real_kernel(d)
+        def first_order_only(d, kept=None):
+            moments = real_kernel(d, kept)
 
             def checked(m, order):
                 if order != 1:
@@ -949,6 +960,32 @@ class TestOneExit:
         assert records == [
             "N = 20: banded Newton steps 23, residual evaluations 502, final "
             "residual norm 886, diverged, start cube-root quantiles"]
+
+    @pytest.mark.parametrize("p, norm, ulp", [
+        (StaticProblem(Domain1D(0.0, 1.7e308), 3, DensitySpec(
+            "uniform", {"a": 0.0}, free_param="b"), 1.53e308),
+         r"9\.979\d*e\+291", r"1\.99584e\+292"),
+        (StaticProblem(Domain1D(0.0, 1e8), 15, DensitySpec(
+            "gaussian", {"sigma2": 4e12}, free_param="mu"), 50e6 * 15),
+         r"2\.23\d*e-08", r"1\.49012e-08"),
+        (StaticProblem(Domain1D(0.0, 1e8), 50, DensitySpec(
+            "gaussian", {"sigma2": 4e12}, free_param="mu"), 50e6 * 50),
+         r"4\.59\d*e-08", r"1\.49012e-08"),
+    ], ids=["uniform-1.7e308-n=3", "acceptance2x1e6-n=15",
+            "acceptance2x1e6-n=50"])
+    def test_names_the_ulp_of_a_wide_domain(self, p, norm, ulp):
+        # Near a domain end whose ulp exceeds RESIDUAL_TOL no norm below
+        # the tolerance can be reached: the text says so, with both.  The
+        # second and third problems are Acceptance 2 scaled by 1e6.
+        end = max(abs(p.domain.a), abs(p.domain.b))
+        assert math.ulp(end) > sa.RESIDUAL_TOL
+        with pytest.raises(SolverDiverged) as exc:
+            sa.solve(p)
+        assert re.fullmatch(
+            rf"line search stalled at residual norm {norm}; the residual "
+            rf"tolerance 1e-09 is below {ulp}, one ulp of the larger domain "
+            rf"end", str(exc.value))
+        assert exc.value.residual_norm == exc.value.history[-1]
 
     def test_carries_path_and_start(self, monkeypatch):
         # The stalled banded solve, a dense one out of budget and a dense
@@ -1062,6 +1099,20 @@ def old_default_start(p):
     return u if np.isfinite(evaluation(u, p)[1]) else sa._quantile_guess(p)
 
 
+def cube_root_density(d):
+    """rho^(1/3) of the bound density d, normalised: in d's family."""
+    par = d.params
+    if d.family == "gaussian":
+        return DensitySpec("gaussian", {"mu": par["mu"],
+                                        "sigma2": 3.0 * par["sigma2"]})
+    if d.family == "exponential":
+        return DensitySpec("exponential", {"lam": par["lam"] / 3.0})
+    if d.family == "gamma":
+        return DensitySpec("gamma", {"k": (par["k"] + 2.0) / 3.0,
+                                     "theta": 3.0 * par["theta"]})
+    return d
+
+
 class TestCubeRootStart:
     """Above N_DENSE a solve without init starts at the quantiles
     (i - 1/2)/N of rho^(1/3) truncated to the domain, rho the density at
@@ -1114,6 +1165,33 @@ class TestCubeRootStart:
     def test_unusable_quantiles_give_no_start(self, density):
         assert sa._cube_root_guess(
             StaticProblem(DOM_100, 100, density, 5000.0)) is None
+
+    @pytest.mark.parametrize("n", [16, 50, 800])
+    @pytest.mark.parametrize("family", sorted(FAMILIES) + ["collapsed"])
+    def test_start_row_equals_the_concatenated_quantiles(self, family, n):
+        # The start row that _quantiles writes in place has the bits of the
+        # concatenation the start was built by, and is None exactly when
+        # that row's quantiles leave the domain or are not strictly
+        # increasing.  The collapsed Gaussian's quantiles tie.
+        if family == "collapsed":
+            density, mean = DensitySpec("gaussian", {"sigma2": 1e-30},
+                                        free_param="mu"), 50.0
+        else:
+            density, mean = FAMILIES[family]
+        p = StaticProblem(DOM_100, n, density, mean * n)
+        d, dom = sa._moment_density(p), p.domain
+        v0, d3 = d.params[density.free_param], cube_root_density(d)
+        oracle = np.concatenate((sa._quantiles(d3, sa._levels(n), dom), [v0]))
+        z = oracle[:-1]
+        usable = dom.a < z[0] and z[-1] < dom.b and np.all(np.diff(z) > 0)
+        got = sa._cube_root_guess(p)
+        if family == "collapsed":
+            assert np.any(np.diff(z) == 0) and got is None
+        assert usable == (got is not None)
+        assert usable == (family != "collapsed")
+        if usable:
+            assert np.array_equal(bits(got), bits(oracle))
+            assert got.shape == (n + 1,) and got.flags.c_contiguous
 
     @pytest.mark.parametrize("density, r, v0", [
         (DensitySpec("gamma", {"k": 3.0}, free_param="theta"), 3000.0, 10.0),
@@ -1364,14 +1442,17 @@ class TestKeptEvaluation:
     def test_steps_equal_the_oracle(self, acceptance3_problems, monkeypatch):
         # Every banded step of the golden static solves and of fleet-240's
         # initialize solve: the evaluation has residual's bits, and the
-        # band, the column and the bordered step have the oracle's.
+        # band, the column and the bordered step have the oracle's.  The
+        # spy copies what it sees out of the solve's workspace, which the
+        # next evaluation and step write over.
         problems = static_problems(acceptance3_problems)
         seen = []
         real = sa._banded_jacobian
 
-        def spy(u, f, cells, p):
-            out = real(u, f, cells, p)
-            seen.append((u, f, cells, p) + out[:2])
+        def spy(u, f, cells, p, ws):
+            out = real(u, f, cells, p, ws)
+            seen.append((u.copy(), f.copy(), (None, None, cells[2].copy()),
+                         p, out[0].copy(), out[1].copy()))
             return out
 
         monkeypatch.setattr(sa, "_banded_jacobian", spy)
@@ -1387,8 +1468,10 @@ class TestKeptEvaluation:
             band0, col0, _ = banded_jacobian_before(u, f0, m0, p)
             assert np.array_equal(bits(band), bits(band0))
             assert np.array_equal(bits(col), bits(col0))
-            assert np.array_equal(bits(sa._bordered_step(band, col, f)),
-                                  bits(sa._bordered_step(band0, col0, f0)))
+            ws = workspace(p.n_agents)
+            step = sa._bordered_step(band, col, f, ws).copy()
+            assert np.array_equal(bits(step), bits(
+                sa._bordered_step(band0, col0, f0, ws)))
 
     @pytest.mark.parametrize("family, pdf_per_step", [
         ("gaussian", 0), ("exponential", 1), ("gamma", 1), ("uniform", 1)])
@@ -1410,7 +1493,7 @@ class TestKeptEvaluation:
         for owner, name in ((sa, "_evaluate"), (sa, "residual"),
                             (sa, "_banded_jacobian"),
                             (dens, "_centroid_map"),
-                            (tess, "_midpoint_boundaries"),
+                            (tess, "_midpoints"),
                             (DensitySpec, "pdf")):
             real = getattr(owner, name)
             calls[name] = 0
@@ -1430,7 +1513,7 @@ class TestKeptEvaluation:
         assert steps == sol.iterations >= 1
         assert calls["residual"] == (family != "gaussian") * steps
         maps = calls["_centroid_map"]
-        assert maps == calls["_midpoint_boundaries"]
+        assert maps == calls["_midpoints"]
         assert (calls["kept"] + calls["residual"] <= maps
                 <= calls["_evaluate"] + calls["residual"])
         assert calls["pdf"] == pdf_per_step * steps
@@ -1466,3 +1549,110 @@ class TestKeptEvaluation:
             assert np.array_equal(bits(f), bits(f0))
             assert norm == np.linalg.norm(f0)
         assert 0 < rejected < len(candidates)
+
+
+def stall_problem():
+    """A banded gamma free-k solve whose line search stalls (TestOneExit)."""
+    return StaticProblem(Domain1D(0.0, 300.0), 20, DensitySpec(
+        "gamma", {"theta": 100.0}, free_param="k"), 1000.0)
+
+
+class TestWorkspaceLifetime:
+    """A solve writes every evaluation and banded step into one workspace
+    made for that call: nothing it returns or raises is written over by a
+    later solve, and no evaluation reads what an earlier one left there."""
+
+    def test_a_second_solve_leaves_the_first_solution(self):
+        first = sa.solve(seed0_sweep(50))
+        kept = (first.centroids.copy(), first.v_k, first.residual_history)
+        sa.solve(seed0_sweep(50))
+        sa.solve(seed0_sweep(200))
+        sa.solve(StaticProblem(DOM_100, 15, GAUSS_FREE_MU, 750.0))
+        assert np.array_equal(bits(first.centroids), bits(kept[0]))
+        assert (first.v_k, first.residual_history) == kept[1:]
+
+    @pytest.mark.parametrize("budget", [None, 2], ids=["stall", "budget"])
+    def test_another_solve_leaves_a_diverged_best(self, budget, monkeypatch):
+        # The stalled gamma solve, and a Gaussian one cut off after two
+        # steps, whose best is a line-search candidate row.
+        if budget is not None:
+            monkeypatch.setattr(sa, "MAX_NEWTON_ITER", budget)
+        p = stall_problem() if budget is None else seed0_sweep(50)
+        with pytest.raises(SolverDiverged) as exc:
+            sa.solve(p)
+        best, norm = exc.value.best.copy(), exc.value.residual_norm
+        with pytest.raises(SolverDiverged):
+            sa.solve(p)
+        monkeypatch.undo()
+        sa.solve(seed0_sweep(50))
+        assert np.array_equal(bits(exc.value.best), bits(best))
+        assert exc.value.residual_norm == norm
+        assert carries_its_best(exc.value, p)
+
+    @pytest.mark.parametrize("case", [
+        "empty cell, banded", "empty cell, dense", "empty cube-root cells",
+        "invalid cube-root parameter"])
+    def test_a_failed_start_leaves_no_trace(self, case, monkeypatch, caplog):
+        # A start whose evaluation fails after it wrote the midpoints or the
+        # kernel's buffers (an EmptyCell), or before (an invalid free
+        # parameter), and the next start: the bits of a solve given that
+        # start.
+        if case == "empty cell, dense":  # equally spaced, then quantiles
+            p = StaticProblem(Domain1D(0.0, 3000.0), 15, DensitySpec(
+                "gaussian", {"sigma2": 25.0}, free_param="mu"), 15000.0)
+            taken, used = "density quantiles", sa._quantile_guess
+        elif case == "invalid cube-root parameter":
+            p = StaticProblem(DOM_100, 100, FAMILIES["gamma"][0], 3000.0)
+            bad = sa._cube_root_guess(p)
+            bad[-1] = -1.0  # k = -1
+            monkeypatch.setattr(sa, "_cube_root_guess", lambda p: bad)
+            taken, used = "equally spaced", sa.default_initial_guess
+        else:  # TestEmptyCellRule.P: the equally spaced cells are empty
+            p = TestEmptyCellRule.P
+            empty = sa.default_initial_guess(p)
+            monkeypatch.setattr(sa, "_cube_root_guess", lambda p: (
+                None if case == "empty cell, banded" else empty.copy()))
+            taken, used = "density quantiles", sa._quantile_guess
+        with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
+            sol = sa.solve(p)
+        assert caplog.text.rstrip().endswith(f"start {taken}")
+        ref = sa.solve(p, init=used(p))
+        assert np.array_equal(bits(sol.centroids), bits(ref.centroids))
+        assert (sol.v_k, sol.residual_history) == (ref.v_k,
+                                                   ref.residual_history)
+
+    @pytest.mark.parametrize("n, family", [
+        (sa.N_DENSE, "gaussian"), (50, "gaussian"), (200, "exponential"),
+        (200, "gamma"), (200, "uniform")])
+    def test_each_step_reads_what_a_fresh_workspace_gives(self, n, family,
+                                                          monkeypatch):
+        # At every Newton step of a solve, the f, norm and cells of the
+        # accepted iterate equal a fresh workspace's evaluation of it bit
+        # for bit: the shared workspace holds that iterate's evaluation and
+        # nothing a rejected candidate or an earlier iterate left.
+        density, mean = FAMILIES[family]
+        init = None
+        if family == "uniform":  # whose quantile start is the solution
+            mean = 45.0
+            init = sa._quantile_guess(StaticProblem(DOM_100, n, density,
+                                                    mean * n))
+            init[-1] *= 1.02
+        p = StaticProblem(DOM_100, n, density, mean * n)
+        real, checked = sa._newton_step, []
+
+        def newton_step(u, f, cells, problem, ws):
+            g, norm, fresh = evaluation(u, problem)
+            assert np.array_equal(bits(f), bits(g))
+            assert math.sqrt(f.dot(f)) == norm
+            assert cells[0] == fresh[0]
+            for a, b in zip(cells[1:], fresh[1:]):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert np.array_equal(bits(a), bits(b))
+            checked.append(1)
+            return real(u, f, cells, problem, ws)
+
+        monkeypatch.setattr(sa, "_newton_step", newton_step)
+        sol = sa.solve(p, init)
+        assert sol.residual_norm < sa.RESIDUAL_TOL
+        assert len(checked) == sol.iterations >= 1
