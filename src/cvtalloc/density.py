@@ -43,36 +43,27 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _check_params(family: str, params: dict) -> None:
-    """Raise InvalidParameterValue if any bound parameter breaks its invariant."""
-    def bound(name):
-        v = params.get(name)
-        return v if isinstance(v, (int, float)) else None
+# The parameters that must be positive, and the name each message gives.
+_POSITIVE = {"sigma2": "sigma2", "lam": "lambda", "k": "k", "theta": "theta"}
 
-    if family == "uniform":
-        a, b = bound("a"), bound("b")
-        if a is not None and b is not None:
-            if not a < b:
-                raise InvalidParameterValue(
-                    f"uniform requires a < b, got a={a}, b={b}")
-            # An infinite end is refused as not finite, not here.
-            if math.isfinite(a) and math.isfinite(b) and math.isinf(b - a):
-                raise InvalidParameterValue(
-                    f"uniform requires a finite width b - a, got a={a}, b={b}")
-    elif family == "gaussian":
-        s2 = bound("sigma2")
-        if s2 is not None and not s2 > 0:
-            raise InvalidParameterValue(f"gaussian requires sigma2 > 0, got {s2}")
-    elif family == "exponential":
-        lam = bound("lam")
-        if lam is not None and not lam > 0:
-            raise InvalidParameterValue(f"exponential requires lambda > 0, got {lam}")
-    elif family == "gamma":
-        k, theta = bound("k"), bound("theta")
-        if k is not None and not k > 0:
-            raise InvalidParameterValue(f"gamma requires k > 0, got {k}")
-        if theta is not None and not theta > 0:
-            raise InvalidParameterValue(f"gamma requires theta > 0, got {theta}")
+
+def _check_params(family: str, params: dict) -> None:
+    """Raise InvalidParameterValue if any bound parameter, a float, breaks
+    its invariant: in _FAMILY_PARAMS order, so a gamma's k before theta."""
+    for name in _FAMILY_PARAMS[family]:
+        v = params.get(name)
+        if name in _POSITIVE and v is not None and not v > 0:
+            raise InvalidParameterValue(
+                f"{family} requires {_POSITIVE[name]} > 0, got {v}")
+    a, b = params.get("a"), params.get("b")
+    if family == "uniform" and a is not None and b is not None:
+        if not a < b:
+            raise InvalidParameterValue(
+                f"uniform requires a < b, got a={a}, b={b}")
+        # An infinite end is refused as not finite, not here.
+        if math.isfinite(a) and math.isfinite(b) and math.isinf(b - a):
+            raise InvalidParameterValue(
+                f"uniform requires a finite width b - a, got a={a}, b={b}")
 
 
 class DensitySpec:
@@ -237,7 +228,7 @@ def bind_free_parameter(d: DensitySpec, value: float) -> DensitySpec:
 # return is valid until the next call on that list.  Order 2's
 # further terms are fresh arrays, but for the gamma's, which share its
 # loop; the uniform kernel allocates all of its results afresh on every
-# call.  Their constants are 0-d arrays: as ufunc operands
+# call, and so does the exponential's on a row it takes near zero.  Their constants are 0-d arrays: as ufunc operands
 # they give the bits of the Python floats, but are not converted again on
 # every call.  Callers open one np.errstate that ignores over- and
 # underflow: interval_moments and cell_centroids once per call, and
@@ -300,8 +291,46 @@ def _exponential_buffers(ends, cells):
             e[..., :-1], e[..., 1:], t1[..., :-1], t1[..., 1:])
 
 
+# Below this lam x, for x the largest end of a row clipped at 0, the
+# exponential's per-point terms, of sizes 1, 1/lam and 2/lam^2, cancel in
+# their differences: such a row's cells take _exponential_near_zero.
+EXP_NEAR_ZERO = 1.0
+
+# Highest first, the Taylor coefficients in -v of B1(v) / v and B2(v) / v,
+# where B1(v) = P(2, v) / v and B2(v) = 2 P(3, v) / v^2 for P the
+# regularized lower incomplete gamma function: 1 / (j! (j + 2)) and
+# 1 / (j! (j + 3)).  For |v| < 1 the terms past j = 19 are below 2^-60 of
+# the sum.
+_EXP_SERIES = tuple(
+    np.array([1.0 / (math.factorial(j) * (j + n)) for j in range(19, -1, -1)])
+    for n in (2, 3))
+
+
+def _exponential_near_zero(lam: float, x: np.ndarray, order: int):
+    """(m0, m1[, m2]) of the exponential's cells between the ends x >= 0,
+    each taken about its first end lo: with w = hi - lo, v = lam w and
+    e = exp(-lam lo), m0 = e A, m1 = e (lo A + w B1) and
+    m2 = e (lo (lo A + 2 w B1) + w (w B2)), where A = -expm1(-v) and B1,
+    B2 are the series of _EXP_SERIES.  No sum cancels for |v| < 1, which
+    holds in a row below EXP_NEAR_ZERO, its cells' ends in either order."""
+    lo = x[..., :-1]
+    w = x[..., 1:] - lo
+    v = lam * w
+    e = np.exp(-lam * lo)
+    a = -np.expm1(-v)
+    wb1 = w * (v * np.polyval(_EXP_SERIES[0], -v))
+    m0, m1 = e * a, e * (lo * a + wb1)
+    if order == 1:
+        return m0, m1
+    wwb2 = w * (w * (v * np.polyval(_EXP_SERIES[1], -v)))
+    return m0, m1, e * (lo * (lo * a + 2.0 * wb1) + wwb2)
+
+
 def _exponential(p: dict, kept: list):
-    """The exponential kernel: each moment's polynomial times exp(-lam x)."""
+    """The exponential kernel: each moment's polynomial times exp(-lam x),
+    but for a row whose largest clipped end x has lam x < EXP_NEAR_ZERO,
+    which _exponential_near_zero takes; each row of a stack takes the form
+    its own call would."""
     lam = p["lam"]
     minus_lam, inv = np.array(-lam), np.array(1.0 / lam)
 
@@ -309,6 +338,20 @@ def _exponential(p: dict, kept: list):
         (x, xs, e, t1, fin, m0, m1, e_lo, e_hi, t1_lo,
          t1_hi) = _buffers(kept, m.shape, _exponential_buffers)
         np.maximum(m, _ZERO, out=x)
+        if x.ndim == 1:
+            if x.size and lam * x[-1] < EXP_NEAR_ZERO:
+                return (*_exponential_near_zero(lam, x, order), None)
+        else:
+            largest = np.maximum.reduce(x, axis=-1, initial=0.0)
+            near = lam * largest < EXP_NEAR_ZERO
+            if near.any():
+                out = [np.empty(m0.shape) for _ in range(order + 1)]
+                for rows, part in (
+                        (near, _exponential_near_zero(lam, x[near], order)),
+                        (~near, () if near.all() else moments(m[~near], order))):
+                    for a, b in zip(out, part):
+                        a[rows] = b
+                return (*out, None)
         np.isfinite(x, out=fin)
         xs.fill(0.0)
         np.copyto(xs, x, where=fin)
@@ -428,10 +471,10 @@ def _cell_moments(d: DensitySpec, kept: list | None = None):
     of rows in any order, and an order, 1 or 2, giving (m0, m1[, m2], e)
     of the cells along m's last axis, under a caller's np.errstate ignoring
     over- and underflow; e is what _pdf_at reads, None but for a Gaussian.
-    But for the uniform kernel's, whose results are fresh arrays, m0, m1
-    and e are buffers in kept, a new list by default that kernels of one
-    family may share, and so is a gamma m2: each is valid until the next
-    call of a kernel on kept."""
+    But for the uniform kernel's and an exponential's near zero, whose
+    results are fresh arrays, m0, m1 and e are buffers in kept, a new list
+    by default that kernels of one family may share, and so is a gamma m2:
+    each is valid until the next call of a kernel on kept."""
     _require_bound(d)
     return _KERNELS[d.family](d.params, [None, None] if kept is None else kept)
 

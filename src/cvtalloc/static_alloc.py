@@ -184,9 +184,9 @@ def _moment_guess(p: StaticProblem) -> float:
     elif fam == "gamma" and free == "theta":
         v0 = mean / p.density.params["k"]
     elif fam == "uniform" and free == "b":
-        v0 = 2.0 * mean - p.density.params.get("a", p.domain.a)
+        v0 = 2.0 * mean - p.density.params["a"]
     elif fam == "uniform" and free == "a":
-        v0 = 2.0 * mean - p.density.params.get("b", p.domain.b)
+        v0 = 2.0 * mean - p.density.params["b"]
     else:  # gaussian free sigma2 or anything else without a moment identity
         v0 = 1.0
     return v0

@@ -100,7 +100,8 @@ def _valid_row(z: np.ndarray, dom: Domain1D) -> bool:
     """Whether the non-empty 1-D float generators z pass
     _validate_generators: strictly increasing by at least the duplicate
     gap and inside (a, b).  A NaN or infinite generator fails one of the
-    comparisons.  static_alloc tests each Newton iterate with it."""
+    comparisons.  static_alloc tests each Newton iterate with it, and
+    lloyd its start and its result."""
     gap = np.minimum.reduce(z[1:] - z[:-1], initial=np.inf)
     return bool(gap >= DUPLICATE_GAP_FRACTION * dom.width
                 and dom.a < z[0] and z[-1] < dom.b)
@@ -214,10 +215,13 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
     iterations.  After max_iter iterations it stops with stop_reason
     "budget".  Every stop returns the last iterate rather than raising, and
     only a "tol" stop has converged=True.  A NaN displacement (from moments
-    that overflow) raises GeneratorOutOfDomain, and so does a final
-    generator on an end of the domain, where the centroid of a cell whose
-    moments overflow is clamped.  Each call logs one DEBUG record with the
-    stop reason, the iteration count and the final displacement.
+    that overflow) raises GeneratorOutOfDomain.  The last iterate must pass
+    the rule its start passed, _valid_row: a generator on an end of the
+    domain, where the centroid of a cell whose moments overflow is clamped,
+    raises GeneratorOutOfDomain, and two generators closer than the
+    duplicate gap raise DuplicateGenerators.  Each call logs one DEBUG
+    record with the stop reason, the iteration count and the final
+    displacement.
 
     d is checked, its centroid map built, one np.errstate opened and the
     midpoints' overflow rule chosen once per run, not once per iteration;
@@ -272,9 +276,11 @@ def lloyd(init, d: DensitySpec, dom: Domain1D, tol: float | None = None,
             elif iterations - least_at >= LLOYD_STALL_WINDOW:
                 stop_reason = "stagnated"
                 break
-    if not (dom.a < z[0] and z[-1] < dom.b):
-        raise GeneratorOutOfDomain(
-            f"Lloyd moved a generator onto an end of ({dom.a}, {dom.b})")
+    if not _valid_row(z, dom):
+        if not (dom.a < z[0] and z[-1] < dom.b):
+            raise GeneratorOutOfDomain(
+                f"Lloyd moved a generator onto an end of ({dom.a}, {dom.b})")
+        _validate_generators(z, dom)
     logger.debug("N = %d: Lloyd stopped on %s after %d iterations, final "
                  "displacement %.3g", z.size, stop_reason, iterations, moved)
     t = Tessellation(generators=z, boundaries=m,

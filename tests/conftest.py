@@ -35,13 +35,27 @@ def acceptance3_problems():
 
 
 @pytest.fixture(scope="session")
-def acceptance3_reports(acceptance3_problems):
+def acceptance3_runs(acceptance3_problems):
     """The six Acceptance-3 problems, each solved and cross-validated against
-    Lloyd once per session: a list of (label, problem, report)."""
+    Lloyd once per session: a list of (label, problem, report, the
+    Tessellation of the report's Lloyd run)."""
     from cvtalloc import static_alloc as sa
+    from cvtalloc import tessellation as tess
 
-    return [(label, p, sa.cross_validate(sa.solve(p), p))
-            for label, p in acceptance3_problems]
+    real, runs = tess.lloyd, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tess, "lloyd",
+                   lambda *args, **kw: runs.append(real(*args, **kw)) or runs[-1])
+        reports = [(label, p, sa.cross_validate(sa.solve(p), p))
+                   for label, p in acceptance3_problems]
+    assert len(runs) == len(reports)
+    return [(*report, t) for report, t in zip(reports, runs)]
+
+
+@pytest.fixture(scope="session")
+def acceptance3_reports(acceptance3_runs):
+    """(label, problem, report) of each acceptance3_runs run."""
+    return [run[:3] for run in acceptance3_runs]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -188,14 +188,22 @@ GOLDEN_LLOYD = ROOT / "tests" / "golden_lloyd.json"
 
 
 def test_lloyd_runs_match_golden_hashes():
-    hashes = {label: lloyd_hash(t) for label, t in lloyd_runs()}
+    # Each result's generators also pass the rule of Lloyd's start.
+    runs = dict(lloyd_runs())
+    hashes = {label: lloyd_hash(t) for label, t in runs.items()}
     assert hashes == json.loads(GOLDEN_LLOYD.read_text())["runs"]
+    for label, t in runs.items():
+        dom = LLOYD_FAMILIES[label.split()[0]][1]
+        assert tess._valid_row(t.generators, dom), label
 
 
-def test_acceptance3_lloyd_runs_match_golden(acceptance3_reports):
+def test_acceptance3_lloyd_runs_match_golden(acceptance3_runs):
+    # Each Lloyd result's generators also pass the rule of Lloyd's start.
     got = {label: {"iterations": rep.lloyd_iterations, "stop": rep.lloyd_stop}
-           for label, _, rep in acceptance3_reports}
+           for label, _, rep, _ in acceptance3_runs}
     assert got == json.loads(GOLDEN_LLOYD.read_text())["acceptance3"]
+    for label, p, _, t in acceptance3_runs:
+        assert tess._valid_row(t.generators, p.domain), label
 
 
 # The trace columns whose float64 bytes tests/golden_trace_bits.json pins.

@@ -398,6 +398,34 @@ class TestLloydLoopOracle:
         with pytest.raises(GeneratorOutOfDomain, match="onto an end"):
             tess.lloyd(tess.default_init(1, dom), d, dom)
 
+    def test_coinciding_generators_at_the_end_raise(self, monkeypatch):
+        # A map that clamps the centroids of both cells onto their shared
+        # boundary: the second iterate repeats the first, so the run would
+        # stop on "tol" with two equal generators.  The result must pass
+        # the rule the start passed.
+        def onto_the_shared_boundary(d):
+            def cells(m, out):
+                out[:] = m[1]
+                return out, None, None
+            return cells
+
+        monkeypatch.setattr(dens, "_centroid_map", onto_the_shared_boundary)
+        with pytest.raises(DuplicateGenerators):
+            tess.lloyd([0.25, 0.75], UNIFORM_15, Domain1D(0.0, 1.0))
+
+    @pytest.mark.parametrize("lam", [1e-6, 1e-9])
+    def test_nearly_uniform_exponential_converges(self, lam):
+        # Once a run on the moments that cancel at a tiny lam x: it stopped
+        # "stagnated" with energy 0 at 1e-6, and at 1e-9 on "tol" with the
+        # pairs 1.53e-5, 1.53e-5 and 0.375, 0.375.
+        t = tess.lloyd(tess.default_init(4, Domain1D(0.0, 1.0)),
+                       DensitySpec("exponential", {"lam": lam}),
+                       Domain1D(0.0, 1.0))
+        assert t.converged
+        np.testing.assert_allclose(t.generators, [0.125, 0.375, 0.625, 0.875],
+                                   rtol=0, atol=1e-6)
+        assert t.energy == pytest.approx(lam / 192.0, rel=1e-5)
+
     def test_exponential_energy_on_a_huge_domain(self):
         # The second moment's term at b = 1.7e308 is 0, not inf * 0, so the
         # energy of the one generator at the mean 1/lam is 1/lam^2.
