@@ -133,6 +133,11 @@ def _split(unknowns, n: int):
     return u[..., :n], float(v.flat[0])
 
 
+def _tolerance_scale(domain: Domain1D) -> float:
+    """The factor on solve's and cross_validate's absolute tolerances."""
+    return min(1.0, domain.width / 100)
+
+
 def residual(unknowns, p: StaticProblem):
     """Rows 1..N: z_i minus the centroid of its midpoint cell; row N+1:
     sum(z) - r.
@@ -236,25 +241,21 @@ def _levels(n: int) -> np.ndarray:
 
 def _quantile_guess(p: StaticProblem) -> np.ndarray | None:
     """Centroid guess at the density quantiles (i - 1/2)/N of the moment-based
-    v_k, untruncated and clipped into the domain; None when they are not
-    strictly increasing.  The last default start: it takes a Gaussian far
-    narrower than the domain, where the equally spaced start leaves empty
-    tail cells."""
+    v_k, untruncated and clipped into the domain.  The last default start: it
+    takes a Gaussian far narrower than the domain, where the equally spaced
+    start leaves empty tail cells."""
     d = _moment_density(p)
     if d is None:
         return None
     z = _quantiles(d, _levels(p.n_agents))
     pad = 1e-9 * p.domain.width
     z = np.clip(z, p.domain.a + pad, p.domain.b - pad)
-    if np.any(np.diff(z) <= 0):
-        return None
     return np.concatenate((z, [d.params[p.density.free_param]]))
 
 
 def _cube_root_guess(p: StaticProblem) -> np.ndarray | None:
     """Centroid guess at the quantiles (i - 1/2)/N of rho^(1/3) truncated to
-    the domain, rho the density at the moment-based v_k; None when they are
-    not strictly increasing inside the domain.
+    the domain, rho the density at the moment-based v_k.
 
     In 1-D the optimal quantizer's points follow rho^(1/3) as N grows (Panter
     & Dite 1951; Gersho 1979), and each family's rho^(1/3) is in the same
@@ -276,10 +277,7 @@ def _cube_root_guess(p: StaticProblem) -> np.ndarray | None:
     except InvalidParameterValue:
         return None
     u = np.empty(p.n_agents + 1)
-    z = _quantiles(d, _levels(p.n_agents), p.domain, out=u[:-1])
-    if not (p.domain.a < z[0] and z[-1] < p.domain.b
-            and np.logical_and.reduce(z[1:] > z[:-1])):
-        return None
+    _quantiles(d, _levels(p.n_agents), p.domain, out=u[:-1])
     u[-1] = v0
     return u
 
@@ -518,8 +516,8 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
     is evaluated once, by _evaluate under the solve's one np.errstate: the
     accepted line-search candidate's residual, norm and cells are the next
     step's, read before the next evaluation writes over this call's one
-    _Workspace.  Every iterate is tested against RESIDUAL_TOL, the one
-    after the MAX_NEWTON_ITER-th step included.
+    _Workspace.  Every iterate is tested against tol, RESIDUAL_TOL scaled
+    by _tolerance_scale, the one after the MAX_NEWTON_ITER-th step included.
 
     One loop names why it stopped, and the solve ends in one place: one
     DEBUG record, converged or diverged, with its path, Newton steps,
@@ -531,8 +529,9 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
     the norm, so the SolverDiverged of a started solve carries the last
     iterate, a best one, its norm and the history of tested norms, and
     every SolverDiverged the path and the start; its text names the ulp of
-    the larger |domain end| where that ulp exceeds RESIDUAL_TOL."""
+    the larger |domain end| where that ulp exceeds tol."""
     path = "banded" if p.n_agents > N_DENSE else "dense"
+    tol = RESIDUAL_TOL * _tolerance_scale(p.domain)
     evals, steps, norm, history, cause = 0, 0, math.nan, [], None
     ws = _Workspace(p)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -546,7 +545,7 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
         stop = None if math.isfinite(norm) else "initial guess is infeasible"
         while stop is None:
             history.append(norm)
-            if norm < RESIDUAL_TOL:
+            if norm < tol:
                 stop = "converged"
                 break
             if steps == MAX_NEWTON_ITER:
@@ -578,8 +577,8 @@ def solve(p: StaticProblem, init=None) -> StaticSolution:
                  start)
     if not converged:
         ulp = math.ulp(max(abs(p.domain.a), abs(p.domain.b)))
-        if ulp > RESIDUAL_TOL:
-            stop += (f"; the residual tolerance {RESIDUAL_TOL:g} is below "
+        if ulp > tol:
+            stop += (f"; the residual tolerance {tol:g} is below "
                      f"{ulp:g}, one ulp of the larger domain end")
         raise SolverDiverged(stop, best=u, residual_norm=norm,
                              history=tuple(history), path=path,
@@ -596,20 +595,22 @@ def cross_validate(sol: StaticSolution, p: StaticProblem) -> CrossValidationRepo
     Lloyd converges linearly with a rate that can approach 1 for densities
     concentrated well inside the domain, so the displacement tolerance here
     is far below the comparison tolerance: the sum check needs the
-    accumulated N-generator error under 1e-6.  A Lloyd run that stagnates on
-    the noise floor before reaching CROSSVAL_LLOYD_TOL can still pass the
-    comparison; one cut off by tessellation.REFERENCE_MAX_ITER never passes.
+    accumulated N-generator error under 1e-6, both times _tolerance_scale.
+    A Lloyd run that stagnates before reaching its tolerance can still
+    pass; one cut off by tessellation.REFERENCE_MAX_ITER never passes.
     """
     d = bind_free_parameter(p.density, sol.v_k)
+    scale = _tolerance_scale(p.domain)
     t = tess.lloyd(tess.default_init(p.n_agents, p.domain), d, p.domain,
-                   tol=CROSSVAL_LLOYD_TOL, max_iter=tess.REFERENCE_MAX_ITER)
+                   tol=CROSSVAL_LLOYD_TOL * scale,
+                   max_iter=tess.REFERENCE_MAX_ITER)
     disc = float(np.max(np.abs(t.generators - sol.centroids)))
     sum_solver = float(np.sum(sol.centroids))
     sum_lloyd = float(np.sum(t.generators))
     passed = (t.stop_reason != "budget"
               and disc < 1e-6 * p.domain.width
-              and abs(sum_solver - p.r) < 1e-6
-              and abs(sum_lloyd - p.r) < 1e-6)
+              and abs(sum_solver - p.r) < 1e-6 * scale
+              and abs(sum_lloyd - p.r) < 1e-6 * scale)
     return CrossValidationReport(max_discrepancy=disc, sum_solver=sum_solver,
                                  sum_lloyd=sum_lloyd,
                                  lloyd_stop=t.stop_reason,

@@ -7,7 +7,6 @@ per-cell mass centroids until the generators stop moving.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import math
 
@@ -100,8 +99,8 @@ def _valid_row(z: np.ndarray, dom: Domain1D) -> bool:
     """Whether the non-empty 1-D float generators z pass
     _validate_generators: strictly increasing by at least the duplicate
     gap and inside (a, b).  A NaN or infinite generator fails one of the
-    comparisons.  static_alloc tests each Newton iterate with it, and
-    lloyd its start and its result."""
+    comparisons.  static_alloc tests each start and Newton iterate with
+    it, and lloyd its start and its result."""
     gap = np.minimum.reduce(z[1:] - z[:-1], initial=np.inf)
     return bool(gap >= DUPLICATE_GAP_FRACTION * dom.width
                 and dom.a < z[0] and z[-1] < dom.b)
@@ -135,7 +134,8 @@ def _midpoint_boundaries(z: np.ndarray, dom: Domain1D) -> np.ndarray:
     """The domain ends and the midpoints of z, along its last axis."""
     m = np.empty(z.shape[:-1] + (z.shape[-1] + 1,))
     m[..., 0], m[..., -1] = dom.a, dom.b
-    _midpoints(z[..., :-1], z[..., 1:], _sums_overflow(dom), m[..., 1:-1])
+    with np.errstate(over="ignore"):
+        _midpoints(z[..., :-1], z[..., 1:], _sums_overflow(dom), m[..., 1:-1])
     return m
 
 
@@ -145,16 +145,14 @@ def _sums_overflow(dom: Domain1D) -> bool:
     return math.isinf(2.0 * float(dom.a)) or math.isinf(2.0 * float(dom.b))
 
 
-_NO_ERRSTATE = contextlib.nullcontext()
-
-
 def _midpoints(lo: np.ndarray, hi: np.ndarray, wide: bool,
                out: np.ndarray) -> None:
     """out = (lo + hi) / 2 for points lo <= hi of a domain; when wide, as
     _sums_overflow of the domain says, lo / 2 + hi / 2 where that sum
-    overflows.  lloyd and static_alloc.solve choose wide once per call."""
-    with np.errstate(over="ignore") if wide else _NO_ERRSTATE:
-        np.add(lo, hi, out=out)
+    overflows.  lloyd and static_alloc.solve choose wide once per call.
+    The caller holds an np.errstate that ignores overflow: lloyd, solve and
+    _midpoint_boundaries each open one."""
+    np.add(lo, hi, out=out)
     out *= dens._HALF
     if wide:
         big = np.isinf(out)

@@ -1113,6 +1113,25 @@ def cube_root_density(d):
     return d
 
 
+def falls_through_to_equally_spaced(guess, n, monkeypatch, caplog):
+    """Solve the Gaussian free-mu problem at N = n with guess as its
+    cube-root start, and assert that it takes the equally spaced start,
+    with the bits of a solve given that start, and that a row guess, which
+    _evaluate's _valid_row rejects, counts as one residual evaluation."""
+    p = StaticProblem(DOM_100, n, WIDE_GAUSS_FREE_MU, 30.0 * n)
+    monkeypatch.setattr(sa, "_cube_root_guess", lambda p: guess)
+    with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
+        sol = sa.solve(p)
+        ref = sa.solve(p, init=sa.default_initial_guess(p))
+    record, ref_record = caplog.messages
+    assert record.endswith("start equally spaced")
+    assert sol.centroids.tobytes() == ref.centroids.tobytes()
+    assert sol.residual_history == ref.residual_history
+    evals = [int(re.search(r"residual evaluations (\d+)", r)[1])
+             for r in (record, ref_record)]
+    assert evals[0] == evals[1] + (guess is not None)
+
+
 class TestCubeRootStart:
     """Above N_DENSE a solve without init starts at the quantiles
     (i - 1/2)/N of rho^(1/3) truncated to the domain, rho the density at
@@ -1162,17 +1181,26 @@ class TestCubeRootStart:
         # rho^(1/3) = N(50, 3e308) has an infinite variance.
         DensitySpec("gaussian", {"sigma2": 1e308}, free_param="mu"),
     ], ids=["collapsed", "outside", "overflowing"])
-    def test_unusable_quantiles_give_no_start(self, density):
-        assert sa._cube_root_guess(
-            StaticProblem(DOM_100, 100, density, 5000.0)) is None
+    def test_unusable_quantiles_give_no_start(self, density, monkeypatch,
+                                              caplog):
+        # None only where rho^(1/3) is no valid density (the overflowing
+        # one); else a row that solve passes over for the next start.
+        guess = sa._cube_root_guess(
+            StaticProblem(DOM_100, 100, density, 5000.0))
+        if guess is not None:
+            with np.errstate(invalid="ignore"):  # the outside row is -inf
+                assert not tess._valid_row(guess[:-1], DOM_100)
+        else:
+            assert density.params["sigma2"] == 1e308
+        falls_through_to_equally_spaced(guess, 100, monkeypatch, caplog)
 
     @pytest.mark.parametrize("n", [16, 50, 800])
     @pytest.mark.parametrize("family", sorted(FAMILIES) + ["collapsed"])
-    def test_start_row_equals_the_concatenated_quantiles(self, family, n):
+    def test_start_row_equals_the_concatenated_quantiles(self, family, n,
+                                                         monkeypatch, caplog):
         # The start row that _quantiles writes in place has the bits of the
-        # concatenation the start was built by, and is None exactly when
-        # that row's quantiles leave the domain or are not strictly
-        # increasing.  The collapsed Gaussian's quantiles tie.
+        # concatenation the start was built by, usable or not.  The
+        # collapsed Gaussian's quantiles tie, and solve passes over them.
         if family == "collapsed":
             density, mean = DensitySpec("gaussian", {"sigma2": 1e-30},
                                         free_param="mu"), 50.0
@@ -1185,13 +1213,13 @@ class TestCubeRootStart:
         z = oracle[:-1]
         usable = dom.a < z[0] and z[-1] < dom.b and np.all(np.diff(z) > 0)
         got = sa._cube_root_guess(p)
-        if family == "collapsed":
-            assert np.any(np.diff(z) == 0) and got is None
-        assert usable == (got is not None)
+        assert usable == tess._valid_row(z, dom)
         assert usable == (family != "collapsed")
-        if usable:
-            assert np.array_equal(bits(got), bits(oracle))
-            assert got.shape == (n + 1,) and got.flags.c_contiguous
+        assert np.array_equal(bits(got), bits(oracle))
+        assert got.shape == (n + 1,) and got.flags.c_contiguous
+        if family == "collapsed":
+            assert np.any(np.diff(z) == 0)
+            falls_through_to_equally_spaced(got, n, monkeypatch, caplog)
 
     @pytest.mark.parametrize("density, r, v0", [
         (DensitySpec("gamma", {"k": 3.0}, free_param="theta"), 3000.0, 10.0),
@@ -1218,13 +1246,7 @@ class TestCubeRootStart:
     def test_falls_through_to_equally_spaced(self, guess, monkeypatch,
                                              caplog):
         p = StaticProblem(DOM_100, 100, WIDE_GAUSS_FREE_MU, 3000.0)
-        monkeypatch.setattr(sa, "_cube_root_guess", guess)
-        with caplog.at_level(logging.DEBUG, logger="cvtalloc.static_alloc"):
-            sol = sa.solve(p)
-        assert "start equally spaced" in caplog.text
-        ref = sa.solve(p, init=sa.default_initial_guess(p))
-        assert sol.centroids.tobytes() == ref.centroids.tobytes()
-        assert sol.residual_history == ref.residual_history
+        falls_through_to_equally_spaced(guess(p), 100, monkeypatch, caplog)
 
     def test_gamma_quantiles_equal_scipy_stats(self):
         stats = pytest.importorskip("scipy.stats")
@@ -1402,6 +1424,34 @@ class TestCrossValidate:
         assert abs(report.sum_solver - 2500.0) < 1e-6
         assert abs(report.sum_lloyd - 2500.0) < 1e-6
         assert not report.passed
+
+
+def acceptance2_scaled(s, n):
+    """Acceptance 2 with every length scaled by s: N(mu, 4 s^2) with a free
+    mean on [0, 100 s], r = 50 N s."""
+    return StaticProblem(Domain1D(0.0, 100.0 * s), n, DensitySpec(
+        "gaussian", {"sigma2": 4.0 * s * s}, free_param="mu"), 50.0 * n * s)
+
+
+class TestScaledProblem:
+    """solve's and cross_validate's tolerances scale with a domain narrower
+    than 100, so that a problem scaled by s converges to the scaled
+    solution; from a width of 100 up they are unscaled."""
+
+    @pytest.mark.parametrize("n", [15, 50])
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3])
+    def test_scaled_solve_agrees_with_the_unscaled_one(self, s, n):
+        p, ref = acceptance2_scaled(s, n), sa.solve(acceptance2_scaled(1.0, n))
+        sol = sa.solve(p)
+        assert (np.max(np.abs(sol.centroids / s - ref.centroids))
+                <= 1e-9 * DOM_100.width)
+        assert sa.cross_validate(sol, p).passed
+
+    @pytest.mark.parametrize("width", [100.0, 1e3, 1.7e308])
+    def test_tolerances_are_unscaled_from_width_100(self, width):
+        # RESIDUAL_TOL * min(1, width / 100), not 1e-11 * width, whose
+        # float64 value at width 100 is 9.999999999999999e-10.
+        assert sa._tolerance_scale(Domain1D(0.0, width)) == 1.0
 
 
 def banded_jacobian_before(u, f, m0, p):
