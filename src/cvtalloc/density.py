@@ -482,11 +482,20 @@ def _cell_moments(d: DensitySpec, kept: list | None = None):
 def interval_moments(d: DensitySpec, lo, hi):
     """Vectorized (mass, first moment, second moment) over [lo, hi],
     broadcast together: each interval a one-cell row of a stack for d's
-    kernel, so that its ends may come in either order."""
+    kernel, so that its ends may come in either order.  A NaN moment of an
+    interval neither of whose ends is NaN, where a term leaves float64,
+    raises InvalidParameterValue naming the first such interval."""
     moments = _cell_moments(d)
     m = np.stack(np.broadcast_arrays(lo, hi), axis=-1).astype(float)
-    with np.errstate(over="ignore", under="ignore"):
-        out = moments(m.reshape(-1, 2), 2)
+    rows = m.reshape(-1, 2)
+    with np.errstate(all="ignore"):
+        out = moments(rows, 2)
+    bad = np.isnan(out[:3]).any(axis=(0, 2)) & ~np.isnan(rows).any(axis=1)
+    if bad.any():
+        a, b = rows[np.argmax(bad)]
+        raise InvalidParameterValue(
+            f"the {d.family} moments of [{a}, {b}] are NaN: a term leaves "
+            "the float64 range")
     return tuple(a.reshape(m.shape[:-1])[()] for a in out[:3])
 
 

@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +103,7 @@ class TestParsing:
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv, key", [
         (("cvt", "--n", "2", "--density", "uniform"), "generators"),
         (("static-alloc", "--n", "5", "--r", "250", "--density",
@@ -192,6 +196,33 @@ class TestParsing:
         assert cli._write_plot_data is sim.TraceLog.write_plot_data
 
 
+class TestRunAsModule:
+    """python -m cvtalloc.cli exits with main's code and prints its output:
+    the __main__ guard, which the in-process calls of main do not run."""
+
+    def run_module(self, tmp_path, *argv):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-m", "cvtalloc.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True)
+
+    def test_shift_check_exits_zero_with_json(self, tmp_path):
+        run = self.run_module(tmp_path, "shift-check", "--domain", "0,100",
+                              "--n", "5", "--mu", "50", "--sigma2", "4",
+                              "--delta", "2")
+        assert run.returncode == cli.EXIT_OK and run.stderr == ""
+        assert json.loads(run.stdout)["passed"] is True
+
+    def test_bad_density_exits_one_with_one_error_line(self, tmp_path):
+        run = self.run_module(tmp_path, "cvt", "--domain", "0,15", "--n", "3",
+                              "--density", "nope")
+        assert run.returncode == cli.EXIT_USAGE and run.stdout == ""
+        assert run.stderr.startswith("error: --density: ")
+        assert run.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCvt:
     def test_uniform_three_generators(self, tmp_path, capsys):
         rc = run_cli("cvt", "--domain", "0,15", "--n", "3",
@@ -247,6 +278,7 @@ class TestCvt:
         assert captured.err == ("error: the quantization energy on [0.0, "
                                 "1e+170] is not a finite float64 (nan)\n")
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("domain, n, message", [
         # (i - 1/2) * width overflows at i = 2 and 3: the equally spaced
         # start is finite, and so is the midpoint of the last two
@@ -261,7 +293,7 @@ class TestCvt:
     ], ids=["start-overflow", "square-overflow"])
     def test_wide_uniform_domain_is_one_typed_error(self, domain, n, message,
                                                     tmp_path, capsys):
-        # No NumPy warning (pyproject.toml makes one fail the test) and no
+        # No warning (the mark makes one fail the test) and no
         # "generators must be finite" from an overflowed start or moment.
         rc = run_cli("cvt", "--domain", domain, "--n", n, "--density",
                      "uniform", "--out", str(tmp_path))
@@ -382,6 +414,7 @@ class TestStaticAlloc:
             for i in range(int(n)))
         assert (tmp_path / "allocation.csv").read_text() == expected
 
+    @pytest.mark.filterwarnings("error")
     def test_uniform_free_b_past_the_square_overflow(self, tmp_path, capsys):
         # The clipped ends squared overflow above about 1.3e154; the first
         # moments, m0 (hi + lo) / 2 there, give the exact allocation.
@@ -393,6 +426,7 @@ class TestStaticAlloc:
         assert out["centroids"] == [2.25e159, 6.75e159]
         assert out["v_k"] == 9e159 and out["residual_norm"] == 0.0
 
+    @pytest.mark.filterwarnings("error")
     def test_residual_norm_past_the_square_overflow(self, tmp_path, capsys):
         # Residual entries above about 1.3e154 overflow the sum of squares:
         # the scaled norm of the start is finite, so the solve runs and
@@ -404,6 +438,8 @@ class TestStaticAlloc:
         assert rc == cli.EXIT_SOLVER and captured.out == ""
         assert captured.err.startswith("solver failed: line search stalled "
                                        "at residual norm ")
+        assert captured.err.endswith("is below 1.99584e+292, one ulp of the "
+                                     "larger domain end\n")
         assert captured.err.count("\n") == 1
 
     def test_non_finite_band_is_a_solver_failure(self, tmp_path, capfd,
@@ -965,6 +1001,7 @@ class TestTypedInputErrors:
 
     GAUSS = '{"family":"gaussian","mu":"free","sigma2":4.0}'
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv, message", [
         (("cvt", "--domain", "0,15", "--n", "0", "--density", "uniform"),
          "need at least one generator"),

@@ -4,6 +4,7 @@ agreement with the quadrature oracle of tests/quadrature.py."""
 import decimal
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -338,6 +339,31 @@ class TestKnownIntegrals:
                        / (3 * (Fraction(b) - Fraction(a))))
                  for l, h in zip(lo, hi)]
         np.testing.assert_allclose(m2, exact, rtol=2e-15)
+
+    @pytest.mark.parametrize("d, lo, hi", [
+        # inf - inf in the second moment's difference of terms, inf * 0 in
+        # the gamma's, and 2 / lam ** 2 with lam ** 2 underflowing to 0.
+        (DensitySpec("exponential", {"lam": 1e-160}), 1e160, 2e160),
+        (DensitySpec("gamma", {"k": 3.0, "theta": 1e300}), 1e305, 1e306),
+        (DensitySpec("exponential", {"lam": 1e-300}), 0.0, 1e300),
+    ], ids=["exponential-subtract", "gamma-multiply", "exponential-divide"])
+    def test_moments_that_leave_float64_are_one_typed_error(self, d, lo, hi):
+        # Each once ended in a RuntimeWarning and a NaN second moment.
+        with pytest.raises(InvalidParameterValue, match=re.escape(
+                f"the {d.family} moments of [{lo}, {hi}] are NaN")):
+            dens.interval_moments(d, lo, hi)
+
+    def test_the_error_names_the_first_interval_with_number_ends(self):
+        # A NaN end gives NaN moments and no error; [1e155, 1e156] has
+        # finite moments under the same lam.
+        d = DensitySpec("exponential", {"lam": 1e-160})
+        lo, hi = np.array([1e155, np.nan, 1e160]), np.array([1e156, 1, 2e160])
+        moments = np.array(dens.interval_moments(d, lo[:2], hi[:2]))
+        assert np.isfinite(moments[:, 0]).all()
+        assert np.isnan(moments[:, 1]).all()
+        with pytest.raises(InvalidParameterValue,
+                           match=r"^the exponential moments of \[1e\+160, "):
+            dens.interval_moments(d, lo, hi)
 
     def test_uniform_first_moment_past_the_square_overflow(self):
         # Above about 1.3e154 the squared ends overflow; the first moment is
@@ -732,14 +758,13 @@ def _kept(d):
     return _terms_kept, _combine_kept
 
 
-def _cell_centroids_kept(d, m, terms=None, combine=None):
+def _cell_centroids_kept(d, m):
     """(centroids, m0) of d's cells between the boundaries m, 1-D or a
     (K, N+1) stack, as the centroid map computed them before it took a
     Gaussian's cells from their runs: every cell's terms through one
     _combine, the empty-cell rule checked per cell only when the least
     mass is at most the bound of the widest cell."""
-    kept = _kept(d)
-    terms, combine = terms or kept[0], combine or kept[1]
+    terms, combine = _kept(d)
     m = np.asarray(m, dtype=float)
     lo, hi = m[..., :-1], m[..., 1:]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -898,34 +923,6 @@ class TestEmptyCellPreCheck:
                             == expected.tobytes())
 
 
-def _gaussian_terms_before(d, x, order):
-    """The Gaussian _terms before one erfc of |t|/sqrt2 served both tails:
-    t, erfc(s), erfc(-s), erf(s), phi(t)[, t phi(t)] with s = t/sqrt2."""
-    t = (x - d.params["mu"]) / math.sqrt(d.params["sigma2"])
-    s = t / dens._SQRT2
-    e = np.exp(-0.5 * t * t)
-    out = (t, special.erfc(s), special.erfc(-s), special.erf(s),
-           e * dens._INV_SQRT_2PI)
-    if order == 2:
-        out += (np.where(np.isfinite(t), t, 0.0) * e * dens._INV_SQRT_2PI,)
-    return out
-
-
-def _gaussian_combine_before(d, lo, hi, order):
-    """The Gaussian _combine of _gaussian_terms_before: erfc(s) for a cell
-    right of mu, erfc(-s) for one left of it, erf across it."""
-    mu, s2 = d.params["mu"], d.params["sigma2"]
-    sigma = math.sqrt(s2)
-    m0 = 0.5 * np.where(lo[0] >= 0, lo[1] - hi[1],
-                        np.where(hi[0] <= 0, hi[2] - lo[2], hi[3] - lo[3]))
-    dphi = lo[4] - hi[4]
-    m1 = mu * m0 + sigma * dphi
-    if order == 1:
-        return m0, m1
-    central2 = s2 * (m0 + lo[5] - hi[5])
-    return m0, m1, mu * mu * m0 + 2.0 * mu * sigma * dphi + central2
-
-
 def _module_moments(d, lo, hi, order):
     """The module's moments of the intervals [lo, hi] at order: d's kernel
     on them as one-cell rows of a stack, which interval_moments reads at
@@ -937,12 +934,11 @@ def _module_moments(d, lo, hi, order):
                  for a in dens._cell_moments(d)(rows, order)[:order + 1])
 
 
-def _before_moments(d, lo, hi, order):
-    """The moments of the intervals [lo, hi] at order through the
-    three-erfc _gaussian_terms_before and _gaussian_combine_before."""
-    return _gaussian_combine_before(d, _gaussian_terms_before(d, lo, order),
-                                    _gaussian_terms_before(d, hi, order),
-                                    order)
+def _kept_moments(d, lo, hi, order):
+    """The moments of the intervals [lo, hi] at order through the kept
+    Gaussian pair, _gaussian_terms_kept and _gaussian_combine_kept."""
+    return _gaussian_combine_kept(d, _gaussian_terms_kept(d, lo, order),
+                                  _gaussian_terms_kept(d, hi, order), order)
 
 
 def _gaussian_outcomes(d, m, cells=centroids_and_masses,
@@ -995,27 +991,24 @@ def _gaussian_boundaries(rng, d, kind, n):
 class TestOneErfcGaussian:
     """The Gaussian kernel keeps one erfc, of |t|/sqrt2: cell_centroids and
     the order-1 and order-2 moments keep the bits, and the EmptyCell
-    messages, of the three-erfc kernel of _gaussian_terms_before."""
+    messages, of the kept pair _gaussian_terms_kept and
+    _gaussian_combine_kept, which read erf at every boundary."""
 
     @staticmethod
-    def assert_same_as_before(d, m):
-        def before_map(d, m):
-            return _cell_centroids_kept(d, m, _gaussian_terms_before,
-                                        _gaussian_combine_before)
-
-        before = _gaussian_outcomes(d, m, before_map, _before_moments)
-        assert _gaussian_outcomes(d, m) == before
+    def assert_same_as_kept(d, m):
+        kept = _gaussian_outcomes(d, m, _cell_centroids_kept, _kept_moments)
+        assert _gaussian_outcomes(d, m) == kept
 
     @pytest.mark.parametrize("kind", ["left", "right", "straddle",
                                       "underflow", "nan"])
-    def test_same_bits_as_three_erfc(self, kind):
+    def test_same_bits_as_the_kept_pair(self, kind):
         rng = np.random.default_rng(len(kind))
         empty = 0
         for d in _GAUSSIANS:
             for _ in range(100):
                 n = int(rng.integers(2, 40))
                 m = _gaussian_boundaries(rng, d, kind, n)
-                self.assert_same_as_before(d, m)
+                self.assert_same_as_kept(d, m)
                 empty += isinstance(_gaussian_outcomes(d, m)[0], str)
         # Cells past the underflow are empty; elsewhere none is.  A row
         # with a NaN boundary is rejected by cell_centroids.
@@ -1032,7 +1025,7 @@ class TestOneErfcGaussian:
         m = np.array(m)
         d = _GAUSSIANS[0]
         assert np.array_equal(np.signbit((m - 0.0) / 1.0), np.signbit(m))
-        self.assert_same_as_before(d, m)
+        self.assert_same_as_kept(d, m)
 
     def test_stacks(self):
         # (K, N+1) stacks of rows of every kind: an EmptyCell names the
@@ -1044,7 +1037,7 @@ class TestOneErfcGaussian:
                 n = int(rng.integers(2, 20))
                 rows = [_gaussian_boundaries(rng, d, kind, n)
                         for kind in rng.choice(kinds, 4)]
-                self.assert_same_as_before(d, np.array(rows))
+                self.assert_same_as_kept(d, np.array(rows))
 
 
 def _bits(a):
@@ -1206,8 +1199,7 @@ class TestOneMomentKernel:
             assert got[-1] is None and len(got) == order + 2
             assert ([_bits(a).tolist() for a in got[:-1]]
                     == [_bits(a).tolist() for a in want])
-        with np.errstate(invalid="ignore"):
-            moments = dens.interval_moments(d, lo, hi)
+        moments = dens.interval_moments(d, lo, hi)
         assert ([_bits(a).tolist() for a in moments]
                 == [_bits(a[:, 0]).tolist() for a in want])
 

@@ -761,7 +761,7 @@ class TestEvaluationCount:
         assert exc.value.residual_norm == np.inf
         assert np.array_equal(exc.value.best, bad)
 
-    @pytest.mark.parametrize("n", [50, 200, 800])
+    @pytest.mark.parametrize("n", [50, 200, 800, 10_000])
     def test_static_sweep_solve(self, n, monkeypatch):
         # The seed-0 static-sweep solve: 4 Gaussian-mu banded steps, whose
         # columns are analytic, and 5 evaluations, all through sa._evaluate.
@@ -1446,6 +1446,11 @@ class TestScaledProblem:
         assert (np.max(np.abs(sol.centroids / s - ref.centroids))
                 <= 1e-9 * DOM_100.width)
         assert sa.cross_validate(sol, p).passed
+        if (s, n) == (1e-6, 15):
+            # On [0, 1e-4] the residual tolerance is 1e-15: the solve ends
+            # below it, with its mean at the scaled 5e-5.
+            assert sol.residual_norm < 1e-15
+            assert abs(sol.v_k - 5e-5) < 1e-13
 
     @pytest.mark.parametrize("width", [100.0, 1e3, 1.7e308])
     def test_tolerances_are_unscaled_from_width_100(self, width):

@@ -197,6 +197,20 @@ class TestLloyd:
         assert t.stop_reason == "budget"
         assert t.iterations == 3
 
+    @pytest.mark.parametrize("d, b, iterations", [
+        (DensitySpec("gaussian", {"mu": 30.0, "sigma2": 4.0}), 100.0, 13_261),
+        (DensitySpec("exponential", {"lam": 0.02}), 300.0, 14_769),
+        (DensitySpec("gamma", {"k": 3.0, "theta": 20.0}), 300.0, 14_882),
+    ], ids=["gaussian", "exponential", "gamma"])
+    def test_fifty_generators_stop_on_tol(self, d, b, iterations):
+        # The cvt command's run from the equally spaced start, whose
+        # energy comes from the moment kernel at order 2: the count of
+        # updates to a "tol" stop moves with the centroid map's bits.
+        dom = Domain1D(0.0, b)
+        t = tess.lloyd(tess.default_init(50, dom), d, dom, max_iter=50_000)
+        assert (t.stop_reason, t.iterations) == ("tol", iterations)
+        assert np.isfinite([t.energy, *t.generators]).all()
+
     def test_stagnation_below_noise_floor(self):
         # A tolerance below the noise floor of the centroid map is never met;
         # Lloyd stops once the displacement has set no new minimum for
