@@ -378,6 +378,19 @@ def _gamma_buffers(ends, cells):
             (np.empty(cells), np.empty(cells), np.empty(cells)))
 
 
+def _scaled_by(c: float):
+    """diff *= c in place; for an infinite c only where diff is nonzero, so
+    that a far-tail cell's zero difference stays 0, not inf * 0 = NaN."""
+    c = np.array(c)
+    if np.isfinite(c):
+        def scale(diff):
+            diff *= c
+    else:
+        def scale(diff):
+            np.multiply(diff, c, out=diff, where=diff != 0)
+    return scale
+
+
 def _gamma(p: dict, kept: list):
     """The gamma kernel: the lower and upper regularized incomplete gamma
     functions P and Q of shapes k, k + 1[, k + 2] at the ends clipped at 0,
@@ -385,7 +398,7 @@ def _gamma(p: dict, kept: list):
     the bulk, to avoid catastrophic cancellation of near-1 P values."""
     k, theta = p["k"], p["theta"]
     shapes = tuple(map(np.array, (k, k + 1.0, k + 2.0)))
-    scales = tuple(map(np.array, (k * theta, k * (k + 1.0) * theta * theta)))
+    scales = tuple(map(_scaled_by, (k * theta, k * (k + 1.0) * theta * theta)))
     theta = np.array(theta)
     gammainc, gammaincc = special.gammainc, special.gammaincc
 
@@ -401,8 +414,8 @@ def _gamma(p: dict, kept: list):
             np.greater(P_lo, _HALF, out=upper)
             np.subtract(P_hi, P_lo, out=diff)
             np.subtract(Q_lo, Q_hi, out=diff, where=upper)
-        for c, diff in zip(scales, diffs[1:]):
-            diff *= c
+        for scale, diff in zip(scales, diffs[1:]):
+            scale(diff)
         return (*diffs, None)
     return moments
 

@@ -16,6 +16,7 @@ import logging
 import math
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import tessellation as tess
 from .density import DensitySpec
@@ -83,7 +84,6 @@ class ShiftReport:
 
 
 def _gaussian_tail_mass_outside(mu: float, sigma: float, dom: Domain1D) -> float:
-    from scipy.special import ndtr
     return float(ndtr((dom.a - mu) / sigma) + ndtr((mu - dom.b) / sigma))
 
 

@@ -251,29 +251,22 @@ class TestNeighborsOfInterest:
                                    for p, i in enumerate(order)]
 
 
-def oracle_neighbors_of_interest(z, desired, order):
-    """dyn.neighbors_of_interest as it was before its padded arrays were
-    preallocated, built with np.concatenate and np.append: the oracle of
-    the array version."""
-    order = np.asarray(order)
-    n = order.size
-    padded = np.concatenate(([n], order, [n]))
-    z = np.append(np.asarray(z, dtype=float), np.inf)[padded]
-    u = np.asarray(desired, dtype=float)[order]
-    left, right = padded[:-2], padded[2:]
-    d_left, d_right = np.abs(u - z[:-2]), np.abs(u - z[2:])
-    go_left = (d_left < d_right) | ((d_left == d_right) & (left < right))
-    best = np.where(go_left, left, right)
-    d_best = np.where(go_left, d_left, d_right)
-    return np.where(d_best < np.abs(u - z[1:-1]), best, order)
+def scalar_neighbors_of_interest(z, desired, order):
+    """neighbor_of_interest at every position of order, gathered into an
+    np.intp array: the oracle of dyn.neighbors_of_interest."""
+    z, desired = np.asarray(z).tolist(), np.asarray(desired).tolist()
+    order = np.asarray(order).tolist()
+    return np.array([neighbor_of_interest(p, desired[i], z, order)
+                     for p, i in enumerate(order)], dtype=np.intp)
 
 
 def oracle_negotiate_round(state, desired):
     """dyn.negotiate_round as it was before its swaps became one flat list
-    of ints, with a list of (proposer, target) tuples and np.flatnonzero:
-    the post-round resources, their np.argsort line graph and the swaps."""
+    of ints, with a list of (proposer, target) tuples and np.flatnonzero,
+    each agent's choice taken from the scalar rule: the post-round
+    resources, their np.argsort line graph and the swaps."""
     desired = np.asarray(desired, dtype=float)
-    choice = oracle_neighbors_of_interest(state.resources, desired,
+    choice = scalar_neighbors_of_interest(state.resources, desired,
                                           state.order)
     proposers = np.flatnonzero(choice != state.order)
     taken = [False] * state.resources.size
@@ -295,13 +288,13 @@ def assert_same_array(got, want):
 
 
 class TestAgainstArrayOracle:
-    """The preallocated padding, the flat swap list and the method sort
-    against the code they replaced, on half-integers, where equal
-    resources, equal distances and desired amounts midway between two
-    resources are frequent."""
+    """The array choice against the scalar rule, and the flat swap list
+    and the method sort against the code they replaced, on half-integers,
+    where equal resources, equal distances and desired amounts midway
+    between two resources are frequent."""
 
     def assert_choice(self, z, desired, order):
-        want = oracle_neighbors_of_interest(z, desired, order)
+        want = scalar_neighbors_of_interest(z, desired, order)
         assert_same_array(dyn.neighbors_of_interest(z, desired, order), want)
         assert_same_array(dyn.neighbors_of_interest(
             z.tolist(), desired.tolist(), order.tolist()), want)
