@@ -378,19 +378,6 @@ def _gamma_buffers(ends, cells):
             (np.empty(cells), np.empty(cells), np.empty(cells)))
 
 
-def _scaled_by(c: float):
-    """diff *= c in place; for an infinite c only where diff is nonzero, so
-    that a far-tail cell's zero difference stays 0, not inf * 0 = NaN."""
-    c = np.array(c)
-    if np.isfinite(c):
-        def scale(diff):
-            diff *= c
-    else:
-        def scale(diff):
-            np.multiply(diff, c, out=diff, where=diff != 0)
-    return scale
-
-
 def _gamma(p: dict, kept: list):
     """The gamma kernel: the lower and upper regularized incomplete gamma
     functions P and Q of shapes k, k + 1[, k + 2] at the ends clipped at 0,
@@ -398,7 +385,13 @@ def _gamma(p: dict, kept: list):
     the bulk, to avoid catastrophic cancellation of near-1 P values."""
     k, theta = p["k"], p["theta"]
     shapes = tuple(map(np.array, (k, k + 1.0, k + 2.0)))
-    scales = tuple(map(_scaled_by, (k * theta, k * (k + 1.0) * theta * theta)))
+    # Each moment's scale, or where that product overflows its finite
+    # factors in turn: inf * 0 would make a far-tail zero difference NaN.
+    scales = []
+    for factors in ((k, theta), (k, k + 1.0, theta, theta)):
+        c = math.prod(factors)
+        scales.append(tuple(map(np.array,
+                                (c,) if math.isfinite(c) else factors)))
     theta = np.array(theta)
     gammainc, gammaincc = special.gammainc, special.gammaincc
 
@@ -414,8 +407,9 @@ def _gamma(p: dict, kept: list):
             np.greater(P_lo, _HALF, out=upper)
             np.subtract(P_hi, P_lo, out=diff)
             np.subtract(Q_lo, Q_hi, out=diff, where=upper)
-        for scale, diff in zip(scales, diffs[1:]):
-            scale(diff)
+        for factors, diff in zip(scales, diffs[1:]):
+            for c in factors:
+                diff *= c
         return (*diffs, None)
     return moments
 

@@ -353,12 +353,16 @@ class TestKnownIntegrals:
             dens.interval_moments(d, lo, hi)
 
     def test_gamma_far_tail_with_an_overflowing_scale(self):
-        # k (k + 1) theta^2 overflows to inf: a far-tail interval whose
-        # incomplete-gamma differences are 0 has moments 0, not inf * 0 =
-        # NaN, and one whose difference is not 0 has m2 = inf.
+        # An overflowing scale: no NaN where the differences are 0, m2 inf
+        # where it leaves float64, and mpmath's 1.2e309 P(5, 0.1) where not.
         d = DensitySpec("gamma", {"k": 3.0, "theta": 1e300})
         assert dens.interval_moments(d, 1e305, 1e306) == (0.0, 0.0, 0.0)
         assert dens.interval_moments(d, 0.0, 1e300)[2] == math.inf
+        d = DensitySpec("gamma", {"k": 3.0, "theta": 1e308})
+        assert dens.interval_moments(d, 0.0, 1e-300) == (0.0, 0.0, 0.0)
+        d = DensitySpec("gamma", {"k": 3.0, "theta": 1e154})
+        np.testing.assert_allclose(dens.interval_moments(d, 0.0, 1e153)[2],
+                                   9.201362023427171e+301, rtol=1e-14)
 
     def test_the_error_names_the_first_interval_with_number_ends(self):
         # A NaN end gives NaN moments and no error; [1e155, 1e156] has

@@ -233,6 +233,14 @@ class TestNeighborOfInterest:
                 neighbor_of_interest(p, 1.0, [2.0], [0])
 
 
+def scalar_neighbors_of_interest(z, desired, order):
+    """neighbor_of_interest at every position of order, gathered into an
+    np.intp array: the oracle of dyn.neighbors_of_interest."""
+    z, desired, order = (np.asarray(a).tolist() for a in (z, desired, order))
+    return np.array([neighbor_of_interest(p, desired[i], z, order)
+                     for p, i in enumerate(order)], dtype=np.intp)
+
+
 class TestNeighborsOfInterest:
     def test_matches_oracle_at_every_position(self):
         """3,000 rounds at N = 1 to 40 on half-integers from 0 to 6, so that
@@ -247,17 +255,8 @@ class TestNeighborsOfInterest:
                 for order in (dyn.rebuild_line_graph(np.array(z)).tolist(),
                               rng.permutation(n).tolist()):
                     got = dyn.neighbors_of_interest(z, desired, order).tolist()
-                    assert got == [neighbor_of_interest(p, desired[i], z, order)
-                                   for p, i in enumerate(order)]
-
-
-def scalar_neighbors_of_interest(z, desired, order):
-    """neighbor_of_interest at every position of order, gathered into an
-    np.intp array: the oracle of dyn.neighbors_of_interest."""
-    z, desired = np.asarray(z).tolist(), np.asarray(desired).tolist()
-    order = np.asarray(order).tolist()
-    return np.array([neighbor_of_interest(p, desired[i], z, order)
-                     for p, i in enumerate(order)], dtype=np.intp)
+                    assert got == scalar_neighbors_of_interest(
+                        z, desired, order).tolist()
 
 
 def oracle_negotiate_round(state, desired):
