@@ -377,11 +377,12 @@ def initialize(sc: Scenario) -> SimState:
 def _build_fleet(sc: Scenario, disturbances: np.ndarray, setpoints):
     """Seeded plant models, and the gains and plant states stacked by agent,
     each plant started at the steady state consistent with the initial
-    disturbance and its agent's configured setpoint.  Each agent draws its
-    parameters from its own seed; the model, discretization, pole placement
-    and equilibrium then run once for the whole fleet."""
-    params = th.ThermalParams.stack(
-        th.sample_parameters(sc.seed * 100_003 + i) for i in range(sc.n_agents))
+    disturbance and its agent's configured setpoint.  Agent i draws its
+    parameters from seed * 100003 + i, a Python int however large the seed;
+    the draw, the model, discretization, pole placement and equilibrium
+    each run once for the whole fleet."""
+    first = sc.seed * 100_003
+    params = th.sample_parameters(range(first, first + sc.n_agents))
     fleet = th.discretize_zoh(th.build_continuous_model(params), sc.ts_minutes)
     if not all(np.isfinite(m).all() for m in (fleet.Ad, fleet.Bd, fleet.Gd)):
         raise InvalidScenario(

@@ -2,13 +2,16 @@
 assembly, exact zero-order-hold discretization, and local pole-placement
 state feedback with reference feedforward.
 
-The model, discretization, pole placement, equilibrium and control law
-take one agent, or a fleet stacked by agent.  One agent's float
-parameters give A (3, 3) and a float N_r; a fleet's (N,) parameter arrays
-give the same arrays with a leading agent axis, each computed by one
-stacked call, and every agent's entries are bit for bit those of its own
-one-agent call.  ``step_plant`` steps one agent, with ``ndarray.dot`` on
-the contiguous blocks ``discretize_zoh`` returns.
+The parameter draw, model, discretization, pole placement, equilibrium
+and control law take one agent, or a fleet stacked by agent.  One
+``sample_parameters`` call samples a whole fleet from one seed per agent,
+in one draw of eight normals each; the simulation's agent i draws from
+seed * 100003 + i.  One agent's float parameters give A (3, 3) and a
+float N_r; a fleet's (N,) parameter arrays give the same arrays with a
+leading agent axis, each computed by one stacked call, and every agent's
+entries are bit for bit those of its own one-agent call.  ``step_plant``
+steps one agent, with ``ndarray.dot`` on the contiguous blocks
+``discretize_zoh`` returns.
 
 State x = (indoor air, interior mass, envelope) temperatures; input u is the
 signed HVAC power (positive heating, negative cooling); disturbances
@@ -129,19 +132,39 @@ class ControllerGains:
         self.K_fb, self.N_r, self.K_w = K_fb, N_r, K_w
 
 
-def sample_parameters(seed: int) -> ThermalParams:
+def sample_parameters(seeds) -> ThermalParams:
     """Draw the eight RC parameters from normal distributions with the
     K_MEANS and C_MEANS means and the K_VARIANCE and C_VARIANCE variances,
-    redrawing any nonpositive value.  Deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    values = []
-    for mean, var in [(m, K_VARIANCE) for m in K_MEANS] + \
-                     [(m, C_VARIANCE) for m in C_MEANS]:
-        v = 0.0
-        while v <= 0:
-            v = mean + math.sqrt(var) * rng.standard_normal()
-        values.append(v)
-    return ThermalParams(*values)
+    one agent per seed: one int seed gives one agent's floats, a sequence
+    of int seeds the fleet's (N,) arrays in seed order.
+
+    Each agent takes one draw of eight standard normals from
+    ``np.random.default_rng(seed)``, which gives the eight scalar draws of
+    the rule below bit for bit, and the fleet's values are
+    ``mean + sqrt(var) * z`` as two array operations.  The rule: parameter
+    by parameter, in PARAM_NAMES order, a nonpositive value is redrawn from
+    the same generator until it is positive.  Only an agent whose eight
+    values hold a nonpositive one runs that rule, from a fresh generator of
+    its seed, so every seed's parameters are those of the rule alone."""
+    one = isinstance(seeds, (int, np.integer))
+    seeds = [seeds] if one else seeds
+    n_k, n_c = len(K_MEANS), len(C_MEANS)
+    means = np.array(K_MEANS + C_MEANS)
+    sds = np.sqrt(np.repeat([K_VARIANCE, C_VARIANCE], [n_k, n_c]))
+    z = np.empty((len(seeds), n_k + n_c))
+    for seed, row in zip(seeds, z):
+        np.random.default_rng(seed).standard_normal(out=row)
+    values = means + sds * z
+    for i in np.flatnonzero((values <= 0).any(axis=1)):
+        rng = np.random.default_rng(seeds[i])
+        for j, (mean, sd) in enumerate(zip(means.tolist(), sds.tolist())):
+            v = 0.0
+            while v <= 0:
+                v = mean + sd * rng.standard_normal()
+            values[i, j] = v
+    if one:
+        return ThermalParams(*values[0].tolist())
+    return ThermalParams(*values.T)
 
 
 def _raise_at_first(failed, error, why: str) -> None:

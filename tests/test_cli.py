@@ -671,6 +671,13 @@ class TestDynamicSim:
                        "0", "--out", str(tmp_path / "x")) == cli.EXIT_USAGE
         assert "horizon" in capsys.readouterr().err
 
+    def test_seed_past_int64_runs(self, tmp_path, capsys):
+        # Agent i's seed, seed * 100003 + i, is a Python int of any size.
+        assert run_cli("dynamic-sim", "--config", str(SHIPPED), "--seed",
+                       str(2**70), "--horizon", "2", "--out",
+                       str(tmp_path / "out")) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])
+
     def test_blank_disturbance_cell_exits_one(self, tmp_path, capsys):
         assert_disturbance_error(
             tmp_path, capsys, "time_min,outdoor_temp_F,solar_radiation_W\n"

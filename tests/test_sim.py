@@ -370,11 +370,14 @@ class TestStackedSetUp:
         lambda: json.loads(SHIPPED.read_text()),
         lambda: fleet_config(240),
         seeded(lambda: fleet_config(240), 3),
-    ], ids=["shipped", "fleet-240", "fleet-240-seed-3"])
+        # seed * 100003 + i is past int64 here: the seeds stay Python ints.
+        seeded(lambda: json.loads(SHIPPED.read_text()), 2**70),
+    ], ids=["shipped", "fleet-240", "fleet-240-seed-3", "shipped-seed-2**70"])
     def test_stacked_calls_equal_per_agent_calls(self, config):
-        """The model, discretization, pole placement and equilibrium, each
-        called once for the whole fleet, give every agent bit for bit the
-        arrays of its own one-agent call, and initialize hands them on."""
+        """The parameter draw, model, discretization, pole placement and
+        equilibrium, each called once for the whole fleet, give every agent
+        bit for bit the arrays of its own one-agent call, and initialize
+        hands them on."""
         sc = sim.Scenario.from_config(config())
         st = sim.initialize(sc)
         w0 = st.disturbances[0]

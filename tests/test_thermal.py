@@ -1,5 +1,7 @@
 """RC thermal plant, ZOH discretization, and pole-placement control."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -9,7 +11,60 @@ from cvtalloc.errors import InvalidScenario, NonHurwitz, Uncontrollable
 from cvtalloc.thermal import ThermalParams
 
 
+def drawn_per_value(seed):
+    """The draw rule as a per-value loop, its one reference: each parameter,
+    in PARAM_NAMES order, is mean + sqrt(var) * one standard normal of the
+    seed's generator, drawn again while it is nonpositive.  The means are
+    read at call time."""
+    rng = np.random.default_rng(seed)
+    values = []
+    for mean, var in [(m, th.K_VARIANCE) for m in th.K_MEANS] + \
+                     [(m, th.C_VARIANCE) for m in th.C_MEANS]:
+        v = 0.0
+        while v <= 0:
+            v = mean + math.sqrt(var) * rng.standard_normal()
+        values.append(v)
+    return values
+
+
+def assert_fleet_is_per_seed(seeds):
+    """The fleet form equals the stack of one-seed calls, and each one-seed
+    call returns the reference's floats."""
+    one = [th.sample_parameters(s) for s in seeds]
+    for s, p in zip(seeds, one):
+        values = [getattr(p, n) for n in th.PARAM_NAMES]
+        assert all(type(v) is float for v in values)
+        assert values == drawn_per_value(s), s
+    fleet, stacked = th.sample_parameters(seeds), ThermalParams.stack(one)
+    for name in th.PARAM_NAMES:
+        assert np.array_equal(getattr(fleet, name), getattr(stacked, name))
+    return fleet
+
+
 class TestSampleParameters:
+    @pytest.mark.parametrize("seeds", [
+        list(range(500)),
+        [7 * 100_003 + i for i in range(500)],
+        np.arange(10**6, 10**6 + 500, dtype=np.int64),
+        [2**70 * 100_003 + i for i in range(500)],
+    ], ids=["from-0", "shipped-seed", "numpy-ints", "past-2**63"])
+    def test_fleet_draw_equals_per_value_draws(self, seeds):
+        assert_fleet_is_per_seed(seeds)
+
+    def test_nonpositive_draws_are_redrawn_from_a_fresh_generator(
+            self, monkeypatch):
+        # With the K3 mean at 0 about half the agents draw a nonpositive K3
+        # and take the redraw rule; the others keep their one draw of eight.
+        means = list(th.K_MEANS)
+        means[2] = 0.0
+        monkeypatch.setattr(th, "K_MEANS", tuple(means))
+        seeds = range(400)
+        fleet = assert_fleet_is_per_seed(seeds)
+        k3 = [np.random.default_rng(s).standard_normal(8)[2] for s in seeds]
+        assert 100 < np.count_nonzero(np.array(k3) <= 0) < 300
+        for name in th.PARAM_NAMES:
+            assert (getattr(fleet, name) > 0).all()
+
     def test_determinism(self):
         assert th.sample_parameters(7) == th.sample_parameters(7)
 
