@@ -34,7 +34,7 @@ from . import tessellation as tess
 from .density import DensitySpec, _unique_keys
 from .errors import (CvtAllocError, InvalidParameterValue, InvalidScenario,
                      SolverDiverged)
-from .sim import _FMT
+from .sim import _FMT, _blocks
 from .tessellation import Domain1D
 
 EXIT_OK = 0
@@ -162,17 +162,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write_generators_csv(path, history, boundaries) -> None:
     """One row per iterate and generator, then one per final boundary.
-    Each iterate is one %-template, with the generator index written into
-    it once, filled from (iteration, z_i) interleaved."""
+    Each block of iterates (``sim._blocks``) is one %-template, with the
+    generator indices written into it once, filled from (iteration, z_i)
+    interleaved."""
     n = len(boundaries) - 1
     row = "".join(f"%d,{i},{_FMT}\n" for i in range(n))
-    values = [0] * (2 * n)
     with open(path, "w", newline="") as fh:
         fh.write("iter,i,z_i\n")
-        for it, z in enumerate(history):
-            values[0::2] = [it] * n
-            values[1::2] = z.tolist()
-            fh.write(row % tuple(values))
+        for s, e in _blocks(len(history), n):
+            values = [0] * (2 * n * (e - s))
+            values[0::2] = np.repeat(np.arange(s, e), n).tolist()
+            values[1::2] = np.ravel(history[s:e]).tolist()
+            fh.write(row * (e - s) % tuple(values))
         fh.write("".join(f"boundary,{i},{_FMT}\n" for i in range(n + 1))
                  % tuple(boundaries.tolist()))
 

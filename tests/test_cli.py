@@ -820,6 +820,9 @@ class TestDynamicSim:
         assert sum(report["phase_s"].values()) <= report["run_s"]
         assert 0.0 <= report["initialize_s"] <= report["run_s"]
         assert report["write_s"] >= 0.0
+        assert set(report["write_phase_s"]) == set(sim.WRITE_PARTS)
+        assert all(t >= 0.0 for t in report["write_phase_s"].values())
+        assert sum(report["write_phase_s"].values()) <= report["write_s"]
         assert report["steps"] == len(report["swaps_per_step"]) == 144
         assert sum(report["swaps_per_step"]) == report["total_swaps"] \
             == metrics["total_swaps"]

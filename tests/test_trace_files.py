@@ -169,6 +169,24 @@ def test_memo_is_rebuilt_after_another_step(tmp_path):
     assert_same_files(t, tmp_path)
 
 
+def test_memo_is_rebuilt_after_a_step_that_opens_a_block(tmp_path):
+    # 204 steps of 5 agents fill a block of 1,024 values; step 204 opens
+    # the next one.
+    sc = small_scenario(horizon=205, power_schedule=(4000.0,) * 205)
+    st = sim.initialize(sc)
+    t = sim.TraceLog(n_agents=sc.n_agents)
+    for k in range(204):
+        sim.step(st, k, t)
+    first = t.rows()
+    assert sim._blocks(204, sc.n_agents) == [(0, 204)]
+    sim.step(st, 204, t)
+    second = t.rows()
+    assert sim._blocks(205, sc.n_agents) == [(0, 204), (204, 205)]
+    assert [len(rows) for rows in second] == [205] * 3
+    assert [rows[:204] for rows in second] == list(first)
+    assert_same_files(t, tmp_path)
+
+
 def wide_trace(n=240, steps=40, seed=11) -> sim.TraceLog:
     """Random magnitudes over twelve decades with random signs, where a
     pairwise or compensated sum would round differently."""
@@ -189,6 +207,39 @@ def wide_trace(n=240, steps=40, seed=11) -> sim.TraceLog:
 
 def test_wide_random_trace_matches_per_file_writers(tmp_path):
     assert_same_files(wide_trace(), tmp_path)
+
+
+def test_empty_trace_writes_only_headers(tmp_path):
+    # No steps: every writer writes its header alone, the plot writer's
+    # totals over a (0, N) stack included; metrics refuses such a trace.
+    t = sim.TraceLog(n_agents=3)
+    memo, oracle = tmp_path / "memo", tmp_path / "oracle"
+    memo.mkdir()
+    oracle.mkdir()
+    t.write_trace_csv(memo / "trace.csv")
+    t.write_swaps_csv(memo / "swaps.csv")
+    t.write_plot_data(memo)
+    oracle_trace_csv(t, oracle / "trace.csv")
+    oracle_swaps_csv(t, oracle / "swaps.csv")
+    oracle_plot_data(t, oracle)
+    assert t.rows() == ([], [], [])
+    for name in FILES:
+        if name != "metrics.json":
+            text = (memo / name).read_bytes()
+            assert text == (oracle / name).read_bytes(), name
+            assert text.count(b"\n") == 1 and text.endswith(b"\n"), name
+
+
+@pytest.mark.parametrize("n, steps, blocks", [
+    (16, 133, [(0, 64), (64, 128), (128, 133)]),
+    (1500, 3, [(0, 1), (1, 2), (2, 3)]),
+    (16, 1, [(0, 1)]),
+], ids=["partial-last-block", "one-step-per-block", "one-step"])
+def test_block_edges_match_per_file_writers(n, steps, blocks, tmp_path):
+    # 64 steps of 16 agents fill a block of 1,024 values; 1,500 agents
+    # exceed one, so each step is a block of its own.
+    assert sim._blocks(steps, n) == blocks
+    assert_same_files(wide_trace(n, steps), tmp_path)
 
 
 def spy_rounds(calls: list):
@@ -242,6 +293,24 @@ def test_trace_keeps_the_pairs_each_round_returned(label, monkeypatch):
         before = np.concatenate([z_round[pairs] for z_round, pairs in step])
         assert np.array_equal(undo_swaps(z, swaps).view(np.int64),
                               before.view(np.int64))
+
+
+def test_write_outputs_records_the_wall_time_of_each_part(tmp_path):
+    sc = small_scenario()
+    t = sim.run(sc)
+    assert t.write_phase_s == {}
+    assert sim.diagnostics(t, sc.domain)["write_phase_s"] == {}
+    sim.write_outputs(t, tmp_path / "first")
+    seconds = t.write_phase_s
+    assert tuple(seconds) == sim.WRITE_PARTS
+    assert all(v >= 0.0 for v in seconds.values())
+    assert sim.diagnostics(t, sc.domain)["write_phase_s"] == seconds
+    # A second write records new times and the same bytes.
+    sim.write_outputs(t, tmp_path / "second")
+    assert t.write_phase_s is not seconds
+    for name in FILES:
+        assert ((tmp_path / "first" / name).read_bytes()
+                == (tmp_path / "second" / name).read_bytes()), name
 
 
 def test_sum_of_squares_is_the_python_loop():
